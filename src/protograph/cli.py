@@ -234,6 +234,12 @@ def _sampler_config(opts: Options) -> SamplerConfig:
     )
 
 
+def _threads(opts: Options) -> int:
+    if opts["threads"] < 1:
+        raise ValueError("--threads must be >= 1")
+    return opts["threads"]
+
+
 def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
     if opts["checkpoint"]:
         params, _ = read_checkpoint(opts["checkpoint"])
@@ -319,12 +325,13 @@ def _cmd_eval(args) -> int:
         "episodes": 100, "lr": 0.1, "format": "csv", "split": "test",
         "encoder": "identity",
     })
+    threads = _threads(opts)
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_fewshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["k-shot"], opts["q-per"], opts["episodes"],
-        _sampler_config(opts), RngStream(opts["seed"]), threads=opts["threads"],
+        _sampler_config(opts), RngStream(opts["seed"]), threads=threads,
     )
     out = opts["out"]
     if out:
@@ -342,13 +349,14 @@ def _cmd_zero_shot(args) -> int:
         **_PATH_DEFAULTS, **_PROTOCOL_DEFAULTS,
         "episodes": 100, "format": "csv", "split": "test", "encoder": "identity",
     })
+    threads = _threads(opts)
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_zeroshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["q-per"], opts["episodes"],
         RngStream(opts["seed"]), measure=opts["measure"], tau=opts["tau"],
-        threads=opts["threads"],
+        threads=threads,
     )
     out = opts["out"]
     if out:
@@ -367,13 +375,14 @@ def _cmd_sweep(args) -> int:
         "episodes": 100, "format": "csv", "split": "test", "encoder": "identity",
         "axis": "L", "values": "1,2,5,10",
     })
+    threads = _threads(opts)
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     values = [int(v) for v in str(opts["values"]).split(",")]
     reports = evaluation.sensitivity_sweep(
         opts["axis"], values, dataset, opts["split"], g, params,
         opts["n-way"], opts["k-shot"], opts["q-per"], opts["episodes"],
-        _sampler_config(opts), RngStream(opts["seed"]), threads=opts["threads"],
+        _sampler_config(opts), RngStream(opts["seed"]), threads=threads,
     )
     out = opts["out"]
     if out:

@@ -50,6 +50,38 @@ class RngStream:
         return RngStream(self.seed, h)
 
 
+class ChildNormals:
+    """Standard-normal draws of the substreams ``rng.child(i, j)``, i < ``n``.
+
+    ``sample(shape, i, j)`` returns exactly ``standard_normal_sample(shape,
+    rng.child(i, j))``, but from one Philox bit generator that is re-keyed per
+    draw instead of rebuilt: Philox is counter-based, so a stream is its key
+    with the counter, buffer and spare-word state all at zero. The hash prefix
+    of ``child(i)`` is derived once per ``i``. An instance holds generator
+    state, so keep it local to one caller; never share it between threads.
+    """
+
+    def __init__(self, rng: RngStream, n: int):
+        root = _splitmix64((rng.stream_id ^ 0xA5A5A5A5A5A5A5A5) & _MASK64)
+        self._prefixes = [_splitmix64(root ^ i) for i in range(n)]
+        self._key = np.array([rng.seed & _MASK64, 0], dtype=np.uint64)
+        self._bits = np.random.Philox(key=self._key)
+        self._gen = np.random.Generator(self._bits)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def sample(self, shape, i: int, j: int) -> np.ndarray:
+        self._key[1] = _splitmix64(self._prefixes[i] ^ (int(j) & _MASK64))
+        self._bits.state = self._state
+        return self._gen.standard_normal(shape)
+
+
 def standard_normal_sample(shape, rng: RngStream) -> np.ndarray:
     """I.i.d. N(0, 1) draws; a pure function of (shape, rng)."""
     return rng.generator().standard_normal(shape)

@@ -14,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import EncoderParams, MEASURES, encode_batch, pairwise_logits
-from .numerics import RngStream, softmax_with_temperature, standard_normal_sample
+from .likelihood import EncoderParams, MEASURES, encode_batch
+from .numerics import ChildNormals, RngStream, softmax_with_temperature
+
+# Not called here (the chain draws through ChildNormals and chain_query_probs
+# scores the queries), but bound so that benchmarks/tracer.py, which patches
+# this module's call sites by name, finds them.
+from .likelihood import pairwise_logits  # noqa: F401
+from .numerics import standard_normal_sample  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -70,10 +76,9 @@ class SupportStatistics:
 
 @dataclass
 class PrototypeSamples:
-    """L chains of N x d prototype vectors, plus the streams that drove them."""
+    """L chains of N x d prototype vectors."""
 
     values: np.ndarray  # (L, N, d)
-    chain_streams: tuple[RngStream, ...] | None = None
 
     @property
     def n_chains(self) -> int:
@@ -139,15 +144,6 @@ def init_objective_and_grad(
         raise ValueError(f"prototypes {v.shape} do not match statistics {center.shape}")
     diff = v - center
     return -0.5 * float(np.sum(diff * diff)), -diff
-
-
-def _chain_noise(
-    rng: RngStream, chain: int, step: int, rank: np.ndarray, d: int
-) -> np.ndarray:
-    # One (N, d) draw per (chain, step), rows then assigned by sorted-target
-    # rank so a permutation of the targets permutes the noise consistently.
-    block = standard_normal_sample((rank.size, d), rng.child(chain, step))
-    return block[rank]
 
 
 def _posterior_gradient(
@@ -223,15 +219,18 @@ def sgld_chain(
     rank = np.argsort(np.argsort(np.asarray(targets, dtype=int)))
     eps = config.step_sizes()
     trajectory = [values.copy()] if record else None
-    streams = tuple(rng.child(l) for l in range(chains))
+    # (chain l, step t) draws the (N, d) block of rng.child(l, t), the same
+    # bytes as standard_normal_sample; its rows are assigned by sorted-target
+    # rank so a permutation of the targets permutes the noise consistently
+    normals = ChildNormals(rng, chains) if config.noise_enabled else None
+    noise = np.empty_like(values)
 
     for t_idx, eps_t in enumerate(eps):
         grad = _posterior_gradient(values, support_enc, one_hot, k_shot, h, config)
         values = values + 0.5 * eps_t * grad
-        if config.noise_enabled:
-            noise = np.stack(
-                [_chain_noise(rng, l, t_idx + 1, rank, d) for l in range(chains)]
-            )
+        if normals is not None:
+            for l in range(chains):
+                noise[l] = normals.sample((n_way, d), l, t_idx + 1)[rank]
             values = values + np.sqrt(eps_t) * noise
         if not np.all(np.isfinite(values)):
             bad = np.where(~np.isfinite(values).reshape(chains, -1).all(axis=1))[0][0]
@@ -239,10 +238,26 @@ def sgld_chain(
         if record:
             trajectory.append(values.copy())
 
-    out = PrototypeSamples(values=values, chain_streams=streams)
+    out = PrototypeSamples(values=values)
     if record:
         return out, ChainRecord(trajectory=np.stack(trajectory), step_sizes=eps)
     return out
+
+
+def chain_query_probs(enc: np.ndarray, values: np.ndarray, measure: str, tau: float) -> np.ndarray:
+    """Per-chain softmax class probabilities of query encodings, (L, Q, N).
+
+    Shared by inference and training, so training-time probabilities are
+    bit-identical to the inference pipeline.
+    """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}")
+    if measure == "dot":
+        logits = enc[None] @ values.transpose(0, 2, 1)
+    else:
+        diff = enc[None, :, None, :] - values[:, None, :, :]
+        logits = -0.5 * np.einsum("lqnd,lqnd->lqn", diff, diff)
+    return softmax_with_temperature(logits, tau)
 
 
 def predict_queries(
@@ -262,19 +277,15 @@ def predict_queries(
     if samples.values.size == 0 or samples.n_chains == 0:
         raise ValueError("no prototype samples")
     enc = encode_batch(query_x, encoder)
-    logits = np.stack(
-        [pairwise_logits(enc, samples.values[l], measure) for l in range(samples.n_chains)]
-    )
-    probs = softmax_with_temperature(logits, tau).mean(axis=0)
+    probs = chain_query_probs(enc, samples.values, measure, tau).mean(axis=0)
 
-    if targets is None:
-        order_key = np.arange(probs.shape[1])
-    else:
-        order_key = np.asarray(targets, dtype=int)
-    preds = np.empty(probs.shape[0], dtype=int)
-    for q in range(probs.shape[0]):
-        best = np.flatnonzero(probs[q] == probs[q].max())
-        preds[q] = best[np.argmin(order_key[best])]
+    n_way = probs.shape[1]
+    order_key = np.arange(n_way) if targets is None else np.asarray(targets, dtype=int)
+    # among the maxima, the lowest order key wins; equal keys go to the lowest
+    # position, as the stable rank orders them
+    rank = np.argsort(np.argsort(order_key, kind="stable"))
+    best = probs == probs.max(axis=1, keepdims=True)
+    preds = np.argmin(np.where(best, rank, n_way), axis=1)
     return probs, preds
 
 

@@ -20,16 +20,23 @@ import numpy as np
 
 from .data import Dataset, Episode, sample_episode
 from .graph import RelationGraph
-from .likelihood import EncoderParams, encode_batch, pairwise_logits
-from .numerics import RngStream, softmax_with_temperature
+from .likelihood import EncoderParams, encode_batch
+from .numerics import RngStream
 from .prior import GnnParams, summary_rows
 from .sampler import (
     SamplerConfig,
+    chain_query_probs,
     init_prototypes,
     posterior_predict,
     sgld_chain,
     _stats_from_encodings,
 )
+
+# Not called here (chain_query_probs scores the queries), but bound so that
+# benchmarks/tracer.py, which patches this module's call sites by name, finds
+# them.
+from .likelihood import pairwise_logits  # noqa: F401
+from .numerics import softmax_with_temperature  # noqa: F401
 
 CHECKPOINT_MAGIC = "protograph-checkpoint v1"
 
@@ -193,13 +200,7 @@ def _episode_forward(
         record=True,
     )
 
-    # same primitives as predict_queries, so training-time probabilities are
-    # bit-identical to the inference pipeline
-    v_final = samples.values  # (L, N, d)
-    logits = np.stack(
-        [pairwise_logits(query_enc, v_final[l], config.measure) for l in range(config.chains)]
-    )
-    query_probs = softmax_with_temperature(logits, config.tau)
+    query_probs = chain_query_probs(query_enc, samples.values, config.measure, config.tau)
     mean_probs = query_probs.mean(axis=0)
 
     p_true = mean_probs[np.arange(len(episode.query_y)), episode.query_y]
@@ -513,33 +514,48 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
 
     def take() -> str:
         nonlocal pos
+        if pos >= len(lines):
+            raise ValueError(f"{path}: truncated checkpoint")
         out = lines[pos]
         pos += 1
         return out
 
+    def take_field(name: str) -> str:
+        key, _, value = take().partition(" ")
+        if key != name or not value:
+            raise ValueError(f"{path}:{pos}: expected {name}")
+        return value
+
+    def take_row(cols: int, expect: str) -> list[float]:
+        fields = take().split(" ")
+        if len(fields) == cols:
+            try:
+                return [float(v) for v in fields]
+            except ValueError:
+                pass
+        raise ValueError(f"{path}:{pos}: bad {expect} row")
+
     def take_matrix(expect: str) -> np.ndarray:
         header = take().split(" ")
-        if header[0] != expect:
+        if header[0] != expect or len(header) != 3:
             raise ValueError(f"{path}: expected {expect}, found {header[0]}")
         rows, cols = int(header[1]), int(header[2])
-        mat = np.array(
-            [[float(v) for v in take().split(" ")] for _ in range(rows)], dtype=float
-        )
+        mat = np.array([take_row(cols, expect) for _ in range(rows)], dtype=float)
         if mat.shape != (rows, cols):
             raise ValueError(f"{path}: bad {expect} block")
         return mat
 
-    d = int(take().split(" ")[1])
-    d_g = int(take().split(" ")[1])
-    activation = take().split(" ")[1]
-    hops = int(take().split(" ")[1])
+    d = int(take_field("d"))
+    d_g = int(take_field("d_g"))
+    activation = take_field("gnn.activation")
+    hops = int(take_field("gnn.hops"))
     weight = take_matrix("gnn.weight")
     bias = take_matrix("gnn.bias")[0]
     if weight.shape != (d_g, d) or bias.shape != (d,):
         raise ValueError(f"{path}: inconsistent dimensions")
     gnn = GnnParams(weight=weight, bias=bias, activation=activation, hops=hops)
 
-    mode = take().split(" ")[1]
+    mode = take_field("encoder.mode")
     if mode == "linear":
         e_weight = take_matrix("encoder.weight")
         e_bias = take_matrix("encoder.bias")[0]
@@ -547,7 +563,7 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
     else:
         encoder = EncoderParams(mode="identity")
 
-    n_echo = int(take().split(" ")[1])
+    n_echo = int(take_field("config"))
     echo = {}
     for _ in range(n_echo):
         key, _, value = take().partition("=")

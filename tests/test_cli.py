@@ -139,6 +139,22 @@ class TestPipeline:
         assert lines[20].split(",")[2] != ""
         assert lines[1].split(",")[2] == ""
 
+    @pytest.mark.parametrize("cmd", ["eval", "zero-shot", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, workspace, capsys, cmd, threads):
+        assert main(base_args(workspace, cmd) + ["--threads", threads]) == 1
+        assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+
+    def test_truncated_checkpoint_is_one_line_error(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        lines = (root / "model.ckpt").read_text().splitlines(keepends=True)
+        for keep in (5, len(lines) // 2, len(lines) - 3):
+            cut = tmp_path / "cut.ckpt"
+            cut.write_text("".join(lines[:keep]))
+            assert main(base_args(workspace, "eval") + ["--checkpoint", str(cut)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {cut}: truncated checkpoint\n"
+
 
 class TestExitCodes:
     def test_help_exits_zero(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from protograph.numerics import (
+    ChildNormals,
     RngStream,
     finite_difference_gradient,
     log_softmax_with_temperature,
@@ -159,6 +160,26 @@ class TestRngStream:
 
     def test_child_keeps_seed(self):
         assert RngStream(5, 9).child(3).seed == 5
+
+
+class TestChildNormals:
+    @pytest.mark.parametrize("seed", [0, 39, 2**63 + 5, -17])
+    @pytest.mark.parametrize("stream_id", [0, 0xDEADBEEF12345678])
+    @pytest.mark.parametrize("shape", [(5, 16), (20, 64)])
+    def test_blocks_equal_one_shot_child_draws(self, seed, stream_id, shape):
+        rng = RngStream(seed, stream_id)
+        normals = ChildNormals(rng, 4)
+        # out-of-order and repeated pairs: every draw starts its stream afresh
+        for i, j in [(0, 1), (3, 5), (1, 1), (0, 1), (2, 0), (3, 2**40)]:
+            np.testing.assert_array_equal(
+                normals.sample(shape, i, j), standard_normal_sample(shape, rng.child(i, j))
+            )
+
+    def test_instances_do_not_share_state(self):
+        a, b = ChildNormals(RngStream(1), 2), ChildNormals(RngStream(2), 2)
+        first = a.sample((3,), 1, 1)
+        b.sample((3,), 1, 1)
+        np.testing.assert_array_equal(a.sample((3,), 1, 1), first)
 
 
 class TestMaxRelativeError:

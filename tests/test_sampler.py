@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from protograph.likelihood import EncoderParams
-from protograph.numerics import RngStream, softmax_with_temperature
+from protograph.likelihood import EncoderParams, pairwise_logits
+from protograph.numerics import RngStream, softmax_with_temperature, standard_normal_sample
 from protograph.sampler import (
     PrototypeSamples,
     SamplerConfig,
     SupportStatistics,
+    chain_query_probs,
     init_objective_and_grad,
     init_prototypes,
     posterior_predict,
@@ -209,6 +210,79 @@ class TestSgldChain:
         )
         np.testing.assert_allclose(out_p.values, out.values[:, perm], atol=1e-14)
 
+    def test_noise_is_child_stream_draw_in_target_rank_order(self):
+        # with both gradient terms weighted to zero the chain adds only noise;
+        # (chain l, step t) must use the rows of rng.child(l, t) by target rank
+        gen = np.random.default_rng(13)
+        v = gen.standard_normal((3, 4, 5))
+        h = gen.standard_normal((4, 5))
+        targets = [7, 2, 9, 5]
+        cfg = SamplerConfig(
+            chains=3, steps=4, step_decay=0.5, prior_weight=0.0, likelihood_weight=0.0
+        )
+        rng = RngStream(39, 4)
+        out = run_chain(v, h, cfg, rng, targets=targets)
+
+        rank = np.argsort(np.argsort(targets))
+        expect = v.copy()
+        for t, eps_t in enumerate(cfg.step_sizes(), start=1):
+            expect = expect + 0.5 * eps_t * (0.0 * (h[None] - expect))
+            noise = np.stack(
+                [standard_normal_sample((4, 5), rng.child(l, t))[rank] for l in range(3)]
+            )
+            expect = expect + np.sqrt(eps_t) * noise
+        np.testing.assert_array_equal(out.values, expect)
+
+    @pytest.mark.parametrize("noise, built", [(False, 0), (True, 1)])
+    def test_one_generator_per_noisy_run(self, monkeypatch, noise, built):
+        made = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            made.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        gen = np.random.default_rng(14)
+        cfg = SamplerConfig(chains=4, steps=6, noise_enabled=noise)
+        run_chain(gen.standard_normal((4, 3, 2)), np.zeros((3, 2)), cfg, RngStream(1))
+        assert len(made) == built
+
+
+def per_chain_probs(enc, values, measure, tau):
+    # one pairwise_logits call per chain, then one softmax over the stack
+    logits = np.stack([pairwise_logits(enc, values[l], measure) for l in range(len(values))])
+    return softmax_with_temperature(logits, tau)
+
+
+def first_lowest_key_maximum(probs, targets):
+    # among each row's maxima, the position with the lowest key; first on equal keys
+    key = np.arange(probs.shape[1]) if targets is None else np.asarray(targets)
+    preds = np.empty(probs.shape[0], dtype=int)
+    for q in range(probs.shape[0]):
+        best = np.flatnonzero(probs[q] == probs[q].max())
+        preds[q] = best[np.argmin(key[best])]
+    return preds
+
+
+class TestChainQueryProbs:
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_bit_equal_to_per_chain_logits(self, measure):
+        gen = np.random.default_rng(15)
+        for _ in range(200):
+            chains, q, n, d = (int(x) for x in gen.integers(1, [12, 30, 25, 70]))
+            enc = gen.standard_normal((q, d)) * 5.0
+            values = gen.standard_normal((chains, n, d)) * 5.0
+            tau = float(gen.uniform(0.5, 20.0))
+            np.testing.assert_array_equal(
+                chain_query_probs(enc, values, measure, tau),
+                per_chain_probs(enc, values, measure, tau),
+            )
+
+    def test_unknown_measure_raises(self):
+        with pytest.raises(ValueError, match="measure"):
+            chain_query_probs(np.ones((1, 2)), np.ones((1, 2, 2)), "cosine", 1.0)
+
 
 class TestPredictQueries:
     def test_identical_chains_equal_single_softmax(self):
@@ -247,6 +321,21 @@ class TestPredictQueries:
             np.ones((1, 2)), samples, IDENTITY, "dot", 1.0, targets=[7, 3, 9]
         )
         assert preds[0] == 1  # relation 3 has the lowest id
+
+    @pytest.mark.parametrize("targets", [[7, 3, 9, 1, 5], [40, 2, 11, 2, 0], None])
+    def test_vectorized_tie_break_matches_loop(self, targets):
+        # classes {0, 2, 4} and {1, 3} share a prototype, so every query ties
+        # within a group; the zero query ties all five classes
+        gen = np.random.default_rng(16)
+        a, b = gen.standard_normal(3), gen.standard_normal(3)
+        values = np.stack([np.stack([a, b, a, b, a])] * 2)
+        queries = np.vstack([gen.standard_normal((20, 3)), np.zeros((1, 3))])
+        probs, preds = predict_queries(
+            queries, PrototypeSamples(values=values), IDENTITY, "dot", 2.0, targets=targets
+        )
+        ties = (probs == probs.max(axis=1, keepdims=True)).sum(axis=1)
+        assert ties.min() >= 2 and ties.max() == 5
+        np.testing.assert_array_equal(preds, first_lowest_key_maximum(probs, targets))
 
     def test_empty_samples_raise(self):
         with pytest.raises(ValueError, match="samples"):
