@@ -7,49 +7,11 @@ gradient Langevin dynamics draws posterior samples that are averaged for
 query prediction. Training differentiates through the whole sampled pipeline.
 """
 
-from .data import Dataset, Episode, generate_synthetic, load_dataset, sample_episode, save_dataset
-from .evaluation import (
-    EvalReport,
-    emit_report,
-    evaluate_fewshot,
-    evaluate_zeroshot,
-    sensitivity_sweep,
-)
-from .graph import RelationGraph, build_knn_graph, load_embeddings, normalized_adjacency
-from .likelihood import (
-    EncoderParams,
-    class_log_probs,
-    encode,
-    encode_batch,
-    support_log_likelihood_and_grad,
-)
-from .numerics import (
-    RngStream,
-    finite_difference_gradient,
-    max_relative_error,
-    softmax_with_temperature,
-    standard_normal_sample,
-)
-from .prior import GnnParams, prior_log_density_and_grad, relation_summaries
-from .sampler import (
-    PrototypeSamples,
-    SamplerConfig,
-    SupportStatistics,
-    init_objective_and_grad,
-    init_prototypes,
-    posterior_predict,
-    predict_queries,
-    sgld_chain,
-    support_statistics,
-)
-from .trainer import (
-    ModelParams,
-    TrainConfig,
-    episode_objective_and_grads,
-    init_params,
-    read_checkpoint,
-    train,
-    write_checkpoint,
-)
+from .data import generate_synthetic
+from .evaluation import evaluate_fewshot
+from .graph import build_knn_graph
+from .numerics import RngStream
+from .sampler import SamplerConfig
+from .trainer import TrainConfig, train
 
 __version__ = "0.1.0"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,10 +71,6 @@ class Episode:
     @property
     def n_way(self) -> int:
         return len(self.targets)
-
-    @property
-    def k_shot(self) -> int:
-        return len(self.support_y) // len(self.targets) if self.targets else 0
 
 
 def sample_episode(
@@ -178,11 +175,11 @@ def load_dataset(instances_path, registry_path) -> Dataset:
     """Read the tab-separated instance and registry files into a Dataset."""
     names: dict[int, str] = {}
     splits: dict[int, str] = {}
-    for lineno, line in enumerate(_read_lines(registry_path), start=1):
+    for lineno, line in read_lines(registry_path):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{registry_path}:{lineno}: expected id, name, split")
-        rid = int(parts[0])
+        (rid,) = parse_ints(parts[:1], registry_path, lineno)
         if parts[2] not in SPLITS:
             raise ValueError(f"{registry_path}:{lineno}: unknown split {parts[2]!r}")
         names[rid] = parts[1]
@@ -192,13 +189,10 @@ def load_dataset(instances_path, registry_path) -> Dataset:
 
     rows: dict[int, list[np.ndarray]] = {rid: [] for rid in names}
     d = None
-    count = 0
-    for lineno, line in enumerate(_read_lines(instances_path), start=1):
-        parts = line.split("\t")
-        rid = int(parts[0])
+    for lineno, line in read_lines(instances_path):
+        rid, vec = parse_row(line, instances_path, lineno)
         if rid not in names:
             raise ValueError(f"{instances_path}:{lineno}: unknown relation id {rid}")
-        vec = np.array([float(v) for v in parts[1:]], dtype=float)
         if d is None:
             d = len(vec)
             if d == 0:
@@ -208,8 +202,7 @@ def load_dataset(instances_path, registry_path) -> Dataset:
                 f"{instances_path}:{lineno}: dimension {len(vec)} != {d}"
             )
         rows[rid].append(vec)
-        count += 1
-    if count == 0:
+    if d is None:
         raise ValueError(f"{instances_path}: no instances")
 
     instances = {}
@@ -217,6 +210,9 @@ def load_dataset(instances_path, registry_path) -> Dataset:
         if not rows[rid]:
             raise ValueError(f"relation {rid} has no instances")
         instances[rid] = np.vstack(rows[rid])
+    if not all(np.isfinite(x).all() for x in instances.values()):
+        lineno = first_nonfinite_line(instances_path)
+        raise ValueError(f"{instances_path}:{lineno}: non-finite feature")
     return Dataset(names=names, splits=splits, instances=instances, d=int(d))
 
 
@@ -234,6 +230,35 @@ def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
     Path(instances_path).write_text("\n".join(inst_lines) + "\n", encoding="utf-8")
 
 
-def _read_lines(path):
-    text = Path(path).read_text(encoding="utf-8")
-    return [ln for ln in text.splitlines() if ln.strip()]
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of every non-blank line of a UTF-8 text file."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
+
+
+def parse_ints(fields, path, lineno: int) -> list[int]:
+    """The fields as integers; a bad field raises ``path:lineno: ...``."""
+    try:
+        return [int(f) for f in fields]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def parse_row(line: str, path, lineno: int) -> tuple[int, np.ndarray]:
+    """The id and the values of an "id<TAB>v_1<TAB>...<TAB>v_d" line."""
+    parts = line.split("\t")
+    try:
+        return int(parts[0]), np.array([float(v) for v in parts[1:]], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def first_nonfinite_line(path) -> int | None:
+    """Number of the first "id<TAB>values..." line whose values hold a nan or inf.
+
+    Loaders check whole arrays and call this only to locate a failure.
+    """
+    for lineno, line in read_lines(path):
+        if not np.isfinite(parse_row(line, path, lineno)[1]).all():
+            return lineno
+    return None

@@ -11,11 +11,15 @@ import numpy as np
 
 from .data import Dataset, sample_episode
 from .graph import RelationGraph
-from .likelihood import class_log_probs, encode_batch
 from .numerics import RngStream
 from .prior import summary_rows
-from .sampler import SamplerConfig, posterior_predict
+from .sampler import PrototypeSamples, SamplerConfig, posterior_predict, predict_queries
 from .trainer import ModelParams
+
+# Not called here (predict_queries scores zero-shot queries), but bound so
+# that benchmarks/tracer.py, which patches this module's call sites by name,
+# finds them.
+from .likelihood import class_log_probs, encode_batch  # noqa: F401
 
 CSV_COLUMNS = (
     "setting", "N", "K", "L", "M", "epsilon0", "alpha", "beta",
@@ -146,7 +150,8 @@ def evaluate_zeroshot(
     """Classification from the prior means alone: no support set, no chain.
 
     Prototypes are set directly to the relation summaries h_r of the episode
-    targets, so there is no K parameter in this mode.
+    targets, so there is no K parameter in this mode: the queries are scored
+    by predict_queries against a single "chain" holding those summaries.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -154,15 +159,11 @@ def evaluate_zeroshot(
     def worker(i: int) -> float:
         episode = sample_episode(dataset, split, n_way, 0, q_per, rng.child(i, 0))
         prototypes = summary_rows(graph, params.gnn, episode.targets)
-        enc = encode_batch(episode.query_x, params.encoder)
-        order_key = np.asarray(episode.targets, dtype=int)
-        correct = 0
-        for q in range(enc.shape[0]):
-            log_p = class_log_probs(enc[q], prototypes, measure, tau)
-            best = np.flatnonzero(log_p == log_p.max())
-            pred = best[np.argmin(order_key[best])]
-            correct += int(pred == episode.query_y[q])
-        return correct / enc.shape[0]
+        _, preds = predict_queries(
+            episode.query_x, PrototypeSamples(prototypes[None]), params.encoder,
+            measure, tau, episode.targets,
+        )
+        return float(np.mean(preds == episode.query_y))
 
     per_episode = _run_indexed(worker, episodes, threads)
     accuracy, ci95 = _summarize(per_episode)

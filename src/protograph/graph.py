@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import first_nonfinite_line, parse_ints, parse_row, read_lines
+
 
 @dataclass
 class RelationGraph:
@@ -113,11 +115,11 @@ def load_graph(embeddings, edges_path) -> RelationGraph:
     """Rebuild a graph from node embeddings plus a saved edge list."""
     x = np.asarray(embeddings, dtype=float)
     edges = []
-    for lineno, line in enumerate(_read_lines(edges_path), start=1):
+    for lineno, line in read_lines(edges_path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{edges_path}:{lineno}: expected 'u<TAB>v'")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = parse_ints(parts, edges_path, lineno)
         if u >= v:
             raise ValueError(f"{edges_path}:{lineno}: edges must have u < v")
         edges.append((u, v))
@@ -129,10 +131,8 @@ def load_embeddings(path) -> np.ndarray:
     """Read "relation_id<TAB>values..." lines; row index must equal the id."""
     rows = {}
     d = None
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        rid = int(parts[0])
-        vec = np.array([float(v) for v in parts[1:]], dtype=float)
+    for lineno, line in read_lines(path):
+        rid, vec = parse_row(line, path, lineno)
         if d is None:
             d = len(vec)
         elif len(vec) != d:
@@ -144,7 +144,10 @@ def load_embeddings(path) -> np.ndarray:
         raise ValueError(f"{path}: no embeddings")
     if sorted(rows) != list(range(len(rows))):
         raise ValueError(f"{path}: relation ids must be contiguous from 0")
-    return np.vstack([rows[r] for r in range(len(rows))])
+    out = np.vstack([rows[r] for r in range(len(rows))])
+    if not np.isfinite(out).all():
+        raise ValueError(f"{path}:{first_nonfinite_line(path)}: non-finite embedding")
+    return out
 
 
 def save_embeddings(embeddings, path) -> None:
@@ -153,8 +156,3 @@ def save_embeddings(embeddings, path) -> None:
         f"{r}\t" + "\t".join(repr(float(v)) for v in x[r]) for r in range(len(x))
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_lines(path):
-    text = Path(path).read_text(encoding="utf-8")
-    return [ln for ln in text.splitlines() if ln.strip()]

@@ -42,20 +42,8 @@ class EncoderParams:
         return self.mode == "linear"
 
 
-def encode(features, params: EncoderParams) -> np.ndarray:
-    """Encode a single feature vector."""
-    x = np.asarray(features, dtype=float)
-    if params.mode == "identity":
-        return x
-    if x.shape[-1] != params.weight.shape[1]:
-        raise ValueError(
-            f"feature dim {x.shape[-1]} != encoder input dim {params.weight.shape[1]}"
-        )
-    return params.weight @ x + params.bias
-
-
 def encode_batch(features, params: EncoderParams) -> np.ndarray:
-    """Encode a (n, d_in) matrix of feature rows."""
+    """Encode a (n, d_in) matrix of feature rows, or one (d_in,) vector."""
     x = np.asarray(features, dtype=float)
     if params.mode == "identity":
         return x
@@ -89,6 +77,49 @@ def class_log_probs(encoding, prototypes, measure: str, tau: float) -> np.ndarra
     return log_softmax_with_temperature(logits, tau)[0]
 
 
+def support_labels(support_y, n_way: int) -> tuple[np.ndarray, int]:
+    """One-hot (S, N) support labels and the shot count K, after the checks.
+
+    Labels must lie in 0..N-1 and every class must hold the same count K.
+    """
+    y = np.asarray(support_y, dtype=int)
+    if y.size == 0:
+        raise ValueError("empty support set")
+    bad = (y < 0) | (y >= n_way)
+    if np.any(bad):
+        raise ValueError(f"support label {int(y[bad][0])} outside the {n_way} target classes")
+    counts = np.bincount(y, minlength=n_way)
+    if np.any(counts != counts[0]):
+        raise ValueError(f"unequal support counts per class: {counts.tolist()}")
+    one_hot = np.zeros((y.size, n_way))
+    one_hot[np.arange(y.size), y] = 1.0
+    return one_hot, int(counts[0])
+
+
+def support_probs_and_grad(
+    enc: np.ndarray, one_hot: np.ndarray, values: np.ndarray, measure: str, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Support softmax probabilities and the likelihood drift of L prototype sets.
+
+    For encodings enc (S, d), labels one_hot (S, N) and prototypes values
+    (L, N, d), returns probs (L, S, N) and G (L, N, d) with row r of chain l
+
+        dot:       sum_s (1[y_s=r] - p_lsr) e_s
+        euclidean: sum_s (1[y_s=r] - p_lsr) (e_s - v_lr)
+
+    G / tau is the gradient of sum_s log p(y_s | x_s, V_l); callers apply
+    that scale together with their own weights.
+    """
+    if measure == "dot":
+        logits = np.einsum("sd,lnd->lsn", enc, values)
+        probs = softmax_with_temperature(logits, tau)
+        return probs, np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
+    diff = enc[None, :, None, :] - values[:, None, :, :]
+    logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
+    probs = softmax_with_temperature(logits, tau)
+    return probs, np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
+
+
 def support_log_likelihood_and_grad(
     support_x,
     support_y,
@@ -102,37 +133,16 @@ def support_log_likelihood_and_grad(
 
     value = scale * sum_s log p(y_s | x_s, V), with scale = 1/K when
     normalize_by_k is set (K support instances per class, required equal).
-    The gradient row for class r is
-
-        dot:       scale/tau * sum_s (1[y_s=r] - p_sr) e_s
-        euclidean: scale/tau * sum_s (1[y_s=r] - p_sr) (e_s - v_r)
+    The gradient is scale/tau times the drift of :func:`support_probs_and_grad`,
+    the kernel the sampler's chains run.
     """
     v = np.asarray(prototypes, dtype=float)
     y = np.asarray(support_y, dtype=int)
-    n_way = v.shape[0]
-    if y.size == 0:
-        raise ValueError("empty support set")
-    if np.any(y < 0) or np.any(y >= n_way):
-        bad = int(y[(y < 0) | (y >= n_way)][0])
-        raise ValueError(f"support label {bad} outside the {n_way} target classes")
-    counts = np.bincount(y, minlength=n_way)
-    if np.any(counts != counts[0]):
-        raise ValueError(f"unequal support counts per class: {counts.tolist()}")
-    k_shot = int(counts[0])
-
+    one_hot, k_shot = support_labels(y, v.shape[0])
     e = encode_batch(support_x, encoder)
-    logits = pairwise_logits(e, v, measure)
-    log_p = log_softmax_with_temperature(logits, tau)
-    probs = softmax_with_temperature(logits, tau)
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(y.size), y] = 1.0
+    log_p = log_softmax_with_temperature(pairwise_logits(e, v, measure), tau)
+    _, drift = support_probs_and_grad(e, one_hot, v[None], measure, tau)
 
     scale = (1.0 / k_shot) if normalize_by_k else 1.0
     value = scale * float(log_p[np.arange(y.size), y].sum())
-    resid = one_hot - probs
-    if measure == "dot":
-        grad = resid.T @ e
-    else:
-        grad = resid.T @ e - resid.sum(axis=0)[:, None] * v
-    grad *= scale / tau
-    return value, grad
+    return value, drift[0] * (scale / tau)

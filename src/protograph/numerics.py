@@ -87,35 +87,31 @@ def standard_normal_sample(shape, rng: RngStream) -> np.ndarray:
     return rng.generator().standard_normal(shape)
 
 
+def _scaled_logits(logits, tau: float) -> np.ndarray:
+    """logits / tau shifted so each row's maximum is 0, after the input checks."""
+    z = np.asarray(logits, dtype=float)
+    if z.shape[-1] == 0:
+        raise ValueError("empty class set")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    z = z / float(tau)
+    return z - np.max(z, axis=-1, keepdims=True)
+
+
 def softmax_with_temperature(logits, tau: float) -> np.ndarray:
     """Softmax of logits / tau along the last axis, stabilised by max subtraction.
 
     Raises on an empty class axis, non-finite logits, or tau <= 0.
     """
-    z = np.asarray(logits, dtype=float)
-    if z.shape[-1] == 0:
-        raise ValueError("empty class set")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    z = z / float(tau)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
+    e = np.exp(_scaled_logits(logits, tau))
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def log_softmax_with_temperature(logits, tau: float) -> np.ndarray:
     """Log of :func:`softmax_with_temperature`, computed without underflow."""
-    z = np.asarray(logits, dtype=float)
-    if z.shape[-1] == 0:
-        raise ValueError("empty class set")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    z = z / float(tau)
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = _scaled_logits(logits, tau)
     return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
 
 

@@ -55,12 +55,7 @@ def _apply_activation(pre: np.ndarray, activation: str) -> np.ndarray:
 
 def relation_summaries(graph: RelationGraph, params: GnnParams) -> np.ndarray:
     """Summary matrix with one h_r row per relation in the graph."""
-    ax = graph.propagated(params.hops)
-    if ax.shape[1] != params.input_dim:
-        raise ValueError(
-            f"graph feature dim {ax.shape[1]} != layer input dim {params.input_dim}"
-        )
-    return _apply_activation(ax @ params.weight + params.bias, params.activation)
+    return summary_rows(graph, params, np.arange(graph.n_nodes))
 
 
 def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray:

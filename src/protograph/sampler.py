@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import EncoderParams, MEASURES, encode_batch
+from .likelihood import (
+    MEASURES,
+    EncoderParams,
+    encode_batch,
+    support_labels,
+    support_probs_and_grad,
+)
 from .numerics import ChildNormals, RngStream, softmax_with_temperature
 
 # Not called here (the chain draws through ChildNormals and chain_query_probs
@@ -91,26 +97,28 @@ class ChainRecord:
 
     trajectory: np.ndarray  # (M+1, L, N, d), trajectory[0] is the init
     step_sizes: np.ndarray  # (M,)
+    # (M, L, S, N) support softmax at the state each step starts from; None
+    # when no step evaluated the likelihood term
+    support_probs: np.ndarray | None = None
 
 
-def support_statistics(support_x, support_y, encoder: EncoderParams) -> SupportStatistics:
+@dataclass
+class EpisodeForward:
+    """What one episode's forward pass computed, for prediction and training."""
+
+    support_enc: np.ndarray  # (S, d)
+    query_enc: np.ndarray  # (Q, d)
+    chain_probs: np.ndarray  # (L, Q, N) per-chain query probabilities
+    probs: np.ndarray  # (Q, N) chain-averaged query probabilities
+    record: ChainRecord | None  # set when the forward ran with record=True
+
+
+def support_statistics(encodings, support_y) -> SupportStatistics:
     """Exact per-class and grand means of the support encodings."""
     y = np.asarray(support_y, dtype=int)
-    if y.size == 0:
-        raise ValueError("empty support set")
-    e = encode_batch(support_x, encoder)
-    return _stats_from_encodings(e, y)
-
-
-def _stats_from_encodings(encodings: np.ndarray, y: np.ndarray) -> SupportStatistics:
-    n_way = int(y.max()) + 1
-    counts = np.bincount(y, minlength=n_way)
-    if np.any(counts == 0) or np.any(counts != counts[0]):
-        raise ValueError(f"unequal support counts per class: {counts.tolist()}")
-    one_hot = np.zeros((y.size, n_way))
-    one_hot[np.arange(y.size), y] = 1.0
-    class_means = (one_hot.T @ encodings) / counts[0]
-    return SupportStatistics(class_means=class_means, grand_mean=encodings.mean(axis=0))
+    one_hot, k_shot = support_labels(y, int(y.max(initial=-1)) + 1)
+    e = np.asarray(encodings, dtype=float)
+    return SupportStatistics(class_means=(one_hot.T @ e) / k_shot, grand_mean=e.mean(axis=0))
 
 
 def init_prototypes(
@@ -146,40 +154,13 @@ def init_objective_and_grad(
     return -0.5 * float(np.sum(diff * diff)), -diff
 
 
-def _posterior_gradient(
-    values: np.ndarray,
-    support_enc: np.ndarray | None,
-    one_hot: np.ndarray | None,
-    k_shot: int,
-    summaries: np.ndarray,
-    config: SamplerConfig,
-) -> np.ndarray:
-    """Gradient of the target log-density for every chain at once, (L, N, d)."""
-    grad = config.prior_weight * (summaries[None, :, :] - values)
-    if config.likelihood_weight != 0.0 and support_enc is not None:
-        scale = config.likelihood_weight / (k_shot * config.tau)
-        if config.measure == "dot":
-            logits = np.einsum("sd,lnd->lsn", support_enc, values)
-            probs = softmax_with_temperature(logits, config.tau)
-            resid = one_hot[None, :, :] - probs
-            grad += scale * np.einsum("lsn,sd->lnd", resid, support_enc)
-        else:
-            diff = support_enc[None, :, None, :] - values[:, None, :, :]
-            logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
-            probs = softmax_with_temperature(logits, config.tau)
-            resid = one_hot[None, :, :] - probs
-            grad += scale * np.einsum("lsn,lsnd->lnd", resid, diff)
-    return grad
-
-
 def sgld_chain(
-    support_x,
+    support_enc,
     support_y,
     targets,
     summaries,
     samples: PrototypeSamples,
     config: SamplerConfig,
-    encoder: EncoderParams,
     rng: RngStream,
     record: bool = False,
 ):
@@ -188,10 +169,10 @@ def sgld_chain(
     Update at step t (1-based):
         v <- v + (eps_t / 2) * grad log p(v) + sqrt(eps_t) * z,
     with z ~ N(0, I) when noise is enabled and eps_t = step_size * t^-decay.
-    The log-density combines the K-normalized support likelihood and the
-    Gaussian prior around ``summaries`` (already zeroed by the caller when the
-    graph prior is disabled). Returns the final samples, plus a ChainRecord of
-    the full trajectory when ``record`` is set.
+    The log-density combines the K-normalized support likelihood of the
+    support encodings and the Gaussian prior around ``summaries`` (already
+    zeroed by the caller when the graph prior is disabled). Returns the final
+    samples, plus a ChainRecord of the full trajectory when ``record`` is set.
     """
     values = np.array(samples.values, dtype=float)
     chains, n_way, d = values.shape
@@ -200,25 +181,15 @@ def sgld_chain(
     if h.shape != (n_way, d):
         raise ValueError(f"summaries {h.shape} do not match prototypes {values.shape[1:]}")
 
-    if config.likelihood_weight != 0.0 and y.size > 0:
-        if y.min() < 0 or y.max() >= n_way:
-            raise ValueError(
-                f"support label {int(y[(y < 0) | (y >= n_way)][0])} outside the "
-                f"{n_way} target classes"
-            )
-        support_enc = encode_batch(support_x, encoder)
-        counts = np.bincount(y, minlength=n_way)
-        if np.any(counts == 0) or np.any(counts != counts[0]):
-            raise ValueError(f"unequal support counts per class: {counts.tolist()}")
-        k_shot = int(counts[0])
-        one_hot = np.zeros((y.size, n_way))
-        one_hot[np.arange(y.size), y] = 1.0
-    else:
-        support_enc, one_hot, k_shot = None, None, 1
+    has_lik = config.likelihood_weight != 0.0 and y.size > 0
+    if has_lik:
+        one_hot, k_shot = support_labels(y, n_way)
+        scale = config.likelihood_weight / (k_shot * config.tau)
 
     rank = np.argsort(np.argsort(np.asarray(targets, dtype=int)))
     eps = config.step_sizes()
     trajectory = [values.copy()] if record else None
+    support_probs = [] if record else None
     # (chain l, step t) draws the (N, d) block of rng.child(l, t), the same
     # bytes as standard_normal_sample; its rows are assigned by sorted-target
     # rank so a permutation of the targets permutes the noise consistently
@@ -226,7 +197,14 @@ def sgld_chain(
     noise = np.empty_like(values)
 
     for t_idx, eps_t in enumerate(eps):
-        grad = _posterior_gradient(values, support_enc, one_hot, k_shot, h, config)
+        grad = config.prior_weight * (h[None, :, :] - values)
+        if has_lik:
+            probs, drift = support_probs_and_grad(
+                support_enc, one_hot, values, config.measure, config.tau
+            )
+            grad += scale * drift
+            if support_probs is not None:
+                support_probs.append(probs)
         values = values + 0.5 * eps_t * grad
         if normals is not None:
             for l in range(chains):
@@ -240,7 +218,11 @@ def sgld_chain(
 
     out = PrototypeSamples(values=values)
     if record:
-        return out, ChainRecord(trajectory=np.stack(trajectory), step_sizes=eps)
+        return out, ChainRecord(
+            trajectory=np.stack(trajectory),
+            step_sizes=eps,
+            support_probs=np.stack(support_probs) if support_probs else None,
+        )
     return out
 
 
@@ -258,6 +240,19 @@ def chain_query_probs(enc: np.ndarray, values: np.ndarray, measure: str, tau: fl
         diff = enc[None, :, None, :] - values[:, None, :, :]
         logits = -0.5 * np.einsum("lqnd,lqnd->lqn", diff, diff)
     return softmax_with_temperature(logits, tau)
+
+
+def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
+    """Per row, the position of the maximum; ties go to the lowest target id.
+
+    Without targets the position is its own key. Equal keys go to the lowest
+    position, as the stable rank orders them.
+    """
+    n_way = probs.shape[1]
+    order_key = np.arange(n_way) if targets is None else np.asarray(targets, dtype=int)
+    rank = np.argsort(np.argsort(order_key, kind="stable"))
+    best = probs == probs.max(axis=1, keepdims=True)
+    return np.argmin(np.where(best, rank, n_way), axis=1)
 
 
 def predict_queries(
@@ -278,15 +273,44 @@ def predict_queries(
         raise ValueError("no prototype samples")
     enc = encode_batch(query_x, encoder)
     probs = chain_query_probs(enc, samples.values, measure, tau).mean(axis=0)
+    return probs, _lowest_key_argmax(probs, targets)
 
-    n_way = probs.shape[1]
-    order_key = np.arange(n_way) if targets is None else np.asarray(targets, dtype=int)
-    # among the maxima, the lowest order key wins; equal keys go to the lowest
-    # position, as the stable rank orders them
-    rank = np.argsort(np.argsort(order_key, kind="stable"))
-    best = probs == probs.max(axis=1, keepdims=True)
-    preds = np.argmin(np.where(best, rank, n_way), axis=1)
-    return probs, preds
+
+def episode_forward(
+    support_x,
+    support_y,
+    targets,
+    query_x,
+    summaries,
+    config: SamplerConfig,
+    encoder: EncoderParams,
+    rng: RngStream,
+    record: bool = False,
+) -> EpisodeForward:
+    """The one per-episode pipeline shared by evaluation, validation and training.
+
+    Encodes the support set and the queries once each, builds the support
+    statistics, warm-starts and runs the chains, and scores the queries
+    against every chain's final prototypes. ``record`` keeps the chain's
+    trajectory and support probabilities for the reverse pass.
+    """
+    h = np.asarray(summaries, dtype=float)
+    if not config.graph_prior:
+        h = np.zeros_like(h)
+    support_enc = encode_batch(support_x, encoder)
+    query_enc = encode_batch(query_x, encoder)
+    stats = support_statistics(support_enc, support_y)
+    samples = init_prototypes(stats, h, config.alpha, config.beta, config.chains)
+    out = sgld_chain(support_enc, support_y, targets, h, samples, config, rng, record)
+    samples, chain = out if record else (out, None)
+    chain_probs = chain_query_probs(query_enc, samples.values, config.measure, config.tau)
+    return EpisodeForward(
+        support_enc=support_enc,
+        query_enc=query_enc,
+        chain_probs=chain_probs,
+        probs=chain_probs.mean(axis=0),
+        record=chain,
+    )
 
 
 def posterior_predict(
@@ -299,15 +323,8 @@ def posterior_predict(
     encoder: EncoderParams,
     rng: RngStream,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full per-episode pipeline: statistics, warm start, chain, prediction."""
-    h = np.asarray(summaries, dtype=float)
-    if not config.graph_prior:
-        h = np.zeros_like(h)
-    stats = support_statistics(support_x, support_y, encoder)
-    samples = init_prototypes(stats, h, config.alpha, config.beta, config.chains)
-    samples = sgld_chain(
-        support_x, support_y, targets, h, samples, config, encoder, rng
+    """Chain-averaged query probabilities and predictions of one episode."""
+    fwd = episode_forward(
+        support_x, support_y, targets, query_x, summaries, config, encoder, rng
     )
-    return predict_queries(
-        query_x, samples, encoder, config.measure, config.tau, targets
-    )
+    return fwd.probs, _lowest_key_argmax(fwd.probs, targets)

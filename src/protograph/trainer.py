@@ -18,25 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Episode, sample_episode
+from .data import Dataset, Episode, parse_ints, sample_episode
 from .graph import RelationGraph
-from .likelihood import EncoderParams, encode_batch
+from .likelihood import EncoderParams, support_labels
 from .numerics import RngStream
 from .prior import GnnParams, summary_rows
-from .sampler import (
-    SamplerConfig,
-    chain_query_probs,
-    init_prototypes,
-    posterior_predict,
-    sgld_chain,
-    _stats_from_encodings,
-)
+from .sampler import EpisodeForward, SamplerConfig, episode_forward, posterior_predict
 
-# Not called here (chain_query_probs scores the queries), but bound so that
-# benchmarks/tracer.py, which patches this module's call sites by name, finds
-# them.
-from .likelihood import pairwise_logits  # noqa: F401
+# Not called here (episode_forward runs the pipeline), but bound so that
+# benchmarks/tracer.py, which patches this module's call sites by name,
+# finds them.
+from .likelihood import encode_batch, pairwise_logits  # noqa: F401
 from .numerics import softmax_with_temperature  # noqa: F401
+from .sampler import init_prototypes, sgld_chain  # noqa: F401
 
 CHECKPOINT_MAGIC = "protograph-checkpoint v1"
 
@@ -142,17 +136,11 @@ class _ForwardCache:
     episode: Episode
     params: ModelParams
     config: SamplerConfig
-    eff_summaries: np.ndarray  # (N, d) prior means actually used (zeros if no prior)
     summaries: np.ndarray  # (N, d) raw layer output rows
     prop_rows: np.ndarray  # (N, d_g) propagated node features for the targets
-    support_enc: np.ndarray  # (S, d)
-    query_enc: np.ndarray  # (Q, d)
     one_hot_s: np.ndarray  # (S, N)
     k_shot: int
-    trajectory: np.ndarray  # (M+1, L, N, d)
-    step_sizes: np.ndarray  # (M,)
-    query_probs: np.ndarray  # (L, Q, N) per-chain softmax probabilities
-    mean_probs: np.ndarray  # (Q, N)
+    fwd: EpisodeForward
 
 
 def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
@@ -171,39 +159,22 @@ def _episode_forward(
     targets = np.asarray(episode.targets, dtype=int)
     if targets.max() >= graph.n_nodes:
         raise ValueError(f"episode target {int(targets.max())} not in the graph")
-    n_way = len(targets)
 
-    prop_rows = graph.propagated(params.gnn.hops)[targets]
-    summaries = prop_rows @ params.gnn.weight + params.gnn.bias
-    if params.gnn.activation == "tanh":
-        summaries = np.tanh(summaries)
-    eff = summaries if config.graph_prior else np.zeros_like(summaries)
-
-    support_enc = encode_batch(episode.support_x, params.encoder)
-    query_enc = encode_batch(episode.query_x, params.encoder)
-    y_s = episode.support_y
-    one_hot_s = np.zeros((y_s.size, n_way))
-    one_hot_s[np.arange(y_s.size), y_s] = 1.0
-    stats = _stats_from_encodings(support_enc, y_s)
-    k_shot = episode.k_shot
-
-    samples = init_prototypes(stats, eff, config.alpha, config.beta, config.chains)
-    samples, record = sgld_chain(
+    summaries = summary_rows(graph, params.gnn, targets)
+    fwd = episode_forward(
         episode.support_x,
         episode.support_y,
         episode.targets,
-        eff,
-        samples,
+        episode.query_x,
+        summaries,
         config,
         params.encoder,
         rng,
         record=True,
     )
+    one_hot_s, k_shot = support_labels(episode.support_y, len(targets))
 
-    query_probs = chain_query_probs(query_enc, samples.values, config.measure, config.tau)
-    mean_probs = query_probs.mean(axis=0)
-
-    p_true = mean_probs[np.arange(len(episode.query_y)), episode.query_y]
+    p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
     if not np.all(np.isfinite(p_true)) or np.any(p_true <= 0.0):
         raise RuntimeError(
             f"non-finite episode loss (replay stream seed={rng.seed} id={rng.stream_id})"
@@ -215,60 +186,43 @@ def _episode_forward(
         episode=episode,
         params=params,
         config=config,
-        eff_summaries=eff,
         summaries=summaries,
-        prop_rows=prop_rows,
-        support_enc=support_enc,
-        query_enc=query_enc,
+        prop_rows=graph.propagated(params.gnn.hops)[targets],
         one_hot_s=one_hot_s,
         k_shot=k_shot,
-        trajectory=record.trajectory,
-        step_sizes=record.step_sizes,
-        query_probs=query_probs,
-        mean_probs=mean_probs,
+        fwd=fwd,
     )
 
 
 def _likelihood_grad_vjp(
     v_prev: np.ndarray,
+    probs: np.ndarray,
     cotangent: np.ndarray,
     cache: _ForwardCache,
 ) -> tuple[np.ndarray, np.ndarray]:
     """VJP through g(V) = scale * grad_V log p(y_S | x_S, V).
 
     Differentiating the analytic likelihood gradient brings in the softmax
-    curvature (the Hessian term of the Langevin drift). Returns contributions
-    (d_v_prev, d_support_enc) for the cotangent of g.
+    curvature (the Hessian term of the Langevin drift). ``probs`` (L, S, N)
+    is the support softmax the chain recorded at ``v_prev``. Returns
+    contributions (d_v_prev, d_support_enc) for the cotangent of g.
     """
     cfg = cache.config
-    e_s = cache.support_enc
-    t_s = cache.one_hot_s
+    e_s = cache.fwd.support_enc
+    resid = cache.one_hot_s[None] - probs  # (L, S, N)
     scale = cfg.likelihood_weight / (cache.k_shot * cfg.tau)
     u = cotangent  # (L, N, d)
 
     if cfg.measure == "dot":
-        logits = np.einsum("sd,lnd->lsn", e_s, v_prev)
-        z = logits / cfg.tau
-        z = z - z.max(axis=-1, keepdims=True)
-        ez = np.exp(z)
-        probs = ez / ez.sum(axis=-1, keepdims=True)  # (L, S, N)
-
         a = np.einsum("sd,lnd->lsn", e_s, u)
         dz = _softmax_backward(probs, -scale * a)
         d_logits = dz / cfg.tau
         d_v = np.einsum("lsn,sd->lnd", d_logits, e_s)
         d_es = np.einsum("lsn,lnd->sd", d_logits, v_prev)
-        d_es += scale * np.einsum("lsn,lnd->sd", t_s[None] - probs, u)
+        d_es += scale * np.einsum("lsn,lnd->sd", resid, u)
         return d_v, d_es
 
     diff = e_s[None, :, None, :] - v_prev[:, None, :, :]  # (L, S, N, d)
-    logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
-    z = logits / cfg.tau
-    z = z - z.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    probs = ez / ez.sum(axis=-1, keepdims=True)
-    resid = t_s[None] - probs  # (L, S, N)
-
     d_mat = np.einsum("lsnd,lnd->lsn", diff, u)
     dz = _softmax_backward(probs, -scale * d_mat)
     d_logits = dz / cfg.tau
@@ -282,37 +236,39 @@ def _likelihood_grad_vjp(
 def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
     cfg = cache.config
     episode = cache.episode
-    chains = cfg.chains
+    fwd = cache.fwd
+    chain = fwd.record
     y_q = episode.query_y
     q_count = y_q.size
-    v_final = cache.trajectory[-1]
+    v_final = chain.trajectory[-1]
 
     # loss -> chain-averaged probabilities -> per-chain softmax inputs
-    d_mean = np.zeros_like(cache.mean_probs)
-    d_mean[np.arange(q_count), y_q] = -1.0 / cache.mean_probs[np.arange(q_count), y_q]
-    d_probs = np.broadcast_to(d_mean / chains, cache.query_probs.shape)
-    dz = _softmax_backward(cache.query_probs, d_probs)
+    d_mean = np.zeros_like(fwd.probs)
+    d_mean[np.arange(q_count), y_q] = -1.0 / fwd.probs[np.arange(q_count), y_q]
+    d_probs = np.broadcast_to(d_mean / cfg.chains, fwd.chain_probs.shape)
+    dz = _softmax_backward(fwd.chain_probs, d_probs)
     d_logits = dz / cfg.tau
 
     if cfg.measure == "dot":
-        d_v = np.einsum("lqn,qd->lnd", d_logits, cache.query_enc)
+        d_v = np.einsum("lqn,qd->lnd", d_logits, fwd.query_enc)
         d_eq = np.einsum("lqn,lnd->qd", d_logits, v_final)
     else:
-        diff_q = cache.query_enc[None, :, None, :] - v_final[:, None, :, :]
+        diff_q = fwd.query_enc[None, :, None, :] - v_final[:, None, :, :]
         d_v = np.einsum("lqn,lqnd->lnd", d_logits, diff_q)
         d_eq = -np.einsum("lqn,lqnd->qd", d_logits, diff_q)
 
     # reverse through the unrolled chain; noise draws are constants
-    d_es = np.zeros_like(cache.support_enc)
-    d_eff = np.zeros_like(cache.eff_summaries)
-    has_lik = cfg.likelihood_weight != 0.0 and episode.support_y.size > 0
-    for t in range(len(cache.step_sizes) - 1, -1, -1):
-        half = 0.5 * cache.step_sizes[t]
-        v_prev = cache.trajectory[t]
+    d_es = np.zeros_like(fwd.support_enc)
+    d_eff = np.zeros_like(cache.summaries)
+    for t in range(len(chain.step_sizes) - 1, -1, -1):
+        half = 0.5 * chain.step_sizes[t]
+        v_prev = chain.trajectory[t]
         d_eff += half * cfg.prior_weight * d_v.sum(axis=0)
         d_v_next = d_v - half * cfg.prior_weight * d_v
-        if has_lik:
-            dv_lik, des_lik = _likelihood_grad_vjp(v_prev, half * d_v, cache)
+        if chain.support_probs is not None:
+            dv_lik, des_lik = _likelihood_grad_vjp(
+                v_prev, chain.support_probs[t], half * d_v, cache
+            )
             d_v_next = d_v_next + dv_lik
             d_es += des_lik
         d_v = d_v_next
@@ -526,6 +482,10 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{path}:{pos}: expected {name}")
         return value
 
+    def take_int(name: str) -> int:
+        (value,) = parse_ints([take_field(name)], path, pos)
+        return value
+
     def take_row(cols: int, expect: str) -> list[float]:
         fields = take().split(" ")
         if len(fields) == cols:
@@ -538,17 +498,17 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
     def take_matrix(expect: str) -> np.ndarray:
         header = take().split(" ")
         if header[0] != expect or len(header) != 3:
-            raise ValueError(f"{path}: expected {expect}, found {header[0]}")
-        rows, cols = int(header[1]), int(header[2])
+            raise ValueError(f"{path}:{pos}: expected {expect}, found {header[0]}")
+        rows, cols = parse_ints(header[1:], path, pos)
         mat = np.array([take_row(cols, expect) for _ in range(rows)], dtype=float)
         if mat.shape != (rows, cols):
             raise ValueError(f"{path}: bad {expect} block")
         return mat
 
-    d = int(take_field("d"))
-    d_g = int(take_field("d_g"))
+    d = take_int("d")
+    d_g = take_int("d_g")
     activation = take_field("gnn.activation")
-    hops = int(take_field("gnn.hops"))
+    hops = take_int("gnn.hops")
     weight = take_matrix("gnn.weight")
     bias = take_matrix("gnn.bias")[0]
     if weight.shape != (d_g, d) or bias.shape != (d,):
@@ -563,7 +523,7 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
     else:
         encoder = EncoderParams(mode="identity")
 
-    n_echo = int(take_field("config"))
+    n_echo = take_int("config")
     echo = {}
     for _ in range(n_echo):
         key, _, value = take().partition("=")

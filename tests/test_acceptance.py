@@ -40,8 +40,6 @@ from protograph.trainer import (
     train,
 )
 
-IDENTITY = EncoderParams(mode="identity")
-
 
 def _pass(num: int, detail: str) -> None:
     print(f"\nACCEPTANCE {num:02d}: PASS ({detail})")
@@ -160,7 +158,7 @@ def test_c03_sgld_stationarity():
     samples = PrototypeSamples(values=np.broadcast_to(h, (1, 2, 1)).copy())
     _, record = sgld_chain(
         np.zeros((0, 1)), np.zeros(0, dtype=int), [0, 1], h, samples, cfg,
-        IDENTITY, RngStream(39), record=True,
+        RngStream(39), record=True,
     )
     kept = record.trajectory[1001:, 0]  # 10,000 kept states after 1,000 burn-in
     mean_err = float(np.max(np.abs(kept.mean(axis=0) - h)))
@@ -188,7 +186,7 @@ def test_c04_maml_correspondence():
     )
     out = sgld_chain(
         sx, sy, list(range(n)), h,
-        PrototypeSamples(values=v0[None].copy()), cfg, IDENTITY, RngStream(0),
+        PrototypeSamples(values=v0[None].copy()), cfg, RngStream(0),
     )
 
     one_hot = np.zeros((n * k, n))

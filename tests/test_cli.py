@@ -156,6 +156,59 @@ class TestPipeline:
             assert err == f"error: {cut}: truncated checkpoint\n"
 
 
+# (input, line, field, replacement, message): the field of that line (a
+# number, or the first line starting with that text) is replaced
+MALFORMED = [
+    ("instances", 3, 2, "abc", "could not convert string to float: 'abc'"),
+    ("instances", 2, 0, "x", "invalid literal for int() with base 10: 'x'"),
+    ("instances", 4, 1, "nan", "non-finite feature"),
+    ("instances", 7, 3, "-inf", "non-finite feature"),
+    ("registry", 2, 0, "two", "invalid literal for int()"),
+    ("embeddings", 3, 1, "1.0.0", "could not convert string to float"),
+    ("embeddings", 2, 2, "inf", "non-finite embedding"),
+    ("edges", 2, 1, "v", "invalid literal for int()"),
+    ("checkpoint", "d ", 1, "x", "invalid literal for int()"),
+    ("checkpoint", "d_g ", 1, "8.5", "invalid literal for int()"),
+    ("checkpoint", "gnn.hops ", 1, "two", "invalid literal for int()"),
+    ("checkpoint", "gnn.weight ", 2, "x", "invalid literal for int()"),
+    ("checkpoint", "config ", 1, "many", "invalid literal for int()"),
+]
+
+
+@pytest.mark.parametrize("name, line, field, value, message", MALFORMED)
+def test_malformed_input_is_one_line_path_line_error(
+    workspace, tmp_path, capsys, name, line, field, value, message
+):
+    root, data = workspace
+    sources = {
+        "instances": data / "instances.tsv", "registry": data / "registry.tsv",
+        "embeddings": data / "embeddings.tsv", "edges": root / "edges.tsv",
+        "checkpoint": root / "model.ckpt",
+    }
+    paths = {key: tmp_path / src.name for key, src in sources.items()}
+    for key, src in sources.items():
+        paths[key].write_text(src.read_text())
+    sep = " " if name == "checkpoint" else "\t"
+    lines = paths[name].read_text().splitlines()
+    if isinstance(line, str):
+        line = next(i for i, text in enumerate(lines, 1) if text.startswith(line))
+    fields = lines[line - 1].split(sep)
+    fields[field] = value
+    lines[line - 1] = sep.join(fields)
+    paths[name].write_text("\n".join(lines) + "\n")
+
+    argv = [
+        "eval", "--data", str(paths["instances"]), "--registry", str(paths["registry"]),
+        "--embeddings", str(paths["embeddings"]), "--graph", str(paths["edges"]),
+        "--checkpoint", str(paths["checkpoint"]), "--episodes", "1",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[name]}:{line}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

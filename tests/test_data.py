@@ -141,6 +141,19 @@ class TestLoadSave:
         with pytest.raises(ValueError, match=":2"):
             load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")
+        (tmp_path / "inst.tsv").write_text("0\t1.0\n\n0\tabc\n")
+        with pytest.raises(ValueError, match=r"inst.tsv:3: could not convert"):
+            load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+
+    def test_first_nonfinite_line_of_the_file_is_reported(self, tmp_path):
+        # relation 0 is checked first, but its bad row comes later in the file
+        (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n1\trel1\ttest\n")
+        (tmp_path / "inst.tsv").write_text("0\t1.0\n1\tnan\n0\tinf\n1\t2.0\n")
+        with pytest.raises(ValueError, match=r"inst.tsv:2: non-finite feature"):
+            load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+
     def test_unknown_relation_raises(self, tmp_path):
         (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")
         (tmp_path / "inst.tsv").write_text("3\t1.0\t2.0\n")

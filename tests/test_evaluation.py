@@ -142,6 +142,30 @@ class TestEvaluateZeroshot:
         )
         assert rep.accuracy - 0.2 >= 3 * rep.ci95
 
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_matches_per_query_log_prob_argmax(self, informative_world, measure):
+        # the batched prediction picks, per query, the class of highest log
+        # probability, ties to the lowest relation id, as a per-query loop does
+        from protograph.data import sample_episode
+        from protograph.likelihood import class_log_probs
+        from protograph.prior import summary_rows
+
+        ds, graph, _ = informative_world
+        params = identity_params(8)
+        rep = evaluate_zeroshot(
+            ds, "test", graph, params, 5, 4, 40, RngStream(68), measure=measure, tau=3.0
+        )
+        for i, acc in enumerate(rep.per_episode):
+            ep = sample_episode(ds, "test", 5, 0, 4, RngStream(68).child(i, 0))
+            prototypes = summary_rows(graph, params.gnn, ep.targets)
+            key = np.asarray(ep.targets)
+            correct = 0
+            for q, x in enumerate(ep.query_x):
+                log_p = class_log_probs(x, prototypes, measure, 3.0)
+                best = np.flatnonzero(log_p == log_p.max())
+                correct += int(best[np.argmin(key[best])] == ep.query_y[q])
+            assert acc == correct / len(ep.query_y)
+
     def test_no_k_parameter_and_no_sampler_fields(self, informative_world):
         ds, graph, _ = informative_world
         rep = evaluate_zeroshot(

@@ -8,8 +8,8 @@ import pytest
 from protograph.likelihood import (
     EncoderParams,
     class_log_probs,
-    encode,
     encode_batch,
+    support_labels,
     support_log_likelihood_and_grad,
 )
 from protograph.numerics import finite_difference_gradient, max_relative_error
@@ -20,20 +20,20 @@ IDENTITY = EncoderParams(mode="identity")
 class TestEncode:
     def test_identity_passthrough(self):
         x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(encode(x, IDENTITY), x)
+        np.testing.assert_array_equal(encode_batch(x, IDENTITY), x)
 
     def test_zero_weight_returns_bias(self):
         params = EncoderParams(mode="linear", weight=np.zeros((2, 3)), bias=np.array([5.0, -1.0]))
-        np.testing.assert_array_equal(encode(np.ones(3), params), [5.0, -1.0])
+        np.testing.assert_array_equal(encode_batch(np.ones(3), params), [5.0, -1.0])
 
     def test_double_identity(self):
         params = EncoderParams(mode="linear", weight=2.0 * np.eye(2), bias=np.zeros(2))
-        np.testing.assert_array_equal(encode(np.array([1.0, -1.0]), params), [2.0, -2.0])
+        np.testing.assert_array_equal(encode_batch(np.array([1.0, -1.0]), params), [2.0, -2.0])
 
     def test_dimension_mismatch(self):
         params = EncoderParams(mode="linear", weight=np.eye(2), bias=np.zeros(2))
         with pytest.raises(ValueError, match="dim"):
-            encode(np.ones(3), params)
+            encode_batch(np.ones(3), params)
 
     def test_batch_matches_single(self):
         gen = np.random.default_rng(0)
@@ -43,7 +43,7 @@ class TestEncode:
         x = gen.standard_normal((5, 4))
         batch = encode_batch(x, params)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], encode(x[i], params), atol=1e-12)
+            np.testing.assert_allclose(batch[i], encode_batch(x[i], params), atol=1e-12)
 
 
 class TestClassLogProbs:
@@ -165,3 +165,21 @@ class TestSupportLogLikelihood:
             v2, g2 = support_log_likelihood_and_grad(x[perm], y[perm], v, IDENTITY, "euclidean", 3.0)
             assert v1 == pytest.approx(v2, abs=1e-12)
             np.testing.assert_allclose(g1, g2, atol=1e-12)
+
+
+class TestSupportLabels:
+    def test_one_hot_and_shot_count(self):
+        one_hot, k_shot = support_labels(np.array([1, 0, 0, 1]), 2)
+        np.testing.assert_array_equal(one_hot, [[0, 1], [1, 0], [1, 0], [0, 1]])
+        assert k_shot == 2
+
+    @pytest.mark.parametrize("labels, n_way, message", [
+        ([], 2, "empty support"),
+        ([0, 2], 2, "support label 2 outside the 2 target classes"),
+        ([0, -1], 2, "support label -1 outside"),
+        ([0, 0, 1], 2, r"unequal support counts per class: \[2, 1\]"),
+        ([0, 0], 2, r"unequal support counts per class: \[2, 0\]"),
+    ])
+    def test_rejects(self, labels, n_way, message):
+        with pytest.raises(ValueError, match=message):
+            support_labels(np.array(labels, dtype=int), n_way)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from protograph.likelihood import EncoderParams, pairwise_logits
+from protograph.likelihood import (
+    EncoderParams,
+    pairwise_logits,
+    support_labels,
+    support_log_likelihood_and_grad,
+    support_probs_and_grad,
+)
 from protograph.numerics import RngStream, softmax_with_temperature, standard_normal_sample
 from protograph.sampler import (
     PrototypeSamples,
@@ -24,13 +30,13 @@ IDENTITY = EncoderParams(mode="identity")
 class TestSupportStatistics:
     def test_single_instance(self):
         e = np.array([[2.0, -1.0]])
-        stats = support_statistics(e, np.array([0]), IDENTITY)
+        stats = support_statistics(e, np.array([0]))
         np.testing.assert_array_equal(stats.class_means, e)
         np.testing.assert_array_equal(stats.grand_mean, e[0])
 
     def test_two_classes_hand_mean(self):
         e = np.array([[1.0, 0.0], [3.0, 2.0]])
-        stats = support_statistics(e, np.array([0, 1]), IDENTITY)
+        stats = support_statistics(e, np.array([0, 1]))
         np.testing.assert_array_equal(stats.class_means, e)
         np.testing.assert_allclose(stats.grand_mean, [2.0, 1.0], atol=1e-15)
 
@@ -38,14 +44,14 @@ class TestSupportStatistics:
         gen = np.random.default_rng(0)
         e = gen.standard_normal((4, 3))
         y = np.array([0, 0, 1, 1])
-        a = support_statistics(e, y, IDENTITY)
-        b = support_statistics(np.vstack([e, e]), np.concatenate([y, y]), IDENTITY)
+        a = support_statistics(e, y)
+        b = support_statistics(np.vstack([e, e]), np.concatenate([y, y]))
         np.testing.assert_allclose(a.class_means, b.class_means, atol=1e-12)
         np.testing.assert_allclose(a.grand_mean, b.grand_mean, atol=1e-12)
 
     def test_empty_support_raises(self):
         with pytest.raises(ValueError, match="empty support"):
-            support_statistics(np.zeros((0, 2)), np.zeros(0, dtype=int), IDENTITY)
+            support_statistics(np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 class TestInitPrototypes:
@@ -123,7 +129,7 @@ def run_chain(values, summaries, config, rng, support=None, targets=None):
     samples = PrototypeSamples(values=values.copy())
     return sgld_chain(
         sx, sy, list(range(n)) if targets is None else targets,
-        summaries, samples, config, IDENTITY, rng,
+        summaries, samples, config, rng,
     )
 
 
@@ -146,7 +152,7 @@ class TestSgldChain:
         samples = PrototypeSamples(values=v.copy())
         _, record = sgld_chain(
             np.zeros((0, 3)), np.zeros(0, dtype=int), [0, 1], h, samples, cfg,
-            IDENTITY, RngStream(0), record=True,
+            RngStream(0), record=True,
         )
         dists = [np.linalg.norm(record.trajectory[t, 0] - h) for t in range(41)]
         assert all(dists[t + 1] < dists[t] for t in range(40))
@@ -195,6 +201,51 @@ class TestSgldChain:
             grad = (one_hot - probs).T @ sx / (k * tau)
             v = v + 0.5 * eps_t * grad
         np.testing.assert_allclose(out.values[0], v, atol=1e-10)
+
+    @pytest.mark.parametrize("measure", ["euclidean", "dot"])
+    def test_one_step_is_support_gradient_ascent_per_chain(self, measure):
+        # noise off, prior weight zero: one step moves every chain along its
+        # own K-normalized support log-likelihood gradient
+        gen = np.random.default_rng(17)
+        n, k, d, tau, eps = 3, 2, 4, 5.0, 0.3
+        sx = gen.standard_normal((n * k, d))
+        sy = np.repeat(np.arange(n), k)
+        v = gen.standard_normal((3, n, d))
+        cfg = SamplerConfig(
+            chains=3, steps=1, step_size=eps, noise_enabled=False,
+            prior_weight=0.0, tau=tau, measure=measure,
+        )
+        out = run_chain(v, gen.standard_normal((n, d)), cfg, RngStream(0), support=(sx, sy))
+        for l in range(3):
+            _, grad = support_log_likelihood_and_grad(sx, sy, v[l], IDENTITY, measure, tau)
+            np.testing.assert_allclose(out.values[l], v[l] + 0.5 * eps * grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_record_keeps_support_probs_of_each_step(self, measure):
+        gen = np.random.default_rng(18)
+        sx = gen.standard_normal((4, 3))
+        sy = np.array([0, 0, 1, 1])
+        cfg = SamplerConfig(chains=2, steps=3, measure=measure)
+        _, record = sgld_chain(
+            sx, sy, [3, 1], gen.standard_normal((2, 3)),
+            PrototypeSamples(values=gen.standard_normal((2, 2, 3))), cfg,
+            RngStream(4), record=True,
+        )
+        one_hot, _ = support_labels(sy, 2)
+        assert record.support_probs.shape == (3, 2, 4, 2)
+        for t in range(3):
+            probs, _ = support_probs_and_grad(
+                sx, one_hot, record.trajectory[t], measure, cfg.tau
+            )
+            np.testing.assert_array_equal(record.support_probs[t], probs)
+
+    def test_record_without_likelihood_has_no_support_probs(self):
+        cfg = SamplerConfig(chains=2, steps=3, likelihood_weight=0.0)
+        _, record = sgld_chain(
+            np.ones((2, 3)), np.array([0, 1]), [0, 1], np.zeros((2, 3)),
+            PrototypeSamples(values=np.zeros((2, 2, 3))), cfg, RngStream(4), record=True,
+        )
+        assert record.support_probs is None
 
     def test_noise_follows_relation_identity(self):
         # permuting the targets permutes the chain output rows consistently

@@ -7,7 +7,7 @@ from protograph.data import Episode, generate_synthetic
 from protograph.gradcheck import check_episode_objective, random_episode
 from protograph.graph import build_knn_graph
 from protograph.likelihood import EncoderParams
-from protograph.numerics import RngStream
+from protograph.numerics import RngStream, finite_difference_gradient, max_relative_error
 from protograph.prior import GnnParams
 from protograph.sampler import SamplerConfig
 from protograph.trainer import (
@@ -19,6 +19,7 @@ from protograph.trainer import (
     param_arrays,
     params_to_vector,
     read_checkpoint,
+    set_params_from_vector,
     train,
     write_checkpoint,
     write_training_log,
@@ -31,6 +32,21 @@ def tiny_world(seed=0, d=3, n_rel=6):
     graph = build_knn_graph(emb, 2)
     params = init_params(d, d, RngStream(seed + 1), encoder_mode="linear", encoder_input_dim=d)
     return gen, graph, params
+
+
+def oracle_error(ep, graph, params, cfg, rng):
+    """Worst relative error of the episode gradients against central differences."""
+    _, grads = episode_objective_and_grads(ep, graph, params, cfg, rng)
+    analytic = np.concatenate([grads[k].ravel() for k in param_arrays(params)])
+
+    def loss_at(vec):
+        set_params_from_vector(params, vec)
+        return episode_loss(ep, graph, params, cfg, rng)
+
+    base = params_to_vector(params)
+    fd = finite_difference_gradient(loss_at, base)
+    set_params_from_vector(params, base)
+    return max_relative_error(analytic, fd)
 
 
 class TestEpisodeObjective:
@@ -61,9 +77,6 @@ class TestEpisodeObjective:
     def test_gradients_match_oracle_tanh_two_hop_decayed(self):
         # the remaining gradient paths: tanh summary activation, two
         # propagation hops, and a decaying step-size schedule
-        from protograph.numerics import finite_difference_gradient, max_relative_error
-        from protograph.trainer import set_params_from_vector
-
         gen = RngStream(31).generator()
         d = 3
         emb = gen.standard_normal((6, d))
@@ -74,19 +87,24 @@ class TestEpisodeObjective:
         )
         ep = random_episode(gen, 2, 1, 2, d, 6)
         cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7, measure="euclidean")
-        rng = RngStream(33)
+        assert oracle_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
 
-        _, grads = episode_objective_and_grads(ep, graph, params, cfg, rng)
-        analytic = np.concatenate([grads[k].ravel() for k in param_arrays(params)])
-
-        def loss_at(vec):
-            set_params_from_vector(params, vec)
-            return episode_loss(ep, graph, params, cfg, rng)
-
-        base = params_to_vector(params)
-        fd = finite_difference_gradient(loss_at, base)
-        set_params_from_vector(params, base)
-        assert max_relative_error(analytic, fd) < 1e-4
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("likelihood_weight, prior_weight, graph_prior", [
+        (0.5, 2.0, True),
+        (0.0, 1.0, True),  # no support probabilities recorded
+        (1.0, 1.0, False),
+    ])
+    def test_gradients_match_oracle_ablation_settings(
+        self, measure, likelihood_weight, prior_weight, graph_prior
+    ):
+        gen, graph, params = tiny_world(seed=7)
+        ep = random_episode(gen, 2, 2, 2, 3, 6)
+        cfg = SamplerConfig(
+            chains=2, steps=2, measure=measure, likelihood_weight=likelihood_weight,
+            prior_weight=prior_weight, graph_prior=graph_prior,
+        )
+        assert oracle_error(ep, graph, params, cfg, RngStream(34)) < 1e-8
 
     def test_duplicated_queries_double_the_loss(self):
         gen, graph, params = tiny_world(seed=2)
@@ -168,7 +186,7 @@ class TestForwardConsistency:
                 summary_rows(graph, params.gnn, ep.targets),
                 cfg, params.encoder, rng,
             )
-            np.testing.assert_array_equal(cache.mean_probs, probs)
+            np.testing.assert_array_equal(cache.fwd.probs, probs)
 
 
 class TestTrain:
