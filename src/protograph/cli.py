@@ -1,10 +1,12 @@
 """Single entry-point command line for the whole pipeline.
 
 Subcommands: synth | build-graph | train | eval | zero-shot | sweep |
-grad-check. Every option can also come from a flat key=value config file
-(--config); explicit flags override file values, file values override the
-built-in defaults. Each run writes its fully resolved configuration next to
-its outputs so the exact run can be replayed from that file.
+grad-check. Every option is declared once, in OPTIONS, and each subcommand
+accepts exactly the options it reads (COMMANDS). Options can also come from
+a flat key=value config file (--config): explicit flags override file
+values, file values override the defaults, and file keys the subcommand does
+not read are ignored. Each run writes its resolved options next to its
+outputs, so the exact run can be replayed from that file.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import evaluation, trainer
 from .data import generate_synthetic, load_dataset, save_dataset
 from .graph import build_knn_graph, load_embeddings, load_graph, save_edges, save_embeddings
+from .likelihood import ENCODER_MODES, MEASURES
 from .numerics import RngStream
 from .sampler import SamplerConfig
 from .trainer import ModelParams, TrainConfig, init_params, read_checkpoint
@@ -23,7 +27,68 @@ from .trainer import ModelParams, TrainConfig, init_params, read_checkpoint
 _GRADCHECK_TOLERANCE = 1e-4
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+class Option(NamedTuple):
+    kind: type  # str, int, float, or bool for an on/off switch
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+OPTIONS = {
+    # inputs and outputs
+    "data": Option(str, None, "instance file (tab-separated)"),
+    "registry": Option(str, None, "relation registry file"),
+    "embeddings": Option(str, None, "relation embedding file"),
+    "graph": Option(str, None, "edge-list file (else a k-NN graph is built)"),
+    "knn": Option(int, 10, "neighbors per node when building the graph"),
+    "checkpoint": Option(str, None, "model checkpoint path"),
+    "out": Option(str, None, "output path"),
+    "format": Option(str, "csv", "report format", ("csv", "json")),
+    "seed": Option(int, 0, "seed of every random stream"),
+    # episodes and model
+    "split": Option(str, "test", "split the episodes are drawn from", ("train", "val", "test")),
+    "n-way": Option(int, 5, "classes per episode N"),
+    "k-shot": Option(int, 1, "support instances per class K"),
+    "q-per": Option(int, 5, "queries per class"),
+    "episodes": Option(int, 100, "number of episodes"),
+    "encoder": Option(str, "identity", "instance encoder of a new model", ENCODER_MODES),
+    # sampler
+    "chains": Option(int, 10, "posterior samples L"),
+    "steps": Option(int, 5, "update steps M"),
+    "step-size": Option(float, 0.1, "initial step size"),
+    "step-decay": Option(float, 0.0, "step size decay exponent"),
+    "alpha": Option(float, 1.0, "weight of the relation summary in the warm start"),
+    "beta": Option(float, 1.0, "weight of the grand support mean in the warm start"),
+    "tau": Option(float, 10.0, "softmax temperature"),
+    "measure": Option(str, "dot", "similarity measure", MEASURES),
+    "no-noise": Option(bool, False, "turn the Langevin noise off"),
+    "no-graph-prior": Option(bool, False, "replace the graph summaries with zeros"),
+    # training
+    "lr": Option(float, 0.1, "SGD learning rate"),
+    "eval-every": Option(int, 100, "episodes between validations and checkpoints (0: never)"),
+    "val-episodes": Option(int, 20, "episodes per validation"),
+    "timing": Option(bool, False, "record wall_ms in the log"),
+    # synth
+    "relations": Option(int, 25, "number of relations"),
+    "dim": Option(int, 8, "feature dimension"),
+    "cluster-scale": Option(float, 10.0, "spread of the relation centers"),
+    "noise-scale": Option(float, 1.0, "spread of the instances around their center"),
+    "per-relation": Option(int, 20, "instances per relation"),
+    "embed-noise": Option(float, 0.01, "noise of the relation embeddings"),
+    "splits": Option(str, None, "train,val,test relation counts, e.g. 10,5,10"),
+    # sweep
+    "axis": Option(str, "L", "swept parameter", ("L", "M")),
+    "values": Option(str, "1,2,5,10", "comma-separated sweep values"),
+    # grad-check
+    "d": Option(int, 3, "feature dimension of the check instances"),
+    "cases": Option(int, 5, "random instances per component"),
+}
+
+_TRUE = ("1", "true", "yes", "on")
+
+
+def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """key -> (value, "path:line") of a flat key=value file."""
     out = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -32,177 +97,57 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        out[key.strip()] = (value.strip(), f"{path}:{lineno}")
     return out
 
 
-def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+def _from_file(key: str, raw: str, where: str):
+    opt = OPTIONS[key]
+    try:
+        value = raw.lower() in _TRUE if opt.kind is bool else opt.kind(raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {key}: {exc}") from None
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"{where}: {key} must be one of {', '.join(opt.choices)}")
+    return value
 
 
 class Options:
-    """Resolved option set: defaults < config file < explicit flags."""
+    """One subcommand's resolved options: defaults < config file < explicit flags."""
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        file_cfg = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    def __init__(self, args: argparse.Namespace, command: Command):
+        self.command = args.command
+        from_file = _parse_config_file(args.config) if args.config else {}
         self._values = {}
-        for key, default in defaults.items():
-            flag_val = getattr(args, key.replace("-", "_"), None)
-            if isinstance(default, bool):
-                explicit = bool(flag_val)
-            else:
-                explicit = flag_val is not None
-            if explicit:
-                value = flag_val
-            elif key in file_cfg:
-                value = _coerce(file_cfg[key], default if default is not None else "")
-            else:
-                value = default
+        for key in command.options:
+            value = getattr(args, key.replace("-", "_"))
+            if value is None and key in from_file:
+                value = _from_file(key, *from_file[key])
+            elif value is None:
+                value = command.defaults.get(key, OPTIONS[key].default)
             self._values[key] = value
 
     def __getitem__(self, key: str):
         return self._values[key]
 
     def require(self, key: str):
-        value = self._values.get(key)
+        value = self[key]
         if value is None:
             raise ValueError(f"missing required option --{key}")
         return value
 
-    def echo_lines(self, command: str) -> str:
-        lines = [f"# command: {command}"]
-        for key in sorted(self._values):
-            value = self._values[key]
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
-
     def echo_dict(self) -> dict:
+        """The options that are set, switches as true/false."""
         return {
             k: ("true" if v is True else "false" if v is False else v)
             for k, v in self._values.items()
             if v is not None
         }
 
-
-def _write_echo(opts: Options, command: str, anchor_path) -> None:
-    Path(str(anchor_path) + ".config").write_text(
-        opts.echo_lines(command), encoding="utf-8"
-    )
-
-
-_PROTOCOL_DEFAULTS = {
-    "seed": 0,
-    "n-way": 5,
-    "k-shot": 1,
-    "q-per": 5,
-    "chains": 10,
-    "steps": 5,
-    "step-size": 0.1,
-    "step-decay": 0.0,
-    "alpha": 1.0,
-    "beta": 1.0,
-    "tau": 10.0,
-    "measure": "dot",
-    "knn": 10,
-    "no-noise": False,
-    "no-graph-prior": False,
-    "threads": 1,
-}
-
-_PATH_DEFAULTS = {
-    "data": None,
-    "registry": None,
-    "embeddings": None,
-    "graph": None,
-    "checkpoint": None,
-    "out": None,
-}
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--data", help="instance file (tab-separated)")
-    p.add_argument("--registry", help="relation registry file")
-    p.add_argument("--embeddings", help="relation embedding file")
-    p.add_argument("--graph", help="edge-list file (else a k-NN graph is built)")
-    p.add_argument("--checkpoint", help="model checkpoint path")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-way", type=int)
-    p.add_argument("--k-shot", type=int)
-    p.add_argument("--q-per", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--chains", type=int, help="posterior samples L")
-    p.add_argument("--steps", type=int, help="update steps M")
-    p.add_argument("--step-size", type=float, help="initial step size")
-    p.add_argument("--step-decay", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--measure", choices=["dot", "euclidean"])
-    p.add_argument("--knn", type=int, help="neighbors per node when building the graph")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--no-noise", action="store_true")
-    p.add_argument("--no-graph-prior", action="store_true")
-    p.add_argument("--threads", type=int)
-    p.add_argument("--format", choices=["csv", "json"])
-    p.add_argument("--split", choices=["train", "val", "test"])
-    p.add_argument("--encoder", choices=["identity", "linear"])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="protograph",
-        description="Graph-regularized Bayesian meta-learning for few-shot classification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset + embeddings")
-    _add_common_flags(p)
-    p.add_argument("--relations", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--cluster-scale", type=float)
-    p.add_argument("--noise-scale", type=float)
-    p.add_argument("--per-relation", type=int)
-    p.add_argument("--embed-noise", type=float)
-    p.add_argument("--splits", help="train,val,test relation counts, e.g. 10,5,10")
-
-    p = sub.add_parser("build-graph", help="build the k-NN relation graph")
-    _add_common_flags(p)
-
-    p = sub.add_parser("train", help="episodic training")
-    _add_common_flags(p)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--val-episodes", type=int)
-    p.add_argument("--timing", action="store_true", help="record wall_ms in the log")
-
-    p = sub.add_parser("eval", help="few-shot evaluation")
-    _add_common_flags(p)
-
-    p = sub.add_parser("zero-shot", help="prior-mean classification, no support set")
-    _add_common_flags(p)
-
-    p = sub.add_parser("sweep", help="sensitivity sweep over L or M")
-    _add_common_flags(p)
-    p.add_argument("--axis", choices=["L", "M"])
-    p.add_argument("--values", help="comma-separated sweep values, e.g. 1,2,5,10")
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient suites")
-    _add_common_flags(p)
-    p.add_argument("--d", type=int, help="feature dimension of the check instances")
-    p.add_argument("--cases", type=int, help="random instances per component")
-
-    return parser
+    def write_echo(self, anchor_path) -> None:
+        echo = self.echo_dict()
+        lines = [f"# command: {self.command}"] + [f"{k}={echo[k]}" for k in sorted(echo)]
+        Path(f"{anchor_path}.config").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _load_graph_and_data(opts: Options):
@@ -234,12 +179,6 @@ def _sampler_config(opts: Options) -> SamplerConfig:
     )
 
 
-def _threads(opts: Options) -> int:
-    if opts["threads"] < 1:
-        raise ValueError("--threads must be >= 1")
-    return opts["threads"]
-
-
 def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
     if opts["checkpoint"]:
         params, _ = read_checkpoint(opts["checkpoint"])
@@ -248,22 +187,23 @@ def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
         graph_dim=g.feature_dim,
         output_dim=dataset.d,
         rng=RngStream(opts["seed"]).child(0),
-        encoder_mode=opts["encoder"] or "identity",
+        encoder_mode=opts["encoder"],
         encoder_input_dim=dataset.d,
     )
 
 
-def _cmd_synth(args) -> int:
-    opts = Options(args, {
-        **_PATH_DEFAULTS, "seed": 0, "relations": 25, "dim": 8,
-        "cluster-scale": 10.0, "noise-scale": 1.0, "per-relation": 20,
-        "embed-noise": 0.01, "splits": None,
-    })
+def _write_report(opts: Options, reports) -> None:
+    if opts["out"]:
+        evaluation.emit_report(reports, opts["out"], opts["format"])
+        opts.write_echo(opts["out"])
+
+
+def _cmd_synth(opts: Options) -> int:
     out_dir = Path(opts.require("out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     split_counts = None
     if opts["splits"]:
-        split_counts = tuple(int(v) for v in str(opts["splits"]).split(","))
+        split_counts = tuple(int(v) for v in opts["splits"].split(","))
     dataset, embeddings = generate_synthetic(
         opts["relations"], opts["dim"], opts["cluster-scale"], opts["noise-scale"],
         opts["per-relation"], RngStream(opts["seed"]),
@@ -271,28 +211,22 @@ def _cmd_synth(args) -> int:
     )
     save_dataset(dataset, out_dir / "instances.tsv", out_dir / "registry.tsv")
     save_embeddings(embeddings, out_dir / "embeddings.tsv")
-    _write_echo(opts, "synth", out_dir / "synth")
+    opts.write_echo(out_dir / "synth")
     print(f"wrote {dataset.num_relations} relations to {out_dir}")
     return 0
 
 
-def _cmd_build_graph(args) -> int:
-    opts = Options(args, {**_PATH_DEFAULTS, "knn": 10, "seed": 0})
+def _cmd_build_graph(opts: Options) -> int:
     embeddings = load_embeddings(opts.require("embeddings"))
     g = build_knn_graph(embeddings, opts["knn"])
     out = opts.require("out")
     save_edges(g, out)
-    _write_echo(opts, "build-graph", out)
+    opts.write_echo(out)
     print(f"wrote {len(g.edges)} edges to {out}")
     return 0
 
 
-def _cmd_train(args) -> int:
-    opts = Options(args, {
-        **_PATH_DEFAULTS, **_PROTOCOL_DEFAULTS,
-        "episodes": 500, "lr": 0.1, "eval-every": 100, "val-episodes": 20,
-        "encoder": "identity", "timing": False, "format": "csv", "split": "train",
-    })
+def _cmd_train(opts: Options) -> int:
     dataset, g = _load_graph_and_data(opts)
     checkpoint = opts.require("checkpoint")
     config = TrainConfig(
@@ -311,32 +245,23 @@ def _cmd_train(args) -> int:
         record_timing=opts["timing"],
     )
     _, rows = trainer.train(dataset, g, config, config_echo=opts.echo_dict())
-    _write_echo(opts, "train", checkpoint)
+    opts.write_echo(checkpoint)
     if opts["out"]:
-        _write_echo(opts, "train", opts["out"])
+        opts.write_echo(opts["out"])
     last = rows[-1].loss if rows else float("nan")
     print(f"trained {len(rows)} episodes, final loss {last:.6f}, checkpoint {checkpoint}")
     return 0
 
 
-def _cmd_eval(args) -> int:
-    opts = Options(args, {
-        **_PATH_DEFAULTS, **_PROTOCOL_DEFAULTS,
-        "episodes": 100, "lr": 0.1, "format": "csv", "split": "test",
-        "encoder": "identity",
-    })
-    threads = _threads(opts)
+def _cmd_eval(opts: Options) -> int:
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_fewshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["k-shot"], opts["q-per"], opts["episodes"],
-        _sampler_config(opts), RngStream(opts["seed"]), threads=threads,
+        _sampler_config(opts), RngStream(opts["seed"]),
     )
-    out = opts["out"]
-    if out:
-        evaluation.emit_report([report], out, opts["format"])
-        _write_echo(opts, "eval", out)
+    _write_report(opts, [report])
     print(
         f"{opts['n-way']}-way {opts['k-shot']}-shot [{opts['split']}] "
         f"accuracy {report.accuracy:.4f} +- {report.ci95:.4f} over {report.episodes} episodes"
@@ -344,24 +269,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_zero_shot(args) -> int:
-    opts = Options(args, {
-        **_PATH_DEFAULTS, **_PROTOCOL_DEFAULTS,
-        "episodes": 100, "format": "csv", "split": "test", "encoder": "identity",
-    })
-    threads = _threads(opts)
+def _cmd_zero_shot(opts: Options) -> int:
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_zeroshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["q-per"], opts["episodes"],
         RngStream(opts["seed"]), measure=opts["measure"], tau=opts["tau"],
-        threads=threads,
     )
-    out = opts["out"]
-    if out:
-        evaluation.emit_report([report], out, opts["format"])
-        _write_echo(opts, "zero-shot", out)
+    _write_report(opts, [report])
     print(
         f"{opts['n-way']}-way zero-shot [{opts['split']}] "
         f"accuracy {report.accuracy:.4f} +- {report.ci95:.4f} over {report.episodes} episodes"
@@ -369,35 +285,22 @@ def _cmd_zero_shot(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    opts = Options(args, {
-        **_PATH_DEFAULTS, **_PROTOCOL_DEFAULTS,
-        "episodes": 100, "format": "csv", "split": "test", "encoder": "identity",
-        "axis": "L", "values": "1,2,5,10",
-    })
-    threads = _threads(opts)
+def _cmd_sweep(opts: Options) -> int:
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
-    values = [int(v) for v in str(opts["values"]).split(",")]
+    values = [int(v) for v in opts["values"].split(",")]
     reports = evaluation.sensitivity_sweep(
         opts["axis"], values, dataset, opts["split"], g, params,
         opts["n-way"], opts["k-shot"], opts["q-per"], opts["episodes"],
-        _sampler_config(opts), RngStream(opts["seed"]), threads=threads,
+        _sampler_config(opts), RngStream(opts["seed"]),
     )
-    out = opts["out"]
-    if out:
-        evaluation.emit_report(reports, out, opts["format"])
-        _write_echo(opts, "sweep", out)
+    _write_report(opts, reports)
     for rep in reports:
         print(f"{rep.setting}: accuracy {rep.accuracy:.4f} +- {rep.ci95:.4f}")
     return 0
 
 
-def _cmd_grad_check(args) -> int:
-    opts = Options(args, {
-        **_PROTOCOL_DEFAULTS, "d": 3, "cases": 5, "chains": 2, "steps": 2,
-        "k-shot": 1, "n-way": 2, "q-per": 2,
-    })
+def _cmd_grad_check(opts: Options) -> int:
     from .gradcheck import run_gradient_checks
 
     results = run_gradient_checks(
@@ -416,22 +319,77 @@ def _cmd_grad_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "build-graph": _cmd_build_graph,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "zero-shot": _cmd_zero_shot,
-    "sweep": _cmd_sweep,
-    "grad-check": _cmd_grad_check,
+class Command(NamedTuple):
+    run: Callable[[Options], int]
+    help: str
+    options: tuple[str, ...]  # exactly the options run() reads
+    defaults: dict = {}  # where the subcommand's default differs from OPTIONS
+
+
+_INPUTS = ("data", "registry", "embeddings", "graph", "knn", "checkpoint", "out", "seed")
+_EPISODE = ("n-way", "k-shot", "q-per", "episodes", "encoder")
+_SAMPLER = (
+    "chains", "steps", "step-size", "step-decay", "alpha", "beta", "tau", "measure",
+    "no-noise", "no-graph-prior",
+)
+_EVAL = _INPUTS + _EPISODE + _SAMPLER + ("split", "format")
+
+COMMANDS = {
+    "synth": Command(
+        _cmd_synth, "generate a synthetic dataset + embeddings",
+        ("out", "seed", "relations", "dim", "cluster-scale", "noise-scale",
+         "per-relation", "embed-noise", "splits"),
+    ),
+    "build-graph": Command(
+        _cmd_build_graph, "build the k-NN relation graph", ("embeddings", "knn", "out"),
+    ),
+    "train": Command(
+        _cmd_train, "episodic training",
+        _INPUTS + _EPISODE + _SAMPLER + ("lr", "eval-every", "val-episodes", "timing"),
+        {"episodes": 500},
+    ),
+    "eval": Command(_cmd_eval, "few-shot evaluation", _EVAL),
+    "zero-shot": Command(
+        _cmd_zero_shot, "prior-mean classification, no support set",
+        _INPUTS + ("n-way", "q-per", "episodes", "encoder", "tau", "measure", "split", "format"),
+    ),
+    "sweep": Command(_cmd_sweep, "sensitivity sweep over L or M", _EVAL + ("axis", "values")),
+    "grad-check": Command(
+        _cmd_grad_check, "finite-difference gradient suites",
+        ("seed", "d", "cases", "n-way", "k-shot", "q-per", "chains", "steps", "tau"),
+        # the small shape N=2, K=1, Q=2, L=2, M=2
+        {"n-way": 2, "q-per": 2, "chains": 2, "steps": 2},
+    ),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="protograph",
+        description="Graph-regularized Bayesian meta-learning for few-shot classification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        for key in command.options:
+            opt = OPTIONS[key]
+            if opt.kind is bool:
+                p.add_argument(f"--{key}", action="store_true", default=None, help=opt.help)
+                continue
+            default = command.defaults.get(key, opt.default)
+            p.add_argument(
+                f"--{key}", type=opt.kind, choices=opt.choices,
+                help=opt.help if default is None else f"{opt.help} (default: {default})",
+            )
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return command.run(Options(args, command))
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

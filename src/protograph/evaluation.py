@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -73,13 +72,6 @@ def _summarize(per_episode: list[float]) -> tuple[float, float]:
     return mean, half
 
 
-def _run_indexed(worker, episodes: int, threads: int) -> list[float]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(episodes)))
-    return [worker(i) for i in range(episodes)]
-
-
 def evaluate_fewshot(
     dataset: Dataset,
     split: str,
@@ -91,14 +83,13 @@ def evaluate_fewshot(
     episodes: int,
     sampler_config: SamplerConfig,
     rng: RngStream,
-    threads: int = 1,
     setting: str = "fewshot",
 ) -> EvalReport:
     """Mean episode accuracy of the posterior-sampling classifier."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-
-    def worker(i: int) -> float:
+    per_episode = []
+    for i in range(episodes):
         episode = sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(i, 0))
         summaries = summary_rows(graph, params.gnn, episode.targets)
         _, preds = posterior_predict(
@@ -111,9 +102,7 @@ def evaluate_fewshot(
             params.encoder,
             rng.child(i, 1),
         )
-        return float(np.mean(preds == episode.query_y))
-
-    per_episode = _run_indexed(worker, episodes, threads)
+        per_episode.append(float(np.mean(preds == episode.query_y)))
     accuracy, ci95 = _summarize(per_episode)
     return EvalReport(
         setting=setting,
@@ -144,7 +133,6 @@ def evaluate_zeroshot(
     rng: RngStream,
     measure: str = "dot",
     tau: float = 10.0,
-    threads: int = 1,
     setting: str = "zeroshot",
 ) -> EvalReport:
     """Classification from the prior means alone: no support set, no chain.
@@ -155,17 +143,15 @@ def evaluate_zeroshot(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-
-    def worker(i: int) -> float:
+    per_episode = []
+    for i in range(episodes):
         episode = sample_episode(dataset, split, n_way, 0, q_per, rng.child(i, 0))
         prototypes = summary_rows(graph, params.gnn, episode.targets)
         _, preds = predict_queries(
             episode.query_x, PrototypeSamples(prototypes[None]), params.encoder,
             measure, tau, episode.targets,
         )
-        return float(np.mean(preds == episode.query_y))
-
-    per_episode = _run_indexed(worker, episodes, threads)
+        per_episode.append(float(np.mean(preds == episode.query_y)))
     accuracy, ci95 = _summarize(per_episode)
     return EvalReport(
         setting=setting,
@@ -198,7 +184,6 @@ def sensitivity_sweep(
     episodes: int,
     base_config: SamplerConfig,
     rng: RngStream,
-    threads: int = 1,
 ) -> list[EvalReport]:
     """One report per swept value of L (chains) or M (steps), matched seeds.
 
@@ -216,7 +201,7 @@ def sensitivity_sweep(
         reports.append(
             evaluate_fewshot(
                 dataset, split, graph, params, n_way, k_shot, q_per,
-                episodes, cfg, rng, threads=threads, setting=f"sweep:{axis}={v}",
+                episodes, cfg, rng, setting=f"sweep:{axis}={v}",
             )
         )
     return reports

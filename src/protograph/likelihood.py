@@ -14,6 +14,7 @@ import numpy as np
 from .numerics import log_softmax_with_temperature, softmax_with_temperature
 
 MEASURES = ("dot", "euclidean")
+ENCODER_MODES = ("identity", "linear")
 
 
 @dataclass
@@ -25,7 +26,7 @@ class EncoderParams:
     bias: np.ndarray | None = None  # (d,)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("identity", "linear"):
+        if self.mode not in ENCODER_MODES:
             raise ValueError(f"unknown encoder mode {self.mode!r}")
         if self.mode == "linear":
             if self.weight is None or self.bias is None:
@@ -127,14 +128,12 @@ def support_log_likelihood_and_grad(
     encoder: EncoderParams,
     measure: str,
     tau: float,
-    normalize_by_k: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Support-set log-likelihood and its analytic gradient w.r.t. prototypes.
 
-    value = scale * sum_s log p(y_s | x_s, V), with scale = 1/K when
-    normalize_by_k is set (K support instances per class, required equal).
-    The gradient is scale/tau times the drift of :func:`support_probs_and_grad`,
-    the kernel the sampler's chains run.
+    value = (1/K) sum_s log p(y_s | x_s, V), with K support instances per
+    class (required equal). The gradient is 1/(K tau) times the drift of
+    :func:`support_probs_and_grad`, the kernel the sampler's chains run.
     """
     v = np.asarray(prototypes, dtype=float)
     y = np.asarray(support_y, dtype=int)
@@ -143,6 +142,6 @@ def support_log_likelihood_and_grad(
     log_p = log_softmax_with_temperature(pairwise_logits(e, v, measure), tau)
     _, drift = support_probs_and_grad(e, one_hot, v[None], measure, tau)
 
-    scale = (1.0 / k_shot) if normalize_by_k else 1.0
+    scale = 1.0 / k_shot
     value = scale * float(log_p[np.arange(y.size), y].sum())
     return value, drift[0] * (scale / tau)

@@ -113,10 +113,9 @@ class EpisodeForward:
     record: ChainRecord | None  # set when the forward ran with record=True
 
 
-def support_statistics(encodings, support_y) -> SupportStatistics:
-    """Exact per-class and grand means of the support encodings."""
-    y = np.asarray(support_y, dtype=int)
-    one_hot, k_shot = support_labels(y, int(y.max(initial=-1)) + 1)
+def support_statistics(encodings, support_y, n_way: int) -> SupportStatistics:
+    """Exact per-class and grand means of the support encodings of N classes."""
+    one_hot, k_shot = support_labels(support_y, n_way)
     e = np.asarray(encodings, dtype=float)
     return SupportStatistics(class_means=(one_hot.T @ e) / k_shot, grand_mean=e.mean(axis=0))
 
@@ -299,7 +298,7 @@ def episode_forward(
         h = np.zeros_like(h)
     support_enc = encode_batch(support_x, encoder)
     query_enc = encode_batch(query_x, encoder)
-    stats = support_statistics(support_enc, support_y)
+    stats = support_statistics(support_enc, support_y, len(targets))
     samples = init_prototypes(stats, h, config.alpha, config.beta, config.chains)
     out = sgld_chain(support_enc, support_y, targets, h, samples, config, rng, record)
     samples, chain = out if record else (out, None)

@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import Dataset, Episode, parse_ints, sample_episode
 from .graph import RelationGraph
-from .likelihood import EncoderParams, support_labels
+from .likelihood import ENCODER_MODES, EncoderParams, support_labels
 from .numerics import RngStream
-from .prior import GnnParams, summary_rows
+from .prior import ACTIVATIONS, GnnParams, summary_rows
 from .sampler import EpisodeForward, SamplerConfig, episode_forward, posterior_predict
 
 # Not called here (episode_forward runs the pipeline), but bound so that
@@ -61,8 +61,6 @@ class TrainConfig:
     log_path: str | Path | None = None
     seed: int = 0
     encoder_mode: str = "identity"
-    gnn_activation: str = "identity"
-    gnn_hops: int = 1
     record_timing: bool = False
 
     def __post_init__(self) -> None:
@@ -392,8 +390,6 @@ def train(
             rng=rng.child(_NS_INIT),
             encoder_mode=config.encoder_mode,
             encoder_input_dim=dataset.d,
-            activation=config.gnn_activation,
-            hops=config.gnn_hops,
         )
     arrays = param_arrays(params)
     rows: list[LogRow] = []
@@ -482,8 +478,16 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{path}:{pos}: expected {name}")
         return value
 
-    def take_int(name: str) -> int:
+    def take_int(name: str, minimum: int = 0) -> int:
         (value,) = parse_ints([take_field(name)], path, pos)
+        if value < minimum:
+            raise ValueError(f"{path}:{pos}: {name} must be >= {minimum}")
+        return value
+
+    def take_choice(name: str, choices) -> str:
+        value = take_field(name)
+        if value not in choices:
+            raise ValueError(f"{path}:{pos}: unknown {name} {value!r}")
         return value
 
     def take_row(cols: int, expect: str) -> list[float]:
@@ -507,18 +511,19 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
 
     d = take_int("d")
     d_g = take_int("d_g")
-    activation = take_field("gnn.activation")
-    hops = take_int("gnn.hops")
+    activation = take_choice("gnn.activation", ACTIVATIONS)
+    hops = take_int("gnn.hops", minimum=1)
     weight = take_matrix("gnn.weight")
     bias = take_matrix("gnn.bias")[0]
     if weight.shape != (d_g, d) or bias.shape != (d,):
         raise ValueError(f"{path}: inconsistent dimensions")
     gnn = GnnParams(weight=weight, bias=bias, activation=activation, hops=hops)
 
-    mode = take_field("encoder.mode")
-    if mode == "linear":
+    if take_choice("encoder.mode", ENCODER_MODES) == "linear":
         e_weight = take_matrix("encoder.weight")
         e_bias = take_matrix("encoder.bias")[0]
+        if e_weight.shape[0] != d or e_bias.shape != (d,):
+            raise ValueError(f"{path}: inconsistent dimensions")
         encoder = EncoderParams(mode="linear", weight=e_weight, bias=e_bias)
     else:
         encoder = EncoderParams(mode="identity")

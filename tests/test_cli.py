@@ -1,10 +1,11 @@
 """End-to-end tests of the command line interface."""
 
 import json
+from collections import defaultdict
 
-import numpy as np
 import pytest
 
+from protograph import cli
 from protograph.cli import main
 from protograph.evaluation import parse_report_csv
 
@@ -116,6 +117,18 @@ class TestPipeline:
         assert rows[0]["episodes"] == 6  # file beats default
         assert rows[0]["seed"] == 9
 
+    @pytest.mark.parametrize("line, message", [
+        ("n-way=x", "n-way: invalid literal for int() with base 10: 'x'"),
+        ("measure=cos", "measure must be one of dot, euclidean"),
+    ])
+    def test_bad_config_value_is_path_line_error(
+        self, workspace, tmp_path, capsys, line, message
+    ):
+        cfg = tmp_path / "run.config"
+        cfg.write_text(f"# command: eval\nseed=1\n{line}\n")
+        assert main(base_args(workspace, "eval") + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+
     def test_train_with_linear_encoder(self, workspace, tmp_path):
         root, _ = workspace
         # scale-10 features need a gentler rate once the encoder is trainable
@@ -139,11 +152,24 @@ class TestPipeline:
         assert lines[20].split(",")[2] != ""
         assert lines[1].split(",")[2] == ""
 
-    @pytest.mark.parametrize("cmd", ["eval", "zero-shot", "sweep"])
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_rejected(self, workspace, capsys, cmd, threads):
-        assert main(base_args(workspace, cmd) + ["--threads", threads]) == 1
-        assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+    def test_config_written_with_unread_keys_replays(self, workspace, tmp_path):
+        # an eval .config as written when every subcommand took every flag:
+        # it carries lr and threads, which eval does not read
+        root, data = workspace
+        paths = {
+            "data": data / "instances.tsv", "registry": data / "registry.tsv",
+            "embeddings": data / "embeddings.tsv", "checkpoint": root / "model.ckpt",
+            "out": tmp_path / "report.csv",
+        }
+        old = tmp_path / "old.config"
+        old.write_text(OLD_EVAL_CONFIG.format(**paths))
+        args = ["eval"] + [f"--{key}={path}" for key, path in paths.items()]
+        assert main(args + ["--episodes", "12", "--seed", "5"]) == 0
+        assert main(["eval", "--config", str(old), "--out", str(tmp_path / "replay.csv")]) == 0
+        assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+        kept = [line for line in old.read_text().splitlines()
+                if not line.startswith(("lr=", "threads="))]
+        assert (tmp_path / "report.csv.config").read_text().splitlines() == kept
 
     def test_truncated_checkpoint_is_one_line_error(self, workspace, tmp_path, capsys):
         root, _ = workspace
@@ -170,6 +196,9 @@ MALFORMED = [
     ("checkpoint", "d ", 1, "x", "invalid literal for int()"),
     ("checkpoint", "d_g ", 1, "8.5", "invalid literal for int()"),
     ("checkpoint", "gnn.hops ", 1, "two", "invalid literal for int()"),
+    ("checkpoint", "gnn.hops ", 1, "0", "gnn.hops must be >= 1"),
+    ("checkpoint", "gnn.activation ", 1, "relu", "unknown gnn.activation 'relu'"),
+    ("checkpoint", "encoder.mode ", 1, "bogus", "unknown encoder.mode 'bogus'"),
     ("checkpoint", "gnn.weight ", 2, "x", "invalid literal for int()"),
     ("checkpoint", "config ", 1, "many", "invalid literal for int()"),
 ]
@@ -207,6 +236,101 @@ def test_malformed_input_is_one_line_path_line_error(
     assert err.startswith(f"error: {paths[name]}:{line}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert message in err
+
+
+OLD_EVAL_CONFIG = """# command: eval
+alpha=1.0
+beta=1.0
+chains=10
+checkpoint={checkpoint}
+data={data}
+embeddings={embeddings}
+encoder=identity
+episodes=12
+format=csv
+k-shot=1
+knn=10
+lr=0.1
+measure=dot
+n-way=5
+no-graph-prior=false
+no-noise=false
+out={out}
+q-per=5
+registry={registry}
+seed=5
+split=test
+step-decay=0.0
+step-size=0.1
+steps=5
+tau=10.0
+threads=1
+"""
+
+# a flag of another subcommand, or one that is gone
+UNREAD_FLAGS = [
+    ("zero-shot", ["--chains", "3"]),
+    ("zero-shot", ["--no-graph-prior"]),
+    ("eval", ["--lr", "0.1"]),
+    ("train", ["--format", "csv"]),
+    ("build-graph", ["--seed", "0"]),
+    ("synth", ["--measure", "dot"]),
+    ("grad-check", ["--data", "x.tsv"]),
+    ("eval", ["--threads", "1"]),
+    ("zero-shot", ["--threads", "1"]),
+    ("sweep", ["--threads", "1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, flag", UNREAD_FLAGS, ids=[f"{cmd}{flag[0]}" for cmd, flag in UNREAD_FLAGS]
+)
+def test_flag_the_subcommand_does_not_read_exits_two(capsys, cmd, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_each_subcommand_declares_exactly_the_options_it_reads(
+    workspace, tmp_path, monkeypatch
+):
+    root, data = workspace
+    read = defaultdict(set)
+    lookup = cli.Options.__getitem__
+
+    def recording(self, key):
+        read[self.command].add(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(cli.Options, "__getitem__", recording)
+    graph = ["--graph", str(root / "edges.tsv")]
+    checkpoint = ["--checkpoint", str(root / "model.ckpt")]
+    runs = [
+        ["synth", "--out", str(tmp_path / "synth"), "--splits", "10,5,10"],
+        ["build-graph", "--embeddings", str(data / "embeddings.tsv"),
+         "--out", str(tmp_path / "edges.tsv")],
+        ["grad-check", "--cases", "1"],
+    ]
+    for with_graph in ([], graph):
+        runs.append(base_args(workspace, "train") + with_graph + [
+            "--checkpoint", str(tmp_path / "t.ckpt"), "--out", str(tmp_path / "t.csv"),
+            "--episodes", "2", "--eval-every", "1", "--val-episodes", "1",
+        ])
+        for with_checkpoint in ([], checkpoint):
+            for cmd in ("eval", "zero-shot", "sweep"):
+                runs.append(base_args(workspace, cmd) + with_graph + with_checkpoint + [
+                    "--out", str(tmp_path / f"{cmd}.csv"), "--episodes", "1",
+                ])
+    for argv in runs:
+        assert main(argv) == 0, argv
+    for name, command in cli.COMMANDS.items():
+        assert read[name] == set(command.options), name
+    counts = {name: len(command.options) for name, command in cli.COMMANDS.items()}
+    assert counts == {
+        "synth": 9, "build-graph": 3, "train": 27, "eval": 25, "zero-shot": 16,
+        "sweep": 27, "grad-check": 9,
+    }
 
 
 class TestExitCodes:

@@ -98,14 +98,6 @@ class TestEvaluateFewshot:
             )
             assert rep.episodes == 10 and rep.n_way == n_way
 
-    def test_threads_do_not_change_results(self, informative_world):
-        ds, graph, _ = informative_world
-        args = (ds, "test", graph, identity_params(8), 5, 1, 3, 20,
-                SamplerConfig(chains=2, steps=2), RngStream(62))
-        a = evaluate_fewshot(*args, threads=1)
-        b = evaluate_fewshot(*args, threads=4)
-        assert a.per_episode == b.per_episode
-
 
 class TestEvaluateZeroshot:
     def test_chance_level_with_random_embeddings(self, uninformative_world):

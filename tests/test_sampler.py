@@ -30,13 +30,13 @@ IDENTITY = EncoderParams(mode="identity")
 class TestSupportStatistics:
     def test_single_instance(self):
         e = np.array([[2.0, -1.0]])
-        stats = support_statistics(e, np.array([0]))
+        stats = support_statistics(e, np.array([0]), 1)
         np.testing.assert_array_equal(stats.class_means, e)
         np.testing.assert_array_equal(stats.grand_mean, e[0])
 
     def test_two_classes_hand_mean(self):
         e = np.array([[1.0, 0.0], [3.0, 2.0]])
-        stats = support_statistics(e, np.array([0, 1]))
+        stats = support_statistics(e, np.array([0, 1]), 2)
         np.testing.assert_array_equal(stats.class_means, e)
         np.testing.assert_allclose(stats.grand_mean, [2.0, 1.0], atol=1e-15)
 
@@ -44,14 +44,14 @@ class TestSupportStatistics:
         gen = np.random.default_rng(0)
         e = gen.standard_normal((4, 3))
         y = np.array([0, 0, 1, 1])
-        a = support_statistics(e, y)
-        b = support_statistics(np.vstack([e, e]), np.concatenate([y, y]))
+        a = support_statistics(e, y, 2)
+        b = support_statistics(np.vstack([e, e]), np.concatenate([y, y]), 2)
         np.testing.assert_allclose(a.class_means, b.class_means, atol=1e-12)
         np.testing.assert_allclose(a.grand_mean, b.grand_mean, atol=1e-12)
 
     def test_empty_support_raises(self):
         with pytest.raises(ValueError, match="empty support"):
-            support_statistics(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            support_statistics(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
 
 
 class TestInitPrototypes:
@@ -418,3 +418,14 @@ class TestPosteriorPredict:
             sx, sy, [0, 1], qx, np.zeros_like(h), cfg, IDENTITY, RngStream(3)
         )
         np.testing.assert_array_equal(with_h[0], with_zeros[0])
+
+    def test_support_missing_a_target_class_fails_the_count_check(self):
+        # the class count comes from the targets, not from the largest label
+        gen = np.random.default_rng(14)
+        sx = gen.standard_normal((4, 3))
+        qx = gen.standard_normal((3, 3))
+        h = gen.standard_normal((3, 3))
+        with pytest.raises(ValueError, match=r"unequal support counts per class: \[2, 2, 0\]"):
+            posterior_predict(
+                sx, [0, 0, 1, 1], [4, 7, 9], qx, h, SamplerConfig(), IDENTITY, RngStream(0)
+            )

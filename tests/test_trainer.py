@@ -277,3 +277,11 @@ class TestCheckpoint:
         (tmp_path / "bad.ckpt").write_text("something else\n")
         with pytest.raises(ValueError, match="checkpoint"):
             read_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_rejects_encoder_of_another_dimension(self, tmp_path):
+        # an encoder to 4 dimensions does not fit prototypes of 3
+        params = init_params(4, 3, RngStream(11))
+        params.encoder = EncoderParams(mode="linear", weight=np.ones((4, 3)), bias=np.zeros(4))
+        write_checkpoint(params, tmp_path / "m.ckpt")
+        with pytest.raises(ValueError, match="m.ckpt: inconsistent dimensions"):
+            read_checkpoint(tmp_path / "m.ckpt")
