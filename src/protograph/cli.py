@@ -119,6 +119,7 @@ class Options:
         self.command = args.command
         from_file = _parse_config_file(args.config) if args.config else {}
         self._values = {}
+        self._read = set()  # the options the run asked for, the ones it echoes
         for key in command.options:
             value = getattr(args, key.replace("-", "_"))
             if value is None and key in from_file:
@@ -128,6 +129,7 @@ class Options:
             self._values[key] = value
 
     def __getitem__(self, key: str):
+        self._read.add(key)
         return self._values[key]
 
     def require(self, key: str):
@@ -137,11 +139,11 @@ class Options:
         return value
 
     def echo_dict(self) -> dict:
-        """The options that are set, switches as true/false."""
+        """The options the run has read that are set, switches as true/false."""
         return {
             k: ("true" if v is True else "false" if v is False else v)
             for k, v in self._values.items()
-            if v is not None
+            if v is not None and k in self._read
         }
 
     def write_echo(self, anchor_path) -> None:
@@ -367,10 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protograph",
         description="Graph-regularized Bayesian meta-learning for few-shot classification",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         for key in command.options:
             opt = OPTIONS[key]

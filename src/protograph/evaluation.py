@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -13,12 +14,14 @@ from .graph import RelationGraph
 from .numerics import RngStream
 from .prior import summary_rows
 from .sampler import PrototypeSamples, SamplerConfig, posterior_predict, predict_queries
-from .trainer import ModelParams
 
 # Not called here (predict_queries scores zero-shot queries), but bound so
 # that benchmarks/tracer.py, which patches this module's call sites by name,
 # finds them.
 from .likelihood import class_log_probs, encode_batch  # noqa: F401
+
+if TYPE_CHECKING:
+    from .trainer import ModelParams
 
 CSV_COLUMNS = (
     "setting", "N", "K", "L", "M", "epsilon0", "alpha", "beta",
@@ -63,13 +66,46 @@ class EvalReport:
         }
 
 
-def _summarize(per_episode: list[float]) -> tuple[float, float]:
-    acc = np.asarray(per_episode, dtype=float)
-    mean = float(acc.mean())
-    if acc.size < 2:
-        return mean, 0.0
-    half = 1.96 * float(acc.std(ddof=1)) / float(np.sqrt(acc.size))
-    return mean, half
+def episode_outcomes(
+    dataset: Dataset, split: str, graph: RelationGraph, params: ModelParams,
+    n_way: int, k_shot: int, q_per: int, episodes: int, rng: RngStream,
+    sampler_config: SamplerConfig | None = None, measure: str = "dot", tau: float = 10.0,
+) -> list[tuple[int, int]]:
+    """(correct, queries) of each episode: the one loop of every evaluation.
+
+    Episode i is drawn from rng.child(i, 0) and the relation summaries of its
+    targets are computed. With a sampler config its queries are predicted by
+    posterior_predict with rng.child(i, 1); without one (zero-shot) they are
+    scored against the summaries alone, with ``measure`` and ``tau``.
+    """
+    if episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    outcomes = []
+    for i in range(episodes):
+        episode = sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(i, 0))
+        summaries = summary_rows(graph, params.gnn, episode.targets)
+        if sampler_config is None:
+            _, preds = predict_queries(
+                episode.query_x, PrototypeSamples(summaries[None]), params.encoder,
+                measure, tau, episode.targets,
+            )
+        else:
+            _, preds = posterior_predict(
+                episode.support_x, episode.support_y, episode.targets, episode.query_x,
+                summaries, sampler_config, params.encoder, rng.child(i, 1),
+            )
+        outcomes.append((int(np.sum(preds == episode.query_y)), len(episode.query_y)))
+    return outcomes
+
+
+def _report(outcomes: list[tuple[int, int]], seed: int, **setting) -> EvalReport:
+    """Mean episode accuracy with a normal-approximation 95% half-width."""
+    acc = np.array([correct / queries for correct, queries in outcomes])
+    ci95 = 1.96 * float(acc.std(ddof=1)) / float(np.sqrt(acc.size)) if acc.size > 1 else 0.0
+    return EvalReport(
+        **setting, episodes=acc.size, accuracy=float(acc.mean()), ci95=ci95, seed=seed,
+        per_episode=acc.tolist(),
+    )
 
 
 def evaluate_fewshot(
@@ -86,39 +122,14 @@ def evaluate_fewshot(
     setting: str = "fewshot",
 ) -> EvalReport:
     """Mean episode accuracy of the posterior-sampling classifier."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    per_episode = []
-    for i in range(episodes):
-        episode = sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(i, 0))
-        summaries = summary_rows(graph, params.gnn, episode.targets)
-        _, preds = posterior_predict(
-            episode.support_x,
-            episode.support_y,
-            episode.targets,
-            episode.query_x,
-            summaries,
-            sampler_config,
-            params.encoder,
-            rng.child(i, 1),
-        )
-        per_episode.append(float(np.mean(preds == episode.query_y)))
-    accuracy, ci95 = _summarize(per_episode)
-    return EvalReport(
-        setting=setting,
-        n_way=n_way,
-        k_shot=k_shot,
-        chains=sampler_config.chains,
-        steps=sampler_config.steps,
-        step_size=sampler_config.step_size,
-        alpha=sampler_config.alpha,
-        beta=sampler_config.beta,
-        measure=sampler_config.measure,
-        episodes=episodes,
-        accuracy=accuracy,
-        ci95=ci95,
-        seed=rng.seed,
-        per_episode=per_episode,
+    cfg = sampler_config
+    outcomes = episode_outcomes(
+        dataset, split, graph, params, n_way, k_shot, q_per, episodes, rng, cfg
+    )
+    return _report(
+        outcomes, rng.seed, setting=setting, n_way=n_way, k_shot=k_shot,
+        chains=cfg.chains, steps=cfg.steps, step_size=cfg.step_size, alpha=cfg.alpha,
+        beta=cfg.beta, measure=cfg.measure,
     )
 
 
@@ -141,33 +152,13 @@ def evaluate_zeroshot(
     targets, so there is no K parameter in this mode: the queries are scored
     by predict_queries against a single "chain" holding those summaries.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    per_episode = []
-    for i in range(episodes):
-        episode = sample_episode(dataset, split, n_way, 0, q_per, rng.child(i, 0))
-        prototypes = summary_rows(graph, params.gnn, episode.targets)
-        _, preds = predict_queries(
-            episode.query_x, PrototypeSamples(prototypes[None]), params.encoder,
-            measure, tau, episode.targets,
-        )
-        per_episode.append(float(np.mean(preds == episode.query_y)))
-    accuracy, ci95 = _summarize(per_episode)
-    return EvalReport(
-        setting=setting,
-        n_way=n_way,
-        k_shot=0,
-        chains=0,
-        steps=0,
-        step_size=0.0,
-        alpha=0.0,
-        beta=0.0,
-        measure=measure,
-        episodes=episodes,
-        accuracy=accuracy,
-        ci95=ci95,
-        seed=rng.seed,
-        per_episode=per_episode,
+    outcomes = episode_outcomes(
+        dataset, split, graph, params, n_way, 0, q_per, episodes, rng,
+        measure=measure, tau=tau,
+    )
+    return _report(
+        outcomes, rng.seed, setting=setting, n_way=n_way, k_shot=0, chains=0, steps=0,
+        step_size=0.0, alpha=0.0, beta=0.0, measure=measure,
     )
 
 

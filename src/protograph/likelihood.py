@@ -1,8 +1,11 @@
-"""Instance encoding and the temperature-softmax classification likelihood.
+"""Instance encoding, the similarity kernel and the softmax likelihood.
 
 Two similarity measures are supported: "dot" scores a query against prototype
 v_r by the inner product, "euclidean" by minus half the squared distance. Both
 feed a softmax with annealing temperature tau (logits are divided by tau).
+This module is the only one that branches on the measure: it holds the
+forward kernels and the vector-Jacobian products (VJPs) the reverse pass
+takes through them.
 """
 
 from __future__ import annotations
@@ -56,7 +59,11 @@ def encode_batch(features, params: EncoderParams) -> np.ndarray:
 
 
 def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str) -> np.ndarray:
-    """Similarity logits between encoding rows and prototype rows, (n, N)."""
+    """Similarity logits between encoding rows and prototype rows.
+
+    Prototypes (N, d) give (n, N) logits; L prototype sets (L, N, d) give
+    (L, n, N), one block per set.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
     e = np.atleast_2d(np.asarray(encodings, dtype=float))
@@ -64,9 +71,9 @@ def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str)
     if e.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: encodings {e.shape} vs prototypes {v.shape}")
     if measure == "dot":
-        return e @ v.T
-    diff = e[:, None, :] - v[None, :, :]
-    return -0.5 * np.einsum("qnd,qnd->qn", diff, diff)
+        return e @ np.swapaxes(v, -1, -2)
+    diff = e[:, None, :] - v[..., None, :, :]
+    return -0.5 * np.einsum("...nd,...nd->...n", diff, diff)
 
 
 def class_log_probs(encoding, prototypes, measure: str, tau: float) -> np.ndarray:
@@ -119,6 +126,58 @@ def support_probs_and_grad(
     logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
     probs = softmax_with_temperature(logits, tau)
     return probs, np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
+
+
+def pairwise_logits_vjp(
+    d_logits, encodings, prototypes, measure: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """VJP of :func:`pairwise_logits` for L prototype sets.
+
+    For the cotangent d_logits (L, n, N) of the logits of encodings (n, d)
+    against prototypes (L, N, d), returns (d_encodings, d_prototypes).
+    """
+    if measure == "dot":
+        d_v = np.einsum("lqn,qd->lnd", d_logits, encodings)
+        return np.einsum("lqn,lnd->qd", d_logits, prototypes), d_v
+    diff = encodings[None, :, None, :] - prototypes[:, None, :, :]
+    d_v = np.einsum("lqn,lqnd->lnd", d_logits, diff)
+    return -np.einsum("lqn,lqnd->qd", d_logits, diff), d_v
+
+
+def similarity_softmax_vjp(
+    probs, d_probs, encodings, prototypes, measure: str, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """VJP of probs = softmax_with_temperature(pairwise_logits(...), tau), (L, n, N).
+
+    Takes the probabilities the forward computed and their cotangent;
+    returns (d_encodings, d_prototypes).
+    """
+    inner = np.sum(d_probs * probs, axis=-1, keepdims=True)
+    d_logits = probs * (d_probs - inner) / tau
+    return pairwise_logits_vjp(d_logits, encodings, prototypes, measure)
+
+
+def support_drift_vjp(
+    enc, one_hot, values, probs, cotangent, measure: str, tau: float, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """VJP of scale * G, the drift of :func:`support_probs_and_grad`.
+
+    ``probs`` (L, S, N) is the support softmax at ``values`` (L, N, d), as
+    the chain recorded it, and ``cotangent`` (L, N, d) that of scale * G.
+    Differentiating G brings in the softmax curvature (the Hessian term of
+    the Langevin drift). Returns (d_enc, d_values).
+    """
+    resid = one_hot[None] - probs  # (L, S, N)
+    if measure == "dot":
+        a = np.einsum("sd,lnd->lsn", enc, cotangent)
+    else:
+        diff = enc[None, :, None, :] - values[:, None, :, :]
+        a = np.einsum("lsnd,lnd->lsn", diff, cotangent)
+    d_enc, d_values = similarity_softmax_vjp(probs, -scale * a, enc, values, measure, tau)
+    if measure == "euclidean":
+        d_values -= scale * resid.sum(axis=1)[:, :, None] * cotangent
+    d_enc += scale * np.einsum("lsn,lnd->sd", resid, cotangent)
+    return d_enc, d_values
 
 
 def support_log_likelihood_and_grad(

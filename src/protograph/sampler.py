@@ -15,18 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import (
-    MEASURES,
-    EncoderParams,
-    encode_batch,
-    support_labels,
-    support_probs_and_grad,
+    MEASURES, EncoderParams, encode_batch, pairwise_logits, support_labels, support_probs_and_grad,
 )
 from .numerics import ChildNormals, RngStream, softmax_with_temperature
 
-# Not called here (the chain draws through ChildNormals and chain_query_probs
-# scores the queries), but bound so that benchmarks/tracer.py, which patches
-# this module's call sites by name, finds them.
-from .likelihood import pairwise_logits  # noqa: F401
+# Not called here (the chain draws through ChildNormals), but bound so that
+# benchmarks/tracer.py, which patches this module's call sites by name,
+# finds it.
 from .numerics import standard_normal_sample  # noqa: F401
 
 
@@ -66,6 +61,13 @@ class SamplerConfig:
             raise ValueError("tau must be positive")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}")
+        # the prior drift scales v - h by 1 - eps_t * prior_weight / 2 per step;
+        # from eps_t * prior_weight = 2 on it overshoots the prior mean
+        eps = max(self.step_sizes(), default=0.0)
+        if eps * self.prior_weight >= 2:
+            raise ValueError(
+                f"largest step size {eps:g} times prior_weight {self.prior_weight:g} must be < 2"
+            )
 
     def step_sizes(self) -> np.ndarray:
         t = np.arange(1, self.steps + 1, dtype=float)
@@ -85,10 +87,6 @@ class PrototypeSamples:
     """L chains of N x d prototype vectors."""
 
     values: np.ndarray  # (L, N, d)
-
-    @property
-    def n_chains(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -225,22 +223,6 @@ def sgld_chain(
     return out
 
 
-def chain_query_probs(enc: np.ndarray, values: np.ndarray, measure: str, tau: float) -> np.ndarray:
-    """Per-chain softmax class probabilities of query encodings, (L, Q, N).
-
-    Shared by inference and training, so training-time probabilities are
-    bit-identical to the inference pipeline.
-    """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    if measure == "dot":
-        logits = enc[None] @ values.transpose(0, 2, 1)
-    else:
-        diff = enc[None, :, None, :] - values[:, None, :, :]
-        logits = -0.5 * np.einsum("lqnd,lqnd->lqn", diff, diff)
-    return softmax_with_temperature(logits, tau)
-
-
 def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
     """Per row, the position of the maximum; ties go to the lowest target id.
 
@@ -268,10 +250,10 @@ def predict_queries(
     distribution and predictions[q] the argmax position, ties resolved toward
     the lowest relation id when ``targets`` is given (lowest position else).
     """
-    if samples.values.size == 0 or samples.n_chains == 0:
+    if samples.values.size == 0:
         raise ValueError("no prototype samples")
     enc = encode_batch(query_x, encoder)
-    probs = chain_query_probs(enc, samples.values, measure, tau).mean(axis=0)
+    probs = softmax_with_temperature(pairwise_logits(enc, samples.values, measure), tau).mean(0)
     return probs, _lowest_key_argmax(probs, targets)
 
 
@@ -302,7 +284,8 @@ def episode_forward(
     samples = init_prototypes(stats, h, config.alpha, config.beta, config.chains)
     out = sgld_chain(support_enc, support_y, targets, h, samples, config, rng, record)
     samples, chain = out if record else (out, None)
-    chain_probs = chain_query_probs(query_enc, samples.values, config.measure, config.tau)
+    logits = pairwise_logits(query_enc, samples.values, config.measure)
+    chain_probs = softmax_with_temperature(logits, config.tau)
     return EpisodeForward(
         support_enc=support_enc,
         query_enc=query_enc,

@@ -19,18 +19,21 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Episode, parse_ints, sample_episode
+from .evaluation import episode_outcomes
 from .graph import RelationGraph
-from .likelihood import ENCODER_MODES, EncoderParams, support_labels
+from .likelihood import (
+    ENCODER_MODES, EncoderParams, similarity_softmax_vjp, support_drift_vjp, support_labels,
+)
 from .numerics import RngStream
 from .prior import ACTIVATIONS, GnnParams, summary_rows
-from .sampler import EpisodeForward, SamplerConfig, episode_forward, posterior_predict
+from .sampler import EpisodeForward, SamplerConfig, episode_forward
 
-# Not called here (episode_forward runs the pipeline), but bound so that
-# benchmarks/tracer.py, which patches this module's call sites by name,
-# finds them.
+# Not called here (episode_forward runs the pipeline and validation runs
+# evaluation's loop), but bound so that benchmarks/tracer.py, which patches
+# this module's call sites by name, finds them.
 from .likelihood import encode_batch, pairwise_logits  # noqa: F401
 from .numerics import softmax_with_temperature  # noqa: F401
-from .sampler import init_prototypes, sgld_chain  # noqa: F401
+from .sampler import init_prototypes, posterior_predict, sgld_chain  # noqa: F401
 
 CHECKPOINT_MAGIC = "protograph-checkpoint v1"
 
@@ -70,6 +73,10 @@ class TrainConfig:
             raise ValueError("n_way, k_shot, q_per must be positive")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be >= 0")
+        if self.eval_every > 0 and self.val_episodes < 1:
+            raise ValueError("val_episodes must be >= 1 when eval_every > 0")
 
 
 def init_params(
@@ -141,12 +148,6 @@ class _ForwardCache:
     fwd: EpisodeForward
 
 
-def _softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
-    """VJP of p = softmax(z) along the last axis."""
-    inner = np.sum(d_probs * probs, axis=-1, keepdims=True)
-    return probs * (d_probs - inner)
-
-
 def _episode_forward(
     episode: Episode,
     graph: RelationGraph,
@@ -192,45 +193,6 @@ def _episode_forward(
     )
 
 
-def _likelihood_grad_vjp(
-    v_prev: np.ndarray,
-    probs: np.ndarray,
-    cotangent: np.ndarray,
-    cache: _ForwardCache,
-) -> tuple[np.ndarray, np.ndarray]:
-    """VJP through g(V) = scale * grad_V log p(y_S | x_S, V).
-
-    Differentiating the analytic likelihood gradient brings in the softmax
-    curvature (the Hessian term of the Langevin drift). ``probs`` (L, S, N)
-    is the support softmax the chain recorded at ``v_prev``. Returns
-    contributions (d_v_prev, d_support_enc) for the cotangent of g.
-    """
-    cfg = cache.config
-    e_s = cache.fwd.support_enc
-    resid = cache.one_hot_s[None] - probs  # (L, S, N)
-    scale = cfg.likelihood_weight / (cache.k_shot * cfg.tau)
-    u = cotangent  # (L, N, d)
-
-    if cfg.measure == "dot":
-        a = np.einsum("sd,lnd->lsn", e_s, u)
-        dz = _softmax_backward(probs, -scale * a)
-        d_logits = dz / cfg.tau
-        d_v = np.einsum("lsn,sd->lnd", d_logits, e_s)
-        d_es = np.einsum("lsn,lnd->sd", d_logits, v_prev)
-        d_es += scale * np.einsum("lsn,lnd->sd", resid, u)
-        return d_v, d_es
-
-    diff = e_s[None, :, None, :] - v_prev[:, None, :, :]  # (L, S, N, d)
-    d_mat = np.einsum("lsnd,lnd->lsn", diff, u)
-    dz = _softmax_backward(probs, -scale * d_mat)
-    d_logits = dz / cfg.tau
-    d_v = np.einsum("lsn,lsnd->lnd", d_logits, diff)
-    d_v -= scale * resid.sum(axis=1)[:, :, None] * u
-    d_es = -np.einsum("lsn,lsnd->sd", d_logits, diff)
-    d_es += scale * np.einsum("lsn,lnd->sd", resid, u)
-    return d_v, d_es
-
-
 def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
     cfg = cache.config
     episode = cache.episode
@@ -244,19 +206,13 @@ def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
     d_mean = np.zeros_like(fwd.probs)
     d_mean[np.arange(q_count), y_q] = -1.0 / fwd.probs[np.arange(q_count), y_q]
     d_probs = np.broadcast_to(d_mean / cfg.chains, fwd.chain_probs.shape)
-    dz = _softmax_backward(fwd.chain_probs, d_probs)
-    d_logits = dz / cfg.tau
-
-    if cfg.measure == "dot":
-        d_v = np.einsum("lqn,qd->lnd", d_logits, fwd.query_enc)
-        d_eq = np.einsum("lqn,lnd->qd", d_logits, v_final)
-    else:
-        diff_q = fwd.query_enc[None, :, None, :] - v_final[:, None, :, :]
-        d_v = np.einsum("lqn,lqnd->lnd", d_logits, diff_q)
-        d_eq = -np.einsum("lqn,lqnd->qd", d_logits, diff_q)
+    d_eq, d_v = similarity_softmax_vjp(
+        fwd.chain_probs, d_probs, fwd.query_enc, v_final, cfg.measure, cfg.tau
+    )
 
     # reverse through the unrolled chain; noise draws are constants
     d_es = np.zeros_like(fwd.support_enc)
+    lik_scale = cfg.likelihood_weight / (cache.k_shot * cfg.tau)
     d_eff = np.zeros_like(cache.summaries)
     for t in range(len(chain.step_sizes) - 1, -1, -1):
         half = 0.5 * chain.step_sizes[t]
@@ -264,8 +220,9 @@ def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
         d_eff += half * cfg.prior_weight * d_v.sum(axis=0)
         d_v_next = d_v - half * cfg.prior_weight * d_v
         if chain.support_probs is not None:
-            dv_lik, des_lik = _likelihood_grad_vjp(
-                v_prev, chain.support_probs[t], half * d_v, cache
+            des_lik, dv_lik = support_drift_vjp(
+                fwd.support_enc, cache.one_hot_s, v_prev, chain.support_probs[t],
+                half * d_v, cfg.measure, cfg.tau, lik_scale,
             )
             d_v_next = d_v_next + dv_lik
             d_es += des_lik
@@ -320,34 +277,6 @@ def episode_loss(
 ) -> float:
     """Forward-only objective; the replayable target for the gradient oracle."""
     return _episode_forward(episode, graph, params, config, rng).loss
-
-
-def _validation_accuracy(
-    dataset: Dataset,
-    graph: RelationGraph,
-    params: ModelParams,
-    config: TrainConfig,
-    rng: RngStream,
-) -> float:
-    correct, total = 0, 0
-    for i in range(config.val_episodes):
-        episode = sample_episode(
-            dataset, "val", config.n_way, config.k_shot, config.q_per, rng.child(i, 0)
-        )
-        summaries = summary_rows(graph, params.gnn, episode.targets)
-        _, preds = posterior_predict(
-            episode.support_x,
-            episode.support_y,
-            episode.targets,
-            episode.query_x,
-            summaries,
-            config.sampler,
-            params.encoder,
-            rng.child(i, 1),
-        )
-        correct += int(np.sum(preds == episode.query_y))
-        total += len(episode.query_y)
-    return correct / total
 
 
 @dataclass
@@ -411,9 +340,11 @@ def train(
 
         val_acc = None
         if config.eval_every and (ep + 1) % config.eval_every == 0:
-            val_acc = _validation_accuracy(
-                dataset, graph, params, config, rng.child(_NS_VAL, ep)
-            )
+            correct, queries = zip(*episode_outcomes(
+                dataset, "val", graph, params, config.n_way, config.k_shot, config.q_per,
+                config.val_episodes, rng.child(_NS_VAL, ep), config.sampler,
+            ))
+            val_acc = sum(correct) / sum(queries)
             if config.checkpoint_path is not None:
                 write_checkpoint(params, config.checkpoint_path, config_echo)
         wall = None

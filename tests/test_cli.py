@@ -167,8 +167,9 @@ class TestPipeline:
         assert main(args + ["--episodes", "12", "--seed", "5"]) == 0
         assert main(["eval", "--config", str(old), "--out", str(tmp_path / "replay.csv")]) == 0
         assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
+        # the new echo also leaves out encoder: the checkpoint's encoder is used
         kept = [line for line in old.read_text().splitlines()
-                if not line.startswith(("lr=", "threads="))]
+                if not line.startswith(("lr=", "threads=", "encoder="))]
         assert (tmp_path / "report.csv.config").read_text().splitlines() == kept
 
     def test_truncated_checkpoint_is_one_line_error(self, workspace, tmp_path, capsys):
@@ -267,7 +268,7 @@ tau=10.0
 threads=1
 """
 
-# a flag of another subcommand, or one that is gone
+# a flag of another subcommand, one that is gone, or an abbreviated one
 UNREAD_FLAGS = [
     ("zero-shot", ["--chains", "3"]),
     ("zero-shot", ["--no-graph-prior"]),
@@ -279,6 +280,10 @@ UNREAD_FLAGS = [
     ("eval", ["--threads", "1"]),
     ("zero-shot", ["--threads", "1"]),
     ("sweep", ["--threads", "1"]),
+    ("eval", ["--enc", "linear"]),
+    ("eval", ["--kn", "3"]),
+    ("eval", ["--no-g"]),
+    ("train", ["--val", "3"]),
 ]
 
 
@@ -331,6 +336,45 @@ def test_each_subcommand_declares_exactly_the_options_it_reads(
         "synth": 9, "build-graph": 3, "train": 27, "eval": 25, "zero-shot": 16,
         "sweep": 27, "grad-check": 9,
     }
+
+
+# option values rejected before any work is done: (subcommand, flags, message)
+BAD_VALUES = [
+    ("train", ["--eval-every", "10", "--val-episodes", "0"],
+     "val_episodes must be >= 1 when eval_every > 0"),
+    ("train", ["--eval-every", "-1"], "eval_every must be >= 0"),
+    ("eval", ["--step-size", "3.9"], "largest step size 3.9 times prior_weight 1 must be < 2"),
+    ("eval", ["--step-size", "1", "--step-decay", "-1"],
+     "largest step size 5 times prior_weight 1 must be < 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, flags, message", BAD_VALUES, ids=[" ".join([c] + f) for c, f, _ in BAD_VALUES]
+)
+def test_bad_option_value_is_one_line_error(workspace, tmp_path, capsys, cmd, flags, message):
+    checkpoint = tmp_path / "model.ckpt"
+    extra = ["--checkpoint", str(checkpoint), "--episodes", "10"] if cmd == "train" else []
+    assert main(base_args(workspace, cmd) + extra + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not checkpoint.exists()
+
+
+def test_echo_leaves_out_options_the_run_did_not_read(workspace, tmp_path):
+    # a graph file replaces the k-NN build and a checkpoint brings its encoder
+    root, _ = workspace
+    out = tmp_path / "report.csv"
+    assert main(base_args(workspace, "eval") + [
+        "--graph", str(root / "edges.tsv"), "--knn", "3",
+        "--checkpoint", str(root / "model.ckpt"), "--encoder", "linear",
+        "--episodes", "2", "--out", str(out),
+    ]) == 0
+    lines = (tmp_path / "report.csv.config").read_text().splitlines()
+    keys = {line.split("=")[0] for line in lines}
+    assert {"graph", "checkpoint", "seed", "out"} <= keys
+    assert not keys & {"knn", "encoder"}
+    _, echo = cli.read_checkpoint(root / "model.ckpt")
+    assert "graph" in echo and "knn" not in echo
 
 
 class TestExitCodes:

@@ -9,6 +9,8 @@ from protograph.likelihood import (
     EncoderParams,
     class_log_probs,
     encode_batch,
+    pairwise_logits,
+    pairwise_logits_vjp,
     support_labels,
     support_log_likelihood_and_grad,
 )
@@ -91,6 +93,26 @@ class TestClassLogProbs:
     def test_unknown_measure(self):
         with pytest.raises(ValueError, match="measure"):
             class_log_probs(np.ones(2), np.ones((2, 2)), "cosine", 1.0)
+
+
+class TestPairwiseLogitsVjp:
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_matches_central_differences(self, measure):
+        # L=3 prototype sets; the cotangent weights every logit differently
+        gen = np.random.default_rng(31)
+        enc = gen.standard_normal((4, 3))
+        values = gen.standard_normal((3, 5, 3))
+        cotangent = gen.standard_normal((3, 4, 5))
+        d_enc, d_values = pairwise_logits_vjp(cotangent, enc, values, measure)
+        fd_enc = finite_difference_gradient(
+            lambda e: np.sum(cotangent * pairwise_logits(e, values, measure)), enc
+        )
+        fd_values = finite_difference_gradient(
+            lambda v: np.sum(cotangent * pairwise_logits(enc, v, measure)), values
+        )
+        assert d_enc.shape == enc.shape and d_values.shape == values.shape
+        assert max_relative_error(d_enc, fd_enc) < 1e-8
+        assert max_relative_error(d_values, fd_values) < 1e-8
 
 
 class TestSupportLogLikelihood:

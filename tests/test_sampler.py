@@ -15,7 +15,6 @@ from protograph.sampler import (
     PrototypeSamples,
     SamplerConfig,
     SupportStatistics,
-    chain_query_probs,
     init_objective_and_grad,
     init_prototypes,
     posterior_predict,
@@ -169,12 +168,15 @@ class TestSgldChain:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_divergence_reports_chain_and_step(self):
-        v = np.full((2, 1, 1), 1e300)
-        h = np.zeros((1, 1))
-        cfg = SamplerConfig(chains=2, steps=3, step_size=1e300, likelihood_weight=0.0)
+        # without the prior any step size is accepted; the likelihood drift
+        # of huge support encodings overflows at the first step
+        v = np.zeros((2, 2, 1))
+        h = np.zeros((2, 1))
+        support = (np.array([[1e200], [-1e200]]), np.array([0, 1]))
+        cfg = SamplerConfig(chains=2, steps=3, step_size=1e300, prior_weight=0.0)
         with np.errstate(over="ignore"):
             with pytest.raises(RuntimeError, match="sampler diverged at chain 0 step 1"):
-                run_chain(v, h, cfg, RngStream(0))
+                run_chain(v, h, cfg, RngStream(0), support=support)
 
     def test_maml_correspondence(self):
         # noise off and prior weight zero: the chain is plain gradient ascent
@@ -300,10 +302,9 @@ class TestSgldChain:
         assert len(made) == built
 
 
-def per_chain_probs(enc, values, measure, tau):
-    # one pairwise_logits call per chain, then one softmax over the stack
-    logits = np.stack([pairwise_logits(enc, values[l], measure) for l in range(len(values))])
-    return softmax_with_temperature(logits, tau)
+def per_chain_logits(enc, values, measure):
+    # one 2-D pairwise_logits call per chain, stacked
+    return np.stack([pairwise_logits(enc, values[l], measure) for l in range(len(values))])
 
 
 def first_lowest_key_maximum(probs, targets):
@@ -317,6 +318,7 @@ def first_lowest_key_maximum(probs, targets):
 
 
 class TestChainQueryProbs:
+    # the per-chain query logits come from one batched pairwise_logits call
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     def test_bit_equal_to_per_chain_logits(self, measure):
         gen = np.random.default_rng(15)
@@ -324,15 +326,13 @@ class TestChainQueryProbs:
             chains, q, n, d = (int(x) for x in gen.integers(1, [12, 30, 25, 70]))
             enc = gen.standard_normal((q, d)) * 5.0
             values = gen.standard_normal((chains, n, d)) * 5.0
-            tau = float(gen.uniform(0.5, 20.0))
             np.testing.assert_array_equal(
-                chain_query_probs(enc, values, measure, tau),
-                per_chain_probs(enc, values, measure, tau),
+                pairwise_logits(enc, values, measure), per_chain_logits(enc, values, measure)
             )
 
     def test_unknown_measure_raises(self):
         with pytest.raises(ValueError, match="measure"):
-            chain_query_probs(np.ones((1, 2)), np.ones((1, 2, 2)), "cosine", 1.0)
+            pairwise_logits(np.ones((1, 2)), np.ones((1, 2, 2)), "cosine")
 
 
 class TestPredictQueries:

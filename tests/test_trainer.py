@@ -241,6 +241,30 @@ class TestTrain:
         assert rows[9].val_accuracy is not None and rows[19].val_accuracy is not None
         assert all(r.val_accuracy is None for i, r in enumerate(rows) if i not in (9, 19))
 
+    def test_val_accuracy_pools_queries_over_episodes(self):
+        # validation runs evaluation's episode loop and pools its counts, as
+        # the loop it replaced did: sum of correct over sum of queries
+        from protograph.data import sample_episode
+        from protograph.prior import summary_rows
+        from protograph.sampler import posterior_predict
+        from protograph.trainer import _NS_VAL
+
+        ds, graph, cfg = self.make_world(episodes=10, eval_every=10)
+        params, rows = train(ds, graph, cfg)
+        rng = RngStream(cfg.seed).child(_NS_VAL, 9)
+        correct, total = 0, 0
+        for i in range(cfg.val_episodes):
+            ep = sample_episode(ds, "val", cfg.n_way, cfg.k_shot, cfg.q_per, rng.child(i, 0))
+            _, preds = posterior_predict(
+                ep.support_x, ep.support_y, ep.targets, ep.query_x,
+                summary_rows(graph, params.gnn, ep.targets),
+                cfg.sampler, params.encoder, rng.child(i, 1),
+            )
+            correct += int(np.sum(preds == ep.query_y))
+            total += len(ep.query_y)
+        assert 0 < correct < total
+        assert rows[9].val_accuracy == correct / total
+
     def test_wall_ms_blank_without_timing(self, tmp_path):
         ds, graph, cfg = self.make_world(episodes=3, eval_every=0)
         _, rows = train(ds, graph, cfg)
