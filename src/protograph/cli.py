@@ -200,12 +200,21 @@ def _write_report(opts: Options, reports) -> None:
         opts.write_echo(opts["out"])
 
 
+def _int_list(opts: Options, key: str) -> list[int]:
+    """The comma-separated integers of option ``key``."""
+    out = []
+    for item in opts[key].split(","):
+        try:
+            out.append(int(item))
+        except ValueError:
+            raise ValueError(f"--{key} item {item!r} is not an integer") from None
+    return out
+
+
 def _cmd_synth(opts: Options) -> int:
+    split_counts = tuple(_int_list(opts, "splits")) if opts["splits"] else None
     out_dir = Path(opts.require("out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    split_counts = None
-    if opts["splits"]:
-        split_counts = tuple(int(v) for v in opts["splits"].split(","))
     dataset, embeddings = generate_synthetic(
         opts["relations"], opts["dim"], opts["cluster-scale"], opts["noise-scale"],
         opts["per-relation"], RngStream(opts["seed"]),
@@ -288,9 +297,9 @@ def _cmd_zero_shot(opts: Options) -> int:
 
 
 def _cmd_sweep(opts: Options) -> int:
+    values = _int_list(opts, "values")
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
-    values = [int(v) for v in opts["values"].split(",")]
     reports = evaluation.sensitivity_sweep(
         opts["axis"], values, dataset, opts["split"], g, params,
         opts["n-way"], opts["k-shot"], opts["q-per"], opts["episodes"],

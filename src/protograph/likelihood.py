@@ -18,6 +18,8 @@ from .numerics import log_softmax_with_temperature, softmax_with_temperature
 
 MEASURES = ("dot", "euclidean")
 ENCODER_MODES = ("identity", "linear")
+# support_probs_and_grad zeroes drift residuals smaller than this
+RESIDUAL_FLOOR = 2.0**-900
 
 
 @dataclass
@@ -117,15 +119,29 @@ def support_probs_and_grad(
 
     G / tau is the gradient of sum_s log p(y_s | x_s, V_l); callers apply
     that scale together with their own weights.
+
+    A saturated softmax leaves residuals 1[y_s=r] - p_lsr in the subnormal
+    range, where arithmetic is many times slower. Residuals below
+    RESIDUAL_FLOOR are zeroed before the reduction: such a residual is -p
+    for a tiny p (1 - p is 0 or at least 2**-53), and the terms dropped sum
+    to less than S * RESIDUAL_FLOOR times the largest |e_s| (dot) or
+    |e_s - v_lr| (euclidean) entry, far below the last bit of the prior
+    term the chain adds to the drift. The returned probs are exact.
     """
     if measure == "dot":
         logits = np.einsum("sd,lnd->lsn", enc, values)
-        probs = softmax_with_temperature(logits, tau)
-        return probs, np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
-    diff = enc[None, :, None, :] - values[:, None, :, :]
-    logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
+    else:
+        diff = enc[None, :, None, :] - values[:, None, :, :]
+        logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
     probs = softmax_with_temperature(logits, tau)
-    return probs, np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
+    resid = one_hot[None] - probs
+    resid[np.abs(resid) < RESIDUAL_FLOOR] = 0.0
+    if measure == "dot":
+        # an s-major copy reduces faster than "lsn,sd->lnd" and, on
+        # one-hot-minus-softmax residuals, to the same bits
+        s_major = np.ascontiguousarray(resid.transpose(1, 0, 2))
+        return probs, np.einsum("sln,sd->lnd", s_major, enc)
+    return probs, np.einsum("lsn,lsnd->lnd", resid, diff)
 
 
 def pairwise_logits_vjp(

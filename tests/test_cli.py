@@ -346,6 +346,8 @@ BAD_VALUES = [
     ("eval", ["--step-size", "3.9"], "largest step size 3.9 times prior_weight 1 must be < 2"),
     ("eval", ["--step-size", "1", "--step-decay", "-1"],
      "largest step size 5 times prior_weight 1 must be < 2"),
+    ("sweep", ["--values", "1,,2"], "--values item '' is not an integer"),
+    ("synth", ["--splits", "10,x,5"], "--splits item 'x' is not an integer"),
 ]
 
 
@@ -353,11 +355,15 @@ BAD_VALUES = [
     "cmd, flags, message", BAD_VALUES, ids=[" ".join([c] + f) for c, f, _ in BAD_VALUES]
 )
 def test_bad_option_value_is_one_line_error(workspace, tmp_path, capsys, cmd, flags, message):
-    checkpoint = tmp_path / "model.ckpt"
-    extra = ["--checkpoint", str(checkpoint), "--episodes", "10"] if cmd == "train" else []
-    assert main(base_args(workspace, cmd) + extra + flags) == 1
+    if cmd == "synth":
+        args = ["synth", "--out", str(tmp_path / "synth")]
+    else:
+        args = base_args(workspace, cmd)
+    if cmd == "train":
+        args += ["--checkpoint", str(tmp_path / "model.ckpt"), "--episodes", "10"]
+    assert main(args + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not checkpoint.exists()
+    assert not any(tmp_path.iterdir())  # nothing written
 
 
 def test_echo_leaves_out_options_the_run_did_not_read(workspace, tmp_path):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from protograph import sampler
 from protograph.likelihood import (
+    RESIDUAL_FLOOR,
     EncoderParams,
     class_log_probs,
     encode_batch,
@@ -13,8 +15,14 @@ from protograph.likelihood import (
     pairwise_logits_vjp,
     support_labels,
     support_log_likelihood_and_grad,
+    support_probs_and_grad,
 )
-from protograph.numerics import finite_difference_gradient, max_relative_error
+from protograph.numerics import (
+    RngStream,
+    finite_difference_gradient,
+    max_relative_error,
+    softmax_with_temperature,
+)
 
 IDENTITY = EncoderParams(mode="identity")
 
@@ -205,3 +213,97 @@ class TestSupportLabels:
     def test_rejects(self, labels, n_way, message):
         with pytest.raises(ValueError, match=message):
             support_labels(np.array(labels, dtype=int), n_way)
+
+
+def unfloored_kernel(enc, one_hot, values, measure, tau):
+    """support_probs_and_grad as it was before the residual floor."""
+    if measure == "dot":
+        logits = np.einsum("sd,lnd->lsn", enc, values)
+        probs = softmax_with_temperature(logits, tau)
+        return probs, np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
+    diff = enc[None, :, None, :] - values[:, None, :, :]
+    logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
+    probs = softmax_with_temperature(logits, tau)
+    return probs, np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
+
+
+def underflow_world(seed=0):
+    """A saturated support softmax, as on wide episodes: 20 clusters at scale
+    10 in d=64, 5 shots each, 10 chains near the cluster centers."""
+    gen = np.random.default_rng(seed)
+    n_way, k_shot, d, chains = 20, 5, 64, 10
+    centers = 10.0 * gen.standard_normal((n_way, d))
+    y = np.repeat(np.arange(n_way), k_shot)
+    enc = centers[y] + gen.standard_normal((y.size, d))
+    values = centers[None] + gen.standard_normal((chains, n_way, d))
+    return enc, y, values, centers
+
+
+def is_subnormal(a):
+    return (a != 0) & (np.abs(a) < np.finfo(float).tiny)
+
+
+class TestSupportDriftKernel:
+    def test_dot_layout_is_bit_equal(self):
+        # real residuals (one-hot minus a softmax) on random shapes, d=1 and N=1 included
+        gen = np.random.default_rng(40)
+        for i in range(3000):
+            chains, s, n_way, d = (int(x) for x in gen.integers(1, 9, size=4))
+            if i % 3 == 0:
+                d = 1
+            if i % 5 == 0:
+                n_way = 1
+            enc = gen.standard_normal((s, d)) * gen.choice([0.1, 1.0, 10.0])
+            values = gen.standard_normal((chains, n_way, d))
+            one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
+            probs, drift = support_probs_and_grad(enc, one_hot, values, "dot", 1.0)
+            expected = np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
+            assert drift.tobytes() == expected.tobytes(), (chains, s, n_way, d)
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_floor_drops_only_terms_below_its_bound(self, measure):
+        enc, y, values, _ = underflow_world()
+        one_hot, _ = support_labels(y, 20)
+        ref_probs, ref_drift = unfloored_kernel(enc, one_hot, values, measure, 10.0)
+        resid = one_hot[None] - ref_probs
+        assert np.any(is_subnormal(resid)), "the world no longer underflows"
+        probs, drift = support_probs_and_grad(enc, one_hot, values, measure, 10.0)
+        assert probs.tobytes() == ref_probs.tobytes()  # the exact softmax
+        operand = enc if measure == "dot" else enc[None, :, None, :] - values[:, None, :, :]
+        bound = enc.shape[0] * RESIDUAL_FLOOR * np.abs(operand).max()
+        assert np.abs(drift - ref_drift).max() <= bound
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_chain_trajectory_is_unchanged(self, monkeypatch, measure):
+        enc, y, values, centers = underflow_world()
+        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0, measure=measure)
+
+        def run():
+            return sampler.sgld_chain(
+                enc, y, np.arange(20), centers, sampler.PrototypeSamples(values=values),
+                config, RngStream(5), record=True,
+            )[1]
+
+        got = run()
+        monkeypatch.setattr(sampler, "support_probs_and_grad", unfloored_kernel)
+        expected = run()
+        assert got.trajectory.tobytes() == expected.trajectory.tobytes()
+        assert got.support_probs.tobytes() == expected.support_probs.tobytes()
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_reductions_see_no_subnormal_operand(self, monkeypatch, measure):
+        # subnormal arithmetic is many times slower; a wide saturated episode
+        # must not feed it to any einsum of the drift
+        enc, y, values, _ = underflow_world()
+        one_hot, _ = support_labels(y, 20)
+        einsum, operands = np.einsum, []
+
+        def recording_einsum(subscripts, *arrays, **kwargs):
+            operands.extend(a for a in arrays if a.dtype == np.float64)
+            return einsum(subscripts, *arrays, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", recording_einsum)
+        support_probs_and_grad(enc, one_hot, values, measure, 10.0)
+        monkeypatch.undo()
+        assert len(operands) >= 4
+        assert not any(np.any(is_subnormal(a)) for a in operands)
