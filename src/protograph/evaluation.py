@@ -23,6 +23,13 @@ from .likelihood import class_log_probs, encode_batch  # noqa: F401
 if TYPE_CHECKING:
     from .trainer import ModelParams
 
+# Evaluation runs its episodes in batches of E, E as large as keeps the
+# largest array of one batched chain step within this many floats (128 KiB):
+# that array has E*L*N*max(S, d) floats for the dot measure and E*L*S*N*d for
+# the euclidean one (in zero-shot, one chain against the Q queries). A batch
+# shares each numpy call's overhead among its episodes at flat memory.
+BATCH_ELEMENTS = 2**14
+
 CSV_COLUMNS = (
     "setting", "N", "K", "L", "M", "epsilon0", "alpha", "beta",
     "measure", "episodes", "accuracy", "ci95", "seed",
@@ -75,27 +82,53 @@ def episode_outcomes(
 
     Episode i is drawn from rng.child(i, 0) and the relation summaries of its
     targets are computed. With a sampler config its queries are predicted by
-    posterior_predict with rng.child(i, 1); without one (zero-shot) they are
-    scored against the summaries alone, with ``measure`` and ``tau``.
+    posterior_predict with the noise stream rng.child(i, 1); without one
+    (zero-shot) they are scored against the summaries alone, with ``measure``
+    and ``tau``. Episodes run in batches (see BATCH_ELEMENTS); every batched
+    operation gives an episode the bits it gets alone, so the outcomes do not
+    depend on the batch size.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    d = params.gnn.output_dim
+    if sampler_config is None:
+        size = _batch_size(measure, 1, n_way, n_way * q_per, d)
+    else:
+        cfg = sampler_config
+        size = _batch_size(cfg.measure, cfg.chains, n_way, n_way * k_shot, d)
     outcomes = []
-    for i in range(episodes):
-        episode = sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(i, 0))
-        summaries = summary_rows(graph, params.gnn, episode.targets)
+    for start in range(0, episodes, size):
+        ids = range(start, min(start + size, episodes))
+        batch = [
+            sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(i, 0)) for i in ids
+        ]
+        targets = np.array([episode.targets for episode in batch])
+        summaries = summary_rows(graph, params.gnn, targets)
+        query_x = np.stack([episode.query_x for episode in batch])
         if sampler_config is None:
             _, preds = predict_queries(
-                episode.query_x, PrototypeSamples(summaries[None]), params.encoder,
-                measure, tau, episode.targets,
+                query_x, PrototypeSamples(summaries[:, None]), params.encoder,
+                measure, tau, targets,
             )
         else:
             _, preds = posterior_predict(
-                episode.support_x, episode.support_y, episode.targets, episode.query_x,
-                summaries, sampler_config, params.encoder, rng.child(i, 1),
+                np.stack([episode.support_x for episode in batch]),
+                np.stack([episode.support_y for episode in batch]),
+                targets, query_x, summaries, sampler_config, params.encoder,
+                [rng.child(i, 1) for i in ids], first_episode=start,
             )
-        outcomes.append((int(np.sum(preds == episode.query_y)), len(episode.query_y)))
+        query_y = np.stack([episode.query_y for episode in batch])
+        outcomes += [(int(c), query_y.shape[1]) for c in np.sum(preds == query_y, axis=-1)]
     return outcomes
+
+
+def _batch_size(measure: str, chains: int, n_way: int, rows: int, dim: int) -> int:
+    """Episodes per batch: how many fit BATCH_ELEMENTS, at least one."""
+    if measure == "euclidean":
+        per_episode = chains * rows * n_way * dim
+    else:
+        per_episode = chains * n_way * max(rows, dim)
+    return max(1, BATCH_ELEMENTS // per_episode)
 
 
 def _report(outcomes: list[tuple[int, int]], seed: int, **setting) -> EvalReport:

@@ -64,7 +64,8 @@ def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str)
     """Similarity logits between encoding rows and prototype rows.
 
     Prototypes (N, d) give (n, N) logits; L prototype sets (L, N, d) give
-    (L, n, N), one block per set.
+    (L, n, N), one block per set. A leading episode axis batches episodes:
+    encodings (E, n, d) against prototypes (E, L, N, d) give (E, L, n, N).
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
@@ -72,9 +73,11 @@ def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str)
     v = np.asarray(prototypes, dtype=float)
     if e.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: encodings {e.shape} vs prototypes {v.shape}")
+    if v.ndim > e.ndim:  # one encoding block for all L sets
+        e = e[..., None, :, :]
     if measure == "dot":
         return e @ np.swapaxes(v, -1, -2)
-    diff = e[:, None, :] - v[..., None, :, :]
+    diff = e[..., :, None, :] - v[..., None, :, :]
     return -0.5 * np.einsum("...nd,...nd->...n", diff, diff)
 
 
@@ -91,19 +94,26 @@ def support_labels(support_y, n_way: int) -> tuple[np.ndarray, int]:
     """One-hot (S, N) support labels and the shot count K, after the checks.
 
     Labels must lie in 0..N-1 and every class must hold the same count K.
+    Labels (E, S) of E episodes give (E, S, N); each episode is checked on
+    its own, and the first that fails is reported as it alone would be.
     """
     y = np.asarray(support_y, dtype=int)
     if y.size == 0:
         raise ValueError("empty support set")
-    bad = (y < 0) | (y >= n_way)
-    if np.any(bad):
-        raise ValueError(f"support label {int(y[bad][0])} outside the {n_way} target classes")
-    counts = np.bincount(y, minlength=n_way)
-    if np.any(counts != counts[0]):
-        raise ValueError(f"unequal support counts per class: {counts.tolist()}")
-    one_hot = np.zeros((y.size, n_way))
-    one_hot[np.arange(y.size), y] = 1.0
-    return one_hot, int(counts[0])
+    hits = y[..., None] == np.arange(n_way)
+    counts = hits.sum(axis=-2)
+    valid = hits.any(axis=-1).all(axis=-1)
+    passed = (valid & (counts == counts[..., :1]).all(axis=-1)).reshape(-1)
+    if not passed.all():
+        e = int(np.argmin(passed))
+        row = y.reshape(-1, y.shape[-1])[e]
+        if not valid.reshape(-1)[e]:
+            bad = row[(row < 0) | (row >= n_way)]
+            raise ValueError(f"support label {int(bad[0])} outside the {n_way} target classes")
+        raise ValueError(
+            f"unequal support counts per class: {counts.reshape(-1, n_way)[e].tolist()}"
+        )
+    return hits.astype(float), int(counts.flat[0])
 
 
 def support_probs_and_grad(
@@ -113,6 +123,7 @@ def support_probs_and_grad(
 
     For encodings enc (S, d), labels one_hot (S, N) and prototypes values
     (L, N, d), returns probs (L, S, N) and G (L, N, d) with row r of chain l
+    (a leading episode axis E on all three batches episodes)
 
         dot:       sum_s (1[y_s=r] - p_lsr) e_s
         euclidean: sum_s (1[y_s=r] - p_lsr) (e_s - v_lr)
@@ -129,19 +140,19 @@ def support_probs_and_grad(
     term the chain adds to the drift. The returned probs are exact.
     """
     if measure == "dot":
-        logits = np.einsum("sd,lnd->lsn", enc, values)
+        logits = np.einsum("...sd,...lnd->...lsn", enc, values)
     else:
-        diff = enc[None, :, None, :] - values[:, None, :, :]
-        logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
+        diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
+        logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
     probs = softmax_with_temperature(logits, tau)
-    resid = one_hot[None] - probs
+    resid = one_hot[..., None, :, :] - probs
     resid[np.abs(resid) < RESIDUAL_FLOOR] = 0.0
     if measure == "dot":
         # an s-major copy reduces faster than "lsn,sd->lnd" and, on
         # one-hot-minus-softmax residuals, to the same bits
-        s_major = np.ascontiguousarray(resid.transpose(1, 0, 2))
-        return probs, np.einsum("sln,sd->lnd", s_major, enc)
-    return probs, np.einsum("lsn,lsnd->lnd", resid, diff)
+        s_major = np.ascontiguousarray(np.swapaxes(resid, -3, -2))
+        return probs, np.einsum("...sln,...sd->...lnd", s_major, enc)
+    return probs, np.einsum("...lsn,...lsnd->...lnd", resid, diff)
 
 
 def pairwise_logits_vjp(

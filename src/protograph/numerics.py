@@ -16,8 +16,9 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
     # Public-domain splitmix64 avalanche; used only to derive child stream ids.
+    # z is an int below 2**64 or a uint64 array, whose arithmetic wraps the same.
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -51,35 +52,49 @@ class RngStream:
 
 
 class ChildNormals:
-    """Standard-normal draws of the substreams ``rng.child(i, j)``, i < ``n``.
+    """Standard-normal blocks of the substreams ``streams[e].child(i, j)``, i < ``n``.
 
-    ``sample(shape, i, j)`` returns exactly ``standard_normal_sample(shape,
-    rng.child(i, j))``, but from one Philox bit generator that is re-keyed per
-    draw instead of rebuilt: Philox is counter-based, so a stream is its key
-    with the counter, buffer and spare-word state all at zero. The hash prefix
-    of ``child(i)`` is derived once per ``i``. An instance holds generator
-    state, so keep it local to one caller; never share it between threads.
+    ``step(j)`` returns the ``(E, n) + shape`` block whose entry ``[e, i]`` is
+    exactly ``standard_normal_sample(shape, streams[e].child(i, j))``, for the
+    E streams given. The draws come from one Philox bit generator that is
+    re-keyed per entry instead of rebuilt: Philox is counter-based, so a
+    stream is its key with the counter, buffer and spare-word state all at
+    zero. The streams must share one seed, the first word of every key; the
+    hash prefixes of ``child(i)`` are derived once, and the keys of one step
+    in one array pass. An instance holds generator state, so keep it local to
+    one caller; never share it between threads.
     """
 
-    def __init__(self, rng: RngStream, n: int):
-        root = _splitmix64((rng.stream_id ^ 0xA5A5A5A5A5A5A5A5) & _MASK64)
-        self._prefixes = [_splitmix64(root ^ i) for i in range(n)]
-        self._key = np.array([rng.seed & _MASK64, 0], dtype=np.uint64)
-        self._bits = np.random.Philox(key=self._key)
+    def __init__(self, streams, n: int, shape):
+        seeds = {s.seed & _MASK64 for s in streams}
+        if len(seeds) != 1:
+            raise ValueError("the streams must share one seed")
+        roots = [_splitmix64((s.stream_id ^ 0xA5A5A5A5A5A5A5A5) & _MASK64) for s in streams]
+        self._prefixes = _splitmix64(
+            np.array(roots, dtype=np.uint64)[:, None] ^ np.arange(n, dtype=np.uint64)
+        )
+        self._shape = (len(roots), n) + tuple(shape)
+        self._key = [seeds.pop(), 0]
+        self._bits = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
         self._gen = np.random.Generator(self._bits)
+        # plain ints: the state setter parses them about twice as fast as arrays
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def sample(self, shape, i: int, j: int) -> np.ndarray:
-        self._key[1] = _splitmix64(self._prefixes[i] ^ (int(j) & _MASK64))
-        self._bits.state = self._state
-        return self._gen.standard_normal(shape)
+    def step(self, j: int) -> np.ndarray:
+        block = np.empty(self._shape)
+        keys = _splitmix64(self._prefixes ^ (int(j) & _MASK64)).ravel().tolist()
+        for key, out in zip(keys, block.reshape((-1,) + self._shape[2:])):
+            self._key[1] = key
+            self._bits.state = self._state
+            self._gen.standard_normal(out=out)
+        return block
 
 
 def standard_normal_sample(shape, rng: RngStream) -> np.ndarray:
@@ -92,18 +107,27 @@ def _scaled_logits(logits, tau: float) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.shape[-1] == 0:
         raise ValueError("empty class set")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
+    tau = float(tau)
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    z = z / float(tau)
+    if not np.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    if tau >= 1:  # |z / tau| <= |z|: only non-finite input gives non-finite output
+        z = z / tau
+    else:
+        with np.errstate(over="ignore"):
+            z = z / tau
+    # one check covers non-finite logits and the overflow of a small tau
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits / tau must be finite")
     return z - np.max(z, axis=-1, keepdims=True)
 
 
 def softmax_with_temperature(logits, tau: float) -> np.ndarray:
     """Softmax of logits / tau along the last axis, stabilised by max subtraction.
 
-    Raises on an empty class axis, non-finite logits, or tau <= 0.
+    Raises on an empty class axis, a tau that is not positive and finite, or
+    non-finite logits / tau.
     """
     e = np.exp(_scaled_logits(logits, tau))
     return e / np.sum(e, axis=-1, keepdims=True)

@@ -59,7 +59,11 @@ def relation_summaries(graph: RelationGraph, params: GnnParams) -> np.ndarray:
 
 
 def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray:
-    """Summaries restricted to the given relation ids (rows in target order)."""
+    """Summaries restricted to the given relation ids (rows in target order).
+
+    Ids (E, N) of E episodes give (E, N, d), each episode's rows with the
+    bits of its own call.
+    """
     ax = graph.propagated(params.hops)
     if ax.shape[1] != params.input_dim:
         raise ValueError(

@@ -6,10 +6,17 @@ steps on the log-posterior: the K-normalized support log-likelihood plus the
 Gaussian prior around the relation summaries. Query predictions average the
 per-chain softmax probabilities, a Monte Carlo estimate of the predictive
 distribution.
+
+Every function here takes one episode, or E episodes of equal shape stacked
+on a leading axis: targets (E, N), support and query rows (E, S, d) and
+(E, Q, d), summaries (E, N, d), prototypes (E, L, N, d), and one noise
+stream per episode. A batched episode gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +58,11 @@ class SamplerConfig:
     likelihood_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "step_size", "step_decay", "alpha", "beta", "tau", "prior_weight", "likelihood_weight",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
         if self.steps < 0:
@@ -84,9 +96,9 @@ class SupportStatistics:
 
 @dataclass
 class PrototypeSamples:
-    """L chains of N x d prototype vectors."""
+    """L chains of N x d prototype vectors, per episode of a batch."""
 
-    values: np.ndarray  # (L, N, d)
+    values: np.ndarray  # (L, N, d), or (E, L, N, d)
 
 
 @dataclass
@@ -115,7 +127,9 @@ def support_statistics(encodings, support_y, n_way: int) -> SupportStatistics:
     """Exact per-class and grand means of the support encodings of N classes."""
     one_hot, k_shot = support_labels(support_y, n_way)
     e = np.asarray(encodings, dtype=float)
-    return SupportStatistics(class_means=(one_hot.T @ e) / k_shot, grand_mean=e.mean(axis=0))
+    return SupportStatistics(
+        class_means=(np.swapaxes(one_hot, -1, -2) @ e) / k_shot, grand_mean=e.mean(axis=-2)
+    )
 
 
 def init_prototypes(
@@ -131,8 +145,9 @@ def init_prototypes(
         raise ValueError(
             f"summaries {h.shape} do not match class means {stats.class_means.shape}"
         )
-    v0 = stats.class_means + alpha * h - beta * stats.grand_mean
-    return PrototypeSamples(values=np.broadcast_to(v0, (chains,) + v0.shape).copy())
+    v0 = stats.class_means + alpha * h - beta * stats.grand_mean[..., None, :]
+    shape = v0.shape[:-2] + (chains,) + v0.shape[-2:]
+    return PrototypeSamples(values=np.broadcast_to(v0[..., None, :, :], shape).copy())
 
 
 def init_objective_and_grad(
@@ -158,8 +173,9 @@ def sgld_chain(
     summaries,
     samples: PrototypeSamples,
     config: SamplerConfig,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
     record: bool = False,
+    first_episode: int = 0,
 ):
     """Run M Langevin steps on every chain.
 
@@ -170,31 +186,41 @@ def sgld_chain(
     support encodings and the Gaussian prior around ``summaries`` (already
     zeroed by the caller when the graph prior is disabled). Returns the final
     samples, plus a ChainRecord of the full trajectory when ``record`` is set.
+
+    ``rng`` is the noise stream of one episode, or a sequence of E streams
+    sharing a seed for E batched episodes. A batch that diverges names the
+    episode as ``first_episode`` plus its position in the batch.
     """
     values = np.array(samples.values, dtype=float)
-    chains, n_way, d = values.shape
+    chains, n_way, d = values.shape[-3:]
+    batched = values.ndim == 4
     y = np.asarray(support_y, dtype=int)
     h = np.asarray(summaries, dtype=float)
-    if h.shape != (n_way, d):
-        raise ValueError(f"summaries {h.shape} do not match prototypes {values.shape[1:]}")
+    if h.shape != values.shape[:-3] + (n_way, d):
+        raise ValueError(f"summaries {h.shape} do not match prototypes {values.shape}")
 
     has_lik = config.likelihood_weight != 0.0 and y.size > 0
     if has_lik:
         one_hot, k_shot = support_labels(y, n_way)
         scale = config.likelihood_weight / (k_shot * config.tau)
 
-    rank = np.argsort(np.argsort(np.asarray(targets, dtype=int)))
     eps = config.step_sizes()
     trajectory = [values.copy()] if record else None
     support_probs = [] if record else None
-    # (chain l, step t) draws the (N, d) block of rng.child(l, t), the same
-    # bytes as standard_normal_sample; its rows are assigned by sorted-target
-    # rank so a permutation of the targets permutes the noise consistently
-    normals = ChildNormals(rng, chains) if config.noise_enabled else None
-    noise = np.empty_like(values)
+    # (episode e, chain l, step t) draws the (N, d) block of the episode's
+    # stream .child(l, t), the same bytes as standard_normal_sample; its rows
+    # are assigned by sorted-target rank so a permutation of the targets
+    # permutes the noise consistently
+    if config.noise_enabled:
+        normals = ChildNormals(list(rng) if batched else [rng], chains, (n_way, d))
+        ranks = np.argsort(np.argsort(np.asarray(targets, dtype=int).reshape(-1, n_way)))
+        # row n of (episode e, chain l) takes row ranks[e, n] of its (N, d)
+        # draw: an index into the draws' rows stacked as (E * L * N, d)
+        blocks = np.arange(ranks.shape[0] * chains).reshape(-1, chains, 1)
+        rows = (n_way * blocks + ranks[:, None, :]).ravel()
 
     for t_idx, eps_t in enumerate(eps):
-        grad = config.prior_weight * (h[None, :, :] - values)
+        grad = config.prior_weight * (h[..., None, :, :] - values)
         if has_lik:
             probs, drift = support_probs_and_grad(
                 support_enc, one_hot, values, config.measure, config.tau
@@ -203,13 +229,14 @@ def sgld_chain(
             if support_probs is not None:
                 support_probs.append(probs)
         values = values + 0.5 * eps_t * grad
-        if normals is not None:
-            for l in range(chains):
-                noise[l] = normals.sample((n_way, d), l, t_idx + 1)[rank]
-            values = values + np.sqrt(eps_t) * noise
+        if config.noise_enabled:
+            noise = np.take(normals.step(t_idx + 1).reshape(-1, d), rows, axis=0)
+            values = values + np.sqrt(eps_t) * noise.reshape(values.shape)
         if not np.all(np.isfinite(values)):
-            bad = np.where(~np.isfinite(values).reshape(chains, -1).all(axis=1))[0][0]
-            raise RuntimeError(f"sampler diverged at chain {int(bad)} step {t_idx + 1}")
+            finite = np.isfinite(values).reshape(-1, chains, n_way * d).all(axis=-1)
+            e, l = np.argwhere(~finite)[0]
+            where = f"episode {first_episode + e} chain {l}" if batched else f"chain {l}"
+            raise RuntimeError(f"sampler diverged at {where} step {t_idx + 1}")
         if record:
             trajectory.append(values.copy())
 
@@ -227,13 +254,14 @@ def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
     """Per row, the position of the maximum; ties go to the lowest target id.
 
     Without targets the position is its own key. Equal keys go to the lowest
-    position, as the stable rank orders them.
+    position, as the stable rank orders them. Probabilities (E, Q, N) take
+    targets (E, N), one tie-break per episode.
     """
-    n_way = probs.shape[1]
+    n_way = probs.shape[-1]
     order_key = np.arange(n_way) if targets is None else np.asarray(targets, dtype=int)
     rank = np.argsort(np.argsort(order_key, kind="stable"))
-    best = probs == probs.max(axis=1, keepdims=True)
-    return np.argmin(np.where(best, rank, n_way), axis=1)
+    best = probs == probs.max(axis=-1, keepdims=True)
+    return np.argmin(np.where(best, rank[..., None, :], n_way), axis=-1)
 
 
 def predict_queries(
@@ -253,7 +281,8 @@ def predict_queries(
     if samples.values.size == 0:
         raise ValueError("no prototype samples")
     enc = encode_batch(query_x, encoder)
-    probs = softmax_with_temperature(pairwise_logits(enc, samples.values, measure), tau).mean(0)
+    logits = pairwise_logits(enc, samples.values, measure)
+    probs = softmax_with_temperature(logits, tau).mean(axis=-3)
     return probs, _lowest_key_argmax(probs, targets)
 
 
@@ -265,10 +294,11 @@ def episode_forward(
     summaries,
     config: SamplerConfig,
     encoder: EncoderParams,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
     record: bool = False,
+    first_episode: int = 0,
 ) -> EpisodeForward:
-    """The one per-episode pipeline shared by evaluation, validation and training.
+    """The one episode pipeline shared by evaluation, validation and training.
 
     Encodes the support set and the queries once each, builds the support
     statistics, warm-starts and runs the chains, and scores the queries
@@ -280,9 +310,11 @@ def episode_forward(
         h = np.zeros_like(h)
     support_enc = encode_batch(support_x, encoder)
     query_enc = encode_batch(query_x, encoder)
-    stats = support_statistics(support_enc, support_y, len(targets))
+    stats = support_statistics(support_enc, support_y, np.shape(targets)[-1])
     samples = init_prototypes(stats, h, config.alpha, config.beta, config.chains)
-    out = sgld_chain(support_enc, support_y, targets, h, samples, config, rng, record)
+    out = sgld_chain(
+        support_enc, support_y, targets, h, samples, config, rng, record, first_episode
+    )
     samples, chain = out if record else (out, None)
     logits = pairwise_logits(query_enc, samples.values, config.measure)
     chain_probs = softmax_with_temperature(logits, config.tau)
@@ -290,7 +322,7 @@ def episode_forward(
         support_enc=support_enc,
         query_enc=query_enc,
         chain_probs=chain_probs,
-        probs=chain_probs.mean(axis=0),
+        probs=chain_probs.mean(axis=-3),
         record=chain,
     )
 
@@ -303,10 +335,12 @@ def posterior_predict(
     summaries,
     config: SamplerConfig,
     encoder: EncoderParams,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
+    first_episode: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain-averaged query probabilities and predictions of one episode."""
+    """Chain-averaged query probabilities and predictions of one or E episodes."""
     fwd = episode_forward(
-        support_x, support_y, targets, query_x, summaries, config, encoder, rng
+        support_x, support_y, targets, query_x, summaries, config, encoder, rng,
+        first_episode=first_episode,
     )
     return fwd.probs, _lowest_key_argmax(fwd.probs, targets)

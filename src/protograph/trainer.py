@@ -12,6 +12,7 @@ against the central-difference oracle.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,6 +74,8 @@ class TrainConfig:
             raise ValueError("n_way, k_shot, q_per must be positive")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0")
         if self.eval_every > 0 and self.val_episodes < 1:

@@ -348,6 +348,18 @@ BAD_VALUES = [
      "largest step size 5 times prior_weight 1 must be < 2"),
     ("sweep", ["--values", "1,,2"], "--values item '' is not an integer"),
     ("synth", ["--splits", "10,x,5"], "--splits item 'x' is not an integer"),
+    # a temperature of inf scales every logit to 0: chance accuracy, exit 0
+    ("eval", ["--tau", "inf"], "tau must be finite, got inf"),
+    ("zero-shot", ["--tau", "inf"], "tau must be finite, got inf"),
+    ("sweep", ["--tau", "inf"], "tau must be finite, got inf"),
+    # logits overflow once divided by a subnormal temperature
+    ("zero-shot", ["--tau", "1e-320"], "logits / tau must be finite"),
+    ("eval", ["--tau", "1e-320"], "logits / tau must be finite"),
+    ("eval", ["--step-size", "nan"], "step_size must be finite, got nan"),
+    ("eval", ["--step-decay", "nan"], "step_decay must be finite, got nan"),
+    ("eval", ["--alpha", "nan"], "alpha must be finite, got nan"),
+    ("train", ["--beta", "nan"], "beta must be finite, got nan"),
+    ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
 ]
 
 

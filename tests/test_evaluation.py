@@ -166,6 +166,102 @@ class TestEvaluateZeroshot:
         assert rep.k_shot == 0 and rep.chains == 0 and rep.steps == 0
 
 
+def cap_elements(batch, measure, chains, n_way, rows, d):
+    """BATCH_ELEMENTS that makes batches of ``batch`` episodes, by the cap's
+    documented rule (E*L*N*max(S, d) dot, E*L*S*N*d euclidean floats)."""
+    per_episode = chains * n_way * (rows * d if measure == "euclidean" else max(rows, d))
+    return batch * per_episode
+
+
+LINEAR_PARAMS = ModelParams(
+    gnn=GnnParams(weight=np.eye(8), bias=np.zeros(8)),
+    encoder=EncoderParams(
+        mode="linear", weight=np.eye(8) + 0.1 * RngStream(70).generator().standard_normal((8, 8)),
+        bias=np.full(8, 0.5),
+    ),
+)
+
+BATCH_SETTINGS = {
+    "dot": (SamplerConfig(), None),
+    "euclidean": (SamplerConfig(measure="euclidean"), None),
+    "no-noise": (SamplerConfig(noise_enabled=False), None),
+    "no-graph-prior": (SamplerConfig(graph_prior=False), None),
+    "linear-encoder": (SamplerConfig(), LINEAR_PARAMS),
+    "zero-shot-dot": (None, None),
+    "zero-shot-euclidean": (None, None),
+}
+
+
+class TestBatchSize:
+    """Evaluation runs its episodes in batches; the outputs must not depend
+    on the batch size."""
+
+    @pytest.mark.parametrize("setting", list(BATCH_SETTINGS))
+    def test_batch_size_does_not_change_results(
+        self, informative_world, monkeypatch, tmp_path, setting
+    ):
+        import protograph.evaluation as evaluation
+
+        ds, graph, _ = informative_world
+        cfg, params = BATCH_SETTINGS[setting]
+        params = params or identity_params(8)
+        measure = "euclidean" if setting.endswith("euclidean") else "dot"
+        sizes = []
+
+        def recording(name):
+            call = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                # batch size, and the global index of its first episode that
+                # a diverging chain reports
+                if name == "posterior_predict":
+                    sizes.append((len(args[2]), kwargs["first_episode"]))
+                else:
+                    sizes.append((len(args[5]), None))
+                return call(*args, **kwargs)
+
+            return wrapper
+
+        def run(batch):
+            sizes.clear()
+            if batch is not None:
+                rows = 5 * (1 if cfg else 3)
+                chains = cfg.chains if cfg else 1
+                monkeypatch.setattr(
+                    evaluation, "BATCH_ELEMENTS", cap_elements(batch, measure, chains, 5, rows, 8)
+                )
+            with monkeypatch.context() as patch:
+                for name in ("posterior_predict", "predict_queries"):
+                    patch.setattr(evaluation, name, recording(name))
+                if cfg is None:
+                    rep = evaluate_zeroshot(ds, "test", graph, params, 5, 3, 10, RngStream(71),
+                                            measure=measure)
+                else:
+                    rep = evaluate_fewshot(ds, "test", graph, params, 5, 1, 3, 10, cfg,
+                                           RngStream(71))
+            path = tmp_path / f"{batch}.csv"
+            emit_report([rep], path)
+            return rep.per_episode, path.read_bytes(), list(sizes)
+
+        default = run(None)
+        one, three = run(1), run(3)
+        first = [None] * 4 if cfg is None else [0, 3, 6, 9]
+        assert [size for size, _ in one[2]] == [1] * 10
+        assert three[2] == list(zip([3, 3, 3, 1], first))
+        assert default[2][0][0] > 3
+        assert one[:2] == default[:2] and three[:2] == default[:2]
+
+    def test_cap_at_the_benchmark_shapes(self):
+        from protograph.evaluation import _batch_size
+
+        # README protocol: L=10, 5-way 1-shot, d=16
+        assert _batch_size("dot", 10, 5, 5, 16) == 20
+        assert _batch_size("euclidean", 10, 5, 5, 16) == 4
+        # 20-way 5-shot at d=64: one episode at a time, as before batching
+        assert _batch_size("dot", 10, 20, 100, 64) == 1
+        assert _batch_size("euclidean", 10, 20, 100, 64) == 1
+
+
 class TestSensitivitySweep:
     def test_zero_steps_equals_init_only_variant(self, informative_world):
         ds, graph, _ = informative_world

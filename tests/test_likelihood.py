@@ -307,3 +307,59 @@ class TestSupportDriftKernel:
         monkeypatch.undo()
         assert len(operands) >= 4
         assert not any(np.any(is_subnormal(a)) for a in operands)
+
+
+def random_batch(gen, measure):
+    """E episodes of random shape: encodings (E, S, d), one-hot labels
+    (E, S, N), prototypes (E, L, N, d), at scales that keep the softmax off
+    the residual floor."""
+    e_count = int(gen.integers(1, 6))
+    high = [12, 30, 25, 70] if measure == "dot" else [6, 12, 10, 40]
+    chains, s, n_way, d = (int(x) for x in gen.integers(1, high))
+    enc = gen.standard_normal((e_count, s, d))
+    values = gen.standard_normal((e_count, chains, n_way, d))
+    one_hot = np.eye(n_way)[gen.integers(0, n_way, size=(e_count, s))]
+    return enc, one_hot, values
+
+
+class TestEpisodeAxis:
+    """A leading episode axis gives each episode the bits it gets alone."""
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_drift_kernel(self, measure):
+        gen = np.random.default_rng(41)
+        for _ in range(2000):
+            enc, one_hot, values = random_batch(gen, measure)
+            tau = float(gen.uniform(1.0, 20.0))
+            probs, drift = support_probs_and_grad(enc, one_hot, values, measure, tau)
+            for e in range(len(enc)):
+                alone = support_probs_and_grad(enc[e], one_hot[e], values[e], measure, tau)
+                assert probs[e].tobytes() == alone[0].tobytes(), values.shape
+                assert drift[e].tobytes() == alone[1].tobytes(), values.shape
+            # the "..." subscripts give the bits of the explicit ones
+            reference = unfloored_kernel(enc[e], one_hot[e], values[e], measure, tau)
+            assert alone[0].tobytes() == reference[0].tobytes(), values.shape
+            assert alone[1].tobytes() == reference[1].tobytes(), values.shape
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_query_logits(self, measure):
+        gen = np.random.default_rng(42)
+        for _ in range(2000):
+            enc, _, values = random_batch(gen, measure)
+            logits = pairwise_logits(enc, values, measure)
+            assert logits.shape == values.shape[:2] + enc.shape[1:2] + values.shape[2:3]
+            for e in range(len(enc)):
+                alone = pairwise_logits(enc[e], values[e], measure)
+                assert logits[e].tobytes() == alone.tobytes(), values.shape
+
+    def test_support_labels_check_each_episode(self):
+        y = np.array([[1, 0, 0, 1], [0, 1, 1, 0]])
+        one_hot, k_shot = support_labels(y, 2)
+        assert k_shot == 2
+        for e in range(2):
+            np.testing.assert_array_equal(one_hot[e], support_labels(y[e], 2)[0])
+        # the first episode that fails is reported as it alone would be
+        with pytest.raises(ValueError, match=r"unequal support counts per class: \[3, 1\]"):
+            support_labels(np.array([[0, 1, 0, 1], [0, 0, 0, 1], [0, 5, 0, 1]]), 2)
+        with pytest.raises(ValueError, match="support label 5 outside"):
+            support_labels(np.array([[0, 1, 0, 1], [0, 5, 0, 1], [0, 0, 0, 1]]), 2)

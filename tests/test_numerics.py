@@ -1,12 +1,14 @@
 """Tests for the deterministic math kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from protograph.numerics import (
     ChildNormals,
+    _splitmix64,
     RngStream,
     finite_difference_gradient,
     log_softmax_with_temperature,
@@ -44,9 +46,23 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="tau"):
             softmax_with_temperature([1.0], 0.0)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_nonfinite_tau_raises(self, tau):
+        # at tau = inf every logit would scale to 0: a uniform, chance-level softmax
+        with pytest.raises(ValueError, match="tau must be"):
+            log_softmax_with_temperature([3.0, 1.0], tau)
+
     def test_nonfinite_raises(self):
         with pytest.raises(ValueError, match="finite"):
             softmax_with_temperature([np.nan, 1.0], 1.0)
+
+    def test_overflowing_tau_raises_without_a_warning(self):
+        # finite logits that overflow once divided by a tiny tau fail the one
+        # finiteness check, and numpy's overflow warning is not printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="logits / tau must be finite"):
+                softmax_with_temperature([1.0, 0.0], 1e-320)
 
     def test_normalization_and_range(self):
         # scaled logits stay within +-15: beyond ~36 apart the largest
@@ -164,22 +180,39 @@ class TestRngStream:
 
 class TestChildNormals:
     @pytest.mark.parametrize("seed", [0, 39, 2**63 + 5, -17])
-    @pytest.mark.parametrize("stream_id", [0, 0xDEADBEEF12345678])
+    @pytest.mark.parametrize("stream_ids", [[0], [0xDEADBEEF12345678, 0, 7]])
     @pytest.mark.parametrize("shape", [(5, 16), (20, 64)])
-    def test_blocks_equal_one_shot_child_draws(self, seed, stream_id, shape):
-        rng = RngStream(seed, stream_id)
-        normals = ChildNormals(rng, 4)
-        # out-of-order and repeated pairs: every draw starts its stream afresh
-        for i, j in [(0, 1), (3, 5), (1, 1), (0, 1), (2, 0), (3, 2**40)]:
-            np.testing.assert_array_equal(
-                normals.sample(shape, i, j), standard_normal_sample(shape, rng.child(i, j))
-            )
+    def test_blocks_equal_one_shot_child_draws(self, seed, stream_ids, shape):
+        streams = [RngStream(seed, s) for s in stream_ids]
+        normals = ChildNormals(streams, 4, shape)
+        # out-of-order and repeated steps: every draw starts its stream afresh
+        for j in [1, 5, 1, 0, 2**40, 2**64 - 1]:
+            block = normals.step(j)
+            assert block.shape == (len(streams), 4) + shape
+            for e, rng in enumerate(streams):
+                for i in range(4):
+                    expect = standard_normal_sample(shape, rng.child(i, j))
+                    assert block[e, i].tobytes() == expect.tobytes()
 
     def test_instances_do_not_share_state(self):
-        a, b = ChildNormals(RngStream(1), 2), ChildNormals(RngStream(2), 2)
-        first = a.sample((3,), 1, 1)
-        b.sample((3,), 1, 1)
-        np.testing.assert_array_equal(a.sample((3,), 1, 1), first)
+        a = ChildNormals([RngStream(1)], 2, (3,))
+        b = ChildNormals([RngStream(2)], 2, (3,))
+        first = a.step(1)
+        b.step(1)
+        np.testing.assert_array_equal(a.step(1), first)
+
+    def test_streams_must_share_a_seed(self):
+        with pytest.raises(ValueError, match="share one seed"):
+            ChildNormals([RngStream(1), RngStream(2)], 2, (3,))
+
+    def test_array_hash_equals_int_hash(self):
+        # the keys of one step are hashed as a uint64 array, child ids one by one
+        gen = np.random.default_rng(3)
+        z = np.concatenate([
+            gen.integers(0, 2**64, size=500, dtype=np.uint64),
+            np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
+        ])
+        assert _splitmix64(z).tolist() == [_splitmix64(int(v)) for v in z.tolist()]
 
 
 class TestMaxRelativeError:

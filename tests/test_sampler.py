@@ -429,3 +429,98 @@ class TestPosteriorPredict:
             posterior_predict(
                 sx, [0, 0, 1, 1], [4, 7, 9], qx, h, SamplerConfig(), IDENTITY, RngStream(0)
             )
+
+
+def episode_batch(seed, e_count, n_way=4, k_shot=2, q_count=6, d=5):
+    """E random episodes of one shape: support and query rows, labels,
+    distinct targets per episode and relation summaries."""
+    gen = np.random.default_rng(seed)
+    sx = gen.standard_normal((e_count, n_way * k_shot, d)) * 2.0
+    sy = np.stack([gen.permutation(np.repeat(np.arange(n_way), k_shot)) for _ in range(e_count)])
+    qx = gen.standard_normal((e_count, q_count, d)) * 2.0
+    targets = np.stack([gen.choice(50, size=n_way, replace=False) for _ in range(e_count)])
+    h = gen.standard_normal((e_count, n_way, d))
+    return sx, sy, qx, targets, h
+
+
+LINEAR = EncoderParams(
+    mode="linear", weight=np.random.default_rng(30).standard_normal((5, 5)),
+    bias=np.random.default_rng(31).standard_normal(5),
+)
+
+
+class TestEpisodeBatch:
+    """E stacked episodes get the bits each gets alone."""
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_chain_is_the_per_episode_chains(self, measure, noise):
+        sx, sy, _, targets, h = episode_batch(20, 5)
+        cfg = SamplerConfig(chains=3, steps=4, step_decay=0.3, measure=measure,
+                            noise_enabled=noise)
+        streams = [RngStream(8).child(i, 1) for i in range(5)]
+        stats = support_statistics(sx, sy, 4)
+        samples = init_prototypes(stats, h, cfg.alpha, cfg.beta, cfg.chains)
+        out, record = sgld_chain(sx, sy, targets, h, samples, cfg, streams, record=True)
+        assert out.values.shape == (5, 3, 4, 5)
+        for e in range(5):
+            alone_stats = support_statistics(sx[e], sy[e], 4)
+            assert stats.class_means[e].tobytes() == alone_stats.class_means.tobytes()
+            assert stats.grand_mean[e].tobytes() == alone_stats.grand_mean.tobytes()
+            init = init_prototypes(alone_stats, h[e], cfg.alpha, cfg.beta, cfg.chains)
+            assert samples.values[e].tobytes() == init.values.tobytes()
+            alone, alone_record = sgld_chain(
+                sx[e], sy[e], targets[e], h[e], init, cfg, streams[e], record=True
+            )
+            assert out.values[e].tobytes() == alone.values.tobytes()
+            assert record.trajectory[:, e].tobytes() == alone_record.trajectory.tobytes()
+            assert record.support_probs[:, e].tobytes() == alone_record.support_probs.tobytes()
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("encoder", [IDENTITY, LINEAR], ids=["identity", "linear"])
+    def test_prediction_is_per_episode(self, measure, encoder):
+        sx, sy, qx, targets, h = episode_batch(21, 4)
+        cfg = SamplerConfig(chains=4, steps=3, measure=measure)
+        streams = [RngStream(9).child(i, 1) for i in range(4)]
+        probs, preds = posterior_predict(sx, sy, targets, qx, h, cfg, encoder, streams)
+        assert probs.shape == (4, 6, 4) and preds.shape == (4, 6)
+        for e in range(4):
+            alone = posterior_predict(sx[e], sy[e], targets[e], qx[e], h[e], cfg, encoder,
+                                      streams[e])
+            assert probs[e].tobytes() == alone[0].tobytes()
+            assert preds[e].tobytes() == alone[1].tobytes()
+
+    def test_tie_break_per_episode(self):
+        # every class of an episode shares one prototype: all queries tie, and
+        # each episode resolves its ties by its own lowest relation id
+        gen = np.random.default_rng(22)
+        values = np.repeat(gen.standard_normal((3, 1, 1, 2)), 4, axis=2)
+        queries = gen.standard_normal((3, 5, 2))
+        targets = np.array([[7, 3, 9, 4], [1, 8, 0, 2], [5, 6, 7, 8]])
+        _, preds = predict_queries(queries, PrototypeSamples(values), IDENTITY, "dot", 1.0,
+                                   targets)
+        np.testing.assert_array_equal(preds, np.repeat([[1], [2], [0]], 5, axis=1))
+
+    def test_divergence_names_the_global_episode(self):
+        # episode 2 of the batch overflows at its first step; the batch starts
+        # at episode 40 of its evaluation
+        sx = np.zeros((3, 2, 1))
+        sx[2] = [[1e200], [-1e200]]
+        sy = np.array([[0, 1]] * 3)
+        v = np.zeros((3, 2, 2, 1))
+        cfg = SamplerConfig(chains=2, steps=3, step_size=1e300, prior_weight=0.0)
+        streams = [RngStream(0).child(i, 1) for i in range(3)]
+        message = "sampler diverged at episode 42 chain 0 step 1"
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=message):
+            sgld_chain(sx, sy, [[0, 1]] * 3, np.zeros((3, 2, 1)), PrototypeSamples(v), cfg,
+                       streams, first_episode=40)
+
+
+@pytest.mark.parametrize(
+    "field", ["step_size", "step_decay", "alpha", "beta", "tau", "prior_weight",
+              "likelihood_weight"],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_config_rejects_a_non_finite_number(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        SamplerConfig(**{field: value})
