@@ -214,12 +214,12 @@ def _int_list(opts: Options, key: str) -> list[int]:
 def _cmd_synth(opts: Options) -> int:
     split_counts = tuple(_int_list(opts, "splits")) if opts["splits"] else None
     out_dir = Path(opts.require("out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset, embeddings = generate_synthetic(
         opts["relations"], opts["dim"], opts["cluster-scale"], opts["noise-scale"],
         opts["per-relation"], RngStream(opts["seed"]),
         embed_noise=opts["embed-noise"], split_counts=split_counts,
     )
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out_dir / "instances.tsv", out_dir / "registry.tsv")
     save_embeddings(embeddings, out_dir / "embeddings.tsv")
     opts.write_echo(out_dir / "synth")

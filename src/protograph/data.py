@@ -68,10 +68,6 @@ class Episode:
     support_keys: list[tuple[int, int]] = field(default_factory=list)
     query_keys: list[tuple[int, int]] = field(default_factory=list)
 
-    @property
-    def n_way(self) -> int:
-        return len(self.targets)
-
 
 def sample_episode(
     dataset: Dataset, split: str, n_way: int, k_shot: int, q_per: int, rng: RngStream
@@ -152,6 +148,8 @@ def generate_synthetic(
     if split_counts is None:
         q = max(1, num_relations // 4)
         split_counts = (num_relations - 2 * q, q, q)
+    if len(split_counts) != len(SPLITS):
+        raise ValueError(f"split_counts {split_counts} must give {len(SPLITS)} counts")
     if sum(split_counts) != num_relations or min(split_counts) < 0:
         raise ValueError(f"split_counts {split_counts} must sum to {num_relations}")
 
@@ -180,6 +178,8 @@ def load_dataset(instances_path, registry_path) -> Dataset:
         if len(parts) != 3:
             raise ValueError(f"{registry_path}:{lineno}: expected id, name, split")
         (rid,) = parse_ints(parts[:1], registry_path, lineno)
+        if rid in names:
+            raise ValueError(f"{registry_path}:{lineno}: duplicate relation id {rid}")
         if parts[2] not in SPLITS:
             raise ValueError(f"{registry_path}:{lineno}: unknown split {parts[2]!r}")
         names[rid] = parts[1]

@@ -13,7 +13,7 @@ from .data import Dataset, sample_episode
 from .graph import RelationGraph
 from .numerics import RngStream
 from .prior import summary_rows
-from .sampler import PrototypeSamples, SamplerConfig, posterior_predict, predict_queries
+from .sampler import SamplerConfig, posterior_predict, predict_queries
 
 # Not called here (predict_queries scores zero-shot queries), but bound so
 # that benchmarks/tracer.py, which patches this module's call sites by name,
@@ -107,8 +107,7 @@ def episode_outcomes(
         query_x = np.stack([episode.query_x for episode in batch])
         if sampler_config is None:
             _, preds = predict_queries(
-                query_x, PrototypeSamples(summaries[:, None]), params.encoder,
-                measure, tau, targets,
+                query_x, summaries[:, None], params.encoder, measure, tau, targets
             )
         else:
             _, preds = posterior_predict(

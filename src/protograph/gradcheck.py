@@ -16,7 +16,7 @@ from .graph import build_knn_graph
 from .likelihood import EncoderParams, support_log_likelihood_and_grad
 from .numerics import RngStream, finite_difference_gradient, max_relative_error
 from .prior import prior_log_density_and_grad
-from .sampler import SamplerConfig, SupportStatistics, init_objective_and_grad
+from .sampler import SamplerConfig
 from .trainer import (
     episode_loss,
     episode_objective_and_grads,
@@ -60,18 +60,6 @@ def check_support_likelihood(gen, n_way: int, k_shot: int, d: int, measure: str,
     fd = finite_difference_gradient(
         lambda p: support_log_likelihood_and_grad(x, y, p, encoder, measure, tau)[0], v
     )
-    return max_relative_error(grad, fd)
-
-
-def check_init_objective(gen, n_way: int, d: int) -> float:
-    stats = SupportStatistics(
-        class_means=gen.standard_normal((n_way, d)),
-        grand_mean=gen.standard_normal(d),
-    )
-    h = gen.standard_normal((n_way, d))
-    v = gen.standard_normal((n_way, d))
-    _, grad = init_objective_and_grad(v, stats, h)
-    fd = finite_difference_gradient(lambda x: init_objective_and_grad(x, stats, h)[0], v)
     return max_relative_error(grad, fd)
 
 
@@ -122,9 +110,6 @@ def run_gradient_checks(
 
     gen = RngStream(seed).child(30).generator()
     results["prior"] = max(check_prior(gen, n_way, d) for _ in range(cases))
-    results["init-objective"] = max(
-        check_init_objective(gen, n_way, d) for _ in range(cases)
-    )
     for measure in ("dot", "euclidean"):
         results[f"support-likelihood-{measure}"] = max(
             check_support_likelihood(gen, n_way, max(k_shot, 2), d, measure, tau)

@@ -55,13 +55,6 @@ class RelationGraph:
             self._propagated[hops] = out
         return self._propagated[hops]
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 def build_knn_graph(embeddings, k: int) -> RelationGraph:
     """k-nearest-neighbor graph on Euclidean distances, symmetrized by union.
@@ -122,6 +115,11 @@ def load_graph(embeddings, edges_path) -> RelationGraph:
         u, v = parse_ints(parts, edges_path, lineno)
         if u >= v:
             raise ValueError(f"{edges_path}:{lineno}: edges must have u < v")
+        for node in (u, v):
+            if not 0 <= node < len(x):
+                raise ValueError(
+                    f"{edges_path}:{lineno}: node {node} not among the {len(x)} embeddings"
+                )
         edges.append((u, v))
     edge_arr = np.array(sorted(set(edges)), dtype=int).reshape(-1, 2)
     return RelationGraph(node_features=x, edges=edge_arr)
@@ -135,6 +133,8 @@ def load_embeddings(path) -> np.ndarray:
         rid, vec = parse_row(line, path, lineno)
         if d is None:
             d = len(vec)
+            if d == 0:
+                raise ValueError(f"{path}:{lineno}: embedding has no values")
         elif len(vec) != d:
             raise ValueError(f"{path}:{lineno}: dimension {len(vec)} != {d}")
         if rid in rows:

@@ -53,11 +53,6 @@ def _apply_activation(pre: np.ndarray, activation: str) -> np.ndarray:
     return np.tanh(pre)
 
 
-def relation_summaries(graph: RelationGraph, params: GnnParams) -> np.ndarray:
-    """Summary matrix with one h_r row per relation in the graph."""
-    return summary_rows(graph, params, np.arange(graph.n_nodes))
-
-
 def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray:
     """Summaries restricted to the given relation ids (rows in target order).
 

@@ -87,21 +87,6 @@ class SamplerConfig:
 
 
 @dataclass
-class SupportStatistics:
-    """Per-class mean encodings m_r and the grand mean m of the support set."""
-
-    class_means: np.ndarray  # (N, d)
-    grand_mean: np.ndarray  # (d,)
-
-
-@dataclass
-class PrototypeSamples:
-    """L chains of N x d prototype vectors, per episode of a batch."""
-
-    values: np.ndarray  # (L, N, d), or (E, L, N, d)
-
-
-@dataclass
 class ChainRecord:
     """Trajectory of an SGLD run, kept for reverse-mode differentiation."""
 
@@ -118,94 +103,80 @@ class EpisodeForward:
 
     support_enc: np.ndarray  # (S, d)
     query_enc: np.ndarray  # (Q, d)
+    one_hot: np.ndarray  # (S, N) support labels
+    k_shot: int
     chain_probs: np.ndarray  # (L, Q, N) per-chain query probabilities
     probs: np.ndarray  # (Q, N) chain-averaged query probabilities
     record: ChainRecord | None  # set when the forward ran with record=True
 
 
-def support_statistics(encodings, support_y, n_way: int) -> SupportStatistics:
-    """Exact per-class and grand means of the support encodings of N classes."""
-    one_hot, k_shot = support_labels(support_y, n_way)
+def support_statistics(encodings, one_hot, k_shot: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact per-class means (N, d) and grand mean (d,) of the support encodings.
+
+    ``one_hot`` and ``k_shot`` are the checked labels of support_labels.
+    """
     e = np.asarray(encodings, dtype=float)
-    return SupportStatistics(
-        class_means=(np.swapaxes(one_hot, -1, -2) @ e) / k_shot, grand_mean=e.mean(axis=-2)
-    )
+    return (np.swapaxes(one_hot, -1, -2) @ e) / k_shot, e.mean(axis=-2)
 
 
 def init_prototypes(
-    stats: SupportStatistics, summaries, alpha: float, beta: float, chains: int
-) -> PrototypeSamples:
+    class_means, grand_mean, summaries, alpha: float, beta: float, chains: int
+) -> np.ndarray:
     """Warm start v_r = m_r + alpha h_r - beta m, replicated across chains.
 
-    All chains start at the same point; sample diversity comes entirely from
-    the per-chain Langevin noise.
+    Returns (L, N, d), or (E, L, N, d) for E episodes. All chains start at
+    the same point; sample diversity comes entirely from the per-chain
+    Langevin noise.
     """
     h = np.asarray(summaries, dtype=float)
-    if h.shape != stats.class_means.shape:
-        raise ValueError(
-            f"summaries {h.shape} do not match class means {stats.class_means.shape}"
-        )
-    v0 = stats.class_means + alpha * h - beta * stats.grand_mean[..., None, :]
+    if h.shape != class_means.shape:
+        raise ValueError(f"summaries {h.shape} do not match class means {class_means.shape}")
+    v0 = class_means + alpha * h - beta * grand_mean[..., None, :]
     shape = v0.shape[:-2] + (chains,) + v0.shape[-2:]
-    return PrototypeSamples(values=np.broadcast_to(v0[..., None, :, :], shape).copy())
-
-
-def init_objective_and_grad(
-    prototypes, stats: SupportStatistics, summaries, alpha: float = 1.0, beta: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Warm-start objective sum_r -1/2 ||v_r - m_r - alpha h_r + beta m||^2.
-
-    This is the quadratic lower bound of the normalized log-posterior whose
-    maximizer is the init point; the gradient vanishes exactly there.
-    """
-    v = np.asarray(prototypes, dtype=float)
-    center = stats.class_means + alpha * np.asarray(summaries, dtype=float) - beta * stats.grand_mean
-    if v.shape != center.shape:
-        raise ValueError(f"prototypes {v.shape} do not match statistics {center.shape}")
-    diff = v - center
-    return -0.5 * float(np.sum(diff * diff)), -diff
+    return np.broadcast_to(v0[..., None, :, :], shape).copy()
 
 
 def sgld_chain(
     support_enc,
-    support_y,
+    one_hot,
+    k_shot: int,
     targets,
     summaries,
-    samples: PrototypeSamples,
+    values,
     config: SamplerConfig,
     rng: RngStream | Sequence[RngStream],
     record: bool = False,
     first_episode: int = 0,
-):
-    """Run M Langevin steps on every chain.
+) -> tuple[np.ndarray, ChainRecord | None]:
+    """Run M Langevin steps on every chain of the prototypes ``values``.
 
     Update at step t (1-based):
         v <- v + (eps_t / 2) * grad log p(v) + sqrt(eps_t) * z,
     with z ~ N(0, I) when noise is enabled and eps_t = step_size * t^-decay.
     The log-density combines the K-normalized support likelihood of the
-    support encodings and the Gaussian prior around ``summaries`` (already
-    zeroed by the caller when the graph prior is disabled). Returns the final
-    samples, plus a ChainRecord of the full trajectory when ``record`` is set.
+    support encodings, whose checked labels are ``one_hot`` with ``k_shot``
+    per class, and the Gaussian prior around ``summaries`` (already zeroed
+    by the caller when the graph prior is disabled). Returns the final
+    values and, when ``record`` is set, a ChainRecord of the trajectory
+    (else None).
 
     ``rng`` is the noise stream of one episode, or a sequence of E streams
     sharing a seed for E batched episodes. A batch that diverges names the
     episode as ``first_episode`` plus its position in the batch.
     """
-    values = np.array(samples.values, dtype=float)
+    values = np.asarray(values, dtype=float)
     chains, n_way, d = values.shape[-3:]
     batched = values.ndim == 4
-    y = np.asarray(support_y, dtype=int)
     h = np.asarray(summaries, dtype=float)
     if h.shape != values.shape[:-3] + (n_way, d):
         raise ValueError(f"summaries {h.shape} do not match prototypes {values.shape}")
 
-    has_lik = config.likelihood_weight != 0.0 and y.size > 0
+    has_lik = config.likelihood_weight != 0.0 and np.size(one_hot) > 0
     if has_lik:
-        one_hot, k_shot = support_labels(y, n_way)
         scale = config.likelihood_weight / (k_shot * config.tau)
 
     eps = config.step_sizes()
-    trajectory = [values.copy()] if record else None
+    trajectory = [values] if record else None
     support_probs = [] if record else None
     # (episode e, chain l, step t) draws the (N, d) block of the episode's
     # stream .child(l, t), the same bytes as standard_normal_sample; its rows
@@ -226,7 +197,7 @@ def sgld_chain(
                 support_enc, one_hot, values, config.measure, config.tau
             )
             grad += scale * drift
-            if support_probs is not None:
+            if record:
                 support_probs.append(probs)
         values = values + 0.5 * eps_t * grad
         if config.noise_enabled:
@@ -238,16 +209,16 @@ def sgld_chain(
             where = f"episode {first_episode + e} chain {l}" if batched else f"chain {l}"
             raise RuntimeError(f"sampler diverged at {where} step {t_idx + 1}")
         if record:
-            trajectory.append(values.copy())
+            # each step binds values to a new array, so the list holds no alias
+            trajectory.append(values)
 
-    out = PrototypeSamples(values=values)
-    if record:
-        return out, ChainRecord(
-            trajectory=np.stack(trajectory),
-            step_sizes=eps,
-            support_probs=np.stack(support_probs) if support_probs else None,
-        )
-    return out
+    if not record:
+        return values, None
+    return values, ChainRecord(
+        trajectory=np.stack(trajectory),
+        step_sizes=eps,
+        support_probs=np.stack(support_probs) if support_probs else None,
+    )
 
 
 def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
@@ -266,7 +237,7 @@ def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
 
 def predict_queries(
     query_x,
-    samples: PrototypeSamples,
+    prototypes,
     encoder: EncoderParams,
     measure: str,
     tau: float,
@@ -274,14 +245,15 @@ def predict_queries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo query prediction: average softmax probabilities over chains.
 
+    ``prototypes`` holds L chains of N prototypes, (L, N, d) or (E, L, N, d).
     Returns (probs, predictions) where probs[q] is the chain-averaged class
     distribution and predictions[q] the argmax position, ties resolved toward
     the lowest relation id when ``targets`` is given (lowest position else).
     """
-    if samples.values.size == 0:
+    if np.size(prototypes) == 0:
         raise ValueError("no prototype samples")
     enc = encode_batch(query_x, encoder)
-    logits = pairwise_logits(enc, samples.values, measure)
+    logits = pairwise_logits(enc, prototypes, measure)
     probs = softmax_with_temperature(logits, tau).mean(axis=-3)
     return probs, _lowest_key_argmax(probs, targets)
 
@@ -300,27 +272,30 @@ def episode_forward(
 ) -> EpisodeForward:
     """The one episode pipeline shared by evaluation, validation and training.
 
-    Encodes the support set and the queries once each, builds the support
-    statistics, warm-starts and runs the chains, and scores the queries
-    against every chain's final prototypes. ``record`` keeps the chain's
-    trajectory and support probabilities for the reverse pass.
+    Encodes the support set and the queries once each, checks the support
+    labels once, builds the support statistics, warm-starts and runs the
+    chains, and scores the queries against every chain's final prototypes.
+    ``record`` keeps the chain's trajectory and support probabilities for the
+    reverse pass.
     """
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
         h = np.zeros_like(h)
     support_enc = encode_batch(support_x, encoder)
     query_enc = encode_batch(query_x, encoder)
-    stats = support_statistics(support_enc, support_y, np.shape(targets)[-1])
-    samples = init_prototypes(stats, h, config.alpha, config.beta, config.chains)
-    out = sgld_chain(
-        support_enc, support_y, targets, h, samples, config, rng, record, first_episode
+    one_hot, k_shot = support_labels(support_y, np.shape(targets)[-1])
+    class_means, grand_mean = support_statistics(support_enc, one_hot, k_shot)
+    values = init_prototypes(class_means, grand_mean, h, config.alpha, config.beta, config.chains)
+    values, chain = sgld_chain(
+        support_enc, one_hot, k_shot, targets, h, values, config, rng, record, first_episode
     )
-    samples, chain = out if record else (out, None)
-    logits = pairwise_logits(query_enc, samples.values, config.measure)
+    logits = pairwise_logits(query_enc, values, config.measure)
     chain_probs = softmax_with_temperature(logits, config.tau)
     return EpisodeForward(
         support_enc=support_enc,
         query_enc=query_enc,
+        one_hot=one_hot,
+        k_shot=k_shot,
         chain_probs=chain_probs,
         probs=chain_probs.mean(axis=-3),
         record=chain,

@@ -22,9 +22,7 @@ import numpy as np
 from .data import Dataset, Episode, parse_ints, sample_episode
 from .evaluation import episode_outcomes
 from .graph import RelationGraph
-from .likelihood import (
-    ENCODER_MODES, EncoderParams, similarity_softmax_vjp, support_drift_vjp, support_labels,
-)
+from .likelihood import ENCODER_MODES, EncoderParams, similarity_softmax_vjp, support_drift_vjp
 from .numerics import RngStream
 from .prior import ACTIVATIONS, GnnParams, summary_rows
 from .sampler import EpisodeForward, SamplerConfig, episode_forward
@@ -146,8 +144,6 @@ class _ForwardCache:
     config: SamplerConfig
     summaries: np.ndarray  # (N, d) raw layer output rows
     prop_rows: np.ndarray  # (N, d_g) propagated node features for the targets
-    one_hot_s: np.ndarray  # (S, N)
-    k_shot: int
     fwd: EpisodeForward
 
 
@@ -174,7 +170,6 @@ def _episode_forward(
         rng,
         record=True,
     )
-    one_hot_s, k_shot = support_labels(episode.support_y, len(targets))
 
     p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
     if not np.all(np.isfinite(p_true)) or np.any(p_true <= 0.0):
@@ -190,8 +185,6 @@ def _episode_forward(
         config=config,
         summaries=summaries,
         prop_rows=graph.propagated(params.gnn.hops)[targets],
-        one_hot_s=one_hot_s,
-        k_shot=k_shot,
         fwd=fwd,
     )
 
@@ -215,7 +208,7 @@ def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
 
     # reverse through the unrolled chain; noise draws are constants
     d_es = np.zeros_like(fwd.support_enc)
-    lik_scale = cfg.likelihood_weight / (cache.k_shot * cfg.tau)
+    lik_scale = cfg.likelihood_weight / (fwd.k_shot * cfg.tau)
     d_eff = np.zeros_like(cache.summaries)
     for t in range(len(chain.step_sizes) - 1, -1, -1):
         half = 0.5 * chain.step_sizes[t]
@@ -224,7 +217,7 @@ def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
         d_v_next = d_v - half * cfg.prior_weight * d_v
         if chain.support_probs is not None:
             des_lik, dv_lik = support_drift_vjp(
-                fwd.support_enc, cache.one_hot_s, v_prev, chain.support_probs[t],
+                fwd.support_enc, fwd.one_hot, v_prev, chain.support_probs[t],
                 half * d_v, cfg.measure, cfg.tau, lik_scale,
             )
             d_v_next = d_v_next + dv_lik
@@ -237,7 +230,7 @@ def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
     d_class_means = d_v0
     d_grand = -cfg.beta * d_v0.sum(axis=0)
     s_count = episode.support_y.size
-    d_es += (cache.one_hot_s @ d_class_means) / cache.k_shot
+    d_es += (fwd.one_hot @ d_class_means) / fwd.k_shot
     d_es += d_grand[None, :] / s_count
 
     # graph layer: summaries = act(prop_rows @ W + b)

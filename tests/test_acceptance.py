@@ -22,16 +22,10 @@ from protograph.gradcheck import (
     random_episode,
 )
 from protograph.graph import build_knn_graph, normalized_adjacency
-from protograph.likelihood import EncoderParams
+from protograph.likelihood import EncoderParams, support_labels
 from protograph.numerics import RngStream, softmax_with_temperature
 from protograph.prior import GnnParams
-from protograph.sampler import (
-    PrototypeSamples,
-    SamplerConfig,
-    SupportStatistics,
-    init_prototypes,
-    sgld_chain,
-)
+from protograph.sampler import SamplerConfig, init_prototypes, sgld_chain
 from protograph.trainer import (
     ModelParams,
     TrainConfig,
@@ -120,8 +114,7 @@ def test_c02_initialization_optimality():
         class_means = gen.standard_normal((n, d))
         grand = gen.standard_normal(d)
         h = gen.standard_normal((n, d))
-        stats = SupportStatistics(class_means=class_means, grand_mean=grand)
-        init = init_prototypes(stats, h, 1.0, 1.0, 1).values[0]
+        init = init_prototypes(class_means, grand, h, 1.0, 1.0, 1)[0]
 
         # bound gradient at the init, computed from first principles
         center = class_means + h - grand
@@ -155,9 +148,9 @@ def test_c03_sgld_stationarity():
         chains=1, steps=11_000, step_size=0.01, step_decay=0.0,
         noise_enabled=True, likelihood_weight=0.0,
     )
-    samples = PrototypeSamples(values=np.broadcast_to(h, (1, 2, 1)).copy())
+    values = np.broadcast_to(h, (1, 2, 1)).copy()
     _, record = sgld_chain(
-        np.zeros((0, 1)), np.zeros(0, dtype=int), [0, 1], h, samples, cfg,
+        np.zeros((0, 1)), np.zeros((0, 2)), 0, [0, 1], h, values, cfg,
         RngStream(39), record=True,
     )
     kept = record.trajectory[1001:, 0]  # 10,000 kept states after 1,000 burn-in
@@ -184,9 +177,8 @@ def test_c04_maml_correspondence():
         chains=1, steps=steps, step_size=eps0, noise_enabled=False,
         prior_weight=0.0, tau=tau,
     )
-    out = sgld_chain(
-        sx, sy, list(range(n)), h,
-        PrototypeSamples(values=v0[None].copy()), cfg, RngStream(0),
+    out, _ = sgld_chain(
+        sx, *support_labels(sy, n), list(range(n)), h, v0[None].copy(), cfg, RngStream(0),
     )
 
     one_hot = np.zeros((n * k, n))
@@ -195,7 +187,7 @@ def test_c04_maml_correspondence():
     for _ in range(steps):
         probs = softmax_with_temperature(sx @ v.T, tau)
         v = v + 0.5 * eps0 * ((one_hot - probs).T @ sx) / (k * tau)
-    diff = float(np.max(np.abs(out.values[0] - v)))
+    diff = float(np.max(np.abs(out[0] - v)))
     assert diff < 1e-10
     _pass(4, f"max elementwise diff {diff:.1e}")
 

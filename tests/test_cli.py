@@ -184,7 +184,8 @@ class TestPipeline:
 
 
 # (input, line, field, replacement, message): the field of that line (a
-# number, or the first line starting with that text) is replaced
+# number, or the first line starting with that text) is replaced, or the
+# whole line when the field is None
 MALFORMED = [
     ("instances", 3, 2, "abc", "could not convert string to float: 'abc'"),
     ("instances", 2, 0, "x", "invalid literal for int() with base 10: 'x'"),
@@ -194,6 +195,10 @@ MALFORMED = [
     ("embeddings", 3, 1, "1.0.0", "could not convert string to float"),
     ("embeddings", 2, 2, "inf", "non-finite embedding"),
     ("edges", 2, 1, "v", "invalid literal for int()"),
+    ("edges", 2, None, "0\t99", "node 99 not among the 25 embeddings"),
+    ("edges", 3, None, "-1\t3", "node -1 not among the 25 embeddings"),
+    ("embeddings", 1, None, "0", "embedding has no values"),
+    ("registry", 3, None, "0\trelation_0\ttrain", "duplicate relation id 0"),
     ("checkpoint", "d ", 1, "x", "invalid literal for int()"),
     ("checkpoint", "d_g ", 1, "8.5", "invalid literal for int()"),
     ("checkpoint", "gnn.hops ", 1, "two", "invalid literal for int()"),
@@ -222,21 +227,26 @@ def test_malformed_input_is_one_line_path_line_error(
     lines = paths[name].read_text().splitlines()
     if isinstance(line, str):
         line = next(i for i, text in enumerate(lines, 1) if text.startswith(line))
-    fields = lines[line - 1].split(sep)
-    fields[field] = value
-    lines[line - 1] = sep.join(fields)
+    if field is None:
+        lines[line - 1] = value
+    else:
+        fields = lines[line - 1].split(sep)
+        fields[field] = value
+        lines[line - 1] = sep.join(fields)
     paths[name].write_text("\n".join(lines) + "\n")
 
     argv = [
         "eval", "--data", str(paths["instances"]), "--registry", str(paths["registry"]),
         "--embeddings", str(paths["embeddings"]), "--graph", str(paths["edges"]),
         "--checkpoint", str(paths["checkpoint"]), "--episodes", "1",
+        "--out", str(tmp_path / "report.csv"),
     ]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {paths[name]}:{line}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert message in err
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # nothing written
 
 
 OLD_EVAL_CONFIG = """# command: eval
@@ -348,6 +358,8 @@ BAD_VALUES = [
      "largest step size 5 times prior_weight 1 must be < 2"),
     ("sweep", ["--values", "1,,2"], "--values item '' is not an integer"),
     ("synth", ["--splits", "10,x,5"], "--splits item 'x' is not an integer"),
+    ("synth", ["--splits", "10,5,5,5"], "split_counts (10, 5, 5, 5) must give 3 counts"),
+    ("synth", ["--splits", "10,15"], "split_counts (10, 15) must give 3 counts"),
     # a temperature of inf scales every logit to 0: chance accuracy, exit 0
     ("eval", ["--tau", "inf"], "tau must be finite, got inf"),
     ("zero-shot", ["--tau", "inf"], "tau must be finite, got inf"),
@@ -427,7 +439,7 @@ class TestGradCheck:
         assert main(["grad-check", "--seed", "1", "--d", "3"]) == 0
         out = capsys.readouterr().out
         for component in (
-            "prior", "init-objective", "support-likelihood-dot",
+            "prior", "support-likelihood-dot",
             "support-likelihood-euclidean", "episode-objective-dot",
             "episode-objective-euclidean",
         ):

@@ -112,6 +112,8 @@ class TestGenerateSynthetic:
             generate_synthetic(1, 4, 1.0, 0.5, 3, RngStream(0))
         with pytest.raises(ValueError):
             generate_synthetic(5, 4, 1.0, 0.5, 3, RngStream(0), split_counts=(1, 1, 1))
+        with pytest.raises(ValueError, match=r"split_counts \(25,\) must give 3 counts"):
+            generate_synthetic(25, 4, 1.0, 0.5, 3, RngStream(0), split_counts=(25,))
 
 
 class TestLoadSave:
@@ -158,6 +160,12 @@ class TestLoadSave:
         (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")
         (tmp_path / "inst.tsv").write_text("3\t1.0\t2.0\n")
         with pytest.raises(ValueError, match="unknown relation id 3"):
+            load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+
+    def test_duplicate_registry_id_raises(self, tmp_path):
+        (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n1\trel1\ttest\n0\tother\tval\n")
+        (tmp_path / "inst.tsv").write_text("0\t1.0\n1\t2.0\n")
+        with pytest.raises(ValueError, match=r"reg.tsv:3: duplicate relation id 0$"):
             load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
 
     def test_registered_relation_without_instances_raises(self, tmp_path):

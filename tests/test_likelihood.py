@@ -280,7 +280,7 @@ class TestSupportDriftKernel:
 
         def run():
             return sampler.sgld_chain(
-                enc, y, np.arange(20), centers, sampler.PrototypeSamples(values=values),
+                enc, *support_labels(y, 20), np.arange(20), centers, values,
                 config, RngStream(5), record=True,
             )[1]
 

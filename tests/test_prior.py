@@ -5,24 +5,29 @@ import pytest
 
 from protograph.graph import RelationGraph, build_knn_graph
 from protograph.numerics import finite_difference_gradient, max_relative_error
-from protograph.prior import GnnParams, prior_log_density_and_grad, relation_summaries, summary_rows
+from protograph.prior import GnnParams, prior_log_density_and_grad, summary_rows
 
 
 def isolated(features):
     return RelationGraph(node_features=features, edges=np.zeros((0, 2), dtype=int))
 
 
+def all_summary_rows(graph, params):
+    """One summary row per relation of the graph, in id order."""
+    return summary_rows(graph, params, np.arange(graph.n_nodes))
+
+
 class TestRelationSummaries:
     def test_isolated_node_identity_weight(self):
         f = np.array([[1.5, -2.0]])
         params = GnnParams(weight=np.eye(2), bias=np.zeros(2))
-        np.testing.assert_allclose(relation_summaries(isolated(f), params), f, atol=1e-15)
+        np.testing.assert_allclose(all_summary_rows(isolated(f), params), f, atol=1e-15)
 
     def test_two_connected_nodes_average(self):
         f = np.array([[1.0, 2.0], [3.0, -4.0]])
         g = RelationGraph(node_features=f, edges=np.array([[0, 1]]))
         params = GnnParams(weight=np.eye(2), bias=np.zeros(2))
-        h = relation_summaries(g, params)
+        h = all_summary_rows(g, params)
         np.testing.assert_allclose(h[0], (f[0] + f[1]) / 2, atol=1e-12)
         np.testing.assert_allclose(h[1], (f[0] + f[1]) / 2, atol=1e-12)
 
@@ -31,13 +36,13 @@ class TestRelationSummaries:
         g = build_knn_graph(f, 2)
         bias = np.array([1.0, -2.0])
         params = GnnParams(weight=np.zeros((3, 2)), bias=bias)
-        h = relation_summaries(g, params)
+        h = all_summary_rows(g, params)
         np.testing.assert_allclose(h, np.tile(bias, (4, 1)), atol=1e-15)
 
     def test_dimension_mismatch_raises(self):
         g = isolated(np.zeros((1, 3)))
         with pytest.raises(ValueError, match="dim"):
-            relation_summaries(g, GnnParams(weight=np.eye(2), bias=np.zeros(2)))
+            all_summary_rows(g, GnnParams(weight=np.eye(2), bias=np.zeros(2)))
 
     def test_linearity_in_features(self):
         gen = np.random.default_rng(1)
@@ -47,8 +52,8 @@ class TestRelationSummaries:
         g1 = build_knn_graph(x, 2)
         g2 = RelationGraph(node_features=3.0 * x, edges=g1.edges)
         np.testing.assert_allclose(
-            relation_summaries(g2, params),
-            3.0 * relation_summaries(g1, params),
+            all_summary_rows(g2, params),
+            3.0 * all_summary_rows(g1, params),
             atol=1e-10,
         )
 
@@ -56,14 +61,14 @@ class TestRelationSummaries:
         gen = np.random.default_rng(2)
         g = build_knn_graph(gen.standard_normal((7, 3)), 2)
         params = GnnParams(weight=gen.standard_normal((3, 4)), bias=gen.standard_normal(4))
-        full = relation_summaries(g, params)
+        full = all_summary_rows(g, params)
         np.testing.assert_array_equal(summary_rows(g, params, [5, 1, 3]), full[[5, 1, 3]])
 
     def test_tanh_activation(self):
         f = np.array([[0.3, -0.7]])
         params = GnnParams(weight=np.eye(2), bias=np.zeros(2), activation="tanh")
         np.testing.assert_allclose(
-            relation_summaries(isolated(f), params), np.tanh(f), atol=1e-15
+            all_summary_rows(isolated(f), params), np.tanh(f), atol=1e-15
         )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from protograph import sampler
 from protograph.likelihood import (
     EncoderParams,
     pairwise_logits,
@@ -12,10 +13,8 @@ from protograph.likelihood import (
 )
 from protograph.numerics import RngStream, softmax_with_temperature, standard_normal_sample
 from protograph.sampler import (
-    PrototypeSamples,
     SamplerConfig,
-    SupportStatistics,
-    init_objective_and_grad,
+    episode_forward,
     init_prototypes,
     posterior_predict,
     predict_queries,
@@ -26,109 +25,83 @@ from protograph.sampler import (
 IDENTITY = EncoderParams(mode="identity")
 
 
+def statistics(e, y, n_way):
+    return support_statistics(e, *support_labels(y, n_way))
+
+
 class TestSupportStatistics:
     def test_single_instance(self):
         e = np.array([[2.0, -1.0]])
-        stats = support_statistics(e, np.array([0]), 1)
-        np.testing.assert_array_equal(stats.class_means, e)
-        np.testing.assert_array_equal(stats.grand_mean, e[0])
+        class_means, grand_mean = statistics(e, np.array([0]), 1)
+        np.testing.assert_array_equal(class_means, e)
+        np.testing.assert_array_equal(grand_mean, e[0])
 
     def test_two_classes_hand_mean(self):
         e = np.array([[1.0, 0.0], [3.0, 2.0]])
-        stats = support_statistics(e, np.array([0, 1]), 2)
-        np.testing.assert_array_equal(stats.class_means, e)
-        np.testing.assert_allclose(stats.grand_mean, [2.0, 1.0], atol=1e-15)
+        class_means, grand_mean = statistics(e, np.array([0, 1]), 2)
+        np.testing.assert_array_equal(class_means, e)
+        np.testing.assert_allclose(grand_mean, [2.0, 1.0], atol=1e-15)
 
     def test_duplicated_support_same_statistics(self):
         gen = np.random.default_rng(0)
         e = gen.standard_normal((4, 3))
         y = np.array([0, 0, 1, 1])
-        a = support_statistics(e, y, 2)
-        b = support_statistics(np.vstack([e, e]), np.concatenate([y, y]), 2)
-        np.testing.assert_allclose(a.class_means, b.class_means, atol=1e-12)
-        np.testing.assert_allclose(a.grand_mean, b.grand_mean, atol=1e-12)
+        a = statistics(e, y, 2)
+        b = statistics(np.vstack([e, e]), np.concatenate([y, y]), 2)
+        np.testing.assert_allclose(a[0], b[0], atol=1e-12)
+        np.testing.assert_allclose(a[1], b[1], atol=1e-12)
 
     def test_empty_support_raises(self):
+        # the forward checks the labels before it builds the statistics
         with pytest.raises(ValueError, match="empty support"):
-            support_statistics(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+            posterior_predict(
+                np.zeros((0, 2)), np.zeros(0, dtype=int), [0, 1], np.ones((1, 2)),
+                np.zeros((2, 2)), SamplerConfig(), IDENTITY, RngStream(0),
+            )
 
 
 class TestInitPrototypes:
     def test_single_relation_equals_summary(self):
         # with one relation m_r = m, so v = h_r at alpha = beta = 1
-        stats = SupportStatistics(class_means=np.array([[3.0, 1.0]]), grand_mean=np.array([3.0, 1.0]))
         h = np.array([[0.5, -0.5]])
-        samples = init_prototypes(stats, h, 1.0, 1.0, 2)
-        np.testing.assert_allclose(samples.values[0], h, atol=1e-15)
+        values = init_prototypes(np.array([[3.0, 1.0]]), np.array([3.0, 1.0]), h, 1.0, 1.0, 2)
+        np.testing.assert_allclose(values[0], h, atol=1e-15)
 
     def test_hand_case_d1(self):
-        stats = SupportStatistics(class_means=np.array([[2.0], [0.0]]), grand_mean=np.array([1.0]))
         h = np.array([[1.0], [1.0]])
-        samples = init_prototypes(stats, h, 1.0, 1.0, 1)
-        np.testing.assert_allclose(samples.values[0], [[2.0], [0.0]], atol=1e-15)
+        values = init_prototypes(np.array([[2.0], [0.0]]), np.array([1.0]), h, 1.0, 1.0, 1)
+        np.testing.assert_allclose(values[0], [[2.0], [0.0]], atol=1e-15)
 
     def test_zero_weights_recover_class_means(self):
         gen = np.random.default_rng(1)
-        stats = SupportStatistics(
-            class_means=gen.standard_normal((3, 2)), grand_mean=gen.standard_normal(2)
+        class_means, grand_mean = gen.standard_normal((3, 2)), gen.standard_normal(2)
+        values = init_prototypes(
+            class_means, grand_mean, gen.standard_normal((3, 2)), 0.0, 0.0, 4
         )
-        samples = init_prototypes(stats, gen.standard_normal((3, 2)), 0.0, 0.0, 4)
         for l in range(4):
-            np.testing.assert_array_equal(samples.values[l], stats.class_means)
+            np.testing.assert_array_equal(values[l], class_means)
 
     def test_chains_share_the_init(self):
         gen = np.random.default_rng(2)
-        stats = SupportStatistics(
-            class_means=gen.standard_normal((2, 3)), grand_mean=gen.standard_normal(3)
+        class_means, grand_mean = gen.standard_normal((2, 3)), gen.standard_normal(3)
+        values = init_prototypes(
+            class_means, grand_mean, gen.standard_normal((2, 3)), 1.0, 1.0, 5
         )
-        samples = init_prototypes(stats, gen.standard_normal((2, 3)), 1.0, 1.0, 5)
         for l in range(1, 5):
-            np.testing.assert_array_equal(samples.values[l], samples.values[0])
+            np.testing.assert_array_equal(values[l], values[0])
 
 
-class TestInitObjective:
-    def test_gradient_zero_at_init(self):
-        gen = np.random.default_rng(3)
-        for _ in range(50):
-            n, d = int(gen.integers(1, 5)), int(gen.integers(1, 5))
-            stats = SupportStatistics(
-                class_means=gen.standard_normal((n, d)), grand_mean=gen.standard_normal(d)
-            )
-            h = gen.standard_normal((n, d))
-            init = init_prototypes(stats, h, 1.0, 1.0, 1).values[0]
-            _, grad = init_objective_and_grad(init, stats, h)
-            assert np.max(np.abs(grad)) < 1e-8
-
-    def test_gradient_ascent_converges_to_init(self):
-        gen = np.random.default_rng(4)
-        stats = SupportStatistics(
-            class_means=gen.standard_normal((3, 4)), grand_mean=gen.standard_normal(4)
-        )
-        h = gen.standard_normal((3, 4))
-        init = init_prototypes(stats, h, 1.0, 1.0, 1).values[0]
-        v = gen.standard_normal((3, 4)) * 5.0
-        for _ in range(60):
-            _, grad = init_objective_and_grad(v, stats, h)
-            v = v + 0.5 * grad
-        assert np.linalg.norm(v - init) < 1e-4
-
-    def test_value_is_negative_half_squared_distance(self):
-        stats = SupportStatistics(class_means=np.zeros((1, 2)), grand_mean=np.zeros(2))
-        h = np.zeros((1, 2))
-        value, _ = init_objective_and_grad(np.array([[3.0, 4.0]]), stats, h)
-        assert value == pytest.approx(-12.5)
-
-
-def run_chain(values, summaries, config, rng, support=None, targets=None):
+def run_chain(values, summaries, config, rng, support=None, targets=None, record=False):
+    """sgld_chain on labelled support rows, or on no support at all."""
     n = values.shape[1]
     if support is None:
-        sx, sy = np.zeros((0, values.shape[2])), np.zeros(0, dtype=int)
+        sx, one_hot, k_shot = np.zeros((0, values.shape[2])), np.zeros((0, n)), 0
     else:
         sx, sy = support
-    samples = PrototypeSamples(values=values.copy())
+        one_hot, k_shot = support_labels(sy, n)
     return sgld_chain(
-        sx, sy, list(range(n)) if targets is None else targets,
-        summaries, samples, config, rng,
+        sx, one_hot, k_shot, list(range(n)) if targets is None else targets,
+        summaries, values, config, rng, record,
     )
 
 
@@ -138,8 +111,8 @@ class TestSgldChain:
         v = gen.standard_normal((2, 3, 2))
         h = gen.standard_normal((3, 2))
         cfg = SamplerConfig(chains=2, steps=4, step_size=0.0, likelihood_weight=0.0)
-        out = run_chain(v, h, cfg, RngStream(0))
-        np.testing.assert_array_equal(out.values, v)
+        out, _ = run_chain(v, h, cfg, RngStream(0))
+        np.testing.assert_array_equal(out, v)
 
     def test_prior_only_noiseless_converges_monotonically(self):
         gen = np.random.default_rng(6)
@@ -148,11 +121,7 @@ class TestSgldChain:
         cfg = SamplerConfig(
             chains=1, steps=40, step_size=0.05, noise_enabled=False, likelihood_weight=0.0
         )
-        samples = PrototypeSamples(values=v.copy())
-        _, record = sgld_chain(
-            np.zeros((0, 3)), np.zeros(0, dtype=int), [0, 1], h, samples, cfg,
-            RngStream(0), record=True,
-        )
+        _, record = run_chain(v, h, cfg, RngStream(0), record=True)
         dists = [np.linalg.norm(record.trajectory[t, 0] - h) for t in range(41)]
         assert all(dists[t + 1] < dists[t] for t in range(40))
 
@@ -163,9 +132,9 @@ class TestSgldChain:
         sx = gen.standard_normal((2, 2))
         sy = np.array([0, 1])
         cfg = SamplerConfig(chains=3, steps=5)
-        a = run_chain(v, h, cfg, RngStream(11), support=(sx, sy))
-        b = run_chain(v, h, cfg, RngStream(11), support=(sx, sy))
-        np.testing.assert_array_equal(a.values, b.values)
+        a, _ = run_chain(v, h, cfg, RngStream(11), support=(sx, sy))
+        b, _ = run_chain(v, h, cfg, RngStream(11), support=(sx, sy))
+        np.testing.assert_array_equal(a, b)
 
     def test_divergence_reports_chain_and_step(self):
         # without the prior any step size is accepted; the likelihood drift
@@ -192,7 +161,7 @@ class TestSgldChain:
             chains=1, steps=steps, step_size=eps0, step_decay=decay,
             noise_enabled=False, prior_weight=0.0, tau=tau,
         )
-        out = run_chain(v0[None, :, :], h, cfg, RngStream(0), support=(sx, sy))
+        out, _ = run_chain(v0[None, :, :], h, cfg, RngStream(0), support=(sx, sy))
 
         one_hot = np.zeros((n * k, n))
         one_hot[np.arange(n * k), sy] = 1.0
@@ -202,7 +171,7 @@ class TestSgldChain:
             probs = softmax_with_temperature(sx @ v.T, tau)
             grad = (one_hot - probs).T @ sx / (k * tau)
             v = v + 0.5 * eps_t * grad
-        np.testing.assert_allclose(out.values[0], v, atol=1e-10)
+        np.testing.assert_allclose(out[0], v, atol=1e-10)
 
     @pytest.mark.parametrize("measure", ["euclidean", "dot"])
     def test_one_step_is_support_gradient_ascent_per_chain(self, measure):
@@ -217,10 +186,10 @@ class TestSgldChain:
             chains=3, steps=1, step_size=eps, noise_enabled=False,
             prior_weight=0.0, tau=tau, measure=measure,
         )
-        out = run_chain(v, gen.standard_normal((n, d)), cfg, RngStream(0), support=(sx, sy))
+        out, _ = run_chain(v, gen.standard_normal((n, d)), cfg, RngStream(0), support=(sx, sy))
         for l in range(3):
             _, grad = support_log_likelihood_and_grad(sx, sy, v[l], IDENTITY, measure, tau)
-            np.testing.assert_allclose(out.values[l], v[l] + 0.5 * eps * grad, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[l], v[l] + 0.5 * eps * grad, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     def test_record_keeps_support_probs_of_each_step(self, measure):
@@ -228,12 +197,11 @@ class TestSgldChain:
         sx = gen.standard_normal((4, 3))
         sy = np.array([0, 0, 1, 1])
         cfg = SamplerConfig(chains=2, steps=3, measure=measure)
+        one_hot, k_shot = support_labels(sy, 2)
         _, record = sgld_chain(
-            sx, sy, [3, 1], gen.standard_normal((2, 3)),
-            PrototypeSamples(values=gen.standard_normal((2, 2, 3))), cfg,
-            RngStream(4), record=True,
+            sx, one_hot, k_shot, [3, 1], gen.standard_normal((2, 3)),
+            gen.standard_normal((2, 2, 3)), cfg, RngStream(4), record=True,
         )
-        one_hot, _ = support_labels(sy, 2)
         assert record.support_probs.shape == (3, 2, 4, 2)
         for t in range(3):
             probs, _ = support_probs_and_grad(
@@ -243,9 +211,9 @@ class TestSgldChain:
 
     def test_record_without_likelihood_has_no_support_probs(self):
         cfg = SamplerConfig(chains=2, steps=3, likelihood_weight=0.0)
-        _, record = sgld_chain(
-            np.ones((2, 3)), np.array([0, 1]), [0, 1], np.zeros((2, 3)),
-            PrototypeSamples(values=np.zeros((2, 2, 3))), cfg, RngStream(4), record=True,
+        _, record = run_chain(
+            np.zeros((2, 2, 3)), np.zeros((2, 3)), cfg, RngStream(4),
+            support=(np.ones((2, 3)), np.array([0, 1])), record=True,
         )
         assert record.support_probs is None
 
@@ -256,12 +224,12 @@ class TestSgldChain:
         h = gen.standard_normal((3, 2))
         targets = [4, 0, 2]
         cfg = SamplerConfig(chains=2, steps=4, likelihood_weight=0.0)
-        out = run_chain(v, h, cfg, RngStream(3), targets=targets)
+        out, _ = run_chain(v, h, cfg, RngStream(3), targets=targets)
         perm = [2, 0, 1]
-        out_p = run_chain(
+        out_p, _ = run_chain(
             v[:, perm], h[perm], cfg, RngStream(3), targets=[targets[p] for p in perm]
         )
-        np.testing.assert_allclose(out_p.values, out.values[:, perm], atol=1e-14)
+        np.testing.assert_allclose(out_p, out[:, perm], atol=1e-14)
 
     def test_noise_is_child_stream_draw_in_target_rank_order(self):
         # with both gradient terms weighted to zero the chain adds only noise;
@@ -274,7 +242,7 @@ class TestSgldChain:
             chains=3, steps=4, step_decay=0.5, prior_weight=0.0, likelihood_weight=0.0
         )
         rng = RngStream(39, 4)
-        out = run_chain(v, h, cfg, rng, targets=targets)
+        out, _ = run_chain(v, h, cfg, rng, targets=targets)
 
         rank = np.argsort(np.argsort(targets))
         expect = v.copy()
@@ -284,7 +252,22 @@ class TestSgldChain:
                 [standard_normal_sample((4, 5), rng.child(l, t))[rank] for l in range(3)]
             )
             expect = expect + np.sqrt(eps_t) * noise
-        np.testing.assert_array_equal(out.values, expect)
+        np.testing.assert_array_equal(out, expect)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_returns_the_final_values_and_the_record(self, record):
+        gen = np.random.default_rng(19)
+        v = gen.standard_normal((2, 3, 2))
+        cfg = SamplerConfig(chains=2, steps=3)
+        support = (gen.standard_normal((3, 2)), np.array([2, 0, 1]))
+        out, chain = run_chain(v, np.zeros((3, 2)), cfg, RngStream(6), support, record=record)
+        if not record:
+            assert chain is None
+            return
+        assert chain.trajectory.shape == (4, 2, 3, 2)
+        assert chain.trajectory[0].tobytes() == v.tobytes()
+        assert chain.trajectory[-1].tobytes() == out.tobytes()
+        assert len({chain.trajectory[t].tobytes() for t in range(4)}) == 4
 
     @pytest.mark.parametrize("noise, built", [(False, 0), (True, 1)])
     def test_one_generator_per_noisy_run(self, monkeypatch, noise, built):
@@ -339,17 +322,16 @@ class TestPredictQueries:
     def test_identical_chains_equal_single_softmax(self):
         gen = np.random.default_rng(10)
         v = gen.standard_normal((1, 3, 2))
-        samples = PrototypeSamples(values=np.repeat(v, 4, axis=0))
         q = gen.standard_normal((5, 2))
-        probs, _ = predict_queries(q, samples, IDENTITY, "dot", 10.0)
+        probs, _ = predict_queries(q, np.repeat(v, 4, axis=0), IDENTITY, "dot", 10.0)
         expect = softmax_with_temperature(q @ v[0].T, 10.0)
         np.testing.assert_allclose(probs, expect, atol=1e-12)
 
     def test_two_chain_hand_average(self):
         # d=1, two classes: prototype pairs differ per chain
-        samples = PrototypeSamples(values=np.array([[[1.0], [0.0]], [[0.0], [1.0]]]))
+        values = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
         q = np.array([[1.0]])
-        probs, _ = predict_queries(q, samples, IDENTITY, "dot", 1.0)
+        probs, _ = predict_queries(q, values, IDENTITY, "dot", 1.0)
         p1 = softmax_with_temperature(np.array([1.0, 0.0]), 1.0)
         p2 = softmax_with_temperature(np.array([0.0, 1.0]), 1.0)
         np.testing.assert_allclose(probs[0], (p1 + p2) / 2, atol=1e-12)
@@ -359,17 +341,16 @@ class TestPredictQueries:
         for _ in range(100):
             chains = int(gen.integers(1, 6))
             n = int(gen.integers(1, 6))
-            samples = PrototypeSamples(values=gen.standard_normal((chains, n, 3)))
+            values = gen.standard_normal((chains, n, 3))
             probs, _ = predict_queries(
-                gen.standard_normal((4, 3)), samples, IDENTITY, "euclidean", 5.0
+                gen.standard_normal((4, 3)), values, IDENTITY, "euclidean", 5.0
             )
             np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-9)
 
     def test_tie_breaks_to_lowest_relation_id(self):
         # identical prototypes force an exact tie; targets are unsorted
-        samples = PrototypeSamples(values=np.ones((1, 3, 2)))
         _, preds = predict_queries(
-            np.ones((1, 2)), samples, IDENTITY, "dot", 1.0, targets=[7, 3, 9]
+            np.ones((1, 2)), np.ones((1, 3, 2)), IDENTITY, "dot", 1.0, targets=[7, 3, 9]
         )
         assert preds[0] == 1  # relation 3 has the lowest id
 
@@ -382,7 +363,7 @@ class TestPredictQueries:
         values = np.stack([np.stack([a, b, a, b, a])] * 2)
         queries = np.vstack([gen.standard_normal((20, 3)), np.zeros((1, 3))])
         probs, preds = predict_queries(
-            queries, PrototypeSamples(values=values), IDENTITY, "dot", 2.0, targets=targets
+            queries, values, IDENTITY, "dot", 2.0, targets=targets
         )
         ties = (probs == probs.max(axis=1, keepdims=True)).sum(axis=1)
         assert ties.min() >= 2 and ties.max() == 5
@@ -390,7 +371,7 @@ class TestPredictQueries:
 
     def test_empty_samples_raise(self):
         with pytest.raises(ValueError, match="samples"):
-            predict_queries(np.ones((1, 2)), PrototypeSamples(values=np.zeros((0, 2, 2))), IDENTITY, "dot", 1.0)
+            predict_queries(np.ones((1, 2)), np.zeros((0, 2, 2)), IDENTITY, "dot", 1.0)
 
 
 class TestPosteriorPredict:
@@ -431,6 +412,29 @@ class TestPosteriorPredict:
             )
 
 
+class TestEpisodeForward:
+    @pytest.mark.parametrize("record", [False, True])
+    def test_checks_the_support_labels_once(self, monkeypatch, record):
+        calls = []
+
+        def counting_support_labels(*args):
+            calls.append(args)
+            return support_labels(*args)
+
+        monkeypatch.setattr(sampler, "support_labels", counting_support_labels)
+        gen = np.random.default_rng(23)
+        sy = np.array([1, 0, 1, 0])
+        fwd = episode_forward(
+            gen.standard_normal((4, 3)), sy, [5, 2], gen.standard_normal((6, 3)),
+            gen.standard_normal((2, 3)), SamplerConfig(chains=3, steps=2), IDENTITY,
+            RngStream(21), record=record,
+        )
+        assert len(calls) == 1
+        one_hot, k_shot = support_labels(sy, 2)
+        assert fwd.one_hot.tobytes() == one_hot.tobytes() and fwd.k_shot == k_shot
+        assert (fwd.record is not None) == record
+
+
 def episode_batch(seed, e_count, n_way=4, k_shot=2, q_count=6, d=5):
     """E random episodes of one shape: support and query rows, labels,
     distinct targets per episode and relation summaries."""
@@ -459,20 +463,27 @@ class TestEpisodeBatch:
         cfg = SamplerConfig(chains=3, steps=4, step_decay=0.3, measure=measure,
                             noise_enabled=noise)
         streams = [RngStream(8).child(i, 1) for i in range(5)]
-        stats = support_statistics(sx, sy, 4)
-        samples = init_prototypes(stats, h, cfg.alpha, cfg.beta, cfg.chains)
-        out, record = sgld_chain(sx, sy, targets, h, samples, cfg, streams, record=True)
-        assert out.values.shape == (5, 3, 4, 5)
+        one_hot, k_shot = support_labels(sy, 4)
+        means, grand = support_statistics(sx, one_hot, k_shot)
+        init = init_prototypes(means, grand, h, cfg.alpha, cfg.beta, cfg.chains)
+        out, record = sgld_chain(
+            sx, one_hot, k_shot, targets, h, init, cfg, streams, record=True
+        )
+        assert out.shape == (5, 3, 4, 5)
         for e in range(5):
-            alone_stats = support_statistics(sx[e], sy[e], 4)
-            assert stats.class_means[e].tobytes() == alone_stats.class_means.tobytes()
-            assert stats.grand_mean[e].tobytes() == alone_stats.grand_mean.tobytes()
-            init = init_prototypes(alone_stats, h[e], cfg.alpha, cfg.beta, cfg.chains)
-            assert samples.values[e].tobytes() == init.values.tobytes()
-            alone, alone_record = sgld_chain(
-                sx[e], sy[e], targets[e], h[e], init, cfg, streams[e], record=True
+            alone_one_hot, _ = support_labels(sy[e], 4)
+            alone_means, alone_grand = support_statistics(sx[e], alone_one_hot, k_shot)
+            assert means[e].tobytes() == alone_means.tobytes()
+            assert grand[e].tobytes() == alone_grand.tobytes()
+            alone_init = init_prototypes(
+                alone_means, alone_grand, h[e], cfg.alpha, cfg.beta, cfg.chains
             )
-            assert out.values[e].tobytes() == alone.values.tobytes()
+            assert init[e].tobytes() == alone_init.tobytes()
+            alone, alone_record = sgld_chain(
+                sx[e], alone_one_hot, k_shot, targets[e], h[e], alone_init, cfg, streams[e],
+                record=True,
+            )
+            assert out[e].tobytes() == alone.tobytes()
             assert record.trajectory[:, e].tobytes() == alone_record.trajectory.tobytes()
             assert record.support_probs[:, e].tobytes() == alone_record.support_probs.tobytes()
 
@@ -497,8 +508,7 @@ class TestEpisodeBatch:
         values = np.repeat(gen.standard_normal((3, 1, 1, 2)), 4, axis=2)
         queries = gen.standard_normal((3, 5, 2))
         targets = np.array([[7, 3, 9, 4], [1, 8, 0, 2], [5, 6, 7, 8]])
-        _, preds = predict_queries(queries, PrototypeSamples(values), IDENTITY, "dot", 1.0,
-                                   targets)
+        _, preds = predict_queries(queries, values, IDENTITY, "dot", 1.0, targets)
         np.testing.assert_array_equal(preds, np.repeat([[1], [2], [0]], 5, axis=1))
 
     def test_divergence_names_the_global_episode(self):
@@ -506,13 +516,13 @@ class TestEpisodeBatch:
         # at episode 40 of its evaluation
         sx = np.zeros((3, 2, 1))
         sx[2] = [[1e200], [-1e200]]
-        sy = np.array([[0, 1]] * 3)
+        one_hot, k_shot = support_labels(np.array([[0, 1]] * 3), 2)
         v = np.zeros((3, 2, 2, 1))
         cfg = SamplerConfig(chains=2, steps=3, step_size=1e300, prior_weight=0.0)
         streams = [RngStream(0).child(i, 1) for i in range(3)]
         message = "sampler diverged at episode 42 chain 0 step 1"
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=message):
-            sgld_chain(sx, sy, [[0, 1]] * 3, np.zeros((3, 2, 1)), PrototypeSamples(v), cfg,
+            sgld_chain(sx, one_hot, k_shot, [[0, 1]] * 3, np.zeros((3, 2, 1)), v, cfg,
                        streams, first_episode=40)
 
 

@@ -2,23 +2,27 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER_PATH = ROOT / "benchmarks" / "tracer.py"
 SRC = ROOT / "src" / "protograph"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER_PATH)
+def load_benchmark_module(name):
+    """A module of benchmarks/, loaded from its file."""
+    path = ROOT / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
 
-tracer = load_tracer()
+tracer = load_benchmark_module("tracer")
+workloads = load_benchmark_module("workloads")
 
 
 @pytest.mark.parametrize("owner, attr, name", tracer.SPAN_SITES + tracer.COUNT_SITES)
@@ -48,3 +52,19 @@ def test_every_kept_import_is_a_traced_call_site():
     kept = list(kept_imports())
     assert kept, "no kept import found: the scan is broken"
     assert [site for site in kept if site not in sites] == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_runs_a_unit(name, tmp_path):
+    # the benchmark's own path through the library, at its smallest: a
+    # training unit validates and checkpoints once, the others run 1 episode
+    spec = workloads.WORKLOADS[name]
+    work, out = tmp_path / "work", tmp_path / "out"
+    work.mkdir()
+    out.mkdir()
+    workloads.prepare(spec, 0, work)
+    inputs = workloads.load_inputs(spec, workloads.input_files(work))
+    episodes = spec.eval_every if spec.kind == "train" else 1
+    accuracy = workloads.run_unit(spec, inputs, 1, out, episodes)
+    assert 0.0 <= accuracy <= 1.0
+    assert sorted(p.name for p in out.iterdir()) == sorted(workloads.output_names(spec))
