@@ -190,7 +190,6 @@ def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
         output_dim=dataset.d,
         rng=RngStream(opts["seed"]).child(0),
         encoder_mode=opts["encoder"],
-        encoder_input_dim=dataset.d,
     )
 
 

@@ -45,10 +45,14 @@ class Dataset:
     def num_relations(self) -> int:
         return len(self.names)
 
-    def relations_in_split(self, split: str) -> list[int]:
+    def relations_in_split(self, split: str, need: int = 0) -> list[int]:
+        """Relation ids of ``split``, ascending; raises if there are fewer than ``need``."""
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}")
-        return sorted(r for r, s in self.splits.items() if s == split)
+        ids = sorted(r for r, s in self.splits.items() if s == split)
+        if len(ids) < need:
+            raise ValueError(f"split {split!r} has {len(ids)} relations, need {need}")
+        return ids
 
 
 @dataclass
@@ -80,11 +84,7 @@ def sample_episode(
     """
     if n_way < 1 or k_shot < 0 or q_per < 1:
         raise ValueError("need n_way >= 1, k_shot >= 0, q_per >= 1")
-    rel_ids = dataset.relations_in_split(split)
-    if len(rel_ids) < n_way:
-        raise ValueError(
-            f"split {split!r} has {len(rel_ids)} relations, need {n_way}"
-        )
+    rel_ids = dataset.relations_in_split(split, need=n_way)
     gen = rng.generator()
     targets = [int(r) for r in gen.choice(np.asarray(rel_ids), size=n_way, replace=False)]
 
@@ -187,33 +187,13 @@ def load_dataset(instances_path, registry_path) -> Dataset:
     if not names:
         raise ValueError(f"{registry_path}: empty registry")
 
-    rows: dict[int, list[np.ndarray]] = {rid: [] for rid in names}
-    d = None
-    for lineno, line in read_lines(instances_path):
-        rid, vec = parse_row(line, instances_path, lineno)
+    linenos, ids, values = read_rows(instances_path, "instance", "feature")
+    for lineno, rid in zip(linenos, ids):
         if rid not in names:
             raise ValueError(f"{instances_path}:{lineno}: unknown relation id {rid}")
-        if d is None:
-            d = len(vec)
-            if d == 0:
-                raise ValueError(f"{instances_path}:{lineno}: instance has no features")
-        elif len(vec) != d:
-            raise ValueError(
-                f"{instances_path}:{lineno}: dimension {len(vec)} != {d}"
-            )
-        rows[rid].append(vec)
-    if d is None:
-        raise ValueError(f"{instances_path}: no instances")
-
-    instances = {}
-    for rid in names:
-        if not rows[rid]:
-            raise ValueError(f"relation {rid} has no instances")
-        instances[rid] = np.vstack(rows[rid])
-    if not all(np.isfinite(x).all() for x in instances.values()):
-        lineno = first_nonfinite_line(instances_path)
-        raise ValueError(f"{instances_path}:{lineno}: non-finite feature")
-    return Dataset(names=names, splits=splits, instances=instances, d=int(d))
+    ids = np.asarray(ids)
+    instances = {rid: values[ids == rid] for rid in names}
+    return Dataset(names=names, splits=splits, instances=instances, d=values.shape[1])
 
 
 def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
@@ -222,12 +202,11 @@ def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
         f"{rid}\t{dataset.names[rid]}\t{dataset.splits[rid]}"
         for rid in sorted(dataset.names)
     ]
-    inst_lines = []
-    for rid in sorted(dataset.names):
-        for row in dataset.instances[rid]:
-            inst_lines.append(f"{rid}\t" + "\t".join(repr(float(v)) for v in row))
     Path(registry_path).write_text("\n".join(reg_lines) + "\n", encoding="utf-8")
-    Path(instances_path).write_text("\n".join(inst_lines) + "\n", encoding="utf-8")
+    write_rows(
+        instances_path,
+        ((rid, row) for rid in sorted(dataset.names) for row in dataset.instances[rid]),
+    )
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
@@ -244,21 +223,43 @@ def parse_ints(fields, path, lineno: int) -> list[int]:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
-def parse_row(line: str, path, lineno: int) -> tuple[int, np.ndarray]:
-    """The id and the values of an "id<TAB>v_1<TAB>...<TAB>v_d" line."""
-    parts = line.split("\t")
-    try:
-        return int(parts[0]), np.array([float(v) for v in parts[1:]], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+def read_rows(path, row: str, value: str) -> tuple[list[int], list[int], np.ndarray]:
+    """Line numbers, ids and (n, d) values of an "id<TAB>v_1<TAB>...<TAB>v_d" file.
 
-
-def first_nonfinite_line(path) -> int | None:
-    """Number of the first "id<TAB>values..." line whose values hold a nan or inf.
-
-    Loaders check whole arrays and call this only to locate a failure.
+    The one reader of the instance and embedding files. It checks the format
+    (every number, one dimension d >= 1, finite values) and reports the first
+    failure as ``path:line: ...``; the callers check the ids. ``row`` and
+    ``value`` name a line and one of its values in the messages.
     """
-    for lineno, line in read_lines(path):
-        if not np.isfinite(parse_row(line, path, lineno)[1]).all():
-            return lineno
-    return None
+    numbered = list(read_lines(path))
+    if not numbered:
+        raise ValueError(f"{path}: no {row}s")
+    values = None
+    ids = []
+    for i, (lineno, line) in enumerate(numbered):
+        fields = line.split("\t")
+        try:
+            ids.append(int(fields[0]))
+            vec = [float(v) for v in fields[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if values is None:
+            if not vec:
+                raise ValueError(f"{path}:{lineno}: {row} has no values")
+            values = np.empty((len(numbered), len(vec)))
+        elif len(vec) != values.shape[1]:
+            raise ValueError(f"{path}:{lineno}: dimension {len(vec)} != {values.shape[1]}")
+        values[i] = vec
+    linenos = [lineno for lineno, _ in numbered]
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite {value}")
+    return linenos, ids, values
+
+
+def write_rows(path, rows) -> None:
+    """Write (id, values) pairs as "id<TAB>v_1<TAB>...<TAB>v_d" lines; the
+    values' decimal reprs read back exactly."""
+    lines = [f"{rid}\t" + "\t".join(map(repr, np.asarray(vec, dtype=float).tolist()))
+             for rid, vec in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -30,10 +30,23 @@ if TYPE_CHECKING:
 # shares each numpy call's overhead among its episodes at flat memory.
 BATCH_ELEMENTS = 2**14
 
-CSV_COLUMNS = (
-    "setting", "N", "K", "L", "M", "epsilon0", "alpha", "beta",
-    "measure", "episodes", "accuracy", "ci95", "seed",
-)
+# The report format: column -> (EvalReport attribute, type), in column
+# order. Float columns are written with 6 decimals.
+REPORT_COLUMNS = {
+    "setting": ("setting", str),
+    "N": ("n_way", int),
+    "K": ("k_shot", int),
+    "L": ("chains", int),
+    "M": ("steps", int),
+    "epsilon0": ("step_size", float),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "measure": ("measure", str),
+    "episodes": ("episodes", int),
+    "accuracy": ("accuracy", float),
+    "ci95": ("ci95", float),
+    "seed": ("seed", int),
+}
 
 
 @dataclass
@@ -56,21 +69,8 @@ class EvalReport:
     per_episode: list[float] = field(default_factory=list)
 
     def row(self) -> dict:
-        return {
-            "setting": self.setting,
-            "N": self.n_way,
-            "K": self.k_shot,
-            "L": self.chains,
-            "M": self.steps,
-            "epsilon0": self.step_size,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "measure": self.measure,
-            "episodes": self.episodes,
-            "accuracy": self.accuracy,
-            "ci95": self.ci95,
-            "seed": self.seed,
-        }
+        """Column -> value, in REPORT_COLUMNS order."""
+        return {col: getattr(self, attr) for col, (attr, _) in REPORT_COLUMNS.items()}
 
 
 def episode_outcomes(
@@ -238,23 +238,17 @@ def emit_report(reports, path, format: str = "csv") -> None:
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
     path = Path(path)
+    floats = {col for col, (_, kind) in REPORT_COLUMNS.items() if kind is float}
+    rows = [rep.row() for rep in reports]
     if format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for rep in reports:
-            row = rep.row()
-            cells = []
-            for col in CSV_COLUMNS:
-                v = row[col]
-                cells.append(f"{v:.6f}" if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
+        lines = [",".join(REPORT_COLUMNS)] + [
+            ",".join(f"{v:.6f}" if col in floats else str(v) for col, v in row.items())
+            for row in rows
+        ]
         payload = "\n".join(lines) + "\n"
     else:
-        rows = []
-        for rep in reports:
-            row = rep.row()
-            rows.append(
-                {k: (round(v, 6) if isinstance(v, float) else v) for k, v in row.items()}
-            )
+        rows = [{col: round(v, 6) if col in floats else v for col, v in row.items()}
+                for row in rows]
         payload = json.dumps(rows, indent=2) + "\n"
     try:
         path.write_text(payload, encoding="utf-8")
@@ -265,15 +259,10 @@ def emit_report(reports, path, format: str = "csv") -> None:
 def parse_report_csv(path) -> list[dict]:
     """Read back an emitted CSV report (used by round-trip checks and tools)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
+    if not lines or lines[0].split(",") != list(REPORT_COLUMNS):
         raise ValueError(f"{path}: unexpected header")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = dict(zip(CSV_COLUMNS, cells))
-        for key in ("N", "K", "L", "M", "episodes", "seed"):
-            row[key] = int(row[key])
-        for key in ("epsilon0", "alpha", "beta", "accuracy", "ci95"):
-            row[key] = float(row[key])
-        out.append(row)
-    return out
+    kinds = [kind for _, kind in REPORT_COLUMNS.values()]
+    return [
+        {col: kind(cell) for col, kind, cell in zip(REPORT_COLUMNS, kinds, line.split(","))}
+        for line in lines[1:]
+    ]

@@ -71,10 +71,7 @@ def check_episode_objective(seed: int, case: int, d: int, n_way: int, k_shot: in
     embeddings = gen.standard_normal((n_relations, d))
     graph = build_knn_graph(embeddings, k=2)
     episode = random_episode(gen, n_way, k_shot, q_per, d, n_relations)
-    params = init_params(
-        graph_dim=d, output_dim=d, rng=RngStream(seed).child(41, case),
-        encoder_mode="linear", encoder_input_dim=d,
-    )
+    params = init_params(d, d, RngStream(seed).child(41, case), encoder_mode="linear")
     config = SamplerConfig(
         chains=chains, steps=steps, step_size=0.1, tau=tau, measure=measure,
         noise_enabled=True,

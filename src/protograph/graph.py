@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import first_nonfinite_line, parse_ints, parse_row, read_lines
+from .data import parse_ints, read_lines, read_rows, write_rows
 
 
 @dataclass
@@ -127,32 +127,16 @@ def load_graph(embeddings, edges_path) -> RelationGraph:
 
 def load_embeddings(path) -> np.ndarray:
     """Read "relation_id<TAB>values..." lines; row index must equal the id."""
-    rows = {}
-    d = None
-    for lineno, line in read_lines(path):
-        rid, vec = parse_row(line, path, lineno)
-        if d is None:
-            d = len(vec)
-            if d == 0:
-                raise ValueError(f"{path}:{lineno}: embedding has no values")
-        elif len(vec) != d:
-            raise ValueError(f"{path}:{lineno}: dimension {len(vec)} != {d}")
-        if rid in rows:
+    linenos, ids, values = read_rows(path, "embedding", "embedding")
+    seen = set()
+    for lineno, rid in zip(linenos, ids):
+        if rid in seen:
             raise ValueError(f"{path}:{lineno}: duplicate relation id {rid}")
-        rows[rid] = vec
-    if not rows:
-        raise ValueError(f"{path}: no embeddings")
-    if sorted(rows) != list(range(len(rows))):
+        seen.add(rid)
+    if sorted(ids) != list(range(len(ids))):
         raise ValueError(f"{path}: relation ids must be contiguous from 0")
-    out = np.vstack([rows[r] for r in range(len(rows))])
-    if not np.isfinite(out).all():
-        raise ValueError(f"{path}:{first_nonfinite_line(path)}: non-finite embedding")
-    return out
+    return values[np.argsort(ids)]
 
 
 def save_embeddings(embeddings, path) -> None:
-    x = np.asarray(embeddings, dtype=float)
-    lines = [
-        f"{r}\t" + "\t".join(repr(float(v)) for v in x[r]) for r in range(len(x))
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, enumerate(np.asarray(embeddings, dtype=float)))

@@ -85,11 +85,13 @@ def init_params(
     output_dim: int,
     rng: RngStream,
     encoder_mode: str = "identity",
-    encoder_input_dim: int | None = None,
     activation: str = "identity",
     hops: int = 1,
 ) -> ModelParams:
-    """Fan-in-scaled uniform init, U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
+    """Fan-in-scaled uniform init, U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
+
+    A linear encoder maps the d = output_dim instance features to d.
+    """
     bound = 1.0 / np.sqrt(graph_dim)
     gen = rng.child(0).generator()
     gnn = GnnParams(
@@ -101,12 +103,11 @@ def init_params(
     if encoder_mode == "identity":
         encoder = EncoderParams(mode="identity")
     else:
-        d_in = output_dim if encoder_input_dim is None else encoder_input_dim
-        e_bound = 1.0 / np.sqrt(d_in)
+        e_bound = 1.0 / np.sqrt(output_dim)
         egen = rng.child(1).generator()
         encoder = EncoderParams(
             mode="linear",
-            weight=egen.uniform(-e_bound, e_bound, size=(output_dim, d_in)),
+            weight=egen.uniform(-e_bound, e_bound, size=(output_dim, output_dim)),
             bias=egen.uniform(-e_bound, e_bound, size=output_dim),
         )
     return ModelParams(gnn=gnn, encoder=encoder)
@@ -155,9 +156,6 @@ def _episode_forward(
     rng: RngStream,
 ) -> _ForwardCache:
     targets = np.asarray(episode.targets, dtype=int)
-    if targets.max() >= graph.n_nodes:
-        raise ValueError(f"episode target {int(targets.max())} not in the graph")
-
     summaries = summary_rows(graph, params.gnn, targets)
     fwd = episode_forward(
         episode.support_x,
@@ -307,6 +305,9 @@ def train(
     accuracy is recorded (and a checkpoint written) every eval_every episodes;
     the final parameters are checkpointed at the end when a path is set.
     """
+    if config.eval_every and config.episodes_total >= config.eval_every:
+        # a validation will run: fail now, not after eval_every episodes
+        dataset.relations_in_split("val", need=config.n_way)
     rng = RngStream(config.seed)
     if params is None:
         params = init_params(
@@ -314,7 +315,6 @@ def train(
             output_dim=dataset.d,
             rng=rng.child(_NS_INIT),
             encoder_mode=config.encoder_mode,
-            encoder_input_dim=dataset.d,
         )
     arrays = param_arrays(params)
     rows: list[LogRow] = []

@@ -164,6 +164,34 @@ def test_c03_sgld_stationarity():
     _pass(3, f"mean err {mean_err:.3f}, var [{variances.min():.3f}, {variances.max():.3f}], {elapsed:.1f}s")
 
 
+def test_c03_many_chain_stationarity():
+    """256 independent prior-only chains at constant eps reach the update's
+    stationary law, at tolerances from the central limit theorem.
+
+    Around the prior mean h the update is x <- (1 - eps/2) x + sqrt(eps) z, an
+    AR(1) process whose stationary variance is 1 / (1 - eps/4) (Welling & Teh
+    2011). At eps = 0.4 that is 1.111, not the target's 1, and after 1,000
+    steps from x = 0 the start has decayed by 0.8^1000. The final states'
+    256 * 4 * 16 coordinates are independent, so their pooled mean and
+    variance get 4 standard errors of slack and the test holds at any seed.
+    """
+    eps, chains, n_way, d = 0.4, 256, 4, 16
+    h = RngStream(7).generator().standard_normal((n_way, d))
+    cfg = SamplerConfig(
+        chains=chains, steps=1_000, step_size=eps, step_decay=0.0,
+        noise_enabled=True, likelihood_weight=0.0,
+    )
+    values = np.broadcast_to(h, (chains, n_way, d)).copy()
+    out, _ = sgld_chain(
+        np.zeros((0, d)), np.zeros((0, n_way)), 0, list(range(n_way)), h, values, cfg,
+        RngStream(8),
+    )
+    x = (out - h).ravel()
+    var = 1.0 / (1.0 - eps / 4.0)
+    assert abs(x.mean()) < 4.0 * np.sqrt(var / x.size)
+    assert abs(x.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / (x.size - 1))
+
+
 def test_c04_maml_correspondence():
     """With noise off and the prior zero-weighted, the chain is exactly
     gradient ascent on the support log-likelihood (independent loop)."""
@@ -368,7 +396,7 @@ def test_c10_invariant_suite():
     gen2 = RngStream(13).generator()
     emb = gen2.standard_normal((8, 4))
     graph = build_knn_graph(emb, 3)
-    params = init_params(4, 4, RngStream(14), encoder_mode="linear", encoder_input_dim=4)
+    params = init_params(4, 4, RngStream(14), encoder_mode="linear")
     cfg = SamplerConfig(chains=3, steps=3)
     for case in range(100):
         ep = random_episode(gen2, 3, 2, 2, 4, 8)

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import pytest
 
-from protograph import cli
+from protograph import cli, trainer
 from protograph.cli import main
 from protograph.evaluation import parse_report_csv
 
@@ -247,6 +247,30 @@ def test_malformed_input_is_one_line_path_line_error(
     assert err.count("\n") == 1 and err.endswith("\n")
     assert message in err
     assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # nothing written
+
+
+def test_train_checks_the_validation_split_before_training(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--out", str(data), "--relations", "25", "--dim", "4",
+        "--per-relation", "12", "--splits", "25,0,0",
+    ]) == 0
+    before = sorted(tmp_path.rglob("*"))
+    episodes = []
+    sample = trainer.sample_episode
+    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.append(a) or sample(*a))
+    argv = [
+        "train", "--data", str(data / "instances.tsv"), "--registry", str(data / "registry.tsv"),
+        "--embeddings", str(data / "embeddings.tsv"), "--checkpoint", str(tmp_path / "m.ckpt"),
+        "--out", str(tmp_path / "log.csv"), "--episodes", "300",
+    ]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: split 'val' has 0 relations, need 5\n"
+    assert episodes == []  # failed before the first training episode
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+    # no validation within the episodes: the split is not needed
+    assert main(argv[:-1] + ["99"]) == 0 and len(episodes) == 99
 
 
 OLD_EVAL_CONFIG = """# command: eval

@@ -156,6 +156,12 @@ class TestLoadSave:
         with pytest.raises(ValueError, match=r"inst.tsv:2: non-finite feature"):
             load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
 
+    def test_format_errors_come_before_id_errors(self, tmp_path):
+        (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")
+        (tmp_path / "inst.tsv").write_text("3\t1.0\n0\tnan\n")
+        with pytest.raises(ValueError, match=r"inst.tsv:2: non-finite feature"):
+            load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+
     def test_unknown_relation_raises(self, tmp_path):
         (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")
         (tmp_path / "inst.tsv").write_text("3\t1.0\t2.0\n")

@@ -301,6 +301,22 @@ class TestSensitivitySweep:
             )
 
 
+@pytest.mark.parametrize("mode", ["fewshot", "zeroshot"])
+def test_target_outside_the_graph_is_named(informative_world, mode):
+    # a graph over the first 12 relations: every test relation (12-19) is missing
+    ds, _, emb = informative_world
+    small = build_knn_graph(emb[:12], 6)
+    params = identity_params(8)
+    with pytest.raises(ValueError, match=r"^episode target 1[2-9] not in the graph$"):
+        if mode == "fewshot":
+            evaluate_fewshot(
+                ds, "test", small, params, 5, 1, 2, 3, SamplerConfig(chains=2, steps=1),
+                RngStream(0),
+            )
+        else:
+            evaluate_zeroshot(ds, "test", small, params, 5, 2, 3, RngStream(0))
+
+
 def sample_report(seed=0):
     return EvalReport(
         setting="fewshot", n_way=5, k_shot=1, chains=10, steps=5, step_size=0.1,

@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +24,7 @@ def load_benchmark_module(name):
 
 tracer = load_benchmark_module("tracer")
 workloads = load_benchmark_module("workloads")
+run = load_benchmark_module("run")
 
 
 @pytest.mark.parametrize("owner, attr, name", tracer.SPAN_SITES + tracer.COUNT_SITES)
@@ -56,15 +58,21 @@ def test_every_kept_import_is_a_traced_call_site():
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_workload_runs_a_unit(name, tmp_path):
-    # the benchmark's own path through the library, at its smallest: a
-    # training unit validates and checkpoints once, the others run 1 episode
+    # unit 0 of seed 0 down the benchmark's own path through the library: its
+    # outputs must carry the digest the benchmark recorded for this platform,
+    # so a change of output bytes fails here as it fails a benchmark run
     spec = workloads.WORKLOADS[name]
     work, out = tmp_path / "work", tmp_path / "out"
     work.mkdir()
     out.mkdir()
     workloads.prepare(spec, 0, work)
     inputs = workloads.load_inputs(spec, workloads.input_files(work))
-    episodes = spec.eval_every if spec.kind == "train" else 1
-    accuracy = workloads.run_unit(spec, inputs, 1, out, episodes)
+    accuracy = workloads.run_unit(spec, inputs, run.unit_seed(0, 0), out, spec.unit_episodes)
     assert 0.0 <= accuracy <= 1.0
-    assert sorted(p.name for p in out.iterdir()) == sorted(workloads.output_names(spec))
+    names = workloads.output_names(spec)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    key = run.platform_key(np)
+    recorded = run.read_digest_table().get(key, {}).get(name, {}).get("0")
+    if not recorded or recorded[0] is None:
+        pytest.skip(f"no digest recorded for {name} seed 0 on {key}")
+    assert run.unit_digest(run.digests(out, names)) == recorded[0]

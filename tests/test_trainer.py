@@ -30,7 +30,7 @@ def tiny_world(seed=0, d=3, n_rel=6):
     gen = RngStream(seed).generator()
     emb = gen.standard_normal((n_rel, d))
     graph = build_knn_graph(emb, 2)
-    params = init_params(d, d, RngStream(seed + 1), encoder_mode="linear", encoder_input_dim=d)
+    params = init_params(d, d, RngStream(seed + 1), encoder_mode="linear")
     return gen, graph, params
 
 
@@ -82,7 +82,7 @@ class TestEpisodeObjective:
         emb = gen.standard_normal((6, d))
         graph = build_knn_graph(emb, 2)
         params = init_params(
-            d, d, RngStream(32), encoder_mode="linear", encoder_input_dim=d,
+            d, d, RngStream(32), encoder_mode="linear",
             activation="tanh", hops=2,
         )
         ep = random_episode(gen, 2, 1, 2, d, 6)
@@ -284,7 +284,7 @@ class TestTrain:
 
 class TestCheckpoint:
     def test_round_trip_linear_encoder(self, tmp_path):
-        params = init_params(4, 3, RngStream(9), encoder_mode="linear", encoder_input_dim=3)
+        params = init_params(4, 3, RngStream(9), encoder_mode="linear")
         write_checkpoint(params, tmp_path / "m.ckpt", {"seed": "9", "tau": "10.0"})
         loaded, echo = read_checkpoint(tmp_path / "m.ckpt")
         assert echo == {"seed": "9", "tau": "10.0"}
