@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,14 +54,21 @@ class Dataset:
             raise ValueError(f"split {split!r} has {len(ids)} relations, need {need}")
         return ids
 
+    def check_instances(self, relation_ids, need: int) -> None:
+        """Raise if one of the relations has fewer than ``need`` instances."""
+        for rid in relation_ids:
+            if len(self.instances[rid]) < need:
+                raise ValueError(
+                    f"relation {rid} has {len(self.instances[rid])} instances, need {need}"
+                )
+
 
 @dataclass
 class Episode:
     """One N-way K-shot task sampled from a dataset split.
 
     Labels are indices into ``targets`` (positions 0..N-1), not raw relation
-    ids; ``targets[label]`` recovers the relation id. The *_keys lists carry
-    (relation_id, row_index) identities so disjointness is checkable.
+    ids; ``targets[label]`` recovers the relation id.
     """
 
     targets: list[int]
@@ -69,8 +76,6 @@ class Episode:
     support_y: np.ndarray  # (N*K,) target indices
     query_x: np.ndarray  # (N*Q_per, d)
     query_y: np.ndarray  # (N*Q_per,)
-    support_keys: list[tuple[int, int]] = field(default_factory=list)
-    query_keys: list[tuple[int, int]] = field(default_factory=list)
 
 
 def sample_episode(
@@ -88,34 +93,20 @@ def sample_episode(
     gen = rng.generator()
     targets = [int(r) for r in gen.choice(np.asarray(rel_ids), size=n_way, replace=False)]
 
-    sup_x, sup_y, qry_x, qry_y = [], [], [], []
-    sup_keys, qry_keys = [], []
-    for label, rid in enumerate(targets):
+    need = k_shot + q_per
+    dataset.check_instances(targets, need)
+    sup_x, qry_x = [], []
+    for rid in targets:
         rows = dataset.instances[rid]
-        need = k_shot + q_per
-        if len(rows) < need:
-            raise ValueError(
-                f"relation {rid} has {len(rows)} instances, need {need}"
-            )
         picked = gen.choice(len(rows), size=need, replace=False)
-        for j in picked[:k_shot]:
-            sup_x.append(rows[j])
-            sup_y.append(label)
-            sup_keys.append((rid, int(j)))
-        for j in picked[k_shot:]:
-            qry_x.append(rows[j])
-            qry_y.append(label)
-            qry_keys.append((rid, int(j)))
-
-    d = dataset.d
+        sup_x.append(rows[picked[:k_shot]])
+        qry_x.append(rows[picked[k_shot:]])
     return Episode(
         targets=targets,
-        support_x=np.asarray(sup_x, dtype=float).reshape(len(sup_x), d),
-        support_y=np.asarray(sup_y, dtype=int),
-        query_x=np.asarray(qry_x, dtype=float).reshape(len(qry_x), d),
-        query_y=np.asarray(qry_y, dtype=int),
-        support_keys=sup_keys,
-        query_keys=qry_keys,
+        support_x=np.concatenate(sup_x).astype(float, copy=False),
+        support_y=np.repeat(np.arange(n_way), k_shot),
+        query_x=np.concatenate(qry_x).astype(float, copy=False),
+        query_y=np.repeat(np.arange(n_way), q_per),
     )
 
 

@@ -4,7 +4,7 @@ Each component pairs an analytic gradient with the central-difference oracle
 on randomly drawn instances and reports the worst elementwise relative error
 (relative to max(1, |analytic|)). The episode objective is checked through
 the full pipeline: encoder, graph layer, warm start, unrolled chain with
-fixed noise, and the Monte Carlo prediction.
+fixed noise (prior and likelihood drift), and the Monte Carlo prediction.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .data import Episode
 from .graph import build_knn_graph
 from .likelihood import EncoderParams, support_log_likelihood_and_grad
 from .numerics import RngStream, finite_difference_gradient, max_relative_error
-from .prior import prior_log_density_and_grad
 from .sampler import SamplerConfig
 from .trainer import (
     episode_loss,
@@ -40,14 +39,6 @@ def random_episode(gen: np.random.Generator, n_way: int, k_shot: int, q_per: int
         query_x=gen.standard_normal((n_way * q_per, d)),
         query_y=query_y,
     )
-
-
-def check_prior(gen, n_way: int, d: int) -> float:
-    v = gen.standard_normal((n_way, d))
-    h = gen.standard_normal((n_way, d))
-    _, grad = prior_log_density_and_grad(v, h)
-    fd = finite_difference_gradient(lambda x: prior_log_density_and_grad(x, h)[0], v)
-    return max_relative_error(grad, fd)
 
 
 def check_support_likelihood(gen, n_way: int, k_shot: int, d: int, measure: str,
@@ -106,7 +97,6 @@ def run_gradient_checks(
     results: dict[str, float] = {}
 
     gen = RngStream(seed).child(30).generator()
-    results["prior"] = max(check_prior(gen, n_way, d) for _ in range(cases))
     for measure in ("dot", "euclidean"):
         results[f"support-likelihood-{measure}"] = max(
             check_support_likelihood(gen, n_way, max(k_shot, 2), d, measure, tau)

@@ -73,27 +73,19 @@ def build_knn_graph(embeddings, k: int) -> RelationGraph:
 
     diff = x[:, None, :] - x[None, :, :]
     dist2 = np.einsum("ijd,ijd->ij", diff, diff)
-
-    edges = set()
-    ids = np.arange(n)
-    for r in range(n):
-        others = ids[ids != r]
-        # lexsort: primary key distance, secondary ascending id
-        order = np.lexsort((others, dist2[r, others]))
-        for j in others[order][:k]:
-            edges.add((min(r, int(j)), max(r, int(j))))
-    edge_arr = np.array(sorted(edges), dtype=int).reshape(-1, 2)
-    return RelationGraph(node_features=x, edges=edge_arr)
+    # each row's own node sorts first; a stable sort keeps ties in id order
+    np.fill_diagonal(dist2, -np.inf)
+    nearest = np.argsort(dist2, axis=1, kind="stable")[:, 1 : k + 1].ravel()
+    ids = np.repeat(np.arange(n), k)
+    pairs = np.stack([np.minimum(ids, nearest), np.maximum(ids, nearest)], axis=1)
+    return RelationGraph(node_features=x, edges=np.unique(pairs, axis=0))
 
 
 def normalized_adjacency(graph: RelationGraph) -> np.ndarray:
     """Symmetric normalization with self-loops: D^-1/2 (A + I) D^-1/2."""
-    n = graph.n_nodes
-    a = np.zeros((n, n), dtype=float)
-    for u, v in graph.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    a += np.eye(n)
+    a = np.eye(graph.n_nodes)
+    u, v = graph.edges.T
+    a[u, v] = a[v, u] = 1.0
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 

@@ -172,11 +172,15 @@ def max_relative_error(analytic, numeric) -> float:
     """Elementwise |analytic - numeric| / max(1, |analytic|), maximised.
 
     The denominator floor of 1 keeps the metric meaningful near zero entries.
+    A non-finite entry in either array is an infinite error, so no NaN can
+    drop out of a ``max`` over errors.
     """
     a = np.asarray(analytic, dtype=float)
     n = np.asarray(numeric, dtype=float)
     if a.shape != n.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {n.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(n))):
+        return float("inf")
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - n) / np.maximum(1.0, np.abs(a))))

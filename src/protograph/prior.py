@@ -1,9 +1,9 @@
-"""Graph-convolutional relation summaries and the Gaussian prototype prior.
+"""Graph-convolutional relation summaries, the mean of the prototype prior.
 
 The summary vector h_r of relation r is one propagation of the normalized
 adjacency over the node features followed by a linear map. The prior over a
-prototype v_r is N(h_r, I); additive log-density constants are dropped
-throughout since only gradients and differences matter downstream.
+prototype v_r is N(h_r, I); the sampler's chain follows its gradient
+h_r - v_r.
 """
 
 from __future__ import annotations
@@ -69,18 +69,3 @@ def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray
         raise ValueError(f"episode target {int(idx.max())} not in the graph")
     return _apply_activation(ax[idx] @ params.weight + params.bias, params.activation)
 
-
-def prior_log_density_and_grad(
-    prototypes: np.ndarray, summaries: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Unnormalized Gaussian prior: sum_r -1/2 ||v_r - h_r||^2 and its gradient.
-
-    The gradient with respect to each prototype row is (h_r - v_r).
-    """
-    v = np.asarray(prototypes, dtype=float)
-    h = np.asarray(summaries, dtype=float)
-    if v.shape != h.shape:
-        raise ValueError(f"shape mismatch: prototypes {v.shape} vs summaries {h.shape}")
-    diff = h - v
-    value = -0.5 * float(np.sum(diff * diff))
-    return value, diff

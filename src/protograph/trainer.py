@@ -85,20 +85,17 @@ def init_params(
     output_dim: int,
     rng: RngStream,
     encoder_mode: str = "identity",
-    activation: str = "identity",
-    hops: int = 1,
 ) -> ModelParams:
     """Fan-in-scaled uniform init, U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
 
-    A linear encoder maps the d = output_dim instance features to d.
+    The graph layer is one identity-activated hop; a linear encoder maps the
+    d = output_dim instance features to d.
     """
     bound = 1.0 / np.sqrt(graph_dim)
     gen = rng.child(0).generator()
     gnn = GnnParams(
         weight=gen.uniform(-bound, bound, size=(graph_dim, output_dim)),
         bias=gen.uniform(-bound, bound, size=output_dim),
-        activation=activation,
-        hops=hops,
     )
     if encoder_mode == "identity":
         encoder = EncoderParams(mode="identity")
@@ -137,26 +134,15 @@ def set_params_from_vector(params: ModelParams, vec: np.ndarray) -> None:
         raise ValueError(f"vector length {vec.size} != parameter count {offset}")
 
 
-@dataclass
-class _ForwardCache:
-    loss: float
-    episode: Episode
-    params: ModelParams
-    config: SamplerConfig
-    summaries: np.ndarray  # (N, d) raw layer output rows
-    prop_rows: np.ndarray  # (N, d_g) propagated node features for the targets
-    fwd: EpisodeForward
-
-
 def _episode_forward(
     episode: Episode,
     graph: RelationGraph,
     params: ModelParams,
     config: SamplerConfig,
     rng: RngStream,
-) -> _ForwardCache:
-    targets = np.asarray(episode.targets, dtype=int)
-    summaries = summary_rows(graph, params.gnn, targets)
+) -> tuple[float, np.ndarray, EpisodeForward]:
+    """The episode's loss, its raw summary rows (N, d) and its recorded forward."""
+    summaries = summary_rows(graph, params.gnn, episode.targets)
     fwd = episode_forward(
         episode.support_x,
         episode.support_y,
@@ -168,86 +154,13 @@ def _episode_forward(
         rng,
         record=True,
     )
-
     p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
     if not np.all(np.isfinite(p_true)) or np.any(p_true <= 0.0):
         raise RuntimeError(
             f"non-finite episode loss (replay stream seed={rng.seed} id={rng.stream_id})"
         )
     loss = float(-np.log(p_true).sum() + 0.0)  # + 0.0 folds -0.0 (single-class case)
-
-    return _ForwardCache(
-        loss=loss,
-        episode=episode,
-        params=params,
-        config=config,
-        summaries=summaries,
-        prop_rows=graph.propagated(params.gnn.hops)[targets],
-        fwd=fwd,
-    )
-
-
-def _episode_backward(cache: _ForwardCache) -> dict[str, np.ndarray]:
-    cfg = cache.config
-    episode = cache.episode
-    fwd = cache.fwd
-    chain = fwd.record
-    y_q = episode.query_y
-    q_count = y_q.size
-    v_final = chain.trajectory[-1]
-
-    # loss -> chain-averaged probabilities -> per-chain softmax inputs
-    d_mean = np.zeros_like(fwd.probs)
-    d_mean[np.arange(q_count), y_q] = -1.0 / fwd.probs[np.arange(q_count), y_q]
-    d_probs = np.broadcast_to(d_mean / cfg.chains, fwd.chain_probs.shape)
-    d_eq, d_v = similarity_softmax_vjp(
-        fwd.chain_probs, d_probs, fwd.query_enc, v_final, cfg.measure, cfg.tau
-    )
-
-    # reverse through the unrolled chain; noise draws are constants
-    d_es = np.zeros_like(fwd.support_enc)
-    lik_scale = cfg.likelihood_weight / (fwd.k_shot * cfg.tau)
-    d_eff = np.zeros_like(cache.summaries)
-    for t in range(len(chain.step_sizes) - 1, -1, -1):
-        half = 0.5 * chain.step_sizes[t]
-        v_prev = chain.trajectory[t]
-        d_eff += half * cfg.prior_weight * d_v.sum(axis=0)
-        d_v_next = d_v - half * cfg.prior_weight * d_v
-        if chain.support_probs is not None:
-            des_lik, dv_lik = support_drift_vjp(
-                fwd.support_enc, fwd.one_hot, v_prev, chain.support_probs[t],
-                half * d_v, cfg.measure, cfg.tau, lik_scale,
-            )
-            d_v_next = d_v_next + dv_lik
-            d_es += des_lik
-        d_v = d_v_next
-
-    # warm start: v0 = class_means + alpha * eff - beta * grand_mean
-    d_v0 = d_v.sum(axis=0)  # chains share the init
-    d_eff += cfg.alpha * d_v0
-    d_class_means = d_v0
-    d_grand = -cfg.beta * d_v0.sum(axis=0)
-    s_count = episode.support_y.size
-    d_es += (fwd.one_hot @ d_class_means) / fwd.k_shot
-    d_es += d_grand[None, :] / s_count
-
-    # graph layer: summaries = act(prop_rows @ W + b)
-    d_summ = d_eff if cfg.graph_prior else np.zeros_like(d_eff)
-    if cache.params.gnn.activation == "tanh":
-        d_pre = d_summ * (1.0 - cache.summaries**2)
-    else:
-        d_pre = d_summ
-    grads = {
-        "gnn.weight": cache.prop_rows.T @ d_pre,
-        "gnn.bias": d_pre.sum(axis=0),
-    }
-
-    if cache.params.encoder.trainable:
-        grads["encoder.weight"] = (
-            d_es.T @ episode.support_x + d_eq.T @ episode.query_x
-        )
-        grads["encoder.bias"] = d_es.sum(axis=0) + d_eq.sum(axis=0)
-    return grads
+    return loss, summaries, fwd
 
 
 def episode_objective_and_grads(
@@ -258,8 +171,64 @@ def episode_objective_and_grads(
     rng: RngStream,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Negative query log-likelihood of one episode and its parameter gradients."""
-    cache = _episode_forward(episode, graph, params, config, rng)
-    return cache.loss, _episode_backward(cache)
+    loss, summaries, fwd = _episode_forward(episode, graph, params, config, rng)
+    chain = fwd.record
+    y_q = episode.query_y
+    q_count = y_q.size
+    v_final = chain.trajectory[-1]
+
+    # loss -> chain-averaged probabilities -> per-chain softmax inputs
+    d_mean = np.zeros_like(fwd.probs)
+    d_mean[np.arange(q_count), y_q] = -1.0 / fwd.probs[np.arange(q_count), y_q]
+    d_probs = np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape)
+    d_eq, d_v = similarity_softmax_vjp(
+        fwd.chain_probs, d_probs, fwd.query_enc, v_final, config.measure, config.tau
+    )
+
+    # reverse through the unrolled chain; noise draws are constants
+    d_es = np.zeros_like(fwd.support_enc)
+    lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
+    d_eff = np.zeros_like(summaries)
+    for t in range(len(chain.step_sizes) - 1, -1, -1):
+        half = 0.5 * chain.step_sizes[t]
+        v_prev = chain.trajectory[t]
+        d_eff += half * config.prior_weight * d_v.sum(axis=0)
+        d_v_next = d_v - half * config.prior_weight * d_v
+        if chain.support_probs is not None:
+            des_lik, dv_lik = support_drift_vjp(
+                fwd.support_enc, fwd.one_hot, v_prev, chain.support_probs[t],
+                half * d_v, config.measure, config.tau, lik_scale,
+            )
+            d_v_next = d_v_next + dv_lik
+            d_es += des_lik
+        d_v = d_v_next
+
+    # warm start: v0 = class_means + alpha * eff - beta * grand_mean
+    d_v0 = d_v.sum(axis=0)  # chains share the init
+    d_eff += config.alpha * d_v0
+    d_class_means = d_v0
+    d_grand = -config.beta * d_v0.sum(axis=0)
+    s_count = episode.support_y.size
+    d_es += (fwd.one_hot @ d_class_means) / fwd.k_shot
+    d_es += d_grand[None, :] / s_count
+
+    # graph layer: summaries = act(propagated rows @ W + b)
+    d_summ = d_eff if config.graph_prior else np.zeros_like(d_eff)
+    if params.gnn.activation == "tanh":
+        d_pre = d_summ * (1.0 - summaries**2)
+    else:
+        d_pre = d_summ
+    grads = {
+        "gnn.weight": graph.propagated(params.gnn.hops)[episode.targets].T @ d_pre,
+        "gnn.bias": d_pre.sum(axis=0),
+    }
+
+    if params.encoder.trainable:
+        grads["encoder.weight"] = (
+            d_es.T @ episode.support_x + d_eq.T @ episode.query_x
+        )
+        grads["encoder.bias"] = d_es.sum(axis=0) + d_eq.sum(axis=0)
+    return loss, grads
 
 
 def episode_loss(
@@ -270,7 +239,7 @@ def episode_loss(
     rng: RngStream,
 ) -> float:
     """Forward-only objective; the replayable target for the gradient oracle."""
-    return _episode_forward(episode, graph, params, config, rng).loss
+    return _episode_forward(episode, graph, params, config, rng)[0]
 
 
 @dataclass
@@ -305,9 +274,15 @@ def train(
     accuracy is recorded (and a checkpoint written) every eval_every episodes;
     the final parameters are checkpointed at the end when a path is set.
     """
+    # check the splits the episodes will sample before the first episode, so
+    # a split too small for them does not fail only when it is first sampled
+    splits = ["train"] if config.episodes_total else []
     if config.eval_every and config.episodes_total >= config.eval_every:
-        # a validation will run: fail now, not after eval_every episodes
-        dataset.relations_in_split("val", need=config.n_way)
+        splits.append("val")
+    for split in splits:
+        dataset.check_instances(
+            dataset.relations_in_split(split, need=config.n_way), config.k_shot + config.q_per
+        )
     rng = RngStream(config.seed)
     if params is None:
         params = init_params(

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import pytest
 
-from protograph import cli, trainer
+from protograph import cli, gradcheck, trainer
 from protograph.cli import main
 from protograph.evaluation import parse_report_csv
 
@@ -273,6 +273,37 @@ def test_train_checks_the_validation_split_before_training(tmp_path, capsys, mon
     assert main(argv[:-1] + ["99"]) == 0 and len(episodes) == 99
 
 
+@pytest.mark.parametrize("split, cut", [("train", 3), ("val", 17)])
+def test_train_checks_instance_counts_before_training(tmp_path, capsys, monkeypatch, split, cut):
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--out", str(data), "--relations", "25", "--dim", "4",
+        "--per-relation", "12", "--splits", "15,5,5",
+    ]) == 0
+    # leave relation `cut` of the split with 3 instances, fewer than 1 + 5
+    instances = data / "instances.tsv"
+    lines = instances.read_text().splitlines()
+    kept = [ln for ln in lines if ln.split("\t")[0] != str(cut)]
+    kept += [ln for ln in lines if ln.split("\t")[0] == str(cut)][:3]
+    instances.write_text("\n".join(kept) + "\n")
+    before = sorted(tmp_path.rglob("*"))
+    episodes = []
+    sample = trainer.sample_episode
+    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.append(a) or sample(*a))
+    argv = [
+        "train", "--data", str(instances), "--registry", str(data / "registry.tsv"),
+        "--embeddings", str(data / "embeddings.tsv"), "--checkpoint", str(tmp_path / "m.ckpt"),
+        "--out", str(tmp_path / "log.csv"), "--episodes", "30", "--eval-every", "10",
+    ]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: relation {cut} has 3 instances, need 6\n"
+    assert episodes == []  # failed before the first training episode
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+    if split == "val":  # no validation within the episodes: the split is not needed
+        assert main(argv[:-1] + ["31"]) == 0 and len(episodes) == 30
+
+
 OLD_EVAL_CONFIG = """# command: eval
 alpha=1.0
 beta=1.0
@@ -462,12 +493,26 @@ class TestGradCheck:
     def test_passes_and_prints_components(self, capsys):
         assert main(["grad-check", "--seed", "1", "--d", "3"]) == 0
         out = capsys.readouterr().out
-        for component in (
-            "prior", "support-likelihood-dot",
-            "support-likelihood-euclidean", "episode-objective-dot",
-            "episode-objective-euclidean",
-        ):
-            assert component in out
+        components = [line.split(":")[0] for line in out.splitlines()[:-1]]
+        assert components == [
+            "support-likelihood-dot", "support-likelihood-euclidean",
+            "episode-objective-dot", "episode-objective-euclidean",
+        ]
         for line in out.splitlines():
             if "max relative error" in line:
                 assert float(line.rsplit(" ", 1)[1]) < 1e-4
+        assert out.splitlines()[-1] == "OK: all components within 1e-04"
+
+    def test_nan_gradient_fails(self, capsys, monkeypatch):
+        objective = trainer.episode_objective_and_grads
+
+        def nan_bias(*args):
+            loss, grads = objective(*args)
+            grads["gnn.bias"][0] = float("nan")
+            return loss, grads
+
+        monkeypatch.setattr(gradcheck, "episode_objective_and_grads", nan_bias)
+        assert main(["grad-check", "--seed", "1", "--d", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "episode-objective-dot: max relative error inf" in out
+        assert out.splitlines()[-1] == "FAIL: worst error inf >= 1e-04"

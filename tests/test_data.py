@@ -25,13 +25,21 @@ def small_dataset(n_rel=5, per_rel=6, d=3, seed=0, split="train"):
     )
 
 
+def row_set(rows):
+    """The rows as a set of bytes; the instances of small_dataset are distinct."""
+    return {row.tobytes() for row in rows}
+
+
 class TestSampleEpisode:
     def test_exhaustive_partition(self):
         ds = small_dataset(n_rel=5, per_rel=6)
         ep = sample_episode(ds, "train", 5, 1, 5, RngStream(0))
         assert len(ep.support_y) == 5 and len(ep.query_y) == 25
-        keys = ep.support_keys + ep.query_keys
-        assert len(set(keys)) == 30  # no instance repeated
+        rows = np.vstack([ep.support_x, ep.query_x])
+        assert len(row_set(rows)) == 30  # no instance repeated
+        # each row is an instance of the relation its label names
+        for row, label in zip(rows, np.concatenate([ep.support_y, ep.query_y])):
+            assert row.tobytes() in row_set(ds.instances[ep.targets[label]])
 
     def test_too_many_ways_raises(self):
         ds = small_dataset(n_rel=3)
@@ -68,7 +76,7 @@ class TestSampleEpisode:
             k = int(gen.integers(1, 4))
             q = int(gen.integers(1, 4))
             ep = sample_episode(ds, "train", n, k, q, RngStream(1000 + case))
-            assert not set(ep.support_keys) & set(ep.query_keys)
+            assert not row_set(ep.support_x) & row_set(ep.query_x)
             counts = np.bincount(ep.support_y, minlength=n)
             assert np.all(counts == k)
             assert set(ep.query_y.tolist()) <= set(range(n))

@@ -226,3 +226,13 @@ class TestMaxRelativeError:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             max_relative_error(np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize("analytic, numeric", [
+        ([0.0, np.nan], [0.0, 0.0]),
+        ([0.0, 0.0], [np.nan, 0.0]),
+        ([np.inf, 0.0], [1.0, 0.0]),
+    ])
+    def test_non_finite_entry_is_an_infinite_error(self, analytic, numeric):
+        # a NaN error would drop out of max(worst, err) and pass a check
+        assert max_relative_error(analytic, numeric) == np.inf
+        assert max(0.0, max_relative_error(analytic, numeric)) == np.inf

@@ -1,11 +1,12 @@
-"""Tests for relation summaries and the Gaussian prototype prior."""
+"""Tests for the relation summaries and the Gaussian prototype prior."""
 
 import numpy as np
 import pytest
 
 from protograph.graph import RelationGraph, build_knn_graph
-from protograph.numerics import finite_difference_gradient, max_relative_error
-from protograph.prior import GnnParams, prior_log_density_and_grad, summary_rows
+from protograph.numerics import RngStream, finite_difference_gradient, max_relative_error
+from protograph.prior import GnnParams, summary_rows
+from protograph.sampler import SamplerConfig, sgld_chain
 
 
 def isolated(features):
@@ -72,31 +73,49 @@ class TestRelationSummaries:
         )
 
 
+
+def prior_gradient(v, h):
+    """The prior gradient the chain follows at prototypes v (N, d): one
+    noiseless prior-only step of size 1 moves v by half of it."""
+    n, d = h.shape
+    cfg = SamplerConfig(
+        chains=1, steps=1, step_size=1.0, noise_enabled=False, likelihood_weight=0.0
+    )
+    out, _ = sgld_chain(
+        np.zeros((0, d)), np.zeros((0, n)), 0, list(range(n)), h, v[None].copy(), cfg,
+        RngStream(0),
+    )
+    return 2.0 * (out[0] - v)
+
+
+def log_prior(v, h):
+    """sum_r -1/2 ||v_r - h_r||^2, the N(h, I) log-density up to a constant."""
+    return -0.5 * float(np.sum((v - h) ** 2))
+
+
 class TestPriorDensity:
     def test_at_the_mode(self):
         h = np.random.default_rng(3).standard_normal((3, 4))
-        value, grad = prior_log_density_and_grad(h.copy(), h)
-        assert value == 0.0
-        np.testing.assert_array_equal(grad, np.zeros_like(h))
+        np.testing.assert_array_equal(prior_gradient(h.copy(), h), np.zeros_like(h))
 
     def test_single_relation_closed_form(self):
         h = np.array([[0.0, 0.0]])
         v = np.array([[1.0, 0.0]])
-        value, grad = prior_log_density_and_grad(v, h)
-        assert value == pytest.approx(-0.5)
-        np.testing.assert_allclose(grad, [[-1.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(prior_gradient(v, h), [[-1.0, 0.0]], atol=1e-15)
 
     def test_gradient_matches_oracle(self):
         gen = np.random.default_rng(4)
         v = gen.standard_normal((3, 4))
         h = gen.standard_normal((3, 4))
-        _, grad = prior_log_density_and_grad(v, h)
-        fd = finite_difference_gradient(lambda x: prior_log_density_and_grad(x, h)[0], v)
-        assert max_relative_error(grad, fd) < 1e-4
+        fd = finite_difference_gradient(lambda x: log_prior(x, h), v)
+        assert max_relative_error(prior_gradient(v, h), fd) < 1e-4
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape"):
-            prior_log_density_and_grad(np.zeros((2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="do not match"):
+            sgld_chain(
+                np.zeros((0, 3)), np.zeros((0, 2)), 0, [0, 1], np.zeros((3, 2)),
+                np.zeros((1, 2, 3)), SamplerConfig(likelihood_weight=0.0), RngStream(0),
+            )
 
     def test_factorizes_over_relations(self):
         gen = np.random.default_rng(5)
@@ -104,16 +123,15 @@ class TestPriorDensity:
             n = int(gen.integers(2, 7))
             v = gen.standard_normal((n, 3))
             h = gen.standard_normal((n, 3))
-            total, _ = prior_log_density_and_grad(v, h)
+            total = prior_gradient(v, h)
             split = int(gen.integers(1, n))
-            a, _ = prior_log_density_and_grad(v[:split], h[:split])
-            b, _ = prior_log_density_and_grad(v[split:], h[split:])
-            assert total == pytest.approx(a + b, abs=1e-10)
+            np.testing.assert_array_equal(total[:split], prior_gradient(v[:split], h[:split]))
+            np.testing.assert_array_equal(total[split:], prior_gradient(v[split:], h[split:]))
 
     def test_gradient_linear_in_residual(self):
         gen = np.random.default_rng(6)
         v = gen.standard_normal((2, 3))
         h = gen.standard_normal((2, 3))
-        _, g1 = prior_log_density_and_grad(v, h)
-        _, g2 = prior_log_density_and_grad(h + 2.0 * (v - h), h)
+        g1 = prior_gradient(v, h)
+        g2 = prior_gradient(h + 2.0 * (v - h), h)
         np.testing.assert_allclose(g2, 2.0 * g1, atol=1e-12)

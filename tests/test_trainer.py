@@ -81,10 +81,8 @@ class TestEpisodeObjective:
         d = 3
         emb = gen.standard_normal((6, d))
         graph = build_knn_graph(emb, 2)
-        params = init_params(
-            d, d, RngStream(32), encoder_mode="linear",
-            activation="tanh", hops=2,
-        )
+        params = init_params(d, d, RngStream(32), encoder_mode="linear")
+        params.gnn = GnnParams(params.gnn.weight, params.gnn.bias, activation="tanh", hops=2)
         ep = random_episode(gen, 2, 1, 2, d, 6)
         cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7, measure="euclidean")
         assert oracle_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
@@ -180,13 +178,13 @@ class TestForwardConsistency:
         for case in range(20):
             ep = random_episode(gen, 3, 2, 2, 3, 6)
             rng = RngStream(800).child(case)
-            cache = _episode_forward(ep, graph, params, cfg, rng)
+            _, _, fwd = _episode_forward(ep, graph, params, cfg, rng)
             probs, _ = posterior_predict(
                 ep.support_x, ep.support_y, ep.targets, ep.query_x,
                 summary_rows(graph, params.gnn, ep.targets),
                 cfg, params.encoder, rng,
             )
-            np.testing.assert_array_equal(cache.fwd.probs, probs)
+            np.testing.assert_array_equal(fwd.probs, probs)
 
 
 class TestTrain:
