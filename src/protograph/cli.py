@@ -182,8 +182,19 @@ def _sampler_config(opts: Options) -> SamplerConfig:
 
 
 def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
-    if opts["checkpoint"]:
-        params, _ = read_checkpoint(opts["checkpoint"])
+    path = opts["checkpoint"]
+    if path:
+        # checked here, so that a mismatch names the checkpoint before episode 0
+        params, _ = read_checkpoint(path)
+        enc = params.encoder
+        d_in = enc.weight.shape[1] if enc.trainable else params.gnn.output_dim
+        if d_in != dataset.d:
+            raise ValueError(
+                f"{path}: checkpoint takes d={d_in} features, instances have d={dataset.d}"
+            )
+        d_g = params.gnn.input_dim
+        if d_g != g.feature_dim:
+            raise ValueError(f"{path}: checkpoint has d_g={d_g}, embeddings have {g.feature_dim}")
         return params
     return init_params(
         graph_dim=g.feature_dim,

@@ -21,7 +21,7 @@ class RelationGraph:
 
     node_features: np.ndarray  # (R, d_g)
     edges: np.ndarray  # (E, 2) int, u < v, lexicographically sorted
-    _propagated: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _propagated: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.node_features = np.asarray(self.node_features, dtype=float)
@@ -44,16 +44,12 @@ class RelationGraph:
         return self.node_features.shape[1]
 
     def propagated(self, hops: int = 1) -> np.ndarray:
-        """Normalized adjacency applied ``hops`` times to the node features (cached)."""
-        if hops < 1:
-            raise ValueError("hops must be >= 1")
-        if hops not in self._propagated:
-            a_hat = normalized_adjacency(self)
-            out = self.node_features
-            for _ in range(hops):
-                out = a_hat @ out
-            self._propagated[hops] = out
-        return self._propagated[hops]
+        """The normalized adjacency applied once to the node features (cached)."""
+        if hops != 1:  # hops is passed only by benchmarks/workloads.py:load_inputs
+            raise ValueError(f"the graph layer propagates one hop, not {hops}")
+        if self._propagated is None:
+            self._propagated = normalized_adjacency(self) @ self.node_features
+        return self._propagated
 
 
 def build_knn_graph(embeddings, k: int) -> RelationGraph:

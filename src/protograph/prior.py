@@ -9,22 +9,20 @@ h_r - v_r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .graph import RelationGraph
 
-ACTIVATIONS = ("identity", "tanh")
-
 
 @dataclass
 class GnnParams:
-    """One graph-convolution layer: H = act(A_hat^hops X W + bias)."""
+    """One graph-convolution layer: H = A_hat X W + bias."""
 
     weight: np.ndarray  # (d_g, d)
     bias: np.ndarray  # (d,)
-    activation: str = "identity"
-    hops: int = 1
+    hops: ClassVar[int] = 1  # read only by benchmarks/workloads.py:load_inputs
 
     def __post_init__(self) -> None:
         self.weight = np.asarray(self.weight, dtype=float)
@@ -33,10 +31,6 @@ class GnnParams:
             raise ValueError(
                 f"weight {self.weight.shape} and bias {self.bias.shape} are inconsistent"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
 
     @property
     def input_dim(self) -> int:
@@ -47,19 +41,13 @@ class GnnParams:
         return self.weight.shape[1]
 
 
-def _apply_activation(pre: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "identity":
-        return pre
-    return np.tanh(pre)
-
-
 def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray:
     """Summaries restricted to the given relation ids (rows in target order).
 
     Ids (E, N) of E episodes give (E, N, d), each episode's rows with the
     bits of its own call.
     """
-    ax = graph.propagated(params.hops)
+    ax = graph.propagated()
     if ax.shape[1] != params.input_dim:
         raise ValueError(
             f"graph feature dim {ax.shape[1]} != layer input dim {params.input_dim}"
@@ -67,5 +55,5 @@ def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray
     idx = np.asarray(targets, dtype=int)
     if idx.size and idx.max() >= len(ax):
         raise ValueError(f"episode target {int(idx.max())} not in the graph")
-    return _apply_activation(ax[idx] @ params.weight + params.bias, params.activation)
+    return ax[idx] @ params.weight + params.bias
 

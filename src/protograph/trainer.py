@@ -24,7 +24,7 @@ from .evaluation import episode_outcomes
 from .graph import RelationGraph
 from .likelihood import ENCODER_MODES, EncoderParams, similarity_softmax_vjp, support_drift_vjp
 from .numerics import RngStream
-from .prior import ACTIVATIONS, GnnParams, summary_rows
+from .prior import GnnParams, summary_rows
 from .sampler import EpisodeForward, SamplerConfig, episode_forward
 
 # Not called here (episode_forward runs the pipeline and validation runs
@@ -140,15 +140,14 @@ def _episode_forward(
     params: ModelParams,
     config: SamplerConfig,
     rng: RngStream,
-) -> tuple[float, np.ndarray, EpisodeForward]:
-    """The episode's loss, its raw summary rows (N, d) and its recorded forward."""
-    summaries = summary_rows(graph, params.gnn, episode.targets)
+) -> tuple[float, EpisodeForward]:
+    """The episode's loss and its recorded forward."""
     fwd = episode_forward(
         episode.support_x,
         episode.support_y,
         episode.targets,
         episode.query_x,
-        summaries,
+        summary_rows(graph, params.gnn, episode.targets),
         config,
         params.encoder,
         rng,
@@ -160,7 +159,7 @@ def _episode_forward(
             f"non-finite episode loss (replay stream seed={rng.seed} id={rng.stream_id})"
         )
     loss = float(-np.log(p_true).sum() + 0.0)  # + 0.0 folds -0.0 (single-class case)
-    return loss, summaries, fwd
+    return loss, fwd
 
 
 def episode_objective_and_grads(
@@ -171,7 +170,7 @@ def episode_objective_and_grads(
     rng: RngStream,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Negative query log-likelihood of one episode and its parameter gradients."""
-    loss, summaries, fwd = _episode_forward(episode, graph, params, config, rng)
+    loss, fwd = _episode_forward(episode, graph, params, config, rng)
     chain = fwd.record
     y_q = episode.query_y
     q_count = y_q.size
@@ -188,7 +187,7 @@ def episode_objective_and_grads(
     # reverse through the unrolled chain; noise draws are constants
     d_es = np.zeros_like(fwd.support_enc)
     lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
-    d_eff = np.zeros_like(summaries)
+    d_eff = np.zeros_like(v_final[0])
     for t in range(len(chain.step_sizes) - 1, -1, -1):
         half = 0.5 * chain.step_sizes[t]
         v_prev = chain.trajectory[t]
@@ -212,15 +211,11 @@ def episode_objective_and_grads(
     d_es += (fwd.one_hot @ d_class_means) / fwd.k_shot
     d_es += d_grand[None, :] / s_count
 
-    # graph layer: summaries = act(propagated rows @ W + b)
+    # graph layer: summaries = propagated rows @ W + b
     d_summ = d_eff if config.graph_prior else np.zeros_like(d_eff)
-    if params.gnn.activation == "tanh":
-        d_pre = d_summ * (1.0 - summaries**2)
-    else:
-        d_pre = d_summ
     grads = {
-        "gnn.weight": graph.propagated(params.gnn.hops)[episode.targets].T @ d_pre,
-        "gnn.bias": d_pre.sum(axis=0),
+        "gnn.weight": graph.propagated()[episode.targets].T @ d_summ,
+        "gnn.bias": d_summ.sum(axis=0),
     }
 
     if params.encoder.trainable:
@@ -345,8 +340,8 @@ def write_checkpoint(params: ModelParams, path, config_echo: dict | None = None)
         CHECKPOINT_MAGIC,
         f"d {d}",
         f"d_g {d_g}",
-        f"gnn.activation {params.gnn.activation}",
-        f"gnn.hops {params.gnn.hops}",
+        "gnn.activation identity",
+        "gnn.hops 1",
     ]
     lines += _format_matrix("gnn.weight", params.gnn.weight)
     lines += _format_matrix("gnn.bias", params.gnn.bias)
@@ -380,11 +375,16 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{path}:{pos}: expected {name}")
         return value
 
-    def take_int(name: str, minimum: int = 0) -> int:
+    def take_int(name: str) -> int:
         (value,) = parse_ints([take_field(name)], path, pos)
-        if value < minimum:
-            raise ValueError(f"{path}:{pos}: {name} must be >= {minimum}")
+        if value < 0:
+            raise ValueError(f"{path}:{pos}: {name} must be >= 0")
         return value
+
+    def take_fixed(name: str, expect: str) -> None:
+        value = take_field(name)
+        if value != expect:
+            raise ValueError(f"{path}:{pos}: unsupported {name} {value!r}")
 
     def take_choice(name: str, choices) -> str:
         value = take_field(name)
@@ -401,11 +401,13 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
                 pass
         raise ValueError(f"{path}:{pos}: bad {expect} row")
 
-    def take_matrix(expect: str) -> np.ndarray:
+    def take_matrix(expect: str, one_row: bool = False) -> np.ndarray:
         header = take().split(" ")
         if header[0] != expect or len(header) != 3:
             raise ValueError(f"{path}:{pos}: expected {expect}, found {header[0]}")
         rows, cols = parse_ints(header[1:], path, pos)
+        if one_row and rows != 1:
+            raise ValueError(f"{path}:{pos}: {expect} must have 1 row, found {rows}")
         mat = np.array([take_row(cols, expect) for _ in range(rows)], dtype=float)
         if mat.shape != (rows, cols):
             raise ValueError(f"{path}: bad {expect} block")
@@ -413,17 +415,17 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
 
     d = take_int("d")
     d_g = take_int("d_g")
-    activation = take_choice("gnn.activation", ACTIVATIONS)
-    hops = take_int("gnn.hops", minimum=1)
+    take_fixed("gnn.activation", "identity")
+    take_fixed("gnn.hops", "1")
     weight = take_matrix("gnn.weight")
-    bias = take_matrix("gnn.bias")[0]
+    bias = take_matrix("gnn.bias", one_row=True)[0]
     if weight.shape != (d_g, d) or bias.shape != (d,):
         raise ValueError(f"{path}: inconsistent dimensions")
-    gnn = GnnParams(weight=weight, bias=bias, activation=activation, hops=hops)
+    gnn = GnnParams(weight=weight, bias=bias)
 
     if take_choice("encoder.mode", ENCODER_MODES) == "linear":
         e_weight = take_matrix("encoder.weight")
-        e_bias = take_matrix("encoder.bias")[0]
+        e_bias = take_matrix("encoder.bias", one_row=True)[0]
         if e_weight.shape[0] != d or e_bias.shape != (d,):
             raise ValueError(f"{path}: inconsistent dimensions")
         encoder = EncoderParams(mode="linear", weight=e_weight, bias=e_bias)
@@ -433,6 +435,10 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
     n_echo = take_int("config")
     echo = {}
     for _ in range(n_echo):
-        key, _, value = take().partition("=")
+        key, eq, value = take().partition("=")
+        if not eq:
+            raise ValueError(f"{path}:{pos}: expected key=value")
         echo[key] = value
+    if pos < len(lines):
+        raise ValueError(f"{path}:{pos + 1}: unexpected line after the config block")
     return ModelParams(gnn=gnn, encoder=encoder), echo

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import pytest
 
-from protograph import cli, gradcheck, trainer
+from protograph import cli, evaluation, gradcheck, trainer
 from protograph.cli import main
 from protograph.evaluation import parse_report_csv
 
@@ -184,8 +184,8 @@ class TestPipeline:
 
 
 # (input, line, field, replacement, message): the field of that line (a
-# number, or the first line starting with that text) is replaced, or the
-# whole line when the field is None
+# number, the first line starting with that text, or None for a line added
+# at the end) is replaced, or the whole line when the field is None
 MALFORMED = [
     ("instances", 3, 2, "abc", "could not convert string to float: 'abc'"),
     ("instances", 2, 0, "x", "invalid literal for int() with base 10: 'x'"),
@@ -201,12 +201,19 @@ MALFORMED = [
     ("registry", 3, None, "0\trelation_0\ttrain", "duplicate relation id 0"),
     ("checkpoint", "d ", 1, "x", "invalid literal for int()"),
     ("checkpoint", "d_g ", 1, "8.5", "invalid literal for int()"),
-    ("checkpoint", "gnn.hops ", 1, "two", "invalid literal for int()"),
-    ("checkpoint", "gnn.hops ", 1, "0", "gnn.hops must be >= 1"),
-    ("checkpoint", "gnn.activation ", 1, "relu", "unknown gnn.activation 'relu'"),
+    ("checkpoint", "gnn.hops ", 1, "two", "unsupported gnn.hops 'two'"),
+    ("checkpoint", "gnn.hops ", 1, "0", "unsupported gnn.hops '0'"),
+    ("checkpoint", "gnn.hops ", 1, "2", "unsupported gnn.hops '2'"),
+    ("checkpoint", "gnn.activation ", 1, "relu", "unsupported gnn.activation 'relu'"),
+    ("checkpoint", "gnn.activation ", 1, "tanh", "unsupported gnn.activation 'tanh'"),
     ("checkpoint", "encoder.mode ", 1, "bogus", "unknown encoder.mode 'bogus'"),
     ("checkpoint", "gnn.weight ", 2, "x", "invalid literal for int()"),
     ("checkpoint", "config ", 1, "many", "invalid literal for int()"),
+    # a bias block of two rows, whose second row was once dropped unread
+    ("checkpoint", "gnn.bias ", None, "gnn.bias 2 8\n" + " ".join(["0.0"] * 8),
+     "gnn.bias must have 1 row, found 2"),
+    ("checkpoint", "alpha=", None, "alpha", "expected key=value"),
+    ("checkpoint", None, None, "seed=1", "unexpected line after the config block"),
 ]
 
 
@@ -225,7 +232,10 @@ def test_malformed_input_is_one_line_path_line_error(
         paths[key].write_text(src.read_text())
     sep = " " if name == "checkpoint" else "\t"
     lines = paths[name].read_text().splitlines()
-    if isinstance(line, str):
+    if line is None:
+        lines.append("")
+        line = len(lines)
+    elif isinstance(line, str):
         line = next(i for i, text in enumerate(lines, 1) if text.startswith(line))
     if field is None:
         lines[line - 1] = value
@@ -516,3 +526,35 @@ class TestGradCheck:
         out = capsys.readouterr().out
         assert "episode-objective-dot: max relative error inf" in out
         assert out.splitlines()[-1] == "FAIL: worst error inf >= 1e-04"
+
+
+@pytest.mark.parametrize("command", ["eval", "zero-shot", "sweep"])
+@pytest.mark.parametrize("mismatch, message", [
+    ("instances", "checkpoint takes d=8 features, instances have d=6"),
+    ("embeddings", "checkpoint has d_g=8, embeddings have 6"),
+])
+def test_checkpoint_dimensions_checked_before_episode_zero(
+    workspace, tmp_path, capsys, monkeypatch, command, mismatch, message
+):
+    root, data = workspace
+    small = tmp_path / "d6"
+    assert main([
+        "synth", "--out", str(small), "--relations", "25", "--dim", "6",
+        "--per-relation", "12", "--splits", "10,5,10",
+    ]) == 0
+    inputs = {name: data / f"{name}.tsv" for name in ("instances", "registry", "embeddings")}
+    inputs[mismatch] = small / f"{mismatch}.tsv"
+    if mismatch == "instances":
+        inputs["registry"] = small / "registry.tsv"
+    episodes = []
+    monkeypatch.setattr(evaluation, "sample_episode", lambda *a: episodes.append(a))
+    checkpoint = root / "model.ckpt"
+    argv = [
+        command, "--data", str(inputs["instances"]), "--registry", str(inputs["registry"]),
+        "--embeddings", str(inputs["embeddings"]), "--checkpoint", str(checkpoint),
+        "--out", str(tmp_path / "report.csv"),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {checkpoint}: {message}\n"
+    assert episodes == [] and not (tmp_path / "report.csv").exists()

@@ -154,9 +154,11 @@ class TestGraphIO:
         with pytest.raises(ValueError, match="contiguous"):
             load_embeddings(tmp_path / "emb.tsv")
 
-    def test_propagated_caches_per_hops(self):
+    def test_propagated_caches_one_hop(self):
         gen = np.random.default_rng(9)
         g = build_knn_graph(gen.standard_normal((6, 3)), 2)
-        a = normalized_adjacency(g)
-        np.testing.assert_allclose(g.propagated(1), a @ g.node_features, atol=1e-12)
-        np.testing.assert_allclose(g.propagated(2), a @ a @ g.node_features, atol=1e-12)
+        ax = g.propagated()
+        assert ax.tobytes() == (normalized_adjacency(g) @ g.node_features).tobytes()
+        assert g.propagated() is ax
+        with pytest.raises(ValueError, match="one hop, not 2"):
+            g.propagated(2)

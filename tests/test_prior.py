@@ -65,14 +65,6 @@ class TestRelationSummaries:
         full = all_summary_rows(g, params)
         np.testing.assert_array_equal(summary_rows(g, params, [5, 1, 3]), full[[5, 1, 3]])
 
-    def test_tanh_activation(self):
-        f = np.array([[0.3, -0.7]])
-        params = GnnParams(weight=np.eye(2), bias=np.zeros(2), activation="tanh")
-        np.testing.assert_allclose(
-            all_summary_rows(isolated(f), params), np.tanh(f), atol=1e-15
-        )
-
-
 
 def prior_gradient(v, h):
     """The prior gradient the chain follows at prototypes v (N, d): one

@@ -1,5 +1,7 @@
 """Tests for the episode objective, its reverse pass, and the training loop."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ def oracle_error(ep, graph, params, cfg, rng):
     return max_relative_error(analytic, fd)
 
 
+def is_value_row(line):
+    try:
+        [float(v) for v in line.split(" ")]
+    except ValueError:
+        return False
+    return True
+
+
 class TestEpisodeObjective:
     def test_single_class_zero_loss_zero_grads(self):
         gen, graph, params = tiny_world()
@@ -74,15 +84,13 @@ class TestEpisodeObjective:
         )
         assert err < 1e-4
 
-    def test_gradients_match_oracle_tanh_two_hop_decayed(self):
-        # the remaining gradient paths: tanh summary activation, two
-        # propagation hops, and a decaying step-size schedule
+    def test_gradients_match_oracle_decayed(self):
+        # the remaining gradient path: a decaying step-size schedule
         gen = RngStream(31).generator()
         d = 3
         emb = gen.standard_normal((6, d))
         graph = build_knn_graph(emb, 2)
         params = init_params(d, d, RngStream(32), encoder_mode="linear")
-        params.gnn = GnnParams(params.gnn.weight, params.gnn.bias, activation="tanh", hops=2)
         ep = random_episode(gen, 2, 1, 2, d, 6)
         cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7, measure="euclidean")
         assert oracle_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
@@ -178,7 +186,7 @@ class TestForwardConsistency:
         for case in range(20):
             ep = random_episode(gen, 3, 2, 2, 3, 6)
             rng = RngStream(800).child(case)
-            _, _, fwd = _episode_forward(ep, graph, params, cfg, rng)
+            _, fwd = _episode_forward(ep, graph, params, cfg, rng)
             probs, _ = posterior_predict(
                 ep.support_x, ep.support_y, ep.targets, ep.query_x,
                 summary_rows(graph, params.gnn, ep.targets),
@@ -307,3 +315,40 @@ class TestCheckpoint:
         write_checkpoint(params, tmp_path / "m.ckpt")
         with pytest.raises(ValueError, match="m.ckpt: inconsistent dimensions"):
             read_checkpoint(tmp_path / "m.ckpt")
+
+    def test_rejects_encoder_bias_of_two_rows(self, tmp_path):
+        # the second row would otherwise go unread (gnn.bias: test_cli.MALFORMED)
+        params = init_params(4, 3, RngStream(12), encoder_mode="linear")
+        write_checkpoint(params, tmp_path / "m.ckpt")
+        lines = (tmp_path / "m.ckpt").read_text().splitlines()
+        at = lines.index("encoder.bias 1 3")
+        lines[at : at + 2] = ["encoder.bias 2 3", lines[at + 1], lines[at + 1]]
+        (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
+        message = rf"m.ckpt:{at + 1}: encoder.bias must have 1 row, found 2$"
+        with pytest.raises(ValueError, match=message):
+            read_checkpoint(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("encoder_mode", ["identity", "linear"])
+    def test_readme_format_lists_the_written_lines(self, tmp_path, encoder_mode):
+        # the header lines of README's "Checkpoint format (v1)" block, in order;
+        # a line without a <placeholder> must be written as it stands
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("### Checkpoint format (v1)")[1]
+        documented = []
+        for line in block.split("```")[1].strip().splitlines():
+            spec, _, comment = line.partition("#")
+            if encoder_mode == "linear" or "linear mode only" not in comment:
+                documented.append(spec.strip())
+        write_checkpoint(
+            init_params(4, 3, RngStream(13), encoder_mode=encoder_mode),
+            tmp_path / "m.ckpt", {"seed": "13"},
+        )
+        written = [
+            line for line in (tmp_path / "m.ckpt").read_text().splitlines()
+            if "=" not in line and not is_value_row(line)
+        ]
+        assert [line.split(" ")[0] for line in written] == [
+            line.split(" ")[0] for line in documented
+        ]
+        for doc, line in zip(documented, written):
+            assert "<" in doc or doc == line
