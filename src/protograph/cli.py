@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import evaluation, trainer
-from .data import generate_synthetic, load_dataset, save_dataset
+from .data import generate_synthetic, load_dataset, read_lines, save_dataset
 from .graph import build_knn_graph, load_embeddings, load_graph, save_edges, save_embeddings
 from .likelihood import ENCODER_MODES, MEASURES
 from .numerics import RngStream
@@ -84,25 +84,28 @@ OPTIONS = {
     "cases": Option(int, 5, "random instances per component"),
 }
 
-_TRUE = ("1", "true", "yes", "on")
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
     """key -> (value, "path:line") of a flat key=value file."""
     out = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in read_lines(path):
+        if line.lstrip().startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        out[key.strip()] = (value.strip(), f"{path}:{lineno}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate option {key!r}")
+        out[key] = (value, f"{path}:{lineno}")
     return out
 
 
 def _from_file(key: str, raw: str, where: str):
     opt = OPTIONS[key]
+    if opt.kind is bool and raw.lower() not in _TRUE + _FALSE:
+        raise ValueError(f"{where}: {key} must be true or false")
     try:
         value = raw.lower() in _TRUE if opt.kind is bool else opt.kind(raw)
     except ValueError as exc:

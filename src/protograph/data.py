@@ -202,7 +202,11 @@ def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, text) of every non-blank line of a UTF-8 text file."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # + "x": a line break just before the byte counts
+        lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
     return ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
 
 

@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, sample_episode
+from .data import Dataset, read_lines, sample_episode
 from .graph import RelationGraph
 from .numerics import RngStream
 from .prior import summary_rows
@@ -258,11 +258,11 @@ def emit_report(reports, path, format: str = "csv") -> None:
 
 def parse_report_csv(path) -> list[dict]:
     """Read back an emitted CSV report (used by round-trip checks and tools)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].split(",") != list(REPORT_COLUMNS):
+    lines = read_lines(path)
+    if next(lines, (0, ""))[1].split(",") != list(REPORT_COLUMNS):
         raise ValueError(f"{path}: unexpected header")
     kinds = [kind for _, kind in REPORT_COLUMNS.values()]
     return [
         {col: kind(cell) for col, kind, cell in zip(REPORT_COLUMNS, kinds, line.split(","))}
-        for line in lines[1:]
+        for _, line in lines
     ]

@@ -94,6 +94,11 @@ def run_gradient_checks(
     tau: float = 10.0,
 ) -> dict[str, float]:
     """Worst relative error per component over ``cases`` random instances."""
+    # a shape with no case, feature, support point or query, or one class, checks nothing
+    least = {"cases": 1, "d": 1, "n_way": 2, "k_shot": 1, "q_per": 1}
+    for name, value in zip(least, (cases, d, n_way, k_shot, q_per)):
+        if value < least[name]:
+            raise ValueError(f"{name} must be >= {least[name]}, got {value}")
     results: dict[str, float] = {}
 
     gen = RngStream(seed).child(30).generator()

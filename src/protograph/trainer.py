@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Episode, parse_ints, sample_episode
+from .data import Dataset, Episode, parse_ints, read_lines, sample_episode
 from .evaluation import episode_outcomes
 from .graph import RelationGraph
 from .likelihood import ENCODER_MODES, EncoderParams, similarity_softmax_vjp, support_drift_vjp
@@ -356,89 +356,72 @@ def write_checkpoint(params: ModelParams, path, config_echo: dict | None = None)
 
 
 def read_checkpoint(path) -> tuple[ModelParams, dict]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    lines = read_lines(path)
+    if next(lines, (0, None))[1] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC!r} file")
-    pos = 1
 
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError(f"{path}: truncated checkpoint")
-        out = lines[pos]
-        pos += 1
-        return out
+    def take() -> tuple[int, str]:
+        for numbered in lines:
+            return numbered
+        raise ValueError(f"{path}: truncated checkpoint")
 
-    def take_field(name: str) -> str:
-        key, _, value = take().partition(" ")
+    def take_field(name: str, allowed=None) -> tuple[int, str]:
+        lineno, line = take()
+        key, _, value = line.partition(" ")
         if key != name or not value:
-            raise ValueError(f"{path}:{pos}: expected {name}")
-        return value
+            raise ValueError(f"{path}:{lineno}: expected {name}")
+        if allowed is not None and value not in allowed:
+            raise ValueError(f"{path}:{lineno}: unsupported {name} {value!r}")
+        return lineno, value
 
-    def take_int(name: str) -> int:
-        (value,) = parse_ints([take_field(name)], path, pos)
-        if value < 0:
-            raise ValueError(f"{path}:{pos}: {name} must be >= 0")
-        return value
+    def take_int(name: str, least: int) -> int:
+        lineno, value = take_field(name)
+        (n,) = parse_ints([value], path, lineno)
+        if n < least:
+            raise ValueError(f"{path}:{lineno}: {name} must be >= {least}")
+        return n
 
-    def take_fixed(name: str, expect: str) -> None:
-        value = take_field(name)
-        if value != expect:
-            raise ValueError(f"{path}:{pos}: unsupported {name} {value!r}")
-
-    def take_choice(name: str, choices) -> str:
-        value = take_field(name)
-        if value not in choices:
-            raise ValueError(f"{path}:{pos}: unknown {name} {value!r}")
-        return value
-
-    def take_row(cols: int, expect: str) -> list[float]:
-        fields = take().split(" ")
-        if len(fields) == cols:
+    def take_matrix(name: str, rows: int, cols: int | None = None) -> np.ndarray:
+        """A ``name rows cols`` header (any cols >= 1 when None), then its rows."""
+        lineno, line = take()
+        key, *shape = line.split(" ")
+        if key == name and len(shape) == 2:
+            shape = parse_ints(shape, path, lineno)
+            cols = cols or max(shape[1], 1)
+        if shape != [rows, cols]:
+            want = f"{name} {rows} {cols or '<cols>'}"
+            raise ValueError(f"{path}:{lineno}: expected {want}, found {line!r}")
+        mat = np.empty(shape)
+        for row in mat:
+            lineno, line = take()
             try:
-                return [float(v) for v in fields]
+                values = [float(v) for v in line.split(" ")]
             except ValueError:
-                pass
-        raise ValueError(f"{path}:{pos}: bad {expect} row")
-
-    def take_matrix(expect: str, one_row: bool = False) -> np.ndarray:
-        header = take().split(" ")
-        if header[0] != expect or len(header) != 3:
-            raise ValueError(f"{path}:{pos}: expected {expect}, found {header[0]}")
-        rows, cols = parse_ints(header[1:], path, pos)
-        if one_row and rows != 1:
-            raise ValueError(f"{path}:{pos}: {expect} must have 1 row, found {rows}")
-        mat = np.array([take_row(cols, expect) for _ in range(rows)], dtype=float)
-        if mat.shape != (rows, cols):
-            raise ValueError(f"{path}: bad {expect} block")
+                values = []
+            if len(values) != cols:
+                raise ValueError(f"{path}:{lineno}: bad {name} row")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite {name} value")
+            row[:] = values
         return mat
 
-    d = take_int("d")
-    d_g = take_int("d_g")
-    take_fixed("gnn.activation", "identity")
-    take_fixed("gnn.hops", "1")
-    weight = take_matrix("gnn.weight")
-    bias = take_matrix("gnn.bias", one_row=True)[0]
-    if weight.shape != (d_g, d) or bias.shape != (d,):
-        raise ValueError(f"{path}: inconsistent dimensions")
-    gnn = GnnParams(weight=weight, bias=bias)
+    d = take_int("d", 1)
+    d_g = take_int("d_g", 1)
+    take_field("gnn.activation", ("identity",))
+    take_field("gnn.hops", ("1",))
+    gnn = GnnParams(take_matrix("gnn.weight", d_g, d), take_matrix("gnn.bias", 1, d)[0])
+    encoder = EncoderParams(mode="identity")
+    if take_field("encoder.mode", ENCODER_MODES)[1] == "linear":
+        weight = take_matrix("encoder.weight", d)
+        encoder = EncoderParams("linear", weight, take_matrix("encoder.bias", 1, d)[0])
 
-    if take_choice("encoder.mode", ENCODER_MODES) == "linear":
-        e_weight = take_matrix("encoder.weight")
-        e_bias = take_matrix("encoder.bias", one_row=True)[0]
-        if e_weight.shape[0] != d or e_bias.shape != (d,):
-            raise ValueError(f"{path}: inconsistent dimensions")
-        encoder = EncoderParams(mode="linear", weight=e_weight, bias=e_bias)
-    else:
-        encoder = EncoderParams(mode="identity")
-
-    n_echo = take_int("config")
     echo = {}
-    for _ in range(n_echo):
-        key, eq, value = take().partition("=")
+    for _ in range(take_int("config", 0)):
+        lineno, line = take()
+        key, eq, value = line.partition("=")
         if not eq:
-            raise ValueError(f"{path}:{pos}: expected key=value")
+            raise ValueError(f"{path}:{lineno}: expected key=value")
         echo[key] = value
-    if pos < len(lines):
-        raise ValueError(f"{path}:{pos + 1}: unexpected line after the config block")
+    for lineno, _ in lines:
+        raise ValueError(f"{path}:{lineno}: unexpected line after the config block")
     return ModelParams(gnn=gnn, encoder=encoder), echo

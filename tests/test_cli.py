@@ -120,12 +120,15 @@ class TestPipeline:
     @pytest.mark.parametrize("line, message", [
         ("n-way=x", "n-way: invalid literal for int() with base 10: 'x'"),
         ("measure=cos", "measure must be one of dot, euclidean"),
+        ("no-noise=maybe", "no-noise must be true or false"),
+        ("seed=2", "duplicate option 'seed'"),
+        ("episodes=\udcff", "not UTF-8 text"),  # the byte 0xff
     ])
     def test_bad_config_value_is_path_line_error(
         self, workspace, tmp_path, capsys, line, message
     ):
         cfg = tmp_path / "run.config"
-        cfg.write_text(f"# command: eval\nseed=1\n{line}\n")
+        cfg.write_bytes(f"# command: eval\nseed=1\n{line}\n".encode("utf-8", "surrogateescape"))
         assert main(base_args(workspace, "eval") + ["--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
 
@@ -185,18 +188,22 @@ class TestPipeline:
 
 # (input, line, field, replacement, message): the field of that line (a
 # number, the first line starting with that text, or None for a line added
-# at the end) is replaced, or the whole line when the field is None
+# at the end) is replaced, or the whole line when the field is None. A line
+# given as (edited, reported) names the line the error is reported at apart
+# from the edited one. "\udcff" is written as the byte 0xff.
 MALFORMED = [
     ("instances", 3, 2, "abc", "could not convert string to float: 'abc'"),
     ("instances", 2, 0, "x", "invalid literal for int() with base 10: 'x'"),
     ("instances", 4, 1, "nan", "non-finite feature"),
     ("instances", 7, 3, "-inf", "non-finite feature"),
+    ("instances", 3, 2, "\udcff", "not UTF-8 text"),
     ("registry", 2, 0, "two", "invalid literal for int()"),
     ("embeddings", 3, 1, "1.0.0", "could not convert string to float"),
     ("embeddings", 2, 2, "inf", "non-finite embedding"),
     ("edges", 2, 1, "v", "invalid literal for int()"),
     ("edges", 2, None, "0\t99", "node 99 not among the 25 embeddings"),
     ("edges", 3, None, "-1\t3", "node -1 not among the 25 embeddings"),
+    ("edges", 2, 1, "\udcff", "not UTF-8 text"),
     ("embeddings", 1, None, "0", "embedding has no values"),
     ("registry", 3, None, "0\trelation_0\ttrain", "duplicate relation id 0"),
     ("checkpoint", "d ", 1, "x", "invalid literal for int()"),
@@ -206,12 +213,18 @@ MALFORMED = [
     ("checkpoint", "gnn.hops ", 1, "2", "unsupported gnn.hops '2'"),
     ("checkpoint", "gnn.activation ", 1, "relu", "unsupported gnn.activation 'relu'"),
     ("checkpoint", "gnn.activation ", 1, "tanh", "unsupported gnn.activation 'tanh'"),
-    ("checkpoint", "encoder.mode ", 1, "bogus", "unknown encoder.mode 'bogus'"),
+    ("checkpoint", "encoder.mode ", 1, "bogus", "unsupported encoder.mode 'bogus'"),
     ("checkpoint", "gnn.weight ", 2, "x", "invalid literal for int()"),
+    # each block header is checked against d and d_g where it is read
+    ("checkpoint", ("d_g ", "gnn.weight "), 1, "7", "expected gnn.weight 7 8"),
+    ("checkpoint", "gnn.weight ", 1, "0", "expected gnn.weight 8 8, found 'gnn.weight 0 8'"),
+    ("checkpoint", "gnn.weight ", None, "gnn.weight 8", "expected gnn.weight 8 8"),
+    ("checkpoint", 7, 0, "nan", "non-finite gnn.weight value"),  # first gnn.weight row
+    ("checkpoint", "d_g ", 1, "\udcff", "not UTF-8 text"),
     ("checkpoint", "config ", 1, "many", "invalid literal for int()"),
     # a bias block of two rows, whose second row was once dropped unread
     ("checkpoint", "gnn.bias ", None, "gnn.bias 2 8\n" + " ".join(["0.0"] * 8),
-     "gnn.bias must have 1 row, found 2"),
+     "expected gnn.bias 1 8, found 'gnn.bias 2 8'"),
     ("checkpoint", "alpha=", None, "alpha", "expected key=value"),
     ("checkpoint", None, None, "seed=1", "unexpected line after the config block"),
 ]
@@ -232,18 +245,23 @@ def test_malformed_input_is_one_line_path_line_error(
         paths[key].write_text(src.read_text())
     sep = " " if name == "checkpoint" else "\t"
     lines = paths[name].read_text().splitlines()
-    if line is None:
+
+    def locate(at):
+        if isinstance(at, str):
+            return next(i for i, text in enumerate(lines, 1) if text.startswith(at))
+        return len(lines) if at is None else at
+
+    edited, reported = line if isinstance(line, tuple) else (line, line)
+    if edited is None:
         lines.append("")
-        line = len(lines)
-    elif isinstance(line, str):
-        line = next(i for i, text in enumerate(lines, 1) if text.startswith(line))
+    line, reported = locate(edited), locate(reported)
     if field is None:
         lines[line - 1] = value
     else:
         fields = lines[line - 1].split(sep)
         fields[field] = value
         lines[line - 1] = sep.join(fields)
-    paths[name].write_text("\n".join(lines) + "\n")
+    paths[name].write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
 
     argv = [
         "eval", "--data", str(paths["instances"]), "--registry", str(paths["registry"]),
@@ -253,7 +271,7 @@ def test_malformed_input_is_one_line_path_line_error(
     ]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {paths[name]}:{line}: ")
+    assert err.startswith(f"error: {paths[name]}:{reported}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert message in err
     assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # nothing written
@@ -512,6 +530,24 @@ class TestGradCheck:
             if "max relative error" in line:
                 assert float(line.rsplit(" ", 1)[1]) < 1e-4
         assert out.splitlines()[-1] == "OK: all components within 1e-04"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cases", "0", "cases must be >= 1, got 0"),
+        ("--d", "0", "d must be >= 1, got 0"),
+        ("--n-way", "1", "n_way must be >= 2, got 1"),
+        ("--k-shot", "0", "k_shot must be >= 1, got 0"),
+        ("--q-per", "0", "q_per must be >= 1, got 0"),
+    ])
+    def test_rejects_a_shape_that_checks_nothing(self, capsys, monkeypatch, flag, value, message):
+        # before any check runs: with no case, a loss identically 0, or no
+        # feature, a check would crash or pass vacuously
+        def unreachable(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(gradcheck, "check_support_likelihood", unreachable)
+        monkeypatch.setattr(gradcheck, "check_episode_objective", unreachable)
+        assert main(["grad-check", flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_nan_gradient_fails(self, capsys, monkeypatch):
         objective = trainer.episode_objective_and_grads

@@ -56,6 +56,57 @@ def test_every_kept_import_is_a_traced_call_site():
     assert [site for site in kept if site not in sites] == []
 
 
+FILE_READS = {"open", "read_text", "read_bytes"}
+
+
+def file_readers(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` that call
+    ``open``, ``read_text`` or ``read_bytes``, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in FILE_READS:
+                    found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), scope)
+    return found
+
+
+def test_file_reader_scan_finds_every_kind_of_read():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+import io
+text = open("a").read()
+def one(path):
+    return Path(path).read_text()
+class Reader:
+    def two(self, path):
+        def inner():
+            return io.open(path, "rb").read() + self.path.read_bytes()
+        return inner()
+def writes(path):
+    Path(path).write_text("x")
+"""
+    assert file_readers(source, "m") == ["m", "m.one", "m.Reader.two.inner", "m.Reader.two.inner"]
+
+
+def test_read_lines_is_the_one_file_reader():
+    # every input file goes through data.read_lines, its one place for the
+    # UTF-8 and line-number handling
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += file_readers(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ["data.read_lines"]
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_workload_runs_a_unit(name, tmp_path):
     # unit 0 of seed 0 down the benchmark's own path through the library: its

@@ -313,7 +313,9 @@ class TestCheckpoint:
         params = init_params(4, 3, RngStream(11))
         params.encoder = EncoderParams(mode="linear", weight=np.ones((4, 3)), bias=np.zeros(4))
         write_checkpoint(params, tmp_path / "m.ckpt")
-        with pytest.raises(ValueError, match="m.ckpt: inconsistent dimensions"):
+        at = (tmp_path / "m.ckpt").read_text().splitlines().index("encoder.weight 4 3") + 1
+        message = rf"m.ckpt:{at}: expected encoder.weight 3 3, found 'encoder.weight 4 3'$"
+        with pytest.raises(ValueError, match=message):
             read_checkpoint(tmp_path / "m.ckpt")
 
     def test_rejects_encoder_bias_of_two_rows(self, tmp_path):
@@ -324,9 +326,30 @@ class TestCheckpoint:
         at = lines.index("encoder.bias 1 3")
         lines[at : at + 2] = ["encoder.bias 2 3", lines[at + 1], lines[at + 1]]
         (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
-        message = rf"m.ckpt:{at + 1}: encoder.bias must have 1 row, found 2$"
+        message = rf"m.ckpt:{at + 1}: expected encoder.bias 1 3, found 'encoder.bias 2 3'$"
         with pytest.raises(ValueError, match=message):
             read_checkpoint(tmp_path / "m.ckpt")
+
+    def test_rejects_non_finite_encoder_bias(self, tmp_path):
+        params = init_params(4, 3, RngStream(12), encoder_mode="linear")
+        write_checkpoint(params, tmp_path / "m.ckpt")
+        lines = (tmp_path / "m.ckpt").read_text().splitlines()
+        at = lines.index("encoder.bias 1 3") + 1
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " inf"
+        (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"m.ckpt:{at + 1}: non-finite encoder.bias value$"):
+            read_checkpoint(tmp_path / "m.ckpt")
+
+    def test_round_trip_skips_blank_lines(self, tmp_path):
+        params = init_params(4, 3, RngStream(14), encoder_mode="linear")
+        write_checkpoint(params, tmp_path / "m.ckpt", {"seed": "14"})
+        lines = (tmp_path / "m.ckpt").read_text().splitlines()
+        at = lines.index("encoder.bias 1 3")
+        lines[at:at] = ["", "  "]
+        (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
+        loaded, echo = read_checkpoint(tmp_path / "m.ckpt")
+        assert echo == {"seed": "14"}
+        assert np.array_equal(params_to_vector(loaded), params_to_vector(params))
 
     @pytest.mark.parametrize("encoder_mode", ["identity", "linear"])
     def test_readme_format_lists_the_written_lines(self, tmp_path, encoder_mode):
