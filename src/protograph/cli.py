@@ -67,7 +67,6 @@ OPTIONS = {
     "lr": Option(float, 0.1, "SGD learning rate"),
     "eval-every": Option(int, 100, "episodes between validations and checkpoints (0: never)"),
     "val-episodes": Option(int, 20, "episodes per validation"),
-    "timing": Option(bool, False, "record wall_ms in the log"),
     # synth
     "relations": Option(int, 25, "number of relations"),
     "dim": Option(int, 8, "feature dimension"),
@@ -148,6 +147,21 @@ class Options:
             for k, v in self._values.items()
             if v is not None and k in self._read
         }
+
+    def check_output_dirs(self) -> None:
+        """Fail before any work when an output path is a directory or its
+        directory is missing.
+
+        The outputs are train's --checkpoint and every --out but synth's, a
+        directory that synth creates itself.
+        """
+        keys = {"train": ("checkpoint", "out"), "synth": ()}.get(self.command, ("out",))
+        for key in keys:
+            path = self._values.get(key)
+            if path and Path(path).is_dir():
+                raise ValueError(f"{path}: is a directory")
+            if path and not Path(path).parent.is_dir():
+                raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
 
     def write_echo(self, anchor_path) -> None:
         echo = self.echo_dict()
@@ -266,7 +280,6 @@ def _cmd_train(opts: Options) -> int:
         log_path=opts["out"],
         seed=opts["seed"],
         encoder_mode=opts["encoder"],
-        record_timing=opts["timing"],
     )
     _, rows = trainer.train(dataset, g, config, config_echo=opts.echo_dict())
     opts.write_echo(checkpoint)
@@ -369,7 +382,7 @@ COMMANDS = {
     ),
     "train": Command(
         _cmd_train, "episodic training",
-        _INPUTS + _EPISODE + _SAMPLER + ("lr", "eval-every", "val-episodes", "timing"),
+        _INPUTS + _EPISODE + _SAMPLER + ("lr", "eval-every", "val-episodes"),
         {"episodes": 500},
     ),
     "eval": Command(_cmd_eval, "few-shot evaluation", _EVAL),
@@ -414,7 +427,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        return command.run(Options(args, command))
+        opts = Options(args, command)
+        opts.check_output_dirs()
+        return command.run(opts)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

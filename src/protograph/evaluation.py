@@ -257,12 +257,26 @@ def emit_report(reports, path, format: str = "csv") -> None:
 
 
 def parse_report_csv(path) -> list[dict]:
-    """Read back an emitted CSV report (used by round-trip checks and tools)."""
+    """Read back an emitted CSV report (used by round-trip checks and tools).
+
+    A row with the wrong number of cells, or a cell that is not of its
+    column's type, fails as ``path:line: ...``.
+    """
     lines = read_lines(path)
     if next(lines, (0, ""))[1].split(",") != list(REPORT_COLUMNS):
         raise ValueError(f"{path}: unexpected header")
-    kinds = [kind for _, kind in REPORT_COLUMNS.values()]
-    return [
-        {col: kind(cell) for col, kind, cell in zip(REPORT_COLUMNS, kinds, line.split(","))}
-        for _, line in lines
-    ]
+    rows = []
+    for lineno, line in lines:
+        cells = line.split(",")
+        if len(cells) != len(REPORT_COLUMNS):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns, found {len(cells)}"
+            )
+        row = {}
+        for (col, (_, kind)), cell in zip(REPORT_COLUMNS.items(), cells):
+            try:
+                row[col] = kind(cell)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {col}: {exc}") from None
+        rows.append(row)
+    return rows

@@ -53,7 +53,8 @@ def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray
             f"graph feature dim {ax.shape[1]} != layer input dim {params.input_dim}"
         )
     idx = np.asarray(targets, dtype=int)
-    if idx.size and idx.max() >= len(ax):
-        raise ValueError(f"episode target {int(idx.max())} not in the graph")
+    bad = idx[(idx < 0) | (idx >= len(ax))]
+    if bad.size:
+        raise ValueError(f"episode target {int(bad[0])} not in the graph")
     return ax[idx] @ params.weight + params.bias
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import (
-    MEASURES, EncoderParams, encode_batch, pairwise_logits, support_labels, support_probs_and_grad,
+    MEASURES, EncoderParams, encode_batch, pairwise_logits, similarity_softmax_vjp,
+    support_drift_vjp, support_labels, support_probs_and_grad,
 )
 from .numerics import ChildNormals, RngStream, softmax_with_temperature
 
@@ -91,7 +92,6 @@ class ChainRecord:
     """Trajectory of an SGLD run, kept for reverse-mode differentiation."""
 
     trajectory: np.ndarray  # (M+1, L, N, d), trajectory[0] is the init
-    step_sizes: np.ndarray  # (M,)
     # (M, L, S, N) support softmax at the state each step starts from; None
     # when no step evaluated the likelihood term
     support_probs: np.ndarray | None = None
@@ -216,7 +216,6 @@ def sgld_chain(
         return values, None
     return values, ChainRecord(
         trajectory=np.stack(trajectory),
-        step_sizes=eps,
         support_probs=np.stack(support_probs) if support_probs else None,
     )
 
@@ -300,6 +299,46 @@ def episode_forward(
         probs=chain_probs.mean(axis=-3),
         record=chain,
     )
+
+
+def episode_forward_vjp(
+    fwd: EpisodeForward, d_chain_probs, config: SamplerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """VJP of a recorded one-episode :func:`episode_forward`, noise held fixed.
+
+    Takes the cotangent (L, Q, N) of ``fwd.chain_probs``. Returns those of the
+    summaries (N, d), zero when the graph prior is off, the support encodings
+    (S, d) and the query encodings (Q, d).
+    """
+    chain = fwd.record
+    d_eq, d_v = similarity_softmax_vjp(
+        fwd.chain_probs, d_chain_probs, fwd.query_enc, chain.trajectory[-1],
+        config.measure, config.tau,
+    )
+
+    # reverse through the unrolled chain
+    d_es = np.zeros_like(fwd.support_enc)
+    d_h = np.zeros_like(d_v[0])
+    lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
+    for t, eps_t in reversed(list(enumerate(config.step_sizes()))):
+        half = 0.5 * eps_t
+        d_h += half * config.prior_weight * d_v.sum(axis=0)
+        d_v_next = d_v - half * config.prior_weight * d_v
+        if chain.support_probs is not None:
+            des_lik, dv_lik = support_drift_vjp(
+                fwd.support_enc, fwd.one_hot, chain.trajectory[t], chain.support_probs[t],
+                half * d_v, config.measure, config.tau, lik_scale,
+            )
+            d_v_next = d_v_next + dv_lik
+            d_es += des_lik
+        d_v = d_v_next
+
+    # warm start v0 = class_means + alpha * h - beta * grand_mean, shared by the chains
+    d_v0 = d_v.sum(axis=0)
+    d_h += config.alpha * d_v0
+    d_es += (fwd.one_hot @ d_v0) / fwd.k_shot
+    d_es += -config.beta * d_v0.sum(axis=0) / len(fwd.support_enc)
+    return (d_h if config.graph_prior else np.zeros_like(d_h)), d_es, d_eq
 
 
 def posterior_predict(

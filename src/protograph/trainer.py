@@ -3,17 +3,16 @@
 The per-episode objective is the negative Monte Carlo query log-likelihood,
 sum_q -log[(1/L) sum_l p(y_q | x_q, v^(l))], where the v^(l) are the final
 states of the SGLD chains. Gradients with respect to the graph-layer and
-encoder parameters are computed by a hand-written reverse pass through the
-whole pipeline: prediction, the unrolled chain (noise draws held fixed, so
-each step is deterministic and differentiable), the warm start, the support
-statistics, and the encodings. The reverse pass is validated everywhere
-against the central-difference oracle.
+encoder parameters are computed by a hand-written reverse pass:
+sampler.episode_forward_vjp takes the loss's cotangent back through the
+prediction, the unrolled chain and the warm start to the summaries and the
+encodings, and this module carries it into the graph layer and the encoder.
+The reverse pass is validated everywhere against the central-difference oracle.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,10 +21,10 @@ import numpy as np
 from .data import Dataset, Episode, parse_ints, read_lines, sample_episode
 from .evaluation import episode_outcomes
 from .graph import RelationGraph
-from .likelihood import ENCODER_MODES, EncoderParams, similarity_softmax_vjp, support_drift_vjp
+from .likelihood import ENCODER_MODES, EncoderParams
 from .numerics import RngStream
 from .prior import GnnParams, summary_rows
-from .sampler import EpisodeForward, SamplerConfig, episode_forward
+from .sampler import EpisodeForward, SamplerConfig, episode_forward, episode_forward_vjp
 
 # Not called here (episode_forward runs the pipeline and validation runs
 # evaluation's loop), but bound so that benchmarks/tracer.py, which patches
@@ -63,7 +62,6 @@ class TrainConfig:
     log_path: str | Path | None = None
     seed: int = 0
     encoder_mode: str = "identity"
-    record_timing: bool = False
 
     def __post_init__(self) -> None:
         if self.episodes_total < 0:
@@ -171,57 +169,22 @@ def episode_objective_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Negative query log-likelihood of one episode and its parameter gradients."""
     loss, fwd = _episode_forward(episode, graph, params, config, rng)
-    chain = fwd.record
-    y_q = episode.query_y
-    q_count = y_q.size
-    v_final = chain.trajectory[-1]
-
-    # loss -> chain-averaged probabilities -> per-chain softmax inputs
+    # the loss's cotangent: -1/p_bar at each query's true class, shared by the chains
+    rows, y_q = np.arange(episode.query_y.size), episode.query_y
     d_mean = np.zeros_like(fwd.probs)
-    d_mean[np.arange(q_count), y_q] = -1.0 / fwd.probs[np.arange(q_count), y_q]
-    d_probs = np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape)
-    d_eq, d_v = similarity_softmax_vjp(
-        fwd.chain_probs, d_probs, fwd.query_enc, v_final, config.measure, config.tau
+    d_mean[rows, y_q] = -1.0 / fwd.probs[rows, y_q]
+    d_summ, d_es, d_eq = episode_forward_vjp(
+        fwd, np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape), config
     )
 
-    # reverse through the unrolled chain; noise draws are constants
-    d_es = np.zeros_like(fwd.support_enc)
-    lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
-    d_eff = np.zeros_like(v_final[0])
-    for t in range(len(chain.step_sizes) - 1, -1, -1):
-        half = 0.5 * chain.step_sizes[t]
-        v_prev = chain.trajectory[t]
-        d_eff += half * config.prior_weight * d_v.sum(axis=0)
-        d_v_next = d_v - half * config.prior_weight * d_v
-        if chain.support_probs is not None:
-            des_lik, dv_lik = support_drift_vjp(
-                fwd.support_enc, fwd.one_hot, v_prev, chain.support_probs[t],
-                half * d_v, config.measure, config.tau, lik_scale,
-            )
-            d_v_next = d_v_next + dv_lik
-            d_es += des_lik
-        d_v = d_v_next
-
-    # warm start: v0 = class_means + alpha * eff - beta * grand_mean
-    d_v0 = d_v.sum(axis=0)  # chains share the init
-    d_eff += config.alpha * d_v0
-    d_class_means = d_v0
-    d_grand = -config.beta * d_v0.sum(axis=0)
-    s_count = episode.support_y.size
-    d_es += (fwd.one_hot @ d_class_means) / fwd.k_shot
-    d_es += d_grand[None, :] / s_count
-
     # graph layer: summaries = propagated rows @ W + b
-    d_summ = d_eff if config.graph_prior else np.zeros_like(d_eff)
     grads = {
         "gnn.weight": graph.propagated()[episode.targets].T @ d_summ,
         "gnn.bias": d_summ.sum(axis=0),
     }
 
     if params.encoder.trainable:
-        grads["encoder.weight"] = (
-            d_es.T @ episode.support_x + d_eq.T @ episode.query_x
-        )
+        grads["encoder.weight"] = d_es.T @ episode.support_x + d_eq.T @ episode.query_x
         grads["encoder.bias"] = d_es.sum(axis=0) + d_eq.sum(axis=0)
     return loss, grads
 
@@ -242,12 +205,11 @@ class LogRow:
     episode_index: int
     loss: float
     val_accuracy: float | None
-    wall_ms: float | None
 
     def as_csv(self) -> str:
+        # the last column, wall_ms, is always blank
         val = "" if self.val_accuracy is None else repr(self.val_accuracy)
-        ms = "" if self.wall_ms is None else repr(self.wall_ms)
-        return f"{self.episode_index},{repr(self.loss)},{val},{ms}"
+        return f"{self.episode_index},{repr(self.loss)},{val},"
 
 
 def write_training_log(rows: list[LogRow], path) -> None:
@@ -260,7 +222,6 @@ def train(
     dataset: Dataset,
     graph: RelationGraph,
     config: TrainConfig,
-    params: ModelParams | None = None,
     config_echo: dict | None = None,
 ) -> tuple[ModelParams, list[LogRow]]:
     """Alg-style episodic SGD: sample an episode, step on its objective.
@@ -279,18 +240,16 @@ def train(
             dataset.relations_in_split(split, need=config.n_way), config.k_shot + config.q_per
         )
     rng = RngStream(config.seed)
-    if params is None:
-        params = init_params(
-            graph_dim=graph.feature_dim,
-            output_dim=dataset.d,
-            rng=rng.child(_NS_INIT),
-            encoder_mode=config.encoder_mode,
-        )
+    params = init_params(
+        graph_dim=graph.feature_dim,
+        output_dim=dataset.d,
+        rng=rng.child(_NS_INIT),
+        encoder_mode=config.encoder_mode,
+    )
     arrays = param_arrays(params)
     rows: list[LogRow] = []
 
     for ep in range(config.episodes_total):
-        t0 = time.perf_counter() if config.record_timing else None
         try:
             episode = sample_episode(
                 dataset, "train", config.n_way, config.k_shot, config.q_per,
@@ -313,10 +272,7 @@ def train(
             val_acc = sum(correct) / sum(queries)
             if config.checkpoint_path is not None:
                 write_checkpoint(params, config.checkpoint_path, config_echo)
-        wall = None
-        if config.record_timing:
-            wall = 1000.0 * (time.perf_counter() - t0)
-        rows.append(LogRow(ep, loss, val_acc, wall))
+        rows.append(LogRow(ep, loss, val_acc))
 
     if config.checkpoint_path is not None:
         write_checkpoint(params, config.checkpoint_path, config_echo)

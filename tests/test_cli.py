@@ -2,6 +2,7 @@
 
 import json
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -426,7 +427,7 @@ def test_each_subcommand_declares_exactly_the_options_it_reads(
         assert read[name] == set(command.options), name
     counts = {name: len(command.options) for name, command in cli.COMMANDS.items()}
     assert counts == {
-        "synth": 9, "build-graph": 3, "train": 27, "eval": 25, "zero-shot": 16,
+        "synth": 9, "build-graph": 3, "train": 26, "eval": 25, "zero-shot": 16,
         "sweep": 27, "grad-check": 9,
     }
 
@@ -471,6 +472,51 @@ def test_bad_option_value_is_one_line_error(workspace, tmp_path, capsys, cmd, fl
     assert main(args + flags) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not any(tmp_path.iterdir())  # nothing written
+
+
+MISSING_DIRS = [
+    ("train", ["--checkpoint", "nodir/m.ckpt", "--eval-every", "0", "--episodes", "300"],
+     "nodir/m.ckpt"),
+    ("train", ["--checkpoint", "m.ckpt", "--out", "nodir/log.csv"], "nodir/log.csv"),
+    ("eval", ["--out", "nodir/r.csv"], "nodir/r.csv"),
+    ("zero-shot", ["--out", "nodir/r.csv"], "nodir/r.csv"),
+    ("sweep", ["--out", "nodir/r.csv"], "nodir/r.csv"),
+    ("build-graph", ["--out", "nodir/edges.tsv"], "nodir/edges.tsv"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, flags, path", MISSING_DIRS, ids=[" ".join([c] + f) for c, f, _ in MISSING_DIRS]
+)
+def test_missing_output_directory_fails_before_any_input_loads(
+    workspace, tmp_path, capsys, monkeypatch, cmd, flags, path
+):
+    _, data = workspace
+    monkeypatch.chdir(tmp_path)
+
+    def loaded(*args):
+        raise AssertionError("an input was loaded")
+
+    monkeypatch.setattr(cli, "load_dataset", loaded)
+    monkeypatch.setattr(cli, "load_embeddings", loaded)
+    if cmd == "build-graph":
+        args = [cmd, "--embeddings", str(data / "embeddings.tsv")]
+    else:
+        args = base_args(workspace, cmd)
+    assert main(args + flags) == 1
+    assert capsys.readouterr().err == f"error: {path}: directory nodir does not exist\n"
+    assert not any(tmp_path.iterdir())  # nothing written
+    # an output path that names a directory fails as early
+    (tmp_path / "nodir" / Path(path).name).mkdir(parents=True)
+    assert main(args + flags) == 1
+    assert capsys.readouterr().err == f"error: {path}: is a directory\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["nodir", Path(path).name]
+
+
+def test_synth_creates_its_output_directory(tmp_path):
+    out = tmp_path / "nodir" / "data"
+    assert main(["synth", "--out", str(out), "--relations", "6", "--splits", "2,2,2"]) == 0
+    assert (out / "instances.tsv").exists()
 
 
 def test_echo_leaves_out_options_the_run_did_not_read(workspace, tmp_path):

@@ -356,3 +356,17 @@ class TestEmitReport:
     def test_unwritable_path_reports_path(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             emit_report([sample_report()], tmp_path / "no" / "such" / "r.csv", "csv")
+
+    @pytest.mark.parametrize("row, message", [
+        # a hand-cut row once read back as {'setting': 'sweep:L=1', 'N': 5, 'K': 1}
+        ("sweep:L=1,5,1", "expected 13 columns, found 3"),
+        ("fewshot,5,one,10,5,0.1,1.0,1.0,dot,100,0.9,0.01,0",
+         "K: invalid literal for int() with base 10: 'one'"),
+    ], ids=["short-row", "bad-cell"])
+    def test_malformed_row_is_path_line_error(self, tmp_path, row, message):
+        emit_report([sample_report()], tmp_path / "r.csv", "csv")
+        with open(tmp_path / "r.csv", "a", encoding="utf-8") as f:
+            f.write(row + "\n")
+        with pytest.raises(ValueError) as exc:
+            parse_report_csv(tmp_path / "r.csv")
+        assert str(exc.value) == f"{tmp_path / 'r.csv'}:3: {message}"

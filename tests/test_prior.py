@@ -65,6 +65,13 @@ class TestRelationSummaries:
         full = all_summary_rows(g, params)
         np.testing.assert_array_equal(summary_rows(g, params, [5, 1, 3]), full[[5, 1, 3]])
 
+    def test_negative_target_raises(self):
+        # a negative id once indexed from the end: relation 5's summary
+        g = build_knn_graph(np.random.default_rng(3).standard_normal((6, 3)), 2)
+        params = GnnParams(weight=np.eye(3), bias=np.zeros(3))
+        with pytest.raises(ValueError, match=r"^episode target -1 not in the graph$"):
+            summary_rows(g, params, [2, -1])
+
 
 def prior_gradient(v, h):
     """The prior gradient the chain follows at prototypes v (N, d): one

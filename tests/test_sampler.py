@@ -11,10 +11,14 @@ from protograph.likelihood import (
     support_log_likelihood_and_grad,
     support_probs_and_grad,
 )
-from protograph.numerics import RngStream, softmax_with_temperature, standard_normal_sample
+from protograph.numerics import (
+    RngStream, finite_difference_gradient, max_relative_error, softmax_with_temperature,
+    standard_normal_sample,
+)
 from protograph.sampler import (
     SamplerConfig,
     episode_forward,
+    episode_forward_vjp,
     init_prototypes,
     posterior_predict,
     predict_queries,
@@ -433,6 +437,42 @@ class TestEpisodeForward:
         one_hot, k_shot = support_labels(sy, 2)
         assert fwd.one_hot.tobytes() == one_hot.tobytes() and fwd.k_shot == k_shot
         assert (fwd.record is not None) == record
+
+
+class TestEpisodeForwardVjp:
+    """The reverse of a recorded episode forward against central differences."""
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("step_decay", [0.0, 0.7])
+    @pytest.mark.parametrize("graph_prior", [True, False])
+    def test_matches_oracle(self, measure, step_decay, graph_prior):
+        gen = np.random.default_rng(40)
+        sx, sy = gen.standard_normal((6, 3)), np.array([1, 0, 2, 2, 0, 1])
+        qx, h = gen.standard_normal((4, 3)), gen.standard_normal((3, 3))
+        targets = [4, 0, 2]
+        cfg = SamplerConfig(
+            chains=2, steps=3, step_decay=step_decay, measure=measure, graph_prior=graph_prior
+        )
+        cotangent = gen.standard_normal((2, 4, 3))
+
+        def forward(sx, qx, h):
+            return episode_forward(
+                sx, sy, targets, qx, h, cfg, IDENTITY, RngStream(41), record=True
+            )
+
+        def contracted(sx, qx, h):
+            return float(np.sum(cotangent * forward(sx, qx, h).chain_probs))
+
+        d_h, d_sx, d_qx = episode_forward_vjp(forward(sx, qx, h), cotangent, cfg)
+        oracles = [
+            (d_h, finite_difference_gradient(lambda x: contracted(sx, qx, x), h)),
+            (d_sx, finite_difference_gradient(lambda x: contracted(x, qx, h), sx)),
+            (d_qx, finite_difference_gradient(lambda x: contracted(sx, x, h), qx)),
+        ]
+        for analytic, fd in oracles:
+            assert max_relative_error(analytic, fd) < 1e-4
+        if not graph_prior:
+            assert not np.any(d_h)  # the forward replaced the summaries with zeros
 
 
 def episode_batch(seed, e_count, n_way=4, k_shot=2, q_count=6, d=5):

@@ -107,6 +107,52 @@ def test_read_lines_is_the_one_file_reader():
     assert found == ["data.read_lines"]
 
 
+# the sampler's records and the config knobs of its rules: the SGLD step, the
+# likelihood scale and the warm start
+CHAIN_FIELDS = {
+    "trajectory", "support_probs", "step_sizes", "prior_weight", "likelihood_weight",
+    "alpha", "beta",
+}
+
+
+def chain_rule_uses(source: str) -> list[str]:
+    """The VJP names that ``source`` imports or calls, other than the episode
+    forward's, and the CHAIN_FIELDS attributes it reads, sorted."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return sorted(
+        name for name in names
+        if name in CHAIN_FIELDS or name.endswith("_vjp") and name != "episode_forward_vjp"
+    )
+
+
+def test_chain_rule_scan_finds_every_kind_of_use():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+from .likelihood import EncoderParams, support_drift_vjp
+from .sampler import episode_forward_vjp
+from . import likelihood
+def reverse(fwd, config):
+    chain = fwd.record
+    likelihood.similarity_softmax_vjp(chain.trajectory[-1], fwd.record.support_probs)
+    return chain.step_sizes, config.prior_weight * config.likelihood_weight, config.alpha
+"""
+    assert chain_rule_uses(source) == [
+        "alpha", "likelihood_weight", "prior_weight", "similarity_softmax_vjp", "step_sizes",
+        "support_drift_vjp", "support_probs", "trajectory",
+    ]
+
+
+def test_trainer_leaves_the_chain_rules_to_the_sampler():
+    # the reverse of the chain sits beside its forward in sampler.py; the
+    # trainer only seeds it and carries its cotangents into the parameters
+    assert chain_rule_uses((SRC / "trainer.py").read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_workload_runs_a_unit(name, tmp_path):
     # unit 0 of seed 0 down the benchmark's own path through the library: its
