@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RekeyedPhilox, RngStream
 
 SPLITS = ("train", "val", "test")
 
@@ -18,13 +18,18 @@ class Dataset:
     """Labeled instances grouped by relation, with a per-relation split.
 
     Relation ids index the relation-embedding matrix and graph nodes directly,
-    so they must be the contiguous range 0..R-1.
+    so they must be the contiguous range 0..R-1. The rows of all relations
+    are kept in one contiguous (n, d) float array, ``rows``, in relation-id
+    order: relation r owns ``rows[offsets[r]:offsets[r + 1]]``, and
+    ``instances[r]`` is a view of them.
     """
 
     names: dict[int, str]
     splits: dict[int, str]
     instances: dict[int, np.ndarray]  # relation id -> (n_i, d) feature rows
     d: int
+    rows: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ids = sorted(self.names)
@@ -40,6 +45,12 @@ class Dataset:
                 raise ValueError(
                     f"relation {rid} features have shape {rows.shape}, expected (*, {self.d})"
                 )
+        parts = [self.instances[rid] for rid in ids]
+        self.rows = np.concatenate([np.empty((0, self.d))] + parts, dtype=float)
+        self.offsets = np.cumsum([0] + [len(rows) for rows in parts])
+        self.instances = {
+            rid: self.rows[self.offsets[rid] : self.offsets[rid + 1]] for rid in ids
+        }
 
     @property
     def num_relations(self) -> int:
@@ -62,51 +73,80 @@ class Dataset:
                     f"relation {rid} has {len(self.instances[rid])} instances, need {need}"
                 )
 
+    def check_split(self, split: str, n_way: int, k_shot: int, q_per: int) -> None:
+        """Raise unless every episode of this shape can be drawn from ``split``."""
+        check_episode_shape(n_way, k_shot, q_per)
+        self.check_instances(self.relations_in_split(split, need=n_way), k_shot + q_per)
+
 
 @dataclass
 class Episode:
-    """One N-way K-shot task sampled from a dataset split.
+    """One N-way K-shot task sampled from a dataset split, or E such tasks.
 
     Labels are indices into ``targets`` (positions 0..N-1), not raw relation
-    ids; ``targets[label]`` recovers the relation id.
+    ids; ``targets[label]`` recovers the relation id. A batch of E episodes
+    stacks every field on a leading E axis, with targets an (E, N) array.
     """
 
-    targets: list[int]
+    targets: list[int] | np.ndarray
     support_x: np.ndarray  # (N*K, d), class-major order
     support_y: np.ndarray  # (N*K,) target indices
     query_x: np.ndarray  # (N*Q_per, d)
     query_y: np.ndarray  # (N*Q_per,)
 
 
+def check_episode_shape(n_way: int, k_shot: int, q_per: int) -> None:
+    """Reject an episode shape with no class, a negative support size or no query."""
+    if n_way < 1 or k_shot < 0 or q_per < 1:
+        raise ValueError("need n_way >= 1, k_shot >= 0, q_per >= 1")
+
+
 def sample_episode(
-    dataset: Dataset, split: str, n_way: int, k_shot: int, q_per: int, rng: RngStream
+    dataset: Dataset, split: str, n_way: int, k_shot: int, q_per: int,
+    rng: RngStream | Sequence[RngStream],
 ) -> Episode:
     """Sample N target relations, then disjoint support and query sets.
 
     Targets are drawn uniformly without replacement from the split; within
     each target, K + Q_per distinct instances are drawn, the first K forming
     the support set. k_shot may be 0 (zero-shot episodes carry only queries).
-    """
-    if n_way < 1 or k_shot < 0 or q_per < 1:
-        raise ValueError("need n_way >= 1, k_shot >= 0, q_per >= 1")
-    rel_ids = dataset.relations_in_split(split, need=n_way)
-    gen = rng.generator()
-    targets = [int(r) for r in gen.choice(np.asarray(rel_ids), size=n_way, replace=False)]
 
+    ``rng`` is one stream, or a sequence of E streams sharing a seed for a
+    batch of E episodes, each exactly the episode its stream gives alone.
+    The streams draw from one re-keyed Philox, and the batch's rows come
+    from ``dataset.rows`` in one gather.
+    """
+    check_episode_shape(n_way, k_shot, q_per)
+    batched = not isinstance(rng, RngStream)
+    streams = list(rng) if batched else [rng]
+    rel_ids = np.asarray(dataset.relations_in_split(split, need=n_way))
+    philox = RekeyedPhilox(streams)
+    counts = np.diff(dataset.offsets).tolist()
     need = k_shot + q_per
-    dataset.check_instances(targets, need)
-    sup_x, qry_x = [], []
-    for rid in targets:
-        rows = dataset.instances[rid]
-        picked = gen.choice(len(rows), size=need, replace=False)
-        sup_x.append(rows[picked[:k_shot]])
-        qry_x.append(rows[picked[k_shot:]])
+    targets = np.empty((len(streams), n_way), dtype=int)
+    picked = np.empty((len(streams), n_way, need), dtype=int)
+    for e, stream in enumerate(streams):
+        gen = philox.start(stream.stream_id)
+        targets[e] = gen.choice(rel_ids, size=n_way, replace=False)
+        ids = targets[e].tolist()
+        dataset.check_instances(ids, need)
+        for n, rid in enumerate(ids):
+            picked[e, n] = gen.choice(counts[rid], size=need, replace=False)
+
+    # row numbers in dataset.rows, support rows of the batch first, then query rows
+    picked += dataset.offsets[targets][..., None]
+    order = np.concatenate([picked[..., :k_shot].ravel(), picked[..., k_shot:].ravel()])
+    rows = dataset.rows[order]
+    lead = (len(streams),) if batched else ()
+    split_at = len(streams) * n_way * k_shot
+    support_y = np.repeat(np.arange(n_way), k_shot)
+    query_y = np.repeat(np.arange(n_way), q_per)
     return Episode(
-        targets=targets,
-        support_x=np.concatenate(sup_x).astype(float, copy=False),
-        support_y=np.repeat(np.arange(n_way), k_shot),
-        query_x=np.concatenate(qry_x).astype(float, copy=False),
-        query_y=np.repeat(np.arange(n_way), q_per),
+        targets=targets if batched else targets[0].tolist(),
+        support_x=rows[:split_at].reshape(lead + (n_way * k_shot, dataset.d)),
+        support_y=np.tile(support_y, lead + (1,)),
+        query_x=rows[split_at:].reshape(lead + (n_way * q_per, dataset.d)),
+        query_y=np.tile(query_y, lead + (1,)),
     )
 
 
@@ -182,8 +222,12 @@ def load_dataset(instances_path, registry_path) -> Dataset:
     for lineno, rid in zip(linenos, ids):
         if rid not in names:
             raise ValueError(f"{instances_path}:{lineno}: unknown relation id {rid}")
-    ids = np.asarray(ids)
-    instances = {rid: values[ids == rid] for rid in names}
+    # one stable sort groups the rows by relation, each relation's in file order
+    order = np.argsort(ids, kind="stable")
+    ids, values = np.asarray(ids)[order], values[order]
+    keys = np.array(list(names))
+    bounds = zip(np.searchsorted(ids, keys).tolist(), np.searchsorted(ids, keys, "right").tolist())
+    instances = {rid: values[lo:hi] for rid, (lo, hi) in zip(names, bounds)}
     return Dataset(names=names, splits=splits, instances=instances, d=values.shape[1])
 
 

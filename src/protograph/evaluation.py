@@ -90,6 +90,9 @@ def episode_outcomes(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    # every relation of the split, not only those drawn, must hold an episode's
+    # instances, so a short one fails before the first batch as in train()
+    dataset.check_split(split, n_way, k_shot, q_per)
     d = params.gnn.output_dim
     if sampler_config is None:
         size = _batch_size(measure, 1, n_way, n_way * q_per, d)
@@ -99,25 +102,22 @@ def episode_outcomes(
     outcomes = []
     for start in range(0, episodes, size):
         ids = range(start, min(start + size, episodes))
-        batch = [
-            sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(i, 0)) for i in ids
-        ]
-        targets = np.array([episode.targets for episode in batch])
-        summaries = summary_rows(graph, params.gnn, targets)
-        query_x = np.stack([episode.query_x for episode in batch])
+        batch = sample_episode(
+            dataset, split, n_way, k_shot, q_per, [rng.child(i, 0) for i in ids]
+        )
+        summaries = summary_rows(graph, params.gnn, batch.targets)
         if sampler_config is None:
             _, preds = predict_queries(
-                query_x, summaries[:, None], params.encoder, measure, tau, targets
+                batch.query_x, summaries[:, None], params.encoder, measure, tau, batch.targets
             )
         else:
             _, preds = posterior_predict(
-                np.stack([episode.support_x for episode in batch]),
-                np.stack([episode.support_y for episode in batch]),
-                targets, query_x, summaries, sampler_config, params.encoder,
-                [rng.child(i, 1) for i in ids], first_episode=start,
+                batch.support_x, batch.support_y, batch.targets, batch.query_x, summaries,
+                sampler_config, params.encoder, [rng.child(i, 1) for i in ids],
+                first_episode=start,
             )
-        query_y = np.stack([episode.query_y for episode in batch])
-        outcomes += [(int(c), query_y.shape[1]) for c in np.sum(preds == query_y, axis=-1)]
+        hits = np.sum(preds == batch.query_y, axis=-1)
+        outcomes += [(int(c), batch.query_y.shape[1]) for c in hits]
     return outcomes
 
 

@@ -10,6 +10,10 @@ import numpy as np
 
 from .data import parse_ints, read_lines, read_rows, write_rows
 
+# rows of the distance matrix that build_knn_graph computes and sorts at once:
+# their difference tensor holds KNN_BLOCK_ROWS * n * d floats
+KNN_BLOCK_ROWS = 32
+
 
 @dataclass
 class RelationGraph:
@@ -56,7 +60,8 @@ def build_knn_graph(embeddings, k: int) -> RelationGraph:
     """k-nearest-neighbor graph on Euclidean distances, symmetrized by union.
 
     Edge (r, r') exists iff r' is among the k nearest of r or vice versa.
-    Distance ties are broken by ascending relation id.
+    Distance ties are broken by ascending relation id. The distances are
+    computed KNN_BLOCK_ROWS rows at a time, so memory grows with n, not n^2.
     """
     x = np.asarray(embeddings, dtype=float)
     if x.ndim != 2:
@@ -67,11 +72,16 @@ def build_knn_graph(embeddings, k: int) -> RelationGraph:
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the number of relations ({n})")
 
-    diff = x[:, None, :] - x[None, :, :]
-    dist2 = np.einsum("ijd,ijd->ij", diff, diff)
-    # each row's own node sorts first; a stable sort keeps ties in id order
-    np.fill_diagonal(dist2, -np.inf)
-    nearest = np.argsort(dist2, axis=1, kind="stable")[:, 1 : k + 1].ravel()
+    nearest = np.empty((n, k), dtype=int)
+    for lo in range(0, n, KNN_BLOCK_ROWS):
+        block = x[lo : lo + KNN_BLOCK_ROWS]
+        diff = block[:, None, :] - x[None, :, :]
+        dist2 = np.einsum("ijd,ijd->ij", diff, diff)
+        # each row's own node sorts first; a stable sort keeps ties in id order
+        rows = np.arange(len(block))
+        dist2[rows, lo + rows] = -np.inf
+        nearest[lo : lo + len(block)] = np.argsort(dist2, axis=1, kind="stable")[:, 1 : k + 1]
+    nearest = nearest.ravel()
     ids = np.repeat(np.arange(n), k)
     pairs = np.stack([np.minimum(ids, nearest), np.maximum(ids, nearest)], axis=1)
     return RelationGraph(node_features=x, edges=np.unique(pairs, axis=0))

@@ -236,9 +236,7 @@ def train(
     if config.eval_every and config.episodes_total >= config.eval_every:
         splits.append("val")
     for split in splits:
-        dataset.check_instances(
-            dataset.relations_in_split(split, need=config.n_way), config.k_shot + config.q_per
-        )
+        dataset.check_split(split, config.n_way, config.k_shot, config.q_per)
     rng = RngStream(config.seed)
     params = init_params(
         graph_dim=graph.feature_dim,

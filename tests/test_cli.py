@@ -302,6 +302,34 @@ def test_train_checks_the_validation_split_before_training(tmp_path, capsys, mon
     assert main(argv[:-1] + ["99"]) == 0 and len(episodes) == 99
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("eval", ["--k-shot", "5", "--q-per", "5"]),
+    ("zero-shot", ["--q-per", "10"]),
+    ("sweep", ["--k-shot", "5", "--q-per", "5"]),
+], ids=["eval", "zero-shot", "sweep"])
+def test_evaluation_checks_instance_counts_before_episode_zero(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    # every relation holds 8 instances, fewer than the 10 an episode draws
+    # from each target: the split fails as a whole, before a batch is drawn
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--out", str(data), "--relations", "25", "--dim", "4",
+        "--per-relation", "8", "--splits", "10,5,10",
+    ]) == 0
+    episodes = []
+    monkeypatch.setattr(evaluation, "sample_episode", lambda *a: episodes.append(a))
+    argv = [
+        command, "--data", str(data / "instances.tsv"), "--registry", str(data / "registry.tsv"),
+        "--embeddings", str(data / "embeddings.tsv"), "--out", str(tmp_path / "report.csv"),
+    ]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    # relation 15 is the test split's first
+    assert capsys.readouterr().err == "error: relation 15 has 8 instances, need 10\n"
+    assert episodes == [] and not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("split, cut", [("train", 3), ("val", 17)])
 def test_train_checks_instance_counts_before_training(tmp_path, capsys, monkeypatch, split, cut):
     data = tmp_path / "data"
@@ -456,6 +484,10 @@ BAD_VALUES = [
     ("eval", ["--alpha", "nan"], "alpha must be finite, got nan"),
     ("train", ["--beta", "nan"], "beta must be finite, got nan"),
     ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
+    # checked before a batch is sized by the episode shape
+    ("eval", ["--n-way", "0"], "need n_way >= 1, k_shot >= 0, q_per >= 1"),
+    ("zero-shot", ["--n-way", "0"], "need n_way >= 1, k_shot >= 0, q_per >= 1"),
+    ("sweep", ["--n-way", "0"], "need n_way >= 1, k_shot >= 0, q_per >= 1"),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from protograph.data import (
     Dataset,
+    Episode,
     generate_synthetic,
     load_dataset,
     sample_episode,
@@ -83,6 +84,100 @@ class TestSampleEpisode:
             assert len(ep.targets) == len(set(ep.targets)) == n
 
 
+def fresh_generator_episode(ds, split, n_way, k_shot, q_per, rng):
+    """The sampler's draws made with a new generator per episode, row by row."""
+    gen = rng.generator()
+    targets = gen.choice(np.asarray(ds.relations_in_split(split)), size=n_way, replace=False)
+    sup, qry = [], []
+    for rid in targets.tolist():
+        rows = ds.instances[rid]
+        picked = gen.choice(len(rows), size=k_shot + q_per, replace=False)
+        sup += [rows[i] for i in picked[:k_shot]]
+        qry += [rows[i] for i in picked[k_shot:]]
+    return targets.tolist(), np.array(sup).reshape(-1, ds.d), np.array(qry).reshape(-1, ds.d)
+
+
+def episode_bytes(ep):
+    return [np.asarray(a).tobytes() for a in (
+        ep.targets, ep.support_x, ep.support_y, ep.query_x, ep.query_y
+    )] + [np.shape(a) for a in (ep.support_x, ep.query_x)]
+
+
+class TestBatchedSampleEpisode:
+    def test_each_episode_is_its_one_stream_call(self):
+        ds = small_dataset(n_rel=9, per_rel=8, d=4)
+        gen = np.random.default_rng(21)
+        for case in range(60):
+            n = int(gen.integers(1, 10))
+            k = int(gen.integers(0, 4))
+            q = int(gen.integers(1, 9 - k))
+            e = int(gen.integers(1, 6))
+            streams = [RngStream(case).child(i, 0) for i in range(e)]
+            batch = sample_episode(ds, "train", n, k, q, streams)
+            assert batch.targets.shape == (e, n)
+            assert batch.support_x.shape == (e, n * k, 4)
+            assert batch.query_x.shape == (e, n * q, 4)
+            assert batch.support_y.shape == (e, n * k) and batch.query_y.shape == (e, n * q)
+            for i, stream in enumerate(streams):
+                alone = sample_episode(ds, "train", n, k, q, stream)
+                part = Episode(
+                    batch.targets[i].tolist(), batch.support_x[i], batch.support_y[i],
+                    batch.query_x[i], batch.query_y[i],
+                )
+                assert episode_bytes(part) == episode_bytes(alone)
+                # the draws of a generator built for the stream alone
+                targets, sup, qry = fresh_generator_episode(ds, "train", n, k, q, stream)
+                assert alone.targets == targets
+                assert alone.support_x.tobytes() == sup.tobytes()
+                assert alone.query_x.tobytes() == qry.tobytes()
+
+    def test_short_relation_of_the_third_episode_raises_its_own_message(self):
+        ds = small_dataset(n_rel=6, per_rel=6)
+        ds = Dataset(
+            names=ds.names, splits=ds.splits,
+            instances={**ds.instances, 4: ds.instances[4][:2]}, d=ds.d,
+        )
+        streams = [RngStream(3).child(i, 0) for i in range(40)]
+        draws = [fresh_generator_episode(ds, "train", 2, 1, 1, s)[0] for s in streams]
+        clear = [i for i, targets in enumerate(draws) if 4 not in targets]
+        short = next(i for i, targets in enumerate(draws) if 4 in targets)
+        batch = [streams[i] for i in clear[:2]] + [streams[short]]
+        with pytest.raises(ValueError) as alone:
+            sample_episode(ds, "train", 2, 2, 1, streams[short])
+        assert str(alone.value) == "relation 4 has 2 instances, need 3"
+        with pytest.raises(ValueError, match=f"^{alone.value}$"):
+            sample_episode(ds, "train", 2, 2, 1, batch)
+
+    def test_streams_of_different_seeds_are_rejected(self):
+        ds = small_dataset()
+        with pytest.raises(ValueError, match="share one seed"):
+            sample_episode(ds, "train", 2, 1, 1, [RngStream(1), RngStream(2)])
+
+    @pytest.mark.parametrize("episodes", [1, 7])
+    def test_one_philox_per_call(self, monkeypatch, episodes):
+        made = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            made.append(1)
+            return philox(*args, **kwargs)
+
+        ds = small_dataset()
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        sample_episode(ds, "train", 3, 1, 2, [RngStream(5).child(i) for i in range(episodes)])
+        sample_episode(ds, "train", 3, 1, 2, RngStream(6))
+        assert len(made) == 2
+
+    def test_instances_are_views_of_one_store(self, tmp_path):
+        built = small_dataset(n_rel=4, per_rel=3)
+        save_dataset(built, tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+        for ds in (built, load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")):
+            assert ds.rows.shape == (12, 3) and ds.rows.flags.c_contiguous
+            for rid, rows in ds.instances.items():
+                assert np.shares_memory(rows, ds.rows)
+                assert rows.tobytes() == ds.rows[3 * rid : 3 * rid + 3].tobytes()
+
+
 class TestGenerateSynthetic:
     def test_zero_noise_collapses_to_center(self):
         ds, _ = generate_synthetic(4, 3, 2.0, 0.0, 5, RngStream(0))
@@ -132,6 +227,14 @@ class TestLoadSave:
         assert back.names == ds.names and back.splits == ds.splits and back.d == ds.d
         for r in ds.names:
             np.testing.assert_array_equal(back.instances[r], ds.instances[r])
+
+    def test_rows_are_grouped_by_relation_in_file_order(self, tmp_path):
+        (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n1\trel1\ttest\n")
+        (tmp_path / "inst.tsv").write_text("1\t1.0\n0\t2.0\n1\t3.0\n0\t4.0\n1\t5.0\n")
+        ds = load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+        assert ds.rows.ravel().tolist() == [2.0, 4.0, 1.0, 3.0, 5.0]
+        assert ds.offsets.tolist() == [0, 2, 5]
+        assert ds.instances[1].ravel().tolist() == [1.0, 3.0, 5.0]
 
     def test_empty_instances_raises(self, tmp_path):
         (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")

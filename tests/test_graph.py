@@ -1,9 +1,12 @@
 """Tests for k-NN graph construction and adjacency normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from protograph.graph import (
+    KNN_BLOCK_ROWS,
     RelationGraph,
     build_knn_graph,
     load_embeddings,
@@ -64,6 +67,28 @@ class TestBuildKnn:
             x = gen.integers(0, 3, size=(n, 2)).astype(float)
             g = build_knn_graph(x, k)
             assert {tuple(e) for e in g.edges} == brute_force_knn_edges(x, k)
+
+    @pytest.mark.parametrize("n", [KNN_BLOCK_ROWS + 1, 2 * KNN_BLOCK_ROWS + 7])
+    def test_matches_brute_force_across_row_blocks(self, n):
+        # lattice ties between rows of different blocks break by id as within one
+        gen = np.random.default_rng(n)
+        for k in (1, 4, n - 1):
+            x = gen.integers(0, 3, size=(n, 2)).astype(float)
+            g = build_knn_graph(x, k)
+            assert {tuple(e) for e in g.edges} == brute_force_knn_edges(x, k)
+
+    def test_large_graph_in_bounded_memory(self):
+        # the full (n, n, d) difference tensor of 3,000 relations at d=16
+        # would take 1.1 GB; row blocks keep the build within a few of them
+        x = np.random.default_rng(5).standard_normal((3000, 16))
+        tracemalloc.start()
+        try:
+            g = build_knn_graph(x, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.all(np.bincount(g.edges.ravel(), minlength=3000) >= 10)
 
     def test_permutation_equivariance(self):
         gen = np.random.default_rng(3)

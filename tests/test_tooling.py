@@ -107,6 +107,59 @@ def test_read_lines_is_the_one_file_reader():
     assert found == ["data.read_lines"]
 
 
+RNG_CONSTRUCTORS = {"Philox", "Generator", "default_rng", "SeedSequence"}
+
+
+def rng_constructors(source: str, module: str) -> list[str]:
+    """``module:line name`` of every import or use of a name in RNG_CONSTRUCTORS
+    in ``source``, in source order; type annotations are not uses."""
+    tree = ast.parse(source)
+    annotations = set()
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if note is not None:
+                annotations.update(id(part) for part in ast.walk(note))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and id(node) not in annotations:
+            names = [node.attr]
+        elif isinstance(node, ast.Name) and id(node) not in annotations:
+            names = [node.id]
+        else:
+            continue
+        found += [(node.lineno, node.col_offset, name) for name in names
+                  if name in RNG_CONSTRUCTORS]
+    return [f"{module}:{line} {name}" for line, _, name in sorted(found)]
+
+
+def test_rng_constructor_scan_finds_every_kind_of_use():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+import numpy as np
+from numpy.random import default_rng
+from numpy import random as npr
+def draw(seed, gen: np.random.Generator) -> np.random.Generator:
+    a = np.random.Generator(np.random.Philox(seed))
+    make: np.random.SeedSequence = npr.SeedSequence
+    return default_rng(seed)
+"""
+    assert rng_constructors(source, "m") == [
+        "m:3 default_rng", "m:6 Generator", "m:6 Philox", "m:7 SeedSequence",
+        "m:8 default_rng",
+    ]
+
+
+def test_only_numerics_builds_generators():
+    # every draw goes through an RngStream or numerics.RekeyedPhilox, so a
+    # stream is keyed in one place and no module keeps ambient generator state
+    found = {path.stem: rng_constructors(path.read_text(encoding="utf-8"), path.stem)
+             for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("numerics"), "no construction found in numerics.py: the scan is broken"
+    assert [use for uses in found.values() for use in uses] == []
+
+
 # the sampler's records and the config knobs of its rules: the SGLD step, the
 # likelihood scale and the warm start
 CHAIN_FIELDS = {
