@@ -265,7 +265,6 @@ def _cmd_build_graph(opts: Options) -> int:
 
 
 def _cmd_train(opts: Options) -> int:
-    dataset, g = _load_graph_and_data(opts)
     checkpoint = opts.require("checkpoint")
     config = TrainConfig(
         episodes_total=opts["episodes"],
@@ -281,6 +280,7 @@ def _cmd_train(opts: Options) -> int:
         seed=opts["seed"],
         encoder_mode=opts["encoder"],
     )
+    dataset, g = _load_graph_and_data(opts)
     _, rows = trainer.train(dataset, g, config, config_echo=opts.echo_dict())
     opts.write_echo(checkpoint)
     if opts["out"]:
@@ -291,12 +291,13 @@ def _cmd_train(opts: Options) -> int:
 
 
 def _cmd_eval(opts: Options) -> int:
+    sampler = _sampler_config(opts)
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_fewshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["k-shot"], opts["q-per"], opts["episodes"],
-        _sampler_config(opts), RngStream(opts["seed"]),
+        sampler, RngStream(opts["seed"]),
     )
     _write_report(opts, [report])
     print(
@@ -324,12 +325,13 @@ def _cmd_zero_shot(opts: Options) -> int:
 
 def _cmd_sweep(opts: Options) -> int:
     values = _int_list(opts, "values")
+    sampler = _sampler_config(opts)
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     reports = evaluation.sensitivity_sweep(
         opts["axis"], values, dataset, opts["split"], g, params,
         opts["n-way"], opts["k-shot"], opts["q-per"], opts["episodes"],
-        _sampler_config(opts), RngStream(opts["seed"]),
+        sampler, RngStream(opts["seed"]),
     )
     _write_report(opts, reports)
     for rep in reports:

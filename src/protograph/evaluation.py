@@ -211,23 +211,22 @@ def sensitivity_sweep(
     """One report per swept value of L (chains) or M (steps), matched seeds.
 
     The same rng is reused at every point, so accuracy curves differ only
-    through the swept parameter.
+    through the swept parameter. Every point's config is checked before the
+    first point runs.
     """
     if axis not in ("L", "M"):
         raise ValueError(f"axis must be 'L' or 'M', got {axis!r}")
-    values = list(values)
-    if not values:
+    swept = "chains" if axis == "L" else "steps"
+    points = [(v, replace(base_config, **{swept: v})) for v in values]
+    if not points:
         raise ValueError("no sweep values given")
-    reports = []
-    for v in values:
-        cfg = replace(base_config, chains=v) if axis == "L" else replace(base_config, steps=v)
-        reports.append(
-            evaluate_fewshot(
-                dataset, split, graph, params, n_way, k_shot, q_per,
-                episodes, cfg, rng, setting=f"sweep:{axis}={v}",
-            )
+    return [
+        evaluate_fewshot(
+            dataset, split, graph, params, n_way, k_shot, q_per,
+            episodes, cfg, rng, setting=f"sweep:{axis}={v}",
         )
-    return reports
+        for v, cfg in points
+    ]
 
 
 def emit_report(reports, path, format: str = "csv") -> None:

@@ -15,8 +15,9 @@ stream per episode. A batched episode gets the bits it would get alone.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .likelihood import (
 )
 from .numerics import ChildNormals, RngStream, softmax_with_temperature
 
-# Not called here (the chain draws through ChildNormals), but bound so that
+# Not called here (chain_noise draws through ChildNormals), but bound so that
 # benchmarks/tracer.py, which patches this module's call sites by name,
 # finds it.
 from .numerics import standard_normal_sample  # noqa: F401
@@ -136,6 +137,33 @@ def init_prototypes(
     return np.broadcast_to(v0[..., None, :, :], shape).copy()
 
 
+def chain_noise(
+    rng: RngStream | Sequence[RngStream], targets, chains: int, d: int
+) -> Iterator[np.ndarray]:
+    """The Langevin noise blocks of steps 1, 2, ... of one or E episodes' chains.
+
+    ``rng`` is the noise stream of one episode, with targets (N,), or a
+    sequence of E streams sharing a seed, with targets (E, N); the blocks
+    are (L, N, d) or (E, L, N, d). The (N, d) block of (episode e, chain l,
+    step t) is ``standard_normal_sample((N, d), streams[e].child(l, t))``
+    with its rows taken in sorted-target rank, so that a permutation of the
+    targets permutes the noise with them. Each block is drawn when it is
+    asked for, so the iterator draws as many steps as its caller takes.
+    """
+    targets = np.asarray(targets, dtype=int)
+    n_way = targets.shape[-1]
+    streams = [rng] if isinstance(rng, RngStream) else list(rng)
+    normals = ChildNormals(streams, chains, (n_way, d))
+    ranks = np.argsort(np.argsort(targets.reshape(-1, n_way)))
+    # row n of (episode e, chain l) takes row ranks[e, n] of its (N, d)
+    # draw: an index into the draws' rows stacked as (E * L * N, d)
+    blocks = np.arange(ranks.shape[0] * chains).reshape(-1, chains, 1)
+    rows = (n_way * blocks + ranks[:, None, :]).ravel()
+    shape = targets.shape[:-1] + (chains, n_way, d)
+    for t in itertools.count(1):
+        yield np.take(normals.step(t).reshape(-1, d), rows, axis=0).reshape(shape)
+
+
 def sgld_chain(
     support_enc,
     one_hot,
@@ -147,6 +175,7 @@ def sgld_chain(
     rng: RngStream | Sequence[RngStream],
     record: bool = False,
     first_episode: int = 0,
+    noise: Iterable[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ChainRecord | None]:
     """Run M Langevin steps on every chain of the prototypes ``values``.
 
@@ -162,7 +191,10 @@ def sgld_chain(
 
     ``rng`` is the noise stream of one episode, or a sequence of E streams
     sharing a seed for E batched episodes. A batch that diverges names the
-    episode as ``first_episode`` plus its position in the batch.
+    episode as ``first_episode`` plus its position in the batch. ``noise``,
+    when given, holds the blocks that :func:`chain_noise` draws from ``rng``,
+    drawn ahead: at least M, one per step. Without it each step draws its
+    block when it runs.
     """
     values = np.asarray(values, dtype=float)
     chains, n_way, d = values.shape[-3:]
@@ -178,17 +210,8 @@ def sgld_chain(
     eps = config.step_sizes()
     trajectory = [values] if record else None
     support_probs = [] if record else None
-    # (episode e, chain l, step t) draws the (N, d) block of the episode's
-    # stream .child(l, t), the same bytes as standard_normal_sample; its rows
-    # are assigned by sorted-target rank so a permutation of the targets
-    # permutes the noise consistently
     if config.noise_enabled:
-        normals = ChildNormals(list(rng) if batched else [rng], chains, (n_way, d))
-        ranks = np.argsort(np.argsort(np.asarray(targets, dtype=int).reshape(-1, n_way)))
-        # row n of (episode e, chain l) takes row ranks[e, n] of its (N, d)
-        # draw: an index into the draws' rows stacked as (E * L * N, d)
-        blocks = np.arange(ranks.shape[0] * chains).reshape(-1, chains, 1)
-        rows = (n_way * blocks + ranks[:, None, :]).ravel()
+        noise = iter(chain_noise(rng, targets, chains, d) if noise is None else noise)
 
     for t_idx, eps_t in enumerate(eps):
         grad = config.prior_weight * (h[..., None, :, :] - values)
@@ -201,8 +224,7 @@ def sgld_chain(
                 support_probs.append(probs)
         values = values + 0.5 * eps_t * grad
         if config.noise_enabled:
-            noise = np.take(normals.step(t_idx + 1).reshape(-1, d), rows, axis=0)
-            values = values + np.sqrt(eps_t) * noise.reshape(values.shape)
+            values = values + np.sqrt(eps_t) * next(noise)
         if not np.all(np.isfinite(values)):
             finite = np.isfinite(values).reshape(-1, chains, n_way * d).all(axis=-1)
             e, l = np.argwhere(~finite)[0]
@@ -268,6 +290,7 @@ def episode_forward(
     rng: RngStream | Sequence[RngStream],
     record: bool = False,
     first_episode: int = 0,
+    noise: Iterable[np.ndarray] | None = None,
 ) -> EpisodeForward:
     """The one episode pipeline shared by evaluation, validation and training.
 
@@ -275,7 +298,7 @@ def episode_forward(
     labels once, builds the support statistics, warm-starts and runs the
     chains, and scores the queries against every chain's final prototypes.
     ``record`` keeps the chain's trajectory and support probabilities for the
-    reverse pass.
+    reverse pass; ``noise`` is the chain's noise drawn ahead (see sgld_chain).
     """
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
@@ -286,7 +309,8 @@ def episode_forward(
     class_means, grand_mean = support_statistics(support_enc, one_hot, k_shot)
     values = init_prototypes(class_means, grand_mean, h, config.alpha, config.beta, config.chains)
     values, chain = sgld_chain(
-        support_enc, one_hot, k_shot, targets, h, values, config, rng, record, first_episode
+        support_enc, one_hot, k_shot, targets, h, values, config, rng, record, first_episode,
+        noise,
     )
     logits = pairwise_logits(query_enc, values, config.measure)
     chain_probs = softmax_with_temperature(logits, config.tau)

@@ -19,12 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, Episode, parse_ints, read_lines, sample_episode
-from .evaluation import episode_outcomes
+from .evaluation import _batch_size, episode_outcomes
 from .graph import RelationGraph
 from .likelihood import ENCODER_MODES, EncoderParams
 from .numerics import RngStream
 from .prior import GnnParams, summary_rows
-from .sampler import EpisodeForward, SamplerConfig, episode_forward, episode_forward_vjp
+from .sampler import (
+    EpisodeForward, SamplerConfig, chain_noise, episode_forward, episode_forward_vjp,
+)
 
 # Not called here (episode_forward runs the pipeline and validation runs
 # evaluation's loop), but bound so that benchmarks/tracer.py, which patches
@@ -138,6 +140,7 @@ def _episode_forward(
     params: ModelParams,
     config: SamplerConfig,
     rng: RngStream,
+    noise: np.ndarray | None = None,
 ) -> tuple[float, EpisodeForward]:
     """The episode's loss and its recorded forward."""
     fwd = episode_forward(
@@ -150,6 +153,7 @@ def _episode_forward(
         params.encoder,
         rng,
         record=True,
+        noise=noise,
     )
     p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
     if not np.all(np.isfinite(p_true)) or np.any(p_true <= 0.0):
@@ -166,9 +170,14 @@ def episode_objective_and_grads(
     params: ModelParams,
     config: SamplerConfig,
     rng: RngStream,
+    noise: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Negative query log-likelihood of one episode and its parameter gradients."""
-    loss, fwd = _episode_forward(episode, graph, params, config, rng)
+    """Negative query log-likelihood of one episode and its parameter gradients.
+
+    ``noise`` is the (M, L, N, d) chain noise of ``rng`` drawn ahead, or None
+    to draw it step by step.
+    """
+    loss, fwd = _episode_forward(episode, graph, params, config, rng, noise)
     # the loss's cotangent: -1/p_bar at each query's true class, shared by the chains
     rows, y_q = np.arange(episode.query_y.size), episode.query_y
     d_mean = np.zeros_like(fwd.probs)
@@ -229,6 +238,10 @@ def train(
     One episode per update, plain SGD at config.learning_rate. Validation
     accuracy is recorded (and a checkpoint written) every eval_every episodes;
     the final parameters are checkpointed at the end when a path is set.
+
+    The draws that read no parameter, the episodes and their chain noise,
+    are made a chunk of E episodes at a time, E as evaluation batches the
+    training shape; each episode still gets the draws of its own streams.
     """
     # check the splits the episodes will sample before the first episode, so
     # a split too small for them does not fail only when it is first sampled
@@ -246,31 +259,48 @@ def train(
     )
     arrays = param_arrays(params)
     rows: list[LogRow] = []
+    cfg = config.sampler
+    size = _batch_size(cfg.measure, cfg.chains, config.n_way, config.n_way * config.k_shot,
+                       dataset.d)
 
-    for ep in range(config.episodes_total):
-        try:
-            episode = sample_episode(
-                dataset, "train", config.n_way, config.k_shot, config.q_per,
-                rng.child(_NS_EPISODE, ep),
-            )
-            loss, grads = episode_objective_and_grads(
-                episode, graph, params, config.sampler, rng.child(_NS_CHAIN, ep)
-            )
-        except (RuntimeError, ValueError) as exc:
-            raise type(exc)(f"episode {ep}: {exc}") from exc
-        for name, grad in grads.items():
-            arrays[name] -= config.learning_rate * grad
+    for start in range(0, config.episodes_total, size):
+        ids = range(start, min(start + size, config.episodes_total))
+        batch = sample_episode(
+            dataset, "train", config.n_way, config.k_shot, config.q_per,
+            [rng.child(_NS_EPISODE, ep) for ep in ids],
+        )
+        chain_rngs = [rng.child(_NS_CHAIN, ep) for ep in ids]
+        noise = None
+        if cfg.noise_enabled:
+            noise = np.empty((len(ids), cfg.steps, cfg.chains, config.n_way, dataset.d))
+            blocks = chain_noise(chain_rngs, batch.targets, cfg.chains, dataset.d)
+            for t in range(cfg.steps):
+                noise[:, t] = next(blocks)
 
-        val_acc = None
-        if config.eval_every and (ep + 1) % config.eval_every == 0:
-            correct, queries = zip(*episode_outcomes(
-                dataset, "val", graph, params, config.n_way, config.k_shot, config.q_per,
-                config.val_episodes, rng.child(_NS_VAL, ep), config.sampler,
-            ))
-            val_acc = sum(correct) / sum(queries)
-            if config.checkpoint_path is not None:
-                write_checkpoint(params, config.checkpoint_path, config_echo)
-        rows.append(LogRow(ep, loss, val_acc))
+        for e, ep in enumerate(ids):
+            episode = Episode(
+                batch.targets[e].tolist(), batch.support_x[e], batch.support_y[e],
+                batch.query_x[e], batch.query_y[e],
+            )
+            try:
+                loss, grads = episode_objective_and_grads(
+                    episode, graph, params, cfg, chain_rngs[e], None if noise is None else noise[e]
+                )
+            except (RuntimeError, ValueError) as exc:
+                raise type(exc)(f"episode {ep}: {exc}") from exc
+            for name, grad in grads.items():
+                arrays[name] -= config.learning_rate * grad
+
+            val_acc = None
+            if config.eval_every and (ep + 1) % config.eval_every == 0:
+                correct, queries = zip(*episode_outcomes(
+                    dataset, "val", graph, params, config.n_way, config.k_shot, config.q_per,
+                    config.val_episodes, rng.child(_NS_VAL, ep), cfg,
+                ))
+                val_acc = sum(correct) / sum(queries)
+                if config.checkpoint_path is not None:
+                    write_checkpoint(params, config.checkpoint_path, config_echo)
+            rows.append(LogRow(ep, loss, val_acc))
 
     if config.checkpoint_path is not None:
         write_checkpoint(params, config.checkpoint_path, config_echo)

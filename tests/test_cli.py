@@ -285,9 +285,9 @@ def test_train_checks_the_validation_split_before_training(tmp_path, capsys, mon
         "--per-relation", "12", "--splits", "25,0,0",
     ]) == 0
     before = sorted(tmp_path.rglob("*"))
-    episodes = []
+    episodes = []  # the streams of every episode drawn, a chunk per call
     sample = trainer.sample_episode
-    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.append(a) or sample(*a))
+    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.extend(a[-1]) or sample(*a))
     argv = [
         "train", "--data", str(data / "instances.tsv"), "--registry", str(data / "registry.tsv"),
         "--embeddings", str(data / "embeddings.tsv"), "--checkpoint", str(tmp_path / "m.ckpt"),
@@ -344,9 +344,9 @@ def test_train_checks_instance_counts_before_training(tmp_path, capsys, monkeypa
     kept += [ln for ln in lines if ln.split("\t")[0] == str(cut)][:3]
     instances.write_text("\n".join(kept) + "\n")
     before = sorted(tmp_path.rglob("*"))
-    episodes = []
+    episodes = []  # the streams of every episode drawn, a chunk per call
     sample = trainer.sample_episode
-    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.append(a) or sample(*a))
+    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.extend(a[-1]) or sample(*a))
     argv = [
         "train", "--data", str(instances), "--registry", str(data / "registry.tsv"),
         "--embeddings", str(data / "embeddings.tsv"), "--checkpoint", str(tmp_path / "m.ckpt"),
@@ -543,6 +543,43 @@ def test_missing_output_directory_fails_before_any_input_loads(
     assert main(args + flags) == 1
     assert capsys.readouterr().err == f"error: {path}: is a directory\n"
     assert [p.name for p in tmp_path.rglob("*")] == ["nodir", Path(path).name]
+
+
+BAD_CONFIGS = [
+    ("train", ["--checkpoint", "m.ckpt", "--episodes", "-1"], "episodes_total must be >= 0"),
+    ("eval", ["--chains", "0"], "chains must be >= 1"),
+    ("sweep", ["--steps", "-1"], "steps must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, flags, message", BAD_CONFIGS, ids=[" ".join([c] + f) for c, f, _ in BAD_CONFIGS]
+)
+def test_invalid_config_fails_before_any_input_loads(
+    workspace, tmp_path, capsys, monkeypatch, cmd, flags, message
+):
+    monkeypatch.chdir(tmp_path)
+
+    def loaded(*args):
+        raise AssertionError("an input was loaded")
+
+    monkeypatch.setattr(cli, "load_dataset", loaded)
+    monkeypatch.setattr(cli, "load_embeddings", loaded)
+    assert main(base_args(workspace, cmd) + flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+def test_sweep_checks_every_point_before_the_first_episode(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    episodes = []
+    monkeypatch.setattr(evaluation, "sample_episode", lambda *a: episodes.append(a))
+    out = tmp_path / "report.csv"
+    assert main(base_args(workspace, "sweep") + ["--values", "1,0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: chains must be >= 1\n"
+    assert episodes == []  # the point L=1 did not run
+    assert not any(tmp_path.iterdir())  # no report
 
 
 def test_synth_creates_its_output_directory(tmp_path):

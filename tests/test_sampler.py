@@ -95,7 +95,9 @@ class TestInitPrototypes:
             np.testing.assert_array_equal(values[l], values[0])
 
 
-def run_chain(values, summaries, config, rng, support=None, targets=None, record=False):
+def run_chain(
+    values, summaries, config, rng, support=None, targets=None, record=False, noise=None
+):
     """sgld_chain on labelled support rows, or on no support at all."""
     n = values.shape[1]
     if support is None:
@@ -105,7 +107,7 @@ def run_chain(values, summaries, config, rng, support=None, targets=None, record
         one_hot, k_shot = support_labels(sy, n)
     return sgld_chain(
         sx, one_hot, k_shot, list(range(n)) if targets is None else targets,
-        summaries, values, config, rng, record,
+        summaries, values, config, rng, record, noise=noise,
     )
 
 
@@ -250,13 +252,32 @@ class TestSgldChain:
 
         rank = np.argsort(np.argsort(targets))
         expect = v.copy()
+        blocks = sampler.chain_noise(rng, targets, 3, 5)
+        drawn = []
         for t, eps_t in enumerate(cfg.step_sizes(), start=1):
             expect = expect + 0.5 * eps_t * (0.0 * (h[None] - expect))
             noise = np.stack(
                 [standard_normal_sample((4, 5), rng.child(l, t))[rank] for l in range(3)]
             )
+            # chain_noise yields that draw as the block of step t
+            drawn.append(next(blocks))
+            assert drawn[-1].tobytes() == noise.tobytes()
             expect = expect + np.sqrt(eps_t) * noise
         np.testing.assert_array_equal(out, expect)
+        # the same blocks drawn ahead and handed in give the same chain
+        ahead, _ = run_chain(v, h, cfg, rng, targets=targets, noise=np.stack(drawn))
+        assert ahead.tobytes() == out.tobytes()
+
+    def test_chain_noise_of_a_batch_is_each_stream_alone(self):
+        streams = [RngStream(39).child(e, 2) for e in range(4)]
+        targets = np.array([[7, 2, 9], [0, 1, 2], [5, 3, 4], [2, 8, 1]])
+        batch = sampler.chain_noise(streams, targets, 3, 5)
+        alone = [sampler.chain_noise(s, t.tolist(), 3, 5) for s, t in zip(streams, targets)]
+        for _ in range(4):
+            block = next(batch)
+            assert block.shape == (4, 3, 3, 5)
+            for e in range(4):
+                assert block[e].tobytes() == next(alone[e]).tobytes()
 
     @pytest.mark.parametrize("record", [False, True])
     def test_returns_the_final_values_and_the_record(self, record):

@@ -59,9 +59,9 @@ def test_every_kept_import_is_a_traced_call_site():
 FILE_READS = {"open", "read_text", "read_bytes"}
 
 
-def file_readers(source: str, scope: str) -> list[str]:
-    """Dotted names of the functions (or modules) in ``source`` that call
-    ``open``, ``read_text`` or ``read_bytes``, in source order."""
+def scopes_where(source: str, scope: str, matches) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` holding a
+    node that ``matches``, once per such node, in source order."""
     found = []
 
     def visit(node, scope):
@@ -69,15 +69,26 @@ def file_readers(source: str, scope: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called in FILE_READS:
-                    found.append(scope)
+            if matches(child):
+                found.append(scope)
             visit(child, scope)
 
     visit(ast.parse(source), scope)
     return found
+
+
+def referenced_name(node) -> str | None:
+    """The name a Name or Attribute node refers to."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def file_readers(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` that call
+    ``open``, ``read_text`` or ``read_bytes``, in source order."""
+    return scopes_where(
+        source, scope,
+        lambda node: isinstance(node, ast.Call) and referenced_name(node.func) in FILE_READS,
+    )
 
 
 def test_file_reader_scan_finds_every_kind_of_read():
@@ -158,6 +169,37 @@ def test_only_numerics_builds_generators():
              for path in sorted(SRC.glob("*.py"))}
     assert found.pop("numerics"), "no construction found in numerics.py: the scan is broken"
     assert [use for uses in found.values() for use in uses] == []
+
+
+def noise_builders(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` that name
+    ``ChildNormals``, called or not, in source order; imports are not uses."""
+    return scopes_where(source, scope, lambda node: referenced_name(node) == "ChildNormals")
+
+
+def test_noise_builder_scan_finds_every_kind_of_use():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+from .numerics import ChildNormals
+from . import numerics
+normals = ChildNormals([rng], 2, (3, 4))
+def chain(rng):
+    return numerics.ChildNormals([rng], 2, (3, 4)).step(1)
+class Sampler:
+    def run(self):
+        make = ChildNormals
+        return (lambda: make(self.streams, 1, ()))()
+"""
+    assert noise_builders(source, "m") == ["m", "m.chain", "m.Sampler.run"]
+
+
+def test_chain_noise_is_the_one_noise_implementation():
+    # the chain's Langevin noise is drawn, and its rows put in target rank
+    # order, in one place that the sampler and the trainer both go through
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += noise_builders(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ["sampler.chain_noise"]
 
 
 # the sampler's records and the config knobs of its rules: the SGLD step, the

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from protograph import evaluation, trainer
 from protograph.data import Episode, generate_synthetic
 from protograph.gradcheck import check_episode_objective, random_episode
 from protograph.graph import build_knn_graph
@@ -278,6 +279,57 @@ class TestTrain:
         lines = (tmp_path / "log.csv").read_text().splitlines()
         assert lines[0] == "episode_index,loss,val_accuracy,wall_ms"
         assert all(line.endswith(",,") for line in lines[1:])
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("encoder_mode", ["identity", "linear"])
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+    def test_outputs_do_not_depend_on_the_chunk_size(
+        self, tmp_path, monkeypatch, measure, encoder_mode, noise
+    ):
+        # episodes and chain noise are drawn a chunk at a time; each episode
+        # still gets the draws of its own streams, so one episode per chunk
+        # writes the same bytes as the default chunks and as chunks of 3 or 9,
+        # which validation every 10 episodes cuts in the middle
+        sample = trainer.sample_episode
+        outputs, chunks = {}, {}
+        for elements in (1, 2**9, evaluation.BATCH_ELEMENTS):
+            monkeypatch.setattr(evaluation, "BATCH_ELEMENTS", elements)
+            sizes = chunks[elements] = []
+            monkeypatch.setattr(
+                trainer, "sample_episode", lambda *a: sizes.append(len(a[-1])) or sample(*a)
+            )
+            out = tmp_path / str(elements)
+            out.mkdir()
+            ds, graph, cfg = self.make_world(
+                episodes=30, encoder_mode=encoder_mode, learning_rate=0.02,
+                checkpoint_path=out / "model.ckpt", log_path=out / "log.csv",
+            )
+            cfg.sampler = SamplerConfig(chains=3, steps=2, measure=measure, noise_enabled=noise)
+            train(ds, graph, cfg, {"seed": "201"})
+            outputs[elements] = [(out / name).read_bytes() for name in ("model.ckpt", "log.csv")]
+        assert chunks[1] == [1] * 30
+        assert len(chunks[2**9]) > 1 and set(chunks[2**9]) != {1}
+        assert chunks[evaluation.BATCH_ELEMENTS] == [30]
+        assert outputs[2**9] == outputs[1]
+        assert outputs[evaluation.BATCH_ELEMENTS] == outputs[1]
+
+    def test_error_names_its_episode_within_the_chunk(self, monkeypatch):
+        # chunks of 20 (3 * 3 * 6 floats per dot episode): episode 23 is the
+        # fourth of the second chunk
+        ds, graph, cfg = self.make_world(episodes=30, eval_every=0)
+        monkeypatch.setattr(evaluation, "BATCH_ELEMENTS", 20 * 3 * 3 * 6)
+        objective, failing = trainer.episode_objective_and_grads, []
+
+        def fail_at_23(episode, graph, params, config, rng, noise):
+            if rng == RngStream(cfg.seed).child(trainer._NS_CHAIN, 23):
+                failing.append(rng)
+                raise RuntimeError("sampler diverged at chain 1 step 2")
+            return objective(episode, graph, params, config, rng, noise)
+
+        monkeypatch.setattr(trainer, "episode_objective_and_grads", fail_at_23)
+        with pytest.raises(RuntimeError, match="^episode 23: sampler diverged at chain 1 step 2$"):
+            train(ds, graph, cfg)
+        assert len(failing) == 1
 
     def test_checkpoint_written(self, tmp_path):
         ds, graph, cfg = self.make_world(episodes=5, eval_every=0)
