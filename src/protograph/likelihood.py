@@ -156,54 +156,65 @@ def support_probs_and_grad(
 
 
 def pairwise_logits_vjp(
-    d_logits, encodings, prototypes, measure: str
-) -> tuple[np.ndarray, np.ndarray]:
+    d_logits, enc, prototypes, measure: str, encodings: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """VJP of :func:`pairwise_logits` for L prototype sets.
 
-    For the cotangent d_logits (L, n, N) of the logits of encodings (n, d)
-    against prototypes (L, N, d), returns (d_encodings, d_prototypes).
+    For the cotangent d_logits (L, n, N) of the logits of encodings ``enc``
+    (n, d) against prototypes (L, N, d), returns (d_enc, d_prototypes).
+    With ``encodings=False`` d_enc is None and is not computed; d_prototypes
+    has the same bits either way.
     """
     if measure == "dot":
-        d_v = np.einsum("lqn,qd->lnd", d_logits, encodings)
-        return np.einsum("lqn,lnd->qd", d_logits, prototypes), d_v
-    diff = encodings[None, :, None, :] - prototypes[:, None, :, :]
-    d_v = np.einsum("lqn,lqnd->lnd", d_logits, diff)
-    return -np.einsum("lqn,lqnd->qd", d_logits, diff), d_v
+        d_v = np.einsum("lqn,qd->lnd", d_logits, enc)
+        d_enc = np.einsum("lqn,lnd->qd", d_logits, prototypes) if encodings else None
+    else:
+        diff = enc[None, :, None, :] - prototypes[:, None, :, :]
+        d_v = np.einsum("lqn,lqnd->lnd", d_logits, diff)
+        d_enc = -np.einsum("lqn,lqnd->qd", d_logits, diff) if encodings else None
+    return d_enc, d_v
 
 
 def similarity_softmax_vjp(
-    probs, d_probs, encodings, prototypes, measure: str, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
+    probs, d_probs, enc, prototypes, measure: str, tau: float, encodings: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
     """VJP of probs = softmax_with_temperature(pairwise_logits(...), tau), (L, n, N).
 
     Takes the probabilities the forward computed and their cotangent;
-    returns (d_encodings, d_prototypes).
+    returns (d_enc, d_prototypes), d_enc None when ``encodings`` is False.
     """
-    inner = np.sum(d_probs * probs, axis=-1, keepdims=True)
+    inner = (d_probs * probs).sum(axis=-1, keepdims=True)
     d_logits = probs * (d_probs - inner) / tau
-    return pairwise_logits_vjp(d_logits, encodings, prototypes, measure)
+    return pairwise_logits_vjp(d_logits, enc, prototypes, measure, encodings)
 
 
 def support_drift_vjp(
-    enc, one_hot, values, probs, cotangent, measure: str, tau: float, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
+    enc, one_hot, values, probs, cotangent, measure: str, tau: float, scale: float,
+    encodings: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """VJP of scale * G, the drift of :func:`support_probs_and_grad`.
 
     ``probs`` (L, S, N) is the support softmax at ``values`` (L, N, d), as
     the chain recorded it, and ``cotangent`` (L, N, d) that of scale * G.
     Differentiating G brings in the softmax curvature (the Hessian term of
-    the Langevin drift). Returns (d_enc, d_values).
+    the Langevin drift). Returns (d_enc, d_values); with ``encodings=False``
+    d_enc is None and the terms that feed only it are skipped.
     """
-    resid = one_hot[None] - probs  # (L, S, N)
     if measure == "dot":
         a = np.einsum("sd,lnd->lsn", enc, cotangent)
     else:
         diff = enc[None, :, None, :] - values[:, None, :, :]
         a = np.einsum("lsnd,lnd->lsn", diff, cotangent)
-    d_enc, d_values = similarity_softmax_vjp(probs, -scale * a, enc, values, measure, tau)
+    d_enc, d_values = similarity_softmax_vjp(
+        probs, -scale * a, enc, values, measure, tau, encodings
+    )
+    if measure == "dot" and not encodings:
+        return None, d_values
+    resid = one_hot[None] - probs  # (L, S, N)
     if measure == "euclidean":
         d_values -= scale * resid.sum(axis=1)[:, :, None] * cotangent
-    d_enc += scale * np.einsum("lsn,lnd->sd", resid, cotangent)
+    if encodings:
+        d_enc += scale * np.einsum("lsn,lnd->sd", resid, cotangent)
     return d_enc, d_values
 
 

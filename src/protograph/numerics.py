@@ -136,9 +136,9 @@ def _scaled_logits(logits, tau: float) -> np.ndarray:
         with np.errstate(over="ignore"):
             z = z / tau
     # one check covers non-finite logits and the overflow of a small tau
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("logits / tau must be finite")
-    return z - np.max(z, axis=-1, keepdims=True)
+    return z - z.max(axis=-1, keepdims=True)
 
 
 def softmax_with_temperature(logits, tau: float) -> np.ndarray:
@@ -148,13 +148,13 @@ def softmax_with_temperature(logits, tau: float) -> np.ndarray:
     non-finite logits / tau.
     """
     e = np.exp(_scaled_logits(logits, tau))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_with_temperature(logits, tau: float) -> np.ndarray:
     """Log of :func:`softmax_with_temperature`, computed without underflow."""
     z = _scaled_logits(logits, tau)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def finite_difference_gradient(

@@ -225,7 +225,7 @@ def sgld_chain(
         values = values + 0.5 * eps_t * grad
         if config.noise_enabled:
             values = values + np.sqrt(eps_t) * next(noise)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             finite = np.isfinite(values).reshape(-1, chains, n_way * d).all(axis=-1)
             e, l = np.argwhere(~finite)[0]
             where = f"episode {first_episode + e} chain {l}" if batched else f"chain {l}"
@@ -326,22 +326,25 @@ def episode_forward(
 
 
 def episode_forward_vjp(
-    fwd: EpisodeForward, d_chain_probs, config: SamplerConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    fwd: EpisodeForward, d_chain_probs, config: SamplerConfig, encodings: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """VJP of a recorded one-episode :func:`episode_forward`, noise held fixed.
 
     Takes the cotangent (L, Q, N) of ``fwd.chain_probs``. Returns those of the
     summaries (N, d), zero when the graph prior is off, the support encodings
-    (S, d) and the query encodings (Q, d).
+    (S, d) and the query encodings (Q, d). With ``encodings=False`` (an
+    encoder that does not train) both encoding slots are None and nothing
+    that feeds only them is computed; the summaries' cotangent has the same
+    bits either way.
     """
     chain = fwd.record
     d_eq, d_v = similarity_softmax_vjp(
         fwd.chain_probs, d_chain_probs, fwd.query_enc, chain.trajectory[-1],
-        config.measure, config.tau,
+        config.measure, config.tau, encodings,
     )
 
     # reverse through the unrolled chain
-    d_es = np.zeros_like(fwd.support_enc)
+    d_es = np.zeros_like(fwd.support_enc) if encodings else None
     d_h = np.zeros_like(d_v[0])
     lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
     for t, eps_t in reversed(list(enumerate(config.step_sizes()))):
@@ -351,17 +354,19 @@ def episode_forward_vjp(
         if chain.support_probs is not None:
             des_lik, dv_lik = support_drift_vjp(
                 fwd.support_enc, fwd.one_hot, chain.trajectory[t], chain.support_probs[t],
-                half * d_v, config.measure, config.tau, lik_scale,
+                half * d_v, config.measure, config.tau, lik_scale, encodings,
             )
             d_v_next = d_v_next + dv_lik
-            d_es += des_lik
+            if encodings:
+                d_es += des_lik
         d_v = d_v_next
 
     # warm start v0 = class_means + alpha * h - beta * grand_mean, shared by the chains
     d_v0 = d_v.sum(axis=0)
     d_h += config.alpha * d_v0
-    d_es += (fwd.one_hot @ d_v0) / fwd.k_shot
-    d_es += -config.beta * d_v0.sum(axis=0) / len(fwd.support_enc)
+    if encodings:
+        d_es += (fwd.one_hot @ d_v0) / fwd.k_shot
+        d_es += -config.beta * d_v0.sum(axis=0) / len(fwd.support_enc)
     return (d_h if config.graph_prior else np.zeros_like(d_h)), d_es, d_eq
 
 

@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 0")
         if self.eval_every > 0 and self.val_episodes < 1:
             raise ValueError("val_episodes must be >= 1 when eval_every > 0")
+        if self.encoder_mode not in ENCODER_MODES:
+            raise ValueError(f"unknown encoder mode {self.encoder_mode!r}")
 
 
 def init_params(
@@ -91,6 +93,8 @@ def init_params(
     The graph layer is one identity-activated hop; a linear encoder maps the
     d = output_dim instance features to d.
     """
+    if encoder_mode not in ENCODER_MODES:
+        raise ValueError(f"unknown encoder mode {encoder_mode!r}")
     bound = 1.0 / np.sqrt(graph_dim)
     gen = rng.child(0).generator()
     gnn = GnnParams(
@@ -156,7 +160,7 @@ def _episode_forward(
         noise=noise,
     )
     p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
-    if not np.all(np.isfinite(p_true)) or np.any(p_true <= 0.0):
+    if not np.isfinite(p_true).all() or (p_true <= 0.0).any():
         raise RuntimeError(
             f"non-finite episode loss (replay stream seed={rng.seed} id={rng.stream_id})"
         )
@@ -183,7 +187,8 @@ def episode_objective_and_grads(
     d_mean = np.zeros_like(fwd.probs)
     d_mean[rows, y_q] = -1.0 / fwd.probs[rows, y_q]
     d_summ, d_es, d_eq = episode_forward_vjp(
-        fwd, np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape), config
+        fwd, np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape), config,
+        params.encoder.trainable,
     )
 
     # graph layer: summaries = propagated rows @ W + b

@@ -13,6 +13,8 @@ from protograph.likelihood import (
     encode_batch,
     pairwise_logits,
     pairwise_logits_vjp,
+    similarity_softmax_vjp,
+    support_drift_vjp,
     support_labels,
     support_log_likelihood_and_grad,
     support_probs_and_grad,
@@ -363,3 +365,30 @@ class TestEpisodeAxis:
             support_labels(np.array([[0, 1, 0, 1], [0, 0, 0, 1], [0, 5, 0, 1]]), 2)
         with pytest.raises(ValueError, match="support label 5 outside"):
             support_labels(np.array([[0, 1, 0, 1], [0, 5, 0, 1], [0, 0, 0, 1]]), 2)
+
+
+class TestVjpWithoutEncodings:
+    """encodings=False leaves the encodings' slot None and the prototypes' bits alone."""
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_prototype_cotangents_keep_their_bits(self, measure):
+        gen = np.random.default_rng(43)
+        for _ in range(300):
+            chains, s, n_way, d = (int(x) for x in gen.integers(1, [5, 8, 6, 7]))
+            enc = gen.standard_normal((s, d))
+            values = gen.standard_normal((chains, n_way, d))
+            one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
+            tau, scale = float(gen.uniform(0.5, 20.0)), float(gen.uniform(0.01, 2.0))
+            d_logits = gen.standard_normal((chains, s, n_way))
+            probs = softmax_with_temperature(pairwise_logits(enc, values, measure), tau)
+            cotangent = gen.standard_normal(values.shape)
+            for kernel, args in [
+                (pairwise_logits_vjp, (d_logits, enc, values, measure)),
+                (similarity_softmax_vjp, (probs, d_logits, enc, values, measure, tau)),
+                (support_drift_vjp,
+                 (enc, one_hot, values, probs, cotangent, measure, tau, scale)),
+            ]:
+                d_enc, d_values = kernel(*args)
+                skipped, alone = kernel(*args, encodings=False)
+                assert d_enc.shape == enc.shape and skipped is None, kernel.__name__
+                assert alone.tobytes() == d_values.tobytes(), (kernel.__name__, values.shape)

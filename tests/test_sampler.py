@@ -496,6 +496,36 @@ class TestEpisodeForwardVjp:
             assert not np.any(d_h)  # the forward replaced the summaries with zeros
 
 
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_without_encodings_summaries_keep_their_bits(self, measure):
+        # the pass an identity encoder takes: no encoding cotangents, and the
+        # summaries' cotangent bit for bit that of the full pass
+        gen = np.random.default_rng(44)
+        for case in range(200):
+            n_way, k_shot, q_count, d, chains = (int(x) for x in gen.integers(1, [6, 4, 7, 6, 5]))
+            cfg = SamplerConfig(
+                chains=chains, steps=int(gen.integers(0, 5)),
+                step_size=float(gen.uniform(0.0, 0.5)),
+                step_decay=float(gen.choice([0.0, 0.7])), tau=float(gen.uniform(1.0, 20.0)),
+                measure=measure, noise_enabled=bool(gen.integers(2)),
+                graph_prior=bool(gen.integers(2)),
+                likelihood_weight=float(gen.choice([1.0, 0.0, 0.5])),
+            )
+            sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
+            targets = gen.choice(20, size=n_way, replace=False)
+            fwd = episode_forward(
+                gen.standard_normal((sy.size, d)), sy, targets,
+                gen.standard_normal((q_count, d)), gen.standard_normal((n_way, d)), cfg,
+                IDENTITY, RngStream(45, case), record=True,
+            )
+            cotangent = gen.standard_normal(fwd.chain_probs.shape)
+            d_h, d_es, d_eq = episode_forward_vjp(fwd, cotangent, cfg)
+            alone = episode_forward_vjp(fwd, cotangent, cfg, encodings=False)
+            assert d_es.shape == (sy.size, d) and d_eq.shape == (q_count, d)
+            assert alone[1:] == (None, None)
+            assert alone[0].tobytes() == d_h.tobytes(), cfg
+
+
 def episode_batch(seed, e_count, n_way=4, k_shot=2, q_count=6, d=5):
     """E random episodes of one shape: support and query rows, labels,
     distinct targets per episode and relation summaries."""

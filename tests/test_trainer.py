@@ -113,6 +113,31 @@ class TestEpisodeObjective:
         )
         assert oracle_error(ep, graph, params, cfg, RngStream(34)) < 1e-8
 
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("likelihood_weight, step_decay, graph_prior", [
+        (1.0, 0.0, True),
+        (1.0, 0.7, True),
+        (0.0, 0.0, True),  # no support probabilities recorded
+        (1.0, 0.0, False),
+    ])
+    def test_identity_encoder_gradients_match_oracle(
+        self, measure, likelihood_weight, step_decay, graph_prior
+    ):
+        # the reverse pass of an encoder that does not train skips the
+        # encoding cotangents; the graph layer's gradients must not notice
+        gen, graph, _ = tiny_world(seed=8)
+        params = init_params(3, 3, RngStream(9))
+        assert list(param_arrays(params)) == ["gnn.weight", "gnn.bias"]
+        ep = random_episode(gen, 3, 2, 2, 3, 6)
+        cfg = SamplerConfig(
+            chains=2, steps=3, measure=measure, likelihood_weight=likelihood_weight,
+            step_decay=step_decay, graph_prior=graph_prior,
+        )
+        assert oracle_error(ep, graph, params, cfg, RngStream(35)) < 1e-8
+        if not graph_prior:
+            _, grads = episode_objective_and_grads(ep, graph, params, cfg, RngStream(35))
+            assert not any(np.any(g) for g in grads.values())
+
     def test_duplicated_queries_double_the_loss(self):
         gen, graph, params = tiny_world(seed=2)
         ep = random_episode(gen, 3, 1, 2, 3, 6)
@@ -223,6 +248,14 @@ class TestTrain:
         )
         np.testing.assert_array_equal(params.gnn.weight, fresh.gnn.weight)
         assert rows == []
+
+    def test_config_rejects_an_unknown_encoder_mode(self):
+        with pytest.raises(ValueError, match="^unknown encoder mode 'lineer'$"):
+            TrainConfig(episodes_total=1, encoder_mode="lineer")
+
+    def test_init_rejects_an_unknown_encoder_mode(self):
+        with pytest.raises(ValueError, match="^unknown encoder mode 'lineer'$"):
+            init_params(3, 3, RngStream(0), encoder_mode="lineer")
 
     def test_loss_decreases_on_separable_data(self):
         # harder-than-trivial separable regime so the first episodes carry loss
