@@ -20,6 +20,9 @@ MEASURES = ("dot", "euclidean")
 ENCODER_MODES = ("identity", "linear")
 # support_probs_and_grad zeroes drift residuals smaller than this
 RESIDUAL_FLOOR = 2.0**-900
+# an unrecorded drift's softmax raises scaled logits below this to it:
+# exp(-700) is a normal float below RESIDUAL_FLOOR
+LOGIT_CLAMP = -700.0
 
 
 @dataclass
@@ -117,8 +120,9 @@ def support_labels(support_y, n_way: int) -> tuple[np.ndarray, int]:
 
 
 def support_probs_and_grad(
-    enc: np.ndarray, one_hot: np.ndarray, values: np.ndarray, measure: str, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
+    enc: np.ndarray, one_hot: np.ndarray, values: np.ndarray, measure: str, tau: float,
+    record: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Support softmax probabilities and the likelihood drift of L prototype sets.
 
     For encodings enc (S, d), labels one_hot (S, N) and prototypes values
@@ -137,22 +141,35 @@ def support_probs_and_grad(
     for a tiny p (1 - p is 0 or at least 2**-53), and the terms dropped sum
     to less than S * RESIDUAL_FLOOR times the largest |e_s| (dot) or
     |e_s - v_lr| (euclidean) entry, far below the last bit of the prior
-    term the chain adds to the drift. The returned probs are exact.
+    term the chain adds to the drift.
+
+    With ``record`` (the default) probs is the exact softmax, as the reverse
+    pass needs it. With ``record=False`` probs is None, and the softmax
+    raises scaled logits below LOGIT_CLAMP to it, so that ``exp`` meets no
+    exponent whose output underflows: a raised entry's probability stays
+    below RESIDUAL_FLOOR, so its residual is zeroed as before (a target's
+    is 1 either way), and G keeps its bits.
     """
     if measure == "dot":
-        logits = np.einsum("...sd,...lnd->...lsn", enc, values)
+        # s-major logits (S, L, N): the residual then has the layout that
+        # reduces fastest, and to the same bits as "lsn,sd->lnd"
+        flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
+        logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
+            enc.shape[:-1] + values.shape[-3:-1]
+        )
+        labels = one_hot[..., :, None, :]
     else:
         diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
         logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
-    probs = softmax_with_temperature(logits, tau)
-    resid = one_hot[..., None, :, :] - probs
-    resid[np.abs(resid) < RESIDUAL_FLOOR] = 0.0
+        labels = one_hot[..., None, :, :]
+    probs = softmax_with_temperature(logits, tau, None if record else LOGIT_CLAMP)
+    resid = labels - probs
+    # |resid| < RESIDUAL_FLOOR, without abs's temporary float array
+    resid[(resid < RESIDUAL_FLOOR) & (resid > -RESIDUAL_FLOOR)] = 0.0
     if measure == "dot":
-        # an s-major copy reduces faster than "lsn,sd->lnd" and, on
-        # one-hot-minus-softmax residuals, to the same bits
-        s_major = np.ascontiguousarray(np.swapaxes(resid, -3, -2))
-        return probs, np.einsum("...sln,...sd->...lnd", s_major, enc)
-    return probs, np.einsum("...lsn,...lsnd->...lnd", resid, diff)
+        drift = np.einsum("...sln,...sd->...lnd", resid, enc)
+        return (np.swapaxes(probs, -3, -2) if record else None), drift
+    return (probs if record else None), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
 
 
 def pairwise_logits_vjp(
@@ -237,7 +254,7 @@ def support_log_likelihood_and_grad(
     one_hot, k_shot = support_labels(y, v.shape[0])
     e = encode_batch(support_x, encoder)
     log_p = log_softmax_with_temperature(pairwise_logits(e, v, measure), tau)
-    _, drift = support_probs_and_grad(e, one_hot, v[None], measure, tau)
+    _, drift = support_probs_and_grad(e, one_hot, v[None], measure, tau, record=False)
 
     scale = 1.0 / k_shot
     value = scale * float(log_p[np.arange(y.size), y].sum())

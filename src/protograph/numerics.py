@@ -141,14 +141,24 @@ def _scaled_logits(logits, tau: float) -> np.ndarray:
     return z - z.max(axis=-1, keepdims=True)
 
 
-def softmax_with_temperature(logits, tau: float) -> np.ndarray:
+def softmax_with_temperature(logits, tau: float, clamp: float | None = None) -> np.ndarray:
     """Softmax of logits / tau along the last axis, stabilised by max subtraction.
 
     Raises on an empty class axis, a tau that is not positive and finite, or
     non-finite logits / tau.
+
+    With ``clamp`` (negative), shifted logits below it are raised to it
+    before ``exp``, whose slow path serves outputs that underflow to zero
+    or a subnormal. The raised entries' probabilities are then inexact. Each
+    row's maximum adds exactly 1 to the row sum, far above them, so at a
+    clamp of -700 every other probability keeps the exact softmax's bits.
     """
-    e = np.exp(_scaled_logits(logits, tau))
-    return e / e.sum(axis=-1, keepdims=True)
+    z = _scaled_logits(logits, tau)  # a fresh array: normalise it in place
+    if clamp is not None:
+        np.maximum(z, clamp, out=z)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def log_softmax_with_temperature(logits, tau: float) -> np.ndarray:

@@ -127,12 +127,16 @@ def init_prototypes(
 
     Returns (L, N, d), or (E, L, N, d) for E episodes. All chains start at
     the same point; sample diversity comes entirely from the per-chain
-    Langevin noise.
+    Langevin noise. Raises when the start is not finite, as an alpha or beta
+    near the float range makes it.
     """
     h = np.asarray(summaries, dtype=float)
     if h.shape != class_means.shape:
         raise ValueError(f"summaries {h.shape} do not match class means {class_means.shape}")
-    v0 = class_means + alpha * h - beta * grand_mean[..., None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v0 = class_means + alpha * h - beta * grand_mean[..., None, :]
+    if not np.isfinite(v0).all():
+        raise ValueError(f"warm start is not finite at alpha {alpha:g} and beta {beta:g}")
     shape = v0.shape[:-2] + (chains,) + v0.shape[-2:]
     return np.broadcast_to(v0[..., None, :, :], shape).copy()
 
@@ -187,7 +191,8 @@ def sgld_chain(
     per class, and the Gaussian prior around ``summaries`` (already zeroed
     by the caller when the graph prior is disabled). Returns the final
     values and, when ``record`` is set, a ChainRecord of the trajectory
-    (else None).
+    (else None, and the drift skips its exact softmax: the values keep
+    their bits).
 
     ``rng`` is the noise stream of one episode, or a sequence of E streams
     sharing a seed for E batched episodes. A batch that diverges names the
@@ -217,7 +222,7 @@ def sgld_chain(
         grad = config.prior_weight * (h[..., None, :, :] - values)
         if has_lik:
             probs, drift = support_probs_and_grad(
-                support_enc, one_hot, values, config.measure, config.tau
+                support_enc, one_hot, values, config.measure, config.tau, record
             )
             grad += scale * drift
             if record:

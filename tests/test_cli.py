@@ -506,6 +506,38 @@ def test_bad_option_value_is_one_line_error(workspace, tmp_path, capsys, cmd, fl
     assert not any(tmp_path.iterdir())  # nothing written
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the run
+@pytest.mark.parametrize("cmd, prefix", [("eval", ""), ("sweep", ""), ("train", "episode 0: ")])
+def test_overflowing_warm_start_is_one_line_error(workspace, tmp_path, capsys, cmd, prefix):
+    args = base_args(workspace, cmd) + ["--alpha", "1e308"]
+    if cmd == "train":
+        args += ["--checkpoint", str(tmp_path / "model.ckpt"), "--episodes", "10"]
+    assert main(args) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {prefix}warm start is not finite at alpha 1e+308 and beta 1\n"
+    )
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+NUMPY_MESSAGE = (
+    "Unable to allocate 7.45 TiB for an array with shape (20, 100000000, 5, 16)"
+    " and data type float64"
+)
+
+
+@pytest.mark.parametrize("message, shown", [
+    (NUMPY_MESSAGE, NUMPY_MESSAGE), ("", "an allocation failed"),
+], ids=["numpy", "empty"])
+def test_out_of_memory_is_one_line_error(workspace, capsys, monkeypatch, message, shown):
+    # the callee raises as numpy does; a test never asks for a giant array
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(evaluation, "evaluate_fewshot", allocate)
+    assert main(base_args(workspace, "eval") + ["--chains", "100000000"]) == 1
+    assert capsys.readouterr() == ("", f"error: out of memory: {shown}\n")
+
+
 MISSING_DIRS = [
     ("train", ["--checkpoint", "nodir/m.ckpt", "--eval-every", "0", "--episodes", "300"],
      "nodir/m.ckpt"),

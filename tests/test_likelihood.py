@@ -7,6 +7,7 @@ import pytest
 
 from protograph import sampler
 from protograph.likelihood import (
+    LOGIT_CLAMP,
     RESIDUAL_FLOOR,
     EncoderParams,
     class_log_probs,
@@ -217,8 +218,9 @@ class TestSupportLabels:
             support_labels(np.array(labels, dtype=int), n_way)
 
 
-def unfloored_kernel(enc, one_hot, values, measure, tau):
-    """support_probs_and_grad as it was before the residual floor."""
+def unfloored_kernel(enc, one_hot, values, measure, tau, record=True):
+    """support_probs_and_grad as it was before the residual floor (and before
+    its ``record`` keyword, which it takes and ignores)."""
     if measure == "dot":
         logits = np.einsum("sd,lnd->lsn", enc, values)
         probs = softmax_with_temperature(logits, tau)
@@ -309,6 +311,74 @@ class TestSupportDriftKernel:
         monkeypatch.undo()
         assert len(operands) >= 4
         assert not any(np.any(is_subnormal(a)) for a in operands)
+
+
+class TestUnrecordedDrift:
+    """record=False clamps the softmax's exponent and keeps the drift's bits."""
+
+    def test_clamp_is_a_normal_float_below_the_floor(self):
+        assert np.finfo(float).tiny <= math.exp(LOGIT_CLAMP) < RESIDUAL_FLOOR
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_drift_keeps_its_bits(self, measure):
+        # one episode or E stacked ones, at scales from a soft softmax to one
+        # whose exact probabilities underflow to zero or a subnormal
+        gen = np.random.default_rng(44)
+        underflowing = 0
+        for i in range(2000):
+            lead = (int(gen.integers(1, 5)),) if i % 2 else ()
+            chains, s, n_way, d = (int(x) for x in gen.integers(1, [11, 40, 21, 80]))
+            scale = float(gen.choice([0.3, 3.0, 10.0, 30.0]))
+            tau = float(gen.uniform(1.0, 20.0))
+            enc = scale * gen.standard_normal(lead + (s, d))
+            values = scale * gen.standard_normal(lead + (chains, n_way, d))
+            one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
+            probs, drift = support_probs_and_grad(enc, one_hot, values, measure, tau)
+            none, fast = support_probs_and_grad(enc, one_hot, values, measure, tau, record=False)
+            assert none is None
+            assert fast.tobytes() == drift.tobytes(), (values.shape, scale, tau)
+            underflowing += bool(np.any(probs < np.finfo(float).tiny))
+        assert underflowing >= 500
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("e_count", [None, 1, 3])
+    def test_chain_ends_where_the_recorded_chain_ends(self, measure, e_count):
+        worlds = [underflow_world(seed) for seed in range(e_count or 1)]
+        enc, y, values, centers = (np.stack(part) for part in zip(*worlds))
+        rng = [RngStream(5, e) for e in range(e_count or 1)]
+        if e_count is None:
+            enc, y, values, centers, rng = enc[0], y[0], values[0], centers[0], rng[0]
+        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0, measure=measure)
+
+        def run(record):
+            return sampler.sgld_chain(
+                enc, *support_labels(y, 20), np.arange(20), centers, values,
+                config, rng, record=record,
+            )
+
+        final, none = run(False)
+        _, chain = run(True)
+        assert none is None
+        assert final.tobytes() == chain.trajectory[-1].tobytes()
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_exp_sees_no_argument_below_the_clamp(self, monkeypatch, measure):
+        # exp is many times slower on an output that underflows
+        enc, y, values, _ = underflow_world()
+        one_hot, _ = support_labels(y, 20)
+        exp, lowest = np.exp, []
+
+        def recording_exp(x, *args, **kwargs):
+            lowest.append(float(np.min(x)))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        support_probs_and_grad(enc, one_hot, values, measure, 10.0)
+        assert min(lowest) < LOGIT_CLAMP, "the world no longer underflows"
+        lowest.clear()
+        support_probs_and_grad(enc, one_hot, values, measure, 10.0, record=False)
+        monkeypatch.undo()
+        assert lowest and min(lowest) == LOGIT_CLAMP
 
 
 def random_batch(gen, measure):

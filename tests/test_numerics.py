@@ -100,6 +100,22 @@ class TestSoftmax:
                 atol=1e-12,
             )
 
+    def test_clamp_raises_only_the_entries_below_it(self):
+        # every entry whose shifted logit is at least the clamp keeps the exact
+        # softmax's bits; a raised one reads exp(clamp) / row sum
+        gen = np.random.default_rng(4)
+        for _ in range(2000):
+            shape = (int(gen.integers(1, 6)), int(gen.integers(1, 30)))
+            logits = gen.uniform(-1500.0, 0.0, size=shape)
+            tau = float(gen.uniform(0.5, 2.0))
+            exact = softmax_with_temperature(logits, tau)
+            clamped = softmax_with_temperature(logits, tau, clamp=-700.0)
+            z = logits / tau
+            raised = z - z.max(axis=-1, keepdims=True) < -700.0
+            assert clamped[~raised].tobytes() == exact[~raised].tobytes()
+            assert np.all(exact[raised] <= clamped[raised])
+            assert np.all(clamped[raised] <= math.exp(-700.0))
+
     def test_log_softmax_matches_log_of_softmax(self):
         gen = np.random.default_rng(3)
         for _ in range(100):

@@ -1,5 +1,7 @@
 """Tests for warm-start initialization, SGLD chains, and Monte Carlo prediction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,16 @@ class TestInitPrototypes:
         )
         for l in range(4):
             np.testing.assert_array_equal(values[l], class_means)
+
+    @pytest.mark.parametrize("alpha, beta", [(1e308, 1.0), (2.0, -1e308), (1e308, 1e308)])
+    def test_overflowing_start_names_alpha_and_beta(self, alpha, beta):
+        # an overflow (inf) or inf - inf (nan) fails here, without numpy's warning
+        class_means, grand_mean = np.full((2, 3), 5.0), np.full(3, 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as caught:
+                init_prototypes(class_means, grand_mean, np.full((2, 3), 10.0), alpha, beta, 2)
+        assert str(caught.value) == f"warm start is not finite at alpha {alpha:g} and beta {beta:g}"
 
     def test_chains_share_the_init(self):
         gen = np.random.default_rng(2)

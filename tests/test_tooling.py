@@ -118,6 +118,52 @@ def test_read_lines_is_the_one_file_reader():
     assert found == ["data.read_lines"]
 
 
+def exp_sites(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` that name
+    numpy's ``exp``, as ``np.exp``, ``numpy.exp`` or an import from numpy,
+    in source order."""
+
+    def names_exp(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "numpy" and any(a.name == "exp" for a in node.names)
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "exp"
+            and referenced_name(node.value) in {"np", "numpy"}
+        )
+
+    return scopes_where(source, scope, names_exp)
+
+
+def test_exp_scan_finds_every_kind_of_use():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+import math
+import numpy
+import numpy as np
+from numpy import exp
+def one(z):
+    return np.exp(z) + math.exp(1.0)
+class Softmax:
+    def two(self, z):
+        return np.log(numpy.exp(z, out=z))
+def three(z):
+    from numpy import exp as e
+    return e(z) + z.exp
+"""
+    assert exp_sites(source, "m") == ["m", "m.one", "m.Softmax.two", "m.three"]
+
+
+def test_only_numerics_calls_exp():
+    # exponents go through the softmax kernels, where the drift's clamp keeps
+    # exp off its slow path on underflowing outputs
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += exp_sites(path.read_text(encoding="utf-8"), path.stem)
+    assert found == [
+        "numerics.softmax_with_temperature", "numerics.log_softmax_with_temperature",
+    ]
+
+
 RNG_CONSTRUCTORS = {"Philox", "Generator", "default_rng", "SeedSequence"}
 
 
