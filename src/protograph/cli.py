@@ -149,19 +149,26 @@ class Options:
         }
 
     def check_output_dirs(self) -> None:
-        """Fail before any work when an output path is a directory or its
-        directory is missing.
+        """Fail before any work when an output path is a directory, its
+        directory is missing, or it names the same file as an input or an
+        earlier output.
 
         The outputs are train's --checkpoint and every --out but synth's, a
-        directory that synth creates itself.
+        directory that synth creates itself; the other path options are read.
         """
         keys = {"train": ("checkpoint", "out"), "synth": ()}.get(self.command, ("out",))
-        for key in keys:
+        named = {}  # resolved path -> the first option naming it
+        for key in _PATHS:  # the inputs, then the options that may be outputs
             path = self._values.get(key)
-            if path and Path(path).is_dir():
+            if not path:
+                continue
+            if key in keys and Path(path).is_dir():
                 raise ValueError(f"{path}: is a directory")
-            if path and not Path(path).parent.is_dir():
+            if key in keys and not Path(path).parent.is_dir():
                 raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
+            first = named.setdefault(Path(path).resolve(), key)
+            if key in keys and first != key:
+                raise ValueError(f"{path}: --{key} names the same file as --{first}")
 
     def write_echo(self, anchor_path) -> None:
         echo = self.echo_dict()
@@ -366,6 +373,7 @@ class Command(NamedTuple):
 
 
 _INPUTS = ("data", "registry", "embeddings", "graph", "knn", "checkpoint", "out", "seed")
+_PATHS = ("data", "registry", "embeddings", "graph", "checkpoint", "out")
 _EPISODE = ("n-way", "k-shot", "q-per", "episodes", "encoder")
 _SAMPLER = (
     "chains", "steps", "step-size", "step-decay", "alpha", "beta", "tau", "measure",

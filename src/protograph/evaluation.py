@@ -112,9 +112,8 @@ def episode_outcomes(
             )
         else:
             _, preds = posterior_predict(
-                batch.support_x, batch.support_y, batch.targets, batch.query_x, summaries,
-                sampler_config, params.encoder, [rng.child(i, 1) for i in ids],
-                first_episode=start,
+                batch, summaries, sampler_config, params.encoder,
+                [rng.child(i, 1) for i in ids], first_episode=start,
             )
         hits = np.sum(preds == batch.query_y, axis=-1)
         outcomes += [(int(c), batch.query_y.shape[1]) for c in hits]

@@ -13,8 +13,10 @@ import numpy as np
 
 from .data import Episode
 from .graph import build_knn_graph
-from .likelihood import EncoderParams, support_log_likelihood_and_grad
-from .numerics import RngStream, finite_difference_gradient, max_relative_error
+from .likelihood import pairwise_logits, support_labels, support_probs_and_grad
+from .numerics import (
+    RngStream, finite_difference_gradient, log_softmax_with_temperature, max_relative_error,
+)
 from .sampler import SamplerConfig
 from .trainer import (
     episode_loss,
@@ -46,12 +48,15 @@ def check_support_likelihood(gen, n_way: int, k_shot: int, d: int, measure: str,
     x = gen.standard_normal((n_way * k_shot, d))
     y = np.repeat(np.arange(n_way), k_shot)
     v = gen.standard_normal((n_way, d))
-    encoder = EncoderParams(mode="identity")
-    _, grad = support_log_likelihood_and_grad(x, y, v, encoder, measure, tau)
-    fd = finite_difference_gradient(
-        lambda p: support_log_likelihood_and_grad(x, y, p, encoder, measure, tau)[0], v
-    )
-    return max_relative_error(grad, fd)
+    one_hot, _ = support_labels(y, n_way)
+    _, drift = support_probs_and_grad(x, one_hot, v[None], measure, tau, record=False)
+
+    def log_likelihood(p: np.ndarray) -> float:
+        log_p = log_softmax_with_temperature(pairwise_logits(x, p, measure), tau)
+        return (1.0 / k_shot) * float(log_p[np.arange(y.size), y].sum())
+
+    fd = finite_difference_gradient(log_likelihood, v)
+    return max_relative_error(drift[0] * ((1.0 / k_shot) / tau), fd)
 
 
 def check_episode_objective(seed: int, case: int, d: int, n_way: int, k_shot: int,

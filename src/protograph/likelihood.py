@@ -93,14 +93,14 @@ def class_log_probs(encoding, prototypes, measure: str, tau: float) -> np.ndarra
     return log_softmax_with_temperature(logits, tau)[0]
 
 
-def support_labels(support_y, n_way: int) -> tuple[np.ndarray, int]:
+def support_labels(labels, n_way: int) -> tuple[np.ndarray, int]:
     """One-hot (S, N) support labels and the shot count K, after the checks.
 
     Labels must lie in 0..N-1 and every class must hold the same count K.
     Labels (E, S) of E episodes give (E, S, N); each episode is checked on
     its own, and the first that fails is reported as it alone would be.
     """
-    y = np.asarray(support_y, dtype=int)
+    y = np.asarray(labels, dtype=int)
     if y.size == 0:
         raise ValueError("empty support set")
     hits = y[..., None] == np.arange(n_way)
@@ -233,29 +233,3 @@ def support_drift_vjp(
     if encodings:
         d_enc += scale * np.einsum("lsn,lnd->sd", resid, cotangent)
     return d_enc, d_values
-
-
-def support_log_likelihood_and_grad(
-    support_x,
-    support_y,
-    prototypes,
-    encoder: EncoderParams,
-    measure: str,
-    tau: float,
-) -> tuple[float, np.ndarray]:
-    """Support-set log-likelihood and its analytic gradient w.r.t. prototypes.
-
-    value = (1/K) sum_s log p(y_s | x_s, V), with K support instances per
-    class (required equal). The gradient is 1/(K tau) times the drift of
-    :func:`support_probs_and_grad`, the kernel the sampler's chains run.
-    """
-    v = np.asarray(prototypes, dtype=float)
-    y = np.asarray(support_y, dtype=int)
-    one_hot, k_shot = support_labels(y, v.shape[0])
-    e = encode_batch(support_x, encoder)
-    log_p = log_softmax_with_temperature(pairwise_logits(e, v, measure), tau)
-    _, drift = support_probs_and_grad(e, one_hot, v[None], measure, tau, record=False)
-
-    scale = 1.0 / k_shot
-    value = scale * float(log_p[np.arange(y.size), y].sum())
-    return value, drift[0] * (scale / tau)

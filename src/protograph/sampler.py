@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Episode
 from .likelihood import (
     MEASURES, EncoderParams, encode_batch, pairwise_logits, similarity_softmax_vjp,
     support_drift_vjp, support_labels, support_probs_and_grad,
@@ -85,7 +86,9 @@ class SamplerConfig:
 
     def step_sizes(self) -> np.ndarray:
         t = np.arange(1, self.steps + 1, dtype=float)
-        return self.step_size * t ** (-self.step_decay)
+        # a decay that overflows gives an inf step size, which __post_init__ rejects
+        with np.errstate(over="ignore"):
+            return self.step_size * t ** (-self.step_decay)
 
 
 @dataclass
@@ -262,7 +265,7 @@ def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
 
 
 def predict_queries(
-    query_x,
+    queries,
     prototypes,
     encoder: EncoderParams,
     measure: str,
@@ -278,17 +281,14 @@ def predict_queries(
     """
     if np.size(prototypes) == 0:
         raise ValueError("no prototype samples")
-    enc = encode_batch(query_x, encoder)
+    enc = encode_batch(queries, encoder)
     logits = pairwise_logits(enc, prototypes, measure)
     probs = softmax_with_temperature(logits, tau).mean(axis=-3)
     return probs, _lowest_key_argmax(probs, targets)
 
 
 def episode_forward(
-    support_x,
-    support_y,
-    targets,
-    query_x,
+    episode: Episode,
     summaries,
     config: SamplerConfig,
     encoder: EncoderParams,
@@ -299,23 +299,25 @@ def episode_forward(
 ) -> EpisodeForward:
     """The one episode pipeline shared by evaluation, validation and training.
 
-    Encodes the support set and the queries once each, checks the support
-    labels once, builds the support statistics, warm-starts and runs the
-    chains, and scores the queries against every chain's final prototypes.
-    ``record`` keeps the chain's trajectory and support probabilities for the
-    reverse pass; ``noise`` is the chain's noise drawn ahead (see sgld_chain).
+    Takes one :class:`Episode`, or E stacked as sample_episode draws a batch,
+    and the summaries of its targets. Encodes the support set and the queries
+    once each, checks the support labels once, builds the support statistics,
+    warm-starts and runs the chains, and scores the queries against every
+    chain's final prototypes. ``record`` keeps the chain's trajectory and
+    support probabilities for the reverse pass; ``noise`` is the chain's
+    noise drawn ahead (see sgld_chain).
     """
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
         h = np.zeros_like(h)
-    support_enc = encode_batch(support_x, encoder)
-    query_enc = encode_batch(query_x, encoder)
-    one_hot, k_shot = support_labels(support_y, np.shape(targets)[-1])
+    support_enc = encode_batch(episode.support_x, encoder)
+    query_enc = encode_batch(episode.query_x, encoder)
+    one_hot, k_shot = support_labels(episode.support_y, np.shape(episode.targets)[-1])
     class_means, grand_mean = support_statistics(support_enc, one_hot, k_shot)
     values = init_prototypes(class_means, grand_mean, h, config.alpha, config.beta, config.chains)
     values, chain = sgld_chain(
-        support_enc, one_hot, k_shot, targets, h, values, config, rng, record, first_episode,
-        noise,
+        support_enc, one_hot, k_shot, episode.targets, h, values, config, rng, record,
+        first_episode, noise,
     )
     logits = pairwise_logits(query_enc, values, config.measure)
     chain_probs = softmax_with_temperature(logits, config.tau)
@@ -376,19 +378,9 @@ def episode_forward_vjp(
 
 
 def posterior_predict(
-    support_x,
-    support_y,
-    targets,
-    query_x,
-    summaries,
-    config: SamplerConfig,
-    encoder: EncoderParams,
-    rng: RngStream | Sequence[RngStream],
-    first_episode: int = 0,
+    episode: Episode, summaries, config: SamplerConfig, encoder: EncoderParams,
+    rng: RngStream | Sequence[RngStream], first_episode: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain-averaged query probabilities and predictions of one or E episodes."""
-    fwd = episode_forward(
-        support_x, support_y, targets, query_x, summaries, config, encoder, rng,
-        first_episode=first_episode,
-    )
-    return fwd.probs, _lowest_key_argmax(fwd.probs, targets)
+    fwd = episode_forward(episode, summaries, config, encoder, rng, first_episode=first_episode)
+    return fwd.probs, _lowest_key_argmax(fwd.probs, episode.targets)

@@ -148,16 +148,8 @@ def _episode_forward(
 ) -> tuple[float, EpisodeForward]:
     """The episode's loss and its recorded forward."""
     fwd = episode_forward(
-        episode.support_x,
-        episode.support_y,
-        episode.targets,
-        episode.query_x,
-        summary_rows(graph, params.gnn, episode.targets),
-        config,
-        params.encoder,
-        rng,
-        record=True,
-        noise=noise,
+        episode, summary_rows(graph, params.gnn, episode.targets), config, params.encoder, rng,
+        record=True, noise=noise,
     )
     p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
     if not np.isfinite(p_true).all() or (p_true <= 0.0).any():

@@ -519,6 +519,59 @@ def test_overflowing_warm_start_is_one_line_error(workspace, tmp_path, capsys, c
     assert not any(tmp_path.iterdir())  # nothing written
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the run
+@pytest.mark.parametrize("cmd", ["eval", "sweep", "train"])
+def test_overflowing_step_size_schedule_is_one_line_error(workspace, tmp_path, capsys, cmd):
+    # t ** 500 overflows from t = 5: the largest step size is inf
+    args = base_args(workspace, cmd) + ["--step-decay=-500"]
+    if cmd == "train":
+        args += ["--checkpoint", str(tmp_path / "model.ckpt"), "--episodes", "10"]
+    assert main(args) == 1
+    assert capsys.readouterr() == (
+        "", "error: largest step size inf times prior_weight 1 must be < 2\n"
+    )
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+SAME_FILE = [
+    ("train", ["--checkpoint", "m.ckpt", "--out", "m.ckpt"], "m.ckpt", "out", "checkpoint"),
+    ("train", ["--checkpoint", "instances.tsv"], "instances.tsv", "checkpoint", "data"),
+    ("eval", ["--checkpoint", "model.ckpt", "--out", "model.ckpt"], "model.ckpt", "out",
+     "checkpoint"),
+    ("eval", ["--out", "registry.tsv"], "registry.tsv", "out", "registry"),
+    ("zero-shot", ["--out", "{cwd}/embeddings.tsv"], "{cwd}/embeddings.tsv", "out",
+     "embeddings"),
+    ("sweep", ["--graph", "edges.tsv", "--out", "edges.tsv"], "edges.tsv", "out", "graph"),
+    ("build-graph", ["--out", "embeddings.tsv"], "embeddings.tsv", "out", "embeddings"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd, flags, path, key, other", SAME_FILE,
+    ids=[" ".join([c] + f) for c, f, *_ in SAME_FILE],
+)
+def test_output_naming_an_input_or_output_fails_before_any_work(
+    workspace, tmp_path, capsys, monkeypatch, cmd, flags, path, key, other
+):
+    root, data = workspace
+    for source in (data / "instances.tsv", data / "registry.tsv", data / "embeddings.tsv",
+                   root / "model.ckpt", root / "edges.tsv"):
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    args = [cmd, "--embeddings", "embeddings.tsv"]
+    if cmd != "build-graph":
+        args += ["--data", "instances.tsv", "--registry", "registry.tsv", "--episodes", "2"]
+    if cmd == "train":
+        args += ["--eval-every", "0"]
+    assert main(args + [f.format(cwd=tmp_path) for f in flags]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path.format(cwd=tmp_path)}: --{key} names the same file as --{other}\n"
+    )
+    # nothing written, and every input keeps its bytes
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 NUMPY_MESSAGE = (
     "Unable to allocate 7.45 TiB for an array with shape (20, 100000000, 5, 16)"
     " and data type float64"

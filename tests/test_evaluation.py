@@ -65,8 +65,7 @@ class TestEvaluateFewshot:
             ep = sample_episode(ds, "test", 5, 1, 5, RngStream(601).child(i))
             summaries = summary_rows(graph, params.gnn, ep.targets)
             _, preds = posterior_predict(
-                ep.support_x, ep.support_y, ep.targets, ep.query_x, summaries,
-                SamplerConfig(chains=4, steps=2), params.encoder,
+                ep, summaries, SamplerConfig(chains=4, steps=2), params.encoder,
                 RngStream(602).child(i),
             )
             hits += int(np.sum(preds == shuffler.permutation(ep.query_y)))
@@ -215,7 +214,7 @@ class TestBatchSize:
                 # batch size, and the global index of its first episode that
                 # a diverging chain reports
                 if name == "posterior_predict":
-                    sizes.append((len(args[2]), kwargs["first_episode"]))
+                    sizes.append((len(args[0].targets), kwargs["first_episode"]))
                 else:
                     sizes.append((len(args[5]), None))
                 return call(*args, **kwargs)

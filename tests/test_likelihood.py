@@ -17,17 +17,27 @@ from protograph.likelihood import (
     similarity_softmax_vjp,
     support_drift_vjp,
     support_labels,
-    support_log_likelihood_and_grad,
     support_probs_and_grad,
 )
 from protograph.numerics import (
     RngStream,
     finite_difference_gradient,
+    log_softmax_with_temperature,
     max_relative_error,
     softmax_with_temperature,
 )
 
 IDENTITY = EncoderParams(mode="identity")
+
+
+def support_log_likelihood(x, y, v, measure, tau):
+    """(1/K) sum_s log p(y_s | x_s, V) of the support rows x against the
+    prototypes v, and its gradient in v: the chain's drift, scaled by 1/(K tau)."""
+    one_hot, k_shot = support_labels(y, v.shape[0])
+    log_p = log_softmax_with_temperature(pairwise_logits(x, v, measure), tau)
+    _, drift = support_probs_and_grad(x, one_hot, v[None], measure, tau, record=False)
+    value = (1.0 / k_shot) * float(log_p[np.arange(y.size), y].sum())
+    return value, drift[0] * ((1.0 / k_shot) / tau)
 
 
 class TestEncode:
@@ -128,8 +138,8 @@ class TestPairwiseLogitsVjp:
 
 class TestSupportLogLikelihood:
     def test_single_class_is_zero(self):
-        value, grad = support_log_likelihood_and_grad(
-            np.ones((1, 2)), np.zeros(1, dtype=int), np.ones((1, 2)), IDENTITY, "dot", 10.0
+        value, grad = support_log_likelihood(
+            np.ones((1, 2)), np.zeros(1, dtype=int), np.ones((1, 2)), "dot", 10.0
         )
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros((1, 2)))
@@ -145,7 +155,7 @@ class TestSupportLogLikelihood:
         for s in range(2):
             row = z[s] / tau
             expect += row[y[s]] - math.log(np.exp(row).sum())
-        value, _ = support_log_likelihood_and_grad(x, y, v, IDENTITY, "dot", tau)
+        value, _ = support_log_likelihood(x, y, v, "dot", tau)
         assert value == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
@@ -156,23 +166,23 @@ class TestSupportLogLikelihood:
             x = gen.standard_normal((n * k, d))
             y = np.repeat(np.arange(n), k)
             v = gen.standard_normal((n, d))
-            _, grad = support_log_likelihood_and_grad(x, y, v, IDENTITY, measure, 7.0)
+            _, grad = support_log_likelihood(x, y, v, measure, 7.0)
             fd = finite_difference_gradient(
-                lambda p: support_log_likelihood_and_grad(x, y, p, IDENTITY, measure, 7.0)[0],
+                lambda p: support_log_likelihood(x, y, p, measure, 7.0)[0],
                 v,
             )
             assert max_relative_error(grad, fd) < 1e-4
 
     def test_label_outside_targets(self):
         with pytest.raises(ValueError, match="outside"):
-            support_log_likelihood_and_grad(
-                np.ones((1, 2)), np.array([5]), np.ones((2, 2)), IDENTITY, "dot", 1.0
+            support_log_likelihood(
+                np.ones((1, 2)), np.array([5]), np.ones((2, 2)), "dot", 1.0
             )
 
     def test_unequal_counts_rejected(self):
         with pytest.raises(ValueError, match="unequal"):
-            support_log_likelihood_and_grad(
-                np.ones((3, 2)), np.array([0, 0, 1]), np.ones((2, 2)), IDENTITY, "dot", 1.0
+            support_log_likelihood(
+                np.ones((3, 2)), np.array([0, 0, 1]), np.ones((2, 2)), "dot", 1.0
             )
 
     def test_duplication_invariance_with_normalization(self):
@@ -180,9 +190,9 @@ class TestSupportLogLikelihood:
         x = gen.standard_normal((4, 3))
         y = np.array([0, 0, 1, 1])
         v = gen.standard_normal((2, 3))
-        v1, g1 = support_log_likelihood_and_grad(x, y, v, IDENTITY, "dot", 5.0)
-        v2, g2 = support_log_likelihood_and_grad(
-            np.vstack([x, x]), np.concatenate([y, y]), v, IDENTITY, "dot", 5.0
+        v1, g1 = support_log_likelihood(x, y, v, "dot", 5.0)
+        v2, g2 = support_log_likelihood(
+            np.vstack([x, x]), np.concatenate([y, y]), v, "dot", 5.0
         )
         assert v1 == pytest.approx(v2, abs=1e-12)
         np.testing.assert_allclose(g1, g2, atol=1e-12)
@@ -194,8 +204,8 @@ class TestSupportLogLikelihood:
             y = np.array([0, 0, 1, 1, 2, 2])
             v = gen.standard_normal((3, 2))
             perm = gen.permutation(6)
-            v1, g1 = support_log_likelihood_and_grad(x, y, v, IDENTITY, "euclidean", 3.0)
-            v2, g2 = support_log_likelihood_and_grad(x[perm], y[perm], v, IDENTITY, "euclidean", 3.0)
+            v1, g1 = support_log_likelihood(x, y, v, "euclidean", 3.0)
+            v2, g2 = support_log_likelihood(x[perm], y[perm], v, "euclidean", 3.0)
             assert v1 == pytest.approx(v2, abs=1e-12)
             np.testing.assert_allclose(g1, g2, atol=1e-12)
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from protograph import sampler
+from protograph.data import Episode
 from protograph.likelihood import (
     EncoderParams,
     pairwise_logits,
     support_labels,
-    support_log_likelihood_and_grad,
     support_probs_and_grad,
 )
 from protograph.numerics import (
@@ -33,6 +33,11 @@ IDENTITY = EncoderParams(mode="identity")
 
 def statistics(e, y, n_way):
     return support_statistics(e, *support_labels(y, n_way))
+
+
+def episode(sx, sy, targets, qx):
+    """One or E stacked episodes of these rows; the forward reads no query label."""
+    return Episode(targets, sx, sy, qx, np.zeros(np.shape(qx)[:-1], dtype=int))
 
 
 class TestSupportStatistics:
@@ -61,7 +66,7 @@ class TestSupportStatistics:
         # the forward checks the labels before it builds the statistics
         with pytest.raises(ValueError, match="empty support"):
             posterior_predict(
-                np.zeros((0, 2)), np.zeros(0, dtype=int), [0, 1], np.ones((1, 2)),
+                episode(np.zeros((0, 2)), np.zeros(0, dtype=int), [0, 1], np.ones((1, 2))),
                 np.zeros((2, 2)), SamplerConfig(), IDENTITY, RngStream(0),
             )
 
@@ -205,8 +210,11 @@ class TestSgldChain:
             prior_weight=0.0, tau=tau, measure=measure,
         )
         out, _ = run_chain(v, gen.standard_normal((n, d)), cfg, RngStream(0), support=(sx, sy))
+        one_hot, _ = support_labels(sy, n)
         for l in range(3):
-            _, grad = support_log_likelihood_and_grad(sx, sy, v[l], IDENTITY, measure, tau)
+            # the gradient of (1/K) sum_s log p(y_s | x_s, V_l): the drift over K tau
+            _, drift = support_probs_and_grad(sx, one_hot, v[l:l + 1], measure, tau, record=False)
+            grad = drift[0] * ((1.0 / k) / tau)
             np.testing.assert_allclose(out[l], v[l] + 0.5 * eps * grad, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
@@ -419,8 +427,8 @@ class TestPosteriorPredict:
         qx = gen.standard_normal((6, 3))
         h = gen.standard_normal((2, 3))
         cfg = SamplerConfig(chains=4, steps=3)
-        a = posterior_predict(sx, sy, [5, 2], qx, h, cfg, IDENTITY, RngStream(21))
-        b = posterior_predict(sx, sy, [5, 2], qx, h, cfg, IDENTITY, RngStream(21))
+        a = posterior_predict(episode(sx, sy, [5, 2], qx), h, cfg, IDENTITY, RngStream(21))
+        b = posterior_predict(episode(sx, sy, [5, 2], qx), h, cfg, IDENTITY, RngStream(21))
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -431,9 +439,9 @@ class TestPosteriorPredict:
         qx = gen.standard_normal((2, 3))
         h = gen.standard_normal((2, 3))
         cfg = SamplerConfig(chains=2, steps=2, graph_prior=False)
-        with_h = posterior_predict(sx, sy, [0, 1], qx, h, cfg, IDENTITY, RngStream(3))
+        with_h = posterior_predict(episode(sx, sy, [0, 1], qx), h, cfg, IDENTITY, RngStream(3))
         with_zeros = posterior_predict(
-            sx, sy, [0, 1], qx, np.zeros_like(h), cfg, IDENTITY, RngStream(3)
+            episode(sx, sy, [0, 1], qx), np.zeros_like(h), cfg, IDENTITY, RngStream(3)
         )
         np.testing.assert_array_equal(with_h[0], with_zeros[0])
 
@@ -445,7 +453,8 @@ class TestPosteriorPredict:
         h = gen.standard_normal((3, 3))
         with pytest.raises(ValueError, match=r"unequal support counts per class: \[2, 2, 0\]"):
             posterior_predict(
-                sx, [0, 0, 1, 1], [4, 7, 9], qx, h, SamplerConfig(), IDENTITY, RngStream(0)
+                episode(sx, [0, 0, 1, 1], [4, 7, 9], qx), h, SamplerConfig(), IDENTITY,
+                RngStream(0),
             )
 
 
@@ -462,7 +471,7 @@ class TestEpisodeForward:
         gen = np.random.default_rng(23)
         sy = np.array([1, 0, 1, 0])
         fwd = episode_forward(
-            gen.standard_normal((4, 3)), sy, [5, 2], gen.standard_normal((6, 3)),
+            episode(gen.standard_normal((4, 3)), sy, [5, 2], gen.standard_normal((6, 3))),
             gen.standard_normal((2, 3)), SamplerConfig(chains=3, steps=2), IDENTITY,
             RngStream(21), record=record,
         )
@@ -490,7 +499,7 @@ class TestEpisodeForwardVjp:
 
         def forward(sx, qx, h):
             return episode_forward(
-                sx, sy, targets, qx, h, cfg, IDENTITY, RngStream(41), record=True
+                episode(sx, sy, targets, qx), h, cfg, IDENTITY, RngStream(41), record=True
             )
 
         def contracted(sx, qx, h):
@@ -526,9 +535,9 @@ class TestEpisodeForwardVjp:
             sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
             targets = gen.choice(20, size=n_way, replace=False)
             fwd = episode_forward(
-                gen.standard_normal((sy.size, d)), sy, targets,
-                gen.standard_normal((q_count, d)), gen.standard_normal((n_way, d)), cfg,
-                IDENTITY, RngStream(45, case), record=True,
+                episode(gen.standard_normal((sy.size, d)), sy, targets,
+                        gen.standard_normal((q_count, d))),
+                gen.standard_normal((n_way, d)), cfg, IDENTITY, RngStream(45, case), record=True,
             )
             cotangent = gen.standard_normal(fwd.chain_probs.shape)
             d_h, d_es, d_eq = episode_forward_vjp(fwd, cotangent, cfg)
@@ -596,11 +605,11 @@ class TestEpisodeBatch:
         sx, sy, qx, targets, h = episode_batch(21, 4)
         cfg = SamplerConfig(chains=4, steps=3, measure=measure)
         streams = [RngStream(9).child(i, 1) for i in range(4)]
-        probs, preds = posterior_predict(sx, sy, targets, qx, h, cfg, encoder, streams)
+        probs, preds = posterior_predict(episode(sx, sy, targets, qx), h, cfg, encoder, streams)
         assert probs.shape == (4, 6, 4) and preds.shape == (4, 6)
         for e in range(4):
-            alone = posterior_predict(sx[e], sy[e], targets[e], qx[e], h[e], cfg, encoder,
-                                      streams[e])
+            alone = posterior_predict(episode(sx[e], sy[e], targets[e], qx[e]), h[e], cfg,
+                                      encoder, streams[e])
             assert probs[e].tobytes() == alone[0].tobytes()
             assert preds[e].tobytes() == alone[1].tobytes()
 

@@ -164,6 +164,45 @@ def test_only_numerics_calls_exp():
     ]
 
 
+EPISODE_FIELDS = {"support_x", "support_y", "query_x"}
+
+
+def episode_field_parameters(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules, for a lambda) in ``source``
+    taking a parameter named in EPISODE_FIELDS, once per such parameter."""
+    return scopes_where(
+        source, scope, lambda node: isinstance(node, ast.arg) and node.arg in EPISODE_FIELDS
+    )
+
+
+def test_episode_field_scan_finds_every_kind_of_parameter():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+rows = lambda support_x: support_x
+def one(support_x, targets):
+    return support_x
+class Sampler:
+    def two(self, *, support_y=None):
+        return lambda query_x: query_x
+def three(episode, *query_x, **support_y):
+    support_x = episode.support_x
+    return support_x
+"""
+    assert episode_field_parameters(source, "m") == [
+        "m", "m.one", "m.Sampler.two", "m.Sampler.two", "m.three", "m.three",
+    ]
+
+
+def test_the_episode_travels_as_one_episode():
+    # the forward takes a data.Episode, so no function outside data.py takes
+    # the episode's rows or labels as separate arrays
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "data":
+            found += episode_field_parameters(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
+
+
 RNG_CONSTRUCTORS = {"Philox", "Generator", "default_rng", "SeedSequence"}
 
 

@@ -214,9 +214,7 @@ class TestForwardConsistency:
             rng = RngStream(800).child(case)
             _, fwd = _episode_forward(ep, graph, params, cfg, rng)
             probs, _ = posterior_predict(
-                ep.support_x, ep.support_y, ep.targets, ep.query_x,
-                summary_rows(graph, params.gnn, ep.targets),
-                cfg, params.encoder, rng,
+                ep, summary_rows(graph, params.gnn, ep.targets), cfg, params.encoder, rng
             )
             np.testing.assert_array_equal(fwd.probs, probs)
 
@@ -296,9 +294,8 @@ class TestTrain:
         for i in range(cfg.val_episodes):
             ep = sample_episode(ds, "val", cfg.n_way, cfg.k_shot, cfg.q_per, rng.child(i, 0))
             _, preds = posterior_predict(
-                ep.support_x, ep.support_y, ep.targets, ep.query_x,
-                summary_rows(graph, params.gnn, ep.targets),
-                cfg.sampler, params.encoder, rng.child(i, 1),
+                ep, summary_rows(graph, params.gnn, ep.targets), cfg.sampler, params.encoder,
+                rng.child(i, 1),
             )
             correct += int(np.sum(preds == ep.query_y))
             total += len(ep.query_y)
