@@ -5,8 +5,9 @@ grad-check. Every option is declared once, in OPTIONS, and each subcommand
 accepts exactly the options it reads (COMMANDS). Options can also come from
 a flat key=value config file (--config): explicit flags override file
 values, file values override the defaults, and file keys the subcommand does
-not read are ignored. Each run writes its resolved options next to its
-outputs, so the exact run can be replayed from that file.
+not read are ignored. Each subcommand declares the path options it writes
+(outputs); main checks them and their <path>.config echoes before any work, and
+after the run writes each echo: the resolved options, which --config replays.
 """
 
 from __future__ import annotations
@@ -148,27 +149,26 @@ class Options:
             if v is not None and k in self._read
         }
 
-    def check_output_dirs(self) -> None:
-        """Fail before any work when an output path is a directory, its
-        directory is missing, or it names the same file as an input or an
-        earlier output.
-
-        The outputs are train's --checkpoint and every --out but synth's, a
-        directory that synth creates itself; the other path options are read.
-        """
-        keys = {"train": ("checkpoint", "out"), "synth": ()}.get(self.command, ("out",))
-        named = {}  # resolved path -> the first option naming it
-        for key in _PATHS:  # the inputs, then the options that may be outputs
-            path = self._values.get(key)
-            if not path:
-                continue
-            if key in keys and Path(path).is_dir():
+    def check_output_dirs(self, outputs: tuple[str, ...]) -> None:
+        """Fail before any work when a file the run writes, a set option of
+        ``outputs`` or its .config echo, is a directory, its directory is
+        missing, or it names the same file as an input or an earlier one."""
+        named = {}  # resolved path -> the first file naming it, the inputs first
+        for key in _PATHS:
+            if self._values.get(key) and key not in outputs:
+                named.setdefault(Path(self._values[key]).resolve(), f"--{key}")
+        for key in filter(self._values.get, outputs):
+            path = self._values[key]
+            if Path(path).is_dir():
                 raise ValueError(f"{path}: is a directory")
-            if key in keys and not Path(path).parent.is_dir():
+            if not Path(path).parent.is_dir():
                 raise ValueError(f"{path}: directory {Path(path).parent} does not exist")
-            first = named.setdefault(Path(path).resolve(), key)
-            if key in keys and first != key:
-                raise ValueError(f"{path}: --{key} names the same file as --{first}")
+            for file, name in (path, f"--{key}"), (f"{path}.config", f"--{key}'s .config echo"):
+                if Path(file).is_dir():  # only the echo: the output was checked above
+                    raise ValueError(f"{file}: {name} is a directory")
+                first = named.setdefault(Path(file).resolve(), name)
+                if first != name:
+                    raise ValueError(f"{file}: {name} names the same file as {first}")
 
     def write_echo(self, anchor_path) -> None:
         echo = self.echo_dict()
@@ -231,7 +231,6 @@ def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
 def _write_report(opts: Options, reports) -> None:
     if opts["out"]:
         evaluation.emit_report(reports, opts["out"], opts["format"])
-        opts.write_echo(opts["out"])
 
 
 def _int_list(opts: Options, key: str) -> list[int]:
@@ -262,12 +261,9 @@ def _cmd_synth(opts: Options) -> int:
 
 
 def _cmd_build_graph(opts: Options) -> int:
-    embeddings = load_embeddings(opts.require("embeddings"))
-    g = build_knn_graph(embeddings, opts["knn"])
-    out = opts.require("out")
-    save_edges(g, out)
-    opts.write_echo(out)
-    print(f"wrote {len(g.edges)} edges to {out}")
+    g = build_knn_graph(load_embeddings(opts.require("embeddings")), opts["knn"])
+    save_edges(g, opts.require("out"))
+    print(f"wrote {len(g.edges)} edges to {opts['out']}")
     return 0
 
 
@@ -289,9 +285,6 @@ def _cmd_train(opts: Options) -> int:
     )
     dataset, g = _load_graph_and_data(opts)
     _, rows = trainer.train(dataset, g, config, config_echo=opts.echo_dict())
-    opts.write_echo(checkpoint)
-    if opts["out"]:
-        opts.write_echo(opts["out"])
     last = rows[-1].loss if rows else float("nan")
     print(f"trained {len(rows)} episodes, final loss {last:.6f}, checkpoint {checkpoint}")
     return 0
@@ -369,6 +362,7 @@ class Command(NamedTuple):
     run: Callable[[Options], int]
     help: str
     options: tuple[str, ...]  # exactly the options run() reads
+    outputs: tuple[str, ...] = ()  # the path options whose files run() writes
     defaults: dict = {}  # where the subcommand's default differs from OPTIONS
 
 
@@ -388,24 +382,27 @@ COMMANDS = {
          "per-relation", "embed-noise", "splits"),
     ),
     "build-graph": Command(
-        _cmd_build_graph, "build the k-NN relation graph", ("embeddings", "knn", "out"),
+        _cmd_build_graph, "build the k-NN relation graph", ("embeddings", "knn", "out"), ("out",),
     ),
     "train": Command(
         _cmd_train, "episodic training",
         _INPUTS + _EPISODE + _SAMPLER + ("lr", "eval-every", "val-episodes"),
-        {"episodes": 500},
+        ("checkpoint", "out"), {"episodes": 500},
     ),
-    "eval": Command(_cmd_eval, "few-shot evaluation", _EVAL),
+    "eval": Command(_cmd_eval, "few-shot evaluation", _EVAL, ("out",)),
     "zero-shot": Command(
         _cmd_zero_shot, "prior-mean classification, no support set",
         _INPUTS + ("n-way", "q-per", "episodes", "encoder", "tau", "measure", "split", "format"),
+        ("out",),
     ),
-    "sweep": Command(_cmd_sweep, "sensitivity sweep over L or M", _EVAL + ("axis", "values")),
+    "sweep": Command(
+        _cmd_sweep, "sensitivity sweep over L or M", _EVAL + ("axis", "values"), ("out",),
+    ),
     "grad-check": Command(
         _cmd_grad_check, "finite-difference gradient suites",
         ("seed", "d", "cases", "n-way", "k-shot", "q-per", "chains", "steps", "tau"),
         # the small shape N=2, K=1, Q=2, L=2, M=2
-        {"n-way": 2, "q-per": 2, "chains": 2, "steps": 2},
+        defaults={"n-way": 2, "q-per": 2, "chains": 2, "steps": 2},
     ),
 }
 
@@ -438,8 +435,11 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         opts = Options(args, command)
-        opts.check_output_dirs()
-        return command.run(opts)
+        opts.check_output_dirs(command.outputs)
+        status = command.run(opts)
+        for path in filter(None, (opts[key] for key in command.outputs)):
+            opts.write_echo(path)
+        return status
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

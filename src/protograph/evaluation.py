@@ -11,6 +11,7 @@ import numpy as np
 
 from .data import Dataset, read_lines, sample_episode
 from .graph import RelationGraph
+from .likelihood import chain_step_floats
 from .numerics import RngStream
 from .prior import summary_rows
 from .sampler import SamplerConfig, posterior_predict, predict_queries
@@ -24,10 +25,9 @@ if TYPE_CHECKING:
     from .trainer import ModelParams
 
 # Evaluation runs its episodes in batches of E, E as large as keeps the
-# largest array of one batched chain step within this many floats (128 KiB):
-# that array has E*L*N*max(S, d) floats for the dot measure and E*L*S*N*d for
-# the euclidean one (in zero-shot, one chain against the Q queries). A batch
-# shares each numpy call's overhead among its episodes at flat memory.
+# largest array of one batched chain step, E times chain_step_floats, within
+# this many floats (128 KiB). A batch shares each numpy call's overhead among
+# its episodes at flat memory.
 BATCH_ELEMENTS = 2**14
 
 # The report format: column -> (EvalReport attribute, type), in column
@@ -122,11 +122,7 @@ def episode_outcomes(
 
 def _batch_size(measure: str, chains: int, n_way: int, rows: int, dim: int) -> int:
     """Episodes per batch: how many fit BATCH_ELEMENTS, at least one."""
-    if measure == "euclidean":
-        per_episode = chains * rows * n_way * dim
-    else:
-        per_episode = chains * n_way * max(rows, dim)
-    return max(1, BATCH_ELEMENTS // per_episode)
+    return max(1, BATCH_ELEMENTS // chain_step_floats(measure, chains, n_way, rows, dim))
 
 
 def _report(outcomes: list[tuple[int, int]], seed: int, **setting) -> EvalReport:

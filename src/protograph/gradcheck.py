@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Episode
 from .graph import build_knn_graph
-from .likelihood import pairwise_logits, support_labels, support_probs_and_grad
+from .likelihood import MEASURES, pairwise_logits, support_labels, support_probs_and_grad
 from .numerics import (
     RngStream, finite_difference_gradient, log_softmax_with_temperature, max_relative_error,
 )
@@ -107,12 +107,12 @@ def run_gradient_checks(
     results: dict[str, float] = {}
 
     gen = RngStream(seed).child(30).generator()
-    for measure in ("dot", "euclidean"):
+    for measure in MEASURES:
         results[f"support-likelihood-{measure}"] = max(
             check_support_likelihood(gen, n_way, max(k_shot, 2), d, measure, tau)
             for _ in range(cases)
         )
-    for measure in ("dot", "euclidean"):
+    for measure in MEASURES:
         results[f"episode-objective-{measure}"] = max(
             check_episode_objective(
                 seed, case, d, n_way, k_shot, q_per, chains, steps, measure, tau

@@ -84,6 +84,15 @@ def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str)
     return -0.5 * np.einsum("...nd,...nd->...n", diff, diff)
 
 
+def chain_step_floats(measure: str, chains: int, n_way: int, rows: int, dim: int) -> int:
+    """Floats in the largest array of one episode's chain step: L*N*max(S, d)
+    for the dot measure and L*S*N*d for the euclidean one, S the support rows
+    (in zero-shot, one chain against the Q queries)."""
+    if measure == "euclidean":
+        return chains * rows * n_way * dim
+    return chains * n_way * max(rows, dim)
+
+
 def class_log_probs(encoding, prototypes, measure: str, tau: float) -> np.ndarray:
     """Log class probabilities of one encoding against N prototypes."""
     v = np.asarray(prototypes, dtype=float)

@@ -86,6 +86,8 @@ class SamplerConfig:
 
     def step_sizes(self) -> np.ndarray:
         t = np.arange(1, self.steps + 1, dtype=float)
+        if self.step_size == 0:  # 0 at any decay, also where t^(-decay) overflows
+            return np.zeros_like(t)
         # a decay that overflows gives an inf step size, which __post_init__ rejects
         with np.errstate(over="ignore"):
             return self.step_size * t ** (-self.step_decay)

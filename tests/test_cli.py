@@ -533,16 +533,47 @@ def test_overflowing_step_size_schedule_is_one_line_error(workspace, tmp_path, c
     assert not any(tmp_path.iterdir())  # nothing written
 
 
+@pytest.mark.filterwarnings("error")  # 0 * inf would warn of an invalid value
+@pytest.mark.parametrize("cmd", ["eval", "sweep", "train"])
+def test_zero_step_size_is_zero_at_an_overflowing_decay(
+    workspace, tmp_path, monkeypatch, cmd
+):
+    written = {}
+    for run, decay in (("plain", []), ("decayed", ["--step-decay=-500"])):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        args = base_args(workspace, cmd) + ["--step-size", "0", "--episodes", "3", "--out", "out"]
+        if cmd == "train":
+            args += ["--checkpoint", "model.ckpt", "--eval-every", "2", "--val-episodes", "2"]
+        assert main(args + decay) == 0
+        # every file but the echoed decay: a report, or a log and a checkpoint
+        written[run] = {
+            p.name: [line for line in p.read_text().splitlines()
+                     if not line.startswith("step-decay=")]
+            for p in (tmp_path / run).iterdir()
+        }
+    assert written["decayed"] == written["plain"]
+    assert len(written["plain"]) == (4 if cmd == "train" else 2)
+
+
 SAME_FILE = [
-    ("train", ["--checkpoint", "m.ckpt", "--out", "m.ckpt"], "m.ckpt", "out", "checkpoint"),
-    ("train", ["--checkpoint", "instances.tsv"], "instances.tsv", "checkpoint", "data"),
-    ("eval", ["--checkpoint", "model.ckpt", "--out", "model.ckpt"], "model.ckpt", "out",
-     "checkpoint"),
-    ("eval", ["--out", "registry.tsv"], "registry.tsv", "out", "registry"),
-    ("zero-shot", ["--out", "{cwd}/embeddings.tsv"], "{cwd}/embeddings.tsv", "out",
-     "embeddings"),
-    ("sweep", ["--graph", "edges.tsv", "--out", "edges.tsv"], "edges.tsv", "out", "graph"),
-    ("build-graph", ["--out", "embeddings.tsv"], "embeddings.tsv", "out", "embeddings"),
+    ("train", ["--checkpoint", "m.ckpt", "--out", "m.ckpt"], "m.ckpt", "--out", "--checkpoint"),
+    ("train", ["--checkpoint", "instances.tsv"], "instances.tsv", "--checkpoint", "--data"),
+    ("eval", ["--checkpoint", "model.ckpt", "--out", "model.ckpt"], "model.ckpt", "--out",
+     "--checkpoint"),
+    ("eval", ["--out", "registry.tsv"], "registry.tsv", "--out", "--registry"),
+    ("zero-shot", ["--out", "{cwd}/embeddings.tsv"], "{cwd}/embeddings.tsv", "--out",
+     "--embeddings"),
+    ("sweep", ["--graph", "edges.tsv", "--out", "edges.tsv"], "edges.tsv", "--out", "--graph"),
+    ("build-graph", ["--out", "embeddings.tsv"], "embeddings.tsv", "--out", "--embeddings"),
+    # each output's <path>.config echo is a written file too
+    ("train", ["--checkpoint", "m", "--out", "m.config"], "m.config", "--out",
+     "--checkpoint's .config echo"),
+    ("train", ["--checkpoint", "a.config", "--out", "a"], "a.config", "--out's .config echo",
+     "--checkpoint"),
+    ("eval", ["--data", "r.config", "--out", "r"], "r.config", "--out's .config echo", "--data"),
+    ("build-graph", ["--embeddings", "e.config", "--out", "e"], "e.config",
+     "--out's .config echo", "--embeddings"),
 ]
 
 
@@ -557,6 +588,9 @@ def test_output_naming_an_input_or_output_fails_before_any_work(
     for source in (data / "instances.tsv", data / "registry.tsv", data / "embeddings.tsv",
                    root / "model.ckpt", root / "edges.tsv"):
         (tmp_path / source.name).write_bytes(source.read_bytes())
+    # inputs named like the echo of an output
+    (tmp_path / "r.config").write_bytes((data / "instances.tsv").read_bytes())
+    (tmp_path / "e.config").write_bytes((data / "embeddings.tsv").read_bytes())
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.chdir(tmp_path)
     args = [cmd, "--embeddings", "embeddings.tsv"]
@@ -566,10 +600,43 @@ def test_output_naming_an_input_or_output_fails_before_any_work(
         args += ["--eval-every", "0"]
     assert main(args + [f.format(cwd=tmp_path) for f in flags]) == 1
     assert capsys.readouterr() == (
-        "", f"error: {path.format(cwd=tmp_path)}: --{key} names the same file as --{other}\n"
+        "", f"error: {path.format(cwd=tmp_path)}: {key} names the same file as {other}\n"
     )
     # nothing written, and every input keeps its bytes
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# (subcommand, output option) of every file a subcommand writes
+OUTPUTS = [
+    ("train", "checkpoint"), ("train", "out"), ("build-graph", "out"), ("eval", "out"),
+    ("zero-shot", "out"), ("sweep", "out"),
+]
+
+
+@pytest.mark.parametrize("cmd, key", OUTPUTS, ids=[f"{c} --{k}" for c, k in OUTPUTS])
+def test_echo_naming_a_directory_fails_before_any_input_loads(
+    workspace, tmp_path, capsys, monkeypatch, cmd, key
+):
+    _, data = workspace
+    monkeypatch.chdir(tmp_path)
+
+    def loaded(*args):
+        raise AssertionError("an input was loaded")
+
+    monkeypatch.setattr(cli, "load_dataset", loaded)
+    monkeypatch.setattr(cli, "load_embeddings", loaded)
+    (tmp_path / "rr.config").mkdir()
+    if cmd == "build-graph":
+        args = [cmd, "--embeddings", str(data / "embeddings.tsv")]
+    else:
+        args = base_args(workspace, cmd)
+    if cmd == "train":
+        args += ["--checkpoint", "m.ckpt", "--eval-every", "0"]
+    assert main(args + [f"--{key}", "rr"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: rr.config: --{key}'s .config echo is a directory\n"
+    )
+    assert [p.name for p in tmp_path.rglob("*")] == ["rr.config"]  # nothing written
 
 
 NUMPY_MESSAGE = (
@@ -688,6 +755,58 @@ def test_echo_leaves_out_options_the_run_did_not_read(workspace, tmp_path):
     assert not keys & {"knn", "encoder"}
     _, echo = cli.read_checkpoint(root / "model.ckpt")
     assert "graph" in echo and "knn" not in echo
+
+
+def test_every_written_file_is_declared(tmp_path, monkeypatch):
+    # each run changes exactly its Command's outputs and their .config echoes,
+    # so a file written behind the output check's back fails here
+    monkeypatch.chdir(tmp_path)
+    inputs = [
+        "--data", "d/instances.tsv", "--registry", "d/registry.tsv",
+        "--embeddings", "d/embeddings.tsv", "--episodes", "2",
+    ]
+    runs = [
+        ["synth", "--out", "d", "--relations", "15", "--dim", "4", "--per-relation", "8",
+         "--splits", "5,5,5"],
+        ["build-graph", "--embeddings", "d/embeddings.tsv", "--out", "edges.tsv"],
+        ["train", *inputs, "--graph", "edges.tsv", "--checkpoint", "m.ckpt", "--out", "log.csv",
+         "--eval-every", "1", "--val-episodes", "1"],
+        ["eval", *inputs, "--checkpoint", "m.ckpt", "--out", "eval.csv"],
+        ["zero-shot", *inputs, "--format", "json", "--out", "zero-shot.json"],
+        ["sweep", *inputs, "--values", "1,2", "--out", "sweep.csv"],
+    ]
+
+    def files():
+        return {p.as_posix(): p.read_bytes() for p in Path().rglob("*") if p.is_file()}
+
+    for argv in runs:
+        before = files()
+        assert main(argv) == 0, argv
+        after = files()
+        assert before.keys() <= after.keys(), argv
+        changed = {path for path, data in after.items() if before.get(path) != data}
+        args = cli.build_parser().parse_args(argv)
+        declared = {getattr(args, key) for key in cli.COMMANDS[argv[0]].outputs}
+        if argv[0] == "synth":  # --out is a directory it fills and echoes into
+            assert declared == set()
+            declared = {"d/instances.tsv", "d/registry.tsv", "d/embeddings.tsv"}
+            assert changed == declared | {"d/synth.config"}
+        else:
+            assert declared and changed == declared | {f"{path}.config" for path in declared}
+
+
+def test_in_place_replay_rewrites_the_same_bytes(workspace, tmp_path, monkeypatch):
+    # --config is read before anything is written, so it is no output: a run
+    # replayed onto its own report and echo rewrites both with their bytes
+    root, _ = workspace
+    monkeypatch.chdir(tmp_path)
+    assert main(base_args(workspace, "eval") + [
+        "--checkpoint", str(root / "model.ckpt"), "--episodes", "3", "--out", "report.csv",
+    ]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert before.keys() == {"report.csv", "report.csv.config"}
+    assert main(["eval", "--config", "report.csv.config", "--out", "report.csv"]) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestExitCodes:

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from protograph.likelihood import MEASURES
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "protograph"
 
@@ -162,6 +164,52 @@ def test_only_numerics_calls_exp():
     assert found == [
         "numerics.softmax_with_temperature", "numerics.log_softmax_with_temperature",
     ]
+
+
+def measure_comparisons(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` holding a
+    comparison or a match case against a MEASURES name, alone or in a literal
+    tuple, list or set, once per such node, in source order."""
+
+    def names(node) -> set:
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {item.value for item in items if isinstance(item, ast.Constant)} & set(MEASURES)
+
+    def compares(node) -> bool:
+        if isinstance(node, ast.MatchValue):
+            return bool(names(node.value))
+        return isinstance(node, ast.Compare) and any(
+            names(side) for side in [node.left, *node.comparators]
+        )
+
+    return scopes_where(source, scope, compares)
+
+
+def test_measure_scan_finds_every_kind_of_comparison():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+kernel = "dot" if measure == "dot" else "euclidean"
+def one(measure):
+    return {"dot": 1}[measure] + (measure == "cosine") + len("euclidean")
+class Kernel:
+    def two(self, ms):
+        if "euclidean" != self.measure and self.d < 3:
+            return [m for m in ms if m not in ("cosine", "dot")]
+def three(measure):
+    match measure:
+        case "euclidean":
+            return 1
+"""
+    assert measure_comparisons(source, "m") == ["m", "m.Kernel.two", "m.Kernel.two", "m.three"]
+
+
+def test_only_likelihood_branches_on_the_measure():
+    # the similarity kernel, its VJPs and the per-episode float count that
+    # sizes a batch all live in likelihood.py, so a new measure is added there
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += measure_comparisons(path.read_text(encoding="utf-8"), path.stem)
+    assert {scope.split(".")[0] for scope in found} == {"likelihood"}
 
 
 EPISODE_FIELDS = {"support_x", "support_y", "query_x"}
