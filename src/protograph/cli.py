@@ -125,10 +125,15 @@ class Options:
         self._read = set()  # the options the run asked for, the ones it echoes
         for key in command.options:
             value = getattr(args, key.replace("-", "_"))
+            name = f"--{key}"
             if value is None and key in from_file:
                 value = _from_file(key, *from_file[key])
+                name = f"{from_file[key][1]}: {key}"
             elif value is None:
                 value = command.defaults.get(key, OPTIONS[key].default)
+            # a stream key is 64 bits: RngStream would run a wider seed's streams masked
+            if key == "seed" and not 0 <= value < 2**64:
+                raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
             self._values[key] = value
 
     def __getitem__(self, key: str):

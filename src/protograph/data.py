@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import RekeyedPhilox, RngStream
+from .numerics import RngStream, StreamChoices
 
 SPLITS = ("train", "val", "test")
 
@@ -112,26 +112,25 @@ def sample_episode(
     the support set. k_shot may be 0 (zero-shot episodes carry only queries).
 
     ``rng`` is one stream, or a sequence of E streams sharing a seed for a
-    batch of E episodes, each exactly the episode its stream gives alone.
-    The streams draw from one re-keyed Philox, and the batch's rows come
-    from ``dataset.rows`` in one gather.
+    batch of E episodes, each exactly the episode its stream gives alone:
+    what ``gen.choice`` draws from the stream's generator, the targets, then
+    each target's instances. A :class:`StreamChoices` runs those calls on the
+    streams' raw Philox words, the E target draws in one array pass and the
+    E * N instance draws in a second, and redraws the rare stream it cannot
+    mirror with ``gen.choice``. The batch's rows come from ``dataset.rows``
+    in one gather.
     """
     check_episode_shape(n_way, k_shot, q_per)
     batched = not isinstance(rng, RngStream)
     streams = list(rng) if batched else [rng]
     rel_ids = np.asarray(dataset.relations_in_split(split, need=n_way))
-    philox = RekeyedPhilox(streams)
-    counts = np.diff(dataset.offsets).tolist()
+    counts = np.diff(dataset.offsets)
     need = k_shot + q_per
-    targets = np.empty((len(streams), n_way), dtype=int)
-    picked = np.empty((len(streams), n_way, need), dtype=int)
-    for e, stream in enumerate(streams):
-        gen = philox.start(stream.stream_id)
-        targets[e] = gen.choice(rel_ids, size=n_way, replace=False)
-        ids = targets[e].tolist()
-        dataset.check_instances(ids, need)
-        for n, rid in enumerate(ids):
-            picked[e, n] = gen.choice(counts[rid], size=need, replace=False)
+    draws = StreamChoices(streams, [n_way] + [need] * n_way)
+    targets = rel_ids[draws.choice(np.full((len(streams), 1), len(rel_ids)), n_way)[:, 0]]
+    # the first short relation in episode order, as drawing one episode at a time finds it
+    dataset.check_instances(targets[counts[targets] < need].tolist(), need)
+    picked = draws.choice(counts[targets], need)
 
     # row numbers in dataset.rows, support rows of the batch first, then query rows
     picked += dataset.offsets[targets][..., None]

@@ -4,6 +4,12 @@ Provides the temperature softmax, seeded standard-normal draws, and a
 central-difference gradient oracle. Every random draw in the package flows
 through an explicitly passed :class:`RngStream`; there is no ambient
 generator state, so any computation is replayable from its stream.
+
+A batch of streams of one seed draws through one re-keyed Philox: the chain
+noise in :class:`ChildNormals`, and the episode draws in
+:class:`StreamChoices`, numpy's ``choice(pop, size, replace=False)`` run on
+the streams' raw words in array passes, with ``gen.choice`` itself as the
+fallback for a stream whose words numpy would draw another way.
 """
 
 from __future__ import annotations
@@ -113,6 +119,114 @@ class ChildNormals:
         for key, out in zip(keys, block.reshape((-1,) + self._shape[2:])):
             start(key).standard_normal(out=out)
         return block
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class StreamChoices:
+    """``Generator.choice(pop, size, replace=False)`` calls of E streams, a batch at a time.
+
+    ``choice(pops, size)`` returns the (E, C, size) array whose row [e, c] is
+    exactly ``gen.choice(pops[e, c], size, replace=False)`` when ``gen`` is
+    ``streams[e].generator()`` after the stream's earlier calls and the calls
+    pops[e, :c]. The streams must share one seed. ``sizes`` lists the sizes of
+    the calls to come, in order, for the words drawn up front.
+
+    The generator's draws run on each stream's raw Philox words, low 32 bits
+    then high 32 bits of each 64-bit word, in array passes: Floyd's sampling
+    (Bentley & Floyd 1987) takes v_t = bounded(j) for j = pop - size..pop - 1,
+    or j when v_t is already taken, then a Fisher-Yates pass i = size - 1..1
+    swaps i and bounded(i). ``bounded(b)`` is Lemire's (2019) multiply-shift
+    ((b + 1) * w) >> 32, with no word read at b = 0. A call that numpy
+    draws another way, a word that Lemire's rejection step may reject (low
+    half of the product below b + 1), or a call past the words drawn sends
+    its stream to the one exact fallback: the stream's calls replayed with
+    ``gen.choice``. An instance holds generator state, so keep it local to
+    one caller.
+    """
+
+    def __init__(self, streams, sizes):
+        self._philox = RekeyedPhilox(streams)
+        self._ids = [s.stream_id for s in streams]
+        n = sum(2 * s - 1 for s in sizes) // 2 + 1  # a call reads at most 2 * size - 1
+        raw = np.empty((len(self._ids), n), dtype=np.uint64)
+        for out, stream_id in zip(raw, self._ids):
+            out[:] = self._philox.start(stream_id).bit_generator.random_raw(n)
+        # each word's low, then high 32 bits, in numpy's order of 32-bit draws
+        self._words = raw.astype("<u8", copy=False).view("<u4").astype(np.uint64).ravel()
+        self._width = 2 * n
+        self._origin = self._width * np.arange(len(raw))[:, None]
+        self._used = np.zeros((len(raw), 1), dtype=np.int64)
+        self._exact = np.ones(len(raw), dtype=bool)
+        self._calls = []
+
+    def choice(self, pops, size: int) -> np.ndarray:
+        """The (E, C, size) draws of the calls ``choice(pops[e, c], size)``."""
+        pops = np.asarray(pops, dtype=np.int64)
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        self._calls.append((pops, size))
+        bound0 = pops == size  # Floyd's first bound is 0: it reads no word
+        end = self._used + (2 * size - 1 - bound0).cumsum(axis=1)
+        self._used = end[:, -1:]
+        bound0 = bound0.ravel()
+        # (2 * size - 1, rows): Floyd's bounds pop - size + c, then i = size - 1..1
+        cols = np.arange(2 * size - 1)[:, None]
+        at = (end + self._origin).ravel() - cols.size + np.maximum(cols, bound0)
+        pop = pops.ravel()
+        base = pop - size
+        span = np.empty(at.shape, dtype=np.uint64)
+        span[:size] = base + 1 + cols[:size]
+        span[size:] = size - cols[:size - 1]
+        m = self._words[np.minimum(at, self._words.size - 1)] * span
+        exact = ((m & _LOW32) >= span).all(axis=0)
+        if pop.max() > 10000 or pop.min() < size:
+            # numpy shuffles a tail of range(pop), reads 64-bit words, or raises
+            exact &= ((size <= pop) & (pop <= 10000)) | ((size <= pop // 50) & (pop < 2**32))
+        self._exact &= exact.reshape(pops.shape).all(axis=1) & (self._used[:, 0] <= self._width)
+        vals = (m >> np.uint64(32)).astype(np.int64)
+        picked = _floyd_shuffle(vals[:size], vals[size:], base).T.reshape(pops.shape + (size,))
+        if not self._exact.all():
+            for e in np.flatnonzero(~self._exact).tolist():
+                gen = self._philox.start(self._ids[e])
+                for p, s in self._calls:
+                    row = [gen.choice(x, s, replace=False) for x in p[e].tolist()]
+                picked[e] = row
+        return picked
+
+
+def _floyd_shuffle(v, swaps, base) -> np.ndarray:
+    """Floyd's sample of (size, rows) draws v, then the Fisher-Yates swaps.
+
+    Floyd's step t takes v_t, or j_t = base + t when v_t is taken. v_t is
+    taken when an earlier v_u equals it, or when it is an earlier j_u that
+    was taken in place of v_u: a chain back to a first v, followed in
+    log2(size) pointer-doubling rounds instead of size steps. Memory stays
+    linear in size * rows.
+    """
+    size, rows = v.shape
+    t = np.arange(size)[:, None]
+    at = np.arange(v.size).reshape(v.shape)  # flat positions: [t, r] is t * rows + r
+    # a stable sort of the keys (row, v_t), v_t < 2**32, puts the equal draws of
+    # a row in step order: each but the first repeats an earlier one
+    key = ((at[0] << 32) + v).ravel()
+    order = key.argsort(kind="stable")
+    taken = np.zeros(v.size, dtype=bool)
+    taken[order[1:]] = key[order[1:]] == key[order[:-1]]
+    u = v - base
+    link = np.where((u >= 0) & (u < t), u * rows + at[0], at).ravel()
+    for _ in range((size - 1).bit_length()):
+        taken |= taken[link]
+        link = link[link]
+    out = np.where(taken.reshape(v.shape), base + t, v)
+    # swap i of every row as one gather and one scatter: positions (i, J_i) <- (J_i, i)
+    here, there = at[:0:-1], swaps * rows + at[0]
+    flat = out.ravel()
+    for to, frm in zip(np.concatenate([here, there], axis=1),
+                       np.concatenate([there, here], axis=1)):
+        flat[to] = flat[frm]
+    return out
 
 
 def standard_normal_sample(shape, rng: RngStream) -> np.ndarray:

@@ -133,6 +133,33 @@ class TestPipeline:
         assert main(base_args(workspace, "eval") + ["--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    @pytest.mark.parametrize("cmd", ["synth", "train", "eval", "zero-shot", "sweep", "grad-check"])
+    def test_seed_outside_64_bits_fails_before_any_input_loads(
+        self, tmp_path, capsys, cmd, seed
+    ):
+        missing = [f"--{key}={tmp_path / 'missing'}" for key in ("data", "registry", "embeddings")]
+        args = {"synth": ["--out", str(tmp_path / "s")], "grad-check": []}.get(cmd, missing)
+        if cmd == "train":
+            args += ["--checkpoint", str(tmp_path / "m.ckpt")]
+        assert main([cmd, *args, f"--seed={seed}"]) == 1
+        assert capsys.readouterr().err == f"error: --seed must be in 0..2**64-1, got {seed}\n"
+        cfg = tmp_path / "run.config"
+        cfg.write_text(f"# command: {cmd}\nseed={seed}\n")
+        assert main([cmd, *args, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: seed must be in 0..2**64-1, got {seed}\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.config"]  # nothing written
+
+    def test_largest_seed_runs_and_is_reported(self, workspace, tmp_path):
+        out = tmp_path / "r.json"
+        args = base_args(workspace, "zero-shot") + [
+            "--episodes", "3", "--format", "json", "--out", str(out), "--seed", str(2**64 - 1),
+        ]
+        assert main(args) == 0
+        assert json.loads(out.read_text())[0]["seed"] == 2**64 - 1
+
     def test_train_with_linear_encoder(self, workspace, tmp_path):
         root, _ = workspace
         # scale-10 features need a gentler rate once the encoder is trainable

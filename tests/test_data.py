@@ -13,7 +13,7 @@ from protograph.data import (
     sample_episode,
     save_dataset,
 )
-from protograph.numerics import RngStream
+from protograph.numerics import RekeyedPhilox, RngStream
 
 
 def small_dataset(n_rel=5, per_rel=6, d=3, seed=0, split="train"):
@@ -97,6 +97,37 @@ def fresh_generator_episode(ds, split, n_way, k_shot, q_per, rng):
     return targets.tolist(), np.array(sup).reshape(-1, ds.d), np.array(qry).reshape(-1, ds.d)
 
 
+def choice_loop_sample_episode(dataset, split, n_way, k_shot, q_per, rng):
+    """sample_episode as it drew before the array pass: gen.choice per call."""
+    batched = not isinstance(rng, RngStream)
+    streams = list(rng) if batched else [rng]
+    rel_ids = np.asarray(dataset.relations_in_split(split, need=n_way))
+    philox = RekeyedPhilox(streams)
+    counts = np.diff(dataset.offsets).tolist()
+    need = k_shot + q_per
+    targets = np.empty((len(streams), n_way), dtype=int)
+    picked = np.empty((len(streams), n_way, need), dtype=int)
+    for e, stream in enumerate(streams):
+        gen = philox.start(stream.stream_id)
+        targets[e] = gen.choice(rel_ids, size=n_way, replace=False)
+        ids = targets[e].tolist()
+        dataset.check_instances(ids, need)
+        for n, rid in enumerate(ids):
+            picked[e, n] = gen.choice(counts[rid], size=need, replace=False)
+    picked += dataset.offsets[targets][..., None]
+    order = np.concatenate([picked[..., :k_shot].ravel(), picked[..., k_shot:].ravel()])
+    rows = dataset.rows[order]
+    lead = (len(streams),) if batched else ()
+    split_at = len(streams) * n_way * k_shot
+    return Episode(
+        targets=targets if batched else targets[0].tolist(),
+        support_x=rows[:split_at].reshape(lead + (n_way * k_shot, dataset.d)),
+        support_y=np.tile(np.repeat(np.arange(n_way), k_shot), lead + (1,)),
+        query_x=rows[split_at:].reshape(lead + (n_way * q_per, dataset.d)),
+        query_y=np.tile(np.repeat(np.arange(n_way), q_per), lead + (1,)),
+    )
+
+
 def episode_bytes(ep):
     return [np.asarray(a).tobytes() for a in (
         ep.targets, ep.support_x, ep.support_y, ep.query_x, ep.query_y
@@ -147,6 +178,62 @@ class TestBatchedSampleEpisode:
         assert str(alone.value) == "relation 4 has 2 instances, need 3"
         with pytest.raises(ValueError, match=f"^{alone.value}$"):
             sample_episode(ds, "train", 2, 2, 1, batch)
+
+    def test_episodes_equal_the_choice_loop_on_random_worlds(self):
+        gen = np.random.default_rng(20)
+        shapes = set()
+        for world in range(2000):
+            k = int(gen.integers(0, 4))
+            q = int(gen.integers(1, 5))
+            need = k + q
+            n_rel = int(gen.integers(1, 13))
+            # uneven counts; some relations hold exactly K+Q (Floyd's bound-0 draw),
+            # and now and then one holds fewer
+            counts = need + gen.choice([0, 0, 1, 2, 7, 30], size=n_rel)
+            if world % 10 == 0:
+                counts[gen.integers(n_rel)] = gen.integers(1, need + 1)
+            ds = Dataset(
+                names={r: f"r{r}" for r in range(n_rel)},
+                splits={r: ("train", "test")[int(gen.integers(0, 4) == 0)] for r in range(n_rel)},
+                instances={r: gen.standard_normal((int(c), 2)) for r, c in enumerate(counts)},
+                d=2,
+            )
+            split = "train" if "train" in ds.splits.values() else "test"
+            size = len(ds.relations_in_split(split))
+            n = size if world % 5 == 0 else int(gen.integers(1, size + 1))
+            e = int(gen.integers(0, 31))  # 0: one stream, unbatched
+            root = RngStream(int(gen.integers(0, 2**63)))
+            rng = root.child(7) if e == 0 else [root.child(i, 0) for i in range(e)]
+            try:
+                expect = choice_loop_sample_episode(ds, split, n, k, q, rng)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    sample_episode(ds, split, n, k, q, rng)
+                shapes.add("short")
+                continue
+            got = sample_episode(ds, split, n, k, q, rng)
+            assert episode_bytes(got) == episode_bytes(expect)
+            assert type(got.targets) is type(expect.targets)
+            shapes.update(name for name, seen in [
+                ("k=0", k == 0), ("n=split", n == size), ("unbatched", e == 0), ("E=30", e == 30),
+                ("bound 0", (counts[np.asarray(got.targets)] == need).any()),
+            ] if seen)
+        assert shapes == {"short", "k=0", "n=split", "unbatched", "E=30", "bound 0"}
+
+    def test_relation_numpy_tail_shuffles_is_redrawn_with_choice(self):
+        # 201 of 10,001 instances: numpy shuffles a tail of range(10001), not Floyd's sample
+        gen = np.random.default_rng(2)
+        ds = Dataset(
+            names={0: "big", 1: "small", 2: "other"}, splits={0: "train", 1: "train", 2: "train"},
+            instances={0: gen.standard_normal((10_001, 1)), 1: gen.standard_normal((250, 1)),
+                       2: gen.standard_normal((300, 1))},
+            d=1,
+        )
+        streams = [RngStream(9).child(i, 0) for i in range(12)]
+        got = sample_episode(ds, "train", 2, 1, 200, streams)
+        assert (got.targets == 0).any(axis=1).any() and not (got.targets == 0).any(axis=1).all()
+        expect = choice_loop_sample_episode(ds, "train", 2, 1, 200, streams)
+        assert episode_bytes(got) == episode_bytes(expect)
 
     def test_streams_of_different_seeds_are_rejected(self):
         ds = small_dataset()

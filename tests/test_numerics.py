@@ -1,6 +1,7 @@
 """Tests for the deterministic math kernel."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from protograph.numerics import (
     ChildNormals,
     _splitmix64,
     RngStream,
+    StreamChoices,
     finite_difference_gradient,
     log_softmax_with_temperature,
     max_relative_error,
@@ -229,6 +231,82 @@ class TestChildNormals:
             np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64),
         ])
         assert _splitmix64(z).tolist() == [_splitmix64(int(v)) for v in z.tolist()]
+
+
+class TestStreamChoices:
+    @staticmethod
+    def expected(streams, calls):
+        """Each stream's calls made one by one with Generator.choice on a new Philox."""
+        out = []
+        for e, stream in enumerate(streams):
+            key = np.array([stream.seed, stream.stream_id], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            out.append([[gen.choice(p, size, replace=False) for p in pops[e].tolist()]
+                        for pops, size in calls])
+        return out
+
+    @pytest.mark.parametrize("pops, size", [
+        ([7, 8, 9, 40, 9_999], 7),  # small pops; 7 is the bound-0 draw
+        ([10_000, 10_001, 25_000], 200),  # Floyd: size <= pop // 50
+        ([10_000, 10_001, 25_000], 201),  # numpy shuffles a tail above 10,000
+        ([1, 2, 3], 1),
+        ([2**31 + 1, 2**31 - 1, 3 * 2**30], 3),  # about half the words rejectable
+        ([2**32 - 1, 2**32, 2**32 + 1], 2),  # the bound 2**32 - 1 and 64-bit bounds
+    ])
+    def test_calls_equal_generator_choice(self, pops, size):
+        gen = np.random.default_rng(size)
+        streams = [RngStream(2**64 - 3, int(s)) for s in gen.integers(0, 2**63, size=40)]
+        calls = [
+            (gen.choice(pops, size=(40, int(gen.integers(1, 4)))), size),
+            (np.full((40, 1), max(pops)), size),
+            (gen.choice(pops, size=(40, 2)), size),
+        ]
+        draws = StreamChoices(streams, [size] * 6)
+        got = [draws.choice(p, s) for p, s in calls]
+        for e, expect in enumerate(self.expected(streams, calls)):
+            for call, rows in zip(got, expect):
+                assert call[e].tolist() == [row.tolist() for row in rows]
+        if min(pops) > 2**30:
+            assert not draws._exact.all()  # the fallback ran
+
+    def test_random_call_sequences(self):
+        gen = np.random.default_rng(4)
+        exact = []
+        for case in range(300):
+            e = int(gen.integers(1, 6))
+            streams = [RngStream(case, int(s)) for s in gen.integers(0, 2**63, size=e)]
+            sizes = gen.integers(1, 12, size=int(gen.integers(1, 4))).tolist()
+            calls = [(s + gen.choice([0, 0, 1, 5, 50], size=(e, int(gen.integers(1, 4)))), s)
+                     for s in sizes]
+            declared = [s for pops, s in calls for _ in range(pops.shape[1])]
+            # now and then too few words for the last call: its streams fall back
+            draws = StreamChoices(streams, declared[:-1] if case % 4 == 0 else declared)
+            got = [draws.choice(p, s) for p, s in calls]
+            exact += draws._exact.tolist()
+            for i, expect in enumerate(self.expected(streams, calls)):
+                for call, rows in zip(got, expect):
+                    assert call[i].tolist() == [row.tolist() for row in rows]
+        assert 0 < exact.count(False) < len(exact) / 4  # both paths ran
+
+    def test_memory_is_linear_in_the_size(self):
+        # 100 rows of 1,001 draws: a (size, size, rows) comparison would take 100 MB
+        streams = [RngStream(3, i) for i in range(100)]
+        draws = StreamChoices(streams, [1001])
+        tracemalloc.start()
+        try:
+            got = draws.choice(np.full((100, 1), 5000), 1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        for e in (0, 99):
+            expect = self.expected([streams[e]], [(np.full((1, 1), 5000), 1001)])[0][0][0]
+            assert got[e, 0].tolist() == expect.tolist()
+
+    def test_population_smaller_than_size_raises_as_choice_does(self):
+        draws = StreamChoices([RngStream(1)], [3])
+        with pytest.raises(ValueError, match="larger sample than population"):
+            draws.choice([[2]], 3)
 
 
 class TestMaxRelativeError:
