@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,7 +103,7 @@ def check_episode_shape(n_way: int, k_shot: int, q_per: int) -> None:
 
 def sample_episode(
     dataset: Dataset, split: str, n_way: int, k_shot: int, q_per: int,
-    rng: RngStream | Sequence[RngStream],
+    rng: RngStream,
 ) -> Episode:
     """Sample N target relations, then disjoint support and query sets.
 
@@ -111,23 +111,24 @@ def sample_episode(
     each target, K + Q_per distinct instances are drawn, the first K forming
     the support set. k_shot may be 0 (zero-shot episodes carry only queries).
 
-    ``rng`` is one stream, or a sequence of E streams sharing a seed for a
-    batch of E episodes, each exactly the episode its stream gives alone:
-    what ``gen.choice`` draws from the stream's generator, the targets, then
-    each target's instances. A :class:`StreamChoices` runs those calls on the
-    streams' raw Philox words, the E target draws in one array pass and the
-    E * N instance draws in a second, and redraws the rare stream it cannot
-    mirror with ``gen.choice``. The batch's rows come from ``dataset.rows``
-    in one gather.
+    ``rng`` is one stream, or a batch stream of E ids (see
+    :meth:`RngStream.child`) for a batch of E episodes, each exactly the
+    episode its stream gives alone: what ``gen.choice`` draws from the
+    stream's generator, the targets, then each target's instances. A
+    :class:`StreamChoices` runs those calls on the streams' raw Philox
+    words, the E target draws in one array pass and the E * N instance
+    draws in a second, and redraws the rare stream it cannot mirror with
+    ``gen.choice``. The batch's rows come from ``dataset.rows`` in one
+    gather.
     """
     check_episode_shape(n_way, k_shot, q_per)
-    batched = not isinstance(rng, RngStream)
-    streams = list(rng) if batched else [rng]
+    batched = isinstance(rng.stream_id, np.ndarray)
+    episodes = np.size(rng.stream_id)
     rel_ids = np.asarray(dataset.relations_in_split(split, need=n_way))
     counts = np.diff(dataset.offsets)
     need = k_shot + q_per
-    draws = StreamChoices(streams, [n_way] + [need] * n_way)
-    targets = rel_ids[draws.choice(np.full((len(streams), 1), len(rel_ids)), n_way)[:, 0]]
+    draws = StreamChoices(rng, [n_way] + [need] * n_way)
+    targets = rel_ids[draws.choice(np.full((episodes, 1), len(rel_ids)), n_way)[:, 0]]
     # the first short relation in episode order, as drawing one episode at a time finds it
     dataset.check_instances(targets[counts[targets] < need].tolist(), need)
     picked = draws.choice(counts[targets], need)
@@ -136,8 +137,8 @@ def sample_episode(
     picked += dataset.offsets[targets][..., None]
     order = np.concatenate([picked[..., :k_shot].ravel(), picked[..., k_shot:].ravel()])
     rows = dataset.rows[order]
-    lead = (len(streams),) if batched else ()
-    split_at = len(streams) * n_way * k_shot
+    lead = (episodes,) if batched else ()
+    split_at = episodes * n_way * k_shot
     support_y = np.repeat(np.arange(n_way), k_shot)
     query_y = np.repeat(np.arange(n_way), q_per)
     return Episode(

@@ -84,9 +84,10 @@ def episode_outcomes(
     targets are computed. With a sampler config its queries are predicted by
     posterior_predict with the noise stream rng.child(i, 1); without one
     (zero-shot) they are scored against the summaries alone, with ``measure``
-    and ``tau``. Episodes run in batches (see BATCH_ELEMENTS); every batched
-    operation gives an episode the bits it gets alone, so the outcomes do not
-    depend on the batch size.
+    and ``tau``. Episodes run in batches (see BATCH_ELEMENTS), each batch's
+    streams one batch stream ``rng.child(ids, 0)`` and ``rng.child(ids, 1)``;
+    every batched operation gives an episode the bits it gets alone, so the
+    outcomes do not depend on the batch size.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -101,10 +102,8 @@ def episode_outcomes(
         size = _batch_size(cfg.measure, cfg.chains, n_way, n_way * k_shot, d)
     outcomes = []
     for start in range(0, episodes, size):
-        ids = range(start, min(start + size, episodes))
-        batch = sample_episode(
-            dataset, split, n_way, k_shot, q_per, [rng.child(i, 0) for i in ids]
-        )
+        ids = np.arange(start, min(start + size, episodes))
+        batch = sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(ids, 0))
         summaries = summary_rows(graph, params.gnn, batch.targets)
         if sampler_config is None:
             _, preds = predict_queries(
@@ -112,8 +111,8 @@ def episode_outcomes(
             )
         else:
             _, preds = posterior_predict(
-                batch, summaries, sampler_config, params.encoder,
-                [rng.child(i, 1) for i in ids], first_episode=start,
+                batch, summaries, sampler_config, params.encoder, rng.child(ids, 1),
+                first_episode=start,
             )
         hits = np.sum(preds == batch.query_y, axis=-1)
         outcomes += [(int(c), batch.query_y.shape[1]) for c in hits]

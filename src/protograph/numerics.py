@@ -5,11 +5,13 @@ central-difference gradient oracle. Every random draw in the package flows
 through an explicitly passed :class:`RngStream`; there is no ambient
 generator state, so any computation is replayable from its stream.
 
-A batch of streams of one seed draws through one re-keyed Philox: the chain
-noise in :class:`ChildNormals`, and the episode draws in
-:class:`StreamChoices`, numpy's ``choice(pop, size, replace=False)`` run on
-the streams' raw words in array passes, with ``gen.choice`` itself as the
-fallback for a stream whose words numpy would draw another way.
+A batch of E streams is one :class:`RngStream` whose ``stream_id`` is an
+(E,) uint64 array, made by :meth:`RngStream.child` from an index array. It
+draws through one re-keyed Philox: the chain noise in :class:`ChildNormals`,
+and the episode draws in :class:`StreamChoices`, numpy's
+``choice(pop, size, replace=False)`` run on the streams' raw words in array
+passes, with ``gen.choice`` itself as the fallback for a stream whose words
+numpy would draw another way.
 """
 
 from __future__ import annotations
@@ -33,27 +35,43 @@ def _splitmix64(z):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Value-semantic handle for one deterministic random stream.
+    """Value-semantic handle for one deterministic random stream, or a batch.
 
     The same (seed, stream_id) pair always replays the same draw sequence;
     distinct stream_ids give statistically independent sequences (the pair is
     the 128-bit Philox key). Streams are cheap values: pass them around and
     derive substreams with :meth:`child` instead of sharing generator state.
+
+    A batch stream holds E streams of one seed, its ``stream_id`` an (E,)
+    uint64 array of their ids; it has no one generator.
     """
 
     seed: int
-    stream_id: int = 0
+    stream_id: int | np.ndarray = 0
+
+    @property
+    def ids(self) -> np.ndarray:
+        """The stream ids as a uint64 array: (E,) for a batch, (1,) for one stream."""
+        return np.atleast_1d(np.asarray(self.stream_id & _MASK64, dtype=np.uint64))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
+        if isinstance(self.stream_id, np.ndarray):
+            raise ValueError(f"a batch of {self.stream_id.size} streams has no one generator")
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, *indices: int) -> "RngStream":
-        """Derive a substream; distinct index paths give independent streams."""
+    def child(self, *indices) -> "RngStream":
+        """Derive a substream; distinct index paths give independent streams.
+
+        One index may be a 1-D integer array of E entries, at any position:
+        the result is the batch stream whose id e is the id ``child`` gives
+        with entry e in its place. A batch's children are batches too.
+        """
         h = _splitmix64((self.stream_id ^ 0xA5A5A5A5A5A5A5A5) & _MASK64)
         for i in indices:
-            h = _splitmix64(h ^ (int(i) & _MASK64))
+            i = i.astype(np.uint64) if isinstance(i, np.ndarray) else int(i) & _MASK64
+            h = _splitmix64(h ^ i)
         return RngStream(self.seed, h)
 
 
@@ -64,16 +82,14 @@ class RekeyedPhilox:
     the counter, buffer and spare-word state all at zero: :meth:`start` sets
     that state on one bit generator instead of building one per stream (about
     15 us each), and the generator it returns draws exactly what
-    ``RngStream(seed, stream_id).generator()`` draws. The streams given must
-    share one seed, the first word of every key. An instance holds generator
-    state, so keep it local to one caller; never share it between threads.
+    ``RngStream(seed, stream_id).generator()`` draws, for the seed of the
+    stream or batch given, the first word of every key. An instance holds
+    generator state, so keep it local to one caller; never share it between
+    threads.
     """
 
-    def __init__(self, streams):
-        seeds = {s.seed & _MASK64 for s in streams}
-        if len(seeds) != 1:
-            raise ValueError("the streams must share one seed")
-        self._key = [seeds.pop(), 0]
+    def __init__(self, rng: RngStream):
+        self._key = [rng.seed & _MASK64, 0]
         self._bits = np.random.Philox(key=np.array(self._key, dtype=np.uint64))
         self._gen = np.random.Generator(self._bits)
         # plain ints: the state setter parses them about twice as fast as arrays
@@ -94,22 +110,20 @@ class RekeyedPhilox:
 
 
 class ChildNormals:
-    """Standard-normal blocks of the substreams ``streams[e].child(i, j)``, i < ``n``.
+    """Standard-normal blocks of the substreams ``child(i, j)`` of E streams, i < ``n``.
 
     ``step(j)`` returns the ``(E, n) + shape`` block whose entry ``[e, i]`` is
-    exactly ``standard_normal_sample(shape, streams[e].child(i, j))``, for the
-    E streams given. The draws come from one :class:`RekeyedPhilox`, so the
-    streams must share one seed; the hash prefixes of ``child(i)`` are
-    derived once, and the keys of one step in one array pass. An instance
-    holds generator state, so keep it local to one caller.
+    exactly ``standard_normal_sample(shape, RngStream(seed, ids[e]).child(i, j))``,
+    for the ids of the stream or batch ``rng`` given (E = 1 for one stream).
+    The draws come from one :class:`RekeyedPhilox`; the hash prefixes of
+    ``child(i)`` are derived once, and the keys of one step in one array
+    pass. An instance holds generator state, so keep it local to one caller.
     """
 
-    def __init__(self, streams, n: int, shape):
-        self._philox = RekeyedPhilox(streams)
-        roots = [_splitmix64((s.stream_id ^ 0xA5A5A5A5A5A5A5A5) & _MASK64) for s in streams]
-        self._prefixes = _splitmix64(
-            np.array(roots, dtype=np.uint64)[:, None] ^ np.arange(n, dtype=np.uint64)
-        )
+    def __init__(self, rng: RngStream, n: int, shape):
+        self._philox = RekeyedPhilox(rng)
+        roots = _splitmix64(rng.ids ^ 0xA5A5A5A5A5A5A5A5)
+        self._prefixes = _splitmix64(roots[:, None] ^ np.arange(n, dtype=np.uint64))
         self._shape = (len(roots), n) + tuple(shape)
 
     def step(self, j: int) -> np.ndarray:
@@ -129,9 +143,10 @@ class StreamChoices:
 
     ``choice(pops, size)`` returns the (E, C, size) array whose row [e, c] is
     exactly ``gen.choice(pops[e, c], size, replace=False)`` when ``gen`` is
-    ``streams[e].generator()`` after the stream's earlier calls and the calls
-    pops[e, :c]. The streams must share one seed. ``sizes`` lists the sizes of
-    the calls to come, in order, for the words drawn up front.
+    the generator of stream e of ``rng`` (a batch, or one stream with E = 1)
+    after the stream's earlier calls and the calls pops[e, :c]. ``sizes``
+    lists the sizes of the calls to come, in order, for the words drawn up
+    front.
 
     The generator's draws run on each stream's raw Philox words, low 32 bits
     then high 32 bits of each 64-bit word, in array passes: Floyd's sampling
@@ -146,9 +161,9 @@ class StreamChoices:
     one caller.
     """
 
-    def __init__(self, streams, sizes):
-        self._philox = RekeyedPhilox(streams)
-        self._ids = [s.stream_id for s in streams]
+    def __init__(self, rng: RngStream, sizes):
+        self._philox = RekeyedPhilox(rng)
+        self._ids = rng.ids.tolist()
         n = sum(2 * s - 1 for s in sizes) // 2 + 1  # a call reads at most 2 * size - 1
         raw = np.empty((len(self._ids), n), dtype=np.uint64)
         for out, stream_id in zip(raw, self._ids):
@@ -234,6 +249,25 @@ def standard_normal_sample(shape, rng: RngStream) -> np.ndarray:
     return rng.generator().standard_normal(shape)
 
 
+def row_max(z: np.ndarray) -> np.ndarray:
+    """``z.max(axis=-1, keepdims=True)`` of a finite z, bit for bit.
+
+    numpy's reduce over a short last axis costs per row; N - 1 ``np.maximum``
+    passes over the columns cost per column, about a tenth of it on the
+    (20, 10, 25, 5) query logits of an evaluation batch. A maximum is exact
+    in any order, but numpy's SIMD order picks between a tied +0 and -0 in
+    its own way, so a row whose maximum is zero takes numpy's reduce.
+    """
+    n = z.shape[-1]
+    rows = z.reshape(-1, n)
+    out = np.maximum(rows[:, 0], rows[:, 1]) if n > 1 else rows[:, 0].copy()
+    for k in range(2, n):
+        np.maximum(out, rows[:, k], out=out)
+    if not out.all():
+        return z.max(axis=-1, keepdims=True)
+    return out.reshape(z.shape[:-1] + (1,))
+
+
 def _scaled_logits(logits, tau: float) -> np.ndarray:
     """logits / tau shifted so each row's maximum is 0, after the input checks."""
     z = np.asarray(logits, dtype=float)
@@ -252,7 +286,8 @@ def _scaled_logits(logits, tau: float) -> np.ndarray:
     # one check covers non-finite logits and the overflow of a small tau
     if not np.isfinite(z).all():
         raise ValueError("logits / tau must be finite")
-    return z - z.max(axis=-1, keepdims=True)
+    z -= row_max(z)  # z is a fresh array
+    return z
 
 
 def softmax_with_temperature(logits, tau: float, clamp: float | None = None) -> np.ndarray:

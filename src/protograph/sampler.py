@@ -9,15 +9,16 @@ distribution.
 
 Every function here takes one episode, or E episodes of equal shape stacked
 on a leading axis: targets (E, N), support and query rows (E, S, d) and
-(E, Q, d), summaries (E, N, d), prototypes (E, L, N, d), and one noise
-stream per episode. A batched episode gets the bits it would get alone.
+(E, Q, d), summaries (E, N, d), prototypes (E, L, N, d), and a batch
+noise stream of E ids (see numerics.RngStream). A batched episode gets the
+bits it would get alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .likelihood import (
     MEASURES, EncoderParams, encode_batch, pairwise_logits, similarity_softmax_vjp,
     support_drift_vjp, support_labels, support_probs_and_grad,
 )
-from .numerics import ChildNormals, RngStream, softmax_with_temperature
+from .numerics import ChildNormals, RngStream, row_max, softmax_with_temperature
 
 # Not called here (chain_noise draws through ChildNormals), but bound so that
 # benchmarks/tracer.py, which patches this module's call sites by name,
@@ -147,22 +148,22 @@ def init_prototypes(
 
 
 def chain_noise(
-    rng: RngStream | Sequence[RngStream], targets, chains: int, d: int
+    rng: RngStream, targets, chains: int, d: int
 ) -> Iterator[np.ndarray]:
     """The Langevin noise blocks of steps 1, 2, ... of one or E episodes' chains.
 
     ``rng`` is the noise stream of one episode, with targets (N,), or a
-    sequence of E streams sharing a seed, with targets (E, N); the blocks
-    are (L, N, d) or (E, L, N, d). The (N, d) block of (episode e, chain l,
-    step t) is ``standard_normal_sample((N, d), streams[e].child(l, t))``
-    with its rows taken in sorted-target rank, so that a permutation of the
-    targets permutes the noise with them. Each block is drawn when it is
-    asked for, so the iterator draws as many steps as its caller takes.
+    batch stream of E ids, with targets (E, N); the blocks are (L, N, d) or
+    (E, L, N, d). The (N, d) block of (episode e, chain l, step t) is
+    ``standard_normal_sample((N, d), stream_e.child(l, t))``, stream_e the
+    e-th stream of the batch, with its rows taken in sorted-target rank, so
+    that a permutation of the targets permutes the noise with them. Each
+    block is drawn when it is asked for, so the iterator draws as many steps
+    as its caller takes.
     """
     targets = np.asarray(targets, dtype=int)
     n_way = targets.shape[-1]
-    streams = [rng] if isinstance(rng, RngStream) else list(rng)
-    normals = ChildNormals(streams, chains, (n_way, d))
+    normals = ChildNormals(rng, chains, (n_way, d))
     ranks = np.argsort(np.argsort(targets.reshape(-1, n_way)))
     # row n of (episode e, chain l) takes row ranks[e, n] of its (N, d)
     # draw: an index into the draws' rows stacked as (E * L * N, d)
@@ -181,7 +182,7 @@ def sgld_chain(
     summaries,
     values,
     config: SamplerConfig,
-    rng: RngStream | Sequence[RngStream],
+    rng: RngStream,
     record: bool = False,
     first_episode: int = 0,
     noise: Iterable[np.ndarray] | None = None,
@@ -199,8 +200,8 @@ def sgld_chain(
     (else None, and the drift skips its exact softmax: the values keep
     their bits).
 
-    ``rng`` is the noise stream of one episode, or a sequence of E streams
-    sharing a seed for E batched episodes. A batch that diverges names the
+    ``rng`` is the noise stream of one episode, or a batch stream of E ids
+    for E batched episodes. A batch that diverges names the
     episode as ``first_episode`` plus its position in the batch. ``noise``,
     when given, holds the blocks that :func:`chain_noise` draws from ``rng``,
     drawn ahead: at least M, one per step. Without it each step draws its
@@ -262,7 +263,7 @@ def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
     n_way = probs.shape[-1]
     order_key = np.arange(n_way) if targets is None else np.asarray(targets, dtype=int)
     rank = np.argsort(np.argsort(order_key, kind="stable"))
-    best = probs == probs.max(axis=-1, keepdims=True)
+    best = probs == row_max(probs)
     return np.argmin(np.where(best, rank[..., None, :], n_way), axis=-1)
 
 
@@ -294,7 +295,7 @@ def episode_forward(
     summaries,
     config: SamplerConfig,
     encoder: EncoderParams,
-    rng: RngStream | Sequence[RngStream],
+    rng: RngStream,
     record: bool = False,
     first_episode: int = 0,
     noise: Iterable[np.ndarray] | None = None,
@@ -381,7 +382,7 @@ def episode_forward_vjp(
 
 def posterior_predict(
     episode: Episode, summaries, config: SamplerConfig, encoder: EncoderParams,
-    rng: RngStream | Sequence[RngStream], first_episode: int = 0,
+    rng: RngStream, first_episode: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain-averaged query probabilities and predictions of one or E episodes."""
     fwd = episode_forward(episode, summaries, config, encoder, rng, first_episode=first_episode)

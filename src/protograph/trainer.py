@@ -238,7 +238,8 @@ def train(
 
     The draws that read no parameter, the episodes and their chain noise,
     are made a chunk of E episodes at a time, E as evaluation batches the
-    training shape; each episode still gets the draws of its own streams.
+    training shape, from one batch stream each; each episode still gets the
+    draws of its own streams.
     """
     # check the splits the episodes will sample before the first episode, so
     # a split too small for them does not fail only when it is first sampled
@@ -261,12 +262,12 @@ def train(
                        dataset.d)
 
     for start in range(0, config.episodes_total, size):
-        ids = range(start, min(start + size, config.episodes_total))
+        ids = np.arange(start, min(start + size, config.episodes_total))
         batch = sample_episode(
             dataset, "train", config.n_way, config.k_shot, config.q_per,
-            [rng.child(_NS_EPISODE, ep) for ep in ids],
+            rng.child(_NS_EPISODE, ids),
         )
-        chain_rngs = [rng.child(_NS_CHAIN, ep) for ep in ids]
+        chain_rngs = rng.child(_NS_CHAIN, ids)
         noise = None
         if cfg.noise_enabled:
             noise = np.empty((len(ids), cfg.steps, cfg.chains, config.n_way, dataset.d))
@@ -274,14 +275,16 @@ def train(
             for t in range(cfg.steps):
                 noise[:, t] = next(blocks)
 
-        for e, ep in enumerate(ids):
+        chain_ids = chain_rngs.stream_id.tolist()
+        for e, ep in enumerate(ids.tolist()):
             episode = Episode(
                 batch.targets[e].tolist(), batch.support_x[e], batch.support_y[e],
                 batch.query_x[e], batch.query_y[e],
             )
             try:
                 loss, grads = episode_objective_and_grads(
-                    episode, graph, params, cfg, chain_rngs[e], None if noise is None else noise[e]
+                    episode, graph, params, cfg, RngStream(rng.seed, chain_ids[e]),
+                    None if noise is None else noise[e],
                 )
             except (RuntimeError, ValueError) as exc:
                 raise type(exc)(f"episode {ep}: {exc}") from exc

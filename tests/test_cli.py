@@ -312,9 +312,11 @@ def test_train_checks_the_validation_split_before_training(tmp_path, capsys, mon
         "--per-relation", "12", "--splits", "25,0,0",
     ]) == 0
     before = sorted(tmp_path.rglob("*"))
-    episodes = []  # the streams of every episode drawn, a chunk per call
+    episodes = []  # the stream ids of every episode drawn, a chunk per call
     sample = trainer.sample_episode
-    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.extend(a[-1]) or sample(*a))
+    monkeypatch.setattr(
+        trainer, "sample_episode", lambda *a: episodes.extend(a[-1].ids.tolist()) or sample(*a)
+    )
     argv = [
         "train", "--data", str(data / "instances.tsv"), "--registry", str(data / "registry.tsv"),
         "--embeddings", str(data / "embeddings.tsv"), "--checkpoint", str(tmp_path / "m.ckpt"),
@@ -371,9 +373,11 @@ def test_train_checks_instance_counts_before_training(tmp_path, capsys, monkeypa
     kept += [ln for ln in lines if ln.split("\t")[0] == str(cut)][:3]
     instances.write_text("\n".join(kept) + "\n")
     before = sorted(tmp_path.rglob("*"))
-    episodes = []  # the streams of every episode drawn, a chunk per call
+    episodes = []  # the stream ids of every episode drawn, a chunk per call
     sample = trainer.sample_episode
-    monkeypatch.setattr(trainer, "sample_episode", lambda *a: episodes.extend(a[-1]) or sample(*a))
+    monkeypatch.setattr(
+        trainer, "sample_episode", lambda *a: episodes.extend(a[-1].ids.tolist()) or sample(*a)
+    )
     argv = [
         "train", "--data", str(instances), "--registry", str(data / "registry.tsv"),
         "--embeddings", str(data / "embeddings.tsv"), "--checkpoint", str(tmp_path / "m.ckpt"),

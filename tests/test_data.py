@@ -99,16 +99,16 @@ def fresh_generator_episode(ds, split, n_way, k_shot, q_per, rng):
 
 def choice_loop_sample_episode(dataset, split, n_way, k_shot, q_per, rng):
     """sample_episode as it drew before the array pass: gen.choice per call."""
-    batched = not isinstance(rng, RngStream)
-    streams = list(rng) if batched else [rng]
+    batched = isinstance(rng.stream_id, np.ndarray)
+    stream_ids = rng.ids.tolist()
     rel_ids = np.asarray(dataset.relations_in_split(split, need=n_way))
-    philox = RekeyedPhilox(streams)
+    philox = RekeyedPhilox(rng)
     counts = np.diff(dataset.offsets).tolist()
     need = k_shot + q_per
-    targets = np.empty((len(streams), n_way), dtype=int)
-    picked = np.empty((len(streams), n_way, need), dtype=int)
-    for e, stream in enumerate(streams):
-        gen = philox.start(stream.stream_id)
+    targets = np.empty((len(stream_ids), n_way), dtype=int)
+    picked = np.empty((len(stream_ids), n_way, need), dtype=int)
+    for e, stream_id in enumerate(stream_ids):
+        gen = philox.start(stream_id)
         targets[e] = gen.choice(rel_ids, size=n_way, replace=False)
         ids = targets[e].tolist()
         dataset.check_instances(ids, need)
@@ -117,8 +117,8 @@ def choice_loop_sample_episode(dataset, split, n_way, k_shot, q_per, rng):
     picked += dataset.offsets[targets][..., None]
     order = np.concatenate([picked[..., :k_shot].ravel(), picked[..., k_shot:].ravel()])
     rows = dataset.rows[order]
-    lead = (len(streams),) if batched else ()
-    split_at = len(streams) * n_way * k_shot
+    lead = (len(stream_ids),) if batched else ()
+    split_at = len(stream_ids) * n_way * k_shot
     return Episode(
         targets=targets if batched else targets[0].tolist(),
         support_x=rows[:split_at].reshape(lead + (n_way * k_shot, dataset.d)),
@@ -143,13 +143,13 @@ class TestBatchedSampleEpisode:
             k = int(gen.integers(0, 4))
             q = int(gen.integers(1, 9 - k))
             e = int(gen.integers(1, 6))
-            streams = [RngStream(case).child(i, 0) for i in range(e)]
-            batch = sample_episode(ds, "train", n, k, q, streams)
+            batch = sample_episode(ds, "train", n, k, q, RngStream(case).child(np.arange(e), 0))
             assert batch.targets.shape == (e, n)
             assert batch.support_x.shape == (e, n * k, 4)
             assert batch.query_x.shape == (e, n * q, 4)
             assert batch.support_y.shape == (e, n * k) and batch.query_y.shape == (e, n * q)
-            for i, stream in enumerate(streams):
+            for i in range(e):
+                stream = RngStream(case).child(i, 0)
                 alone = sample_episode(ds, "train", n, k, q, stream)
                 part = Episode(
                     batch.targets[i].tolist(), batch.support_x[i], batch.support_y[i],
@@ -172,7 +172,7 @@ class TestBatchedSampleEpisode:
         draws = [fresh_generator_episode(ds, "train", 2, 1, 1, s)[0] for s in streams]
         clear = [i for i, targets in enumerate(draws) if 4 not in targets]
         short = next(i for i, targets in enumerate(draws) if 4 in targets)
-        batch = [streams[i] for i in clear[:2]] + [streams[short]]
+        batch = RngStream(3).child(np.array(clear[:2] + [short]), 0)
         with pytest.raises(ValueError) as alone:
             sample_episode(ds, "train", 2, 2, 1, streams[short])
         assert str(alone.value) == "relation 4 has 2 instances, need 3"
@@ -203,7 +203,7 @@ class TestBatchedSampleEpisode:
             n = size if world % 5 == 0 else int(gen.integers(1, size + 1))
             e = int(gen.integers(0, 31))  # 0: one stream, unbatched
             root = RngStream(int(gen.integers(0, 2**63)))
-            rng = root.child(7) if e == 0 else [root.child(i, 0) for i in range(e)]
+            rng = root.child(7) if e == 0 else root.child(np.arange(e), 0)
             try:
                 expect = choice_loop_sample_episode(ds, split, n, k, q, rng)
             except ValueError as exc:
@@ -229,16 +229,11 @@ class TestBatchedSampleEpisode:
                        2: gen.standard_normal((300, 1))},
             d=1,
         )
-        streams = [RngStream(9).child(i, 0) for i in range(12)]
+        streams = RngStream(9).child(np.arange(12), 0)
         got = sample_episode(ds, "train", 2, 1, 200, streams)
         assert (got.targets == 0).any(axis=1).any() and not (got.targets == 0).any(axis=1).all()
         expect = choice_loop_sample_episode(ds, "train", 2, 1, 200, streams)
         assert episode_bytes(got) == episode_bytes(expect)
-
-    def test_streams_of_different_seeds_are_rejected(self):
-        ds = small_dataset()
-        with pytest.raises(ValueError, match="share one seed"):
-            sample_episode(ds, "train", 2, 1, 1, [RngStream(1), RngStream(2)])
 
     @pytest.mark.parametrize("episodes", [1, 7])
     def test_one_philox_per_call(self, monkeypatch, episodes):
@@ -251,7 +246,7 @@ class TestBatchedSampleEpisode:
 
         ds = small_dataset()
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        sample_episode(ds, "train", 3, 1, 2, [RngStream(5).child(i) for i in range(episodes)])
+        sample_episode(ds, "train", 3, 1, 2, RngStream(5).child(np.arange(episodes)))
         sample_episode(ds, "train", 3, 1, 2, RngStream(6))
         assert len(made) == 2
 

@@ -355,9 +355,9 @@ class TestUnrecordedDrift:
     def test_chain_ends_where_the_recorded_chain_ends(self, measure, e_count):
         worlds = [underflow_world(seed) for seed in range(e_count or 1)]
         enc, y, values, centers = (np.stack(part) for part in zip(*worlds))
-        rng = [RngStream(5, e) for e in range(e_count or 1)]
+        rng = RngStream(5, np.arange(e_count or 1, dtype=np.uint64))
         if e_count is None:
-            enc, y, values, centers, rng = enc[0], y[0], values[0], centers[0], rng[0]
+            enc, y, values, centers, rng = enc[0], y[0], values[0], centers[0], RngStream(5, 0)
         config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0, measure=measure)
 
         def run(record):

@@ -15,9 +15,11 @@ from protograph.numerics import (
     finite_difference_gradient,
     log_softmax_with_temperature,
     max_relative_error,
+    row_max,
     softmax_with_temperature,
     standard_normal_sample,
 )
+from protograph.sampler import _lowest_key_argmax
 
 E_OVER_1PE = math.e / (1.0 + math.e)  # softmax([1, 0]) first entry
 
@@ -195,33 +197,67 @@ class TestRngStream:
     def test_child_keeps_seed(self):
         assert RngStream(5, 9).child(3).seed == 5
 
+    @pytest.mark.parametrize("seed", [0, -17, 2**64 - 1])
+    @pytest.mark.parametrize("parent", [0, 2**64 - 1])
+    def test_batch_ids_equal_per_index_child_ids(self, seed, parent):
+        rng = RngStream(seed, parent)
+        # indices that cross 2**32, as int64 and as uint64 arrays
+        signed = np.array([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63 - 1])
+        wide = np.array([2**63, 2**64 - 1, 5], dtype=np.uint64)
+        for idx in (signed, signed[3:4], wide, wide[:1]):  # E = 1 too
+            for pos in range(3):  # the array first, in the middle, last
+                head, tail = [3, 2**33][:pos], [3, 2**33][pos:]
+                batch = rng.child(*head, idx, *tail)
+                alone = [rng.child(*head, i, *tail).stream_id for i in idx.tolist()]
+                assert batch.seed == seed
+                assert batch.stream_id.dtype == np.uint64 and batch.stream_id.shape == idx.shape
+                assert batch.stream_id.tolist() == alone
+                assert batch.ids.tolist() == alone
+                # a batch's children are the children of its streams
+                assert batch.child(4, 9).stream_id.tolist() == [
+                    RngStream(seed, i).child(4, 9).stream_id for i in alone
+                ]
+
+    def test_one_stream_has_one_id(self):
+        assert RngStream(1, -1).ids.tolist() == [2**64 - 1]
+        assert RngStream(1, 7).ids.dtype == np.uint64
+
+    def test_negative_array_entries_wrap_as_int_indices_do(self):
+        assert RngStream(5).child(np.array([-1, -2**63]), 1).stream_id.tolist() == [
+            RngStream(5).child(i, 1).stream_id for i in (-1, -2**63)
+        ]
+
+    def test_batch_stream_has_no_generator(self):
+        batch = RngStream(5).child(np.arange(3), 1)
+        with pytest.raises(ValueError) as err:
+            batch.generator()
+        assert str(err.value) == "a batch of 3 streams has no one generator"
+
 
 class TestChildNormals:
     @pytest.mark.parametrize("seed", [0, 39, 2**63 + 5, -17])
     @pytest.mark.parametrize("stream_ids", [[0], [0xDEADBEEF12345678, 0, 7]])
     @pytest.mark.parametrize("shape", [(5, 16), (20, 64)])
     def test_blocks_equal_one_shot_child_draws(self, seed, stream_ids, shape):
-        streams = [RngStream(seed, s) for s in stream_ids]
-        normals = ChildNormals(streams, 4, shape)
+        normals = ChildNormals(RngStream(seed, np.array(stream_ids, dtype=np.uint64)), 4, shape)
+        # one stream draws as a batch of one
+        single = ChildNormals(RngStream(seed, stream_ids[0]), 4, shape)
         # out-of-order and repeated steps: every draw starts its stream afresh
         for j in [1, 5, 1, 0, 2**40, 2**64 - 1]:
             block = normals.step(j)
-            assert block.shape == (len(streams), 4) + shape
-            for e, rng in enumerate(streams):
+            assert block.shape == (len(stream_ids), 4) + shape
+            assert single.step(j).tobytes() == block[:1].tobytes()
+            for e, stream_id in enumerate(stream_ids):
                 for i in range(4):
-                    expect = standard_normal_sample(shape, rng.child(i, j))
+                    expect = standard_normal_sample(shape, RngStream(seed, stream_id).child(i, j))
                     assert block[e, i].tobytes() == expect.tobytes()
 
     def test_instances_do_not_share_state(self):
-        a = ChildNormals([RngStream(1)], 2, (3,))
-        b = ChildNormals([RngStream(2)], 2, (3,))
+        a = ChildNormals(RngStream(1).child(np.arange(2)), 2, (3,))
+        b = ChildNormals(RngStream(2).child(np.arange(2)), 2, (3,))
         first = a.step(1)
         b.step(1)
         np.testing.assert_array_equal(a.step(1), first)
-
-    def test_streams_must_share_a_seed(self):
-        with pytest.raises(ValueError, match="share one seed"):
-            ChildNormals([RngStream(1), RngStream(2)], 2, (3,))
 
     def test_array_hash_equals_int_hash(self):
         # the keys of one step are hashed as a uint64 array, child ids one by one
@@ -235,11 +271,11 @@ class TestChildNormals:
 
 class TestStreamChoices:
     @staticmethod
-    def expected(streams, calls):
+    def expected(rng, calls):
         """Each stream's calls made one by one with Generator.choice on a new Philox."""
         out = []
-        for e, stream in enumerate(streams):
-            key = np.array([stream.seed, stream.stream_id], dtype=np.uint64)
+        for e, stream_id in enumerate(rng.ids.tolist()):
+            key = np.array([rng.seed, stream_id], dtype=np.uint64)
             gen = np.random.Generator(np.random.Philox(key=key))
             out.append([[gen.choice(p, size, replace=False) for p in pops[e].tolist()]
                         for pops, size in calls])
@@ -255,7 +291,7 @@ class TestStreamChoices:
     ])
     def test_calls_equal_generator_choice(self, pops, size):
         gen = np.random.default_rng(size)
-        streams = [RngStream(2**64 - 3, int(s)) for s in gen.integers(0, 2**63, size=40)]
+        streams = RngStream(2**64 - 3, gen.integers(0, 2**63, size=40).astype(np.uint64))
         calls = [
             (gen.choice(pops, size=(40, int(gen.integers(1, 4)))), size),
             (np.full((40, 1), max(pops)), size),
@@ -274,7 +310,7 @@ class TestStreamChoices:
         exact = []
         for case in range(300):
             e = int(gen.integers(1, 6))
-            streams = [RngStream(case, int(s)) for s in gen.integers(0, 2**63, size=e)]
+            streams = RngStream(case, gen.integers(0, 2**63, size=e).astype(np.uint64))
             sizes = gen.integers(1, 12, size=int(gen.integers(1, 4))).tolist()
             calls = [(s + gen.choice([0, 0, 1, 5, 50], size=(e, int(gen.integers(1, 4)))), s)
                      for s in sizes]
@@ -290,7 +326,7 @@ class TestStreamChoices:
 
     def test_memory_is_linear_in_the_size(self):
         # 100 rows of 1,001 draws: a (size, size, rows) comparison would take 100 MB
-        streams = [RngStream(3, i) for i in range(100)]
+        streams = RngStream(3, np.arange(100, dtype=np.uint64))
         draws = StreamChoices(streams, [1001])
         tracemalloc.start()
         try:
@@ -300,13 +336,71 @@ class TestStreamChoices:
             tracemalloc.stop()
         assert peak < 20e6
         for e in (0, 99):
-            expect = self.expected([streams[e]], [(np.full((1, 1), 5000), 1001)])[0][0][0]
+            one = RngStream(3, streams.stream_id[e : e + 1])
+            expect = self.expected(one, [(np.full((1, 1), 5000), 1001)])[0][0][0]
             assert got[e, 0].tolist() == expect.tolist()
 
     def test_population_smaller_than_size_raises_as_choice_does(self):
-        draws = StreamChoices([RngStream(1)], [3])
+        draws = StreamChoices(RngStream(1), [3])
         with pytest.raises(ValueError, match="larger sample than population"):
             draws.choice([[2]], 3)
+
+
+def numpy_max_softmaxes(logits, tau):
+    """Softmax (exact and clamped) and log-softmax shifted by numpy's own row max."""
+    z = np.asarray(logits, dtype=float) / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    exact, clamped = np.exp(z), np.exp(np.maximum(z, -700.0))
+    return (exact / exact.sum(axis=-1, keepdims=True),
+            clamped / clamped.sum(axis=-1, keepdims=True),
+            z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
+
+
+def tied_rows(gen, shape):
+    """Rows drawn from a few values, signed zeros among them, so that ties are common."""
+    return gen.choice(np.array([0.0, -0.0, 0.0, -0.0, 1.5, -1.5, -3.0]), size=shape)
+
+
+class TestRowMax:
+    def test_equals_numpy_max_bit_for_bit(self):
+        gen = np.random.default_rng(11)
+        zero_max = 0
+        for case in range(3000):
+            shape = tuple(gen.integers(1, 6, size=int(gen.integers(0, 4)))) + (case % 25 + 1,)
+            z = gen.standard_normal(shape) if case % 2 else tied_rows(gen, shape)
+            expect = z.max(axis=-1, keepdims=True)
+            got = row_max(z)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), z
+            zero_max += not expect.all()
+        assert zero_max > 300  # rows with a +-0 maximum were checked
+
+    def test_a_view_is_not_written(self):
+        z = np.arange(12.0).reshape(3, 4)[:, ::-1]
+        before = z.copy()
+        assert row_max(z).tolist() == [[3.0], [7.0], [11.0]]
+        np.testing.assert_array_equal(z, before)
+
+    def test_softmaxes_keep_numpy_max_bits(self):
+        gen = np.random.default_rng(12)
+        for case in range(600):
+            shape = tuple(gen.integers(1, 5, size=int(gen.integers(0, 3)))) + (case % 25 + 1,)
+            logits = gen.normal(0, 300, shape) if case % 2 else tied_rows(gen, shape)
+            tau = float(gen.choice([0.5, 1.0, 10.0]))
+            exact, clamped, log = numpy_max_softmaxes(logits, tau)
+            assert softmax_with_temperature(logits, tau).tobytes() == exact.tobytes()
+            assert softmax_with_temperature(logits, tau, -700.0).tobytes() == clamped.tobytes()
+            assert log_softmax_with_temperature(logits, tau).tobytes() == log.tobytes()
+
+    def test_argmax_keeps_numpy_max_ties(self):
+        gen = np.random.default_rng(13)
+        for case in range(600):
+            n = case % 25 + 1
+            probs = gen.choice([0.0, 0.25, 0.5], size=(3, 4, n))
+            targets = np.array([gen.permutation(n) for _ in range(3)])
+            rank = np.argsort(np.argsort(targets, kind="stable"))
+            best = probs == probs.max(axis=-1, keepdims=True)
+            expect = np.argmin(np.where(best, rank[:, None, :], n), axis=-1)
+            assert _lowest_key_argmax(probs, targets).tobytes() == expect.tobytes()
 
 
 class TestMaxRelativeError:

@@ -289,10 +289,10 @@ class TestSgldChain:
         assert ahead.tobytes() == out.tobytes()
 
     def test_chain_noise_of_a_batch_is_each_stream_alone(self):
-        streams = [RngStream(39).child(e, 2) for e in range(4)]
         targets = np.array([[7, 2, 9], [0, 1, 2], [5, 3, 4], [2, 8, 1]])
-        batch = sampler.chain_noise(streams, targets, 3, 5)
-        alone = [sampler.chain_noise(s, t.tolist(), 3, 5) for s, t in zip(streams, targets)]
+        batch = sampler.chain_noise(RngStream(39).child(np.arange(4), 2), targets, 3, 5)
+        alone = [sampler.chain_noise(RngStream(39).child(e, 2), t.tolist(), 3, 5)
+                 for e, t in enumerate(targets)]
         for _ in range(4):
             block = next(batch)
             assert block.shape == (4, 3, 3, 5)
@@ -574,12 +574,12 @@ class TestEpisodeBatch:
         sx, sy, _, targets, h = episode_batch(20, 5)
         cfg = SamplerConfig(chains=3, steps=4, step_decay=0.3, measure=measure,
                             noise_enabled=noise)
-        streams = [RngStream(8).child(i, 1) for i in range(5)]
         one_hot, k_shot = support_labels(sy, 4)
         means, grand = support_statistics(sx, one_hot, k_shot)
         init = init_prototypes(means, grand, h, cfg.alpha, cfg.beta, cfg.chains)
         out, record = sgld_chain(
-            sx, one_hot, k_shot, targets, h, init, cfg, streams, record=True
+            sx, one_hot, k_shot, targets, h, init, cfg, RngStream(8).child(np.arange(5), 1),
+            record=True,
         )
         assert out.shape == (5, 3, 4, 5)
         for e in range(5):
@@ -592,8 +592,8 @@ class TestEpisodeBatch:
             )
             assert init[e].tobytes() == alone_init.tobytes()
             alone, alone_record = sgld_chain(
-                sx[e], alone_one_hot, k_shot, targets[e], h[e], alone_init, cfg, streams[e],
-                record=True,
+                sx[e], alone_one_hot, k_shot, targets[e], h[e], alone_init, cfg,
+                RngStream(8).child(e, 1), record=True,
             )
             assert out[e].tobytes() == alone.tobytes()
             assert record.trajectory[:, e].tobytes() == alone_record.trajectory.tobytes()
@@ -604,12 +604,12 @@ class TestEpisodeBatch:
     def test_prediction_is_per_episode(self, measure, encoder):
         sx, sy, qx, targets, h = episode_batch(21, 4)
         cfg = SamplerConfig(chains=4, steps=3, measure=measure)
-        streams = [RngStream(9).child(i, 1) for i in range(4)]
-        probs, preds = posterior_predict(episode(sx, sy, targets, qx), h, cfg, encoder, streams)
+        batch = RngStream(9).child(np.arange(4), 1)
+        probs, preds = posterior_predict(episode(sx, sy, targets, qx), h, cfg, encoder, batch)
         assert probs.shape == (4, 6, 4) and preds.shape == (4, 6)
         for e in range(4):
             alone = posterior_predict(episode(sx[e], sy[e], targets[e], qx[e]), h[e], cfg,
-                                      encoder, streams[e])
+                                      encoder, RngStream(9).child(e, 1))
             assert probs[e].tobytes() == alone[0].tobytes()
             assert preds[e].tobytes() == alone[1].tobytes()
 
@@ -631,7 +631,7 @@ class TestEpisodeBatch:
         one_hot, k_shot = support_labels(np.array([[0, 1]] * 3), 2)
         v = np.zeros((3, 2, 2, 1))
         cfg = SamplerConfig(chains=2, steps=3, step_size=1e300, prior_weight=0.0)
-        streams = [RngStream(0).child(i, 1) for i in range(3)]
+        streams = RngStream(0).child(np.arange(3), 1)
         message = "sampler diverged at episode 42 chain 0 step 1"
         with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=message):
             sgld_chain(sx, one_hot, k_shot, [[0, 1]] * 3, np.zeros((3, 2, 1)), v, cfg,

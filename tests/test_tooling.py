@@ -166,6 +166,64 @@ def test_only_numerics_calls_exp():
     ]
 
 
+def last_axis_max_sites(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` that take a
+    maximum over the last axis, as ``z.max(axis=-1)``, ``z.max(-1)``,
+    ``np.max(z, -1)`` or ``amax`` in their place, in source order; the
+    builtin ``max`` is not numpy's."""
+
+    def is_last_axis(node) -> bool:
+        try:
+            return ast.literal_eval(node) in (-1, (-1,))
+        except (ValueError, TypeError, SyntaxError):
+            return False
+
+    def takes_last_axis_max(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in {"max", "amax"}:
+            # numpy's functions take the axis second, an array's method first
+            at = 1 if referenced_name(func.value) in {"np", "numpy"} else 0
+        elif isinstance(func, ast.Name) and func.id == "amax":
+            at = 1
+        else:
+            return False
+        axes = node.args[at : at + 1] + [kw.value for kw in node.keywords if kw.arg == "axis"]
+        return any(is_last_axis(axis) for axis in axes)
+
+    return scopes_where(source, scope, takes_last_axis_max)
+
+
+def test_last_axis_max_scan_finds_every_kind_of_use():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+import numpy
+import numpy as np
+from numpy import amax
+top = np.max(z, axis=-1)
+def one(z):
+    return z.max(-1, keepdims=True) + max(z.size, -1) + z.max(axis=0) + np.max(z)
+class Kernel:
+    def two(self, z):
+        return numpy.amax(z, -1) + self.z.max(axis=(-1,)) + z.max(axis=-2)
+def three(z):
+    return amax(z, axis=-1, keepdims=True) + np.max(z, 0)
+"""
+    assert last_axis_max_sites(source, "m") == [
+        "m", "m.one", "m.Kernel.two", "m.Kernel.two", "m.three",
+    ]
+
+
+def test_only_numerics_takes_the_last_axis_max():
+    # a row's maximum goes through numerics.row_max, a column fold many times
+    # faster than numpy's reduce over a short last axis
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += last_axis_max_sites(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ["numerics.row_max"]
+
+
 def measure_comparisons(source: str, scope: str) -> list[str]:
     """Dotted names of the functions (or modules) in ``source`` holding a
     comparison or a match case against a MEASURES name, alone or in a literal

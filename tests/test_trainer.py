@@ -326,7 +326,7 @@ class TestTrain:
             monkeypatch.setattr(evaluation, "BATCH_ELEMENTS", elements)
             sizes = chunks[elements] = []
             monkeypatch.setattr(
-                trainer, "sample_episode", lambda *a: sizes.append(len(a[-1])) or sample(*a)
+                trainer, "sample_episode", lambda *a: sizes.append(a[-1].ids.size) or sample(*a)
             )
             out = tmp_path / str(elements)
             out.mkdir()
