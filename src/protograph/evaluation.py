@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, read_lines, sample_episode
+from .data import Dataset, sample_episode
 from .graph import RelationGraph
 from .likelihood import chain_step_floats
 from .numerics import RngStream
@@ -91,6 +91,8 @@ def episode_outcomes(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if sampler_config is not None and k_shot < 1:
+        raise ValueError(f"k_shot must be >= 1, got {k_shot}")
     # every relation of the split, not only those drawn, must hold an episode's
     # instances, so a short one fails before the first batch as in train()
     dataset.check_split(split, n_way, k_shot, q_per)
@@ -206,12 +208,18 @@ def sensitivity_sweep(
 
     The same rng is reused at every point, so accuracy curves differ only
     through the swept parameter. Every point's config is checked before the
-    first point runs.
+    first point runs, and an invalid one is named by its point, as in
+    ``sweep L=0: chains must be >= 1``.
     """
     if axis not in ("L", "M"):
         raise ValueError(f"axis must be 'L' or 'M', got {axis!r}")
     swept = "chains" if axis == "L" else "steps"
-    points = [(v, replace(base_config, **{swept: v})) for v in values]
+    points = []
+    for v in values:
+        try:
+            points.append((v, replace(base_config, **{swept: v})))
+        except ValueError as exc:
+            raise ValueError(f"sweep {axis}={v}: {exc}") from None
     if not points:
         raise ValueError("no sweep values given")
     return [
@@ -248,28 +256,3 @@ def emit_report(reports, path, format: str = "csv") -> None:
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
-
-def parse_report_csv(path) -> list[dict]:
-    """Read back an emitted CSV report (used by round-trip checks and tools).
-
-    A row with the wrong number of cells, or a cell that is not of its
-    column's type, fails as ``path:line: ...``.
-    """
-    lines = read_lines(path)
-    if next(lines, (0, ""))[1].split(",") != list(REPORT_COLUMNS):
-        raise ValueError(f"{path}: unexpected header")
-    rows = []
-    for lineno, line in lines:
-        cells = line.split(",")
-        if len(cells) != len(REPORT_COLUMNS):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns, found {len(cells)}"
-            )
-        row = {}
-        for (col, (_, kind)), cell in zip(REPORT_COLUMNS.items(), cells):
-            try:
-                row[col] = kind(cell)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {col}: {exc}") from None
-        rows.append(row)
-    return rows

@@ -9,9 +9,9 @@ A batch of E streams is one :class:`RngStream` whose ``stream_id`` is an
 (E,) uint64 array, made by :meth:`RngStream.child` from an index array. It
 draws through one re-keyed Philox: the chain noise in :class:`ChildNormals`,
 and the episode draws in :class:`StreamChoices`, numpy's
-``choice(pop, size, replace=False)`` run on the streams' raw words in array
-passes, with ``gen.choice`` itself as the fallback for a stream whose words
-numpy would draw another way.
+``choice(pop, size, replace=False)`` as its Floyd and Fisher-Yates loops,
+each step one array pass over the streams' raw words, with ``gen.choice``
+as the fallback for a stream whose words numpy would draw another way.
 """
 
 from __future__ import annotations
@@ -149,10 +149,11 @@ class StreamChoices:
     front.
 
     The generator's draws run on each stream's raw Philox words, low 32 bits
-    then high 32 bits of each 64-bit word, in array passes: Floyd's sampling
-    (Bentley & Floyd 1987) takes v_t = bounded(j) for j = pop - size..pop - 1,
-    or j when v_t is already taken, then a Fisher-Yates pass i = size - 1..1
-    swaps i and bounded(i). ``bounded(b)`` is Lemire's (2019) multiply-shift
+    then high 32 bits of each 64-bit word, in numpy's own two loops, each
+    step one array pass over all E * C calls: Floyd's sampling (Bentley &
+    Floyd 1987) takes v_t = bounded(j) for j = pop - size..pop - 1, or j when
+    an earlier step took v_t, then Fisher-Yates for i = size - 1..1 swaps i
+    and bounded(i). ``bounded(b)`` is Lemire's (2019) multiply-shift
     ((b + 1) * w) >> 32, with no word read at b = 0. A call that numpy
     draws another way, a word that Lemire's rejection step may reject (low
     half of the product below b + 1), or a call past the words drawn sends
@@ -201,7 +202,15 @@ class StreamChoices:
             exact &= ((size <= pop) & (pop <= 10000)) | ((size <= pop // 50) & (pop < 2**32))
         self._exact &= exact.reshape(pops.shape).all(axis=1) & (self._used[:, 0] <= self._width)
         vals = (m >> np.uint64(32)).astype(np.int64)
-        picked = _floyd_shuffle(vals[:size], vals[size:], base).T.reshape(pops.shape + (size,))
+        out = vals[:size]  # Floyd's step t keeps v_t, or takes base + t when v_t is taken
+        for t in range(1, size):
+            out[t] = np.where((out[:t] == out[t]).any(axis=0), base + t, out[t])
+        rows = np.arange(pop.size)
+        for i, j in zip(range(size - 1, 0, -1), vals[size:]):
+            swap = out[j, rows]
+            out[j, rows] = out[i]
+            out[i] = swap
+        picked = out.T.reshape(pops.shape + (size,))
         if not self._exact.all():
             for e in np.flatnonzero(~self._exact).tolist():
                 gen = self._philox.start(self._ids[e])
@@ -209,39 +218,6 @@ class StreamChoices:
                     row = [gen.choice(x, s, replace=False) for x in p[e].tolist()]
                 picked[e] = row
         return picked
-
-
-def _floyd_shuffle(v, swaps, base) -> np.ndarray:
-    """Floyd's sample of (size, rows) draws v, then the Fisher-Yates swaps.
-
-    Floyd's step t takes v_t, or j_t = base + t when v_t is taken. v_t is
-    taken when an earlier v_u equals it, or when it is an earlier j_u that
-    was taken in place of v_u: a chain back to a first v, followed in
-    log2(size) pointer-doubling rounds instead of size steps. Memory stays
-    linear in size * rows.
-    """
-    size, rows = v.shape
-    t = np.arange(size)[:, None]
-    at = np.arange(v.size).reshape(v.shape)  # flat positions: [t, r] is t * rows + r
-    # a stable sort of the keys (row, v_t), v_t < 2**32, puts the equal draws of
-    # a row in step order: each but the first repeats an earlier one
-    key = ((at[0] << 32) + v).ravel()
-    order = key.argsort(kind="stable")
-    taken = np.zeros(v.size, dtype=bool)
-    taken[order[1:]] = key[order[1:]] == key[order[:-1]]
-    u = v - base
-    link = np.where((u >= 0) & (u < t), u * rows + at[0], at).ravel()
-    for _ in range((size - 1).bit_length()):
-        taken |= taken[link]
-        link = link[link]
-    out = np.where(taken.reshape(v.shape), base + t, v)
-    # swap i of every row as one gather and one scatter: positions (i, J_i) <- (J_i, i)
-    here, there = at[:0:-1], swaps * rows + at[0]
-    flat = out.ravel()
-    for to, frm in zip(np.concatenate([here, there], axis=1),
-                       np.concatenate([there, here], axis=1)):
-        flat[to] = flat[frm]
-    return out
 
 
 def standard_normal_sample(shape, rng: RngStream) -> np.ndarray:

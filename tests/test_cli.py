@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import csv
 import json
 from collections import defaultdict
 from pathlib import Path
@@ -8,7 +9,6 @@ import pytest
 
 from protograph import cli, evaluation, gradcheck, trainer
 from protograph.cli import main
-from protograph.evaluation import parse_report_csv
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,12 @@ def workspace(tmp_path_factory):
         "--episodes", "40", "--eval-every", "20", "--val-episodes", "4", "--seed", "4",
     ]) == 0
     return root, data
+
+
+def read_report(path):
+    """The rows of a CSV report, column -> cell text."""
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
 
 
 def base_args(workspace, cmd):
@@ -70,8 +76,8 @@ class TestPipeline:
             "--out", str(root / "report.csv"), "--episodes", "25", "--seed", "5",
         ]
         assert main(args) == 0
-        rows = parse_report_csv(root / "report.csv")
-        assert rows[0]["N"] == 5 and rows[0]["episodes"] == 25
+        rows = read_report(root / "report.csv")
+        assert rows[0]["N"] == "5" and rows[0]["episodes"] == "25"
 
         replay = base_args(workspace, "eval") + [
             "--config", str(root / "report.csv.config"),
@@ -100,8 +106,8 @@ class TestPipeline:
             "--episodes", "10", "--seed", "7",
         ]
         assert main(args) == 0
-        rows = parse_report_csv(root / "sweep.csv")
-        assert [r["M"] for r in rows] == [0, 5]
+        rows = read_report(root / "sweep.csv")
+        assert [r["M"] for r in rows] == ["0", "5"]
         assert rows[0]["setting"] == "sweep:M=0"
 
     def test_config_file_flag_override(self, workspace, tmp_path):
@@ -113,10 +119,10 @@ class TestPipeline:
             "--out", str(tmp_path / "r.csv"),
         ]
         assert main(args) == 0
-        rows = parse_report_csv(tmp_path / "r.csv")
-        assert rows[0]["N"] == 3  # flag beats file
-        assert rows[0]["episodes"] == 6  # file beats default
-        assert rows[0]["seed"] == 9
+        rows = read_report(tmp_path / "r.csv")
+        assert rows[0]["N"] == "3"  # flag beats file
+        assert rows[0]["episodes"] == "6"  # file beats default
+        assert rows[0]["seed"] == "9"
 
     @pytest.mark.parametrize("line, message", [
         ("n-way=x", "n-way: invalid literal for int() with base 10: 'x'"),
@@ -759,9 +765,30 @@ def test_sweep_checks_every_point_before_the_first_episode(
     episodes = []
     monkeypatch.setattr(evaluation, "sample_episode", lambda *a: episodes.append(a))
     out = tmp_path / "report.csv"
-    assert main(base_args(workspace, "sweep") + ["--values", "1,0", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: chains must be >= 1\n"
-    assert episodes == []  # the point L=1 did not run
+    # the error names its point: the user may have set no --chains or --step-size
+    for flags, message in [
+        (["--values", "1,0"], "sweep L=0: chains must be >= 1"),
+        (["--axis", "M", "--values", "1,2", "--steps", "1", "--step-size", "1",
+          "--step-decay=-1"],
+         "sweep M=2: largest step size 2 times prior_weight 1 must be < 2"),
+    ]:
+        assert main(base_args(workspace, "sweep") + flags + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert episodes == []  # the points L=1 and M=1 did not run
+    assert not any(tmp_path.iterdir())  # no report
+
+
+@pytest.mark.parametrize("cmd", ["eval", "sweep"])
+def test_k_shot_0_fails_before_the_first_episode(
+    workspace, tmp_path, capsys, monkeypatch, cmd
+):
+    # a few-shot chain needs a support set; zero-shot has its own command
+    episodes = []
+    monkeypatch.setattr(evaluation, "sample_episode", lambda *a: episodes.append(a))
+    out = tmp_path / "report.csv"
+    assert main(base_args(workspace, cmd) + ["--k-shot", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: k_shot must be >= 1, got 0\n"
+    assert episodes == []
     assert not any(tmp_path.iterdir())  # no report
 
 

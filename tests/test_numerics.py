@@ -288,6 +288,9 @@ class TestStreamChoices:
         ([1, 2, 3], 1),
         ([2**31 + 1, 2**31 - 1, 3 * 2**30], 3),  # about half the words rejectable
         ([2**32 - 1, 2**32, 2**32 + 1], 2),  # the bound 2**32 - 1 and 64-bit bounds
+        ([60, 100], 20),  # the wide workload's targets
+        ([40], 15),  # and its instances
+        ([20], 20),  # pop == size: Floyd's steps collide most
     ])
     def test_calls_equal_generator_choice(self, pops, size):
         gen = np.random.default_rng(size)

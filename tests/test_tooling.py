@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +438,91 @@ def test_trainer_leaves_the_chain_rules_to_the_sampler():
     # the reverse of the chain sits beside its forward in sampler.py; the
     # trainer only seeds it and carries its cotangents into the parameters
     assert chain_rule_uses((SRC / "trainer.py").read_text(encoding="utf-8")) == []
+
+
+def referenced_names(tree) -> Counter:
+    """How often each name is read in ``tree``: as a name, an attribute, an
+    imported name or a string (the tracer names its call sites in strings)."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+def unreferenced_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Dotted names of the top-level functions and classes, and the methods
+    not named ``__x__``, of the ``defining`` sources (module -> text) that no
+    source, of ``defining`` or ``others``, reads outside the definition's own
+    body, in source order. Names match bare, so a definition that shares its
+    name with a read one passes."""
+    trees = {module: ast.parse(text) for module, text in defining.items()}
+    total = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        total += referenced_names(tree)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            items = [(node, f"{module}.{node.name}")]
+            if isinstance(node, ast.ClassDef):
+                items += [(m, f"{module}.{node.name}.{m.name}") for m in node.body
+                          if isinstance(m, defs[:2])
+                          and not (m.name.startswith("__") and m.name.endswith("__"))]
+            found += [name for item, name in items
+                      if total[item.name] == referenced_names(item)[item.name]]
+    return found
+
+
+def test_unreferenced_definition_scan_finds_every_kind_of_definition():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+def called():
+    def nested():
+        return 1
+    return nested()
+def recursive(n):
+    return recursive(n - 1) if n else 0
+def assigned():
+    pass
+class Kept:
+    def method(self):
+        return Kept
+    def by_name(self):
+        pass
+    def __repr__(self):
+        return ""
+    def dead(self):
+        pass
+def caller(module):
+    module.assigned = None
+    return Kept().method(), getattr(Kept, "by_name"), called()
+"""
+    other = "from m import caller\n"
+    assert unreferenced_definitions({"m": source}, [other]) == [
+        "m.recursive", "m.assigned", "m.Kept.dead",
+    ]
+    assert unreferenced_definitions({"m": source}, []) == [
+        "m.recursive", "m.assigned", "m.Kept.dead", "m.caller",
+    ]
+
+
+def test_every_definition_is_referenced():
+    # a function, class or method that neither the program nor the benchmark
+    # reaches is code only tests run; the CLI's entry point is reached
+    # through __main__.py
+    defining = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text(encoding="utf-8")
+              for path in sorted((ROOT / "benchmarks").glob("*.py"))]
+    assert unreferenced_definitions(defining, others) == []
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
