@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import evaluation, trainer
-from .data import generate_synthetic, load_dataset, read_lines, save_dataset
+from .data import generate_synthetic, load_dataset, read_lines, save_dataset, write_lines
 from .graph import build_knn_graph, load_embeddings, load_graph, save_edges, save_embeddings
 from .likelihood import ENCODER_MODES, MEASURES
 from .numerics import RngStream
@@ -178,7 +178,7 @@ class Options:
     def write_echo(self, anchor_path) -> None:
         echo = self.echo_dict()
         lines = [f"# command: {self.command}"] + [f"{k}={echo[k]}" for k in sorted(echo)]
-        Path(f"{anchor_path}.config").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(f"{anchor_path}.config", lines)
 
 
 def _load_graph_and_data(opts: Options):

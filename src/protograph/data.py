@@ -1,8 +1,12 @@
-"""Dataset ingestion, synthetic task generation, and episodic sampling."""
+"""Dataset ingestion, synthetic task generation, episodic sampling, and the
+streamed line reader and writer of the program's text files."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import codecs
+import io
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +15,14 @@ import numpy as np
 from .numerics import RngStream, StreamChoices
 
 SPLITS = ("train", "val", "test")
+
+# Files are read and written this many bytes at a time, so a load holds its
+# result and one block of text, never the whole file or a list of its lines.
+# A read of 1 MiB would allocate all of it even for a file of a few lines.
+BLOCK_BYTES = 2**16
+# The characters str.splitlines ends a line at, but "\r", which may be the
+# first half of a "\r\n" (and "" is in it: an empty text has no line to hold).
+_ENDS_LINE = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass
@@ -95,10 +107,14 @@ class Episode:
     query_y: np.ndarray  # (N*Q_per,)
 
 
-def check_episode_shape(n_way: int, k_shot: int, q_per: int) -> None:
-    """Reject an episode shape with no class, a negative support size or no query."""
-    if n_way < 1 or k_shot < 0 or q_per < 1:
-        raise ValueError("need n_way >= 1, k_shot >= 0, q_per >= 1")
+def check_episode_shape(n_way: int, k_shot: int, q_per: int, support: bool = False) -> None:
+    """Reject an episode shape with no class, a negative support size or no
+    query, and with ``support`` (a chain needs one) an empty support set, as
+    ``<name> must be >= <least>, got <value>``, the first such field named."""
+    least = {"n_way": 1, "k_shot": int(support), "q_per": 1}
+    for (name, low), value in zip(least.items(), (n_way, k_shot, q_per)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def sample_episode(
@@ -233,11 +249,8 @@ def load_dataset(instances_path, registry_path) -> Dataset:
 
 def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
     """Write a Dataset in the load_dataset file formats (round-trip exact)."""
-    reg_lines = [
-        f"{rid}\t{dataset.names[rid]}\t{dataset.splits[rid]}"
-        for rid in sorted(dataset.names)
-    ]
-    Path(registry_path).write_text("\n".join(reg_lines) + "\n", encoding="utf-8")
+    write_lines(registry_path, (f"{rid}\t{dataset.names[rid]}\t{dataset.splits[rid]}"
+                                for rid in sorted(dataset.names)))
     write_rows(
         instances_path,
         ((rid, row) for rid in sorted(dataset.names) for row in dataset.instances[rid]),
@@ -245,13 +258,42 @@ def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
-    """(line number, text) of every non-blank line of a UTF-8 text file."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:  # + "x": a line break just before the byte counts
-        lineno = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
-    return ((n, line) for n, line in enumerate(lines, start=1) if line.strip())
+    """(line number, text) of every non-blank line of a UTF-8 text file.
+
+    The file is opened at the call, so a missing file fails there, and read
+    BLOCK_BYTES bytes at a time: the lines and numbers are those of
+    ``splitlines()`` on the whole text, but a reader holds one block, never
+    the whole file. A byte that is not UTF-8 fails as ``path:line: not UTF-8
+    text`` once the lines before its line have been given out, so a caller
+    meets a file's faults in line order.
+    """
+    return _numbered_lines(open(Path(path), "rb"), path)
+
+
+def _numbered_lines(file, path) -> Iterator[tuple[int, str]]:
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    lineno, tail = 0, ""  # tail: the text after the last line given out
+    with file:
+        while True:
+            block = file.read(BLOCK_BYTES)
+            final, bad = len(block) < BLOCK_BYTES, False  # a short read ends the file
+            try:
+                text = tail + decode(block, final)
+            except UnicodeDecodeError as exc:  # "x" stands for the bad byte's line
+                text, bad = tail + exc.object[: exc.start].decode("utf-8") + "x", True
+            lines = text.splitlines()
+            end = text[-1:]
+            tail = ""
+            if (bad or not final) and end not in _ENDS_LINE:
+                # an unfinished line, or one whose "\r" the next "\n" may join
+                tail = lines.pop() + ("\r" if end == "\r" else "")
+            for lineno, line in enumerate(lines, lineno + 1):
+                if line.strip():
+                    yield lineno, line
+            if bad:
+                raise ValueError(f"{path}:{lineno + 1}: not UTF-8 text")
+            if final:
+                return
 
 
 def parse_ints(fields, path, lineno: int) -> list[int]:
@@ -268,28 +310,29 @@ def read_rows(path, row: str, value: str) -> tuple[list[int], list[int], np.ndar
     The one reader of the instance and embedding files. It checks the format
     (every number, one dimension d >= 1, finite values) and reports the first
     failure as ``path:line: ...``; the callers check the ids. ``row`` and
-    ``value`` name a line and one of its values in the messages.
+    ``value`` name a line and one of its values in the messages. The values
+    grow in one flat buffer as the lines stream in, so a read holds the
+    matrix and one block of text.
     """
-    numbered = list(read_lines(path))
-    if not numbered:
-        raise ValueError(f"{path}: no {row}s")
-    values = None
-    ids = []
-    for i, (lineno, line) in enumerate(numbered):
+    linenos, ids, flat, d = [], [], array("d"), 0
+    for lineno, line in read_lines(path):
         fields = line.split("\t")
         try:
             ids.append(int(fields[0]))
             vec = [float(v) for v in fields[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if values is None:
+        if not linenos:
             if not vec:
                 raise ValueError(f"{path}:{lineno}: {row} has no values")
-            values = np.empty((len(numbered), len(vec)))
-        elif len(vec) != values.shape[1]:
-            raise ValueError(f"{path}:{lineno}: dimension {len(vec)} != {values.shape[1]}")
-        values[i] = vec
-    linenos = [lineno for lineno, _ in numbered]
+            d = len(vec)
+        elif len(vec) != d:
+            raise ValueError(f"{path}:{lineno}: dimension {len(vec)} != {d}")
+        linenos.append(lineno)
+        flat.fromlist(vec)
+    if not linenos:
+        raise ValueError(f"{path}: no {row}s")
+    values = np.frombuffer(flat, dtype=float).reshape(-1, d)
     bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite {value}")
@@ -299,6 +342,22 @@ def read_rows(path, row: str, value: str) -> tuple[list[int], list[int], np.ndar
 def write_rows(path, rows) -> None:
     """Write (id, values) pairs as "id<TAB>v_1<TAB>...<TAB>v_d" lines; the
     values' decimal reprs read back exactly."""
-    lines = [f"{rid}\t" + "\t".join(map(repr, np.asarray(vec, dtype=float).tolist()))
-             for rid, vec in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, (f"{rid}\t" + "\t".join(map(repr, np.asarray(vec, dtype=float).tolist()))
+                       for rid, vec in rows))
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write the lines as UTF-8 text, each ended by a line feed (a lone line
+    feed if there is none), about BLOCK_BYTES bytes at a time, so a writer
+    holds one block, never the whole file."""
+    # a write-only file object: read_lines stays the one place a file is opened to read
+    with io.BufferedWriter(io.FileIO(str(Path(path)), "w")) as out:
+        block, size = [], 0
+        for line in lines:
+            block.append(line)
+            size += len(line) + 1
+            if size >= BLOCK_BYTES:
+                out.write(("\n".join(block) + "\n").encode("utf-8"))
+                block, size = [], 0
+        if block or not out.tell():
+            out.write(("\n".join(block) + "\n").encode("utf-8"))

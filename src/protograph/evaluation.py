@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import Dataset, sample_episode
+from .data import Dataset, check_episode_shape, sample_episode, write_lines
 from .graph import RelationGraph
 from .likelihood import chain_step_floats
 from .numerics import RngStream
@@ -30,23 +30,14 @@ if TYPE_CHECKING:
 # its episodes at flat memory.
 BATCH_ELEMENTS = 2**14
 
-# The report format: column -> (EvalReport attribute, type), in column
-# order. Float columns are written with 6 decimals.
+# The report format: column -> EvalReport attribute, in column order. The
+# float columns are written with 6 decimals.
 REPORT_COLUMNS = {
-    "setting": ("setting", str),
-    "N": ("n_way", int),
-    "K": ("k_shot", int),
-    "L": ("chains", int),
-    "M": ("steps", int),
-    "epsilon0": ("step_size", float),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "measure": ("measure", str),
-    "episodes": ("episodes", int),
-    "accuracy": ("accuracy", float),
-    "ci95": ("ci95", float),
-    "seed": ("seed", int),
+    "setting": "setting", "N": "n_way", "K": "k_shot", "L": "chains", "M": "steps",
+    "epsilon0": "step_size", "alpha": "alpha", "beta": "beta", "measure": "measure",
+    "episodes": "episodes", "accuracy": "accuracy", "ci95": "ci95", "seed": "seed",
 }
+REPORT_FLOATS = frozenset({"epsilon0", "alpha", "beta", "accuracy", "ci95"})
 
 
 @dataclass
@@ -70,7 +61,7 @@ class EvalReport:
 
     def row(self) -> dict:
         """Column -> value, in REPORT_COLUMNS order."""
-        return {col: getattr(self, attr) for col, (attr, _) in REPORT_COLUMNS.items()}
+        return {col: getattr(self, attr) for col, attr in REPORT_COLUMNS.items()}
 
 
 def episode_outcomes(
@@ -91,8 +82,7 @@ def episode_outcomes(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    if sampler_config is not None and k_shot < 1:
-        raise ValueError(f"k_shot must be >= 1, got {k_shot}")
+    check_episode_shape(n_way, k_shot, q_per, support=sampler_config is not None)
     # every relation of the split, not only those drawn, must hold an episode's
     # instances, so a short one fails before the first batch as in train()
     dataset.check_split(split, n_way, k_shot, q_per)
@@ -239,20 +229,18 @@ def emit_report(reports, path, format: str = "csv") -> None:
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
     path = Path(path)
-    floats = {col for col, (_, kind) in REPORT_COLUMNS.items() if kind is float}
     rows = [rep.row() for rep in reports]
     if format == "csv":
         lines = [",".join(REPORT_COLUMNS)] + [
-            ",".join(f"{v:.6f}" if col in floats else str(v) for col, v in row.items())
+            ",".join(f"{v:.6f}" if col in REPORT_FLOATS else str(v) for col, v in row.items())
             for row in rows
         ]
-        payload = "\n".join(lines) + "\n"
     else:
-        rows = [{col: round(v, 6) if col in floats else v for col, v in row.items()}
+        rows = [{col: round(v, 6) if col in REPORT_FLOATS else v for col, v in row.items()}
                 for row in rows]
-        payload = json.dumps(rows, indent=2) + "\n"
+        lines = [json.dumps(rows, indent=2)]
     try:
-        path.write_text(payload, encoding="utf-8")
+        write_lines(path, lines)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 

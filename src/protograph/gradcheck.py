@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Episode
+from .data import Episode, check_episode_shape
 from .graph import build_knn_graph
 from .likelihood import MEASURES, pairwise_logits, support_labels, support_probs_and_grad
 from .numerics import (
@@ -100,10 +100,11 @@ def run_gradient_checks(
 ) -> dict[str, float]:
     """Worst relative error per component over ``cases`` random instances."""
     # a shape with no case, feature, support point or query, or one class, checks nothing
-    least = {"cases": 1, "d": 1, "n_way": 2, "k_shot": 1, "q_per": 1}
-    for name, value in zip(least, (cases, d, n_way, k_shot, q_per)):
+    least = {"cases": 1, "d": 1, "n_way": 2}
+    for name, value in zip(least, (cases, d, n_way)):
         if value < least[name]:
             raise ValueError(f"{name} must be >= {least[name]}, got {value}")
+    check_episode_shape(n_way, k_shot, q_per, support=True)
     results: dict[str, float] = {}
 
     gen = RngStream(seed).child(30).generator()

@@ -4,11 +4,10 @@ symmetric adjacency normalization."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import parse_ints, read_lines, read_rows, write_rows
+from .data import parse_ints, read_lines, read_rows, write_lines, write_rows
 
 # rows of the distance matrix that build_knn_graph computes and sorts at once:
 # their difference tensor holds KNN_BLOCK_ROWS * n * d floats
@@ -98,8 +97,7 @@ def normalized_adjacency(graph: RelationGraph) -> np.ndarray:
 
 def save_edges(graph: RelationGraph, path) -> None:
     """Write the undirected edge list, one "u<TAB>v" line per edge, u < v."""
-    lines = [f"{u}\t{v}" for u, v in graph.edges]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, (f"{u}\t{v}" for u, v in graph.edges))
 
 
 def load_graph(embeddings, edges_path) -> RelationGraph:

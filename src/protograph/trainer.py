@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Episode, parse_ints, read_lines, sample_episode
+from .data import (
+    Dataset, Episode, check_episode_shape, parse_ints, read_lines, sample_episode, write_lines,
+)
 from .evaluation import _batch_size, episode_outcomes
 from .graph import RelationGraph
 from .likelihood import ENCODER_MODES, EncoderParams
@@ -68,8 +70,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.episodes_total < 0:
             raise ValueError("episodes_total must be >= 0")
-        if min(self.n_way, self.q_per) < 1 or self.k_shot < 1:
-            raise ValueError("n_way, k_shot, q_per must be positive")
+        check_episode_shape(self.n_way, self.k_shot, self.q_per, support=True)
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if not math.isfinite(self.learning_rate):
@@ -221,7 +222,7 @@ class LogRow:
 def write_training_log(rows: list[LogRow], path) -> None:
     lines = ["episode_index,loss,val_accuracy,wall_ms"]
     lines.extend(r.as_csv() for r in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def train(
@@ -336,7 +337,7 @@ def write_checkpoint(params: ModelParams, path, config_echo: dict | None = None)
     echo = config_echo or {}
     lines.append(f"config {len(echo)}")
     lines.extend(f"{k}={echo[k]}" for k in sorted(echo))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def read_checkpoint(path) -> tuple[ModelParams, dict]:

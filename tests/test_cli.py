@@ -521,10 +521,15 @@ BAD_VALUES = [
     ("eval", ["--alpha", "nan"], "alpha must be finite, got nan"),
     ("train", ["--beta", "nan"], "beta must be finite, got nan"),
     ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
-    # checked before a batch is sized by the episode shape
-    ("eval", ["--n-way", "0"], "need n_way >= 1, k_shot >= 0, q_per >= 1"),
-    ("zero-shot", ["--n-way", "0"], "need n_way >= 1, k_shot >= 0, q_per >= 1"),
-    ("sweep", ["--n-way", "0"], "need n_way >= 1, k_shot >= 0, q_per >= 1"),
+    # checked before a batch is sized by the episode shape, in one wording
+    ("eval", ["--n-way", "0"], "n_way must be >= 1, got 0"),
+    ("zero-shot", ["--n-way", "0"], "n_way must be >= 1, got 0"),
+    ("sweep", ["--n-way", "0"], "n_way must be >= 1, got 0"),
+    ("zero-shot", ["--q-per", "0"], "q_per must be >= 1, got 0"),
+    ("eval", ["--n-way", "0", "--k-shot", "0"], "n_way must be >= 1, got 0"),
+    ("train", ["--n-way", "0"], "n_way must be >= 1, got 0"),
+    ("train", ["--k-shot", "0"], "k_shot must be >= 1, got 0"),
+    ("train", ["--q-per", "0"], "q_per must be >= 1, got 0"),
 ]
 
 

@@ -1,17 +1,23 @@
 """Tests for dataset handling and episodic sampling."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from protograph import data
 from protograph.data import (
     Dataset,
     Episode,
+    check_episode_shape,
     generate_synthetic,
     load_dataset,
+    read_lines,
     sample_episode,
     save_dataset,
+    write_lines,
+    write_rows,
 )
 from protograph.numerics import RekeyedPhilox, RngStream
 
@@ -68,6 +74,17 @@ class TestSampleEpisode:
         ds = small_dataset()
         ep = sample_episode(ds, "train", 3, 0, 2, RngStream(0))
         assert len(ep.support_y) == 0 and len(ep.query_y) == 6
+
+    @pytest.mark.parametrize("shape, support, message", [
+        ((0, 0, 0), False, "n_way must be >= 1, got 0"),  # the first field is named
+        ((2, -1, 1), False, "k_shot must be >= 0, got -1"),
+        ((2, 0, 0), False, "q_per must be >= 1, got 0"),
+        ((2, 0, 1), True, "k_shot must be >= 1, got 0"),  # a chain needs a support set
+    ])
+    def test_episode_shape_check_names_one_field(self, shape, support, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_episode_shape(*shape, support=support)
+        check_episode_shape(2, 1, 1, support=True)
 
     def test_disjointness_and_label_counts(self):
         ds = small_dataset(n_rel=8, per_rel=10)
@@ -372,6 +389,124 @@ class TestLoadSave:
         (tmp_path / "inst.tsv").write_text("0\t1.0\t2.0\n")
         with pytest.raises(ValueError, match="relation 1 has no instances"):
             load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+
+
+# every character str.splitlines ends a line at, the "\r\n" pair, multi-byte
+# characters of two, three and four bytes, and text
+LINE_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029", "\xe9", "\u20ac", "\U0001f600", " ", "\t", "a", "7"]
+
+
+def random_text(gen, pieces=24) -> str:
+    return "".join(gen.choice(LINE_PIECES, size=gen.integers(0, pieces)).tolist())
+
+
+def expected_lines(text: str) -> list[tuple[int, str]]:
+    return [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+
+
+class TestStreamedFiles:
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 2**16])
+    def test_lines_equal_the_whole_text_split(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(data, "BLOCK_BYTES", block)
+        gen = np.random.default_rng(block)
+        for _ in range(150):
+            text = random_text(gen)
+            (tmp_path / "f.txt").write_bytes(text.encode("utf-8"))
+            assert list(read_lines(tmp_path / "f.txt")) == expected_lines(text), repr(text)
+
+    @pytest.mark.parametrize("text, block", [
+        ("ab\r\ncd\r\n", 3),  # "\r" ends the first block, "\n" starts the second
+        ("ab\r\rcd", 3),  # a "\r" at the edge that no "\n" follows
+        ("a\r", 2),  # a "\r" ending the last full block, then the end of the file
+        ("x\u20acy\nz", 2),  # a three-byte character split over two edges
+        ("\U0001f600\n\u2028q", 3),  # four bytes, then a three-byte line break at an edge
+    ])
+    def test_block_edges(self, tmp_path, monkeypatch, text, block):
+        monkeypatch.setattr(data, "BLOCK_BYTES", block)
+        (tmp_path / "f.txt").write_bytes(text.encode("utf-8"))
+        assert list(read_lines(tmp_path / "f.txt")) == expected_lines(text)
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 2**16])
+    def test_bad_byte_names_its_line_after_the_lines_before_it(
+        self, tmp_path, monkeypatch, block
+    ):
+        monkeypatch.setattr(data, "BLOCK_BYTES", block)
+        gen = np.random.default_rng(100 + block)
+        path = tmp_path / "f.txt"
+        for _ in range(60):
+            text = random_text(gen)
+            at = int(gen.integers(0, len(text) + 1))  # a character boundary
+            before = text[:at].encode("utf-8")
+            path.write_bytes(before + b"\xff" + text[at:].encode("utf-8"))
+            lineno = len((text[:at] + "x").splitlines())  # a break just before counts
+            got = []
+            with pytest.raises(ValueError) as err:
+                got.extend(read_lines(path))
+            assert str(err.value) == f"{path}:{lineno}: not UTF-8 text"
+            assert got == [(n, line) for n, line in expected_lines(text[:at]) if n < lineno]
+
+    def test_character_cut_by_the_end_of_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_BYTES", 2)
+        (tmp_path / "f.txt").write_bytes(b"a\nb\r\n\xe2\x82")
+        with pytest.raises(ValueError, match=r"f.txt:3: not UTF-8 text$"):
+            list(read_lines(tmp_path / "f.txt"))
+
+    def test_a_missing_file_fails_at_the_call(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_lines(tmp_path / "missing.txt")
+        with pytest.raises(IsADirectoryError):
+            read_lines(tmp_path)
+
+    def test_file_is_closed_when_the_consumer_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_BYTES", 4)
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(data, "open", recording_open, raising=False)
+        (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")
+        (tmp_path / "inst.tsv").write_text("0\t1.0\n0\t2.0\n0\tx\n" + "0\t3.0\n" * 50)
+        with pytest.raises(ValueError, match=r"inst.tsv:3: could not convert"):
+            load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+        assert len(opened) == 2 and all(f.closed for f in opened)
+
+        def first_line(path):
+            for _, line in read_lines(path):
+                raise RuntimeError(line)
+
+        with pytest.raises(RuntimeError, match="0\t1.0"):
+            first_line(tmp_path / "inst.tsv")
+        assert len(opened) == 3 and opened[-1].closed
+
+    def test_load_holds_the_matrix_and_one_block(self, tmp_path):
+        # the old reader held the text and every line: about 5x the matrix
+        ds, _ = generate_synthetic(50, 64, 10.0, 1.0, 40, RngStream(4))
+        save_dataset(ds, tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+        tracemalloc.start()
+        try:
+            back = load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * back.rows.nbytes + data.BLOCK_BYTES
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
+    def test_writers_equal_the_joined_text(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(data, "BLOCK_BYTES", block)
+        gen = np.random.default_rng(200 + block)
+        path = tmp_path / "out.txt"
+        for _ in range(40):
+            lines = [random_text(gen, 6) for _ in range(gen.integers(0, 12))]
+            write_lines(path, iter(lines))
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+            rows = gen.standard_normal((int(gen.integers(0, 9)), int(gen.integers(1, 5))))
+            write_rows(path, enumerate(rows))
+            joined = "\n".join(f"{i}\t" + "\t".join(map(repr, row.tolist()))
+                               for i, row in enumerate(rows))
+            assert path.read_bytes() == (joined + "\n").encode("utf-8")
 
 
 class TestDatasetInvariants:

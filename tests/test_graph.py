@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from protograph import data
 from protograph.graph import (
     KNN_BLOCK_ROWS,
     RelationGraph,
@@ -155,6 +156,21 @@ class TestGraphIO:
         save_edges(g, tmp_path / "edges.tsv")
         back = load_graph(x, tmp_path / "edges.tsv")
         np.testing.assert_array_equal(back.edges, g.edges)
+
+    @pytest.mark.parametrize("block", [1, 16, 2**16])
+    def test_edges_written_a_block_at_a_time_equal_the_joined_text(
+        self, tmp_path, monkeypatch, block
+    ):
+        monkeypatch.setattr(data, "BLOCK_BYTES", block)
+        gen = np.random.default_rng(block)
+        # the first world has no edge, which is written as one "\n"
+        worlds = [RelationGraph(node_features=np.zeros((3, 2)), edges=np.zeros((0, 2)))]
+        worlds += [build_knn_graph(gen.standard_normal((int(gen.integers(5, 30)), 3)),
+                                   int(gen.integers(1, 4))) for _ in range(20)]
+        for g in worlds:
+            save_edges(g, tmp_path / "edges.tsv")
+            joined = "\n".join(f"{u}\t{v}" for u, v in g.edges.tolist()) + "\n"
+            assert (tmp_path / "edges.tsv").read_bytes() == joined.encode()
 
     def test_embeddings_round_trip(self, tmp_path):
         gen = np.random.default_rng(8)
