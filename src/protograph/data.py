@@ -3,8 +3,6 @@ streamed line reader and writer of the program's text files."""
 
 from __future__ import annotations
 
-import codecs
-import io
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -16,13 +14,11 @@ from .numerics import RngStream, StreamChoices
 
 SPLITS = ("train", "val", "test")
 
-# Files are read and written this many bytes at a time, so a load holds its
-# result and one block of text, never the whole file or a list of its lines.
-# A read of 1 MiB would allocate all of it even for a file of a few lines.
+# Files are read in blocks of whole lines of about this many bytes, and written
+# through a buffer of this size, so a load holds its result and one block of
+# text, never the whole file or a list of its lines. The write buffer is
+# allocated whole: 1 MiB would cost all of it even for a file of a few lines.
 BLOCK_BYTES = 2**16
-# The characters str.splitlines ends a line at, but "\r", which may be the
-# first half of a "\r\n" (and "" is in it: an empty text has no line to hold).
-_ENDS_LINE = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass
@@ -31,38 +27,29 @@ class Dataset:
 
     Relation ids index the relation-embedding matrix and graph nodes directly,
     so they must be the contiguous range 0..R-1. The rows of all relations
-    are kept in one contiguous (n, d) float array, ``rows``, in relation-id
-    order: relation r owns ``rows[offsets[r]:offsets[r + 1]]``, and
-    ``instances[r]`` is a view of them.
+    are one contiguous (n, d) float array, ``rows``, in relation-id order:
+    relation r owns ``rows[offsets[r]:offsets[r + 1]]``.
     """
 
     names: dict[int, str]
     splits: dict[int, str]
-    instances: dict[int, np.ndarray]  # relation id -> (n_i, d) feature rows
-    d: int
-    rows: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(repr=False)  # (n, d) feature rows, grouped by relation
+    offsets: np.ndarray = field(repr=False)  # (R + 1,) where each relation's rows start, then n
 
     def __post_init__(self) -> None:
         ids = sorted(self.names)
         if ids != list(range(len(ids))):
             raise ValueError("relation ids must be contiguous from 0")
+        counts = np.diff(self.offsets)
         for rid in ids:
             if rid not in self.splits or self.splits[rid] not in SPLITS:
                 raise ValueError(f"relation {rid} has no valid split assignment")
-            rows = self.instances.get(rid)
-            if rows is None or len(rows) == 0:
+            if counts[rid] == 0:
                 raise ValueError(f"relation {rid} has no instances")
-            if rows.ndim != 2 or rows.shape[1] != self.d:
-                raise ValueError(
-                    f"relation {rid} features have shape {rows.shape}, expected (*, {self.d})"
-                )
-        parts = [self.instances[rid] for rid in ids]
-        self.rows = np.concatenate([np.empty((0, self.d))] + parts, dtype=float)
-        self.offsets = np.cumsum([0] + [len(rows) for rows in parts])
-        self.instances = {
-            rid: self.rows[self.offsets[rid] : self.offsets[rid + 1]] for rid in ids
-        }
+
+    @property
+    def d(self) -> int:
+        return self.rows.shape[1]
 
     @property
     def num_relations(self) -> int:
@@ -79,11 +66,10 @@ class Dataset:
 
     def check_instances(self, relation_ids, need: int) -> None:
         """Raise if one of the relations has fewer than ``need`` instances."""
+        counts = np.diff(self.offsets)
         for rid in relation_ids:
-            if len(self.instances[rid]) < need:
-                raise ValueError(
-                    f"relation {rid} has {len(self.instances[rid])} instances, need {need}"
-                )
+            if counts[rid] < need:
+                raise ValueError(f"relation {rid} has {counts[rid]} instances, need {need}")
 
     def check_split(self, split: str, n_way: int, k_shot: int, q_per: int) -> None:
         """Raise unless every episode of this shape can be drawn from ``split``."""
@@ -202,10 +188,8 @@ def generate_synthetic(
 
     gen = rng.generator()
     centers = cluster_scale * gen.standard_normal((num_relations, d))
-    instances = {
-        r: centers[r] + noise_scale * gen.standard_normal((instances_per_relation, d))
-        for r in range(num_relations)
-    }
+    noise = gen.standard_normal((num_relations, instances_per_relation, d))
+    rows = (centers[:, None] + noise_scale * noise).reshape(-1, d)
     embeddings = centers + embed_noise * gen.standard_normal((num_relations, d))
 
     names = {r: f"relation_{r}" for r in range(num_relations)}
@@ -213,7 +197,8 @@ def generate_synthetic(
     bounds = np.cumsum(split_counts)
     for r in range(num_relations):
         splits[r] = SPLITS[int(np.searchsorted(bounds, r, side="right"))]
-    return Dataset(names=names, splits=splits, instances=instances, d=d), embeddings
+    offsets = instances_per_relation * np.arange(num_relations + 1)
+    return Dataset(names=names, splits=splits, rows=rows, offsets=offsets), embeddings
 
 
 def load_dataset(instances_path, registry_path) -> Dataset:
@@ -238,62 +223,53 @@ def load_dataset(instances_path, registry_path) -> Dataset:
     for lineno, rid in zip(linenos, ids):
         if rid not in names:
             raise ValueError(f"{instances_path}:{lineno}: unknown relation id {rid}")
-    # one stable sort groups the rows by relation, each relation's in file order
-    order = np.argsort(ids, kind="stable")
-    ids, values = np.asarray(ids)[order], values[order]
-    keys = np.array(list(names))
-    bounds = zip(np.searchsorted(ids, keys).tolist(), np.searchsorted(ids, keys, "right").tolist())
-    instances = {rid: values[lo:hi] for rid, (lo, hi) in zip(names, bounds)}
-    return Dataset(names=names, splits=splits, instances=instances, d=values.shape[1])
+    ids = np.asarray(ids)
+    if (ids[1:] < ids[:-1]).any():
+        # one stable sort groups the rows by relation, each relation's in file order
+        order = np.argsort(ids, kind="stable")
+        ids, values = ids[order], values[order]
+    offsets = np.searchsorted(ids, np.arange(len(names) + 1))
+    return Dataset(names=names, splits=splits, rows=values, offsets=offsets)
 
 
 def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
     """Write a Dataset in the load_dataset file formats (round-trip exact)."""
     write_lines(registry_path, (f"{rid}\t{dataset.names[rid]}\t{dataset.splits[rid]}"
                                 for rid in sorted(dataset.names)))
-    write_rows(
-        instances_path,
-        ((rid, row) for rid in sorted(dataset.names) for row in dataset.instances[rid]),
-    )
+    counts = np.diff(dataset.offsets)
+    write_rows(instances_path, zip(np.repeat(np.arange(len(counts)), counts).tolist(), dataset.rows))
 
 
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """(line number, text) of every non-blank line of a UTF-8 text file.
 
     The file is opened at the call, so a missing file fails there, and read
-    BLOCK_BYTES bytes at a time: the lines and numbers are those of
+    a block of whole lines of about BLOCK_BYTES bytes at a time: a block ends
+    at a line feed, which ends a line for ``splitlines()`` too and is no byte
+    of another UTF-8 character, so the lines and numbers are those of
     ``splitlines()`` on the whole text, but a reader holds one block, never
-    the whole file. A byte that is not UTF-8 fails as ``path:line: not UTF-8
-    text`` once the lines before its line have been given out, so a caller
-    meets a file's faults in line order.
+    the whole file (a file with no line feed is one block). A byte that is
+    not UTF-8 fails as ``path:line: not UTF-8 text`` once the lines before
+    its line have been given out, so a caller meets a file's faults in line
+    order.
     """
     return _numbered_lines(open(Path(path), "rb"), path)
 
 
 def _numbered_lines(file, path) -> Iterator[tuple[int, str]]:
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    lineno, tail = 0, ""  # tail: the text after the last line given out
+    lineno = 0
     with file:
-        while True:
-            block = file.read(BLOCK_BYTES)
-            final, bad = len(block) < BLOCK_BYTES, False  # a short read ends the file
+        while block := b"".join(file.readlines(BLOCK_BYTES)):
             try:
-                text = tail + decode(block, final)
+                text, bad = block.decode("utf-8"), False
             except UnicodeDecodeError as exc:  # "x" stands for the bad byte's line
-                text, bad = tail + exc.object[: exc.start].decode("utf-8") + "x", True
+                text, bad = exc.object[: exc.start].decode("utf-8") + "x", True
             lines = text.splitlines()
-            end = text[-1:]
-            tail = ""
-            if (bad or not final) and end not in _ENDS_LINE:
-                # an unfinished line, or one whose "\r" the next "\n" may join
-                tail = lines.pop() + ("\r" if end == "\r" else "")
-            for lineno, line in enumerate(lines, lineno + 1):
+            for lineno, line in enumerate(lines[:-1] if bad else lines, lineno + 1):
                 if line.strip():
                     yield lineno, line
             if bad:
                 raise ValueError(f"{path}:{lineno + 1}: not UTF-8 text")
-            if final:
-                return
 
 
 def parse_ints(fields, path, lineno: int) -> list[int]:
@@ -348,16 +324,10 @@ def write_rows(path, rows) -> None:
 
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write the lines as UTF-8 text, each ended by a line feed (a lone line
-    feed if there is none), about BLOCK_BYTES bytes at a time, so a writer
-    holds one block, never the whole file."""
-    # a write-only file object: read_lines stays the one place a file is opened to read
-    with io.BufferedWriter(io.FileIO(str(Path(path)), "w")) as out:
-        block, size = [], 0
+    feed if there is none), through a buffer of BLOCK_BYTES bytes, so a
+    writer holds one block, never the whole file."""
+    with open(Path(path), "wb", buffering=BLOCK_BYTES) as out:
         for line in lines:
-            block.append(line)
-            size += len(line) + 1
-            if size >= BLOCK_BYTES:
-                out.write(("\n".join(block) + "\n").encode("utf-8"))
-                block, size = [], 0
-        if block or not out.tell():
-            out.write(("\n".join(block) + "\n").encode("utf-8"))
+            out.write(f"{line}\n".encode("utf-8"))
+        if not out.tell():
+            out.write(b"\n")

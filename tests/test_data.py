@@ -22,13 +22,27 @@ from protograph.data import (
 from protograph.numerics import RekeyedPhilox, RngStream
 
 
+def dataset_of(names, splits, instances):
+    """The Dataset of ``instances``, {relation id: (n_i, d) rows}, its rows
+    stacked in relation-id order."""
+    ids = sorted(instances)
+    return Dataset(
+        names=names, splits=splits, rows=np.concatenate([instances[r] for r in ids]),
+        offsets=np.cumsum([0] + [len(instances[r]) for r in ids]),
+    )
+
+
+def instances_of(ds, rid):
+    """The (n_r, d) rows of relation ``rid``."""
+    return ds.rows[ds.offsets[rid] : ds.offsets[rid + 1]]
+
+
 def small_dataset(n_rel=5, per_rel=6, d=3, seed=0, split="train"):
     gen = np.random.default_rng(seed)
-    return Dataset(
+    return dataset_of(
         names={r: f"rel{r}" for r in range(n_rel)},
         splits={r: split for r in range(n_rel)},
         instances={r: gen.standard_normal((per_rel, d)) for r in range(n_rel)},
-        d=d,
     )
 
 
@@ -46,7 +60,7 @@ class TestSampleEpisode:
         assert len(row_set(rows)) == 30  # no instance repeated
         # each row is an instance of the relation its label names
         for row, label in zip(rows, np.concatenate([ep.support_y, ep.query_y])):
-            assert row.tobytes() in row_set(ds.instances[ep.targets[label]])
+            assert row.tobytes() in row_set(instances_of(ds, ep.targets[label]))
 
     def test_too_many_ways_raises(self):
         ds = small_dataset(n_rel=3)
@@ -107,7 +121,7 @@ def fresh_generator_episode(ds, split, n_way, k_shot, q_per, rng):
     targets = gen.choice(np.asarray(ds.relations_in_split(split)), size=n_way, replace=False)
     sup, qry = [], []
     for rid in targets.tolist():
-        rows = ds.instances[rid]
+        rows = instances_of(ds, rid)
         picked = gen.choice(len(rows), size=k_shot + q_per, replace=False)
         sup += [rows[i] for i in picked[:k_shot]]
         qry += [rows[i] for i in picked[k_shot:]]
@@ -181,10 +195,8 @@ class TestBatchedSampleEpisode:
 
     def test_short_relation_of_the_third_episode_raises_its_own_message(self):
         ds = small_dataset(n_rel=6, per_rel=6)
-        ds = Dataset(
-            names=ds.names, splits=ds.splits,
-            instances={**ds.instances, 4: ds.instances[4][:2]}, d=ds.d,
-        )
+        instances = {r: instances_of(ds, r) for r in ds.names}
+        ds = dataset_of(ds.names, ds.splits, {**instances, 4: instances[4][:2]})
         streams = [RngStream(3).child(i, 0) for i in range(40)]
         draws = [fresh_generator_episode(ds, "train", 2, 1, 1, s)[0] for s in streams]
         clear = [i for i, targets in enumerate(draws) if 4 not in targets]
@@ -209,11 +221,10 @@ class TestBatchedSampleEpisode:
             counts = need + gen.choice([0, 0, 1, 2, 7, 30], size=n_rel)
             if world % 10 == 0:
                 counts[gen.integers(n_rel)] = gen.integers(1, need + 1)
-            ds = Dataset(
+            ds = dataset_of(
                 names={r: f"r{r}" for r in range(n_rel)},
                 splits={r: ("train", "test")[int(gen.integers(0, 4) == 0)] for r in range(n_rel)},
                 instances={r: gen.standard_normal((int(c), 2)) for r, c in enumerate(counts)},
-                d=2,
             )
             split = "train" if "train" in ds.splits.values() else "test"
             size = len(ds.relations_in_split(split))
@@ -240,11 +251,10 @@ class TestBatchedSampleEpisode:
     def test_relation_numpy_tail_shuffles_is_redrawn_with_choice(self):
         # 201 of 10,001 instances: numpy shuffles a tail of range(10001), not Floyd's sample
         gen = np.random.default_rng(2)
-        ds = Dataset(
+        ds = dataset_of(
             names={0: "big", 1: "small", 2: "other"}, splits={0: "train", 1: "train", 2: "train"},
             instances={0: gen.standard_normal((10_001, 1)), 1: gen.standard_normal((250, 1)),
                        2: gen.standard_normal((300, 1))},
-            d=1,
         )
         streams = RngStream(9).child(np.arange(12), 0)
         got = sample_episode(ds, "train", 2, 1, 200, streams)
@@ -272,16 +282,15 @@ class TestBatchedSampleEpisode:
         save_dataset(built, tmp_path / "inst.tsv", tmp_path / "reg.tsv")
         for ds in (built, load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")):
             assert ds.rows.shape == (12, 3) and ds.rows.flags.c_contiguous
-            for rid, rows in ds.instances.items():
-                assert np.shares_memory(rows, ds.rows)
-                assert rows.tobytes() == ds.rows[3 * rid : 3 * rid + 3].tobytes()
+            assert ds.offsets.tolist() == [0, 3, 6, 9, 12]
+            assert ds.rows.tobytes() == built.rows.tobytes()
 
 
 class TestGenerateSynthetic:
     def test_zero_noise_collapses_to_center(self):
         ds, _ = generate_synthetic(4, 3, 2.0, 0.0, 5, RngStream(0))
         for r in range(4):
-            rows = ds.instances[r]
+            rows = instances_of(ds, r)
             assert np.all(rows == rows[0])
 
     def test_separable_regime_nearest_center(self):
@@ -292,7 +301,7 @@ class TestGenerateSynthetic:
         correct = 0
         total = 0
         for r in range(10):
-            for row in ds.instances[r]:
+            for row in instances_of(ds, r):
                 dists = np.sum((emb - row) ** 2, axis=1)
                 correct += int(np.argmin(dists) == r)
                 total += 1
@@ -308,6 +317,24 @@ class TestGenerateSynthetic:
         assert len(ds.relations_in_split("train")) == 10
         assert len(ds.relations_in_split("val")) == 5
         assert len(ds.relations_in_split("test")) == 10
+
+    @pytest.mark.parametrize("shape", [
+        (25, 16, 10.0, 1.0, 20),  # the README world
+        (200, 64, 10.0, 1.0, 40),  # wide
+        (4, 3, 2.0, 0.0, 1),  # one instance per relation, no noise
+        (7, 5, 0.5, 3.0, 3),
+    ])
+    def test_rows_equal_the_per_relation_draws(self, shape):
+        num_relations, d, cluster_scale, noise_scale, per_rel = shape
+        ds, embeddings = generate_synthetic(*shape, RngStream(8), embed_noise=0.1)
+        gen = RngStream(8).generator()
+        centers = cluster_scale * gen.standard_normal((num_relations, d))
+        rows = [centers[r] + noise_scale * gen.standard_normal((per_rel, d))
+                for r in range(num_relations)]
+        assert ds.rows.tobytes() == np.concatenate(rows).tobytes()
+        assert ds.offsets.tolist() == list(range(0, num_relations * per_rel + 1, per_rel))
+        expect = centers + 0.1 * gen.standard_normal((num_relations, d))
+        assert embeddings.tobytes() == expect.tobytes()
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -325,7 +352,7 @@ class TestLoadSave:
         back = load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
         assert back.names == ds.names and back.splits == ds.splits and back.d == ds.d
         for r in ds.names:
-            np.testing.assert_array_equal(back.instances[r], ds.instances[r])
+            np.testing.assert_array_equal(instances_of(back, r), instances_of(ds, r))
 
     def test_rows_are_grouped_by_relation_in_file_order(self, tmp_path):
         (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n1\trel1\ttest\n")
@@ -333,7 +360,7 @@ class TestLoadSave:
         ds = load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
         assert ds.rows.ravel().tolist() == [2.0, 4.0, 1.0, 3.0, 5.0]
         assert ds.offsets.tolist() == [0, 2, 5]
-        assert ds.instances[1].ravel().tolist() == [1.0, 3.0, 5.0]
+        assert instances_of(ds, 1).ravel().tolist() == [1.0, 3.0, 5.0]
 
     def test_empty_instances_raises(self, tmp_path):
         (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n")
@@ -482,7 +509,8 @@ class TestStreamedFiles:
         assert len(opened) == 3 and opened[-1].closed
 
     def test_load_holds_the_matrix_and_one_block(self, tmp_path):
-        # the old reader held the text and every line: about 5x the matrix
+        # a reader that held the text and every line peaked at about 5x the
+        # matrix, and a load that copied the read matrix to group it at 2.2x
         ds, _ = generate_synthetic(50, 64, 10.0, 1.0, 40, RngStream(4))
         save_dataset(ds, tmp_path / "inst.tsv", tmp_path / "reg.tsv")
         tracemalloc.start()
@@ -491,9 +519,10 @@ class TestStreamedFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * back.rows.nbytes + data.BLOCK_BYTES
+        assert peak < 1.5 * back.rows.nbytes + 2 * data.BLOCK_BYTES
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 2**16])
+    # 2: the least buffer a binary file takes (a buffering of 1 asks for line buffering)
+    @pytest.mark.parametrize("block", [2, 7, 64, 2**16])
     def test_writers_equal_the_joined_text(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(data, "BLOCK_BYTES", block)
         gen = np.random.default_rng(200 + block)
@@ -512,18 +541,16 @@ class TestStreamedFiles:
 class TestDatasetInvariants:
     def test_noncontiguous_ids_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):
-            Dataset(
+            dataset_of(
                 names={0: "a", 2: "b"},
                 splits={0: "train", 2: "train"},
                 instances={0: np.zeros((1, 2)), 2: np.zeros((1, 2))},
-                d=2,
             )
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="split"):
-            Dataset(
+            dataset_of(
                 names={0: "a"},
                 splits={0: "dev"},
                 instances={0: np.zeros((1, 2))},
-                d=2,
             )

@@ -85,12 +85,22 @@ def referenced_name(node) -> str | None:
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+def opens_to_write(call) -> bool:
+    """Whether the call's mode, its second argument or ``mode=``, is a
+    string that opens a file to write only ("w", "a" or "x", without "+")."""
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else None
+    return isinstance(mode, str) and bool(set(mode) & set("wax")) and "+" not in mode
+
+
 def file_readers(source: str, scope: str) -> list[str]:
     """Dotted names of the functions (or modules) in ``source`` that call
-    ``open``, ``read_text`` or ``read_bytes``, in source order."""
+    ``open``, ``read_text`` or ``read_bytes``, in source order; an ``open``
+    whose mode writes only is not a read."""
     return scopes_where(
         source, scope,
-        lambda node: isinstance(node, ast.Call) and referenced_name(node.func) in FILE_READS,
+        lambda node: isinstance(node, ast.Call) and referenced_name(node.func) in FILE_READS
+        and not opens_to_write(node),
     )
 
 
@@ -108,8 +118,14 @@ class Reader:
         return inner()
 def writes(path):
     Path(path).write_text("x")
+    open(path, "wb", buffering=8).write(b"x")
+    io.open(path, mode="a").write("x")
+def updates(path):
+    return open(path, "r+b").read()
 """
-    assert file_readers(source, "m") == ["m", "m.one", "m.Reader.two.inner", "m.Reader.two.inner"]
+    assert file_readers(source, "m") == [
+        "m", "m.one", "m.Reader.two.inner", "m.Reader.two.inner", "m.updates",
+    ]
 
 
 def test_read_lines_is_the_one_file_reader():
