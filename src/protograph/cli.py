@@ -134,6 +134,10 @@ class Options:
             # a stream key is 64 bits: RngStream would run a wider seed's streams masked
             if key == "seed" and not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
+            # the .config echo writes key=value on one line, which reads back stripped
+            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+                raise ValueError(f"{name} {value!r} would not read back from a .config "
+                                 "echo: it has surrounding whitespace or a line break")
             self._values[key] = value
 
     def __getitem__(self, key: str):
@@ -186,7 +190,8 @@ def _load_graph_and_data(opts: Options):
     embeddings = load_embeddings(opts.require("embeddings"))
     if embeddings.shape[0] != dataset.num_relations:
         raise ValueError(
-            f"{embeddings.shape[0]} embeddings for {dataset.num_relations} relations"
+            f"{opts['embeddings']}: {embeddings.shape[0]} embeddings for "
+            f"{dataset.num_relations} relations"
         )
     if opts["graph"]:
         g = load_graph(embeddings, opts["graph"])

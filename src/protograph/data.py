@@ -229,7 +229,10 @@ def load_dataset(instances_path, registry_path) -> Dataset:
         order = np.argsort(ids, kind="stable")
         ids, values = ids[order], values[order]
     offsets = np.searchsorted(ids, np.arange(len(names) + 1))
-    return Dataset(names=names, splits=splits, rows=values, offsets=offsets)
+    try:
+        return Dataset(names=names, splits=splits, rows=values, offsets=offsets)
+    except ValueError as exc:
+        raise ValueError(f"{registry_path}: {exc}") from None
 
 
 def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:

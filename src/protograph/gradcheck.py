@@ -88,15 +88,8 @@ def check_episode_objective(seed: int, case: int, d: int, n_way: int, k_shot: in
 
 
 def run_gradient_checks(
-    seed: int = 0,
-    d: int = 3,
-    cases: int = 5,
-    n_way: int = 2,
-    k_shot: int = 1,
-    q_per: int = 2,
-    chains: int = 2,
-    steps: int = 2,
-    tau: float = 10.0,
+    seed: int, d: int, cases: int, n_way: int, k_shot: int, q_per: int, chains: int,
+    steps: int, tau: float,
 ) -> dict[str, float]:
     """Worst relative error per component over ``cases`` random instances."""
     # a shape with no case, feature, support point or query, or one class, checks nothing

@@ -7,8 +7,8 @@ generator state, so any computation is replayable from its stream.
 
 A batch of E streams is one :class:`RngStream` whose ``stream_id`` is an
 (E,) uint64 array, made by :meth:`RngStream.child` from an index array. It
-draws through one re-keyed Philox: the chain noise in :class:`ChildNormals`,
-and the episode draws in :class:`StreamChoices`, numpy's
+draws through one re-keyed Philox: the chain's Langevin noise in
+:func:`chain_noise`, and the episode draws in :class:`StreamChoices`, numpy's
 ``choice(pop, size, replace=False)`` as its Floyd and Fisher-Yates loops,
 each step one array pass over the streams' raw words, with ``gen.choice``
 as the fallback for a stream whose words numpy would draw another way.
@@ -16,6 +16,8 @@ as the fallback for a stream whose words numpy would draw another way.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,7 +68,9 @@ class RngStream:
 
         One index may be a 1-D integer array of E entries, at any position:
         the result is the batch stream whose id e is the id ``child`` gives
-        with entry e in its place. A batch's children are batches too.
+        with entry e in its place. A batch's children are batches too, and
+        ids and indices broadcast as numpy arrays do: (E, 1) ids under an
+        index array of L entries give the (E, L) ids of every pair.
         """
         h = _splitmix64((self.stream_id ^ 0xA5A5A5A5A5A5A5A5) & _MASK64)
         for i in indices:
@@ -109,30 +113,38 @@ class RekeyedPhilox:
         return self._gen
 
 
-class ChildNormals:
-    """Standard-normal blocks of the substreams ``child(i, j)`` of E streams, i < ``n``.
+def chain_noise(rng: RngStream, targets, chains: int, d: int) -> Iterator[np.ndarray]:
+    """The Langevin noise blocks of steps 1, 2, ... of one or E episodes' chains.
 
-    ``step(j)`` returns the ``(E, n) + shape`` block whose entry ``[e, i]`` is
-    exactly ``standard_normal_sample(shape, RngStream(seed, ids[e]).child(i, j))``,
-    for the ids of the stream or batch ``rng`` given (E = 1 for one stream).
-    The draws come from one :class:`RekeyedPhilox`; the hash prefixes of
-    ``child(i)`` are derived once, and the keys of one step in one array
-    pass. An instance holds generator state, so keep it local to one caller.
+    ``rng`` is the noise stream of one episode, with targets (N,), or a
+    batch stream of E ids, with targets (E, N); the blocks are (L, N, d) or
+    (E, L, N, d). The (N, d) block of (episode e, chain l, step t) is
+    ``standard_normal_sample((N, d), stream_e.child(l, t))``, stream_e the
+    e-th stream of the batch, with its rows taken in sorted-target rank, so
+    that a permutation of the targets permutes the noise with them. Each
+    block is drawn when it is asked for, so the iterator draws as many steps
+    as its caller takes; a stream that does not match the targets raises at
+    the first. Every draw goes through one :class:`RekeyedPhilox`, keyed by
+    hashing the step into the prefixes ``child(l)`` of each stream.
     """
-
-    def __init__(self, rng: RngStream, n: int, shape):
-        self._philox = RekeyedPhilox(rng)
-        roots = _splitmix64(rng.ids ^ 0xA5A5A5A5A5A5A5A5)
-        self._prefixes = _splitmix64(roots[:, None] ^ np.arange(n, dtype=np.uint64))
-        self._shape = (len(roots), n) + tuple(shape)
-
-    def step(self, j: int) -> np.ndarray:
-        block = np.empty(self._shape)
-        keys = _splitmix64(self._prefixes ^ (int(j) & _MASK64)).ravel().tolist()
-        start = self._philox.start
-        for key, out in zip(keys, block.reshape((-1,) + self._shape[2:])):
+    targets = np.asarray(targets, dtype=int)
+    if targets.shape[:-1] != np.shape(rng.stream_id):
+        raise ValueError(f"targets of shape {targets.shape} do not match streams of shape "
+                         f"{np.shape(rng.stream_id)}")
+    n_way = targets.shape[-1]
+    start = RekeyedPhilox(rng).start
+    prefixes = RngStream(rng.seed, rng.ids[:, None]).child(np.arange(chains)).ids
+    draws = np.empty((prefixes.size, n_way, d))
+    ranks = np.argsort(np.argsort(targets.reshape(-1, n_way)))
+    # row n of (episode e, chain l) takes row ranks[e, n] of its (N, d)
+    # draw: an index into the draws' rows stacked as (E * L * N, d)
+    blocks = np.arange(prefixes.size).reshape(-1, chains, 1)
+    rows = (n_way * blocks + ranks[:, None, :]).ravel()
+    shape = targets.shape[:-1] + (chains, n_way, d)
+    for t in itertools.count(1):
+        for key, out in zip(_splitmix64(prefixes ^ t).ravel().tolist(), draws):
             start(key).standard_normal(out=out)
-        return block
+        yield np.take(draws.reshape(-1, d), rows, axis=0).reshape(shape)
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)

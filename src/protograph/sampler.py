@@ -10,15 +10,15 @@ distribution.
 Every function here takes one episode, or E episodes of equal shape stacked
 on a leading axis: targets (E, N), support and query rows (E, S, d) and
 (E, Q, d), summaries (E, N, d), prototypes (E, L, N, d), and a batch
-noise stream of E ids (see numerics.RngStream). A batched episode gets the
-bits it would get alone.
+noise stream of E ids (see numerics.RngStream), whose Langevin noise
+numerics.chain_noise draws. A batched episode gets the bits it would get
+alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +28,11 @@ from .likelihood import (
     MEASURES, EncoderParams, encode_batch, pairwise_logits, similarity_softmax_vjp,
     support_drift_vjp, support_labels, support_probs_and_grad,
 )
-from .numerics import ChildNormals, RngStream, row_max, softmax_with_temperature
+from .numerics import RngStream, chain_noise, row_max, softmax_with_temperature
 
-# Not called here (chain_noise draws through ChildNormals), but bound so that
-# benchmarks/tracer.py, which patches this module's call sites by name,
-# finds it.
+# Not called here (chain_noise draws through one RekeyedPhilox), but bound
+# so that benchmarks/tracer.py, which patches this module's call sites by
+# name, finds it.
 from .numerics import standard_normal_sample  # noqa: F401
 
 
@@ -145,33 +145,6 @@ def init_prototypes(
         raise ValueError(f"warm start is not finite at alpha {alpha:g} and beta {beta:g}")
     shape = v0.shape[:-2] + (chains,) + v0.shape[-2:]
     return np.broadcast_to(v0[..., None, :, :], shape).copy()
-
-
-def chain_noise(
-    rng: RngStream, targets, chains: int, d: int
-) -> Iterator[np.ndarray]:
-    """The Langevin noise blocks of steps 1, 2, ... of one or E episodes' chains.
-
-    ``rng`` is the noise stream of one episode, with targets (N,), or a
-    batch stream of E ids, with targets (E, N); the blocks are (L, N, d) or
-    (E, L, N, d). The (N, d) block of (episode e, chain l, step t) is
-    ``standard_normal_sample((N, d), stream_e.child(l, t))``, stream_e the
-    e-th stream of the batch, with its rows taken in sorted-target rank, so
-    that a permutation of the targets permutes the noise with them. Each
-    block is drawn when it is asked for, so the iterator draws as many steps
-    as its caller takes.
-    """
-    targets = np.asarray(targets, dtype=int)
-    n_way = targets.shape[-1]
-    normals = ChildNormals(rng, chains, (n_way, d))
-    ranks = np.argsort(np.argsort(targets.reshape(-1, n_way)))
-    # row n of (episode e, chain l) takes row ranks[e, n] of its (N, d)
-    # draw: an index into the draws' rows stacked as (E * L * N, d)
-    blocks = np.arange(ranks.shape[0] * chains).reshape(-1, chains, 1)
-    rows = (n_way * blocks + ranks[:, None, :]).ravel()
-    shape = targets.shape[:-1] + (chains, n_way, d)
-    for t in itertools.count(1):
-        yield np.take(normals.step(t).reshape(-1, d), rows, axis=0).reshape(shape)
 
 
 def sgld_chain(

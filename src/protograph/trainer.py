@@ -24,11 +24,9 @@ from .data import (
 from .evaluation import _batch_size, episode_outcomes
 from .graph import RelationGraph
 from .likelihood import ENCODER_MODES, EncoderParams
-from .numerics import RngStream
+from .numerics import RngStream, chain_noise
 from .prior import GnnParams, summary_rows
-from .sampler import (
-    EpisodeForward, SamplerConfig, chain_noise, episode_forward, episode_forward_vjp,
-)
+from .sampler import EpisodeForward, SamplerConfig, episode_forward, episode_forward_vjp
 
 # Not called here (episode_forward runs the pipeline and validation runs
 # evaluation's loop), but bound so that benchmarks/tracer.py, which patches

@@ -872,6 +872,55 @@ def test_in_place_replay_rewrites_the_same_bytes(workspace, tmp_path, monkeypatc
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("value", ["d ", " d", "d\t", "d\n", "a\nb", "a\rb", "a\x85b", "a\u2028b"])
+def test_string_option_that_would_not_replay_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, value
+):
+    # the echo's key=value line reads back stripped and split at line breaks
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", value, "--relations", "6", "--splits", "2,2,2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {value!r} would not read back from a .config echo: "
+        "it has surrounding whitespace or a line break\n"
+    )
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+def test_string_option_with_inner_spaces_replays(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "my  data", "--relations", "6", "--splits", "2,2,2"]) == 0
+    before = {p.name: p.read_bytes() for p in Path("my  data").iterdir()}
+    assert b"out=my  data\n" in before["synth.config"]
+    assert main(["synth", "--config", "my  data/synth.config"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["my  data"]
+    assert {p.name: p.read_bytes() for p in Path("my  data").iterdir()} == before
+
+
+def drop_lines(path, rid):
+    """Rewrite a tab-separated file without the lines of relation ``rid``."""
+    lines = path.read_text().splitlines()
+    path.write_text("".join(f"{line}\n" for line in lines if line.split("\t")[0] != str(rid)))
+
+
+@pytest.mark.parametrize("dropped, named, message", [
+    (("registry", "instances"), "registry", "relation ids must be contiguous from 0"),
+    (("instances",), "registry", "relation 3 has no instances"),
+    (("embeddings",), "embeddings", "5 embeddings for 6 relations"),
+])
+def test_inconsistent_input_files_name_their_file(tmp_path, capsys, dropped, named, message):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--relations", "6", "--splits", "2,2,2"]) == 0
+    rid = 5 if dropped == ("embeddings",) else 3  # the last embedding keeps its ids contiguous
+    for name in dropped:
+        drop_lines(data / f"{name}.tsv", rid)
+    capsys.readouterr()
+    assert main([
+        "eval", "--data", str(data / "instances.tsv"), "--registry", str(data / "registry.tsv"),
+        "--embeddings", str(data / "embeddings.tsv"), "--n-way", "2", "--episodes", "1",
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {data / named}.tsv: {message}\n"
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

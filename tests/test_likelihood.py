@@ -360,9 +360,11 @@ class TestUnrecordedDrift:
             enc, y, values, centers, rng = enc[0], y[0], values[0], centers[0], RngStream(5, 0)
         config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0, measure=measure)
 
+        targets = np.arange(20) if e_count is None else np.tile(np.arange(20), (e_count, 1))
+
         def run(record):
             return sampler.sgld_chain(
-                enc, *support_labels(y, 20), np.arange(20), centers, values,
+                enc, *support_labels(y, 20), targets, centers, values,
                 config, rng, record=record,
             )
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from protograph.numerics import (
-    ChildNormals,
     _splitmix64,
     RngStream,
     StreamChoices,
+    chain_noise,
     finite_difference_gradient,
     log_softmax_with_temperature,
     max_relative_error,
@@ -235,29 +235,47 @@ class TestRngStream:
 
 
 class TestChildNormals:
+    """chain_noise: the standard normals of each stream's children (chain, step)."""
+
     @pytest.mark.parametrize("seed", [0, 39, 2**63 + 5, -17])
     @pytest.mark.parametrize("stream_ids", [[0], [0xDEADBEEF12345678, 0, 7]])
     @pytest.mark.parametrize("shape", [(5, 16), (20, 64)])
     def test_blocks_equal_one_shot_child_draws(self, seed, stream_ids, shape):
-        normals = ChildNormals(RngStream(seed, np.array(stream_ids, dtype=np.uint64)), 4, shape)
+        n_way, d = shape
+        targets = np.tile(np.arange(n_way), (len(stream_ids), 1))  # sorted: rank is position
+        blocks = chain_noise(RngStream(seed, np.array(stream_ids, dtype=np.uint64)), targets, 4, d)
         # one stream draws as a batch of one
-        single = ChildNormals(RngStream(seed, stream_ids[0]), 4, shape)
-        # out-of-order and repeated steps: every draw starts its stream afresh
-        for j in [1, 5, 1, 0, 2**40, 2**64 - 1]:
-            block = normals.step(j)
+        single = chain_noise(RngStream(seed, stream_ids[0]), targets[0], 4, d)
+        for t in range(1, 4):
+            block = next(blocks)
             assert block.shape == (len(stream_ids), 4) + shape
-            assert single.step(j).tobytes() == block[:1].tobytes()
+            assert next(single).tobytes() == block[0].tobytes()
             for e, stream_id in enumerate(stream_ids):
-                for i in range(4):
-                    expect = standard_normal_sample(shape, RngStream(seed, stream_id).child(i, j))
-                    assert block[e, i].tobytes() == expect.tobytes()
+                for l in range(4):
+                    expect = standard_normal_sample(shape, RngStream(seed, stream_id).child(l, t))
+                    assert block[e, l].tobytes() == expect.tobytes()
 
     def test_instances_do_not_share_state(self):
-        a = ChildNormals(RngStream(1).child(np.arange(2)), 2, (3,))
-        b = ChildNormals(RngStream(2).child(np.arange(2)), 2, (3,))
-        first = a.step(1)
-        b.step(1)
-        np.testing.assert_array_equal(a.step(1), first)
+        targets = [[2, 0, 1], [1, 2, 0]]
+        a = chain_noise(RngStream(1).child(np.arange(2)), targets, 2, 4)
+        b = chain_noise(RngStream(2).child(np.arange(2)), targets, 2, 4)
+        alone = chain_noise(RngStream(1).child(np.arange(2)), targets, 2, 4)
+        for _ in range(3):
+            next(b)
+            assert next(a).tobytes() == next(alone).tobytes()
+
+    @pytest.mark.parametrize("rng, targets, message", [
+        # a batch with one episode's targets gave every episode stream 0's noise
+        (RngStream(3, np.arange(3, dtype=np.uint64)), [4, 1, 2],
+         "targets of shape (3,) do not match streams of shape (3,)"),
+        # one stream with a batch's targets failed inside np.take
+        (RngStream(3, 5), [[4, 1, 2], [0, 1, 2]],
+         "targets of shape (2, 3) do not match streams of shape ()"),
+    ])
+    def test_stream_that_does_not_match_the_targets_raises(self, rng, targets, message):
+        with pytest.raises(ValueError) as err:
+            next(chain_noise(rng, targets, 2, 4))
+        assert str(err.value) == message
 
     def test_array_hash_equals_int_hash(self):
         # the keys of one step are hashed as a uint64 array, child ids one by one

@@ -14,8 +14,8 @@ from protograph.likelihood import (
     support_probs_and_grad,
 )
 from protograph.numerics import (
-    RngStream, finite_difference_gradient, max_relative_error, softmax_with_temperature,
-    standard_normal_sample,
+    RngStream, chain_noise, finite_difference_gradient, max_relative_error,
+    softmax_with_temperature, standard_normal_sample,
 )
 from protograph.sampler import (
     SamplerConfig,
@@ -272,7 +272,7 @@ class TestSgldChain:
 
         rank = np.argsort(np.argsort(targets))
         expect = v.copy()
-        blocks = sampler.chain_noise(rng, targets, 3, 5)
+        blocks = chain_noise(rng, targets, 3, 5)
         drawn = []
         for t, eps_t in enumerate(cfg.step_sizes(), start=1):
             expect = expect + 0.5 * eps_t * (0.0 * (h[None] - expect))
@@ -290,8 +290,8 @@ class TestSgldChain:
 
     def test_chain_noise_of_a_batch_is_each_stream_alone(self):
         targets = np.array([[7, 2, 9], [0, 1, 2], [5, 3, 4], [2, 8, 1]])
-        batch = sampler.chain_noise(RngStream(39).child(np.arange(4), 2), targets, 3, 5)
-        alone = [sampler.chain_noise(RngStream(39).child(e, 2), t.tolist(), 3, 5)
+        batch = chain_noise(RngStream(39).child(np.arange(4), 2), targets, 3, 5)
+        alone = [chain_noise(RngStream(39).child(e, 2), t.tolist(), 3, 5)
                  for e, t in enumerate(targets)]
         for _ in range(4):
             block = next(batch)

@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from protograph import cli
 from protograph.likelihood import MEASURES
+from protograph.sampler import SamplerConfig
+from protograph.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "protograph"
@@ -379,35 +382,64 @@ def test_only_numerics_builds_generators():
     assert [use for uses in found.values() for use in uses] == []
 
 
-def noise_builders(source: str, scope: str) -> list[str]:
+def philox_users(source: str, scope: str) -> list[str]:
     """Dotted names of the functions (or modules) in ``source`` that name
-    ``ChildNormals``, called or not, in source order; imports are not uses."""
-    return scopes_where(source, scope, lambda node: referenced_name(node) == "ChildNormals")
+    ``RekeyedPhilox``, called or not, in source order; imports are not uses."""
+    return scopes_where(source, scope, lambda node: referenced_name(node) == "RekeyedPhilox")
 
 
-def test_noise_builder_scan_finds_every_kind_of_use():
+def test_philox_user_scan_finds_every_kind_of_use():
     # the scan's own check: a scan that found nothing would pass the test below
     source = """
-from .numerics import ChildNormals
+from .numerics import RekeyedPhilox
 from . import numerics
-normals = ChildNormals([rng], 2, (3, 4))
+philox = RekeyedPhilox(rng)
 def chain(rng):
-    return numerics.ChildNormals([rng], 2, (3, 4)).step(1)
+    return numerics.RekeyedPhilox(rng).start(1)
 class Sampler:
     def run(self):
-        make = ChildNormals
-        return (lambda: make(self.streams, 1, ()))()
+        make = RekeyedPhilox
+        return (lambda: make(self.rng))()
 """
-    assert noise_builders(source, "m") == ["m", "m.chain", "m.Sampler.run"]
+    assert philox_users(source, "m") == ["m", "m.chain", "m.Sampler.run"]
 
 
 def test_chain_noise_is_the_one_noise_implementation():
     # the chain's Langevin noise is drawn, and its rows put in target rank
-    # order, in one place that the sampler and the trainer both go through
+    # order, in one function that the sampler and the trainer both import;
+    # the only other re-keyed Philox draws the episodes
     found = []
     for path in sorted(SRC.glob("*.py")):
-        found += noise_builders(path.read_text(encoding="utf-8"), path.stem)
-    assert found == ["sampler.chain_noise"]
+        found += philox_users(path.read_text(encoding="utf-8"), path.stem)
+    assert found == ["numerics.chain_noise", "numerics.StreamChoices.__init__"]
+
+
+def test_child_hash_root_is_in_child_only():
+    # chain_noise keys its steps from child()'s ids, so the hash is derived once
+    root = 0xA5A5A5A5A5A5A5A5
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += scopes_where(path.read_text(encoding="utf-8"), path.stem,
+                              lambda node: isinstance(node, ast.Constant) and node.value == root)
+    assert found == ["numerics.RngStream.child"]
+
+
+def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    # a sampler or training default is written in cli.OPTIONS and again as a
+    # config field default: runs with no such flag must build the defaults
+    built = []
+    monkeypatch.setattr(cli, "_load_graph_and_data", lambda opts: (None, None))
+    monkeypatch.setattr(cli.trainer, "train", lambda *args, **_: built.append(args[2]) or ({}, []))
+    checkpoint = str(tmp_path / "m.ckpt")
+    assert cli.main(["train", "--checkpoint", checkpoint]) == 0
+    episodes = cli.COMMANDS["train"].defaults["episodes"]  # no TrainConfig default
+    assert built == [TrainConfig(episodes, checkpoint_path=checkpoint)]
+    for name in ("eval", "sweep", "zero-shot"):
+        opts = cli.Options(cli.build_parser().parse_args([name]), cli.COMMANDS[name])
+        if name == "zero-shot":  # reads the sampler's tau and measure, builds no sampler
+            assert (opts["tau"], opts["measure"]) == (SamplerConfig.tau, SamplerConfig.measure)
+        else:
+            assert cli._sampler_config(opts) == SamplerConfig(), name
 
 
 # the sampler's records and the config knobs of its rules: the SGLD step, the
