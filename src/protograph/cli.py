@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import evaluation, trainer
-from .data import generate_synthetic, load_dataset, read_lines, save_dataset, write_lines
+from .data import check_episode_shape, generate_synthetic, load_dataset, read_lines
+from .data import save_dataset, write_lines
 from .graph import build_knn_graph, load_embeddings, load_graph, save_edges, save_embeddings
 from .likelihood import ENCODER_MODES, MEASURES
 from .numerics import RngStream
@@ -45,29 +46,32 @@ OPTIONS = {
     "checkpoint": Option(str, None, "model checkpoint path"),
     "out": Option(str, None, "output path"),
     "format": Option(str, "csv", "report format", ("csv", "json")),
-    "seed": Option(int, 0, "seed of every random stream"),
+    "seed": Option(int, TrainConfig.seed, "seed of every random stream"),
     # episodes and model
     "split": Option(str, "test", "split the episodes are drawn from", ("train", "val", "test")),
-    "n-way": Option(int, 5, "classes per episode N"),
-    "k-shot": Option(int, 1, "support instances per class K"),
-    "q-per": Option(int, 5, "queries per class"),
+    "n-way": Option(int, TrainConfig.n_way, "classes per episode N"),
+    "k-shot": Option(int, TrainConfig.k_shot, "support instances per class K"),
+    "q-per": Option(int, TrainConfig.q_per, "queries per class"),
     "episodes": Option(int, 100, "number of episodes"),
-    "encoder": Option(str, "identity", "instance encoder of a new model", ENCODER_MODES),
+    "encoder": Option(str, TrainConfig.encoder_mode, "instance encoder of a new model",
+                      ENCODER_MODES),
     # sampler
-    "chains": Option(int, 10, "posterior samples L"),
-    "steps": Option(int, 5, "update steps M"),
-    "step-size": Option(float, 0.1, "initial step size"),
-    "step-decay": Option(float, 0.0, "step size decay exponent"),
-    "alpha": Option(float, 1.0, "weight of the relation summary in the warm start"),
-    "beta": Option(float, 1.0, "weight of the grand support mean in the warm start"),
-    "tau": Option(float, 10.0, "softmax temperature"),
-    "measure": Option(str, "dot", "similarity measure", MEASURES),
-    "no-noise": Option(bool, False, "turn the Langevin noise off"),
-    "no-graph-prior": Option(bool, False, "replace the graph summaries with zeros"),
+    "chains": Option(int, SamplerConfig.chains, "posterior samples L"),
+    "steps": Option(int, SamplerConfig.steps, "update steps M"),
+    "step-size": Option(float, SamplerConfig.step_size, "initial step size"),
+    "step-decay": Option(float, SamplerConfig.step_decay, "step size decay exponent"),
+    "alpha": Option(float, SamplerConfig.alpha, "weight of the relation summary in the warm start"),
+    "beta": Option(float, SamplerConfig.beta, "weight of the grand support mean in the warm start"),
+    "tau": Option(float, SamplerConfig.tau, "softmax temperature"),
+    "measure": Option(str, SamplerConfig.measure, "similarity measure", MEASURES),
+    "no-noise": Option(bool, not SamplerConfig.noise_enabled, "turn the Langevin noise off"),
+    "no-graph-prior": Option(bool, not SamplerConfig.graph_prior,
+                             "replace the graph summaries with zeros"),
     # training
-    "lr": Option(float, 0.1, "SGD learning rate"),
-    "eval-every": Option(int, 100, "episodes between validations and checkpoints (0: never)"),
-    "val-episodes": Option(int, 20, "episodes per validation"),
+    "lr": Option(float, TrainConfig.learning_rate, "SGD learning rate"),
+    "eval-every": Option(int, TrainConfig.eval_every,
+                         "episodes between validations and checkpoints (0: never)"),
+    "val-episodes": Option(int, TrainConfig.val_episodes, "episodes per validation"),
     # synth
     "relations": Option(int, 25, "number of relations"),
     "dim": Option(int, 8, "feature dimension"),
@@ -134,6 +138,10 @@ class Options:
             # a stream key is 64 bits: RngStream would run a wider seed's streams masked
             if key == "seed" and not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
+            # a command-line byte that is not UTF-8 arrives as a lone surrogate,
+            # which no UTF-8 file, the .config echo included, can hold
+            if isinstance(value, str) and value.encode("utf-8", "replace").decode() != value:
+                raise ValueError(f"{name} {value!r} is not UTF-8 text")
             # the .config echo writes key=value on one line, which reads back stripped
             if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
                 raise ValueError(f"{name} {value!r} would not read back from a .config "
@@ -302,6 +310,8 @@ def _cmd_train(opts: Options) -> int:
 
 def _cmd_eval(opts: Options) -> int:
     sampler = _sampler_config(opts)
+    check_episode_shape(opts["n-way"], opts["k-shot"], opts["q-per"], support=True,
+                        episodes=opts["episodes"])
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_fewshot(
@@ -318,12 +328,14 @@ def _cmd_eval(opts: Options) -> int:
 
 
 def _cmd_zero_shot(opts: Options) -> int:
+    sampler = SamplerConfig(tau=opts["tau"], measure=opts["measure"])
+    check_episode_shape(opts["n-way"], 0, opts["q-per"], episodes=opts["episodes"])
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_zeroshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["q-per"], opts["episodes"],
-        RngStream(opts["seed"]), measure=opts["measure"], tau=opts["tau"],
+        RngStream(opts["seed"]), measure=sampler.measure, tau=sampler.tau,
     )
     _write_report(opts, [report])
     print(
@@ -336,6 +348,8 @@ def _cmd_zero_shot(opts: Options) -> int:
 def _cmd_sweep(opts: Options) -> int:
     values = _int_list(opts, "values")
     sampler = _sampler_config(opts)
+    check_episode_shape(opts["n-way"], opts["k-shot"], opts["q-per"], support=True,
+                        episodes=opts["episodes"])
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     reports = evaluation.sensitivity_sweep(

@@ -93,12 +93,14 @@ class Episode:
     query_y: np.ndarray  # (N*Q_per,)
 
 
-def check_episode_shape(n_way: int, k_shot: int, q_per: int, support: bool = False) -> None:
-    """Reject an episode shape with no class, a negative support size or no
-    query, and with ``support`` (a chain needs one) an empty support set, as
-    ``<name> must be >= <least>, got <value>``, the first such field named."""
-    least = {"n_way": 1, "k_shot": int(support), "q_per": 1}
-    for (name, low), value in zip(least.items(), (n_way, k_shot, q_per)):
+def check_episode_shape(n_way: int, k_shot: int, q_per: int, support: bool = False,
+                        episodes: int = 1) -> None:
+    """Reject a run of no episodes, then an episode shape with no class, a
+    negative support size or no query, and with ``support`` (a chain needs
+    one) an empty support set, as ``<name> must be >= <least>, got <value>``,
+    the first such field named."""
+    least = {"episodes": 1, "n_way": 1, "k_shot": int(support), "q_per": 1}
+    for (name, low), value in zip(least.items(), (episodes, n_way, k_shot, q_per)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 

@@ -66,45 +66,38 @@ class EvalReport:
 
 def episode_outcomes(
     dataset: Dataset, split: str, graph: RelationGraph, params: ModelParams,
-    n_way: int, k_shot: int, q_per: int, episodes: int, rng: RngStream,
-    sampler_config: SamplerConfig | None = None, measure: str = "dot", tau: float = 10.0,
+    n_way: int, k_shot: int, q_per: int, episodes: int, rng: RngStream, config: SamplerConfig,
 ) -> list[tuple[int, int]]:
     """(correct, queries) of each episode: the one loop of every evaluation.
 
     Episode i is drawn from rng.child(i, 0) and the relation summaries of its
-    targets are computed. With a sampler config its queries are predicted by
-    posterior_predict with the noise stream rng.child(i, 1); without one
-    (zero-shot) they are scored against the summaries alone, with ``measure``
-    and ``tau``. Episodes run in batches (see BATCH_ELEMENTS), each batch's
-    streams one batch stream ``rng.child(ids, 0)`` and ``rng.child(ids, 1)``;
+    targets are computed. Its queries are predicted by posterior_predict with
+    the noise stream rng.child(i, 1), or at k_shot 0 (zero-shot) scored
+    against the summaries alone, with ``config.measure`` and ``config.tau``.
+    Episodes run in batches (see BATCH_ELEMENTS), each batch's streams one
+    batch stream ``rng.child(ids, 0)`` and ``rng.child(ids, 1)``;
     every batched operation gives an episode the bits it gets alone, so the
     outcomes do not depend on the batch size.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    check_episode_shape(n_way, k_shot, q_per, support=sampler_config is not None)
+    check_episode_shape(n_way, k_shot, q_per, episodes=episodes)
     # every relation of the split, not only those drawn, must hold an episode's
     # instances, so a short one fails before the first batch as in train()
     dataset.check_split(split, n_way, k_shot, q_per)
-    d = params.gnn.output_dim
-    if sampler_config is None:
-        size = _batch_size(measure, 1, n_way, n_way * q_per, d)
-    else:
-        cfg = sampler_config
-        size = _batch_size(cfg.measure, cfg.chains, n_way, n_way * k_shot, d)
+    chains, rows = (1, q_per) if k_shot == 0 else (config.chains, k_shot)
+    size = _batch_size(config.measure, chains, n_way, n_way * rows, params.gnn.output_dim)
     outcomes = []
     for start in range(0, episodes, size):
         ids = np.arange(start, min(start + size, episodes))
         batch = sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(ids, 0))
         summaries = summary_rows(graph, params.gnn, batch.targets)
-        if sampler_config is None:
+        if k_shot == 0:
             _, preds = predict_queries(
-                batch.query_x, summaries[:, None], params.encoder, measure, tau, batch.targets
+                batch.query_x, summaries[:, None], params.encoder, config.measure, config.tau,
+                batch.targets,
             )
         else:
             _, preds = posterior_predict(
-                batch, summaries, sampler_config, params.encoder, rng.child(ids, 1),
-                first_episode=start,
+                batch, summaries, config, params.encoder, rng.child(ids, 1), first_episode=start,
             )
         hits = np.sum(preds == batch.query_y, axis=-1)
         outcomes += [(int(c), batch.query_y.shape[1]) for c in hits]
@@ -140,6 +133,7 @@ def evaluate_fewshot(
     setting: str = "fewshot",
 ) -> EvalReport:
     """Mean episode accuracy of the posterior-sampling classifier."""
+    check_episode_shape(n_way, k_shot, q_per, support=True)  # a chain needs a support set
     cfg = sampler_config
     outcomes = episode_outcomes(
         dataset, split, graph, params, n_way, k_shot, q_per, episodes, rng, cfg
@@ -160,19 +154,20 @@ def evaluate_zeroshot(
     q_per: int,
     episodes: int,
     rng: RngStream,
-    measure: str = "dot",
-    tau: float = 10.0,
+    measure: str = SamplerConfig.measure,
+    tau: float = SamplerConfig.tau,
     setting: str = "zeroshot",
 ) -> EvalReport:
     """Classification from the prior means alone: no support set, no chain.
 
     Prototypes are set directly to the relation summaries h_r of the episode
     targets, so there is no K parameter in this mode: the queries are scored
-    by predict_queries against a single "chain" holding those summaries.
+    by predict_queries against a single "chain" holding those summaries, with
+    the measure and temperature that SamplerConfig checks.
     """
+    config = SamplerConfig(measure=measure, tau=tau)
     outcomes = episode_outcomes(
-        dataset, split, graph, params, n_way, 0, q_per, episodes, rng,
-        measure=measure, tau=tau,
+        dataset, split, graph, params, n_way, 0, q_per, episodes, rng, config
     )
     return _report(
         outcomes, rng.seed, setting=setting, n_way=n_way, k_shot=0, chains=0, steps=0,

@@ -68,10 +68,7 @@ def check_episode_objective(seed: int, case: int, d: int, n_way: int, k_shot: in
     graph = build_knn_graph(embeddings, k=2)
     episode = random_episode(gen, n_way, k_shot, q_per, d, n_relations)
     params = init_params(d, d, RngStream(seed).child(41, case), encoder_mode="linear")
-    config = SamplerConfig(
-        chains=chains, steps=steps, step_size=0.1, tau=tau, measure=measure,
-        noise_enabled=True,
-    )
+    config = SamplerConfig(chains=chains, steps=steps, tau=tau, measure=measure)
     chain_rng = RngStream(seed).child(42, case)
 
     _, grads = episode_objective_and_grads(episode, graph, params, config, chain_rng)

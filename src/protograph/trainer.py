@@ -85,32 +85,26 @@ def init_params(
     graph_dim: int,
     output_dim: int,
     rng: RngStream,
-    encoder_mode: str = "identity",
+    encoder_mode: str = TrainConfig.encoder_mode,
 ) -> ModelParams:
     """Fan-in-scaled uniform init, U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
 
     The graph layer is one identity-activated hop; a linear encoder maps the
-    d = output_dim instance features to d.
+    d = output_dim instance features to d. EncoderParams checks the mode.
     """
-    if encoder_mode not in ENCODER_MODES:
-        raise ValueError(f"unknown encoder mode {encoder_mode!r}")
     bound = 1.0 / np.sqrt(graph_dim)
     gen = rng.child(0).generator()
     gnn = GnnParams(
         weight=gen.uniform(-bound, bound, size=(graph_dim, output_dim)),
         bias=gen.uniform(-bound, bound, size=output_dim),
     )
-    if encoder_mode == "identity":
-        encoder = EncoderParams(mode="identity")
-    else:
+    weight = bias = None
+    if encoder_mode == "linear":
         e_bound = 1.0 / np.sqrt(output_dim)
         egen = rng.child(1).generator()
-        encoder = EncoderParams(
-            mode="linear",
-            weight=egen.uniform(-e_bound, e_bound, size=(output_dim, output_dim)),
-            bias=egen.uniform(-e_bound, e_bound, size=output_dim),
-        )
-    return ModelParams(gnn=gnn, encoder=encoder)
+        weight = egen.uniform(-e_bound, e_bound, size=(output_dim, output_dim))
+        bias = egen.uniform(-e_bound, e_bound, size=output_dim)
+    return ModelParams(gnn=gnn, encoder=EncoderParams(encoder_mode, weight, bias))
 
 
 def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
@@ -273,6 +267,7 @@ def train(
             blocks = chain_noise(chain_rngs, batch.targets, cfg.chains, dataset.d)
             for t in range(cfg.steps):
                 noise[:, t] = next(blocks)
+            blocks.close()  # frees its draw buffer before the chunk's passes
 
         chain_ids = chain_rngs.stream_id.tolist()
         for e, ep in enumerate(ids.tolist()):

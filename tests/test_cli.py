@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 from collections import defaultdict
 from pathlib import Path
 
@@ -309,6 +310,103 @@ def test_malformed_input_is_one_line_path_line_error(
     assert err.count("\n") == 1 and err.endswith("\n")
     assert message in err
     assert sorted(tmp_path.iterdir()) == sorted(paths.values())  # nothing written
+
+
+@pytest.fixture(scope="module")
+def small_world(tmp_path_factory):
+    """The README round trip's input files, checkpoint and a --config file, at
+    a small shape. The test split has room for the default episode shape, so
+    the config file without one of its lines is still a valid one."""
+    root = tmp_path_factory.mktemp("small")
+    files = {
+        "instances": root / "instances.tsv", "registry": root / "registry.tsv",
+        "embeddings": root / "embeddings.tsv", "edges": root / "edges.tsv",
+        "checkpoint": root / "model.ckpt", "config": root / "run.config",
+    }
+    assert main([
+        "synth", "--out", str(root), "--relations", "10", "--dim", "3", "--per-relation", "7",
+        "--splits", "3,2,5", "--seed", "1",
+    ]) == 0
+    assert main([
+        "build-graph", "--embeddings", str(files["embeddings"]), "--knn", "2",
+        "--out", str(files["edges"]),
+    ]) == 0
+    assert main(["train", *input_flags(files), "--checkpoint", str(files["checkpoint"]),
+                 "--episodes", "2", "--eval-every", "0", "--n-way", "2", "--chains", "2",
+                 "--steps", "1"]) == 0
+    files["config"].write_text(
+        "n-way=2\nk-shot=1\nq-per=2\nepisodes=2\nchains=2\nsteps=1\nstep-size=0.1\n"
+        "tau=10.0\nmeasure=dot\nno-noise=false\nsplit=test\nseed=3\n"
+    )
+    return files
+
+
+def input_flags(files):
+    """The flags of the four data files of ``files``."""
+    return ["--data", str(files["instances"]), "--registry", str(files["registry"]),
+            "--embeddings", str(files["embeddings"]), "--graph", str(files["edges"])]
+
+
+def line_mutations(line: bytes, sep: bytes, ids: tuple[int, ...]):
+    """(kind, lines in its place) of each one-line mutation of ``line``, a
+    line of ``sep``-separated fields with ids at the positions ``ids``."""
+    fields = line.split(sep)
+    yield "delete", []
+    yield "duplicate", [line, line]
+    yield "truncate", [line[: len(line) // 2]]
+    yield "drop-field", [sep.join(fields[:-1])]
+    yield "add-field", [line + sep + b"1"]
+    for kind, value in ("non-number", b"x1"), ("nan", b"nan"), ("inf", b"-inf"):
+        yield kind, [sep.join(fields[:-1] + [value])]
+    yield "non-utf8", [line[:1] + b"\xff" + line[1:]]
+    for i in ids:
+        for kind, value in ("negative-id", b"-1"), ("huge-id", b"9" * 20):
+            yield kind, [sep.join(fields[:i] + [value] + fields[i + 1:])]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning fails a run as a traceback does
+def test_mutated_input_file_exits_0_or_names_the_file(small_world, tmp_path, capsys):
+    # one-line mutations of a seeded sample of each input file's lines: every
+    # run succeeds or fails in one error line naming the file, never in a
+    # traceback. A registry that loses an id the instances use is reported
+    # at the first instance line using it; a config value that parses but
+    # that an option check rejects is named as the option, as the flag is.
+    files = small_world
+    layout = {  # separator, id positions
+        "instances": (b"\t", (0,)), "registry": (b"\t", (0,)), "embeddings": (b"\t", (0,)),
+        "edges": (b"\t", (0, 1)), "checkpoint": (b" ", ()), "config": (b"=", ()),
+    }
+    pick = random.Random(26)
+    failures, runs = [], 0
+    for name, (sep, ids) in layout.items():
+        lines = files[name].read_bytes().splitlines()
+        cases = [(at, kind, new) for at, line in enumerate(lines)
+                 for kind, new in line_mutations(line, sep, ids)]
+        for at, kind, new in pick.sample(cases, min(60, len(cases))):
+            mutated = tmp_path / files[name].name
+            mutated.write_bytes(b"".join(x + b"\n" for x in lines[:at] + new + lines[at + 1:]))
+            paths = {**files, name: mutated}
+            argv = ["eval", *input_flags(paths), "--checkpoint", str(paths["checkpoint"]),
+                    "--config", str(paths["config"])]
+            case = f"{name} line {at + 1} {kind}"
+            try:
+                status = main(argv)
+            except Exception as exc:  # the traceback the sweep rules out
+                failures.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            runs += 1
+            err = capsys.readouterr().err
+            named = [str(mutated)]
+            if name == "registry":
+                named.append(str(files["instances"]))
+            if name == "config" and b"=" in lines[at]:
+                key = lines[at].split(b"=")[0].decode()
+                named += [key, key.replace("-", "_")]
+            one_line = status == 1 and err.startswith("error: ") and err.count("\n") == 1
+            if status != 0 and not (one_line and any(text in err for text in named)):
+                failures.append(f"{case}: exit {status}, stderr {err!r}")
+    assert failures == []
+    assert runs == 6 * 60
 
 
 def test_train_checks_the_validation_split_before_training(tmp_path, capsys, monkeypatch):
@@ -743,6 +841,14 @@ BAD_CONFIGS = [
     ("train", ["--checkpoint", "m.ckpt", "--episodes", "-1"], "episodes_total must be >= 0"),
     ("eval", ["--chains", "0"], "chains must be >= 1"),
     ("sweep", ["--steps", "-1"], "steps must be >= 0"),
+    # zero-shot checks its sampler options and every command its episode options
+    ("zero-shot", ["--tau", "0"], "tau must be positive"),
+    ("zero-shot", ["--measure", "euclidean", "--tau", "nan"], "tau must be finite, got nan"),
+    ("eval", ["--episodes", "0"], "episodes must be >= 1, got 0"),
+    ("zero-shot", ["--episodes", "0"], "episodes must be >= 1, got 0"),
+    ("sweep", ["--q-per", "0"], "q_per must be >= 1, got 0"),
+    ("eval", ["--k-shot", "0"], "k_shot must be >= 1, got 0"),
+    ("zero-shot", ["--n-way", "0"], "n_way must be >= 1, got 0"),
 ]
 
 
@@ -883,6 +989,14 @@ def test_string_option_that_would_not_replay_fails_before_any_work(
         f"error: --out {value!r} would not read back from a .config echo: "
         "it has surrounding whitespace or a line break\n"
     )
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+def test_string_option_that_is_not_utf8_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # a command-line byte that is not UTF-8 reaches Python as a lone surrogate
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "d\udcff", "--relations", "6", "--splits", "2,2,2"]) == 1
+    assert capsys.readouterr().err == "error: --out 'd\\udcff' is not UTF-8 text\n"
     assert not any(tmp_path.iterdir())  # nothing written
 
 

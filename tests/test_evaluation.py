@@ -1,16 +1,20 @@
 """Tests for evaluation protocols and report emission."""
 
 import csv
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
+from protograph import evaluation
 from protograph.data import generate_synthetic
 from protograph.evaluation import (
     REPORT_COLUMNS,
     EvalReport,
     emit_report,
+    episode_outcomes,
     evaluate_fewshot,
     evaluate_zeroshot,
     sensitivity_sweep,
@@ -165,6 +169,28 @@ class TestEvaluateZeroshot:
         )
         assert rep.k_shot == 0 and rep.chains == 0 and rep.steps == 0
 
+    @pytest.mark.parametrize("option, message", [
+        ({"tau": 0.0}, "tau must be positive"),
+        ({"tau": float("nan")}, "tau must be finite, got nan"),
+        ({"measure": "cosine"}, "unknown measure 'cosine'"),
+    ])
+    def test_sampler_config_checks_measure_and_tau_before_the_first_draw(
+        self, informative_world, monkeypatch, option, message
+    ):
+        ds, graph, _ = informative_world
+        drawn = []
+        monkeypatch.setattr(evaluation, "sample_episode", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_zeroshot(ds, "test", graph, identity_params(8), 5, 2, 3, RngStream(0), **option)
+        assert drawn == []
+
+    def test_episode_outcomes_takes_one_required_sampler_config(self):
+        # zero-shot has no measure or tau of its own: episode_outcomes scores
+        # it with the config's (test_matches_per_query_log_prob_argmax)
+        params = inspect.signature(episode_outcomes).parameters
+        assert not {"measure", "tau"} & params.keys()
+        assert params["config"].default is inspect.Parameter.empty
+
 
 def cap_elements(batch, measure, chains, n_way, rows, d):
     """BATCH_ELEMENTS that makes batches of ``batch`` episodes, by the cap's
@@ -200,8 +226,6 @@ class TestBatchSize:
     def test_batch_size_does_not_change_results(
         self, informative_world, monkeypatch, tmp_path, setting
     ):
-        import protograph.evaluation as evaluation
-
         ds, graph, _ = informative_world
         cfg, params = BATCH_SETTINGS[setting]
         params = params or identity_params(8)

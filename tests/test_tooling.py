@@ -2,14 +2,16 @@
 
 import ast
 import importlib.util
+import inspect
 import sys
 from collections import Counter
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protograph import cli
+from protograph import cli, evaluation
 from protograph.likelihood import MEASURES
 from protograph.sampler import SamplerConfig
 from protograph.trainer import TrainConfig
@@ -425,8 +427,9 @@ def test_child_hash_root_is_in_child_only():
 
 
 def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch):
-    # a sampler or training default is written in cli.OPTIONS and again as a
-    # config field default: runs with no such flag must build the defaults
+    # cli.OPTIONS and zero-shot evaluation take the sampler and training
+    # defaults from the config dataclasses: runs with no such flag, and a
+    # library call with no such argument, must use the defaults
     built = []
     monkeypatch.setattr(cli, "_load_graph_and_data", lambda opts: (None, None))
     monkeypatch.setattr(cli.trainer, "train", lambda *args, **_: built.append(args[2]) or ({}, []))
@@ -440,6 +443,79 @@ def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch):
             assert (opts["tau"], opts["measure"]) == (SamplerConfig.tau, SamplerConfig.measure)
         else:
             assert cli._sampler_config(opts) == SamplerConfig(), name
+    zero_shot = inspect.signature(evaluation.evaluate_zeroshot).parameters
+    assert (zero_shot["measure"].default, zero_shot["tau"].default) == (
+        SamplerConfig.measure, SamplerConfig.tau
+    )
+
+
+def literal_config_defaults(source: str, scope: str) -> list[str]:
+    """Where ``source`` writes a SamplerConfig or TrainConfig default as a
+    literal outside its dataclass, sorted: ``scope.f(name)`` for a
+    default of f's parameter named as a field, ``scope.OPTIONS[key]`` for
+    the default of an option that some call passes as a field
+    (``field=opts[key]``), and ``scope.Config(name)`` for a config built
+    with a field's own default."""
+    defaults = {f.name: f.default for cls in (SamplerConfig, TrainConfig) for f in fields(cls)
+                if f.default not in (MISSING, None)}
+
+    def literal(node):
+        try:
+            return ast.literal_eval(node)
+        except ValueError:
+            return None
+
+    tree = ast.parse(source)
+    set_by = {  # option key -> the field a call passes it as
+        sub.slice.value: node.arg
+        for node in ast.walk(tree) if isinstance(node, ast.keyword) and node.arg in defaults
+        for sub in ast.walk(node.value)
+        if isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Constant)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args
+            pairs = [*zip(args[len(args) - len(node.args.defaults):], node.args.defaults),
+                     *zip(node.args.kwonlyargs, node.args.kw_defaults)]
+            found += [f"{scope}.{node.name}({arg.arg})" for arg, default in pairs
+                      if arg.arg in defaults and literal(default) is not None]
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "OPTIONS":
+            found += [f"{scope}.OPTIONS[{key.value}]"
+                      for key, call in zip(node.value.keys, node.value.values)
+                      if key.value in set_by and literal(call.args[1]) is not None]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("SamplerConfig",
+                                                                       "TrainConfig"):
+            found += [f"{scope}.{ast.unparse(node.func)}({kw.arg})" for kw in node.keywords
+                      if kw.arg in defaults and literal(kw.value) == defaults[kw.arg]]
+    return sorted(found)
+
+
+def test_literal_default_scan_finds_every_kind_of_copy():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+OPTIONS = {
+    "lr": Option(float, 0.1, "rate"),
+    "knn": Option(int, 10, "neighbors"),
+    "tau": Option(float, SamplerConfig.tau, "temperature"),
+}
+def evaluate(rng, measure="dot", tau=SamplerConfig.tau, hops=1, *, chains=-1):
+    return SamplerConfig(measure=measure, step_size=0.1, steps=2)
+def build(opts):
+    return TrainConfig(1, learning_rate=opts["lr"], sampler=SamplerConfig(tau=opts["tau"]))
+"""
+    assert literal_config_defaults(source, "m") == [
+        "m.OPTIONS[lr]", "m.SamplerConfig(step_size)", "m.evaluate(chains)", "m.evaluate(measure)",
+    ]
+
+
+def test_no_config_default_is_written_twice():
+    # SamplerConfig and TrainConfig own their defaults: a function, an option
+    # or a config built elsewhere in src/ reads them, and never repeats one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += literal_config_defaults(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
 
 
 # the sampler's records and the config knobs of its rules: the SGLD step, the

@@ -10,7 +10,9 @@ from protograph.data import Episode, generate_synthetic
 from protograph.gradcheck import check_episode_objective, random_episode
 from protograph.graph import build_knn_graph
 from protograph.likelihood import EncoderParams
-from protograph.numerics import RngStream, finite_difference_gradient, max_relative_error
+from protograph.numerics import (
+    RngStream, chain_noise, finite_difference_gradient, max_relative_error,
+)
 from protograph.prior import GnnParams
 from protograph.sampler import SamplerConfig
 from protograph.trainer import (
@@ -360,6 +362,27 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="^episode 23: sampler diverged at chain 1 step 2$"):
             train(ds, graph, cfg)
         assert len(failing) == 1
+
+    def test_chunk_noise_is_released_before_the_chunk_runs(self, monkeypatch):
+        # the pre-draw's generator holds an (E*L, N, d) draw buffer: it is
+        # closed once the chunk's M blocks are drawn, before episode 0 runs
+        ds, graph, cfg = self.make_world(episodes=6, eval_every=0)
+        live, objective = [], trainer.episode_objective_and_grads
+
+        def noise(*args):
+            live.append(args)
+            try:
+                yield from chain_noise(*args)
+            finally:
+                live.pop()
+
+        def objective_with_no_live_noise(*args):
+            assert live == []
+            return objective(*args)
+
+        monkeypatch.setattr(trainer, "chain_noise", noise)
+        monkeypatch.setattr(trainer, "episode_objective_and_grads", objective_with_no_live_noise)
+        train(ds, graph, cfg)
 
     def test_checkpoint_written(self, tmp_path):
         ds, graph, cfg = self.make_world(episodes=5, eval_every=0)
