@@ -116,6 +116,12 @@ def _from_file(key: str, raw: str, where: str):
         raise ValueError(f"{where}: {key}: {exc}") from None
     if opt.choices and value not in opt.choices:
         raise ValueError(f"{where}: {key} must be one of {', '.join(opt.choices)}")
+    field = key.replace("-", "_")
+    if field in SamplerConfig.__dataclass_fields__:
+        try:  # the field's own checks; steps=0 leaves out the one across fields
+            SamplerConfig(**{"steps": 0, field: value})
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return value
 
 

@@ -26,23 +26,20 @@ class Dataset:
     """Labeled instances grouped by relation, with a per-relation split.
 
     Relation ids index the relation-embedding matrix and graph nodes directly,
-    so they must be the contiguous range 0..R-1. The rows of all relations
-    are one contiguous (n, d) float array, ``rows``, in relation-id order:
-    relation r owns ``rows[offsets[r]:offsets[r + 1]]``.
+    so relation r is position r of ``names`` and ``splits``. The rows of all
+    relations are one contiguous (n, d) float array, ``rows``, in relation-id
+    order: relation r owns ``rows[offsets[r]:offsets[r + 1]]``.
     """
 
-    names: dict[int, str]
-    splits: dict[int, str]
+    names: list[str]
+    splits: list[str]
     rows: np.ndarray = field(repr=False)  # (n, d) feature rows, grouped by relation
     offsets: np.ndarray = field(repr=False)  # (R + 1,) where each relation's rows start, then n
 
     def __post_init__(self) -> None:
-        ids = sorted(self.names)
-        if ids != list(range(len(ids))):
-            raise ValueError("relation ids must be contiguous from 0")
         counts = np.diff(self.offsets)
-        for rid in ids:
-            if rid not in self.splits or self.splits[rid] not in SPLITS:
+        for rid in range(len(self.names)):
+            if rid >= len(self.splits) or self.splits[rid] not in SPLITS:
                 raise ValueError(f"relation {rid} has no valid split assignment")
             if counts[rid] == 0:
                 raise ValueError(f"relation {rid} has no instances")
@@ -59,7 +56,7 @@ class Dataset:
         """Relation ids of ``split``, ascending; raises if there are fewer than ``need``."""
         if split not in SPLITS:
             raise ValueError(f"unknown split {split!r}")
-        ids = sorted(r for r, s in self.splits.items() if s == split)
+        ids = [r for r, s in enumerate(self.splits) if s == split]
         if len(ids) < need:
             raise ValueError(f"split {split!r} has {len(ids)} relations, need {need}")
         return ids
@@ -194,37 +191,33 @@ def generate_synthetic(
     rows = (centers[:, None] + noise_scale * noise).reshape(-1, d)
     embeddings = centers + embed_noise * gen.standard_normal((num_relations, d))
 
-    names = {r: f"relation_{r}" for r in range(num_relations)}
-    splits = {}
-    bounds = np.cumsum(split_counts)
-    for r in range(num_relations):
-        splits[r] = SPLITS[int(np.searchsorted(bounds, r, side="right"))]
+    names = [f"relation_{r}" for r in range(num_relations)]
+    splits = [split for split, count in zip(SPLITS, split_counts) for _ in range(count)]
     offsets = instances_per_relation * np.arange(num_relations + 1)
     return Dataset(names=names, splits=splits, rows=rows, offsets=offsets), embeddings
 
 
 def load_dataset(instances_path, registry_path) -> Dataset:
     """Read the tab-separated instance and registry files into a Dataset."""
-    names: dict[int, str] = {}
-    splits: dict[int, str] = {}
+    registry = []  # (line number, id, name, split) of each line
     for lineno, line in read_lines(registry_path):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{registry_path}:{lineno}: expected id, name, split")
         (rid,) = parse_ints(parts[:1], registry_path, lineno)
-        if rid in names:
-            raise ValueError(f"{registry_path}:{lineno}: duplicate relation id {rid}")
         if parts[2] not in SPLITS:
             raise ValueError(f"{registry_path}:{lineno}: unknown split {parts[2]!r}")
-        names[rid] = parts[1]
-        splits[rid] = parts[2]
-    if not names:
+        registry.append((lineno, rid, *parts[1:]))
+    if not registry:
         raise ValueError(f"{registry_path}: empty registry")
+    linenos, ids, names, splits = zip(*registry)
+    order = relation_order(registry_path, linenos, ids)
+    names, splits = [names[i] for i in order], [splits[i] for i in order]
 
     linenos, ids, values = read_rows(instances_path, "instance", "feature")
-    for lineno, rid in zip(linenos, ids):
-        if rid not in names:
-            raise ValueError(f"{instances_path}:{lineno}: unknown relation id {rid}")
+    if min(ids) < 0 or max(ids) >= len(names):
+        at = next(i for i, rid in enumerate(ids) if not 0 <= rid < len(names))
+        raise ValueError(f"{instances_path}:{linenos[at]}: unknown relation id {ids[at]}")
     ids = np.asarray(ids)
     if (ids[1:] < ids[:-1]).any():
         # one stable sort groups the rows by relation, each relation's in file order
@@ -237,10 +230,23 @@ def load_dataset(instances_path, registry_path) -> Dataset:
         raise ValueError(f"{registry_path}: {exc}") from None
 
 
+def relation_order(path, linenos, ids) -> np.ndarray:
+    """The order of a file's lines by relation id, once each id of 0..R-1,
+    R the number of lines, is found on one line; a repeat is named at its line."""
+    seen = set()
+    for lineno, rid in zip(linenos, ids):
+        if rid in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate relation id {rid}")
+        seen.add(rid)
+    if min(ids) < 0 or max(ids) >= len(ids):
+        raise ValueError(f"{path}: relation ids must be contiguous from 0")
+    return np.argsort(ids)
+
+
 def save_dataset(dataset: Dataset, instances_path, registry_path) -> None:
     """Write a Dataset in the load_dataset file formats (round-trip exact)."""
-    write_lines(registry_path, (f"{rid}\t{dataset.names[rid]}\t{dataset.splits[rid]}"
-                                for rid in sorted(dataset.names)))
+    write_lines(registry_path, (f"{rid}\t{name}\t{split}" for rid, (name, split)
+                                in enumerate(zip(dataset.names, dataset.splits))))
     counts = np.diff(dataset.offsets)
     write_rows(instances_path, zip(np.repeat(np.arange(len(counts)), counts).tolist(), dataset.rows))
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import parse_ints, read_lines, read_rows, write_lines, write_rows
+from .data import parse_ints, read_lines, read_rows, relation_order, write_lines, write_rows
 
 # rows of the distance matrix that build_knn_graph computes and sorts at once:
 # their difference tensor holds KNN_BLOCK_ROWS * n * d floats
@@ -124,14 +124,7 @@ def load_graph(embeddings, edges_path) -> RelationGraph:
 def load_embeddings(path) -> np.ndarray:
     """Read "relation_id<TAB>values..." lines; row index must equal the id."""
     linenos, ids, values = read_rows(path, "embedding", "embedding")
-    seen = set()
-    for lineno, rid in zip(linenos, ids):
-        if rid in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate relation id {rid}")
-        seen.add(rid)
-    if sorted(ids) != list(range(len(ids))):
-        raise ValueError(f"{path}: relation ids must be contiguous from 0")
-    return values[np.argsort(ids)]
+    return values[relation_order(path, linenos, ids)]
 
 
 def save_embeddings(embeddings, path) -> None:

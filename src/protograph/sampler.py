@@ -79,7 +79,10 @@ class SamplerConfig:
             raise ValueError(f"unknown measure {self.measure!r}")
         # the prior drift scales v - h by 1 - eps_t * prior_weight / 2 per step;
         # from eps_t * prior_weight = 2 on it overshoots the prior mean
-        eps = max(self.step_sizes(), default=0.0)
+        try:
+            eps = max(self.step_sizes(), default=0.0)
+        except (ValueError, MemoryError) as exc:  # a schedule too long to allocate
+            raise ValueError(f"steps {self.steps} is too many: {exc}") from None
         if eps * self.prior_weight >= 2:
             raise ValueError(
                 f"largest step size {eps:g} times prior_weight {self.prior_weight:g} must be < 2"

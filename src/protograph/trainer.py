@@ -296,7 +296,8 @@ def train(
                     write_checkpoint(params, config.checkpoint_path, config_echo)
             rows.append(LogRow(ep, loss, val_acc))
 
-    if config.checkpoint_path is not None:
+    # a validation of the last episode has written these parameters already
+    if config.checkpoint_path is not None and not (rows and rows[-1].val_accuracy is not None):
         write_checkpoint(params, config.checkpoint_path, config_echo)
     if config.log_path is not None:
         write_training_log(rows, config.log_path)

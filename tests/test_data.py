@@ -23,12 +23,11 @@ from protograph.numerics import RekeyedPhilox, RngStream
 
 
 def dataset_of(names, splits, instances):
-    """The Dataset of ``instances``, {relation id: (n_i, d) rows}, its rows
-    stacked in relation-id order."""
-    ids = sorted(instances)
+    """The Dataset of ``instances``, the (n_r, d) rows of each relation r in
+    id order, its rows stacked in that order."""
     return Dataset(
-        names=names, splits=splits, rows=np.concatenate([instances[r] for r in ids]),
-        offsets=np.cumsum([0] + [len(instances[r]) for r in ids]),
+        names=names, splits=splits, rows=np.concatenate(instances),
+        offsets=np.cumsum([0] + [len(rows) for rows in instances]),
     )
 
 
@@ -40,9 +39,9 @@ def instances_of(ds, rid):
 def small_dataset(n_rel=5, per_rel=6, d=3, seed=0, split="train"):
     gen = np.random.default_rng(seed)
     return dataset_of(
-        names={r: f"rel{r}" for r in range(n_rel)},
-        splits={r: split for r in range(n_rel)},
-        instances={r: gen.standard_normal((per_rel, d)) for r in range(n_rel)},
+        names=[f"rel{r}" for r in range(n_rel)],
+        splits=[split] * n_rel,
+        instances=[gen.standard_normal((per_rel, d)) for _ in range(n_rel)],
     )
 
 
@@ -195,8 +194,8 @@ class TestBatchedSampleEpisode:
 
     def test_short_relation_of_the_third_episode_raises_its_own_message(self):
         ds = small_dataset(n_rel=6, per_rel=6)
-        instances = {r: instances_of(ds, r) for r in ds.names}
-        ds = dataset_of(ds.names, ds.splits, {**instances, 4: instances[4][:2]})
+        instances = [instances_of(ds, r) for r in range(ds.num_relations)]
+        ds = dataset_of(ds.names, ds.splits, instances[:4] + [instances[4][:2]] + instances[5:])
         streams = [RngStream(3).child(i, 0) for i in range(40)]
         draws = [fresh_generator_episode(ds, "train", 2, 1, 1, s)[0] for s in streams]
         clear = [i for i, targets in enumerate(draws) if 4 not in targets]
@@ -222,11 +221,11 @@ class TestBatchedSampleEpisode:
             if world % 10 == 0:
                 counts[gen.integers(n_rel)] = gen.integers(1, need + 1)
             ds = dataset_of(
-                names={r: f"r{r}" for r in range(n_rel)},
-                splits={r: ("train", "test")[int(gen.integers(0, 4) == 0)] for r in range(n_rel)},
-                instances={r: gen.standard_normal((int(c), 2)) for r, c in enumerate(counts)},
+                names=[f"r{r}" for r in range(n_rel)],
+                splits=[("train", "test")[int(gen.integers(0, 4) == 0)] for _ in range(n_rel)],
+                instances=[gen.standard_normal((int(c), 2)) for c in counts],
             )
-            split = "train" if "train" in ds.splits.values() else "test"
+            split = "train" if "train" in ds.splits else "test"
             size = len(ds.relations_in_split(split))
             n = size if world % 5 == 0 else int(gen.integers(1, size + 1))
             e = int(gen.integers(0, 31))  # 0: one stream, unbatched
@@ -252,9 +251,9 @@ class TestBatchedSampleEpisode:
         # 201 of 10,001 instances: numpy shuffles a tail of range(10001), not Floyd's sample
         gen = np.random.default_rng(2)
         ds = dataset_of(
-            names={0: "big", 1: "small", 2: "other"}, splits={0: "train", 1: "train", 2: "train"},
-            instances={0: gen.standard_normal((10_001, 1)), 1: gen.standard_normal((250, 1)),
-                       2: gen.standard_normal((300, 1))},
+            names=["big", "small", "other"], splits=["train"] * 3,
+            instances=[gen.standard_normal((10_001, 1)), gen.standard_normal((250, 1)),
+                       gen.standard_normal((300, 1))],
         )
         streams = RngStream(9).child(np.arange(12), 0)
         got = sample_episode(ds, "train", 2, 1, 200, streams)
@@ -351,7 +350,7 @@ class TestLoadSave:
         save_dataset(ds, tmp_path / "inst.tsv", tmp_path / "reg.tsv")
         back = load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
         assert back.names == ds.names and back.splits == ds.splits and back.d == ds.d
-        for r in ds.names:
+        for r in range(ds.num_relations):
             np.testing.assert_array_equal(instances_of(back, r), instances_of(ds, r))
 
     def test_rows_are_grouped_by_relation_in_file_order(self, tmp_path):
@@ -404,6 +403,40 @@ class TestLoadSave:
         (tmp_path / "inst.tsv").write_text("3\t1.0\t2.0\n")
         with pytest.raises(ValueError, match="unknown relation id 3"):
             load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+        # the first id outside the registry is named at its line
+        (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n1\trel1\ttest\n")
+        for rid in (2, -1, 99999999999999999999):
+            (tmp_path / "inst.tsv").write_text(f"0\t1.0\n\n{rid}\t2.0\n1\t3.0\n5\t4.0\n")
+            with pytest.raises(ValueError, match=f"inst.tsv:3: unknown relation id {rid}$"):
+                load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+
+    def test_noncontiguous_ids_rejected(self, tmp_path):
+        # a Dataset cannot hold a gap, so the registry reports it, before
+        # the instance file is opened
+        (tmp_path / "reg.tsv").write_text("0\ta\ttrain\n2\tb\ttrain\n")
+        with pytest.raises(ValueError, match=r"reg.tsv: relation ids must be contiguous from 0$"):
+            load_dataset(tmp_path / "missing.tsv", tmp_path / "reg.tsv")
+
+    @pytest.mark.parametrize("edit", ["delete", -1, 99999999999999999999])
+    def test_registry_that_loses_an_id_is_reported_at_the_registry(self, tmp_path, edit):
+        ds, _ = generate_synthetic(5, 2, 2.0, 1.0, 3, RngStream(4), split_counts=(3, 1, 1))
+        save_dataset(ds, tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+        lines = (tmp_path / "reg.tsv").read_text().splitlines()
+        lines[2:3] = [] if edit == "delete" else [f"{edit}\t" + lines[2].split("\t", 1)[1]]
+        (tmp_path / "reg.tsv").write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match=r"reg.tsv: relation ids must be contiguous from 0$"):
+            load_dataset(tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+
+    def test_registry_lines_in_any_order_load_the_same_dataset(self, tmp_path):
+        ds, _ = generate_synthetic(5, 2, 2.0, 1.0, 3, RngStream(4), split_counts=(3, 1, 1))
+        save_dataset(ds, tmp_path / "inst.tsv", tmp_path / "reg.tsv")
+        lines = (tmp_path / "reg.tsv").read_text().splitlines()
+        (tmp_path / "shuffled.tsv").write_text("".join(f"{lines[i]}\n" for i in (3, 0, 4, 2, 1)))
+        back = load_dataset(tmp_path / "inst.tsv", tmp_path / "shuffled.tsv")
+        assert back.names == [f"relation_{r}" for r in range(5)]
+        assert back.splits == ["train", "train", "train", "val", "test"]
+        assert back.rows.tobytes() == ds.rows.tobytes()
+        assert back.offsets.tolist() == ds.offsets.tolist()
 
     def test_duplicate_registry_id_raises(self, tmp_path):
         (tmp_path / "reg.tsv").write_text("0\trel0\ttrain\n1\trel1\ttest\n0\tother\tval\n")
@@ -539,18 +572,10 @@ class TestStreamedFiles:
 
 
 class TestDatasetInvariants:
-    def test_noncontiguous_ids_rejected(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            dataset_of(
-                names={0: "a", 2: "b"},
-                splits={0: "train", 2: "train"},
-                instances={0: np.zeros((1, 2)), 2: np.zeros((1, 2))},
-            )
-
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="split"):
             dataset_of(
-                names={0: "a"},
-                splits={0: "dev"},
-                instances={0: np.zeros((1, 2))},
+                names=["a"],
+                splits=["dev"],
+                instances=[np.zeros((1, 2))],
             )

@@ -142,6 +142,53 @@ def test_read_lines_is_the_one_file_reader():
     assert found == ["data.read_lines"]
 
 
+def message_raisers(source: str, scope: str, text: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` holding a
+    ``raise`` whose exception holds a string constant containing ``text``,
+    once per such raise, in source order."""
+
+    def raises(node) -> bool:
+        return isinstance(node, ast.Raise) and node.exc is not None and any(
+            isinstance(part, ast.Constant) and isinstance(part.value, str) and text in part.value
+            for part in ast.walk(node.exc)
+        )
+
+    return scopes_where(source, scope, raises)
+
+
+def test_message_raiser_scan_finds_every_kind_of_raise():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = '''
+if bad:
+    raise ValueError("relation ids must be contiguous from 0")
+def one(path, rid):
+    """Raises on a duplicate relation id."""
+    note = "duplicate relation id"
+    raise ValueError(f"{path}: duplicate relation id {rid}")
+class Reader:
+    def two(self, rid):
+        def inner():
+            raise RuntimeError("bad: " + f"duplicate relation id {rid}") from None
+        return inner
+'''
+    assert message_raisers(source, "m", "duplicate relation id") == ["m.one", "m.Reader.two.inner"]
+    assert message_raisers(source, "m", "contiguous from 0") == ["m"]
+
+
+@pytest.mark.parametrize("text, raiser", [
+    ("duplicate relation id", "data.relation_order"),
+    ("relation ids must be contiguous from 0", "data.relation_order"),
+    ("unknown relation id", "data.load_dataset"),
+])
+def test_each_relation_id_message_is_raised_from_one_place(text, raiser):
+    # a relation id is at once a registry line, an embedding row and a graph
+    # node, so one function checks the ids of the registry and the embeddings
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += message_raisers(path.read_text(encoding="utf-8"), path.stem, text)
+    assert found == [raiser]
+
+
 def exp_sites(source: str, scope: str) -> list[str]:
     """Dotted names of the functions (or modules) in ``source`` that name
     numpy's ``exp``, as ``np.exp``, ``numpy.exp`` or an import from numpy,

@@ -392,6 +392,28 @@ class TestTrain:
         np.testing.assert_array_equal(loaded.gnn.weight, params.gnn.weight)
         np.testing.assert_array_equal(loaded.gnn.bias, params.gnn.bias)
 
+    @pytest.mark.parametrize("episodes, eval_every, writes", [
+        (10, 10, 1), (10, 3, 4), (10, 0, 1), (0, 10, 1),
+    ])
+    def test_each_parameter_state_is_written_once(
+        self, tmp_path, monkeypatch, episodes, eval_every, writes
+    ):
+        # a validation of the last episode writes the final parameters, so the
+        # end of training writes them only when no validation did
+        ds, graph, cfg = self.make_world(episodes=episodes, eval_every=eval_every)
+        cfg.checkpoint_path = tmp_path / "model.ckpt"
+        written = []
+
+        def counting_write(params, path, config_echo=None):
+            written.append(path)
+            write_checkpoint(params, path, config_echo)
+
+        monkeypatch.setattr(trainer, "write_checkpoint", counting_write)
+        params, _ = train(ds, graph, cfg, config_echo={"seed": 201})
+        assert written == [cfg.checkpoint_path] * writes
+        write_checkpoint(params, tmp_path / "fresh.ckpt", {"seed": 201})
+        assert cfg.checkpoint_path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+
 
 class TestCheckpoint:
     def test_round_trip_linear_encoder(self, tmp_path):
