@@ -2,12 +2,12 @@
 
 Subcommands: synth | build-graph | train | eval | zero-shot | sweep |
 grad-check. Every option is declared once, in OPTIONS, and each subcommand
-accepts exactly the options it reads (COMMANDS). Options can also come from
-a flat key=value config file (--config): explicit flags override file
-values, file values override the defaults, and file keys the subcommand does
-not read are ignored. Each subcommand declares the path options it writes
-(outputs); main checks them and their <path>.config echoes before any work, and
-after the run writes each echo: the resolved options, which --config replays.
+accepts exactly the options it reads (COMMANDS). A value comes from a flag or
+a flat key=value config file (--config), its text converted in _convert:
+flags override file values, file values the defaults, and file keys the
+subcommand does not read are ignored. Each subcommand declares the path
+options it writes (outputs); main checks them and their <path>.config echoes
+before any work, and after the run writes each echo for --config to replay.
 """
 
 from __future__ import annotations
@@ -89,6 +89,9 @@ OPTIONS = {
 }
 
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+# a config's own checks of one field: steps=0 leaves out the step-size bound
+# and eval_every=0 the val_episodes rule, the checks across fields
+_ALONE = {SamplerConfig: {"steps": 0}, TrainConfig: {"episodes_total": 0, "eval_every": 0}}
 
 
 def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
@@ -106,22 +109,36 @@ def _parse_config_file(path: str) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _from_file(key: str, raw: str, where: str):
+def _convert(key: str, raw: str, name: str, where: str):
+    """Option ``key``'s value from the text of a flag (``where`` empty) or of a
+    config line (``where`` its path:line), checked alone and named ``name``."""
     opt = OPTIONS[key]
     if opt.kind is bool and raw.lower() not in _TRUE + _FALSE:
-        raise ValueError(f"{where}: {key} must be true or false")
+        raise ValueError(f"{name} must be true or false")
     try:
         value = raw.lower() in _TRUE if opt.kind is bool else opt.kind(raw)
     except ValueError as exc:
-        raise ValueError(f"{where}: {key}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
     if opt.choices and value not in opt.choices:
-        raise ValueError(f"{where}: {key} must be one of {', '.join(opt.choices)}")
-    field = key.replace("-", "_")
-    if field in SamplerConfig.__dataclass_fields__:
-        try:  # the field's own checks; steps=0 leaves out the one across fields
-            SamplerConfig(**{"steps": 0, field: value})
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        raise ValueError(f"{name} must be one of {', '.join(opt.choices)}")
+    field = "learning_rate" if key == "lr" else key.replace("-", "_")
+    for config, alone in _ALONE.items():
+        if field in config.__dataclass_fields__:
+            try:
+                config(**{**alone, field: value})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+    # a stream key is 64 bits: RngStream would run a wider seed's streams masked
+    if key == "seed" and not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
+    # a command-line byte that is not UTF-8 arrives as a lone surrogate,
+    # which no UTF-8 file, the .config echo included, can hold
+    if isinstance(value, str) and value.encode("utf-8", "replace").decode() != value:
+        raise ValueError(f"{name} {value!r} is not UTF-8 text")
+    # the .config echo writes key=value on one line, which reads back stripped
+    if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
+        raise ValueError(f"{name} {value!r} would not read back from a .config "
+                         "echo: it has surrounding whitespace or a line break")
     return value
 
 
@@ -132,27 +149,15 @@ class Options:
         self.command = args.command
         from_file = _parse_config_file(args.config) if args.config else {}
         self._values = {}
+        self.names = {}  # key -> how a message names the value: --key, or path:line: key
         self._read = set()  # the options the run asked for, the ones it echoes
         for key in command.options:
-            value = getattr(args, key.replace("-", "_"))
-            name = f"--{key}"
-            if value is None and key in from_file:
-                value = _from_file(key, *from_file[key])
-                name = f"{from_file[key][1]}: {key}"
-            elif value is None:
-                value = command.defaults.get(key, OPTIONS[key].default)
-            # a stream key is 64 bits: RngStream would run a wider seed's streams masked
-            if key == "seed" and not 0 <= value < 2**64:
-                raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
-            # a command-line byte that is not UTF-8 arrives as a lone surrogate,
-            # which no UTF-8 file, the .config echo included, can hold
-            if isinstance(value, str) and value.encode("utf-8", "replace").decode() != value:
-                raise ValueError(f"{name} {value!r} is not UTF-8 text")
-            # the .config echo writes key=value on one line, which reads back stripped
-            if isinstance(value, str) and (value != value.strip() or len(value.splitlines()) > 1):
-                raise ValueError(f"{name} {value!r} would not read back from a .config "
-                                 "echo: it has surrounding whitespace or a line break")
-            self._values[key] = value
+            raw, where = getattr(args, key.replace("-", "_")), ""
+            if raw is None:
+                raw, where = from_file.get(key, (None, ""))
+            self.names[key] = f"{where}: {key}" if where else f"--{key}"
+            self._values[key] = (command.defaults.get(key, OPTIONS[key].default) if raw is None
+                                 else _convert(key, raw, self.names[key], where))
 
     def __getitem__(self, key: str):
         self._read.add(key)
@@ -264,7 +269,7 @@ def _int_list(opts: Options, key: str) -> list[int]:
         try:
             out.append(int(item))
         except ValueError:
-            raise ValueError(f"--{key} item {item!r} is not an integer") from None
+            raise ValueError(f"{opts.names[key]} item {item!r} is not an integer") from None
     return out
 
 
@@ -450,11 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
         for key in command.options:
             opt = OPTIONS[key]
             if opt.kind is bool:
-                p.add_argument(f"--{key}", action="store_true", default=None, help=opt.help)
+                p.add_argument(f"--{key}", action="store_const", const="true", help=opt.help)
                 continue
             default = command.defaults.get(key, opt.default)
             p.add_argument(
-                f"--{key}", type=opt.kind, choices=opt.choices,
+                f"--{key}", metavar=opt.choices and "{" + ",".join(opt.choices) + "}",
                 help=opt.help if default is None else f"{opt.help} (default: {default})",
             )
     return parser

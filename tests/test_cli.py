@@ -135,14 +135,40 @@ class TestPipeline:
         ("tau=nan", "tau must be finite, got nan"),
         ("step-size=-inf", "step_size must be finite, got -inf"),
         ("chains=0", "chains must be >= 1"),
+        # ... or TrainConfig's; train reads the keys eval does not
+        ("lr=nan", "learning_rate must be positive"),
+        ("eval-every=-1", "eval_every must be >= 0"),
+        ("n-way=0", "n_way must be >= 1, got 0"),
+        ("k-shot=0", "k_shot must be >= 1, got 0"),
+        ("q-per=0", "q_per must be >= 1, got 0"),
     ])
     def test_bad_config_value_is_path_line_error(
         self, workspace, tmp_path, capsys, line, message
     ):
         cfg = tmp_path / "run.config"
         cfg.write_bytes(f"# command: eval\nseed=1\n{line}\n".encode("utf-8", "surrogateescape"))
-        assert main(base_args(workspace, "eval") + ["--config", str(cfg)]) == 1
+        args = base_args(workspace, "eval")
+        if line.partition("=")[0] not in cli.COMMANDS["eval"].options:
+            args = base_args(workspace, "train") + ["--checkpoint", str(tmp_path / "m.ckpt")]
+        assert main(args + ["--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.config"]  # nothing written
+
+    @pytest.mark.parametrize("cmd, line, message", [
+        ("sweep", "values=1,,2", "values item '' is not an integer"),
+        ("synth", "splits=10,x,5", "splits item 'x' is not an integer"),
+    ])
+    def test_bad_list_item_names_its_config_line(
+        self, workspace, tmp_path, capsys, cmd, line, message
+    ):
+        # the flag names itself (--values item '' ...), the file its line
+        cfg = tmp_path / "run.config"
+        cfg.write_text(f"# command: {cmd}\nseed=1\n{line}\n")
+        args = ["synth", "--out", str(tmp_path / "s")] if cmd == "synth" else base_args(
+            workspace, cmd)
+        assert main(args + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.config"]  # nothing written
 
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
     @pytest.mark.parametrize("cmd", ["synth", "train", "eval", "zero-shot", "sweep", "grad-check"])
@@ -646,6 +672,48 @@ def test_bad_option_value_is_one_line_error(workspace, tmp_path, capsys, cmd, fl
     assert not any(tmp_path.iterdir())  # nothing written
 
 
+INT_LISTS = ("splits", "values")  # text options holding comma-separated integers
+
+
+def malformed_texts(key):
+    """Malformed value texts of option ``key``: "x", a choice in the wrong
+    case, an empty list item. A switch takes no text and a path any text."""
+    opt = cli.OPTIONS[key]
+    if opt.kind is bool or (opt.kind is str and not opt.choices and key not in INT_LISTS):
+        return []
+    texts = ["x"]
+    if opt.choices:
+        texts.append(opt.choices[0].swapcase())
+    if key in INT_LISTS:
+        texts.append("1,,2")
+    return texts
+
+
+MALFORMED = [(cmd, key, text) for cmd, command in cli.COMMANDS.items()
+             for key in command.options for text in malformed_texts(key)]
+
+
+@pytest.mark.parametrize(
+    "cmd, key, text", MALFORMED, ids=[f"{cmd} {key}={text}" for cmd, key, text in MALFORMED]
+)
+def test_malformed_value_is_one_line_error_from_a_flag_or_a_config_line(
+    tmp_path, capsys, monkeypatch, cmd, key, text
+):
+    # a flag and a config line go through one converter: exit 1 and one line
+    # naming the flag, or the file, line and key; never a usage error
+    monkeypatch.chdir(tmp_path)
+    Path("c.cfg").write_text(f"# command: {cmd}\n{key}={text}\n")
+    for argv, name in ([f"--{key}", text], f"--{key}"), (["--config", "c.cfg"], f"c.cfg:2: {key}"):
+        try:
+            assert main([cmd, *argv]) == 1, argv
+        except SystemExit as exc:
+            pytest.fail(f"{argv}: usage error, exit {exc.code}")
+        err = capsys.readouterr().err
+        assert err.startswith((f"error: {name}:", f"error: {name} ")), err
+        assert err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]  # nothing written
+
+
 @pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the run
 @pytest.mark.parametrize("cmd, prefix", [("eval", ""), ("sweep", ""), ("train", "episode 0: ")])
 def test_overflowing_warm_start_is_one_line_error(workspace, tmp_path, capsys, cmd, prefix):
@@ -901,6 +969,22 @@ def test_config_value_is_checked_apart_from_the_options_it_runs_with(workspace, 
     cfg.write_text("steps=1\nstep-decay=-3\n")
     out = tmp_path / "report.csv"
     assert main(base_args(workspace, "eval") + ["--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_train_config_value_is_checked_apart_from_the_options_it_runs_with(
+    workspace, tmp_path, capsys
+):
+    # val-episodes=0 is valid alone and fails only beside an eval-every above
+    # 0, a rule across options, which names no line
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("val-episodes=0\n")
+    args = base_args(workspace, "train") + [
+        "--checkpoint", str(tmp_path / "m.ckpt"), "--episodes", "2", "--config", str(cfg),
+    ]
+    assert main(args + ["--eval-every", "0"]) == 0
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: val_episodes must be >= 1 when eval_every > 0\n"
 
 
 def test_sweep_checks_every_point_before_the_first_episode(

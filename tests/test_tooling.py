@@ -496,6 +496,49 @@ def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch):
     )
 
 
+def argparse_conversions(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` holding an
+    ``add_argument`` call that passes ``type=`` or ``choices=``, as a keyword
+    or in a ``**`` dict literal, once per such call, in source order."""
+
+    def converts(node) -> bool:
+        if not (isinstance(node, ast.Call) and referenced_name(node.func) == "add_argument"):
+            return False
+        keys = {k.arg for k in node.keywords}
+        for k in node.keywords:
+            if k.arg is None and isinstance(k.value, ast.Dict):
+                keys |= {key.value for key in k.value.keys if isinstance(key, ast.Constant)}
+        return bool(keys & {"type", "choices"})
+
+    return scopes_where(source, scope, converts)
+
+
+def test_argparse_conversion_scan_finds_every_kind_of_use():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+parser.add_argument("--n", type=int)
+def one(p):
+    p.add_argument("--mode", metavar="{a,b}", choices=("a", "b"))
+    p.add_argument("--flag", action="store_const", const="true", help="on")
+class Parser:
+    def two(self):
+        def inner(add_argument):
+            add_argument("--x", **{"type": float, "help": "x"})
+            add_argument("--y", **{"help": "y"})
+        return inner
+"""
+    assert argparse_conversions(source, "m") == ["m", "m.one", "m.Parser.two.inner"]
+
+
+def test_option_text_becomes_a_value_only_in_the_converter():
+    # argparse only recognises option names: a type= or choices= would turn a
+    # bad flag into a usage error (exit 2) that its config line does not give
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += argparse_conversions(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
+
+
 def literal_config_defaults(source: str, scope: str) -> list[str]:
     """Where ``source`` writes a SamplerConfig or TrainConfig default as a
     literal outside its dataclass, sorted: ``scope.f(name)`` for a
