@@ -13,6 +13,7 @@ before any work, and after the run writes each echo for --config to replay.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -24,7 +25,7 @@ from .graph import build_knn_graph, load_embeddings, load_graph, save_edges, sav
 from .likelihood import ENCODER_MODES, MEASURES
 from .numerics import RngStream
 from .sampler import SamplerConfig
-from .trainer import ModelParams, TrainConfig, init_params, read_checkpoint
+from .trainer import ModelParams, TrainConfig, read_checkpoint
 
 _GRADCHECK_TOLERANCE = 1e-4
 
@@ -249,12 +250,7 @@ def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
         if d_g != g.feature_dim:
             raise ValueError(f"{path}: checkpoint has d_g={d_g}, embeddings have {g.feature_dim}")
         return params
-    return init_params(
-        graph_dim=g.feature_dim,
-        output_dim=dataset.d,
-        rng=RngStream(opts["seed"]).child(0),
-        encoder_mode=opts["encoder"],
-    )
+    return trainer.initial_params(opts["seed"], g.feature_dim, dataset.d, opts["encoder"])
 
 
 def _write_report(opts: Options, reports) -> None:
@@ -451,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        # argparse reads an argument that starts with - as a flag unless this
+        # matches it; its own pattern matches -1 and -.5, not -1e-3 or -inf
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         for key in command.options:
             opt = OPTIONS[key]

@@ -107,6 +107,11 @@ def init_params(
     return ModelParams(gnn=gnn, encoder=EncoderParams(encoder_mode, weight, bias))
 
 
+def initial_params(seed: int, graph_dim: int, output_dim: int, encoder_mode: str) -> ModelParams:
+    """The untrained model that ``train`` starts from at ``seed``."""
+    return init_params(graph_dim, output_dim, RngStream(seed).child(_NS_INIT), encoder_mode)
+
+
 def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     """Name -> live array view of every trainable tensor."""
     out = {"gnn.weight": params.gnn.weight, "gnn.bias": params.gnn.bias}
@@ -114,21 +119,6 @@ def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
         out["encoder.weight"] = params.encoder.weight
         out["encoder.bias"] = params.encoder.bias
     return out
-
-
-def params_to_vector(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in param_arrays(params).values()])
-
-
-def set_params_from_vector(params: ModelParams, vec: np.ndarray) -> None:
-    """Write a flat vector back into the parameter arrays, in place."""
-    offset = 0
-    for arr in param_arrays(params).values():
-        n = arr.size
-        arr[...] = np.asarray(vec[offset : offset + n]).reshape(arr.shape)
-        offset += n
-    if offset != vec.size:
-        raise ValueError(f"vector length {vec.size} != parameter count {offset}")
 
 
 def _episode_forward(
@@ -242,12 +232,7 @@ def train(
     for split in splits:
         dataset.check_split(split, config.n_way, config.k_shot, config.q_per)
     rng = RngStream(config.seed)
-    params = init_params(
-        graph_dim=graph.feature_dim,
-        output_dim=dataset.d,
-        rng=rng.child(_NS_INIT),
-        encoder_mode=config.encoder_mode,
-    )
+    params = initial_params(config.seed, graph.feature_dim, dataset.d, config.encoder_mode)
     arrays = param_arrays(params)
     rows: list[LogRow] = []
     cfg = config.sampler
@@ -287,10 +272,13 @@ def train(
 
             val_acc = None
             if config.eval_every and (ep + 1) % config.eval_every == 0:
-                correct, queries = zip(*episode_outcomes(
-                    dataset, "val", graph, params, config.n_way, config.k_shot, config.q_per,
-                    config.val_episodes, rng.child(_NS_VAL, ep), cfg,
-                ))
+                try:
+                    correct, queries = zip(*episode_outcomes(
+                        dataset, "val", graph, params, config.n_way, config.k_shot,
+                        config.q_per, config.val_episodes, rng.child(_NS_VAL, ep), cfg,
+                    ))
+                except (RuntimeError, ValueError) as exc:
+                    raise type(exc)(f"episode {ep}: validation: {exc}") from exc
                 val_acc = sum(correct) / sum(queries)
                 if config.checkpoint_path is not None:
                     write_checkpoint(params, config.checkpoint_path, config_echo)

@@ -645,6 +645,10 @@ BAD_VALUES = [
     ("eval", ["--alpha", "nan"], "alpha must be finite, got nan"),
     ("train", ["--beta", "nan"], "beta must be finite, got nan"),
     ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
+    # a negative value in exponent or inf form is a value, not a flag
+    ("eval", ["--step-decay", "-1e3"], "largest step size inf times prior_weight 1 must be < 2"),
+    ("eval", ["--tau", "-inf"], "tau must be finite, got -inf"),
+    ("train", ["--beta", "-NaN"], "beta must be finite, got nan"),
     # checked before a batch is sized by the episode shape, in one wording
     ("eval", ["--n-way", "0"], "n_way must be >= 1, got 0"),
     ("zero-shot", ["--n-way", "0"], "n_way must be >= 1, got 0"),
@@ -677,7 +681,8 @@ INT_LISTS = ("splits", "values")  # text options holding comma-separated integer
 
 def malformed_texts(key):
     """Malformed value texts of option ``key``: "x", a choice in the wrong
-    case, an empty list item. A switch takes no text and a path any text."""
+    case, an empty list item, a negative number in exponent form where an
+    integer is read. A switch takes no text and a path any text."""
     opt = cli.OPTIONS[key]
     if opt.kind is bool or (opt.kind is str and not opt.choices and key not in INT_LISTS):
         return []
@@ -686,6 +691,8 @@ def malformed_texts(key):
         texts.append(opt.choices[0].swapcase())
     if key in INT_LISTS:
         texts.append("1,,2")
+    if opt.kind is int or key in INT_LISTS:
+        texts.append("-1e3")
     return texts
 
 
@@ -699,19 +706,57 @@ MALFORMED = [(cmd, key, text) for cmd, command in cli.COMMANDS.items()
 def test_malformed_value_is_one_line_error_from_a_flag_or_a_config_line(
     tmp_path, capsys, monkeypatch, cmd, key, text
 ):
-    # a flag and a config line go through one converter: exit 1 and one line
-    # naming the flag, or the file, line and key; never a usage error
+    # a flag, in either form, and a config line go through one converter:
+    # exit 1 and one line naming the flag, or the file, line and key; never
+    # a usage error
     monkeypatch.chdir(tmp_path)
     Path("c.cfg").write_text(f"# command: {cmd}\n{key}={text}\n")
-    for argv, name in ([f"--{key}", text], f"--{key}"), (["--config", "c.cfg"], f"c.cfg:2: {key}"):
+    errors = []
+    for argv, name in (
+        ([f"--{key}", text], f"--{key}"), ([f"--{key}={text}"], f"--{key}"),
+        (["--config", "c.cfg"], f"c.cfg:2: {key}"),
+    ):
         try:
             assert main([cmd, *argv]) == 1, argv
         except SystemExit as exc:
             pytest.fail(f"{argv}: usage error, exit {exc.code}")
-        err = capsys.readouterr().err
-        assert err.startswith((f"error: {name}:", f"error: {name} ")), err
-        assert err.count("\n") == 1, err
+        errors.append(capsys.readouterr().err)
+        assert errors[-1].startswith((f"error: {name}:", f"error: {name} ")), errors[-1]
+        assert errors[-1].count("\n") == 1, errors[-1]
+    assert errors[0] == errors[1]
     assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]  # nothing written
+
+
+def test_negative_value_in_exponent_form_is_read_as_its_own_argument(workspace, capsys):
+    # argparse alone takes -1e-3 for a flag and prints its usage
+    args = base_args(workspace, "eval") + ["--n-way", "2", "--episodes", "2"]
+    assert main(args + ["--alpha=-1e-3"]) == 0
+    joined = capsys.readouterr()
+    assert main(args + ["--alpha", "-1e-3"]) == 0
+    assert capsys.readouterr() == joined
+
+
+@pytest.mark.parametrize("encoder", ["identity", "linear"])
+def test_eval_without_a_checkpoint_runs_the_model_train_starts_from(
+    tmp_path, monkeypatch, encoder
+):
+    # train at 0 episodes checkpoints its initial parameters; eval without a
+    # checkpoint draws the same model from the same seed
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--out", "d", "--relations", "12", "--dim", "4", "--cluster-scale",
+                 "1", "--per-relation", "6", "--splits", "4,4,4", "--seed", "2"]) == 0
+    inputs = ["--data", "d/instances.tsv", "--registry", "d/registry.tsv",
+              "--embeddings", "d/embeddings.tsv", "--knn", "3"]
+    for seed in "5", "6":
+        assert main(["train", *inputs, "--episodes", "0", "--seed", seed,
+                     "--encoder", encoder, "--checkpoint", f"m{seed}.ckpt"]) == 0
+    evaluate = ["eval", *inputs, "--n-way", "3", "--episodes", "4", "--seed", "5"]
+    for out, model in (("untrained.csv", ["--encoder", encoder]),
+                       ("m5.csv", ["--checkpoint", "m5.ckpt"]),
+                       ("m6.csv", ["--checkpoint", "m6.ckpt"])):
+        assert main([*evaluate, *model, "--out", out]) == 0
+    assert Path("untrained.csv").read_bytes() == Path("m5.csv").read_bytes()
+    assert Path("m6.csv").read_bytes() != Path("m5.csv").read_bytes()  # the model shows
 
 
 @pytest.mark.filterwarnings("error")  # numpy's overflow warning would fail the run

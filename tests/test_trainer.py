@@ -5,14 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protograph import evaluation, trainer
+from protograph import evaluation, gradcheck, trainer
 from protograph.data import Episode, generate_synthetic
-from protograph.gradcheck import check_episode_objective, random_episode
+from protograph.gradcheck import (
+    check_episode_objective, parameter_gradient_error, random_episode,
+)
 from protograph.graph import build_knn_graph
 from protograph.likelihood import EncoderParams
-from protograph.numerics import (
-    RngStream, chain_noise, finite_difference_gradient, max_relative_error,
-)
+from protograph.numerics import RngStream, chain_noise
 from protograph.prior import GnnParams
 from protograph.sampler import SamplerConfig
 from protograph.trainer import (
@@ -22,9 +22,7 @@ from protograph.trainer import (
     episode_objective_and_grads,
     init_params,
     param_arrays,
-    params_to_vector,
     read_checkpoint,
-    set_params_from_vector,
     train,
     write_checkpoint,
     write_training_log,
@@ -39,19 +37,11 @@ def tiny_world(seed=0, d=3, n_rel=6):
     return gen, graph, params
 
 
-def oracle_error(ep, graph, params, cfg, rng):
-    """Worst relative error of the episode gradients against central differences."""
-    _, grads = episode_objective_and_grads(ep, graph, params, cfg, rng)
-    analytic = np.concatenate([grads[k].ravel() for k in param_arrays(params)])
-
-    def loss_at(vec):
-        set_params_from_vector(params, vec)
-        return episode_loss(ep, graph, params, cfg, rng)
-
-    base = params_to_vector(params)
-    fd = finite_difference_gradient(loss_at, base)
-    set_params_from_vector(params, base)
-    return max_relative_error(analytic, fd)
+def assert_same_params(a, b):
+    """The two models hold the same named arrays, bit for bit."""
+    assert list(param_arrays(a)) == list(param_arrays(b))
+    for name, arr in param_arrays(b).items():
+        np.testing.assert_array_equal(param_arrays(a)[name], arr)
 
 
 def is_value_row(line):
@@ -96,7 +86,7 @@ class TestEpisodeObjective:
         params = init_params(d, d, RngStream(32), encoder_mode="linear")
         ep = random_episode(gen, 2, 1, 2, d, 6)
         cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7, measure="euclidean")
-        assert oracle_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
+        assert parameter_gradient_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("likelihood_weight, prior_weight, graph_prior", [
@@ -113,7 +103,7 @@ class TestEpisodeObjective:
             chains=2, steps=2, measure=measure, likelihood_weight=likelihood_weight,
             prior_weight=prior_weight, graph_prior=graph_prior,
         )
-        assert oracle_error(ep, graph, params, cfg, RngStream(34)) < 1e-8
+        assert parameter_gradient_error(ep, graph, params, cfg, RngStream(34)) < 1e-8
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("likelihood_weight, step_decay, graph_prior", [
@@ -135,10 +125,31 @@ class TestEpisodeObjective:
             chains=2, steps=3, measure=measure, likelihood_weight=likelihood_weight,
             step_decay=step_decay, graph_prior=graph_prior,
         )
-        assert oracle_error(ep, graph, params, cfg, RngStream(35)) < 1e-8
+        assert parameter_gradient_error(ep, graph, params, cfg, RngStream(35)) < 1e-8
         if not graph_prior:
             _, grads = episode_objective_and_grads(ep, graph, params, cfg, RngStream(35))
             assert not any(np.any(g) for g in grads.values())
+
+    def test_oracle_restores_the_parameters_when_it_raises(self, monkeypatch):
+        gen, graph, params = tiny_world(seed=5)
+        ep = random_episode(gen, 2, 1, 2, 3, 6)
+        before = {name: arr.copy() for name, arr in param_arrays(params).items()}
+        calls = []
+
+        def fail_on_the_third_bias_evaluation(*args):
+            calls.append(args)
+            if len(calls) == 2 * 9 + 3:  # after gnn.weight's 9 entries, two points each
+                assert params.gnn.bias[1] == before["gnn.bias"][1] + 1e-5
+                raise RuntimeError("oracle failed")
+            return episode_loss(*args)
+
+        monkeypatch.setattr(gradcheck, "episode_loss", fail_on_the_third_bias_evaluation)
+        with pytest.raises(RuntimeError, match="^oracle failed$"):
+            parameter_gradient_error(ep, graph, params, SamplerConfig(chains=2, steps=2),
+                                     RngStream(3))
+        assert len(calls) == 2 * 9 + 3
+        for name, arr in param_arrays(params).items():
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_duplicated_queries_double_the_loss(self):
         gen, graph, params = tiny_world(seed=2)
@@ -363,6 +374,20 @@ class TestTrain:
             train(ds, graph, cfg)
         assert len(failing) == 1
 
+    def test_validation_error_names_the_episode_it_followed(self, monkeypatch):
+        ds, graph, cfg = self.make_world(episodes=30, eval_every=10)
+        outcomes = trainer.episode_outcomes
+
+        def fail_after_20(dataset, split, graph, params, *args):
+            if args[-2] == RngStream(cfg.seed).child(trainer._NS_VAL, 19):
+                raise RuntimeError("sampler diverged at episode 3 chain 0 step 2")
+            return outcomes(dataset, split, graph, params, *args)
+
+        monkeypatch.setattr(trainer, "episode_outcomes", fail_after_20)
+        message = "^episode 19: validation: sampler diverged at episode 3 chain 0 step 2$"
+        with pytest.raises(RuntimeError, match=message):
+            train(ds, graph, cfg)
+
     def test_chunk_noise_is_released_before_the_chunk_runs(self, monkeypatch):
         # the pre-draw's generator holds an (E*L, N, d) draw buffer: it is
         # closed once the chunk's M blocks are drawn, before episode 0 runs
@@ -421,14 +446,13 @@ class TestCheckpoint:
         write_checkpoint(params, tmp_path / "m.ckpt", {"seed": "9", "tau": "10.0"})
         loaded, echo = read_checkpoint(tmp_path / "m.ckpt")
         assert echo == {"seed": "9", "tau": "10.0"}
-        for name, arr in param_arrays(params).items():
-            np.testing.assert_array_equal(param_arrays(loaded)[name], arr)
+        assert_same_params(loaded, params)
 
     def test_round_trip_is_exact_decimal(self, tmp_path):
         params = init_params(3, 3, RngStream(10))
         write_checkpoint(params, tmp_path / "m.ckpt")
         loaded, _ = read_checkpoint(tmp_path / "m.ckpt")
-        assert np.array_equal(params_to_vector(loaded), params_to_vector(params))
+        assert_same_params(loaded, params)
 
     def test_rejects_other_files(self, tmp_path):
         (tmp_path / "bad.ckpt").write_text("something else\n")
@@ -476,7 +500,7 @@ class TestCheckpoint:
         (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
         loaded, echo = read_checkpoint(tmp_path / "m.ckpt")
         assert echo == {"seed": "14"}
-        assert np.array_equal(params_to_vector(loaded), params_to_vector(params))
+        assert_same_params(loaded, params)
 
     @pytest.mark.parametrize("encoder_mode", ["identity", "linear"])
     def test_readme_format_lists_the_written_lines(self, tmp_path, encoder_mode):
