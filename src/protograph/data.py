@@ -3,6 +3,7 @@ streamed line reader and writer of the program's text files."""
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -173,6 +174,11 @@ def generate_synthetic(
     """
     if num_relations < 2 or d < 2:
         raise ValueError("need num_relations >= 2 and d >= 2")
+    for name, value in (
+        ("cluster_scale", cluster_scale), ("noise_scale", noise_scale), ("embed_noise", embed_noise)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if cluster_scale <= 0 or noise_scale < 0 or embed_noise < 0:
         raise ValueError("cluster_scale must be positive, noise scales non-negative")
     if instances_per_relation < 1:

@@ -26,9 +26,10 @@ if TYPE_CHECKING:
 
 # Evaluation runs its episodes in batches of E, E as large as keeps the
 # largest array of one batched chain step, E times chain_step_floats, within
-# this many floats (128 KiB). A batch shares each numpy call's overhead among
-# its episodes at flat memory.
-BATCH_ELEMENTS = 2**14
+# this many floats (256 KiB; E=40 at the README protocol). A batch shares each
+# numpy call's overhead among its episodes at flat memory; README gives the
+# per-episode cost at E=20, 40 and 80.
+BATCH_ELEMENTS = 2**15
 
 # The report format: column -> EvalReport attribute, in column order. The
 # float columns are written with 6 decimals.

@@ -8,10 +8,12 @@ generator state, so any computation is replayable from its stream.
 A batch of E streams is one :class:`RngStream` whose ``stream_id`` is an
 (E,) uint64 array, made by :meth:`RngStream.child` from an index array. It
 draws through one re-keyed Philox: the chain's Langevin noise in
-:func:`chain_noise`, and the episode draws in :class:`StreamChoices`, numpy's
-``choice(pop, size, replace=False)`` as its Floyd and Fisher-Yates loops,
-each step one array pass over the streams' raw words, with ``gen.choice``
-as the fallback for a stream whose words numpy would draw another way.
+:func:`chain_noise`, one :meth:`RekeyedPhilox.standard_normal_rows` call
+per step over the rows of all E * L chains, and the episode draws in
+:class:`StreamChoices`, numpy's ``choice(pop, size, replace=False)`` as its
+Floyd and Fisher-Yates loops, each step one array pass over the streams'
+raw words, with ``gen.choice`` as the fallback for a stream whose words
+numpy would draw another way.
 """
 
 from __future__ import annotations
@@ -112,6 +114,15 @@ class RekeyedPhilox:
         self._bits.state = self._state
         return self._gen
 
+    def standard_normal_rows(self, stream_ids, rows) -> None:
+        """Fill each of ``rows`` as ``start(stream_id).standard_normal(out=row)``
+        fills it, with the loop's state bound once for all the streams."""
+        key, bits, state, normal = self._key, self._bits, self._state, self._gen.standard_normal
+        for stream_id, out in zip(stream_ids, rows):
+            key[1] = stream_id & _MASK64
+            bits.state = state
+            normal(out=out)
+
 
 def chain_noise(rng: RngStream, targets, chains: int, d: int) -> Iterator[np.ndarray]:
     """The Langevin noise blocks of steps 1, 2, ... of one or E episodes' chains.
@@ -132,9 +143,10 @@ def chain_noise(rng: RngStream, targets, chains: int, d: int) -> Iterator[np.nda
         raise ValueError(f"targets of shape {targets.shape} do not match streams of shape "
                          f"{np.shape(rng.stream_id)}")
     n_way = targets.shape[-1]
-    start = RekeyedPhilox(rng).start
+    philox = RekeyedPhilox(rng)
     prefixes = RngStream(rng.seed, rng.ids[:, None]).child(np.arange(chains)).ids
     draws = np.empty((prefixes.size, n_way, d))
+    draw_rows = list(draws)
     ranks = np.argsort(np.argsort(targets.reshape(-1, n_way)))
     # row n of (episode e, chain l) takes row ranks[e, n] of its (N, d)
     # draw: an index into the draws' rows stacked as (E * L * N, d)
@@ -142,8 +154,7 @@ def chain_noise(rng: RngStream, targets, chains: int, d: int) -> Iterator[np.nda
     rows = (n_way * blocks + ranks[:, None, :]).ravel()
     shape = targets.shape[:-1] + (chains, n_way, d)
     for t in itertools.count(1):
-        for key, out in zip(_splitmix64(prefixes ^ t).ravel().tolist(), draws):
-            start(key).standard_normal(out=out)
+        philox.standard_normal_rows(_splitmix64(prefixes ^ t).ravel().tolist(), draw_rows)
         yield np.take(draws.reshape(-1, d), rows, axis=0).reshape(shape)
 
 
@@ -242,9 +253,10 @@ def row_max(z: np.ndarray) -> np.ndarray:
 
     numpy's reduce over a short last axis costs per row; N - 1 ``np.maximum``
     passes over the columns cost per column, about a tenth of it on the
-    (20, 10, 25, 5) query logits of an evaluation batch. A maximum is exact
-    in any order, but numpy's SIMD order picks between a tied +0 and -0 in
-    its own way, so a row whose maximum is zero takes numpy's reduce.
+    (20, 10, 25, 5) query logits of half a README evaluation batch. A
+    maximum is exact in any order, but numpy's SIMD order picks between a
+    tied +0 and -0 in its own way, so a row whose maximum is zero takes
+    numpy's reduce.
     """
     n = z.shape[-1]
     rows = z.reshape(-1, n)

@@ -182,8 +182,11 @@ def sgld_chain(
     when given, holds the blocks that :func:`chain_noise` draws from ``rng``,
     drawn ahead: at least M, one per step. Without it each step draws its
     block when it runs.
+
+    The chain updates its own copy of ``values`` and one gradient buffer in
+    place; it writes neither the caller's values nor its noise blocks.
     """
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)
     chains, n_way, d = values.shape[-3:]
     batched = values.ndim == 4
     h = np.asarray(summaries, dtype=float)
@@ -195,31 +198,35 @@ def sgld_chain(
         scale = config.likelihood_weight / (k_shot * config.tau)
 
     eps = config.step_sizes()
-    trajectory = [values] if record else None
+    trajectory = [values.copy()] if record else None
     support_probs = [] if record else None
     if config.noise_enabled:
         noise = iter(chain_noise(rng, targets, chains, d) if noise is None else noise)
 
+    grad = np.empty_like(values)
     for t_idx, eps_t in enumerate(eps):
-        grad = config.prior_weight * (h[..., None, :, :] - values)
+        np.subtract(h[..., None, :, :], values, out=grad)
+        grad *= config.prior_weight
         if has_lik:
             probs, drift = support_probs_and_grad(
                 support_enc, one_hot, values, config.measure, config.tau, record
             )
-            grad += scale * drift
+            drift *= scale
+            grad += drift
+            del drift  # not held while the next step's drift is computed
             if record:
                 support_probs.append(probs)
-        values = values + 0.5 * eps_t * grad
+        grad *= 0.5 * eps_t
+        values += grad
         if config.noise_enabled:
-            values = values + np.sqrt(eps_t) * next(noise)
+            values += np.multiply(np.sqrt(eps_t), next(noise), out=grad)
         if not np.isfinite(values).all():
             finite = np.isfinite(values).reshape(-1, chains, n_way * d).all(axis=-1)
             e, l = np.argwhere(~finite)[0]
             where = f"episode {first_episode + e} chain {l}" if batched else f"chain {l}"
             raise RuntimeError(f"sampler diverged at {where} step {t_idx + 1}")
         if record:
-            # each step binds values to a new array, so the list holds no alias
-            trajectory.append(values)
+            trajectory.append(values.copy())
 
     if not record:
         return values, None

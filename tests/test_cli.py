@@ -633,6 +633,10 @@ BAD_VALUES = [
     ("synth", ["--splits", "10,x,5"], "--splits item 'x' is not an integer"),
     ("synth", ["--splits", "10,5,5,5"], "split_counts (10, 5, 5, 5) must give 3 counts"),
     ("synth", ["--splits", "10,15"], "split_counts (10, 15) must give 3 counts"),
+    # a non-finite scale would write features that every later command rejects
+    ("synth", ["--noise-scale", "nan"], "noise_scale must be finite, got nan"),
+    ("synth", ["--cluster-scale", "inf"], "cluster_scale must be finite, got inf"),
+    ("synth", ["--embed-noise", "nan"], "embed_noise must be finite, got nan"),
     # a temperature of inf scales every logit to 0: chance accuracy, exit 0
     ("eval", ["--tau", "inf"], "tau must be finite, got inf"),
     ("zero-shot", ["--tau", "inf"], "tau must be finite, got inf"),

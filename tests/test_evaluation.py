@@ -4,6 +4,7 @@ import csv
 import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,11 +280,39 @@ class TestBatchSize:
         from protograph.evaluation import _batch_size
 
         # README protocol: L=10, 5-way 1-shot, d=16
-        assert _batch_size("dot", 10, 5, 5, 16) == 20
-        assert _batch_size("euclidean", 10, 5, 5, 16) == 4
+        assert _batch_size("dot", 10, 5, 5, 16) == 40
+        assert _batch_size("euclidean", 10, 5, 5, 16) == 8
         # 20-way 5-shot at d=64: one episode at a time, as before batching
         assert _batch_size("dot", 10, 20, 100, 64) == 1
         assert _batch_size("euclidean", 10, 20, 100, 64) == 1
+
+    def test_readme_batch_peaks_within_seven_largest_step_arrays(self):
+        # the chain updates one copy and one gradient buffer in place, so a
+        # batch twice the old size does not double the memory it holds
+        from protograph.data import sample_episode
+        from protograph.evaluation import _batch_size
+        from protograph.likelihood import chain_step_floats
+        from protograph.prior import summary_rows
+        from protograph.sampler import posterior_predict
+
+        ds, emb = generate_synthetic(25, 16, 10.0, 1.0, 20, RngStream(5),
+                                     split_counts=(10, 5, 10))
+        params, cfg = identity_params(16), SamplerConfig()
+        size = _batch_size("dot", cfg.chains, 5, 5, 16)
+        assert size == 40
+        ids = np.arange(size)
+        batch = sample_episode(ds, "test", 5, 1, 5, RngStream(3).child(ids, 0))
+        summaries = summary_rows(build_knn_graph(emb, 10), params.gnn, batch.targets)
+        noise_rng = RngStream(3).child(ids, 1)
+        posterior_predict(batch, summaries, cfg, params.encoder, noise_rng)  # warm-up
+        tracemalloc.start()
+        try:
+            posterior_predict(batch, summaries, cfg, params.encoder, noise_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = size * chain_step_floats("dot", cfg.chains, 5, 5, 16) * 8  # bytes
+        assert peak <= 7 * largest, peak / largest
 
 
 class TestSensitivitySweep:

@@ -9,6 +9,7 @@ import pytest
 
 from protograph.numerics import (
     _splitmix64,
+    RekeyedPhilox,
     RngStream,
     StreamChoices,
     chain_noise,
@@ -254,6 +255,17 @@ class TestChildNormals:
                 for l in range(4):
                     expect = standard_normal_sample(shape, RngStream(seed, stream_id).child(l, t))
                     assert block[e, l].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 39, -17])
+    @pytest.mark.parametrize("shape", [(5, 16), (20, 64)])
+    def test_each_filled_row_is_its_stream_from_the_start(self, seed, shape):
+        # repeated and out-of-order ids, and both ends of the id range
+        ids = [7, 2**64 - 1, 0, 7, 3, 0xDEADBEEF12345678, 2**64 - 1, 3]
+        rows = np.full((len(ids),) + shape, np.nan)
+        RekeyedPhilox(RngStream(seed)).standard_normal_rows(ids, list(rows))
+        for stream_id, row in zip(ids, rows):
+            expect = RngStream(seed, stream_id).generator().standard_normal(shape)
+            assert row.tobytes() == expect.tobytes()
 
     def test_instances_do_not_share_state(self):
         targets = [[2, 0, 1], [1, 2, 0]]

@@ -330,6 +330,127 @@ class TestSgldChain:
         assert len(made) == built
 
 
+def out_of_place_chain(
+    support_enc, one_hot, k_shot, targets, summaries, values, config, rng, record=False,
+    first_episode=0, noise=None,
+):
+    """sgld_chain's update with a new array per operation, in the same order:
+    the final values, the trajectory list and the support probabilities list."""
+    values = np.asarray(values, dtype=float)
+    chains, n_way, d = values.shape[-3:]
+    h = np.asarray(summaries, dtype=float)
+    has_lik = config.likelihood_weight != 0.0 and np.size(one_hot) > 0
+    scale = config.likelihood_weight / (k_shot * config.tau) if has_lik else None
+    trajectory, support_probs = [values], []
+    if config.noise_enabled:
+        noise = iter(chain_noise(rng, targets, chains, d) if noise is None else noise)
+    for t, eps_t in enumerate(config.step_sizes(), start=1):
+        grad = config.prior_weight * (h[..., None, :, :] - values)
+        if has_lik:
+            probs, drift = support_probs_and_grad(
+                support_enc, one_hot, values, config.measure, config.tau, record
+            )
+            grad += scale * drift
+            support_probs.append(probs)
+        values = values + 0.5 * eps_t * grad
+        if config.noise_enabled:
+            values = values + np.sqrt(eps_t) * next(noise)
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values).reshape(-1, chains, n_way * d).all(axis=-1)
+            e, l = np.argwhere(~finite)[0]
+            where = f"episode {first_episode + e} chain {l}" if values.ndim == 4 else f"chain {l}"
+            raise RuntimeError(f"sampler diverged at {where} step {t}")
+        trajectory.append(values)
+    return values, trajectory, support_probs
+
+
+IN_PLACE_SETTINGS = {
+    "default": {},
+    "decay": {"step_decay": 0.4, "step_size": 0.3},
+    "no prior": {"prior_weight": 0.0},
+    "no likelihood": {"likelihood_weight": 0.0},
+}
+
+
+class TestInPlaceChain:
+    """sgld_chain updates its own copy in place, to the out-of-place update's bits."""
+
+    @staticmethod
+    def chain_inputs(seed, batched, measure, noise, **settings):
+        gen = np.random.default_rng(seed)
+        e_count, n_way, k_shot = gen.integers(2, 5), gen.integers(2, 5), gen.integers(1, 3)
+        chains, steps, d = gen.integers(1, 5), gen.integers(1, 6), gen.integers(2, 7)
+        settings = {"chains": chains, "steps": steps, **settings}
+        lead = (e_count,) if batched else ()
+        sx = gen.standard_normal(lead + (n_way * k_shot, d)) * 2.0
+        sy = np.stack([gen.permutation(np.repeat(np.arange(n_way), k_shot))
+                       for _ in range(e_count)])
+        one_hot, k_shot = support_labels(sy if batched else sy[0], n_way)
+        targets = np.stack([gen.choice(50, size=n_way, replace=False) for _ in range(e_count)])
+        cfg = SamplerConfig(measure=measure, noise_enabled=noise, **settings)
+        rng = RngStream(seed).child(np.arange(e_count), 1) if batched else RngStream(seed, 1)
+        return (sx, one_hot, k_shot, targets if batched else targets[0],
+                gen.standard_normal(lead + (n_way, d)),
+                gen.standard_normal(lead + (cfg.chains, n_way, d)), cfg, rng)
+
+    @pytest.mark.parametrize("setting", list(IN_PLACE_SETTINGS))
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_equals_the_out_of_place_update(self, setting, noise, measure, batched, record):
+        for seed in range(3):
+            args = self.chain_inputs(seed, batched, measure, noise, **IN_PLACE_SETTINGS[setting])
+            out, chain = sgld_chain(*args, record=record)
+            ref, trajectory, support_probs = out_of_place_chain(*args, record=record)
+            assert out.tobytes() == ref.tobytes()
+            if not record:
+                assert chain is None
+                continue
+            assert chain.trajectory.tobytes() == np.stack(trajectory).tobytes()
+            if support_probs:
+                assert chain.support_probs.tobytes() == np.stack(support_probs).tobytes()
+            else:
+                assert chain.support_probs is None
+
+    @pytest.mark.parametrize("drawn_ahead", [True, False])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_leaves_the_callers_values_and_noise_unchanged(self, drawn_ahead, record):
+        args = list(self.chain_inputs(4, True, "dot", True))
+        values, cfg = args[5], args[6]
+        noise = None
+        if drawn_ahead:
+            blocks = chain_noise(args[7], args[3], cfg.chains, values.shape[-1])
+            noise = np.stack([next(blocks) for _ in range(cfg.steps)])
+        before = values.tobytes(), None if noise is None else noise.tobytes()
+        out, chain = sgld_chain(*args, record=record, noise=noise)
+        assert (values.tobytes(), None if noise is None else noise.tobytes()) == before
+        assert not np.shares_memory(out, values)
+        if record:
+            # M + 1 states of their own: changing the result changes none of them
+            assert chain.trajectory.shape[0] == cfg.steps + 1
+            assert chain.trajectory[0].tobytes() == values.tobytes()
+            kept = chain.trajectory.tobytes()
+            out += 1.0
+            assert chain.trajectory.tobytes() == kept
+            assert len({state.tobytes() for state in chain.trajectory}) == cfg.steps + 1
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_divergence_names_the_episode_chain_and_step_as_before(self, batched):
+        args = self.chain_inputs(5, batched, "dot", True, chains=3, steps=4)
+        cfg = args[6]
+        blocks = chain_noise(args[7], args[3], 3, args[5].shape[-1])
+        noise = np.stack([next(blocks) for _ in range(cfg.steps)])
+        noise[(2, 1, 2) if batched else (2, 2)] = np.inf  # step 3, episode 1, chain 2
+        messages = []
+        for chain in (sgld_chain, out_of_place_chain):
+            with pytest.raises(RuntimeError) as err:
+                chain(*args, first_episode=30, noise=noise)
+            messages.append(str(err.value))
+        where = "episode 31 chain 2" if batched else "chain 2"
+        assert messages == [f"sampler diverged at {where} step 3"] * 2
+
+
 def per_chain_logits(enc, values, measure):
     # one 2-D pairwise_logits call per chain, stacked
     return np.stack([pairwise_logits(enc, values[l], measure) for l in range(len(values))])
