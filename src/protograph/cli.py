@@ -22,7 +22,7 @@ from . import evaluation, trainer
 from .data import check_episode_shape, generate_synthetic, load_dataset, read_lines
 from .data import save_dataset, write_lines
 from .graph import build_knn_graph, load_embeddings, load_graph, save_edges, save_embeddings
-from .likelihood import ENCODER_MODES, MEASURES
+from .likelihood import MEASURES
 from .numerics import RngStream
 from .sampler import SamplerConfig
 from .trainer import ModelParams, TrainConfig, read_checkpoint
@@ -54,8 +54,6 @@ OPTIONS = {
     "k-shot": Option(int, TrainConfig.k_shot, "support instances per class K"),
     "q-per": Option(int, TrainConfig.q_per, "queries per class"),
     "episodes": Option(int, 100, "number of episodes"),
-    "encoder": Option(str, TrainConfig.encoder_mode, "instance encoder of a new model",
-                      ENCODER_MODES),
     # sampler
     "chains": Option(int, SamplerConfig.chains, "posterior samples L"),
     "steps": Option(int, SamplerConfig.steps, "update steps M"),
@@ -240,17 +238,16 @@ def _params_for_eval(opts: Options, dataset, g) -> ModelParams:
     if path:
         # checked here, so that a mismatch names the checkpoint before episode 0
         params, _ = read_checkpoint(path)
-        enc = params.encoder
-        d_in = enc.weight.shape[1] if enc.trainable else params.gnn.output_dim
-        if d_in != dataset.d:
+        d = params.gnn.output_dim
+        if d != dataset.d:
             raise ValueError(
-                f"{path}: checkpoint takes d={d_in} features, instances have d={dataset.d}"
+                f"{path}: checkpoint takes d={d} features, instances have d={dataset.d}"
             )
         d_g = params.gnn.input_dim
         if d_g != g.feature_dim:
             raise ValueError(f"{path}: checkpoint has d_g={d_g}, embeddings have {g.feature_dim}")
         return params
-    return trainer.initial_params(opts["seed"], g.feature_dim, dataset.d, opts["encoder"])
+    return trainer.initial_params(opts["seed"], g.feature_dim, dataset.d)
 
 
 def _write_report(opts: Options, reports) -> None:
@@ -306,7 +303,6 @@ def _cmd_train(opts: Options) -> int:
         checkpoint_path=checkpoint,
         log_path=opts["out"],
         seed=opts["seed"],
-        encoder_mode=opts["encoder"],
     )
     dataset, g = _load_graph_and_data(opts)
     _, rows = trainer.train(dataset, g, config, config_echo=opts.echo_dict())
@@ -399,7 +395,7 @@ class Command(NamedTuple):
 
 _INPUTS = ("data", "registry", "embeddings", "graph", "knn", "checkpoint", "out", "seed")
 _PATHS = ("data", "registry", "embeddings", "graph", "checkpoint", "out")
-_EPISODE = ("n-way", "k-shot", "q-per", "episodes", "encoder")
+_EPISODE = ("n-way", "k-shot", "q-per", "episodes")
 _SAMPLER = (
     "chains", "steps", "step-size", "step-decay", "alpha", "beta", "tau", "measure",
     "no-noise", "no-graph-prior",
@@ -423,7 +419,7 @@ COMMANDS = {
     "eval": Command(_cmd_eval, "few-shot evaluation", _EVAL, ("out",)),
     "zero-shot": Command(
         _cmd_zero_shot, "prior-mean classification, no support set",
-        _INPUTS + ("n-way", "q-per", "episodes", "encoder", "tau", "measure", "split", "format"),
+        _INPUTS + ("n-way", "q-per", "episodes", "tau", "measure", "split", "format"),
         ("out",),
     ),
     "sweep": Command(

@@ -30,6 +30,9 @@ if TYPE_CHECKING:
 # numpy call's overhead among its episodes at flat memory; README gives the
 # per-episode cost at E=20, 40 and 80.
 BATCH_ELEMENTS = 2**15
+# The most floats one episode's chain step may hold (1 GiB): a larger chain
+# count fails before the first batch instead of exhausting memory in it.
+EPISODE_FLOATS_CAP = 2**27
 
 # The report format: column -> EvalReport attribute, in column order. The
 # float columns are written with 6 decimals.
@@ -93,12 +96,11 @@ def episode_outcomes(
         summaries = summary_rows(graph, params.gnn, batch.targets)
         if k_shot == 0:
             _, preds = predict_queries(
-                batch.query_x, summaries[:, None], params.encoder, config.measure, config.tau,
-                batch.targets,
+                batch.query_x, summaries[:, None], config.measure, config.tau, batch.targets
             )
         else:
             _, preds = posterior_predict(
-                batch, summaries, config, params.encoder, rng.child(ids, 1), first_episode=start,
+                batch, summaries, config, rng.child(ids, 1), first_episode=start
             )
         hits = np.sum(preds == batch.query_y, axis=-1)
         outcomes += [(int(c), batch.query_y.shape[1]) for c in hits]
@@ -106,8 +108,13 @@ def episode_outcomes(
 
 
 def _batch_size(measure: str, chains: int, n_way: int, rows: int, dim: int) -> int:
-    """Episodes per batch: how many fit BATCH_ELEMENTS, at least one."""
-    return max(1, BATCH_ELEMENTS // chain_step_floats(measure, chains, n_way, rows, dim))
+    """Episodes per batch: how many fit BATCH_ELEMENTS, at least one. Raises
+    when one episode's chain step exceeds EPISODE_FLOATS_CAP."""
+    floats = chain_step_floats(measure, chains, n_way, rows, dim)
+    if floats > EPISODE_FLOATS_CAP:
+        raise ValueError(f"chains {chains} is too many: one episode's chain step would hold "
+                         f"{floats} floats, more than {EPISODE_FLOATS_CAP}")
+    return max(1, BATCH_ELEMENTS // floats)
 
 
 def _report(outcomes: list[tuple[int, int]], seed: int, **setting) -> EvalReport:
@@ -200,10 +207,13 @@ def sensitivity_sweep(
     if axis not in ("L", "M"):
         raise ValueError(f"axis must be 'L' or 'M', got {axis!r}")
     swept = "chains" if axis == "L" else "steps"
+    check_episode_shape(n_way, k_shot, q_per, support=True)  # before a point sizes its batch
     points = []
     for v in values:
         try:
-            points.append((v, replace(base_config, **{swept: v})))
+            cfg = replace(base_config, **{swept: v})
+            _batch_size(cfg.measure, cfg.chains, n_way, n_way * k_shot, params.gnn.output_dim)
+            points.append((v, cfg))
         except ValueError as exc:
             raise ValueError(f"sweep {axis}={v}: {exc}") from None
     if not points:

@@ -3,8 +3,8 @@
 Each component pairs an analytic gradient with the central-difference oracle
 on randomly drawn instances and reports the worst elementwise relative error
 (relative to max(1, |analytic|)). The episode objective is checked through
-the full pipeline: encoder, graph layer, warm start, unrolled chain with
-fixed noise (prior and likelihood drift), and the Monte Carlo prediction.
+the full pipeline: graph layer, warm start, unrolled chain with fixed noise
+(prior and likelihood drift), and the Monte Carlo prediction.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def check_episode_objective(seed: int, case: int, d: int, n_way: int, k_shot: in
     embeddings = gen.standard_normal((n_relations, d))
     graph = build_knn_graph(embeddings, k=2)
     episode = random_episode(gen, n_way, k_shot, q_per, d, n_relations)
-    params = init_params(d, d, RngStream(seed).child(41, case), encoder_mode="linear")
+    params = init_params(d, d, RngStream(seed).child(41, case))
     config = SamplerConfig(chains=chains, steps=steps, tau=tau, measure=measure)
     rng = RngStream(seed).child(42, case)
     return parameter_gradient_error(episode, graph, params, config, rng)

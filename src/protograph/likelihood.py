@@ -17,7 +17,6 @@ import numpy as np
 from .numerics import log_softmax_with_temperature, softmax_with_temperature
 
 MEASURES = ("dot", "euclidean")
-ENCODER_MODES = ("identity", "linear")
 # support_probs_and_grad zeroes drift residuals smaller than this
 RESIDUAL_FLOOR = 2.0**-900
 # an unrecorded drift's softmax raises scaled logits below this to it:
@@ -27,40 +26,18 @@ LOGIT_CLAMP = -700.0
 
 @dataclass
 class EncoderParams:
-    """Identity pass-through or a trainable affine map W x + bias."""
+    """The instance encoder: the identity, which a checkpoint names by its mode."""
 
     mode: str = "identity"
-    weight: np.ndarray | None = None  # (d, d_in)
-    bias: np.ndarray | None = None  # (d,)
 
     def __post_init__(self) -> None:
-        if self.mode not in ENCODER_MODES:
+        if self.mode != "identity":
             raise ValueError(f"unknown encoder mode {self.mode!r}")
-        if self.mode == "linear":
-            if self.weight is None or self.bias is None:
-                raise ValueError("linear encoder requires weight and bias")
-            self.weight = np.asarray(self.weight, dtype=float)
-            self.bias = np.asarray(self.bias, dtype=float)
-            if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-                raise ValueError(
-                    f"weight {self.weight.shape} and bias {self.bias.shape} are inconsistent"
-                )
-
-    @property
-    def trainable(self) -> bool:
-        return self.mode == "linear"
 
 
-def encode_batch(features, params: EncoderParams) -> np.ndarray:
-    """Encode a (n, d_in) matrix of feature rows, or one (d_in,) vector."""
-    x = np.asarray(features, dtype=float)
-    if params.mode == "identity":
-        return x
-    if x.shape[-1] != params.weight.shape[1]:
-        raise ValueError(
-            f"feature dim {x.shape[-1]} != encoder input dim {params.weight.shape[1]}"
-        )
-    return x @ params.weight.T + params.bias
+def encode_batch(features) -> np.ndarray:
+    """The encodings of a (n, d) matrix of feature rows, or of one (d,) vector."""
+    return np.asarray(features, dtype=float)
 
 
 def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str) -> np.ndarray:
@@ -181,64 +158,48 @@ def support_probs_and_grad(
     return (probs if record else None), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
 
 
-def pairwise_logits_vjp(
-    d_logits, enc, prototypes, measure: str, encodings: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
+def pairwise_logits_vjp(d_logits, enc, prototypes, measure: str) -> np.ndarray:
     """VJP of :func:`pairwise_logits` for L prototype sets.
 
     For the cotangent d_logits (L, n, N) of the logits of encodings ``enc``
-    (n, d) against prototypes (L, N, d), returns (d_enc, d_prototypes).
-    With ``encodings=False`` d_enc is None and is not computed; d_prototypes
-    has the same bits either way.
+    (n, d) against prototypes (L, N, d), returns that of the prototypes.
     """
     if measure == "dot":
-        d_v = np.einsum("lqn,qd->lnd", d_logits, enc)
-        d_enc = np.einsum("lqn,lnd->qd", d_logits, prototypes) if encodings else None
-    else:
-        diff = enc[None, :, None, :] - prototypes[:, None, :, :]
-        d_v = np.einsum("lqn,lqnd->lnd", d_logits, diff)
-        d_enc = -np.einsum("lqn,lqnd->qd", d_logits, diff) if encodings else None
-    return d_enc, d_v
+        return np.einsum("lqn,qd->lnd", d_logits, enc)
+    diff = enc[None, :, None, :] - prototypes[:, None, :, :]
+    return np.einsum("lqn,lqnd->lnd", d_logits, diff)
 
 
 def similarity_softmax_vjp(
-    probs, d_probs, enc, prototypes, measure: str, tau: float, encodings: bool = True
-) -> tuple[np.ndarray | None, np.ndarray]:
+    probs, d_probs, enc, prototypes, measure: str, tau: float
+) -> np.ndarray:
     """VJP of probs = softmax_with_temperature(pairwise_logits(...), tau), (L, n, N).
 
     Takes the probabilities the forward computed and their cotangent;
-    returns (d_enc, d_prototypes), d_enc None when ``encodings`` is False.
+    returns the cotangent of the prototypes.
     """
     inner = (d_probs * probs).sum(axis=-1, keepdims=True)
     d_logits = probs * (d_probs - inner) / tau
-    return pairwise_logits_vjp(d_logits, enc, prototypes, measure, encodings)
+    return pairwise_logits_vjp(d_logits, enc, prototypes, measure)
 
 
 def support_drift_vjp(
     enc, one_hot, values, probs, cotangent, measure: str, tau: float, scale: float,
-    encodings: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray]:
+) -> np.ndarray:
     """VJP of scale * G, the drift of :func:`support_probs_and_grad`.
 
     ``probs`` (L, S, N) is the support softmax at ``values`` (L, N, d), as
     the chain recorded it, and ``cotangent`` (L, N, d) that of scale * G.
     Differentiating G brings in the softmax curvature (the Hessian term of
-    the Langevin drift). Returns (d_enc, d_values); with ``encodings=False``
-    d_enc is None and the terms that feed only it are skipped.
+    the Langevin drift). Returns the cotangent of the values.
     """
     if measure == "dot":
         a = np.einsum("sd,lnd->lsn", enc, cotangent)
     else:
         diff = enc[None, :, None, :] - values[:, None, :, :]
         a = np.einsum("lsnd,lnd->lsn", diff, cotangent)
-    d_enc, d_values = similarity_softmax_vjp(
-        probs, -scale * a, enc, values, measure, tau, encodings
-    )
-    if measure == "dot" and not encodings:
-        return None, d_values
-    resid = one_hot[None] - probs  # (L, S, N)
+    d_values = similarity_softmax_vjp(probs, -scale * a, enc, values, measure, tau)
     if measure == "euclidean":
+        resid = one_hot[None] - probs  # (L, S, N)
         d_values -= scale * resid.sum(axis=1)[:, :, None] * cotangent
-    if encodings:
-        d_enc += scale * np.einsum("lsn,lnd->sd", resid, cotangent)
-    return d_enc, d_values
+    return d_values

@@ -25,8 +25,8 @@ import numpy as np
 
 from .data import Episode
 from .likelihood import (
-    MEASURES, EncoderParams, encode_batch, pairwise_logits, similarity_softmax_vjp,
-    support_drift_vjp, support_labels, support_probs_and_grad,
+    MEASURES, encode_batch, pairwise_logits, similarity_softmax_vjp, support_drift_vjp,
+    support_labels, support_probs_and_grad,
 )
 from .numerics import RngStream, chain_noise, row_max, softmax_with_temperature
 
@@ -251,12 +251,7 @@ def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
 
 
 def predict_queries(
-    queries,
-    prototypes,
-    encoder: EncoderParams,
-    measure: str,
-    tau: float,
-    targets=None,
+    queries, prototypes, measure: str, tau: float, targets=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo query prediction: average softmax probabilities over chains.
 
@@ -267,7 +262,7 @@ def predict_queries(
     """
     if np.size(prototypes) == 0:
         raise ValueError("no prototype samples")
-    enc = encode_batch(queries, encoder)
+    enc = encode_batch(queries)
     logits = pairwise_logits(enc, prototypes, measure)
     probs = softmax_with_temperature(logits, tau).mean(axis=-3)
     return probs, _lowest_key_argmax(probs, targets)
@@ -277,7 +272,6 @@ def episode_forward(
     episode: Episode,
     summaries,
     config: SamplerConfig,
-    encoder: EncoderParams,
     rng: RngStream,
     record: bool = False,
     first_episode: int = 0,
@@ -296,8 +290,8 @@ def episode_forward(
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
         h = np.zeros_like(h)
-    support_enc = encode_batch(episode.support_x, encoder)
-    query_enc = encode_batch(episode.query_x, encoder)
+    support_enc = encode_batch(episode.support_x)
+    query_enc = encode_batch(episode.query_x)
     one_hot, k_shot = support_labels(episode.support_y, np.shape(episode.targets)[-1])
     class_means, grand_mean = support_statistics(support_enc, one_hot, k_shot)
     values = init_prototypes(class_means, grand_mean, h, config.alpha, config.beta, config.chains)
@@ -318,26 +312,19 @@ def episode_forward(
     )
 
 
-def episode_forward_vjp(
-    fwd: EpisodeForward, d_chain_probs, config: SamplerConfig, encodings: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfig) -> np.ndarray:
     """VJP of a recorded one-episode :func:`episode_forward`, noise held fixed.
 
-    Takes the cotangent (L, Q, N) of ``fwd.chain_probs``. Returns those of the
-    summaries (N, d), zero when the graph prior is off, the support encodings
-    (S, d) and the query encodings (Q, d). With ``encodings=False`` (an
-    encoder that does not train) both encoding slots are None and nothing
-    that feeds only them is computed; the summaries' cotangent has the same
-    bits either way.
+    Takes the cotangent (L, Q, N) of ``fwd.chain_probs``. Returns that of the
+    summaries (N, d), zero when the graph prior is off.
     """
     chain = fwd.record
-    d_eq, d_v = similarity_softmax_vjp(
+    d_v = similarity_softmax_vjp(
         fwd.chain_probs, d_chain_probs, fwd.query_enc, chain.trajectory[-1],
-        config.measure, config.tau, encodings,
+        config.measure, config.tau,
     )
 
     # reverse through the unrolled chain
-    d_es = np.zeros_like(fwd.support_enc) if encodings else None
     d_h = np.zeros_like(d_v[0])
     lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
     for t, eps_t in reversed(list(enumerate(config.step_sizes()))):
@@ -345,28 +332,20 @@ def episode_forward_vjp(
         d_h += half * config.prior_weight * d_v.sum(axis=0)
         d_v_next = d_v - half * config.prior_weight * d_v
         if chain.support_probs is not None:
-            des_lik, dv_lik = support_drift_vjp(
+            d_v_next = d_v_next + support_drift_vjp(
                 fwd.support_enc, fwd.one_hot, chain.trajectory[t], chain.support_probs[t],
-                half * d_v, config.measure, config.tau, lik_scale, encodings,
+                half * d_v, config.measure, config.tau, lik_scale,
             )
-            d_v_next = d_v_next + dv_lik
-            if encodings:
-                d_es += des_lik
         d_v = d_v_next
 
     # warm start v0 = class_means + alpha * h - beta * grand_mean, shared by the chains
-    d_v0 = d_v.sum(axis=0)
-    d_h += config.alpha * d_v0
-    if encodings:
-        d_es += (fwd.one_hot @ d_v0) / fwd.k_shot
-        d_es += -config.beta * d_v0.sum(axis=0) / len(fwd.support_enc)
-    return (d_h if config.graph_prior else np.zeros_like(d_h)), d_es, d_eq
+    d_h += config.alpha * d_v.sum(axis=0)
+    return d_h if config.graph_prior else np.zeros_like(d_h)
 
 
 def posterior_predict(
-    episode: Episode, summaries, config: SamplerConfig, encoder: EncoderParams,
-    rng: RngStream, first_episode: int = 0,
+    episode: Episode, summaries, config: SamplerConfig, rng: RngStream, first_episode: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain-averaged query probabilities and predictions of one or E episodes."""
-    fwd = episode_forward(episode, summaries, config, encoder, rng, first_episode=first_episode)
+    fwd = episode_forward(episode, summaries, config, rng, first_episode=first_episode)
     return fwd.probs, _lowest_key_argmax(fwd.probs, episode.targets)

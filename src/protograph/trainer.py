@@ -2,12 +2,12 @@
 
 The per-episode objective is the negative Monte Carlo query log-likelihood,
 sum_q -log[(1/L) sum_l p(y_q | x_q, v^(l))], where the v^(l) are the final
-states of the SGLD chains. Gradients with respect to the graph-layer and
-encoder parameters are computed by a hand-written reverse pass:
+states of the SGLD chains. Gradients with respect to the graph-layer
+parameters are computed by a hand-written reverse pass:
 sampler.episode_forward_vjp takes the loss's cotangent back through the
-prediction, the unrolled chain and the warm start to the summaries and the
-encodings, and this module carries it into the graph layer and the encoder.
-The reverse pass is validated everywhere against the central-difference oracle.
+prediction, the unrolled chain and the warm start to the summaries, and this
+module carries it into the graph layer. The reverse pass is validated
+everywhere against the central-difference oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .data import (
 )
 from .evaluation import _batch_size, episode_outcomes
 from .graph import RelationGraph
-from .likelihood import ENCODER_MODES, EncoderParams
+from .likelihood import EncoderParams
 from .numerics import RngStream, chain_noise
 from .prior import GnnParams, summary_rows
 from .sampler import EpisodeForward, SamplerConfig, episode_forward, episode_forward_vjp
@@ -44,7 +44,7 @@ _NS_INIT, _NS_EPISODE, _NS_CHAIN, _NS_VAL = 0, 1, 2, 3
 
 @dataclass
 class ModelParams:
-    """All trainable state: the graph layer and the instance encoder."""
+    """The model: the trainable graph layer and the instance encoder."""
 
     gnn: GnnParams
     encoder: EncoderParams
@@ -63,7 +63,6 @@ class TrainConfig:
     checkpoint_path: str | Path | None = None
     log_path: str | Path | None = None
     seed: int = 0
-    encoder_mode: str = "identity"
 
     def __post_init__(self) -> None:
         if self.episodes_total < 0:
@@ -77,48 +76,28 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 0")
         if self.eval_every > 0 and self.val_episodes < 1:
             raise ValueError("val_episodes must be >= 1 when eval_every > 0")
-        if self.encoder_mode not in ENCODER_MODES:
-            raise ValueError(f"unknown encoder mode {self.encoder_mode!r}")
 
 
-def init_params(
-    graph_dim: int,
-    output_dim: int,
-    rng: RngStream,
-    encoder_mode: str = TrainConfig.encoder_mode,
-) -> ModelParams:
-    """Fan-in-scaled uniform init, U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
-
-    The graph layer is one identity-activated hop; a linear encoder maps the
-    d = output_dim instance features to d. EncoderParams checks the mode.
-    """
+def init_params(graph_dim: int, output_dim: int, rng: RngStream) -> ModelParams:
+    """Fan-in-scaled uniform init, U(-1/sqrt(fan_in), +1/sqrt(fan_in)), of the
+    graph layer, one identity-activated hop."""
     bound = 1.0 / np.sqrt(graph_dim)
     gen = rng.child(0).generator()
     gnn = GnnParams(
         weight=gen.uniform(-bound, bound, size=(graph_dim, output_dim)),
         bias=gen.uniform(-bound, bound, size=output_dim),
     )
-    weight = bias = None
-    if encoder_mode == "linear":
-        e_bound = 1.0 / np.sqrt(output_dim)
-        egen = rng.child(1).generator()
-        weight = egen.uniform(-e_bound, e_bound, size=(output_dim, output_dim))
-        bias = egen.uniform(-e_bound, e_bound, size=output_dim)
-    return ModelParams(gnn=gnn, encoder=EncoderParams(encoder_mode, weight, bias))
+    return ModelParams(gnn=gnn, encoder=EncoderParams())
 
 
-def initial_params(seed: int, graph_dim: int, output_dim: int, encoder_mode: str) -> ModelParams:
+def initial_params(seed: int, graph_dim: int, output_dim: int) -> ModelParams:
     """The untrained model that ``train`` starts from at ``seed``."""
-    return init_params(graph_dim, output_dim, RngStream(seed).child(_NS_INIT), encoder_mode)
+    return init_params(graph_dim, output_dim, RngStream(seed).child(_NS_INIT))
 
 
 def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     """Name -> live array view of every trainable tensor."""
-    out = {"gnn.weight": params.gnn.weight, "gnn.bias": params.gnn.bias}
-    if params.encoder.trainable:
-        out["encoder.weight"] = params.encoder.weight
-        out["encoder.bias"] = params.encoder.bias
-    return out
+    return {"gnn.weight": params.gnn.weight, "gnn.bias": params.gnn.bias}
 
 
 def _episode_forward(
@@ -131,8 +110,8 @@ def _episode_forward(
 ) -> tuple[float, EpisodeForward]:
     """The episode's loss and its recorded forward."""
     fwd = episode_forward(
-        episode, summary_rows(graph, params.gnn, episode.targets), config, params.encoder, rng,
-        record=True, noise=noise,
+        episode, summary_rows(graph, params.gnn, episode.targets), config, rng, record=True,
+        noise=noise,
     )
     p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
     if not np.isfinite(p_true).all() or (p_true <= 0.0).any():
@@ -154,27 +133,27 @@ def episode_objective_and_grads(
     """Negative query log-likelihood of one episode and its parameter gradients.
 
     ``noise`` is the (M, L, N, d) chain noise of ``rng`` drawn ahead, or None
-    to draw it step by step.
+    to draw it step by step. Raises when a gradient is not finite, before any
+    step could take it; numpy's warnings on the way there are silenced.
     """
-    loss, fwd = _episode_forward(episode, graph, params, config, rng, noise)
-    # the loss's cotangent: -1/p_bar at each query's true class, shared by the chains
-    rows, y_q = np.arange(episode.query_y.size), episode.query_y
-    d_mean = np.zeros_like(fwd.probs)
-    d_mean[rows, y_q] = -1.0 / fwd.probs[rows, y_q]
-    d_summ, d_es, d_eq = episode_forward_vjp(
-        fwd, np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape), config,
-        params.encoder.trainable,
-    )
-
-    # graph layer: summaries = propagated rows @ W + b
-    grads = {
-        "gnn.weight": graph.propagated()[episode.targets].T @ d_summ,
-        "gnn.bias": d_summ.sum(axis=0),
-    }
-
-    if params.encoder.trainable:
-        grads["encoder.weight"] = d_es.T @ episode.support_x + d_eq.T @ episode.query_x
-        grads["encoder.bias"] = d_es.sum(axis=0) + d_eq.sum(axis=0)
+    with np.errstate(all="ignore"):
+        loss, fwd = _episode_forward(episode, graph, params, config, rng, noise)
+        # the loss's cotangent: -1/p_bar at each query's true class, shared by the chains
+        rows, y_q = np.arange(episode.query_y.size), episode.query_y
+        d_mean = np.zeros_like(fwd.probs)
+        d_mean[rows, y_q] = -1.0 / fwd.probs[rows, y_q]
+        d_summ = episode_forward_vjp(
+            fwd, np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape), config
+        )
+        # graph layer: summaries = propagated rows @ W + b
+        grads = {
+            "gnn.weight": graph.propagated()[episode.targets].T @ d_summ,
+            "gnn.bias": d_summ.sum(axis=0),
+        }
+    if not all(np.isfinite(grad).all() for grad in grads.values()):
+        raise RuntimeError(
+            f"non-finite gradient (replay stream seed={rng.seed} id={rng.stream_id})"
+        )
     return loss, grads
 
 
@@ -232,7 +211,7 @@ def train(
     for split in splits:
         dataset.check_split(split, config.n_way, config.k_shot, config.q_per)
     rng = RngStream(config.seed)
-    params = initial_params(config.seed, graph.feature_dim, dataset.d, config.encoder_mode)
+    params = initial_params(config.seed, graph.feature_dim, dataset.d)
     arrays = param_arrays(params)
     rows: list[LogRow] = []
     cfg = config.sampler
@@ -313,9 +292,6 @@ def write_checkpoint(params: ModelParams, path, config_echo: dict | None = None)
     lines += _format_matrix("gnn.weight", params.gnn.weight)
     lines += _format_matrix("gnn.bias", params.gnn.bias)
     lines.append(f"encoder.mode {params.encoder.mode}")
-    if params.encoder.trainable:
-        lines += _format_matrix("encoder.weight", params.encoder.weight)
-        lines += _format_matrix("encoder.bias", params.encoder.bias)
     echo = config_echo or {}
     lines.append(f"config {len(echo)}")
     lines.extend(f"{k}={echo[k]}" for k in sorted(echo))
@@ -348,16 +324,14 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
             raise ValueError(f"{path}:{lineno}: {name} must be >= {least}")
         return n
 
-    def take_matrix(name: str, rows: int, cols: int | None = None) -> np.ndarray:
-        """A ``name rows cols`` header (any cols >= 1 when None), then its rows."""
+    def take_matrix(name: str, rows: int, cols: int) -> np.ndarray:
+        """A ``name rows cols`` header, then its rows."""
         lineno, line = take()
         key, *shape = line.split(" ")
         if key == name and len(shape) == 2:
             shape = parse_ints(shape, path, lineno)
-            cols = cols or max(shape[1], 1)
         if shape != [rows, cols]:
-            want = f"{name} {rows} {cols or '<cols>'}"
-            raise ValueError(f"{path}:{lineno}: expected {want}, found {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected {name} {rows} {cols}, found {line!r}")
         mat = np.empty(shape)
         for row in mat:
             lineno, line = take()
@@ -377,10 +351,7 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
     take_field("gnn.activation", ("identity",))
     take_field("gnn.hops", ("1",))
     gnn = GnnParams(take_matrix("gnn.weight", d_g, d), take_matrix("gnn.bias", 1, d)[0])
-    encoder = EncoderParams(mode="identity")
-    if take_field("encoder.mode", ENCODER_MODES)[1] == "linear":
-        weight = take_matrix("encoder.weight", d)
-        encoder = EncoderParams("linear", weight, take_matrix("encoder.bias", 1, d)[0])
+    take_field("encoder.mode", ("identity",))
 
     echo = {}
     for _ in range(take_int("config", 0)):
@@ -391,4 +362,4 @@ def read_checkpoint(path) -> tuple[ModelParams, dict]:
         echo[key] = value
     for lineno, _ in lines:
         raise ValueError(f"{path}:{lineno}: unexpected line after the config block")
-    return ModelParams(gnn=gnn, encoder=encoder), echo
+    return ModelParams(gnn=gnn, encoder=EncoderParams()), echo

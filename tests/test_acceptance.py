@@ -441,7 +441,7 @@ def test_c10_invariant_suite():
     gen2 = RngStream(13).generator()
     emb = gen2.standard_normal((8, 4))
     graph = build_knn_graph(emb, 3)
-    params = init_params(4, 4, RngStream(14), encoder_mode="linear")
+    params = init_params(4, 4, RngStream(14))
     cfg = SamplerConfig(chains=3, steps=3)
     for case in range(100):
         ep = random_episode(gen2, 3, 2, 2, 4, 8)

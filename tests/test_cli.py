@@ -197,20 +197,6 @@ class TestPipeline:
         assert main(args) == 0
         assert json.loads(out.read_text())[0]["seed"] == 2**64 - 1
 
-    def test_train_with_linear_encoder(self, workspace, tmp_path):
-        root, _ = workspace
-        # scale-10 features need a gentler rate once the encoder is trainable
-        args = base_args(workspace, "train") + [
-            "--graph", str(root / "edges.tsv"), "--encoder", "linear",
-            "--checkpoint", str(tmp_path / "lin.ckpt"), "--episodes", "10",
-            "--eval-every", "0", "--seed", "8", "--lr", "0.005",
-        ]
-        assert main(args) == 0
-        from protograph.trainer import read_checkpoint
-        params, _ = read_checkpoint(tmp_path / "lin.ckpt")
-        assert params.encoder.mode == "linear"
-        assert params.encoder.weight.shape == (8, 8)
-
     def test_train_log_format(self, workspace):
         root, _ = workspace
         lines = (root / "train.csv").read_text().splitlines()
@@ -235,7 +221,7 @@ class TestPipeline:
         assert main(args + ["--episodes", "12", "--seed", "5"]) == 0
         assert main(["eval", "--config", str(old), "--out", str(tmp_path / "replay.csv")]) == 0
         assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
-        # the new echo also leaves out encoder: the checkpoint's encoder is used
+        # the new echo also leaves out encoder, an option that is gone
         kept = [line for line in old.read_text().splitlines()
                 if not line.startswith(("lr=", "threads=", "encoder="))]
         assert (tmp_path / "report.csv.config").read_text().splitlines() == kept
@@ -292,6 +278,8 @@ MALFORMED = [
      "expected gnn.bias 1 8, found 'gnn.bias 2 8'"),
     ("checkpoint", "alpha=", None, "alpha", "expected key=value"),
     ("checkpoint", None, None, "seed=1", "unexpected line after the config block"),
+    # the trainable encoder's mode, which earlier versions wrote
+    ("checkpoint", "encoder.mode ", 1, "linear", "unsupported encoder.mode 'linear'"),
 ]
 
 
@@ -564,6 +552,11 @@ UNREAD_FLAGS = [
     ("zero-shot", ["--threads", "1"]),
     ("sweep", ["--threads", "1"]),
     ("eval", ["--enc", "linear"]),
+    # the encoder option is gone with the linear encoder
+    ("train", ["--encoder", "identity"]),
+    ("eval", ["--encoder", "linear"]),
+    ("zero-shot", ["--encoder", "identity"]),
+    ("sweep", ["--encoder", "linear"]),
     ("eval", ["--kn", "3"]),
     ("eval", ["--no-g"]),
     ("train", ["--val", "3"]),
@@ -616,8 +609,8 @@ def test_each_subcommand_declares_exactly_the_options_it_reads(
         assert read[name] == set(command.options), name
     counts = {name: len(command.options) for name, command in cli.COMMANDS.items()}
     assert counts == {
-        "synth": 9, "build-graph": 3, "train": 26, "eval": 25, "zero-shot": 16,
-        "sweep": 27, "grad-check": 9,
+        "synth": 9, "build-graph": 3, "train": 25, "eval": 24, "zero-shot": 15,
+        "sweep": 26, "grad-check": 9,
     }
 
 
@@ -740,10 +733,7 @@ def test_negative_value_in_exponent_form_is_read_as_its_own_argument(workspace, 
     assert capsys.readouterr() == joined
 
 
-@pytest.mark.parametrize("encoder", ["identity", "linear"])
-def test_eval_without_a_checkpoint_runs_the_model_train_starts_from(
-    tmp_path, monkeypatch, encoder
-):
+def test_eval_without_a_checkpoint_runs_the_model_train_starts_from(tmp_path, monkeypatch):
     # train at 0 episodes checkpoints its initial parameters; eval without a
     # checkpoint draws the same model from the same seed
     monkeypatch.chdir(tmp_path)
@@ -753,9 +743,9 @@ def test_eval_without_a_checkpoint_runs_the_model_train_starts_from(
               "--embeddings", "d/embeddings.tsv", "--knn", "3"]
     for seed in "5", "6":
         assert main(["train", *inputs, "--episodes", "0", "--seed", seed,
-                     "--encoder", encoder, "--checkpoint", f"m{seed}.ckpt"]) == 0
+                     "--checkpoint", f"m{seed}.ckpt"]) == 0
     evaluate = ["eval", *inputs, "--n-way", "3", "--episodes", "4", "--seed", "5"]
-    for out, model in (("untrained.csv", ["--encoder", encoder]),
+    for out, model in (("untrained.csv", []),
                        ("m5.csv", ["--checkpoint", "m5.ckpt"]),
                        ("m6.csv", ["--checkpoint", "m6.ckpt"])):
         assert main([*evaluate, *model, "--out", out]) == 0
@@ -1076,18 +1066,17 @@ def test_synth_creates_its_output_directory(tmp_path):
 
 
 def test_echo_leaves_out_options_the_run_did_not_read(workspace, tmp_path):
-    # a graph file replaces the k-NN build and a checkpoint brings its encoder
+    # a graph file replaces the k-NN build
     root, _ = workspace
     out = tmp_path / "report.csv"
     assert main(base_args(workspace, "eval") + [
         "--graph", str(root / "edges.tsv"), "--knn", "3",
-        "--checkpoint", str(root / "model.ckpt"), "--encoder", "linear",
-        "--episodes", "2", "--out", str(out),
+        "--checkpoint", str(root / "model.ckpt"), "--episodes", "2", "--out", str(out),
     ]) == 0
     lines = (tmp_path / "report.csv.config").read_text().splitlines()
     keys = {line.split("=")[0] for line in lines}
     assert {"graph", "checkpoint", "seed", "out"} <= keys
-    assert not keys & {"knn", "encoder"}
+    assert "knn" not in keys
     _, echo = cli.read_checkpoint(root / "model.ckpt")
     assert "graph" in echo and "knn" not in echo
 
@@ -1307,3 +1296,87 @@ def test_checkpoint_dimensions_checked_before_episode_zero(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {checkpoint}: {message}\n"
     assert episodes == [] and not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "train", "sweep", "zero-shot"])
+def test_old_echo_with_the_encoder_option_replays(workspace, tmp_path, capsys, cmd):
+    # echoes written while the encoder was an option hold encoder=identity
+    # (a run without a checkpoint read it, and so did train); the key is
+    # no longer read, so such an echo replays to the same bytes
+    outputs = {"eval": ["--out", str(tmp_path / "r.csv")],
+               "train": ["--checkpoint", str(tmp_path / "m.ckpt"),
+                         "--out", str(tmp_path / "log.csv"), "--eval-every", "2"],
+               "sweep": ["--out", str(tmp_path / "s.csv"), "--values", "1,3"],
+               "zero-shot": ["--out", str(tmp_path / "z.csv")]}[cmd]
+    assert main(base_args(workspace, cmd) + outputs + ["--episodes", "4", "--seed", "5"]) == 0
+    written = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    echo = Path(outputs[1] + ".config").read_text().splitlines()
+    old = tmp_path / "old.cfg"
+    old.write_text("\n".join(echo[:1] + sorted(echo[1:] + ["encoder=identity"])) + "\n")
+    capsys.readouterr()
+    assert main([cmd, "--config", str(old)]) == 0
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path != old} == written
+
+
+@pytest.mark.filterwarnings("error")  # numpy's warnings on the way would fail the run
+@pytest.mark.parametrize("episodes", ["9", "250"])
+def test_non_finite_gradient_fails_at_its_episode(tmp_path, capsys, monkeypatch, episodes):
+    # episode 8's loss is finite but its gradient is not: the step that would
+    # write NaN into the weights fails, and no checkpoint is written; a longer
+    # run stops there too, before a later warm start fails on the NaN weights
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--relations", "25", "--dim", "16", "--per-relation", "20",
+                 "--splits", "10,5,10", "--seed", "104", "--out", "d"]) == 0
+    capsys.readouterr()
+    assert main(["train", "--data", "d/instances.tsv", "--registry", "d/registry.tsv",
+                 "--embeddings", "d/embeddings.tsv", "--episodes", episodes, "--eval-every", "0",
+                 "--seed", "6", "--checkpoint", "m.ckpt"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: episode 8: non-finite gradient (replay stream seed=6 id=")
+    assert not Path("m.ckpt").exists()
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("eval", ["--chains", "100000000"]),
+    ("train", ["--chains", "100000000", "--checkpoint", "m.ckpt"]),
+    ("sweep", ["--values", "1,100000000"]),
+    ("sweep", ["--axis", "M", "--values", "1,2", "--chains", "100000000"]),
+])
+def test_too_many_chains_fail_before_the_first_episode(
+    tmp_path, capsys, monkeypatch, cmd, flags
+):
+    # one episode's chain step would hold 1e8 * 2 * 4 floats, more than the
+    # cap: the run fails before any episode, and so allocates none of them;
+    # a sweep over the steps fails at its first point, whose chains are too many
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--relations", "12", "--dim", "4", "--per-relation", "6",
+                 "--splits", "4,4,4", "--seed", "2", "--out", "d"]) == 0
+    capsys.readouterr()
+
+    def unreachable(*args):
+        raise AssertionError("an episode was drawn")
+
+    monkeypatch.setattr(evaluation, "sample_episode", unreachable)
+    monkeypatch.setattr(trainer, "sample_episode", unreachable)
+    inputs = ["--data", "d/instances.tsv", "--registry", "d/registry.tsv",
+              "--embeddings", "d/embeddings.tsv", "--knn", "3"]
+    assert main([cmd, *inputs, "--n-way", "2", "--episodes", "2", *flags]) == 1
+    prefix = ""
+    if cmd == "sweep":
+        prefix = "sweep M=1: " if "--axis" in flags else "sweep L=100000000: "
+    assert capsys.readouterr() == ("", (
+        f"error: {prefix}chains 100000000 is too many: one episode's chain step would hold "
+        "800000000 floats, more than 134217728\n"
+    ))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]  # nothing written
+
+
+def test_grad_check_prints_the_lines_readme_quotes(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    printed = readme.split("These commands print")[1].split("```")[1].splitlines()
+    quoted = [line for line in printed
+              if line.startswith(("support-likelihood-", "episode-objective-", "OK: "))]
+    assert len(quoted) == 5
+    assert main(["grad-check", "--seed", "1", "--d", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == quoted

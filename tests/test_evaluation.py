@@ -71,8 +71,7 @@ class TestEvaluateFewshot:
             ep = sample_episode(ds, "test", 5, 1, 5, RngStream(601).child(i))
             summaries = summary_rows(graph, params.gnn, ep.targets)
             _, preds = posterior_predict(
-                ep, summaries, SamplerConfig(chains=4, steps=2), params.encoder,
-                RngStream(602).child(i),
+                ep, summaries, SamplerConfig(chains=4, steps=2), RngStream(602).child(i),
             )
             hits += int(np.sum(preds == shuffler.permutation(ep.query_y)))
             total += len(ep.query_y)
@@ -119,7 +118,7 @@ class TestEvaluateZeroshot:
         for i in range(500):
             ep = sample_episode(ds, "test", 5, 0, 5, RngStream(631).child(i))
             prototypes = summary_rows(graph, params.gnn, ep.targets)
-            enc = encode_batch(ep.query_x, params.encoder)
+            enc = encode_batch(ep.query_x)
             preds = np.array([
                 int(np.argmax(class_log_probs(enc[q], prototypes, "dot", 10.0)))
                 for q in range(enc.shape[0])
@@ -200,22 +199,13 @@ def cap_elements(batch, measure, chains, n_way, rows, d):
     return batch * per_episode
 
 
-LINEAR_PARAMS = ModelParams(
-    gnn=GnnParams(weight=np.eye(8), bias=np.zeros(8)),
-    encoder=EncoderParams(
-        mode="linear", weight=np.eye(8) + 0.1 * RngStream(70).generator().standard_normal((8, 8)),
-        bias=np.full(8, 0.5),
-    ),
-)
-
 BATCH_SETTINGS = {
-    "dot": (SamplerConfig(), None),
-    "euclidean": (SamplerConfig(measure="euclidean"), None),
-    "no-noise": (SamplerConfig(noise_enabled=False), None),
-    "no-graph-prior": (SamplerConfig(graph_prior=False), None),
-    "linear-encoder": (SamplerConfig(), LINEAR_PARAMS),
-    "zero-shot-dot": (None, None),
-    "zero-shot-euclidean": (None, None),
+    "dot": SamplerConfig(),
+    "euclidean": SamplerConfig(measure="euclidean"),
+    "no-noise": SamplerConfig(noise_enabled=False),
+    "no-graph-prior": SamplerConfig(graph_prior=False),
+    "zero-shot-dot": None,
+    "zero-shot-euclidean": None,
 }
 
 
@@ -228,8 +218,7 @@ class TestBatchSize:
         self, informative_world, monkeypatch, tmp_path, setting
     ):
         ds, graph, _ = informative_world
-        cfg, params = BATCH_SETTINGS[setting]
-        params = params or identity_params(8)
+        cfg, params = BATCH_SETTINGS[setting], identity_params(8)
         measure = "euclidean" if setting.endswith("euclidean") else "dot"
         sizes = []
 
@@ -242,7 +231,7 @@ class TestBatchSize:
                 if name == "posterior_predict":
                     sizes.append((len(args[0].targets), kwargs["first_episode"]))
                 else:
-                    sizes.append((len(args[5]), None))
+                    sizes.append((len(args[4]), None))
                 return call(*args, **kwargs)
 
             return wrapper
@@ -286,6 +275,37 @@ class TestBatchSize:
         assert _batch_size("dot", 10, 20, 100, 64) == 1
         assert _batch_size("euclidean", 10, 20, 100, 64) == 1
 
+    @pytest.mark.parametrize("measure, chains", [("dot", 2**24), ("euclidean", 2**22)])
+    def test_one_episode_at_the_float_cap_and_none_past_it(self, measure, chains):
+        # 2-way 2-shot at d=4: the chain count whose step holds exactly
+        # EPISODE_FLOATS_CAP floats runs alone; one chain more fails, before
+        # anything of that size is allocated
+        from protograph.evaluation import EPISODE_FLOATS_CAP, _batch_size
+        from protograph.likelihood import chain_step_floats
+
+        assert chain_step_floats(measure, chains, 2, 4, 4) == EPISODE_FLOATS_CAP == 2**27
+        assert _batch_size(measure, chains, 2, 4, 4) == 1
+        floats = chain_step_floats(measure, chains + 1, 2, 4, 4)
+        with pytest.raises(ValueError, match=(
+            rf"^chains {chains + 1} is too many: one episode's chain step would hold "
+            rf"{floats} floats, more than {2**27}$"
+        )):
+            _batch_size(measure, chains + 1, 2, 4, 4)
+
+    def test_zero_shot_runs_one_chain_whatever_the_chain_count(self, informative_world):
+        # k_shot 0 scores the queries against the summaries alone: a chain
+        # count the cap refuses for a few-shot episode does not size its batch
+        ds, graph, _ = informative_world
+        outcomes = [
+            episode_outcomes(ds, "test", graph, identity_params(8), 5, 0, 5, 6,
+                             RngStream(8), SamplerConfig(chains=chains))
+            for chains in (10, 10**8)
+        ]
+        assert outcomes[0] == outcomes[1] and len(outcomes[0]) == 6
+        with pytest.raises(ValueError, match="^chains 100000000 is too many"):
+            episode_outcomes(ds, "test", graph, identity_params(8), 5, 1, 5, 6,
+                             RngStream(8), SamplerConfig(chains=10**8))
+
     def test_readme_batch_peaks_within_seven_largest_step_arrays(self):
         # the chain updates one copy and one gradient buffer in place, so a
         # batch twice the old size does not double the memory it holds
@@ -304,10 +324,10 @@ class TestBatchSize:
         batch = sample_episode(ds, "test", 5, 1, 5, RngStream(3).child(ids, 0))
         summaries = summary_rows(build_knn_graph(emb, 10), params.gnn, batch.targets)
         noise_rng = RngStream(3).child(ids, 1)
-        posterior_predict(batch, summaries, cfg, params.encoder, noise_rng)  # warm-up
+        posterior_predict(batch, summaries, cfg, noise_rng)  # warm-up
         tracemalloc.start()
         try:
-            posterior_predict(batch, summaries, cfg, params.encoder, noise_rng)
+            posterior_predict(batch, summaries, cfg, noise_rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,4 @@
-"""Tests for the encoder and the temperature-softmax likelihood."""
+"""Tests for the encoding, the similarity kernel and the temperature-softmax likelihood."""
 
 import math
 
@@ -9,7 +9,6 @@ from protograph import sampler
 from protograph.likelihood import (
     LOGIT_CLAMP,
     RESIDUAL_FLOOR,
-    EncoderParams,
     class_log_probs,
     encode_batch,
     pairwise_logits,
@@ -27,9 +26,6 @@ from protograph.numerics import (
     softmax_with_temperature,
 )
 
-IDENTITY = EncoderParams(mode="identity")
-
-
 def support_log_likelihood(x, y, v, measure, tau):
     """(1/K) sum_s log p(y_s | x_s, V) of the support rows x against the
     prototypes v, and its gradient in v: the chain's drift, scaled by 1/(K tau)."""
@@ -43,30 +39,19 @@ def support_log_likelihood(x, y, v, measure, tau):
 class TestEncode:
     def test_identity_passthrough(self):
         x = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(encode_batch(x, IDENTITY), x)
-
-    def test_zero_weight_returns_bias(self):
-        params = EncoderParams(mode="linear", weight=np.zeros((2, 3)), bias=np.array([5.0, -1.0]))
-        np.testing.assert_array_equal(encode_batch(np.ones(3), params), [5.0, -1.0])
-
-    def test_double_identity(self):
-        params = EncoderParams(mode="linear", weight=2.0 * np.eye(2), bias=np.zeros(2))
-        np.testing.assert_array_equal(encode_batch(np.array([1.0, -1.0]), params), [2.0, -2.0])
-
-    def test_dimension_mismatch(self):
-        params = EncoderParams(mode="linear", weight=np.eye(2), bias=np.zeros(2))
-        with pytest.raises(ValueError, match="dim"):
-            encode_batch(np.ones(3), params)
+        np.testing.assert_array_equal(encode_batch(x), x)
 
     def test_batch_matches_single(self):
-        gen = np.random.default_rng(0)
-        params = EncoderParams(
-            mode="linear", weight=gen.standard_normal((3, 4)), bias=gen.standard_normal(3)
-        )
-        x = gen.standard_normal((5, 4))
-        batch = encode_batch(x, params)
-        for i in range(5):
-            np.testing.assert_allclose(batch[i], encode_batch(x[i], params), atol=1e-12)
+        # a batch of rows, with or without an episode axis, encodes row by
+        # row; integer features become floats of the same values
+        x = np.random.default_rng(0).integers(-5, 5, size=(2, 5, 4))
+        batch = encode_batch(x)
+        assert batch.dtype == np.float64 and batch.shape == x.shape
+        for e in range(2):
+            assert encode_batch(x[e]).tobytes() == batch[e].tobytes()
+            for i in range(5):
+                assert encode_batch(x[e, i]).tobytes() == batch[e, i].tobytes()
+        np.testing.assert_array_equal(batch, x)
 
 
 class TestClassLogProbs:
@@ -124,15 +109,11 @@ class TestPairwiseLogitsVjp:
         enc = gen.standard_normal((4, 3))
         values = gen.standard_normal((3, 5, 3))
         cotangent = gen.standard_normal((3, 4, 5))
-        d_enc, d_values = pairwise_logits_vjp(cotangent, enc, values, measure)
-        fd_enc = finite_difference_gradient(
-            lambda e: np.sum(cotangent * pairwise_logits(e, values, measure)), enc
-        )
+        d_values = pairwise_logits_vjp(cotangent, enc, values, measure)
         fd_values = finite_difference_gradient(
             lambda v: np.sum(cotangent * pairwise_logits(enc, v, measure)), values
         )
-        assert d_enc.shape == enc.shape and d_values.shape == values.shape
-        assert max_relative_error(d_enc, fd_enc) < 1e-8
+        assert d_values.shape == values.shape
         assert max_relative_error(d_values, fd_values) < 1e-8
 
 
@@ -449,28 +430,48 @@ class TestEpisodeAxis:
             support_labels(np.array([[0, 1, 0, 1], [0, 5, 0, 1], [0, 0, 0, 1]]), 2)
 
 
-class TestVjpWithoutEncodings:
-    """encodings=False leaves the encodings' slot None and the prototypes' bits alone."""
+class TestPrototypeVjps:
+    """The softmax and drift VJPs at random shapes, against central differences."""
+
+    @staticmethod
+    def random_case(gen, measure):
+        chains, s, n_way, d = (int(x) for x in gen.integers(1, [5, 8, 6, 7]))
+        enc = gen.standard_normal((s, d))
+        values = gen.standard_normal((chains, n_way, d))
+        one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
+        tau = float(gen.uniform(0.5, 20.0))
+        return enc, values, one_hot, tau
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_prototype_cotangents_keep_their_bits(self, measure):
+    def test_similarity_softmax_vjp_matches_central_differences(self, measure):
         gen = np.random.default_rng(43)
-        for _ in range(300):
-            chains, s, n_way, d = (int(x) for x in gen.integers(1, [5, 8, 6, 7]))
-            enc = gen.standard_normal((s, d))
-            values = gen.standard_normal((chains, n_way, d))
-            one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
-            tau, scale = float(gen.uniform(0.5, 20.0)), float(gen.uniform(0.01, 2.0))
-            d_logits = gen.standard_normal((chains, s, n_way))
-            probs = softmax_with_temperature(pairwise_logits(enc, values, measure), tau)
+        for _ in range(40):
+            enc, values, _, tau = self.random_case(gen, measure)
+
+            def probs(v):
+                return softmax_with_temperature(pairwise_logits(enc, v, measure), tau)
+
+            d_probs = gen.standard_normal(probs(values).shape)
+            d_values = similarity_softmax_vjp(probs(values), d_probs, enc, values, measure, tau)
+            fd = finite_difference_gradient(lambda v: np.sum(d_probs * probs(v)), values)
+            assert d_values.shape == values.shape
+            assert max_relative_error(d_values, fd) < 1e-7, values.shape
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_support_drift_vjp_matches_central_differences(self, measure):
+        gen = np.random.default_rng(44)
+        for _ in range(40):
+            enc, values, one_hot, tau = self.random_case(gen, measure)
+            scale = float(gen.uniform(0.01, 2.0))
             cotangent = gen.standard_normal(values.shape)
-            for kernel, args in [
-                (pairwise_logits_vjp, (d_logits, enc, values, measure)),
-                (similarity_softmax_vjp, (probs, d_logits, enc, values, measure, tau)),
-                (support_drift_vjp,
-                 (enc, one_hot, values, probs, cotangent, measure, tau, scale)),
-            ]:
-                d_enc, d_values = kernel(*args)
-                skipped, alone = kernel(*args, encodings=False)
-                assert d_enc.shape == enc.shape and skipped is None, kernel.__name__
-                assert alone.tobytes() == d_values.tobytes(), (kernel.__name__, values.shape)
+
+            def drift(v):
+                return scale * support_probs_and_grad(enc, one_hot, v, measure, tau)[1]
+
+            probs, _ = support_probs_and_grad(enc, one_hot, values, measure, tau)
+            d_values = support_drift_vjp(
+                enc, one_hot, values, probs, cotangent, measure, tau, scale
+            )
+            fd = finite_difference_gradient(lambda v: np.sum(cotangent * drift(v)), values)
+            assert d_values.shape == values.shape
+            assert max_relative_error(d_values, fd) < 1e-7, values.shape

@@ -654,6 +654,54 @@ def test_trainer_leaves_the_chain_rules_to_the_sampler():
     assert chain_rule_uses((SRC / "trainer.py").read_text(encoding="utf-8")) == []
 
 
+def switched_vjps(source: str, module: str) -> list[str]:
+    """``module.function(parameter)`` of each parameter with a boolean default
+    that a function of ``source`` whose name ends in ``_vjp`` takes, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not node.name.endswith("_vjp"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaults = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+        defaults += zip(args.kwonlyargs, args.kw_defaults)
+        found += [f"{module}.{node.name}({arg.arg})" for arg, default in defaults
+                  if isinstance(default, ast.Constant) and isinstance(default.value, bool)]
+    return sorted(found)
+
+
+def test_switched_vjp_scan_finds_every_kind_of_switch():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+def pairwise_vjp(d, enc, encodings=True):
+    return d
+def kernel_vjp(d, /, first=False, *, skip=False, tau=1.0, none=None):
+    return d
+def forward(d, record=True):
+    return d
+class Chain:
+    def step_vjp(self, first, last=None, exact=False):
+        return first
+def plain_vjp(d, tau=1.0, measure="dot", *, scale=2):
+    return d
+"""
+    assert switched_vjps(source, "m") == [
+        "m.kernel_vjp(first)", "m.kernel_vjp(skip)", "m.pairwise_vjp(encodings)",
+        "m.step_vjp(exact)",
+    ]
+
+
+def test_no_vjp_takes_a_boolean_switch():
+    # each reverse pass has one path, that of the cotangents training reads;
+    # a switch that skips part of a VJP would fork it again
+    found = []
+    for module in ("likelihood", "sampler"):
+        found += switched_vjps((SRC / f"{module}.py").read_text(encoding="utf-8"), module)
+    assert found == []
+
+
 def referenced_names(tree) -> Counter:
     """How often each name is read in ``tree``: as a name, an attribute, an
     imported name or a string (the tracer names its call sites in strings)."""

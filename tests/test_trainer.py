@@ -33,7 +33,7 @@ def tiny_world(seed=0, d=3, n_rel=6):
     gen = RngStream(seed).generator()
     emb = gen.standard_normal((n_rel, d))
     graph = build_knn_graph(emb, 2)
-    params = init_params(d, d, RngStream(seed + 1), encoder_mode="linear")
+    params = init_params(d, d, RngStream(seed + 1))
     return gen, graph, params
 
 
@@ -83,7 +83,7 @@ class TestEpisodeObjective:
         d = 3
         emb = gen.standard_normal((6, d))
         graph = build_knn_graph(emb, 2)
-        params = init_params(d, d, RngStream(32), encoder_mode="linear")
+        params = init_params(d, d, RngStream(32))
         ep = random_episode(gen, 2, 1, 2, d, 6)
         cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7, measure="euclidean")
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
@@ -115,8 +115,7 @@ class TestEpisodeObjective:
     def test_identity_encoder_gradients_match_oracle(
         self, measure, likelihood_weight, step_decay, graph_prior
     ):
-        # the reverse pass of an encoder that does not train skips the
-        # encoding cotangents; the graph layer's gradients must not notice
+        # a 3-way shape at a second seed: the graph layer is the whole model
         gen, graph, _ = tiny_world(seed=8)
         params = init_params(3, 3, RngStream(9))
         assert list(param_arrays(params)) == ["gnn.weight", "gnn.bias"]
@@ -211,6 +210,31 @@ class TestEpisodeObjective:
         with pytest.raises(RuntimeError, match="replay"):
             episode_loss(ep, graph, params, cfg, RngStream(7))
 
+    @pytest.mark.filterwarnings("error")  # numpy's warnings on the way would fail it
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_gradient_raises_with_its_replay_stream(self, monkeypatch, value):
+        # a finite loss whose summaries' cotangent is not finite: the error
+        # names the stream that replays the episode, and numpy's error state
+        # outside the objective is left as it was
+        gen, graph, params = tiny_world(seed=5)
+        ep = random_episode(gen, 3, 2, 2, 3, 6)
+        vjp = trainer.episode_forward_vjp
+
+        def poisoned(*args):
+            d_summ = vjp(*args)
+            d_summ[0, 0] = value
+            return d_summ
+
+        monkeypatch.setattr(trainer, "episode_forward_vjp", poisoned)
+        rng = RngStream(6).child(4)
+        state = np.geterr()
+        with pytest.raises(RuntimeError) as caught:
+            episode_objective_and_grads(ep, graph, params, SamplerConfig(chains=2, steps=2), rng)
+        assert str(caught.value) == (
+            f"non-finite gradient (replay stream seed=6 id={rng.stream_id})"
+        )
+        assert np.geterr() == state
+
 
 class TestForwardConsistency:
     def test_training_forward_matches_inference_pipeline(self):
@@ -226,9 +250,7 @@ class TestForwardConsistency:
             ep = random_episode(gen, 3, 2, 2, 3, 6)
             rng = RngStream(800).child(case)
             _, fwd = _episode_forward(ep, graph, params, cfg, rng)
-            probs, _ = posterior_predict(
-                ep, summary_rows(graph, params.gnn, ep.targets), cfg, params.encoder, rng
-            )
+            probs, _ = posterior_predict(ep, summary_rows(graph, params.gnn, ep.targets), cfg, rng)
             np.testing.assert_array_equal(fwd.probs, probs)
 
 
@@ -255,18 +277,45 @@ class TestTrain:
         params, rows = train(ds, graph, cfg)
         fresh = init_params(
             graph_dim=graph.feature_dim, output_dim=ds.d,
-            rng=RngStream(cfg.seed).child(0), encoder_mode="identity",
+            rng=RngStream(cfg.seed).child(0),
         )
         np.testing.assert_array_equal(params.gnn.weight, fresh.gnn.weight)
         assert rows == []
 
-    def test_config_rejects_an_unknown_encoder_mode(self):
-        with pytest.raises(ValueError, match="^unknown encoder mode 'lineer'$"):
-            TrainConfig(episodes_total=1, encoder_mode="lineer")
+    def test_encoder_is_the_identity_only(self):
+        with pytest.raises(ValueError, match="^unknown encoder mode 'linear'$"):
+            EncoderParams(mode="linear")
 
-    def test_init_rejects_an_unknown_encoder_mode(self):
-        with pytest.raises(ValueError, match="^unknown encoder mode 'lineer'$"):
-            init_params(3, 3, RngStream(0), encoder_mode="lineer")
+    def test_non_finite_gradient_stops_training_before_its_step(self, monkeypatch, tmp_path):
+        # episode 2's gradient is poisoned: episodes 0 and 1 step as a
+        # two-episode run does, episode 2 takes no step and no checkpoint is written
+        ds, graph, cfg = self.make_world(episodes=2, eval_every=0)
+        two_steps, _ = train(ds, graph, cfg)
+        vjp, initial = trainer.episode_forward_vjp, trainer.initial_params
+        calls, started = [], []
+
+        def poisoned(*args):
+            calls.append(None)
+            d_summ = vjp(*args)
+            if len(calls) == 3:
+                d_summ[:] = np.nan
+            return d_summ
+
+        def kept(*args):  # the live model train steps
+            started.append(initial(*args))
+            return started[-1]
+
+        monkeypatch.setattr(trainer, "episode_forward_vjp", poisoned)
+        monkeypatch.setattr(trainer, "initial_params", kept)
+        ds, graph, cfg = self.make_world(episodes=30, eval_every=0,
+                                         checkpoint_path=tmp_path / "m.ckpt")
+        with pytest.raises(RuntimeError, match=(
+            rf"^episode 2: non-finite gradient \(replay stream seed={cfg.seed} id=\d+\)$"
+        )):
+            train(ds, graph, cfg)
+        assert len(calls) == 3
+        assert_same_params(started[0], two_steps)
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_loss_decreases_on_separable_data(self):
         # harder-than-trivial separable regime so the first episodes carry loss
@@ -307,8 +356,7 @@ class TestTrain:
         for i in range(cfg.val_episodes):
             ep = sample_episode(ds, "val", cfg.n_way, cfg.k_shot, cfg.q_per, rng.child(i, 0))
             _, preds = posterior_predict(
-                ep, summary_rows(graph, params.gnn, ep.targets), cfg.sampler, params.encoder,
-                rng.child(i, 1),
+                ep, summary_rows(graph, params.gnn, ep.targets), cfg.sampler, rng.child(i, 1),
             )
             correct += int(np.sum(preds == ep.query_y))
             total += len(ep.query_y)
@@ -324,11 +372,8 @@ class TestTrain:
         assert all(line.endswith(",,") for line in lines[1:])
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    @pytest.mark.parametrize("encoder_mode", ["identity", "linear"])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
-    def test_outputs_do_not_depend_on_the_chunk_size(
-        self, tmp_path, monkeypatch, measure, encoder_mode, noise
-    ):
+    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, measure, noise):
         # episodes and chain noise are drawn a chunk at a time; each episode
         # still gets the draws of its own streams, so one episode per chunk
         # writes the same bytes as the default chunks and as chunks of 3 or 9,
@@ -344,7 +389,7 @@ class TestTrain:
             out = tmp_path / str(elements)
             out.mkdir()
             ds, graph, cfg = self.make_world(
-                episodes=30, encoder_mode=encoder_mode, learning_rate=0.02,
+                episodes=30, learning_rate=0.02,
                 checkpoint_path=out / "model.ckpt", log_path=out / "log.csv",
             )
             cfg.sampler = SamplerConfig(chains=3, steps=2, measure=measure, noise_enabled=noise)
@@ -441,13 +486,6 @@ class TestTrain:
 
 
 class TestCheckpoint:
-    def test_round_trip_linear_encoder(self, tmp_path):
-        params = init_params(4, 3, RngStream(9), encoder_mode="linear")
-        write_checkpoint(params, tmp_path / "m.ckpt", {"seed": "9", "tau": "10.0"})
-        loaded, echo = read_checkpoint(tmp_path / "m.ckpt")
-        assert echo == {"seed": "9", "tau": "10.0"}
-        assert_same_params(loaded, params)
-
     def test_round_trip_is_exact_decimal(self, tmp_path):
         params = init_params(3, 3, RngStream(10))
         write_checkpoint(params, tmp_path / "m.ckpt")
@@ -459,64 +497,37 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint"):
             read_checkpoint(tmp_path / "bad.ckpt")
 
-    def test_rejects_encoder_of_another_dimension(self, tmp_path):
-        # an encoder to 4 dimensions does not fit prototypes of 3
-        params = init_params(4, 3, RngStream(11))
-        params.encoder = EncoderParams(mode="linear", weight=np.ones((4, 3)), bias=np.zeros(4))
-        write_checkpoint(params, tmp_path / "m.ckpt")
-        at = (tmp_path / "m.ckpt").read_text().splitlines().index("encoder.weight 4 3") + 1
-        message = rf"m.ckpt:{at}: expected encoder.weight 3 3, found 'encoder.weight 4 3'$"
-        with pytest.raises(ValueError, match=message):
-            read_checkpoint(tmp_path / "m.ckpt")
-
-    def test_rejects_encoder_bias_of_two_rows(self, tmp_path):
-        # the second row would otherwise go unread (gnn.bias: test_cli.MALFORMED)
-        params = init_params(4, 3, RngStream(12), encoder_mode="linear")
-        write_checkpoint(params, tmp_path / "m.ckpt")
+    def test_rejects_the_encoder_blocks_of_a_linear_mode(self, tmp_path):
+        # the weight and bias blocks the trainable encoder wrote after its
+        # mode are not skipped: the first is where the config count belongs
+        params = init_params(4, 3, RngStream(15))
+        write_checkpoint(params, tmp_path / "m.ckpt", {"seed": "15"})
         lines = (tmp_path / "m.ckpt").read_text().splitlines()
-        at = lines.index("encoder.bias 1 3")
-        lines[at : at + 2] = ["encoder.bias 2 3", lines[at + 1], lines[at + 1]]
+        at = lines.index("encoder.mode identity") + 1
+        lines[at:at] = ["encoder.weight 3 3", *["0 0 0"] * 3, "encoder.bias 1 3", "0 0 0"]
         (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
-        message = rf"m.ckpt:{at + 1}: expected encoder.bias 1 3, found 'encoder.bias 2 3'$"
-        with pytest.raises(ValueError, match=message):
-            read_checkpoint(tmp_path / "m.ckpt")
-
-    def test_rejects_non_finite_encoder_bias(self, tmp_path):
-        params = init_params(4, 3, RngStream(12), encoder_mode="linear")
-        write_checkpoint(params, tmp_path / "m.ckpt")
-        lines = (tmp_path / "m.ckpt").read_text().splitlines()
-        at = lines.index("encoder.bias 1 3") + 1
-        lines[at] = lines[at].rsplit(" ", 1)[0] + " inf"
-        (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=rf"m.ckpt:{at + 1}: non-finite encoder.bias value$"):
+        with pytest.raises(ValueError, match=rf"m.ckpt:{at + 1}: expected config$"):
             read_checkpoint(tmp_path / "m.ckpt")
 
     def test_round_trip_skips_blank_lines(self, tmp_path):
-        params = init_params(4, 3, RngStream(14), encoder_mode="linear")
+        params = init_params(4, 3, RngStream(14))
         write_checkpoint(params, tmp_path / "m.ckpt", {"seed": "14"})
         lines = (tmp_path / "m.ckpt").read_text().splitlines()
-        at = lines.index("encoder.bias 1 3")
+        at = lines.index("encoder.mode identity")
         lines[at:at] = ["", "  "]
         (tmp_path / "m.ckpt").write_text("\n".join(lines) + "\n")
         loaded, echo = read_checkpoint(tmp_path / "m.ckpt")
         assert echo == {"seed": "14"}
         assert_same_params(loaded, params)
 
-    @pytest.mark.parametrize("encoder_mode", ["identity", "linear"])
-    def test_readme_format_lists_the_written_lines(self, tmp_path, encoder_mode):
+    def test_readme_format_lists_the_written_lines(self, tmp_path):
         # the header lines of README's "Checkpoint format (v1)" block, in order;
         # a line without a <placeholder> must be written as it stands
         readme = Path(__file__).resolve().parents[1] / "README.md"
         block = readme.read_text(encoding="utf-8").split("### Checkpoint format (v1)")[1]
-        documented = []
-        for line in block.split("```")[1].strip().splitlines():
-            spec, _, comment = line.partition("#")
-            if encoder_mode == "linear" or "linear mode only" not in comment:
-                documented.append(spec.strip())
-        write_checkpoint(
-            init_params(4, 3, RngStream(13), encoder_mode=encoder_mode),
-            tmp_path / "m.ckpt", {"seed": "13"},
-        )
+        documented = [line.partition("#")[0].strip()
+                      for line in block.split("```")[1].strip().splitlines()]
+        write_checkpoint(init_params(4, 3, RngStream(13)), tmp_path / "m.ckpt", {"seed": "13"})
         written = [
             line for line in (tmp_path / "m.ckpt").read_text().splitlines()
             if "=" not in line and not is_value_row(line)
