@@ -19,6 +19,7 @@ numpy would draw another way.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Callable
@@ -276,7 +277,7 @@ def _scaled_logits(logits, tau: float) -> np.ndarray:
     tau = float(tau)
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if not np.isfinite(tau):
+    if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     if tau >= 1:  # |z / tau| <= |z|: only non-finite input gives non-finite output
         z = z / tau

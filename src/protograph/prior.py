@@ -41,12 +41,9 @@ class GnnParams:
         return self.weight.shape[1]
 
 
-def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray:
-    """Summaries restricted to the given relation ids (rows in target order).
-
-    Ids (E, N) of E episodes give (E, N, d), each episode's rows with the
-    bits of its own call.
-    """
+def graph_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray:
+    """The layer's inputs: propagated graph rows (N, d_g) of the given
+    relation ids, in target order, after the checks; ids (E, N) give (E, N, d_g)."""
     ax = graph.propagated()
     if ax.shape[1] != params.input_dim:
         raise ValueError(
@@ -56,5 +53,14 @@ def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray
     bad = idx[(idx < 0) | (idx >= len(ax))]
     if bad.size:
         raise ValueError(f"episode target {int(bad[0])} not in the graph")
-    return ax[idx] @ params.weight + params.bias
+    return ax[idx]
+
+
+def summary_rows(graph: RelationGraph, params: GnnParams, targets) -> np.ndarray:
+    """Summaries restricted to the given relation ids (rows in target order).
+
+    Ids (E, N) of E episodes give (E, N, d), each episode's rows with the
+    bits of its own call.
+    """
+    return graph_rows(graph, params, targets) @ params.weight + params.bias
 

@@ -103,18 +103,35 @@ class ChainRecord:
 
     trajectory: np.ndarray  # (M+1, L, N, d), trajectory[0] is the init
     # (M, L, S, N) support softmax at the state each step starts from; None
-    # when no step evaluated the likelihood term
+    # when the chain has no likelihood term
     support_probs: np.ndarray | None = None
 
 
 @dataclass
-class EpisodeForward:
-    """What one episode's forward pass computed, for prediction and training."""
+class EpisodeStage:
+    """What an episode's forward computes before it reads a parameter: of one
+    episode, or of E stacked, whose ``stage[e]`` is episode e's (views)."""
 
+    targets: np.ndarray  # (N,)
+    query_y: np.ndarray  # (Q,)
     support_enc: np.ndarray  # (S, d)
     query_enc: np.ndarray  # (Q, d)
-    one_hot: np.ndarray  # (S, N) support labels
+    one_hot: np.ndarray  # (S, N) checked support labels, k_shot per class
     k_shot: int
+    class_means: np.ndarray  # (N, d)
+    grand_mean: np.ndarray  # (d,)
+
+    def __getitem__(self, e: int) -> EpisodeStage:
+        return EpisodeStage(
+            self.targets[e], self.query_y[e], self.support_enc[e], self.query_enc[e],
+            self.one_hot[e], self.k_shot, self.class_means[e], self.grand_mean[e],
+        )
+
+
+@dataclass
+class EpisodeForward(EpisodeStage):
+    """What one episode's forward pass computed, for prediction and training."""
+
     chain_probs: np.ndarray  # (L, Q, N) per-chain query probabilities
     probs: np.ndarray  # (Q, N) chain-averaged query probabilities
     record: ChainRecord | None  # set when the forward ran with record=True
@@ -134,10 +151,10 @@ def init_prototypes(
 ) -> np.ndarray:
     """Warm start v_r = m_r + alpha h_r - beta m, replicated across chains.
 
-    Returns (L, N, d), or (E, L, N, d) for E episodes. All chains start at
-    the same point; sample diversity comes entirely from the per-chain
-    Langevin noise. Raises when the start is not finite, as an alpha or beta
-    near the float range makes it.
+    Returns a read-only (L, N, d), or (E, L, N, d) for E episodes, broadcast
+    view. All chains start at the same point; sample diversity comes entirely
+    from the per-chain Langevin noise. Raises when the start is not finite,
+    as an alpha or beta near the float range makes it.
     """
     h = np.asarray(summaries, dtype=float)
     if h.shape != class_means.shape:
@@ -147,7 +164,7 @@ def init_prototypes(
     if not np.isfinite(v0).all():
         raise ValueError(f"warm start is not finite at alpha {alpha:g} and beta {beta:g}")
     shape = v0.shape[:-2] + (chains,) + v0.shape[-2:]
-    return np.broadcast_to(v0[..., None, :, :], shape).copy()
+    return np.broadcast_to(v0[..., None, :, :], shape)
 
 
 def sgld_chain(
@@ -183,29 +200,34 @@ def sgld_chain(
     drawn ahead: at least M, one per step. Without it each step draws its
     block when it runs.
 
-    The chain updates its own copy of ``values`` and one gradient buffer in
-    place; it writes neither the caller's values nor its noise blocks.
+    The chain updates its own C-ordered copy of ``values`` and one gradient
+    buffer in place, and writes a record into arrays allocated once; it
+    writes neither the caller's values nor its noise blocks.
     """
-    values = np.array(values, dtype=float)
+    values = np.array(values, dtype=float, order="C")
     chains, n_way, d = values.shape[-3:]
     batched = values.ndim == 4
     h = np.asarray(summaries, dtype=float)
     if h.shape != values.shape[:-3] + (n_way, d):
         raise ValueError(f"summaries {h.shape} do not match prototypes {values.shape}")
+    h_chains = h[..., None, :, :]
 
     has_lik = config.likelihood_weight != 0.0 and np.size(one_hot) > 0
     if has_lik:
         scale = config.likelihood_weight / (k_shot * config.tau)
 
-    eps = config.step_sizes()
-    trajectory = [values.copy()] if record else None
-    support_probs = [] if record else None
+    eps = config.step_sizes().tolist()
+    if record:
+        trajectory = np.empty((len(eps) + 1,) + values.shape)
+        trajectory[0] = values
+        probs_shape = (len(eps),) + values.shape[:-2] + np.shape(one_hot)[-2:]  # (M, L, S, N)
+        support_probs = np.empty(probs_shape) if has_lik else None
     if config.noise_enabled:
         noise = iter(chain_noise(rng, targets, chains, d) if noise is None else noise)
 
     grad = np.empty_like(values)
-    for t_idx, eps_t in enumerate(eps):
-        np.subtract(h[..., None, :, :], values, out=grad)
+    for t, eps_t in enumerate(eps):
+        np.subtract(h_chains, values, out=grad)
         grad *= config.prior_weight
         if has_lik:
             probs, drift = support_probs_and_grad(
@@ -215,25 +237,20 @@ def sgld_chain(
             grad += drift
             del drift  # not held while the next step's drift is computed
             if record:
-                support_probs.append(probs)
+                support_probs[t] = probs
         grad *= 0.5 * eps_t
         values += grad
         if config.noise_enabled:
-            values += np.multiply(np.sqrt(eps_t), next(noise), out=grad)
+            values += np.multiply(math.sqrt(eps_t), next(noise), out=grad)
         if not np.isfinite(values).all():
             finite = np.isfinite(values).reshape(-1, chains, n_way * d).all(axis=-1)
             e, l = np.argwhere(~finite)[0]
             where = f"episode {first_episode + e} chain {l}" if batched else f"chain {l}"
-            raise RuntimeError(f"sampler diverged at {where} step {t_idx + 1}")
+            raise RuntimeError(f"sampler diverged at {where} step {t + 1}")
         if record:
-            trajectory.append(values.copy())
+            trajectory[t + 1] = values
 
-    if not record:
-        return values, None
-    return values, ChainRecord(
-        trajectory=np.stack(trajectory),
-        support_probs=np.stack(support_probs) if support_probs else None,
-    )
+    return values, ChainRecord(trajectory, support_probs) if record else None
 
 
 def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
@@ -268,8 +285,20 @@ def predict_queries(
     return probs, _lowest_key_argmax(probs, targets)
 
 
+def stage_episode(episode: Episode) -> EpisodeStage:
+    """The stage of :func:`episode_forward` that reads no parameter, of one
+    :class:`Episode` or E stacked: encodes the support set and the queries,
+    checks the support labels and builds the support statistics, once each."""
+    support_enc = encode_batch(episode.support_x)
+    one_hot, k_shot = support_labels(episode.support_y, np.shape(episode.targets)[-1])
+    return EpisodeStage(
+        episode.targets, episode.query_y, support_enc, encode_batch(episode.query_x), one_hot,
+        k_shot, *support_statistics(support_enc, one_hot, k_shot),
+    )
+
+
 def episode_forward(
-    episode: Episode,
+    episode: Episode | EpisodeStage,
     summaries,
     config: SamplerConfig,
     rng: RngStream,
@@ -279,44 +308,34 @@ def episode_forward(
 ) -> EpisodeForward:
     """The one episode pipeline shared by evaluation, validation and training.
 
-    Takes one :class:`Episode`, or E stacked as sample_episode draws a batch,
-    and the summaries of its targets. Encodes the support set and the queries
-    once each, checks the support labels once, builds the support statistics,
-    warm-starts and runs the chains, and scores the queries against every
-    chain's final prototypes. ``record`` keeps the chain's trajectory and
-    support probabilities for the reverse pass; ``noise`` is the chain's
-    noise drawn ahead (see sgld_chain).
+    Takes one :class:`Episode`, E stacked, or the :func:`stage_episode` of
+    either, and the summaries of its targets. Warm-starts and runs the
+    chains, and scores the queries against every chain's final prototypes.
+    ``record`` keeps the chain's trajectory and support probabilities for the
+    reverse pass; ``noise`` is the chain's noise drawn ahead (see sgld_chain).
     """
+    stage = episode if isinstance(episode, EpisodeStage) else stage_episode(episode)
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
         h = np.zeros_like(h)
-    support_enc = encode_batch(episode.support_x)
-    query_enc = encode_batch(episode.query_x)
-    one_hot, k_shot = support_labels(episode.support_y, np.shape(episode.targets)[-1])
-    class_means, grand_mean = support_statistics(support_enc, one_hot, k_shot)
-    values = init_prototypes(class_means, grand_mean, h, config.alpha, config.beta, config.chains)
+    values = init_prototypes(stage.class_means, stage.grand_mean, h, config.alpha, config.beta,
+                             config.chains)
     values, chain = sgld_chain(
-        support_enc, one_hot, k_shot, episode.targets, h, values, config, rng, record,
-        first_episode, noise,
+        stage.support_enc, stage.one_hot, stage.k_shot, stage.targets, h, values, config, rng,
+        record, first_episode, noise,
     )
-    logits = pairwise_logits(query_enc, values, config.measure)
+    logits = pairwise_logits(stage.query_enc, values, config.measure)
     chain_probs = softmax_with_temperature(logits, config.tau)
-    return EpisodeForward(
-        support_enc=support_enc,
-        query_enc=query_enc,
-        one_hot=one_hot,
-        k_shot=k_shot,
-        chain_probs=chain_probs,
-        probs=chain_probs.mean(axis=-3),
-        record=chain,
-    )
+    return EpisodeForward(**vars(stage), chain_probs=chain_probs,
+                          probs=chain_probs.mean(axis=-3), record=chain)
 
 
 def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfig) -> np.ndarray:
     """VJP of a recorded one-episode :func:`episode_forward`, noise held fixed.
 
-    Takes the cotangent (L, Q, N) of ``fwd.chain_probs``. Returns that of the
-    summaries (N, d), zero when the graph prior is off.
+    Takes the cotangent of ``fwd.chain_probs``, (L, Q, N) or a (Q, N) one
+    that every chain shares. Returns that of the summaries (N, d), zero when
+    the graph prior is off.
     """
     chain = fwd.record
     d_v = similarity_softmax_vjp(
@@ -327,8 +346,9 @@ def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfi
     # reverse through the unrolled chain
     d_h = np.zeros_like(d_v[0])
     lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
-    for t, eps_t in reversed(list(enumerate(config.step_sizes()))):
-        half = 0.5 * eps_t
+    eps = config.step_sizes().tolist()
+    for t in range(len(eps) - 1, -1, -1):
+        half = 0.5 * eps[t]
         d_h += half * config.prior_weight * d_v.sum(axis=0)
         d_v_next = d_v - half * config.prior_weight * d_v
         if chain.support_probs is not None:

@@ -21,18 +21,20 @@ import numpy as np
 from .data import (
     Dataset, Episode, check_episode_shape, parse_ints, read_lines, sample_episode, write_lines,
 )
-from .evaluation import _batch_size, episode_outcomes
+from .evaluation import EPISODE_FLOATS_CAP, _batch_size, episode_outcomes
 from .graph import RelationGraph
 from .likelihood import EncoderParams
 from .numerics import RngStream, chain_noise
-from .prior import GnnParams, summary_rows
-from .sampler import EpisodeForward, SamplerConfig, episode_forward, episode_forward_vjp
+from .prior import GnnParams, graph_rows
+from .sampler import EpisodeForward, EpisodeStage, SamplerConfig, episode_forward
+from .sampler import episode_forward_vjp, stage_episode
 
 # Not called here (episode_forward runs the pipeline and validation runs
 # evaluation's loop), but bound so that benchmarks/tracer.py, which patches
 # this module's call sites by name, finds them.
 from .likelihood import encode_batch, pairwise_logits  # noqa: F401
 from .numerics import softmax_with_temperature  # noqa: F401
+from .prior import summary_rows  # noqa: F401
 from .sampler import init_prototypes, posterior_predict, sgld_chain  # noqa: F401
 
 CHECKPOINT_MAGIC = "protograph-checkpoint v1"
@@ -101,29 +103,36 @@ def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def _episode_forward(
-    episode: Episode,
+    episode: Episode | tuple[EpisodeStage, np.ndarray],
     graph: RelationGraph,
     params: ModelParams,
     config: SamplerConfig,
     rng: RngStream,
     noise: np.ndarray | None = None,
-) -> tuple[float, EpisodeForward]:
-    """The episode's loss and its recorded forward."""
+) -> tuple[float, EpisodeForward, np.ndarray]:
+    """The episode's loss, its recorded forward and its targets' graph rows.
+
+    ``episode`` is an :class:`Episode`, or its stage and graph rows, the
+    inputs that read no parameter, as train makes them a chunk at a time.
+    """
+    if isinstance(episode, Episode):
+        rows = graph_rows(graph, params.gnn, episode.targets)
+        episode = stage_episode(episode), rows
+    stage, rows = episode
     fwd = episode_forward(
-        episode, summary_rows(graph, params.gnn, episode.targets), config, rng, record=True,
-        noise=noise,
+        stage, rows @ params.gnn.weight + params.gnn.bias, config, rng, record=True, noise=noise
     )
-    p_true = fwd.probs[np.arange(len(episode.query_y)), episode.query_y]
+    p_true = fwd.probs[np.arange(len(stage.query_y)), stage.query_y]
     if not np.isfinite(p_true).all() or (p_true <= 0.0).any():
         raise RuntimeError(
             f"non-finite episode loss (replay stream seed={rng.seed} id={rng.stream_id})"
         )
     loss = float(-np.log(p_true).sum() + 0.0)  # + 0.0 folds -0.0 (single-class case)
-    return loss, fwd
+    return loss, fwd, rows
 
 
 def episode_objective_and_grads(
-    episode: Episode,
+    episode: Episode | tuple[EpisodeStage, np.ndarray],
     graph: RelationGraph,
     params: ModelParams,
     config: SamplerConfig,
@@ -132,24 +141,21 @@ def episode_objective_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Negative query log-likelihood of one episode and its parameter gradients.
 
-    ``noise`` is the (M, L, N, d) chain noise of ``rng`` drawn ahead, or None
-    to draw it step by step. Raises when a gradient is not finite, before any
-    step could take it; numpy's warnings on the way there are silenced.
+    ``episode`` is an :class:`Episode` or its staged pair (see _episode_forward),
+    to the same bits. ``noise`` is the (M, L, N, d) chain noise of ``rng``
+    drawn ahead, or None to draw it step by step. Raises when a gradient is
+    not finite, before any step could take it; numpy's warnings on the way
+    there are silenced.
     """
     with np.errstate(all="ignore"):
-        loss, fwd = _episode_forward(episode, graph, params, config, rng, noise)
+        loss, fwd, rows = _episode_forward(episode, graph, params, config, rng, noise)
         # the loss's cotangent: -1/p_bar at each query's true class, shared by the chains
-        rows, y_q = np.arange(episode.query_y.size), episode.query_y
+        queries, y_q = np.arange(fwd.query_y.size), fwd.query_y
         d_mean = np.zeros_like(fwd.probs)
-        d_mean[rows, y_q] = -1.0 / fwd.probs[rows, y_q]
-        d_summ = episode_forward_vjp(
-            fwd, np.broadcast_to(d_mean / config.chains, fwd.chain_probs.shape), config
-        )
+        d_mean[queries, y_q] = -1.0 / fwd.probs[queries, y_q]
+        d_summ = episode_forward_vjp(fwd, d_mean / config.chains, config)
         # graph layer: summaries = propagated rows @ W + b
-        grads = {
-            "gnn.weight": graph.propagated()[episode.targets].T @ d_summ,
-            "gnn.bias": d_summ.sum(axis=0),
-        }
+        grads = {"gnn.weight": rows.T @ d_summ, "gnn.bias": d_summ.sum(axis=0)}
     if not all(np.isfinite(grad).all() for grad in grads.values()):
         raise RuntimeError(
             f"non-finite gradient (replay stream seed={rng.seed} id={rng.stream_id})"
@@ -198,10 +204,10 @@ def train(
     accuracy is recorded (and a checkpoint written) every eval_every episodes;
     the final parameters are checkpointed at the end when a path is set.
 
-    The draws that read no parameter, the episodes and their chain noise,
-    are made a chunk of E episodes at a time, E as evaluation batches the
-    training shape, from one batch stream each; each episode still gets the
-    draws of its own streams.
+    What reads no parameter is made a chunk of E episodes at a time, E as
+    evaluation batches the training shape: the episodes and their chain
+    noise, from one batch stream each, their stages and graph rows; each
+    episode still gets the draws of its own streams and its own bits.
     """
     # check the splits the episodes will sample before the first episode, so
     # a split too small for them does not fail only when it is first sampled
@@ -215,8 +221,16 @@ def train(
     arrays = param_arrays(params)
     rows: list[LogRow] = []
     cfg = config.sampler
-    size = _batch_size(cfg.measure, cfg.chains, config.n_way, config.n_way * config.k_shot,
-                       dataset.d)
+    support = config.n_way * config.k_shot
+    size = _batch_size(cfg.measure, cfg.chains, config.n_way, support, dataset.d)
+    # one episode's trajectory, noise and support probabilities, M+1, M and M
+    # arrays of L*N*d, L*N*d and L*S*N floats, under the cap; a chunk's noise too
+    recorded = cfg.chains * config.n_way * ((2 * cfg.steps + 1) * dataset.d
+                                            + cfg.steps * support)
+    if recorded > EPISODE_FLOATS_CAP:
+        raise ValueError(f"steps {cfg.steps} is too many at chains {cfg.chains}: one training "
+                         f"episode would record {recorded} floats, more than {EPISODE_FLOATS_CAP}")
+    size = min(size, EPISODE_FLOATS_CAP // recorded)
 
     for start in range(0, config.episodes_total, size):
         ids = np.arange(start, min(start + size, config.episodes_total))
@@ -233,9 +247,14 @@ def train(
                 noise[:, t] = next(blocks)
             blocks.close()  # frees its draw buffer before the chunk's passes
 
+        try:
+            inputs = graph_rows(graph, params.gnn, batch.targets)
+            stages = stage_episode(batch)
+        except ValueError:  # each episode stages itself, so the first at fault names itself
+            stages = None
         chain_ids = chain_rngs.stream_id.tolist()
         for e, ep in enumerate(ids.tolist()):
-            episode = Episode(
+            episode = (stages[e], inputs[e]) if stages is not None else Episode(
                 batch.targets[e].tolist(), batch.support_x[e], batch.support_y[e],
                 batch.query_x[e], batch.query_y[e],
             )

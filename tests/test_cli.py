@@ -1372,6 +1372,30 @@ def test_too_many_chains_fail_before_the_first_episode(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]  # nothing written
 
 
+def test_too_many_recorded_steps_fail_before_the_first_episode(tmp_path, capsys, monkeypatch):
+    # one training episode would record its trajectory, noise and support
+    # probabilities, 1000 * 2 * (40001 * 4 + 20000 * 2) floats, more than the
+    # cap, while its chain step holds 8000: training fails before any episode
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--relations", "12", "--dim", "4", "--per-relation", "6",
+                 "--splits", "4,4,4", "--seed", "2", "--out", "d"]) == 0
+    capsys.readouterr()
+
+    def unreachable(*args):
+        raise AssertionError("an episode was drawn")
+
+    monkeypatch.setattr(trainer, "sample_episode", unreachable)
+    assert main(["train", "--data", "d/instances.tsv", "--registry", "d/registry.tsv",
+                 "--embeddings", "d/embeddings.tsv", "--knn", "3", "--n-way", "2",
+                 "--episodes", "2", "--chains", "1000", "--steps", "20000",
+                 "--checkpoint", "m.ckpt"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: steps 20000 is too many at chains 1000: one training episode would record "
+        "400008000 floats, more than 134217728\n"
+    ))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]  # nothing written
+
+
 def test_grad_check_prints_the_lines_readme_quotes(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     printed = readme.split("These commands print")[1].split("```")[1].splitlines()

@@ -306,9 +306,10 @@ class TestBatchSize:
             episode_outcomes(ds, "test", graph, identity_params(8), 5, 1, 5, 6,
                              RngStream(8), SamplerConfig(chains=10**8))
 
-    def test_readme_batch_peaks_within_seven_largest_step_arrays(self):
-        # the chain updates one copy and one gradient buffer in place, so a
-        # batch twice the old size does not double the memory it holds
+    def test_readme_batch_peaks_within_six_largest_step_arrays(self):
+        # the chain updates one copy of the warm start's broadcast view and one
+        # gradient buffer in place, so a batch twice the old size does not
+        # double the memory it holds (measured: 5.77 units)
         from protograph.data import sample_episode
         from protograph.evaluation import _batch_size
         from protograph.likelihood import chain_step_floats
@@ -332,7 +333,7 @@ class TestBatchSize:
         finally:
             tracemalloc.stop()
         largest = size * chain_step_floats("dot", cfg.chains, 5, 5, 16) * 8  # bytes
-        assert peak <= 7 * largest, peak / largest
+        assert peak <= 6 * largest, peak / largest
 
 
 class TestSensitivitySweep:

@@ -20,6 +20,7 @@ from protograph.sampler import (
     posterior_predict,
     predict_queries,
     sgld_chain,
+    stage_episode,
     support_statistics,
 )
 
@@ -701,6 +702,33 @@ class TestEpisodeBatch:
             assert out[e].tobytes() == alone.tobytes()
             assert record.trajectory[:, e].tobytes() == alone_record.trajectory.tobytes()
             assert record.support_probs[:, e].tobytes() == alone_record.support_probs.tobytes()
+
+    def test_stage_of_a_batch_is_each_episodes_stage(self):
+        sx, sy, qx, targets, _ = episode_batch(24, 4, k_shot=3)
+        stages = stage_episode(episode(sx, sy, targets, qx))
+        for e in range(4):
+            alone = stage_episode(episode(sx[e], sy[e], targets[e], qx[e]))
+            for name, value in vars(alone).items():
+                kept = np.asarray(getattr(stages[e], name))
+                assert kept.tobytes() == np.asarray(value).tobytes(), name
+
+    @pytest.mark.parametrize("e_count", [None, 5], ids=["one", "batch"])
+    def test_chain_state_and_record_are_c_ordered(self, e_count):
+        # the warm start is a read-only broadcast view: the chain's one copy
+        # lays it out in C order, which its einsums run fastest on (a plain
+        # copy of the view keeps the chain axis innermost but one)
+        sx, sy, _, targets, h = episode_batch(25, e_count or 1)
+        rng = RngStream(8).child(np.arange(e_count), 1) if e_count else RngStream(8, 1)
+        if e_count is None:
+            sx, sy, targets, h = sx[0], sy[0], targets[0], h[0]
+        cfg = SamplerConfig(chains=3, steps=2)
+        one_hot, k_shot = support_labels(sy, 4)
+        init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta,
+                               cfg.chains)
+        assert not init.flags.writeable
+        out, record = sgld_chain(sx, one_hot, k_shot, targets, h, init, cfg, rng, record=True)
+        assert out.flags.c_contiguous
+        assert record.trajectory.flags.c_contiguous and record.support_probs.flags.c_contiguous
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     def test_prediction_is_per_episode(self, measure):

@@ -13,8 +13,8 @@ from protograph.gradcheck import (
 from protograph.graph import build_knn_graph
 from protograph.likelihood import EncoderParams
 from protograph.numerics import RngStream, chain_noise
-from protograph.prior import GnnParams
-from protograph.sampler import SamplerConfig
+from protograph.prior import GnnParams, graph_rows
+from protograph.sampler import SamplerConfig, stage_episode
 from protograph.trainer import (
     ModelParams,
     TrainConfig,
@@ -249,7 +249,7 @@ class TestForwardConsistency:
         for case in range(20):
             ep = random_episode(gen, 3, 2, 2, 3, 6)
             rng = RngStream(800).child(case)
-            _, fwd = _episode_forward(ep, graph, params, cfg, rng)
+            _, fwd, _ = _episode_forward(ep, graph, params, cfg, rng)
             probs, _ = posterior_predict(ep, summary_rows(graph, params.gnn, ep.targets), cfg, rng)
             np.testing.assert_array_equal(fwd.probs, probs)
 
@@ -374,32 +374,154 @@ class TestTrain:
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
     def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, measure, noise):
-        # episodes and chain noise are drawn a chunk at a time; each episode
-        # still gets the draws of its own streams, so one episode per chunk
-        # writes the same bytes as the default chunks and as chunks of 3 or 9,
-        # which validation every 10 episodes cuts in the middle
+        # episodes, chain noise, stages and graph rows are made a chunk at a
+        # time; each episode still gets the draws of its own streams and the
+        # bits it gets alone, so one episode per chunk writes the same bytes
+        # as the default chunks and as chunks of 3 to 18, which validation
+        # every 10 episodes cuts in the middle; at 1 and at 2 shots
         sample = trainer.sample_episode
-        outputs, chunks = {}, {}
-        for elements in (1, 2**9, evaluation.BATCH_ELEMENTS):
-            monkeypatch.setattr(evaluation, "BATCH_ELEMENTS", elements)
-            sizes = chunks[elements] = []
-            monkeypatch.setattr(
-                trainer, "sample_episode", lambda *a: sizes.append(a[-1].ids.size) or sample(*a)
+        for k_shot in (1, 2):
+            outputs, chunks = {}, {}
+            middle = 2**9 * k_shot
+            for elements in (1, middle, evaluation.BATCH_ELEMENTS):
+                monkeypatch.setattr(evaluation, "BATCH_ELEMENTS", elements)
+                sizes = chunks[elements] = []
+                monkeypatch.setattr(
+                    trainer, "sample_episode",
+                    lambda *a, sizes=sizes: sizes.append(a[-1].ids.size) or sample(*a),
+                )
+                out = tmp_path / f"{k_shot}-{elements}"
+                out.mkdir()
+                ds, graph, cfg = self.make_world(
+                    episodes=30, learning_rate=0.02, k_shot=k_shot,
+                    checkpoint_path=out / "model.ckpt", log_path=out / "log.csv",
+                )
+                cfg.sampler = SamplerConfig(chains=3, steps=2, measure=measure,
+                                            noise_enabled=noise)
+                train(ds, graph, cfg, {"seed": "201"})
+                outputs[elements] = [(out / name).read_bytes()
+                                     for name in ("model.ckpt", "log.csv")]
+            assert chunks[1] == [1] * 30
+            assert len(chunks[middle]) > 1 and set(chunks[middle]) != {1}
+            assert chunks[evaluation.BATCH_ELEMENTS] == [30]
+            assert outputs[middle] == outputs[1]
+            assert outputs[evaluation.BATCH_ELEMENTS] == outputs[1]
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("graph_prior", [True, False], ids=["prior", "no-prior"])
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_staged_episode_gets_the_plain_episodes_bits(
+        self, measure, graph_prior, noise, k_shot
+    ):
+        # train stages a chunk's episodes and gathers their graph rows once,
+        # and hands episode e its stage, its rows and its pre-drawn noise; the
+        # objective returns the loss and gradient bits of the plain Episode
+        # drawing its noise step by step
+        gen = np.random.default_rng(60 + k_shot)
+        for case in range(3):
+            n_way, q_count, d, e_count = (int(x) for x in gen.integers([2, 1, 2, 2], [5, 5, 6, 5]))
+            graph = build_knn_graph(gen.standard_normal((9, d)), 3)
+            params = init_params(d, d, RngStream(case))
+            cfg = SamplerConfig(
+                chains=int(gen.integers(1, 4)), steps=int(gen.integers(1, 4)),
+                step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6, measure=measure,
+                noise_enabled=noise, graph_prior=graph_prior,
             )
-            out = tmp_path / str(elements)
-            out.mkdir()
-            ds, graph, cfg = self.make_world(
-                episodes=30, learning_rate=0.02,
-                checkpoint_path=out / "model.ckpt", log_path=out / "log.csv",
-            )
-            cfg.sampler = SamplerConfig(chains=3, steps=2, measure=measure, noise_enabled=noise)
-            train(ds, graph, cfg, {"seed": "201"})
-            outputs[elements] = [(out / name).read_bytes() for name in ("model.ckpt", "log.csv")]
-        assert chunks[1] == [1] * 30
-        assert len(chunks[2**9]) > 1 and set(chunks[2**9]) != {1}
-        assert chunks[evaluation.BATCH_ELEMENTS] == [30]
-        assert outputs[2**9] == outputs[1]
-        assert outputs[evaluation.BATCH_ELEMENTS] == outputs[1]
+            targets = np.stack([gen.choice(9, size=n_way, replace=False) for _ in range(e_count)])
+            sy = np.stack([gen.permutation(np.repeat(np.arange(n_way), k_shot))
+                           for _ in range(e_count)])
+            batch = Episode(targets, gen.standard_normal(sy.shape + (d,)), sy,
+                            gen.standard_normal((e_count, q_count, d)),
+                            gen.integers(0, n_way, (e_count, q_count)))
+            streams = RngStream(7).child(trainer._NS_CHAIN, np.arange(e_count))
+            drawn = None
+            if noise:
+                blocks = chain_noise(streams, targets, cfg.chains, d)
+                drawn = np.stack([next(blocks) for _ in range(cfg.steps)], axis=1)
+            stages, rows = stage_episode(batch), graph_rows(graph, params.gnn, targets)
+            for e, stream_id in enumerate(streams.stream_id.tolist()):
+                rng = RngStream(7, stream_id)
+                staged = episode_objective_and_grads(
+                    (stages[e], rows[e]), graph, params, cfg, rng,
+                    None if drawn is None else drawn[e],
+                )
+                plain = episode_objective_and_grads(
+                    Episode(targets[e].tolist(), batch.support_x[e], sy[e], batch.query_x[e],
+                            batch.query_y[e]),
+                    graph, params, cfg, rng,
+                )
+                assert repr(staged[0]) == repr(plain[0])
+                assert list(staged[1]) == list(plain[1])
+                for name, grad in plain[1].items():
+                    assert staged[1][name].tobytes() == grad.tobytes(), (case, e, name)
+
+    def test_stage_error_names_its_episode_within_the_chunk(self, monkeypatch):
+        # a fault the chunk's stage finds is named by the first episode that
+        # has it, after the episodes before it have trained, as episode by
+        # episode: here episode 23's support set, in the second chunk of 20
+        ds, graph, cfg = self.make_world(episodes=30, eval_every=0)
+        monkeypatch.setattr(evaluation, "BATCH_ELEMENTS", 20 * 3 * 3 * 6)
+        poisoned = trainer.sample_episode(ds, "train", cfg.n_way, cfg.k_shot, cfg.q_per,
+                                          RngStream(cfg.seed).child(trainer._NS_EPISODE, 23))
+        stage, objective, trained = trainer.stage_episode, trainer.episode_objective_and_grads, []
+
+        def failing_stage(episode):
+            rows = np.reshape(episode.support_x, (-1,) + poisoned.support_x.shape)
+            if any(np.array_equal(r, poisoned.support_x) for r in rows):
+                raise ValueError("unequal support counts per class: [2, 0, 1]")
+            return stage(episode)
+
+        def counted(*args):
+            result = objective(*args)
+            trained.append(args[4])
+            return result
+
+        monkeypatch.setattr(trainer, "stage_episode", failing_stage)
+        monkeypatch.setattr(trainer, "episode_objective_and_grads", counted)
+        with pytest.raises(ValueError, match=(
+            r"^episode 23: unequal support counts per class: \[2, 0, 1\]$"
+        )):
+            train(ds, graph, cfg)
+        assert len(trained) == 23
+
+    def test_too_many_recorded_floats_fail_before_the_first_episode(self, monkeypatch):
+        # 3-way 1-shot at d=6: an episode records L*N*((2M+1)*d + M*S) floats
+        # of its trajectory, noise and support probabilities
+        ds, graph, cfg = self.make_world(episodes=2, eval_every=0)
+
+        def unreachable(*args):
+            raise AssertionError("an episode was drawn")
+
+        monkeypatch.setattr(trainer, "sample_episode", unreachable)
+        cfg.sampler = SamplerConfig(chains=1000, steps=20000)
+        recorded = 1000 * 3 * (40001 * 6 + 20000 * 3)
+        with pytest.raises(ValueError, match=(
+            rf"^steps 20000 is too many at chains 1000: one training episode would record "
+            rf"{recorded} floats, more than {2**27}$"
+        )):
+            train(ds, graph, cfg)
+
+    def test_recorded_floats_at_the_cap_train_one_episode_a_chunk(self, monkeypatch):
+        # at the cap an episode trains alone, whatever the chain step allows,
+        # so a chunk's pre-drawn noise stays under the cap too; one float
+        # fewer fails
+        ds, graph, cfg = self.make_world(episodes=4, eval_every=0)
+        recorded = 3 * 3 * ((2 * 2 + 1) * 6 + 2 * 3)
+        sample, sizes = trainer.sample_episode, []
+        monkeypatch.setattr(
+            trainer, "sample_episode", lambda *a: sizes.append(a[-1].ids.size) or sample(*a)
+        )
+        monkeypatch.setattr(trainer, "EPISODE_FLOATS_CAP", recorded)
+        train(ds, graph, cfg)
+        assert sizes == [1] * 4
+        monkeypatch.setattr(trainer, "EPISODE_FLOATS_CAP", recorded - 1)
+        with pytest.raises(ValueError, match=(
+            rf"^steps 2 is too many at chains 3: one training episode would record "
+            rf"{recorded} floats, more than {recorded - 1}$"
+        )):
+            train(ds, graph, cfg)
+        assert sizes == [1] * 4
 
     def test_error_names_its_episode_within_the_chunk(self, monkeypatch):
         # chunks of 20 (3 * 3 * 6 floats per dot episode): episode 23 is the
