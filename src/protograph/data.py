@@ -276,7 +276,9 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 def _numbered_lines(file, path) -> Iterator[tuple[int, str]]:
     lineno = 0
     with file:
-        while block := b"".join(file.readlines(BLOCK_BYTES)):
+        while block := file.read(BLOCK_BYTES):
+            if not block.endswith(b"\n"):  # the block ends where its last line does
+                block += file.readline()
             try:
                 text, bad = block.decode("utf-8"), False
             except UnicodeDecodeError as exc:  # "x" stands for the bad byte's line
@@ -285,6 +287,7 @@ def _numbered_lines(file, path) -> Iterator[tuple[int, str]]:
             for lineno, line in enumerate(lines[:-1] if bad else lines, lineno + 1):
                 if line.strip():
                     yield lineno, line
+            del lines  # not held while the next block is read and split
             if bad:
                 raise ValueError(f"{path}:{lineno + 1}: not UTF-8 text")
 

@@ -112,7 +112,8 @@ def support_probs_and_grad(
     """Support softmax probabilities and the likelihood drift of L prototype sets.
 
     For encodings enc (S, d), labels one_hot (S, N) and prototypes values
-    (L, N, d), returns probs (L, S, N) and G (L, N, d) with row r of chain l
+    (L, N, d), returns probs as the measure computes them, (S, L, N) for dot
+    and (L, S, N) for euclidean, and G (L, N, d) with row r of chain l
     (a leading episode axis E on all three batches episodes)
 
         dot:       sum_s (1[y_s=r] - p_lsr) e_s
@@ -153,30 +154,29 @@ def support_probs_and_grad(
     # |resid| < RESIDUAL_FLOOR, without abs's temporary float array
     resid[(resid < RESIDUAL_FLOOR) & (resid > -RESIDUAL_FLOOR)] = 0.0
     if measure == "dot":
-        drift = np.einsum("...sln,...sd->...lnd", resid, enc)
-        return (np.swapaxes(probs, -3, -2) if record else None), drift
+        return (probs if record else None), np.einsum("...sln,...sd->...lnd", resid, enc)
     return (probs if record else None), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
 
 
 def pairwise_logits_vjp(d_logits, enc, prototypes, measure: str) -> np.ndarray:
     """VJP of :func:`pairwise_logits` for L prototype sets.
 
-    For the cotangent d_logits (L, n, N) of the logits of encodings ``enc``
-    (n, d) against prototypes (L, N, d), returns that of the prototypes.
+    For the row-first cotangent d_logits (n, L, N) of the logits of encodings
+    ``enc`` (n, d) against prototypes (L, N, d), returns that of the prototypes.
     """
     if measure == "dot":
-        return np.einsum("lqn,qd->lnd", d_logits, enc)
-    diff = enc[None, :, None, :] - prototypes[:, None, :, :]
-    return np.einsum("lqn,lqnd->lnd", d_logits, diff)
+        return np.einsum("qln,qd->lnd", d_logits, enc)
+    diff = enc[:, None, None, :] - prototypes[None, :, :, :]
+    return np.einsum("qln,qlnd->lnd", d_logits, diff)
 
 
 def similarity_softmax_vjp(
     probs, d_probs, enc, prototypes, measure: str, tau: float
 ) -> np.ndarray:
-    """VJP of probs = softmax_with_temperature(pairwise_logits(...), tau), (L, n, N).
+    """VJP of probs = softmax_with_temperature(pairwise_logits(...), tau).
 
-    Takes the probabilities the forward computed and their cotangent;
-    returns the cotangent of the prototypes.
+    Takes the probabilities the forward computed and their cotangent, both
+    row-first, (n, L, N); returns the cotangent of the prototypes.
     """
     inner = (d_probs * probs).sum(axis=-1, keepdims=True)
     d_logits = probs * (d_probs - inner) / tau
@@ -188,18 +188,19 @@ def support_drift_vjp(
 ) -> np.ndarray:
     """VJP of scale * G, the drift of :func:`support_probs_and_grad`.
 
-    ``probs`` (L, S, N) is the support softmax at ``values`` (L, N, d), as
-    the chain recorded it, and ``cotangent`` (L, N, d) that of scale * G.
-    Differentiating G brings in the softmax curvature (the Hessian term of
-    the Langevin drift). Returns the cotangent of the values.
+    ``probs`` is the support softmax at ``values`` (L, N, d) as the chain
+    recorded it (see support_probs_and_grad), and ``cotangent`` (L, N, d) that
+    of scale * G. Differentiating G brings in the softmax curvature (the
+    Hessian term of the Langevin drift). Returns the cotangent of the values.
     """
     if measure == "dot":
-        a = np.einsum("sd,lnd->lsn", enc, cotangent)
+        a = np.einsum("sd,lnd->sln", enc, cotangent)
     else:
-        diff = enc[None, :, None, :] - values[:, None, :, :]
-        a = np.einsum("lsnd,lnd->lsn", diff, cotangent)
+        probs = np.swapaxes(probs, 0, 1)  # (S, L, N), row-first
+        diff = enc[:, None, None, :] - values[None, :, :, :]
+        a = np.einsum("slnd,lnd->sln", diff, cotangent)
     d_values = similarity_softmax_vjp(probs, -scale * a, enc, values, measure, tau)
     if measure == "euclidean":
-        resid = one_hot[None] - probs  # (L, S, N)
-        d_values -= scale * resid.sum(axis=1)[:, :, None] * cotangent
+        resid = one_hot[:, None, :] - probs  # (S, L, N)
+        d_values -= scale * resid.sum(axis=0)[:, :, None] * cotangent
     return d_values

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,6 +89,11 @@ class SamplerConfig:
                 f"largest step size {eps:g} times prior_weight {self.prior_weight:g} must be < 2"
             )
 
+    @cached_property
+    def schedule(self) -> list[float]:
+        """step_sizes() as floats, built on first use; equality and hashing skip it."""
+        return self.step_sizes().tolist()
+
     def step_sizes(self) -> np.ndarray:
         t = np.arange(1, self.steps + 1, dtype=float)
         if self.step_size == 0:  # 0 at any decay, also where t^(-decay) overflows
@@ -102,8 +108,8 @@ class ChainRecord:
     """Trajectory of an SGLD run, kept for reverse-mode differentiation."""
 
     trajectory: np.ndarray  # (M+1, L, N, d), trajectory[0] is the init
-    # (M, L, S, N) support softmax at the state each step starts from; None
-    # when the chain has no likelihood term
+    # support softmax at each step's starting state, (M, S, L, N) for dot and (M, L, S, N)
+    # for euclidean (as support_probs_and_grad computes it); None without a likelihood term
     support_probs: np.ndarray | None = None
 
 
@@ -216,12 +222,11 @@ def sgld_chain(
     if has_lik:
         scale = config.likelihood_weight / (k_shot * config.tau)
 
-    eps = config.step_sizes().tolist()
+    eps = config.schedule
     if record:
         trajectory = np.empty((len(eps) + 1,) + values.shape)
         trajectory[0] = values
-        probs_shape = (len(eps),) + values.shape[:-2] + np.shape(one_hot)[-2:]  # (M, L, S, N)
-        support_probs = np.empty(probs_shape) if has_lik else None
+        support_probs = np.empty(0) if has_lik else None  # sized by the first step
     if config.noise_enabled:
         noise = iter(chain_noise(rng, targets, chains, d) if noise is None else noise)
 
@@ -237,6 +242,8 @@ def sgld_chain(
             grad += drift
             del drift  # not held while the next step's drift is computed
             if record:
+                if t == 0:
+                    support_probs = np.empty((len(eps),) + probs.shape)
                 support_probs[t] = probs
         grad *= 0.5 * eps_t
         values += grad
@@ -335,18 +342,20 @@ def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfi
 
     Takes the cotangent of ``fwd.chain_probs``, (L, Q, N) or a (Q, N) one
     that every chain shares. Returns that of the summaries (N, d), zero when
-    the graph prior is off.
+    the graph prior is off. The query kernels take a q-major copy of the
+    probabilities and the cotangent as (Q, L, N) or (Q, 1, N).
     """
     chain = fwd.record
     d_v = similarity_softmax_vjp(
-        fwd.chain_probs, d_chain_probs, fwd.query_enc, chain.trajectory[-1],
-        config.measure, config.tau,
+        np.swapaxes(fwd.chain_probs, 0, 1).copy(),
+        np.swapaxes(d_chain_probs.reshape((-1,) + fwd.chain_probs.shape[1:]), 0, 1),
+        fwd.query_enc, chain.trajectory[-1], config.measure, config.tau,
     )
 
     # reverse through the unrolled chain
     d_h = np.zeros_like(d_v[0])
     lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
-    eps = config.step_sizes().tolist()
+    eps = config.schedule
     for t in range(len(eps) - 1, -1, -1):
         half = 0.5 * eps[t]
         d_h += half * config.prior_weight * d_v.sum(axis=0)

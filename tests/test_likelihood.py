@@ -26,6 +26,12 @@ from protograph.numerics import (
     softmax_with_temperature,
 )
 
+def l_major(probs, measure):
+    """Support probabilities as (..., L, S, N): the dot measure records them
+    row-first, (..., S, L, N), as its drift computes them."""
+    return np.swapaxes(probs, -3, -2) if measure == "dot" else probs
+
+
 def support_log_likelihood(x, y, v, measure, tau):
     """(1/K) sum_s log p(y_s | x_s, V) of the support rows x against the
     prototypes v, and its gradient in v: the chain's drift, scaled by 1/(K tau)."""
@@ -109,7 +115,7 @@ class TestPairwiseLogitsVjp:
         enc = gen.standard_normal((4, 3))
         values = gen.standard_normal((3, 5, 3))
         cotangent = gen.standard_normal((3, 4, 5))
-        d_values = pairwise_logits_vjp(cotangent, enc, values, measure)
+        d_values = pairwise_logits_vjp(np.swapaxes(cotangent, 0, 1), enc, values, measure)
         fd_values = finite_difference_gradient(
             lambda v: np.sum(cotangent * pairwise_logits(enc, v, measure)), values
         )
@@ -252,7 +258,7 @@ class TestSupportDriftKernel:
             values = gen.standard_normal((chains, n_way, d))
             one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
             probs, drift = support_probs_and_grad(enc, one_hot, values, "dot", 1.0)
-            expected = np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
+            expected = np.einsum("lsn,sd->lnd", one_hot[None] - l_major(probs, "dot"), enc)
             assert drift.tobytes() == expected.tobytes(), (chains, s, n_way, d)
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
@@ -263,7 +269,7 @@ class TestSupportDriftKernel:
         resid = one_hot[None] - ref_probs
         assert np.any(is_subnormal(resid)), "the world no longer underflows"
         probs, drift = support_probs_and_grad(enc, one_hot, values, measure, 10.0)
-        assert probs.tobytes() == ref_probs.tobytes()  # the exact softmax
+        assert l_major(probs, measure).tobytes() == ref_probs.tobytes()  # the exact softmax
         operand = enc if measure == "dot" else enc[None, :, None, :] - values[:, None, :, :]
         bound = enc.shape[0] * RESIDUAL_FLOOR * np.abs(operand).max()
         assert np.abs(drift - ref_drift).max() <= bound
@@ -283,7 +289,7 @@ class TestSupportDriftKernel:
         monkeypatch.setattr(sampler, "support_probs_and_grad", unfloored_kernel)
         expected = run()
         assert got.trajectory.tobytes() == expected.trajectory.tobytes()
-        assert got.support_probs.tobytes() == expected.support_probs.tobytes()
+        assert l_major(got.support_probs, measure).tobytes() == expected.support_probs.tobytes()
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     def test_reductions_see_no_subnormal_operand(self, monkeypatch, measure):
@@ -403,7 +409,7 @@ class TestEpisodeAxis:
                 assert drift[e].tobytes() == alone[1].tobytes(), values.shape
             # the "..." subscripts give the bits of the explicit ones
             reference = unfloored_kernel(enc[e], one_hot[e], values[e], measure, tau)
-            assert alone[0].tobytes() == reference[0].tobytes(), values.shape
+            assert l_major(alone[0], measure).tobytes() == reference[0].tobytes(), values.shape
             assert alone[1].tobytes() == reference[1].tobytes(), values.shape
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
@@ -452,7 +458,10 @@ class TestPrototypeVjps:
                 return softmax_with_temperature(pairwise_logits(enc, v, measure), tau)
 
             d_probs = gen.standard_normal(probs(values).shape)
-            d_values = similarity_softmax_vjp(probs(values), d_probs, enc, values, measure, tau)
+            d_values = similarity_softmax_vjp(
+                np.swapaxes(probs(values), 0, 1), np.swapaxes(d_probs, 0, 1), enc, values,
+                measure, tau,
+            )
             fd = finite_difference_gradient(lambda v: np.sum(d_probs * probs(v)), values)
             assert d_values.shape == values.shape
             assert max_relative_error(d_values, fd) < 1e-7, values.shape

@@ -1,6 +1,7 @@
 """Tests for warm-start initialization, SGLD chains, and Monte Carlo prediction."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,7 +222,10 @@ class TestSgldChain:
             sx, one_hot, k_shot, [3, 1], gen.standard_normal((2, 3)),
             gen.standard_normal((2, 2, 3)), cfg, RngStream(4), record=True,
         )
-        assert record.support_probs.shape == (3, 2, 4, 2)
+        probs_of_steps = record.support_probs
+        if measure == "dot":  # recorded row-first, (M, S, L, N)
+            probs_of_steps = np.swapaxes(probs_of_steps, 1, 2)
+        assert probs_of_steps.shape == (3, 2, 4, 2)
         for t in range(3):
             probs, _ = support_probs_and_grad(
                 sx, one_hot, record.trajectory[t], measure, cfg.tau
@@ -776,3 +780,31 @@ class TestEpisodeBatch:
 def test_config_rejects_a_non_finite_number(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
         SamplerConfig(**{field: value})
+
+
+class TestStepSchedule:
+    """The step sizes as floats, built once per config, on first use."""
+
+    def test_a_config_holds_no_schedule_until_it_runs(self):
+        cfg = SamplerConfig(steps=4, step_decay=0.5)
+        assert "schedule" not in vars(cfg)
+        assert cfg.schedule == cfg.step_sizes().tolist()
+        assert cfg.schedule is cfg.schedule
+
+    def test_a_replaced_config_builds_its_own_schedule(self):
+        # sweep builds each point with dataclasses.replace
+        base = SamplerConfig(steps=3, step_decay=0.5)
+        built = base.schedule
+        for field, value in (("steps", 5), ("step_size", 0.2), ("step_decay", 0.0)):
+            cfg = replace(base, **{field: value})
+            assert "schedule" not in vars(cfg)
+            assert cfg.schedule == cfg.step_sizes().tolist() != built
+        assert base.schedule is built
+
+    def test_equality_and_hashing_ignore_the_schedule(self):
+        built, fresh = SamplerConfig(steps=4), SamplerConfig(steps=4)
+        assert len(built.schedule) == 4
+        assert "schedule" in vars(built) and "schedule" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert {built: "point"}[fresh] == "point"
+        assert built != SamplerConfig(steps=3)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protograph import evaluation, gradcheck, trainer
+from protograph import evaluation, gradcheck, likelihood, sampler, trainer
 from protograph.data import Episode, generate_synthetic
 from protograph.gradcheck import (
     check_episode_objective, parameter_gradient_error, random_episode,
@@ -236,6 +236,85 @@ class TestEpisodeObjective:
         assert np.geterr() == state
 
 
+def l_major_pairwise_logits_vjp(d_logits, enc, prototypes, measure):
+    """pairwise_logits_vjp as it was before the row-first layout: the
+    cotangent (L, n, N), each contraction innermost over the rows."""
+    if measure == "dot":
+        return np.einsum("lqn,qd->lnd", d_logits, enc)
+    diff = enc[None, :, None, :] - prototypes[:, None, :, :]
+    return np.einsum("lqn,lqnd->lnd", d_logits, diff)
+
+
+def l_major_support_drift_vjp(enc, one_hot, values, probs, cotangent, measure, tau, scale):
+    """support_drift_vjp as it was before the row-first layout: probs (L, S, N)."""
+    if measure == "dot":
+        a = np.einsum("sd,lnd->lsn", enc, cotangent)
+    else:
+        diff = enc[None, :, None, :] - values[:, None, :, :]
+        a = np.einsum("lsnd,lnd->lsn", diff, cotangent)
+    d_values = likelihood.similarity_softmax_vjp(probs, -scale * a, enc, values, measure, tau)
+    if measure == "euclidean":
+        resid = one_hot[None] - probs
+        d_values -= scale * resid.sum(axis=1)[:, :, None] * cotangent
+    return d_values
+
+
+def l_major(rows_first):
+    """An (n, L, N) array as the C-ordered (L, n, N) one it was before."""
+    return np.ascontiguousarray(np.swapaxes(rows_first, 0, 1))
+
+
+class TestReversePassBits:
+    """The row-first reverse pass gives the bits of the l-major one."""
+
+    @staticmethod
+    def patch_l_major(monkeypatch):
+        monkeypatch.setattr(likelihood, "pairwise_logits_vjp", l_major_pairwise_logits_vjp)
+        monkeypatch.setattr(
+            sampler, "similarity_softmax_vjp",
+            lambda probs, d_probs, enc, values, measure, tau: likelihood.similarity_softmax_vjp(
+                l_major(probs), np.swapaxes(d_probs, 0, 1), enc, values, measure, tau),
+        )
+        monkeypatch.setattr(
+            sampler, "support_drift_vjp",
+            lambda enc, one_hot, values, probs, *rest: l_major_support_drift_vjp(
+                enc, one_hot, values, l_major(probs) if rest[1] == "dot" else probs, *rest),
+        )
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("graph_prior", [True, False], ids=["prior", "no-prior"])
+    @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+    def test_objective_keeps_the_l_major_bits(self, monkeypatch, measure, graph_prior, noise):
+        # the episodes train draws: N and d down to 1, K from 1 to 3, M from
+        # 0 to 4, a step decay; each through the staged pair train hands over
+        gen = np.random.default_rng(70)
+        for case in range(24):
+            n_way = 1 if case % 4 == 0 else int(gen.integers(2, 6))
+            d = 1 if case % 3 == 0 else int(gen.integers(2, 9))
+            k_shot, q_count = 1 + case % 3, int(gen.integers(1, 6))
+            graph = build_knn_graph(gen.standard_normal((9, d)), 3)
+            params = init_params(d, d, RngStream(case))
+            cfg = SamplerConfig(
+                chains=int(gen.integers(1, 6)), steps=int(gen.integers(0, 5)),
+                step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6 * (case % 2),
+                tau=float(gen.uniform(1.0, 20.0)), measure=measure, noise_enabled=noise,
+                graph_prior=graph_prior,
+            )
+            sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
+            ep = Episode(gen.choice(9, size=n_way, replace=False).tolist(),
+                         gen.standard_normal((sy.size, d)), sy,
+                         gen.standard_normal((q_count, d)), gen.integers(0, n_way, q_count))
+            staged = stage_episode(ep), graph_rows(graph, params.gnn, ep.targets)
+            rng = RngStream(71, case)
+            got = episode_objective_and_grads(staged, graph, params, cfg, rng)
+            with monkeypatch.context() as patched:
+                self.patch_l_major(patched)
+                expected = episode_objective_and_grads(staged, graph, params, cfg, rng)
+            assert repr(got[0]) == repr(expected[0])
+            for name, grad in expected[1].items():
+                assert got[1][name].tobytes() == grad.tobytes(), (case, name)
+
+
 class TestForwardConsistency:
     def test_training_forward_matches_inference_pipeline(self):
         # the recorded training forward and the plain sampler pipeline must
@@ -271,6 +350,15 @@ class TestTrain:
             **cfg_kw,
         )
         return ds, graph, cfg
+
+    def test_builds_the_step_schedule_once_per_config(self, monkeypatch):
+        # the chain and its reverse pass read one schedule, validation's too
+        ds, graph, cfg = self.make_world(episodes=100, eval_every=50)
+        built, step_sizes = [], SamplerConfig.step_sizes
+        monkeypatch.setattr(SamplerConfig, "step_sizes",
+                            lambda config: built.append(config) or step_sizes(config))
+        train(ds, graph, cfg)
+        assert len(built) == 1 and built[0] is cfg.sampler
 
     def test_zero_episodes_returns_initial_params(self):
         ds, graph, cfg = self.make_world(episodes=0)
