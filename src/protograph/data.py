@@ -265,10 +265,10 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
     at a line feed, which ends a line for ``splitlines()`` too and is no byte
     of another UTF-8 character, so the lines and numbers are those of
     ``splitlines()`` on the whole text, but a reader holds one block, never
-    the whole file (a file with no line feed is one block). A byte that is
-    not UTF-8 fails as ``path:line: not UTF-8 text`` once the lines before
-    its line have been given out, so a caller meets a file's faults in line
-    order.
+    the whole file (a file with no line feed is one block). A leading UTF-8
+    byte-order mark is dropped. A byte that is not UTF-8 fails as
+    ``path:line: not UTF-8 text`` once the lines before its line have been
+    given out, so a caller meets a file's faults in line order.
     """
     return _numbered_lines(open(Path(path), "rb"), path)
 
@@ -279,6 +279,8 @@ def _numbered_lines(file, path) -> Iterator[tuple[int, str]]:
         while block := file.read(BLOCK_BYTES):
             if not block.endswith(b"\n"):  # the block ends where its last line does
                 block += file.readline()
+            if not lineno:  # the first block: a leading UTF-8 byte-order mark is no text
+                block = block.removeprefix(b"\xef\xbb\xbf")
             try:
                 text, bad = block.decode("utf-8"), False
             except UnicodeDecodeError as exc:  # "x" stands for the bad byte's line

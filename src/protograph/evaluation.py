@@ -164,7 +164,6 @@ def evaluate_zeroshot(
     rng: RngStream,
     measure: str = SamplerConfig.measure,
     tau: float = SamplerConfig.tau,
-    setting: str = "zeroshot",
 ) -> EvalReport:
     """Classification from the prior means alone: no support set, no chain.
 
@@ -178,7 +177,7 @@ def evaluate_zeroshot(
         dataset, split, graph, params, n_way, 0, q_per, episodes, rng, config
     )
     return _report(
-        outcomes, rng.seed, setting=setting, n_way=n_way, k_shot=0, chains=0, steps=0,
+        outcomes, rng.seed, setting="zeroshot", n_way=n_way, k_shot=0, chains=0, steps=0,
         step_size=0.0, alpha=0.0, beta=0.0, measure=measure,
     )
 

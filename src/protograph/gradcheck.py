@@ -17,7 +17,8 @@ from .likelihood import MEASURES, pairwise_logits, support_labels, support_probs
 from .numerics import (
     RngStream, finite_difference_gradient, log_softmax_with_temperature, max_relative_error,
 )
-from .sampler import SamplerConfig
+from .prior import graph_rows
+from .sampler import SamplerConfig, stage_episode
 from .trainer import (
     ModelParams, episode_loss, episode_objective_and_grads, init_params, param_arrays,
 )
@@ -58,7 +59,8 @@ def parameter_gradient_error(episode: Episode, graph: RelationGraph, params: Mod
                              config: SamplerConfig, rng: RngStream) -> float:
     """Worst relative error of the episode objective's parameter gradients against
     central differences, perturbing each named array in place; a raise restores it too."""
-    _, grads = episode_objective_and_grads(episode, graph, params, config, rng)
+    stage, rows = stage_episode(episode), graph_rows(graph, params.gnn, episode.targets)
+    _, grads = episode_objective_and_grads(stage, rows, params, config, rng)
     worst = 0.0
     for name, arr in param_arrays(params).items():
         base = arr.copy()

@@ -136,7 +136,7 @@ class EpisodeStage:
 
 @dataclass
 class EpisodeForward(EpisodeStage):
-    """What one episode's forward pass computed, for prediction and training."""
+    """What the forward of one or E stacked episodes computed; shapes are one episode's."""
 
     chain_probs: np.ndarray  # (L, Q, N) per-chain query probabilities
     probs: np.ndarray  # (Q, N) chain-averaged query probabilities
@@ -263,26 +263,24 @@ def sgld_chain(
 def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
     """Per row, the position of the maximum; ties go to the lowest target id.
 
-    Without targets the position is its own key. Equal keys go to the lowest
-    position, as the stable rank orders them. Probabilities (E, Q, N) take
-    targets (E, N), one tie-break per episode.
+    Equal ids go to the lowest position, as the stable rank orders them.
+    Probabilities (E, Q, N) take targets (E, N), one tie-break per episode.
     """
     n_way = probs.shape[-1]
-    order_key = np.arange(n_way) if targets is None else np.asarray(targets, dtype=int)
-    rank = np.argsort(np.argsort(order_key, kind="stable"))
+    rank = np.argsort(np.argsort(np.asarray(targets, dtype=int), kind="stable"))
     best = probs == row_max(probs)
     return np.argmin(np.where(best, rank[..., None, :], n_way), axis=-1)
 
 
 def predict_queries(
-    queries, prototypes, measure: str, tau: float, targets=None
+    queries, prototypes, measure: str, tau: float, targets
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo query prediction: average softmax probabilities over chains.
 
     ``prototypes`` holds L chains of N prototypes, (L, N, d) or (E, L, N, d).
     Returns (probs, predictions) where probs[q] is the chain-averaged class
     distribution and predictions[q] the argmax position, ties resolved toward
-    the lowest relation id when ``targets`` is given (lowest position else).
+    the lowest relation id of ``targets``.
     """
     if np.size(prototypes) == 0:
         raise ValueError("no prototype samples")
@@ -305,7 +303,7 @@ def stage_episode(episode: Episode) -> EpisodeStage:
 
 
 def episode_forward(
-    episode: Episode | EpisodeStage,
+    stage: EpisodeStage,
     summaries,
     config: SamplerConfig,
     rng: RngStream,
@@ -315,13 +313,12 @@ def episode_forward(
 ) -> EpisodeForward:
     """The one episode pipeline shared by evaluation, validation and training.
 
-    Takes one :class:`Episode`, E stacked, or the :func:`stage_episode` of
-    either, and the summaries of its targets. Warm-starts and runs the
-    chains, and scores the queries against every chain's final prototypes.
-    ``record`` keeps the chain's trajectory and support probabilities for the
-    reverse pass; ``noise`` is the chain's noise drawn ahead (see sgld_chain).
+    Takes the :func:`stage_episode` of one episode or E stacked, and the
+    summaries of its targets. Warm-starts and runs the chains, and scores the
+    queries against every chain's final prototypes. ``record`` keeps the
+    chain's trajectory and support probabilities for the reverse pass;
+    ``noise`` is the chain's noise drawn ahead (see sgld_chain).
     """
-    stage = episode if isinstance(episode, EpisodeStage) else stage_episode(episode)
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
         h = np.zeros_like(h)
@@ -376,5 +373,6 @@ def posterior_predict(
     episode: Episode, summaries, config: SamplerConfig, rng: RngStream, first_episode: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain-averaged query probabilities and predictions of one or E episodes."""
-    fwd = episode_forward(episode, summaries, config, rng, first_episode=first_episode)
+    fwd = episode_forward(stage_episode(episode), summaries, config, rng,
+                          first_episode=first_episode)
     return fwd.probs, _lowest_key_argmax(fwd.probs, episode.targets)

@@ -103,22 +103,14 @@ def param_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def _episode_forward(
-    episode: Episode | tuple[EpisodeStage, np.ndarray],
-    graph: RelationGraph,
+    stage: EpisodeStage,
+    rows: np.ndarray,
     params: ModelParams,
     config: SamplerConfig,
     rng: RngStream,
     noise: np.ndarray | None = None,
-) -> tuple[float, EpisodeForward, np.ndarray]:
-    """The episode's loss, its recorded forward and its targets' graph rows.
-
-    ``episode`` is an :class:`Episode`, or its stage and graph rows, the
-    inputs that read no parameter, as train makes them a chunk at a time.
-    """
-    if isinstance(episode, Episode):
-        rows = graph_rows(graph, params.gnn, episode.targets)
-        episode = stage_episode(episode), rows
-    stage, rows = episode
+) -> tuple[float, EpisodeForward]:
+    """The episode's loss and recorded forward, from its stage and its targets' graph rows."""
     fwd = episode_forward(
         stage, rows @ params.gnn.weight + params.gnn.bias, config, rng, record=True, noise=noise
     )
@@ -128,12 +120,12 @@ def _episode_forward(
             f"non-finite episode loss (replay stream seed={rng.seed} id={rng.stream_id})"
         )
     loss = float(-np.log(p_true).sum() + 0.0)  # + 0.0 folds -0.0 (single-class case)
-    return loss, fwd, rows
+    return loss, fwd
 
 
 def episode_objective_and_grads(
-    episode: Episode | tuple[EpisodeStage, np.ndarray],
-    graph: RelationGraph,
+    stage: EpisodeStage,
+    rows: np.ndarray,
     params: ModelParams,
     config: SamplerConfig,
     rng: RngStream,
@@ -141,14 +133,14 @@ def episode_objective_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Negative query log-likelihood of one episode and its parameter gradients.
 
-    ``episode`` is an :class:`Episode` or its staged pair (see _episode_forward),
-    to the same bits. ``noise`` is the (M, L, N, d) chain noise of ``rng``
-    drawn ahead, or None to draw it step by step. Raises when a gradient is
-    not finite, before any step could take it; numpy's warnings on the way
-    there are silenced.
+    Takes its :func:`stage_episode` and its targets' :func:`graph_rows`, as
+    train makes them a chunk at a time. ``noise`` is the (M, L, N, d) chain
+    noise of ``rng`` drawn ahead, or None to draw it step by step, to the same
+    bits. Raises when a gradient is not finite, before any step could take
+    it; numpy's warnings on the way there are silenced.
     """
     with np.errstate(all="ignore"):
-        loss, fwd, rows = _episode_forward(episode, graph, params, config, rng, noise)
+        loss, fwd = _episode_forward(stage, rows, params, config, rng, noise)
         # the loss's cotangent: -1/p_bar at each query's true class, shared by the chains
         queries, y_q = np.arange(fwd.query_y.size), fwd.query_y
         d_mean = np.zeros_like(fwd.probs)
@@ -171,7 +163,8 @@ def episode_loss(
     rng: RngStream,
 ) -> float:
     """Forward-only objective; the replayable target for the gradient oracle."""
-    return _episode_forward(episode, graph, params, config, rng)[0]
+    rows = graph_rows(graph, params.gnn, episode.targets)
+    return _episode_forward(stage_episode(episode), rows, params, config, rng)[0]
 
 
 @dataclass
@@ -209,13 +202,16 @@ def train(
     noise, from one batch stream each, their stages and graph rows; each
     episode still gets the draws of its own streams and its own bits.
     """
-    # check the splits the episodes will sample before the first episode, so
-    # a split too small for them does not fail only when it is first sampled
+    # check the splits the episodes will sample, and that the graph holds their
+    # relations, before the first episode, not only when a fault is first drawn
     splits = ["train"] if config.episodes_total else []
     if config.eval_every and config.episodes_total >= config.eval_every:
         splits.append("val")
     for split in splits:
         dataset.check_split(split, config.n_way, config.k_shot, config.q_per)
+        missing = [r for r in dataset.relations_in_split(split) if r >= graph.n_nodes]
+        if missing:
+            raise ValueError(f"relation {missing[0]} of split {split!r} is not in the graph")
     rng = RngStream(config.seed)
     params = initial_params(config.seed, graph.feature_dim, dataset.d)
     arrays = param_arrays(params)
@@ -247,20 +243,12 @@ def train(
                 noise[:, t] = next(blocks)
             blocks.close()  # frees its draw buffer before the chunk's passes
 
-        try:
-            inputs = graph_rows(graph, params.gnn, batch.targets)
-            stages = stage_episode(batch)
-        except ValueError:  # each episode stages itself, so the first at fault names itself
-            stages = None
+        stages, inputs = stage_episode(batch), graph_rows(graph, params.gnn, batch.targets)
         chain_ids = chain_rngs.stream_id.tolist()
         for e, ep in enumerate(ids.tolist()):
-            episode = (stages[e], inputs[e]) if stages is not None else Episode(
-                batch.targets[e].tolist(), batch.support_x[e], batch.support_y[e],
-                batch.query_x[e], batch.query_y[e],
-            )
             try:
                 loss, grads = episode_objective_and_grads(
-                    episode, graph, params, cfg, RngStream(rng.seed, chain_ids[e]),
+                    stages[e], inputs[e], params, cfg, RngStream(rng.seed, chain_ids[e]),
                     None if noise is None else noise[e],
                 )
             except (RuntimeError, ValueError) as exc:

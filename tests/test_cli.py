@@ -125,6 +125,19 @@ class TestPipeline:
         assert rows[0]["episodes"] == "6"  # file beats default
         assert rows[0]["seed"] == "9"
 
+    def test_config_file_with_a_byte_order_mark_applies_its_first_option(
+        self, workspace, tmp_path
+    ):
+        # the mark some editors write first is no part of the first key
+        cfg = tmp_path / "run.config"
+        cfg.write_bytes(b"\xef\xbb\xbfepisodes=7\nseed=9\n")
+        args = base_args(workspace, "eval") + [
+            "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+        ]
+        assert main(args) == 0
+        rows = read_report(tmp_path / "r.csv")
+        assert (rows[0]["episodes"], rows[0]["seed"]) == ("7", "9")
+
     @pytest.mark.parametrize("line, message", [
         ("n-way=x", "n-way: invalid literal for int() with base 10: 'x'"),
         ("measure=cos", "measure must be one of dot, euclidean"),
@@ -421,6 +434,24 @@ def test_mutated_input_file_exits_0_or_names_the_file(small_world, tmp_path, cap
                 failures.append(f"{case}: exit {status}, stderr {err!r}")
     assert failures == []
     assert runs == 6 * 60
+
+
+def test_input_file_with_a_byte_order_mark_reads_as_without_it(small_world, tmp_path, capsys):
+    # a UTF-8 byte-order mark opening any one input file of an eval changes
+    # neither its report nor its stdout
+    files = small_world
+
+    def run(paths, out):
+        argv = ["eval", *input_flags(paths), "--checkpoint", str(paths["checkpoint"]),
+                "--config", str(paths["config"]), "--out", str(out)]
+        assert main(argv) == 0
+        return capsys.readouterr(), out.read_bytes()
+
+    expected = run(files, tmp_path / "plain.csv")
+    for name, path in files.items():
+        marked = tmp_path / path.name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run({**files, name: marked}, tmp_path / f"{name}.csv") == expected, name
 
 
 def test_train_checks_the_validation_split_before_training(tmp_path, capsys, monkeypatch):

@@ -506,6 +506,16 @@ class TestStreamedFiles:
             assert str(err.value) == f"{path}:{lineno}: not UTF-8 text"
             assert got == [(n, line) for n, line in expected_lines(text[:at]) if n < lineno]
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 2**16])
+    def test_a_leading_byte_order_mark_is_dropped_once(self, tmp_path, monkeypatch, block):
+        # an editor may open a UTF-8 file with the mark; it is no text of the
+        # first line, and a second mark, or one further on, is text
+        monkeypatch.setattr(data, "BLOCK_BYTES", block)
+        path = tmp_path / "f.txt"
+        for text in ("a\tb\nc", "\ufeffa\n", "\n\ufeffa", "\n\n7", "\xe9", ""):
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            assert list(read_lines(path)) == expected_lines(text), repr(text)
+
     def test_character_cut_by_the_end_of_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "BLOCK_BYTES", 2)
         (tmp_path / "f.txt").write_bytes(b"a\nb\r\n\xe2\x82")

@@ -486,7 +486,7 @@ class TestPredictQueries:
         gen = np.random.default_rng(10)
         v = gen.standard_normal((1, 3, 2))
         q = gen.standard_normal((5, 2))
-        probs, _ = predict_queries(q, np.repeat(v, 4, axis=0), "dot", 10.0)
+        probs, _ = predict_queries(q, np.repeat(v, 4, axis=0), "dot", 10.0, np.arange(3))
         expect = softmax_with_temperature(q @ v[0].T, 10.0)
         np.testing.assert_allclose(probs, expect, atol=1e-12)
 
@@ -494,7 +494,7 @@ class TestPredictQueries:
         # d=1, two classes: prototype pairs differ per chain
         values = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
         q = np.array([[1.0]])
-        probs, _ = predict_queries(q, values, "dot", 1.0)
+        probs, _ = predict_queries(q, values, "dot", 1.0, np.arange(2))
         p1 = softmax_with_temperature(np.array([1.0, 0.0]), 1.0)
         p2 = softmax_with_temperature(np.array([0.0, 1.0]), 1.0)
         np.testing.assert_allclose(probs[0], (p1 + p2) / 2, atol=1e-12)
@@ -506,7 +506,7 @@ class TestPredictQueries:
             n = int(gen.integers(1, 6))
             values = gen.standard_normal((chains, n, 3))
             probs, _ = predict_queries(
-                gen.standard_normal((4, 3)), values, "euclidean", 5.0
+                gen.standard_normal((4, 3)), values, "euclidean", 5.0, np.arange(n)
             )
             np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-9)
 
@@ -517,7 +517,7 @@ class TestPredictQueries:
         )
         assert preds[0] == 1  # relation 3 has the lowest id
 
-    @pytest.mark.parametrize("targets", [[7, 3, 9, 1, 5], [40, 2, 11, 2, 0], None])
+    @pytest.mark.parametrize("targets", [[7, 3, 9, 1, 5], [40, 2, 11, 2, 0], [0, 1, 2, 3, 4]])
     def test_vectorized_tie_break_matches_loop(self, targets):
         # classes {0, 2, 4} and {1, 3} share a prototype, so every query ties
         # within a group; the zero query ties all five classes
@@ -534,7 +534,7 @@ class TestPredictQueries:
 
     def test_empty_samples_raise(self):
         with pytest.raises(ValueError, match="samples"):
-            predict_queries(np.ones((1, 2)), np.zeros((0, 2, 2)), "dot", 1.0)
+            predict_queries(np.ones((1, 2)), np.zeros((0, 2, 2)), "dot", 1.0, np.arange(2))
 
 
 class TestPosteriorPredict:
@@ -587,11 +587,11 @@ class TestEpisodeForward:
         monkeypatch.setattr(sampler, "support_labels", counting_support_labels)
         gen = np.random.default_rng(23)
         sy = np.array([1, 0, 1, 0])
-        fwd = episode_forward(
-            episode(gen.standard_normal((4, 3)), sy, [5, 2], gen.standard_normal((6, 3))),
-            gen.standard_normal((2, 3)), SamplerConfig(chains=3, steps=2), RngStream(21),
-            record=record,
+        stage = stage_episode(
+            episode(gen.standard_normal((4, 3)), sy, [5, 2], gen.standard_normal((6, 3)))
         )
+        fwd = episode_forward(stage, gen.standard_normal((2, 3)),
+                              SamplerConfig(chains=3, steps=2), RngStream(21), record=record)
         assert len(calls) == 1
         one_hot, k_shot = support_labels(sy, 2)
         assert fwd.one_hot.tobytes() == one_hot.tobytes() and fwd.k_shot == k_shot
@@ -615,8 +615,8 @@ class TestEpisodeForwardVjp:
         cotangent = gen.standard_normal((2, 4, 3))
 
         def forward(h):
-            ep = episode(sx, sy, targets, qx)
-            return episode_forward(ep, h, cfg, RngStream(41), record=True)
+            stage = stage_episode(episode(sx, sy, targets, qx))
+            return episode_forward(stage, h, cfg, RngStream(41), record=True)
 
         def contracted(h):
             return float(np.sum(cotangent * forward(h).chain_probs))
@@ -645,17 +645,17 @@ class TestEpisodeForwardVjp:
                 likelihood_weight=float(gen.choice([1.0, 0.0, 0.5])),
             )
             sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
-            ep = episode(gen.standard_normal((sy.size, d)), sy,
-                         gen.choice(20, size=n_way, replace=False),
-                         gen.standard_normal((q_count, d)))
+            stage = stage_episode(episode(gen.standard_normal((sy.size, d)), sy,
+                                          gen.choice(20, size=n_way, replace=False),
+                                          gen.standard_normal((q_count, d))))
             h = gen.standard_normal((n_way, d))
             cotangent = gen.standard_normal((chains, q_count, n_way))
 
             def contracted(x):
-                fwd = episode_forward(ep, x, cfg, RngStream(45, case), record=True)
+                fwd = episode_forward(stage, x, cfg, RngStream(45, case), record=True)
                 return float(np.sum(cotangent * fwd.chain_probs))
 
-            fwd = episode_forward(ep, h, cfg, RngStream(45, case), record=True)
+            fwd = episode_forward(stage, h, cfg, RngStream(45, case), record=True)
             d_h = episode_forward_vjp(fwd, cotangent, cfg)
             assert d_h.shape == h.shape and np.any(d_h)
             assert max_relative_error(d_h, finite_difference_gradient(contracted, h)) < 1e-6, cfg

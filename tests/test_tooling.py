@@ -369,12 +369,58 @@ def three(episode, *query_x, **support_y):
 
 
 def test_the_episode_travels_as_one_episode():
-    # the forward takes a data.Episode, so no function outside data.py takes
-    # the episode's rows or labels as separate arrays
+    # the forward takes the sampler.EpisodeStage of a data.Episode, so no
+    # function outside data.py takes the episode's rows or labels as separate
+    # arrays
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem != "data":
             found += episode_field_parameters(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
+
+
+EPISODE_TYPES = {"Episode", "EpisodeStage", "tuple"}
+
+
+def episode_type_dispatch(source: str, scope: str) -> list[str]:
+    """Dotted names of the functions (or modules) in ``source`` calling
+    ``isinstance`` against a name in EPISODE_TYPES, alone or in a literal
+    tuple of types, once per such call, in source order."""
+
+    def dispatches(node) -> bool:
+        if not (isinstance(node, ast.Call) and referenced_name(node.func) == "isinstance"
+                and len(node.args) == 2):
+            return False
+        kinds = node.args[1]
+        items = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+        return any(referenced_name(item) in EPISODE_TYPES for item in items)
+
+    return scopes_where(source, scope, dispatches)
+
+
+def test_episode_type_scan_finds_every_kind_of_dispatch():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+staged = isinstance(x, EpisodeStage)
+def one(episode):
+    return isinstance(episode, data.Episode)
+class Forward:
+    def two(self, pair):
+        if isinstance(pair, (list, tuple)) or isinstance(pair, np.ndarray):
+            return lambda e: isinstance(e, (Episode, int))
+def three(rng):
+    return isinstance(rng.stream_id, np.ndarray) or isinstance(rng, RngStream)
+"""
+    assert episode_type_dispatch(source, "m") == ["m", "m.one", "m.Forward.two", "m.Forward.two"]
+
+
+def test_the_forward_has_one_input_form():
+    # the training step and the forward take the staged episode only, so no
+    # function of the pipeline forks on which episode type it was handed
+    found = []
+    for module in ("sampler", "trainer", "evaluation"):
+        source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+        found += episode_type_dispatch(source, module)
     assert found == []
 
 

@@ -37,6 +37,11 @@ def tiny_world(seed=0, d=3, n_rel=6):
     return gen, graph, params
 
 
+def staged(ep, graph, params):
+    """The episode's stage and its targets' graph rows, the objective's inputs."""
+    return stage_episode(ep), graph_rows(graph, params.gnn, ep.targets)
+
+
 def assert_same_params(a, b):
     """The two models hold the same named arrays, bit for bit."""
     assert list(param_arrays(a)) == list(param_arrays(b))
@@ -63,7 +68,7 @@ class TestEpisodeObjective:
             query_y=np.zeros(3, dtype=int),
         )
         loss, grads = episode_objective_and_grads(
-            ep, graph, params, SamplerConfig(chains=2, steps=2), RngStream(5)
+            *staged(ep, graph, params), params, SamplerConfig(chains=2, steps=2), RngStream(5)
         )
         assert loss == 0.0
         for g in grads.values():
@@ -126,7 +131,8 @@ class TestEpisodeObjective:
         )
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(35)) < 1e-8
         if not graph_prior:
-            _, grads = episode_objective_and_grads(ep, graph, params, cfg, RngStream(35))
+            _, grads = episode_objective_and_grads(*staged(ep, graph, params), params, cfg,
+                                                   RngStream(35))
             assert not any(np.any(g) for g in grads.values())
 
     def test_oracle_restores_the_parameters_when_it_raises(self, monkeypatch):
@@ -229,7 +235,8 @@ class TestEpisodeObjective:
         rng = RngStream(6).child(4)
         state = np.geterr()
         with pytest.raises(RuntimeError) as caught:
-            episode_objective_and_grads(ep, graph, params, SamplerConfig(chains=2, steps=2), rng)
+            episode_objective_and_grads(*staged(ep, graph, params), params,
+                                        SamplerConfig(chains=2, steps=2), rng)
         assert str(caught.value) == (
             f"non-finite gradient (replay stream seed=6 id={rng.stream_id})"
         )
@@ -304,12 +311,12 @@ class TestReversePassBits:
             ep = Episode(gen.choice(9, size=n_way, replace=False).tolist(),
                          gen.standard_normal((sy.size, d)), sy,
                          gen.standard_normal((q_count, d)), gen.integers(0, n_way, q_count))
-            staged = stage_episode(ep), graph_rows(graph, params.gnn, ep.targets)
+            inputs = staged(ep, graph, params)
             rng = RngStream(71, case)
-            got = episode_objective_and_grads(staged, graph, params, cfg, rng)
+            got = episode_objective_and_grads(*inputs, params, cfg, rng)
             with monkeypatch.context() as patched:
                 self.patch_l_major(patched)
-                expected = episode_objective_and_grads(staged, graph, params, cfg, rng)
+                expected = episode_objective_and_grads(*inputs, params, cfg, rng)
             assert repr(got[0]) == repr(expected[0])
             for name, grad in expected[1].items():
                 assert got[1][name].tobytes() == grad.tobytes(), (case, name)
@@ -328,7 +335,7 @@ class TestForwardConsistency:
         for case in range(20):
             ep = random_episode(gen, 3, 2, 2, 3, 6)
             rng = RngStream(800).child(case)
-            _, fwd, _ = _episode_forward(ep, graph, params, cfg, rng)
+            _, fwd = _episode_forward(*staged(ep, graph, params), params, cfg, rng)
             probs, _ = posterior_predict(ep, summary_rows(graph, params.gnn, ep.targets), cfg, rng)
             np.testing.assert_array_equal(fwd.probs, probs)
 
@@ -504,8 +511,8 @@ class TestTrain:
     ):
         # train stages a chunk's episodes and gathers their graph rows once,
         # and hands episode e its stage, its rows and its pre-drawn noise; the
-        # objective returns the loss and gradient bits of the plain Episode
-        # drawing its noise step by step
+        # objective returns the loss and gradient bits of the lone Episode's
+        # stage and rows, drawing its noise step by step
         gen = np.random.default_rng(60 + k_shot)
         for case in range(3):
             n_way, q_count, d, e_count = (int(x) for x in gen.integers([2, 1, 2, 2], [5, 5, 6, 5]))
@@ -530,48 +537,40 @@ class TestTrain:
             stages, rows = stage_episode(batch), graph_rows(graph, params.gnn, targets)
             for e, stream_id in enumerate(streams.stream_id.tolist()):
                 rng = RngStream(7, stream_id)
-                staged = episode_objective_and_grads(
-                    (stages[e], rows[e]), graph, params, cfg, rng,
-                    None if drawn is None else drawn[e],
+                chunked = episode_objective_and_grads(
+                    stages[e], rows[e], params, cfg, rng, None if drawn is None else drawn[e],
                 )
-                plain = episode_objective_and_grads(
-                    Episode(targets[e].tolist(), batch.support_x[e], sy[e], batch.query_x[e],
-                            batch.query_y[e]),
-                    graph, params, cfg, rng,
-                )
-                assert repr(staged[0]) == repr(plain[0])
-                assert list(staged[1]) == list(plain[1])
+                alone = Episode(targets[e].tolist(), batch.support_x[e], sy[e], batch.query_x[e],
+                                batch.query_y[e])
+                plain = episode_objective_and_grads(*staged(alone, graph, params), params, cfg, rng)
+                assert repr(chunked[0]) == repr(plain[0])
+                assert list(chunked[1]) == list(plain[1])
                 for name, grad in plain[1].items():
-                    assert staged[1][name].tobytes() == grad.tobytes(), (case, e, name)
+                    assert chunked[1][name].tobytes() == grad.tobytes(), (case, e, name)
 
-    def test_stage_error_names_its_episode_within_the_chunk(self, monkeypatch):
-        # a fault the chunk's stage finds is named by the first episode that
-        # has it, after the episodes before it have trained, as episode by
-        # episode: here episode 23's support set, in the second chunk of 20
-        ds, graph, cfg = self.make_world(episodes=30, eval_every=0)
-        monkeypatch.setattr(evaluation, "BATCH_ELEMENTS", 20 * 3 * 3 * 6)
-        poisoned = trainer.sample_episode(ds, "train", cfg.n_way, cfg.k_shot, cfg.q_per,
-                                          RngStream(cfg.seed).child(trainer._NS_EPISODE, 23))
-        stage, objective, trained = trainer.stage_episode, trainer.episode_objective_and_grads, []
+    @pytest.mark.parametrize("nodes, eval_every, message", [
+        (5, 0, "relation 5 of split 'train' is not in the graph"),
+        (8, 10, "relation 8 of split 'val' is not in the graph"),
+    ], ids=["train", "val"])
+    def test_graph_missing_a_sampled_relation_fails_before_the_first_episode(
+        self, monkeypatch, nodes, eval_every, message
+    ):
+        # relations 0-5 are train, 6-8 val and 9-11 test; a graph of the
+        # first ``nodes`` relations lacks one of a split that training samples
+        ds, graph, cfg = self.make_world(episodes=30, eval_every=eval_every)
+        small = build_knn_graph(graph.node_features[:nodes], 2)
 
-        def failing_stage(episode):
-            rows = np.reshape(episode.support_x, (-1,) + poisoned.support_x.shape)
-            if any(np.array_equal(r, poisoned.support_x) for r in rows):
-                raise ValueError("unequal support counts per class: [2, 0, 1]")
-            return stage(episode)
+        def unreachable(*args):
+            raise AssertionError("an episode was drawn")
 
-        def counted(*args):
-            result = objective(*args)
-            trained.append(args[4])
-            return result
+        monkeypatch.setattr(trainer, "sample_episode", unreachable)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(ds, small, cfg)
 
-        monkeypatch.setattr(trainer, "stage_episode", failing_stage)
-        monkeypatch.setattr(trainer, "episode_objective_and_grads", counted)
-        with pytest.raises(ValueError, match=(
-            r"^episode 23: unequal support counts per class: \[2, 0, 1\]$"
-        )):
-            train(ds, graph, cfg)
-        assert len(trained) == 23
+    def test_graph_missing_only_test_relations_trains(self):
+        ds, graph, cfg = self.make_world(episodes=30, eval_every=10)
+        _, rows = train(ds, build_knn_graph(graph.node_features[:9], 2), cfg)
+        assert len(rows) == 30 and rows[29].val_accuracy is not None
 
     def test_too_many_recorded_floats_fail_before_the_first_episode(self, monkeypatch):
         # 3-way 1-shot at d=6: an episode records L*N*((2M+1)*d + M*S) floats
