@@ -84,9 +84,7 @@ def episode_outcomes(
     outcomes do not depend on the batch size.
     """
     check_episode_shape(n_way, k_shot, q_per, episodes=episodes)
-    # every relation of the split, not only those drawn, must hold an episode's
-    # instances, so a short one fails before the first batch as in train()
-    dataset.check_split(split, n_way, k_shot, q_per)
+    check_split_in_graph(dataset, split, graph, n_way, k_shot, q_per)
     chains, rows = (1, q_per) if k_shot == 0 else (config.chains, k_shot)
     size = _batch_size(config.measure, chains, n_way, n_way * rows, params.gnn.output_dim)
     outcomes = []
@@ -105,6 +103,19 @@ def episode_outcomes(
         hits = np.sum(preds == batch.query_y, axis=-1)
         outcomes += [(int(c), batch.query_y.shape[1]) for c in hits]
     return outcomes
+
+
+def check_split_in_graph(
+    dataset: Dataset, split: str, graph: RelationGraph, n_way: int, k_shot: int, q_per: int,
+) -> None:
+    """Check that every relation of the split, not only those an episode
+    draws, holds an episode's instances and is a graph node, so that a run
+    fails before its first episode and not when it first draws the fault."""
+    dataset.check_split(split, n_way, k_shot, q_per)
+    if graph.n_nodes < dataset.num_relations:  # else every relation is a node
+        missing = [r for r in dataset.relations_in_split(split) if r >= graph.n_nodes]
+        if missing:
+            raise ValueError(f"relation {missing[0]} of split {split!r} is not in the graph")
 
 
 def _batch_size(measure: str, chains: int, n_way: int, rows: int, dim: int) -> int:

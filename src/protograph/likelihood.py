@@ -49,14 +49,16 @@ def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str)
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    e = np.atleast_2d(np.asarray(encodings, dtype=float))
+    e = np.asarray(encodings, dtype=float)
+    if e.ndim < 2:  # one encoding row
+        e = e.reshape(1, -1)
     v = np.asarray(prototypes, dtype=float)
     if e.shape[-1] != v.shape[-1]:
         raise ValueError(f"dimension mismatch: encodings {e.shape} vs prototypes {v.shape}")
     if v.ndim > e.ndim:  # one encoding block for all L sets
         e = e[..., None, :, :]
     if measure == "dot":
-        return e @ np.swapaxes(v, -1, -2)
+        return e @ v.swapaxes(-1, -2)
     diff = e[..., :, None, :] - v[..., None, :, :]
     return -0.5 * np.einsum("...nd,...nd->...n", diff, diff)
 
@@ -107,7 +109,7 @@ def support_labels(labels, n_way: int) -> tuple[np.ndarray, int]:
 
 def support_probs_and_grad(
     enc: np.ndarray, one_hot: np.ndarray, values: np.ndarray, measure: str, tau: float,
-    record: bool = True,
+    record: bool = True, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Support softmax probabilities and the likelihood drift of L prototype sets.
 
@@ -136,6 +138,9 @@ def support_probs_and_grad(
     exponent whose output underflows: a raised entry's probability stays
     below RESIDUAL_FLOOR, so its residual is zeroed as before (a target's
     is 1 either way), and G keeps its bits.
+
+    ``out``, when given, receives the recorded softmax (see
+    softmax_with_temperature): an array of its shape, which probs then is.
     """
     if measure == "dot":
         # s-major logits (S, L, N): the residual then has the layout that
@@ -149,10 +154,12 @@ def support_probs_and_grad(
         diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
         logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
         labels = one_hot[..., None, :, :]
-    probs = softmax_with_temperature(logits, tau, None if record else LOGIT_CLAMP)
-    resid = labels - probs
-    # |resid| < RESIDUAL_FLOOR, without abs's temporary float array
-    resid[(resid < RESIDUAL_FLOOR) & (resid > -RESIDUAL_FLOOR)] = 0.0
+    probs = softmax_with_temperature(
+        logits, tau, None if record else LOGIT_CLAMP, logits if out is None else out
+    )
+    # |resid| < RESIDUAL_FLOOR exactly where p < RESIDUAL_FLOOR off the label
+    # (on it 1 - p is 0 or at least 2**-53, and 1 - p rounds to 1 for such p)
+    resid = labels - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
     if measure == "dot":
         return (probs if record else None), np.einsum("...sln,...sd->...lnd", resid, enc)
     return (probs if record else None), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
@@ -178,8 +185,14 @@ def similarity_softmax_vjp(
     Takes the probabilities the forward computed and their cotangent, both
     row-first, (n, L, N); returns the cotangent of the prototypes.
     """
-    inner = (d_probs * probs).sum(axis=-1, keepdims=True)
-    d_logits = probs * (d_probs - inner) / tau
+    # d_probs is copied out once: ufuncs that broadcast a cotangent the chains
+    # share, (n, 1, N), allocate iterator buffers of the result's size
+    d_logits = np.empty(probs.shape)
+    d_logits[...] = d_probs
+    inner = np.add.reduce(d_logits * probs, axis=-1, keepdims=True)
+    d_logits -= inner
+    d_logits *= probs
+    d_logits /= tau
     return pairwise_logits_vjp(d_logits, enc, prototypes, measure)
 
 
@@ -196,10 +209,11 @@ def support_drift_vjp(
     if measure == "dot":
         a = np.einsum("sd,lnd->sln", enc, cotangent)
     else:
-        probs = np.swapaxes(probs, 0, 1)  # (S, L, N), row-first
+        probs = probs.swapaxes(0, 1)  # (S, L, N), row-first
         diff = enc[:, None, None, :] - values[None, :, :, :]
         a = np.einsum("slnd,lnd->sln", diff, cotangent)
-    d_values = similarity_softmax_vjp(probs, -scale * a, enc, values, measure, tau)
+    a *= -scale
+    d_values = similarity_softmax_vjp(probs, a, enc, values, measure, tau)
     if measure == "euclidean":
         resid = one_hot[:, None, :] - probs  # (S, L, N)
         d_values -= scale * resid.sum(axis=0)[:, :, None] * cotangent

@@ -254,44 +254,48 @@ def row_max(z: np.ndarray) -> np.ndarray:
 
     numpy's reduce over a short last axis costs per row; N - 1 ``np.maximum``
     passes over the columns cost per column, about a tenth of it on the
-    (20, 10, 25, 5) query logits of half a README evaluation batch. A
-    maximum is exact in any order, but numpy's SIMD order picks between a
-    tied +0 and -0 in its own way, so a row whose maximum is zero takes
-    numpy's reduce.
+    (20, 10, 25, 5) query logits of half a README evaluation batch. Up to 16
+    rows per column (the 50 rows of a one-episode README support softmax)
+    the reduce is the cheaper and is taken as it is. A maximum is exact in
+    any order, but numpy's SIMD order picks between a tied +0 and -0 in its
+    own way, so a row whose maximum is zero takes numpy's reduce too.
     """
     n = z.shape[-1]
-    rows = z.reshape(-1, n)
-    out = np.maximum(rows[:, 0], rows[:, 1]) if n > 1 else rows[:, 0].copy()
-    for k in range(2, n):
-        np.maximum(out, rows[:, k], out=out)
-    if not out.all():
-        return z.max(axis=-1, keepdims=True)
-    return out.reshape(z.shape[:-1] + (1,))
+    if z.size > 16 * n * n:
+        rows = z.reshape(-1, n)
+        out = np.maximum(rows[:, 0], rows[:, 1]) if n > 1 else rows[:, 0].copy()
+        for k in range(2, n):
+            np.maximum(out, rows[:, k], out=out)
+        if out.all():
+            return out.reshape(z.shape[:-1] + (1,))
+    return z.max(axis=-1, keepdims=True)
 
 
-def _scaled_logits(logits, tau: float) -> np.ndarray:
-    """logits / tau shifted so each row's maximum is 0, after the input checks."""
+def _scaled_logits(logits, tau: float, out: np.ndarray | None = None) -> np.ndarray:
+    """logits / tau shifted so each row's maximum is 0, after the input checks,
+    in ``out`` when given, else in a fresh array."""
     z = np.asarray(logits, dtype=float)
     if z.shape[-1] == 0:
         raise ValueError("empty class set")
-    tau = float(tau)
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not math.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau}")
+    if not 0.0 < tau < math.inf:  # one comparison for a valid tau
+        if not tau > 0:
+            raise ValueError(f"tau must be positive, got {float(tau)}")
+        raise ValueError(f"tau must be finite, got {float(tau)}")
     if tau >= 1:  # |z / tau| <= |z|: only non-finite input gives non-finite output
-        z = z / tau
+        z = np.divide(z, tau, out=out)
     else:
         with np.errstate(over="ignore"):
-            z = z / tau
+            z = np.divide(z, tau, out=out)
     # one check covers non-finite logits and the overflow of a small tau
     if not np.isfinite(z).all():
         raise ValueError("logits / tau must be finite")
-    z -= row_max(z)  # z is a fresh array
+    z -= row_max(z)
     return z
 
 
-def softmax_with_temperature(logits, tau: float, clamp: float | None = None) -> np.ndarray:
+def softmax_with_temperature(
+    logits, tau: float, clamp: float | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Softmax of logits / tau along the last axis, stabilised by max subtraction.
 
     Raises on an empty class axis, a tau that is not positive and finite, or
@@ -302,12 +306,17 @@ def softmax_with_temperature(logits, tau: float, clamp: float | None = None) -> 
     or a subnormal. The raised entries' probabilities are then inexact. Each
     row's maximum adds exactly 1 to the row sum, far above them, so at a
     clamp of -700 every other probability keeps the exact softmax's bits.
+
+    The probabilities are computed in ``out`` when it is given, an array of
+    the logits' shape that is either the logits themselves or does not
+    overlap them (a recorded chain passes a step's slot of its record), else
+    in a fresh array; the bits are the same.
     """
-    z = _scaled_logits(logits, tau)  # a fresh array: normalise it in place
+    z = _scaled_logits(logits, tau, out)  # z is the result: normalise it in place
     if clamp is not None:
         np.maximum(z, clamp, out=z)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 

@@ -135,9 +135,11 @@ class EpisodeStage:
 
 
 @dataclass
-class EpisodeForward(EpisodeStage):
-    """What the forward of one or E stacked episodes computed; shapes are one episode's."""
+class EpisodeForward:
+    """What the forward of one or E stacked episodes computed from its stage;
+    shapes are one episode's."""
 
+    stage: EpisodeStage
     chain_probs: np.ndarray  # (L, Q, N) per-chain query probabilities
     probs: np.ndarray  # (Q, N) chain-averaged query probabilities
     record: ChainRecord | None  # set when the forward ran with record=True
@@ -155,12 +157,14 @@ def support_statistics(encodings, one_hot, k_shot: int) -> tuple[np.ndarray, np.
 def init_prototypes(
     class_means, grand_mean, summaries, alpha: float, beta: float, chains: int
 ) -> np.ndarray:
-    """Warm start v_r = m_r + alpha h_r - beta m, replicated across chains.
+    """Warm start v_r = m_r + alpha h_r - beta m, shared by ``chains`` chains.
 
-    Returns a read-only (L, N, d), or (E, L, N, d) for E episodes, broadcast
-    view. All chains start at the same point; sample diversity comes entirely
-    from the per-chain Langevin noise. Raises when the start is not finite,
-    as an alpha or beta near the float range makes it.
+    Returns the start once, (1, N, d), or (E, 1, N, d) for E episodes: a
+    chain axis of length 1 that sgld_chain broadcasts to its chains when it
+    writes its first state, so ``[0]`` of one episode's start is the (N, d)
+    point. All chains start there; sample diversity comes entirely from the
+    per-chain Langevin noise. Raises when the start is not finite, as an
+    alpha or beta near the float range makes it.
     """
     h = np.asarray(summaries, dtype=float)
     if h.shape != class_means.shape:
@@ -169,8 +173,7 @@ def init_prototypes(
         v0 = class_means + alpha * h - beta * grand_mean[..., None, :]
     if not np.isfinite(v0).all():
         raise ValueError(f"warm start is not finite at alpha {alpha:g} and beta {beta:g}")
-    shape = v0.shape[:-2] + (chains,) + v0.shape[-2:]
-    return np.broadcast_to(v0[..., None, :, :], shape)
+    return v0[..., None, :, :]
 
 
 def sgld_chain(
@@ -186,7 +189,7 @@ def sgld_chain(
     first_episode: int = 0,
     noise: Iterable[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ChainRecord | None]:
-    """Run M Langevin steps on every chain of the prototypes ``values``.
+    """Run M Langevin steps on ``config.chains`` chains from the start ``values``.
 
     Update at step t (1-based):
         v <- v + (eps_t / 2) * grad log p(v) + sqrt(eps_t) * z,
@@ -199,23 +202,28 @@ def sgld_chain(
     (else None, and the drift skips its exact softmax: the values keep
     their bits).
 
-    ``rng`` is the noise stream of one episode, or a batch stream of E ids
-    for E batched episodes. A batch that diverges names the
-    episode as ``first_episode`` plus its position in the batch. ``noise``,
-    when given, holds the blocks that :func:`chain_noise` draws from ``rng``,
-    drawn ahead: at least M, one per step. Without it each step draws its
-    block when it runs.
+    ``values`` is (L, N, d), or (E, L, N, d) for E episodes, with L the
+    chain count or 1 for a start the chains share (init_prototypes'). ``rng``
+    is the noise stream of one episode, or a batch stream of E ids for E
+    batched episodes. A batch that diverges names the episode as
+    ``first_episode`` plus its position in the batch. ``noise``, when given,
+    holds the blocks that :func:`chain_noise` draws from ``rng``, drawn
+    ahead: at least M, one per step. Without it each step draws its block
+    when it runs.
 
-    The chain updates its own C-ordered copy of ``values`` and one gradient
-    buffer in place, and writes a record into arrays allocated once; it
-    writes neither the caller's values nor its noise blocks.
+    The chain writes neither the caller's values nor its noise blocks. It
+    writes the start once, into its state or ``trajectory[0]``, each recorded
+    step's state into ``trajectory[t + 1]`` and support softmax into
+    ``support_probs[t]``, and returns its own array, a copy of the last
+    recorded state.
     """
-    values = np.array(values, dtype=float, order="C")
-    chains, n_way, d = values.shape[-3:]
-    batched = values.ndim == 4
+    start = np.asarray(values, dtype=float)
+    shape = start.shape[:-3] + (config.chains,) + start.shape[-2:]
+    chains, n_way, d = shape[-3:]
+    batched = len(shape) == 4
     h = np.asarray(summaries, dtype=float)
-    if h.shape != values.shape[:-3] + (n_way, d):
-        raise ValueError(f"summaries {h.shape} do not match prototypes {values.shape}")
+    if h.shape != shape[:-3] + (n_way, d):
+        raise ValueError(f"summaries {h.shape} do not match prototypes {start.shape}")
     h_chains = h[..., None, :, :]
 
     has_lik = config.likelihood_weight != 0.0 and np.size(one_hot) > 0
@@ -224,29 +232,35 @@ def sgld_chain(
 
     eps = config.schedule
     if record:
-        trajectory = np.empty((len(eps) + 1,) + values.shape)
-        trajectory[0] = values
+        trajectory = np.empty((len(eps) + 1,) + shape)
+        values = trajectory[0]
         support_probs = np.empty(0) if has_lik else None  # sized by the first step
+    else:
+        values = np.empty(shape)
+    values[...] = start
     if config.noise_enabled:
         noise = iter(chain_noise(rng, targets, chains, d) if noise is None else noise)
 
-    grad = np.empty_like(values)
+    grad = np.empty(shape)
     for t, eps_t in enumerate(eps):
         np.subtract(h_chains, values, out=grad)
-        grad *= config.prior_weight
+        if config.prior_weight != 1.0:  # x * 1.0 is x
+            grad *= config.prior_weight
         if has_lik:
             probs, drift = support_probs_and_grad(
-                support_enc, one_hot, values, config.measure, config.tau, record
+                support_enc, one_hot, values, config.measure, config.tau, record,
+                support_probs[t] if record and t else None,
             )
             drift *= scale
             grad += drift
             del drift  # not held while the next step's drift is computed
-            if record:
-                if t == 0:
-                    support_probs = np.empty((len(eps),) + probs.shape)
-                support_probs[t] = probs
+            if record and not t:
+                support_probs = np.empty((len(eps),) + probs.shape)
+                support_probs[0] = probs
         grad *= 0.5 * eps_t
-        values += grad
+        state = trajectory[t + 1] if record else values
+        np.add(values, grad, out=state)
+        values = state
         if config.noise_enabled:
             values += np.multiply(math.sqrt(eps_t), next(noise), out=grad)
         if not np.isfinite(values).all():
@@ -254,10 +268,10 @@ def sgld_chain(
             e, l = np.argwhere(~finite)[0]
             where = f"episode {first_episode + e} chain {l}" if batched else f"chain {l}"
             raise RuntimeError(f"sampler diverged at {where} step {t + 1}")
-        if record:
-            trajectory[t + 1] = values
 
-    return values, ChainRecord(trajectory, support_probs) if record else None
+    if not record:
+        return values, None
+    return values.copy(), ChainRecord(trajectory, support_probs)
 
 
 def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
@@ -322,16 +336,15 @@ def episode_forward(
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
         h = np.zeros_like(h)
-    values = init_prototypes(stage.class_means, stage.grand_mean, h, config.alpha, config.beta,
-                             config.chains)
+    start = init_prototypes(stage.class_means, stage.grand_mean, h, config.alpha, config.beta,
+                            config.chains)
     values, chain = sgld_chain(
-        stage.support_enc, stage.one_hot, stage.k_shot, stage.targets, h, values, config, rng,
+        stage.support_enc, stage.one_hot, stage.k_shot, stage.targets, h, start, config, rng,
         record, first_episode, noise,
     )
     logits = pairwise_logits(stage.query_enc, values, config.measure)
-    chain_probs = softmax_with_temperature(logits, config.tau)
-    return EpisodeForward(**vars(stage), chain_probs=chain_probs,
-                          probs=chain_probs.mean(axis=-3), record=chain)
+    chain_probs = softmax_with_temperature(logits, config.tau, out=logits)
+    return EpisodeForward(stage, chain_probs, chain_probs.mean(axis=-3), chain)
 
 
 def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfig) -> np.ndarray:
@@ -342,30 +355,30 @@ def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfi
     the graph prior is off. The query kernels take a q-major copy of the
     probabilities and the cotangent as (Q, L, N) or (Q, 1, N).
     """
-    chain = fwd.record
+    chain, stage = fwd.record, fwd.stage
     d_v = similarity_softmax_vjp(
-        np.swapaxes(fwd.chain_probs, 0, 1).copy(),
-        np.swapaxes(d_chain_probs.reshape((-1,) + fwd.chain_probs.shape[1:]), 0, 1),
-        fwd.query_enc, chain.trajectory[-1], config.measure, config.tau,
+        fwd.chain_probs.swapaxes(0, 1).copy(),
+        d_chain_probs.reshape((-1,) + fwd.chain_probs.shape[1:]).swapaxes(0, 1),
+        stage.query_enc, chain.trajectory[-1], config.measure, config.tau,
     )
 
-    # reverse through the unrolled chain
-    d_h = np.zeros_like(d_v[0])
-    lik_scale = config.likelihood_weight / (fwd.k_shot * config.tau)
-    eps = config.schedule
+    # reverse through the unrolled chain, updating d_v in place
+    d_h = np.zeros(d_v.shape[1:])
+    lik_scale = config.likelihood_weight / (stage.k_shot * config.tau)
+    eps, prior_weight = config.schedule, config.prior_weight
     for t in range(len(eps) - 1, -1, -1):
         half = 0.5 * eps[t]
-        d_h += half * config.prior_weight * d_v.sum(axis=0)
-        d_v_next = d_v - half * config.prior_weight * d_v
+        d_h += half * prior_weight * np.add.reduce(d_v, axis=0)
+        half_d_v = half * d_v  # the drift's cotangent, and the prior term's at weight 1
+        d_v -= half_d_v if prior_weight == 1.0 else half * prior_weight * d_v
         if chain.support_probs is not None:
-            d_v_next = d_v_next + support_drift_vjp(
-                fwd.support_enc, fwd.one_hot, chain.trajectory[t], chain.support_probs[t],
-                half * d_v, config.measure, config.tau, lik_scale,
+            d_v += support_drift_vjp(
+                stage.support_enc, stage.one_hot, chain.trajectory[t], chain.support_probs[t],
+                half_d_v, config.measure, config.tau, lik_scale,
             )
-        d_v = d_v_next
 
     # warm start v0 = class_means + alpha * h - beta * grand_mean, shared by the chains
-    d_h += config.alpha * d_v.sum(axis=0)
+    d_h += config.alpha * np.add.reduce(d_v, axis=0)
     return d_h if config.graph_prior else np.zeros_like(d_h)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .data import (
     Dataset, Episode, check_episode_shape, parse_ints, read_lines, sample_episode, write_lines,
 )
-from .evaluation import EPISODE_FLOATS_CAP, _batch_size, episode_outcomes
+from .evaluation import EPISODE_FLOATS_CAP, _batch_size, check_split_in_graph, episode_outcomes
 from .graph import RelationGraph
 from .likelihood import EncoderParams
 from .numerics import RngStream, chain_noise
@@ -109,8 +109,9 @@ def _episode_forward(
     config: SamplerConfig,
     rng: RngStream,
     noise: np.ndarray | None = None,
-) -> tuple[float, EpisodeForward]:
-    """The episode's loss and recorded forward, from its stage and its targets' graph rows."""
+) -> tuple[np.ndarray, EpisodeForward]:
+    """The recorded forward of an episode, from its stage and its targets' graph
+    rows, and the chain-averaged probability of each query's true class."""
     fwd = episode_forward(
         stage, rows @ params.gnn.weight + params.gnn.bias, config, rng, record=True, noise=noise
     )
@@ -119,8 +120,12 @@ def _episode_forward(
         raise RuntimeError(
             f"non-finite episode loss (replay stream seed={rng.seed} id={rng.stream_id})"
         )
-    loss = float(-np.log(p_true).sum() + 0.0)  # + 0.0 folds -0.0 (single-class case)
-    return loss, fwd
+    return p_true, fwd
+
+
+def _query_loss(p_true: np.ndarray) -> float:
+    """The negative query log-likelihood from the true-class probabilities."""
+    return float(-np.log(p_true).sum() + 0.0)  # + 0.0 folds -0.0 (single-class case)
 
 
 def episode_objective_and_grads(
@@ -140,12 +145,12 @@ def episode_objective_and_grads(
     it; numpy's warnings on the way there are silenced.
     """
     with np.errstate(all="ignore"):
-        loss, fwd = _episode_forward(stage, rows, params, config, rng, noise)
+        p_true, fwd = _episode_forward(stage, rows, params, config, rng, noise)
+        loss = _query_loss(p_true)
         # the loss's cotangent: -1/p_bar at each query's true class, shared by the chains
-        queries, y_q = np.arange(fwd.query_y.size), fwd.query_y
-        d_mean = np.zeros_like(fwd.probs)
-        d_mean[queries, y_q] = -1.0 / fwd.probs[queries, y_q]
-        d_summ = episode_forward_vjp(fwd, d_mean / config.chains, config)
+        d_mean = np.zeros(fwd.probs.shape)
+        d_mean[np.arange(p_true.size), stage.query_y] = -1.0 / p_true / config.chains
+        d_summ = episode_forward_vjp(fwd, d_mean, config)
         # graph layer: summaries = propagated rows @ W + b
         grads = {"gnn.weight": rows.T @ d_summ, "gnn.bias": d_summ.sum(axis=0)}
     if not all(np.isfinite(grad).all() for grad in grads.values()):
@@ -164,7 +169,7 @@ def episode_loss(
 ) -> float:
     """Forward-only objective; the replayable target for the gradient oracle."""
     rows = graph_rows(graph, params.gnn, episode.targets)
-    return _episode_forward(stage_episode(episode), rows, params, config, rng)[0]
+    return _query_loss(_episode_forward(stage_episode(episode), rows, params, config, rng)[0])
 
 
 @dataclass
@@ -202,16 +207,12 @@ def train(
     noise, from one batch stream each, their stages and graph rows; each
     episode still gets the draws of its own streams and its own bits.
     """
-    # check the splits the episodes will sample, and that the graph holds their
-    # relations, before the first episode, not only when a fault is first drawn
+    # the splits the episodes will sample
     splits = ["train"] if config.episodes_total else []
     if config.eval_every and config.episodes_total >= config.eval_every:
         splits.append("val")
     for split in splits:
-        dataset.check_split(split, config.n_way, config.k_shot, config.q_per)
-        missing = [r for r in dataset.relations_in_split(split) if r >= graph.n_nodes]
-        if missing:
-            raise ValueError(f"relation {missing[0]} of split {split!r} is not in the graph")
+        check_split_in_graph(dataset, split, graph, config.n_way, config.k_shot, config.q_per)
     rng = RngStream(config.seed)
     params = initial_params(config.seed, graph.feature_dim, dataset.d)
     arrays = param_arrays(params)

@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+import shlex
 from collections import defaultdict
 from pathlib import Path
 
@@ -1427,11 +1428,30 @@ def test_too_many_recorded_steps_fail_before_the_first_episode(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]  # nothing written
 
 
-def test_grad_check_prints_the_lines_readme_quotes(capsys):
+def readme_round_trip() -> tuple[list[list[str]], list[str]]:
+    """README's round-trip commands as argument lists, and the lines it says they print."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A full round trip")[1].split("```bash")[1].split("```")[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.strip() and not line.startswith("#"):
+            program, *argv = shlex.split(line)
+            assert program == "protograph"
+            commands.append(argv)
     printed = readme.split("These commands print")[1].split("```")[1].splitlines()
-    quoted = [line for line in printed
-              if line.startswith(("support-likelihood-", "episode-objective-", "OK: "))]
-    assert len(quoted) == 5
-    assert main(["grad-check", "--seed", "1", "--d", "3"]) == 0
+    return commands, [line for line in printed if line]
+
+
+def test_grad_check_prints_the_lines_readme_quotes(capsys, tmp_path, monkeypatch):
+    # the whole round trip, in process from an empty directory: the train,
+    # eval, zero-shot and sweep numbers move with any bit of a training step,
+    # and the grad-check errors with any bit of the gradients
+    commands, quoted = readme_round_trip()
+    assert [argv[0] for argv in commands] == [
+        "synth", "build-graph", "train", "eval", "zero-shot", "sweep", "grad-check",
+    ]
+    assert len(quoted) == 14
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
     assert capsys.readouterr().out.splitlines() == quoted

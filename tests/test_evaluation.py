@@ -307,9 +307,11 @@ class TestBatchSize:
                              RngStream(8), SamplerConfig(chains=10**8))
 
     def test_readme_batch_peaks_within_six_largest_step_arrays(self):
-        # the chain updates one copy of the warm start's broadcast view and one
-        # gradient buffer in place, so a batch twice the old size does not
-        # double the memory it holds (measured: 5.77 units)
+        # the chain writes the warm start once into its own state and updates
+        # it and one gradient buffer in place, so a batch twice the old size
+        # does not double the memory it holds, and each softmax normalises
+        # its own logits' array (measured: 5.46 units; 5.77 with a fresh
+        # array per softmax)
         from protograph.data import sample_episode
         from protograph.evaluation import _batch_size
         from protograph.likelihood import chain_step_floats
@@ -333,7 +335,7 @@ class TestBatchSize:
         finally:
             tracemalloc.stop()
         largest = size * chain_step_floats("dot", cfg.chains, 5, 5, 16) * 8  # bytes
-        assert peak <= 6 * largest, peak / largest
+        assert peak <= 5.5 * largest, peak / largest
 
 
 class TestSensitivitySweep:
@@ -375,20 +377,40 @@ class TestSensitivitySweep:
             )
 
 
+def evaluate(mode, ds, graph, params):
+    """A short few-shot or zero-shot evaluation of the test split."""
+    if mode == "fewshot":
+        return evaluate_fewshot(
+            ds, "test", graph, params, 3, 1, 2, 3, SamplerConfig(chains=2, steps=1), RngStream(0)
+        )
+    return evaluate_zeroshot(ds, "test", graph, params, 3, 2, 3, RngStream(0))
+
+
 @pytest.mark.parametrize("mode", ["fewshot", "zeroshot"])
 def test_target_outside_the_graph_is_named(informative_world, mode):
     # a graph over the first 12 relations: every test relation (12-19) is missing
     ds, _, emb = informative_world
     small = build_knn_graph(emb[:12], 6)
-    params = identity_params(8)
-    with pytest.raises(ValueError, match=r"^episode target 1[2-9] not in the graph$"):
-        if mode == "fewshot":
-            evaluate_fewshot(
-                ds, "test", small, params, 5, 1, 2, 3, SamplerConfig(chains=2, steps=1),
-                RngStream(0),
-            )
-        else:
-            evaluate_zeroshot(ds, "test", small, params, 5, 2, 3, RngStream(0))
+    with pytest.raises(ValueError, match=r"^relation 12 of split 'test' is not in the graph$"):
+        evaluate(mode, ds, small, identity_params(8))
+
+
+@pytest.mark.parametrize("mode", ["fewshot", "zeroshot"])
+def test_graph_missing_a_split_relation_fails_before_the_first_batch(monkeypatch, mode):
+    # relations 0-5 are train, 6-8 val and 9-11 test; an 11-node graph lacks
+    # relation 11, which a short run might never draw
+    ds, emb = generate_synthetic(12, 6, 4.0, 1.5, 10, RngStream(200), split_counts=(6, 3, 3))
+    small = build_knn_graph(emb[:11], 2)
+
+    def unreachable(*args):
+        raise AssertionError("an episode was drawn")
+
+    monkeypatch.setattr(evaluation, "sample_episode", unreachable)
+    with pytest.raises(ValueError, match=r"^relation 11 of split 'test' is not in the graph$"):
+        evaluate(mode, ds, small, identity_params(6))
+    monkeypatch.undo()
+    # with every relation in the graph the same run succeeds
+    assert evaluate(mode, ds, build_knn_graph(emb, 2), identity_params(6)).episodes == 3
 
 
 def sample_report(seed=0):

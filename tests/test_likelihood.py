@@ -215,17 +215,39 @@ class TestSupportLabels:
             support_labels(np.array(labels, dtype=int), n_way)
 
 
-def unfloored_kernel(enc, one_hot, values, measure, tau, record=True):
+def unfloored_kernel(enc, one_hot, values, measure, tau, record=True, out=None):
     """support_probs_and_grad as it was before the residual floor (and before
-    its ``record`` keyword, which it takes and ignores)."""
+    its ``record`` keyword, which it takes and ignores). Its softmax goes
+    into ``out`` when that is given, as the kernel's does in a recorded chain."""
     if measure == "dot":
         logits = np.einsum("sd,lnd->lsn", enc, values)
-        probs = softmax_with_temperature(logits, tau)
+        probs = softmax_with_temperature(logits, tau, out=out)
         return probs, np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
     diff = enc[None, :, None, :] - values[:, None, :, :]
     logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
-    probs = softmax_with_temperature(logits, tau)
+    probs = softmax_with_temperature(logits, tau, out=out)
     return probs, np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
+
+
+def five_pass_floor_kernel(enc, one_hot, values, measure, tau, record=True):
+    """support_probs_and_grad with its residual floor as five array passes: a
+    subtraction, two comparisons, an and and a masked store."""
+    if measure == "dot":
+        flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
+        logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
+            enc.shape[:-1] + values.shape[-3:-1]
+        )
+        labels = one_hot[..., :, None, :]
+    else:
+        diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
+        logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
+        labels = one_hot[..., None, :, :]
+    probs = softmax_with_temperature(logits, tau, None if record else LOGIT_CLAMP)
+    resid = labels - probs
+    resid[(resid < RESIDUAL_FLOOR) & (resid > -RESIDUAL_FLOOR)] = 0.0
+    if measure == "dot":
+        return probs, np.einsum("...sln,...sd->...lnd", resid, enc)
+    return probs, np.einsum("...lsn,...lsnd->...lnd", resid, diff)
 
 
 def underflow_world(seed=0):
@@ -273,6 +295,46 @@ class TestSupportDriftKernel:
         operand = enc if measure == "dot" else enc[None, :, None, :] - values[:, None, :, :]
         bound = enc.shape[0] * RESIDUAL_FLOOR * np.abs(operand).max()
         assert np.abs(drift - ref_drift).max() <= bound
+
+    def test_floor_by_the_probabilities_is_the_residual_floor(self):
+        # labels - where(p < floor, 0, p) zeroes exactly the residuals that
+        # are below the floor in size, to the same bits, at its edge cases
+        gen = np.random.default_rng(42)
+        edges = [0.0, 1.0, 0.5, RESIDUAL_FLOOR, np.nextafter(RESIDUAL_FLOOR, 0.0),
+                 np.nextafter(RESIDUAL_FLOOR, 1.0), 5e-324, 2.0**-1030, np.finfo(float).tiny,
+                 2.0**-54, 2.0**-53, 1.0 - 2.0**-53]
+        for case in range(300):
+            shape = tuple(int(x) for x in gen.integers(1, 6, size=2))
+            pool = edges + list(gen.uniform(size=4) * 10.0 ** -gen.integers(0, 320, size=4))
+            probs = gen.choice(np.array(pool), size=shape)
+            labels = gen.integers(0, 2, size=shape).astype(float)
+            masked = labels - probs
+            masked[(masked < RESIDUAL_FLOOR) & (masked > -RESIDUAL_FLOOR)] = 0.0
+            floored = labels - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
+            assert floored.tobytes() == masked.tobytes(), (probs, labels)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    def test_drift_keeps_the_five_pass_floors_bits(self, measure, record):
+        # a saturated wide episode, where residuals underflow, and random shapes
+        enc, y, values, _ = underflow_world()
+        cases = [(enc, support_labels(y, 20)[0], values, 10.0)]
+        gen = np.random.default_rng(43)
+        for _ in range(40):
+            chains, s, n_way, d = (int(x) for x in gen.integers(1, 7, size=4))
+            cases.append((gen.standard_normal((s, d)) * gen.choice([0.1, 1.0, 30.0]),
+                          np.eye(n_way)[gen.integers(0, n_way, size=s)],
+                          gen.standard_normal((chains, n_way, d)), float(gen.choice([0.5, 10.0]))))
+        for enc, one_hot, values, tau in cases:
+            probs, drift = support_probs_and_grad(enc, one_hot, values, measure, tau, record)
+            ref_probs, ref_drift = five_pass_floor_kernel(
+                enc, one_hot, values, measure, tau, record
+            )
+            assert drift.tobytes() == ref_drift.tobytes()
+            if record:
+                assert probs.tobytes() == ref_probs.tobytes()
+            else:
+                assert probs is None
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     def test_chain_trajectory_is_unchanged(self, monkeypatch, measure):

@@ -407,10 +407,24 @@ class TestRowMax:
             zero_max += not expect.all()
         assert zero_max > 300  # rows with a +-0 maximum were checked
 
-    def test_a_view_is_not_written(self):
-        z = np.arange(12.0).reshape(3, 4)[:, ::-1]
+    def test_both_sides_of_the_reduce_threshold_keep_numpy_max_bits(self):
+        # up to 16 rows per column take numpy's reduce, more the column fold
+        gen = np.random.default_rng(14)
+        folded = []
+        for case in range(400):
+            n = case % 25 + 1
+            shape = (int(gen.integers(1, 40 * n)), n)
+            z = gen.standard_normal(shape) if case % 2 else tied_rows(gen, shape)
+            expect = z.max(axis=-1, keepdims=True)
+            assert row_max(z).tobytes() == expect.tobytes(), shape
+            folded.append(shape[0] > 16 * n)
+        assert 100 < sum(folded) < 300
+
+    @pytest.mark.parametrize("rows", [3, 100])  # the reduce and the fold
+    def test_a_view_is_not_written(self, rows):
+        z = np.arange(4.0 * rows).reshape(rows, 4)[:, ::-1]
         before = z.copy()
-        assert row_max(z).tolist() == [[3.0], [7.0], [11.0]]
+        assert row_max(z).tolist() == [[4.0 * r + 3] for r in range(rows)]
         np.testing.assert_array_equal(z, before)
 
     def test_softmaxes_keep_numpy_max_bits(self):

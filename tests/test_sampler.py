@@ -8,7 +8,9 @@ import pytest
 
 from protograph import sampler
 from protograph.data import Episode
-from protograph.likelihood import pairwise_logits, support_labels, support_probs_and_grad
+from protograph.likelihood import (
+    pairwise_logits, pairwise_logits_vjp, support_labels, support_probs_and_grad,
+)
 from protograph.numerics import (
     RngStream, chain_noise, finite_difference_gradient, max_relative_error,
     softmax_with_temperature, standard_normal_sample,
@@ -83,8 +85,8 @@ class TestInitPrototypes:
         values = init_prototypes(
             class_means, grand_mean, gen.standard_normal((3, 2)), 0.0, 0.0, 4
         )
-        for l in range(4):
-            np.testing.assert_array_equal(values[l], class_means)
+        assert values.shape == (1, 3, 2)
+        np.testing.assert_array_equal(values[0], class_means)
 
     @pytest.mark.parametrize("alpha, beta", [(1e308, 1.0), (2.0, -1e308), (1e308, 1e308)])
     def test_overflowing_start_names_alpha_and_beta(self, alpha, beta):
@@ -97,13 +99,17 @@ class TestInitPrototypes:
         assert str(caught.value) == f"warm start is not finite at alpha {alpha:g} and beta {beta:g}"
 
     def test_chains_share_the_init(self):
+        # the start is returned once, and the chain writes it into each chain's first state
         gen = np.random.default_rng(2)
         class_means, grand_mean = gen.standard_normal((2, 3)), gen.standard_normal(3)
-        values = init_prototypes(
-            class_means, grand_mean, gen.standard_normal((2, 3)), 1.0, 1.0, 5
-        )
-        for l in range(1, 5):
-            np.testing.assert_array_equal(values[l], values[0])
+        h = gen.standard_normal((2, 3))
+        values = init_prototypes(class_means, grand_mean, h, 1.0, 1.0, 5)
+        assert values.shape == (1, 2, 3)
+        _, chain = sgld_chain(np.zeros((0, 3)), np.zeros((0, 2)), 0, [0, 1], h, values,
+                              SamplerConfig(chains=5, steps=0), RngStream(2), record=True)
+        assert chain.trajectory.shape == (1, 5, 2, 3)
+        for l in range(5):
+            assert chain.trajectory[0, l].tobytes() == values[0].tobytes()
 
 
 def run_chain(
@@ -594,7 +600,7 @@ class TestEpisodeForward:
                               SamplerConfig(chains=3, steps=2), RngStream(21), record=record)
         assert len(calls) == 1
         one_hot, k_shot = support_labels(sy, 2)
-        assert fwd.one_hot.tobytes() == one_hot.tobytes() and fwd.k_shot == k_shot
+        assert fwd.stage.one_hot.tobytes() == one_hot.tobytes() and fwd.stage.k_shot == k_shot
         assert (fwd.record is not None) == record
 
 
@@ -661,6 +667,91 @@ class TestEpisodeForwardVjp:
             assert max_relative_error(d_h, finite_difference_gradient(contracted, h)) < 1e-6, cfg
 
 
+def out_of_place_vjp(fwd, d_chain_probs, config):
+    """episode_forward_vjp's reverse loop and kernels with a new array per
+    operation, in the same order: the prior term ``half * pw * d_v`` and the
+    drift's cotangent ``half * d_v`` each computed, ``d_v_next`` built out of
+    place, the softmax VJP as ``probs * (d_probs - inner) / tau``."""
+
+    def softmax_vjp(probs, d_probs, enc, prototypes, measure, tau):
+        inner = (d_probs * probs).sum(axis=-1, keepdims=True)
+        return pairwise_logits_vjp(probs * (d_probs - inner) / tau, enc, prototypes, measure)
+
+    def drift_vjp(enc, one_hot, values, probs, cotangent, measure, tau, scale):
+        if measure == "dot":
+            a = np.einsum("sd,lnd->sln", enc, cotangent)
+        else:
+            probs = np.swapaxes(probs, 0, 1)
+            diff = enc[:, None, None, :] - values[None, :, :, :]
+            a = np.einsum("slnd,lnd->sln", diff, cotangent)
+        d_values = softmax_vjp(probs, -scale * a, enc, values, measure, tau)
+        if measure == "euclidean":
+            resid = one_hot[:, None, :] - probs
+            d_values -= scale * resid.sum(axis=0)[:, :, None] * cotangent
+        return d_values
+
+    chain, stage = fwd.record, fwd.stage
+    d_v = softmax_vjp(
+        np.swapaxes(fwd.chain_probs, 0, 1).copy(),
+        np.swapaxes(d_chain_probs.reshape((-1,) + fwd.chain_probs.shape[1:]), 0, 1),
+        stage.query_enc, chain.trajectory[-1], config.measure, config.tau,
+    )
+    d_h = np.zeros_like(d_v[0])
+    lik_scale = config.likelihood_weight / (stage.k_shot * config.tau)
+    eps = config.step_sizes().tolist()
+    for t in range(len(eps) - 1, -1, -1):
+        half = 0.5 * eps[t]
+        d_h += half * config.prior_weight * d_v.sum(axis=0)
+        d_v_next = d_v - half * config.prior_weight * d_v
+        if chain.support_probs is not None:
+            d_v_next = d_v_next + drift_vjp(
+                stage.support_enc, stage.one_hot, chain.trajectory[t], chain.support_probs[t],
+                half * d_v, config.measure, config.tau, lik_scale,
+            )
+        d_v = d_v_next
+    d_h += config.alpha * d_v.sum(axis=0)
+    return d_h if config.graph_prior else np.zeros_like(d_h)
+
+
+REVERSE_SETTINGS = {
+    "default": {},
+    "prior weight 0.5": {"prior_weight": 0.5},
+    "prior weight 0.3": {"prior_weight": 0.3},
+    "no likelihood": {"likelihood_weight": 0.0},
+    "no steps": {"steps": 0},
+    "decay": {"step_decay": 0.6, "step_size": 0.4},
+    "no graph prior": {"graph_prior": False},
+}
+
+
+class TestInPlaceReversePass:
+    """episode_forward_vjp updates its cotangent in place, to the out-of-place loop's bits."""
+
+    @pytest.mark.parametrize("setting", list(REVERSE_SETTINGS))
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-chain"])
+    def test_equals_the_out_of_place_reverse_pass(self, setting, measure, shared):
+        gen = np.random.default_rng(60)
+        for case in range(4):
+            n_way, k_shot, q_count, d, chains, steps = (
+                int(x) for x in gen.integers([2, 1, 1, 1, 1, 1], [6, 4, 7, 6, 5, 6])
+            )
+            settings = {"chains": chains, "steps": steps, **REVERSE_SETTINGS[setting]}
+            cfg = SamplerConfig(measure=measure, tau=float(gen.uniform(1.0, 20.0)), **settings)
+            sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
+            stage = stage_episode(episode(gen.standard_normal((sy.size, d)) * 2.0, sy,
+                                          gen.choice(20, size=n_way, replace=False),
+                                          gen.standard_normal((q_count, d)) * 2.0))
+            fwd = episode_forward(stage, gen.standard_normal((n_way, d)), cfg,
+                                  RngStream(61, case), record=True)
+            cotangent = gen.standard_normal(((q_count, n_way) if shared
+                                             else (cfg.chains, q_count, n_way)))
+            before = cotangent.tobytes()
+            got = episode_forward_vjp(fwd, cotangent, cfg)
+            assert got.tobytes() == out_of_place_vjp(fwd, cotangent, cfg).tobytes(), cfg
+            assert cotangent.tobytes() == before
+
+
 def episode_batch(seed, e_count, n_way=4, k_shot=2, q_count=6, d=5):
     """E random episodes of one shape: support and query rows, labels,
     distinct targets per episode and relation summaries."""
@@ -718,9 +809,9 @@ class TestEpisodeBatch:
 
     @pytest.mark.parametrize("e_count", [None, 5], ids=["one", "batch"])
     def test_chain_state_and_record_are_c_ordered(self, e_count):
-        # the warm start is a read-only broadcast view: the chain's one copy
-        # lays it out in C order, which its einsums run fastest on (a plain
-        # copy of the view keeps the chain axis innermost but one)
+        # the warm start has one chain slot: the chain writes it into its own
+        # C-ordered state or record, which its einsums run fastest on (a plain
+        # copy of a broadcast view would keep the chain axis innermost but one)
         sx, sy, _, targets, h = episode_batch(25, e_count or 1)
         rng = RngStream(8).child(np.arange(e_count), 1) if e_count else RngStream(8, 1)
         if e_count is None:
@@ -729,7 +820,7 @@ class TestEpisodeBatch:
         one_hot, k_shot = support_labels(sy, 4)
         init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta,
                                cfg.chains)
-        assert not init.flags.writeable
+        assert init.shape[-3] == 1
         out, record = sgld_chain(sx, one_hot, k_shot, targets, h, init, cfg, rng, record=True)
         assert out.flags.c_contiguous
         assert record.trajectory.flags.c_contiguous and record.support_probs.flags.c_contiguous
