@@ -331,14 +331,13 @@ def _cmd_eval(opts: Options) -> int:
 
 
 def _cmd_zero_shot(opts: Options) -> int:
-    sampler = SamplerConfig(tau=opts["tau"], measure=opts["measure"])
     check_episode_shape(opts["n-way"], 0, opts["q-per"], episodes=opts["episodes"])
     dataset, g = _load_graph_and_data(opts)
     params = _params_for_eval(opts, dataset, g)
     report = evaluation.evaluate_zeroshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["q-per"], opts["episodes"],
-        RngStream(opts["seed"]), measure=sampler.measure, tau=sampler.tau,
+        RngStream(opts["seed"]), measure=opts["measure"], tau=opts["tau"],
     )
     _write_report(opts, [report])
     print(

@@ -114,9 +114,8 @@ def support_probs_and_grad(
     """Support softmax probabilities and the likelihood drift of L prototype sets.
 
     For encodings enc (S, d), labels one_hot (S, N) and prototypes values
-    (L, N, d), returns probs as the measure computes them, (S, L, N) for dot
-    and (L, S, N) for euclidean, and G (L, N, d) with row r of chain l
-    (a leading episode axis E on all three batches episodes)
+    (L, N, d), returns probs (S, L, N), row-first, and G (L, N, d) with row r
+    of chain l (a leading episode axis E on all three batches episodes)
 
         dot:       sum_s (1[y_s=r] - p_lsr) e_s
         euclidean: sum_s (1[y_s=r] - p_lsr) (e_s - v_lr)
@@ -142,27 +141,25 @@ def support_probs_and_grad(
     ``out``, when given, receives the recorded softmax (see
     softmax_with_temperature): an array of its shape, which probs then is.
     """
+    # s-major logits (S, L, N) for both measures: the residual then has the
+    # layout that reduces fastest, to the bits of the l-major (L, S, N) one
     if measure == "dot":
-        # s-major logits (S, L, N): the residual then has the layout that
-        # reduces fastest, and to the same bits as "lsn,sd->lnd"
         flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
         logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
             enc.shape[:-1] + values.shape[-3:-1]
         )
-        labels = one_hot[..., :, None, :]
     else:
-        diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
-        logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
-        labels = one_hot[..., None, :, :]
+        diff = enc[..., :, None, None, :] - values[..., None, :, :, :]
+        logits = -0.5 * np.einsum("...slnd,...slnd->...sln", diff, diff)
     probs = softmax_with_temperature(
         logits, tau, None if record else LOGIT_CLAMP, logits if out is None else out
     )
     # |resid| < RESIDUAL_FLOOR exactly where p < RESIDUAL_FLOOR off the label
     # (on it 1 - p is 0 or at least 2**-53, and 1 - p rounds to 1 for such p)
-    resid = labels - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
+    resid = one_hot[..., :, None, :] - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
     if measure == "dot":
         return (probs if record else None), np.einsum("...sln,...sd->...lnd", resid, enc)
-    return (probs if record else None), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
+    return (probs if record else None), np.einsum("...sln,...slnd->...lnd", resid, diff)
 
 
 def pairwise_logits_vjp(d_logits, enc, prototypes, measure: str) -> np.ndarray:
@@ -201,15 +198,14 @@ def support_drift_vjp(
 ) -> np.ndarray:
     """VJP of scale * G, the drift of :func:`support_probs_and_grad`.
 
-    ``probs`` is the support softmax at ``values`` (L, N, d) as the chain
-    recorded it (see support_probs_and_grad), and ``cotangent`` (L, N, d) that
-    of scale * G. Differentiating G brings in the softmax curvature (the
-    Hessian term of the Langevin drift). Returns the cotangent of the values.
+    ``probs`` is the support softmax (S, L, N) at ``values`` (L, N, d) as the
+    chain recorded it, and ``cotangent`` (L, N, d) that of scale * G.
+    Differentiating G brings in the softmax curvature (the Hessian term of
+    the Langevin drift). Returns the cotangent of the values.
     """
     if measure == "dot":
         a = np.einsum("sd,lnd->sln", enc, cotangent)
     else:
-        probs = probs.swapaxes(0, 1)  # (S, L, N), row-first
         diff = enc[:, None, None, :] - values[None, :, :, :]
         a = np.einsum("slnd,lnd->sln", diff, cotangent)
     a *= -scale

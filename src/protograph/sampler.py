@@ -12,7 +12,7 @@ on a leading axis: targets (E, N), support and query rows (E, S, d) and
 (E, Q, d), summaries (E, N, d), prototypes (E, L, N, d), and a batch
 noise stream of E ids (see numerics.RngStream), whose Langevin noise
 numerics.chain_noise draws. A batched episode gets the bits it would get
-alone.
+alone. The one exception is episode_forward_vjp, which takes one episode.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ class ChainRecord:
     """Trajectory of an SGLD run, kept for reverse-mode differentiation."""
 
     trajectory: np.ndarray  # (M+1, L, N, d), trajectory[0] is the init
-    # support softmax at each step's starting state, (M, S, L, N) for dot and (M, L, S, N)
-    # for euclidean (as support_probs_and_grad computes it); None without a likelihood term
+    # support softmax at each step's starting state, (M, S, L, N) as
+    # support_probs_and_grad computes it; None without a likelihood term
     support_probs: np.ndarray | None = None
 
 
@@ -234,7 +234,8 @@ def sgld_chain(
     if record:
         trajectory = np.empty((len(eps) + 1,) + shape)
         values = trajectory[0]
-        support_probs = np.empty(0) if has_lik else None  # sized by the first step
+        step_probs = shape[:-3] + (np.shape(one_hot)[-2], chains, n_way)  # (..., S, L, N)
+        support_probs = np.empty((len(eps),) + step_probs) if has_lik else None
     else:
         values = np.empty(shape)
     values[...] = start
@@ -247,16 +248,13 @@ def sgld_chain(
         if config.prior_weight != 1.0:  # x * 1.0 is x
             grad *= config.prior_weight
         if has_lik:
-            probs, drift = support_probs_and_grad(
+            _, drift = support_probs_and_grad(
                 support_enc, one_hot, values, config.measure, config.tau, record,
-                support_probs[t] if record and t else None,
+                support_probs[t] if record else None,
             )
             drift *= scale
             grad += drift
             del drift  # not held while the next step's drift is computed
-            if record and not t:
-                support_probs = np.empty((len(eps),) + probs.shape)
-                support_probs[0] = probs
         grad *= 0.5 * eps_t
         state = trajectory[t + 1] if record else values
         np.add(values, grad, out=state)

@@ -26,10 +26,10 @@ from protograph.numerics import (
     softmax_with_temperature,
 )
 
-def l_major(probs, measure):
-    """Support probabilities as (..., L, S, N): the dot measure records them
-    row-first, (..., S, L, N), as its drift computes them."""
-    return np.swapaxes(probs, -3, -2) if measure == "dot" else probs
+def l_major(probs):
+    """Row-first support probabilities (..., S, L, N), as the drift computes
+    them, as (..., L, S, N)."""
+    return np.swapaxes(probs, -3, -2)
 
 
 def support_log_likelihood(x, y, v, measure, tau):
@@ -217,21 +217,24 @@ class TestSupportLabels:
 
 def unfloored_kernel(enc, one_hot, values, measure, tau, record=True, out=None):
     """support_probs_and_grad as it was before the residual floor (and before
-    its ``record`` keyword, which it takes and ignores). Its softmax goes
-    into ``out`` when that is given, as the kernel's does in a recorded chain."""
+    its ``record`` keyword, which it takes and ignores), l-major, with its
+    softmax returned row-first. That softmax goes into ``out`` (S, L, N) when
+    that is given, as the kernel's does in a recorded chain."""
+    out = None if out is None else np.swapaxes(out, 0, 1)
     if measure == "dot":
         logits = np.einsum("sd,lnd->lsn", enc, values)
         probs = softmax_with_temperature(logits, tau, out=out)
-        return probs, np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
+        return l_major(probs), np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
     diff = enc[None, :, None, :] - values[:, None, :, :]
     logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
     probs = softmax_with_temperature(logits, tau, out=out)
-    return probs, np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
+    return l_major(probs), np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
 
 
 def five_pass_floor_kernel(enc, one_hot, values, measure, tau, record=True):
     """support_probs_and_grad with its residual floor as five array passes: a
-    subtraction, two comparisons, an and and a masked store."""
+    subtraction, two comparisons, an and and a masked store; the euclidean
+    measure l-major, with its softmax returned row-first."""
     if measure == "dot":
         flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
         logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
@@ -247,7 +250,7 @@ def five_pass_floor_kernel(enc, one_hot, values, measure, tau, record=True):
     resid[(resid < RESIDUAL_FLOOR) & (resid > -RESIDUAL_FLOOR)] = 0.0
     if measure == "dot":
         return probs, np.einsum("...sln,...sd->...lnd", resid, enc)
-    return probs, np.einsum("...lsn,...lsnd->...lnd", resid, diff)
+    return l_major(probs), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
 
 
 def underflow_world(seed=0):
@@ -280,7 +283,7 @@ class TestSupportDriftKernel:
             values = gen.standard_normal((chains, n_way, d))
             one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
             probs, drift = support_probs_and_grad(enc, one_hot, values, "dot", 1.0)
-            expected = np.einsum("lsn,sd->lnd", one_hot[None] - l_major(probs, "dot"), enc)
+            expected = np.einsum("lsn,sd->lnd", one_hot[None] - l_major(probs), enc)
             assert drift.tobytes() == expected.tobytes(), (chains, s, n_way, d)
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
@@ -288,10 +291,10 @@ class TestSupportDriftKernel:
         enc, y, values, _ = underflow_world()
         one_hot, _ = support_labels(y, 20)
         ref_probs, ref_drift = unfloored_kernel(enc, one_hot, values, measure, 10.0)
-        resid = one_hot[None] - ref_probs
+        resid = one_hot[:, None] - ref_probs
         assert np.any(is_subnormal(resid)), "the world no longer underflows"
         probs, drift = support_probs_and_grad(enc, one_hot, values, measure, 10.0)
-        assert l_major(probs, measure).tobytes() == ref_probs.tobytes()  # the exact softmax
+        assert probs.tobytes() == ref_probs.tobytes()  # the exact softmax
         operand = enc if measure == "dot" else enc[None, :, None, :] - values[:, None, :, :]
         bound = enc.shape[0] * RESIDUAL_FLOOR * np.abs(operand).max()
         assert np.abs(drift - ref_drift).max() <= bound
@@ -351,7 +354,7 @@ class TestSupportDriftKernel:
         monkeypatch.setattr(sampler, "support_probs_and_grad", unfloored_kernel)
         expected = run()
         assert got.trajectory.tobytes() == expected.trajectory.tobytes()
-        assert l_major(got.support_probs, measure).tobytes() == expected.support_probs.tobytes()
+        assert got.support_probs.tobytes() == expected.support_probs.tobytes()
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     def test_reductions_see_no_subnormal_operand(self, monkeypatch, measure):
@@ -370,6 +373,63 @@ class TestSupportDriftKernel:
         monkeypatch.undo()
         assert len(operands) >= 4
         assert not any(np.any(is_subnormal(a)) for a in operands)
+
+
+def l_major_euclidean_kernel(enc, one_hot, values, tau, record=True):
+    """support_probs_and_grad's euclidean measure as it was before its
+    row-first layout: logits, softmax and residual (..., L, S, N)."""
+    diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
+    logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
+    probs = softmax_with_temperature(logits, tau, None if record else LOGIT_CLAMP, logits)
+    resid = one_hot[..., None, :, :] - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
+    return (probs if record else None), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
+
+
+class TestRowFirstEuclideanKernel:
+    """The euclidean kernel computes s-major, to the l-major kernel's bits."""
+
+    @staticmethod
+    def assert_same_bits(enc, one_hot, values, tau, record, into_slot=False):
+        out = np.empty(enc.shape[:-1] + values.shape[-3:-1]) if into_slot else None
+        probs, drift = support_probs_and_grad(enc, one_hot, values, "euclidean", tau, record, out)
+        ref_probs, ref_drift = l_major_euclidean_kernel(enc, one_hot, values, tau, record)
+        assert drift.tobytes() == ref_drift.tobytes(), (values.shape, tau, record)
+        if not record:
+            assert probs is None
+            return
+        assert probs.shape == enc.shape[:-1] + values.shape[-3:-1]
+        assert l_major(probs).tobytes() == ref_probs.tobytes(), (values.shape, tau)
+        assert probs is out or not into_slot
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_random_shapes(self, record):
+        # one episode or E stacked, d=1 and N=1 included, tau below 1 included
+        gen = np.random.default_rng(46)
+        for i in range(1500):
+            lead = (int(gen.integers(1, 5)),) if i % 2 else ()
+            chains, s, n_way, d = (int(x) for x in gen.integers(1, [9, 12, 9, 20]))
+            if i % 7 == 0:
+                d = 1
+            if i % 5 == 0:
+                n_way = 1
+            scale = float(gen.choice([0.1, 1.0, 3.0, 10.0, 30.0]))
+            tau = float(gen.choice([0.3, 0.5, 0.9, 1.0, 3.0, 10.0]))
+            enc = scale * gen.standard_normal(lead + (s, d))
+            values = scale * gen.standard_normal(lead + (chains, n_way, d))
+            one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
+            self.assert_same_bits(enc, one_hot, values, tau, record, into_slot=bool(i % 3))
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("e_count", [None, 1, 3])
+    @pytest.mark.parametrize("tau", [0.5, 10.0])
+    def test_underflow_world(self, record, e_count, tau):
+        worlds = [underflow_world(seed) for seed in range(e_count or 1)]
+        enc, y, values, _ = (np.stack(part) for part in zip(*worlds))
+        if e_count is None:
+            enc, y, values = enc[0], y[0], values[0]
+        one_hot, _ = support_labels(y, 20)
+        self.assert_same_bits(enc, one_hot, values, tau, record)
+        self.assert_same_bits(enc, one_hot, values, tau, record, into_slot=True)
 
 
 class TestUnrecordedDrift:
@@ -471,7 +531,7 @@ class TestEpisodeAxis:
                 assert drift[e].tobytes() == alone[1].tobytes(), values.shape
             # the "..." subscripts give the bits of the explicit ones
             reference = unfloored_kernel(enc[e], one_hot[e], values[e], measure, tau)
-            assert l_major(alone[0], measure).tobytes() == reference[0].tobytes(), values.shape
+            assert alone[0].tobytes() == reference[0].tobytes(), values.shape
             assert alone[1].tobytes() == reference[1].tobytes(), values.shape
 
     @pytest.mark.parametrize("measure", ["dot", "euclidean"])

@@ -228,10 +228,8 @@ class TestSgldChain:
             sx, one_hot, k_shot, [3, 1], gen.standard_normal((2, 3)),
             gen.standard_normal((2, 2, 3)), cfg, RngStream(4), record=True,
         )
-        probs_of_steps = record.support_probs
-        if measure == "dot":  # recorded row-first, (M, S, L, N)
-            probs_of_steps = np.swapaxes(probs_of_steps, 1, 2)
-        assert probs_of_steps.shape == (3, 2, 4, 2)
+        # recorded row-first, (M, S, L, N)
+        assert np.swapaxes(record.support_probs, 1, 2).shape == (3, 2, 4, 2)
         for t in range(3):
             probs, _ = support_probs_and_grad(
                 sx, one_hot, record.trajectory[t], measure, cfg.tau
@@ -331,6 +329,62 @@ class TestSgldChain:
         cfg = SamplerConfig(chains=4, steps=6, noise_enabled=noise)
         run_chain(gen.standard_normal((4, 3, 2)), np.zeros((3, 2)), cfg, RngStream(1))
         assert len(made) == built
+
+
+class TestRecordLayout:
+    """One row-first support softmax layout for both measures, recorded whole
+    before the chain's first step."""
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("e_count", [None, 3])
+    @pytest.mark.parametrize("into_slot", [False, True])
+    def test_kernel_returns_rows_first(self, measure, e_count, into_slot):
+        gen = np.random.default_rng(19)
+        lead = (e_count,) if e_count else ()
+        s, chains, n_way, d = 6, 4, 3, 5
+        enc = gen.standard_normal(lead + (s, d))
+        one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
+        values = gen.standard_normal(lead + (chains, n_way, d))
+        out = np.empty(lead + (s, chains, n_way)) if into_slot else None
+        probs, drift = support_probs_and_grad(enc, one_hot, values, measure, 2.0, True, out)
+        assert probs.shape == lead + (s, chains, n_way) and drift.shape == values.shape
+        assert probs is out or not into_slot
+        none, unrecorded = support_probs_and_grad(enc, one_hot, values, measure, 2.0, False)
+        assert none is None and unrecorded.tobytes() == drift.tobytes()
+
+    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
+    @pytest.mark.parametrize("e_count", [None, 2])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    def test_chain_allocates_its_record_before_the_first_step(
+        self, monkeypatch, measure, e_count, steps
+    ):
+        sx, sy, _, targets, h = episode_batch(26, e_count or 1)
+        rng = RngStream(8).child(np.arange(e_count), 1) if e_count else RngStream(8, 1)
+        if e_count is None:
+            sx, sy, targets, h = sx[0], sy[0], targets[0], h[0]
+        cfg = SamplerConfig(chains=3, steps=steps, measure=measure)
+        one_hot, k_shot = support_labels(sy, 4)
+        init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta,
+                               cfg.chains)
+        kernel, slots = sampler.support_probs_and_grad, []
+
+        def recording_kernel(*args):
+            slots.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(sampler, "support_probs_and_grad", recording_kernel)
+        _, record = sgld_chain(sx, one_hot, k_shot, targets, h, init, cfg, rng, record=True)
+        lead = (e_count,) if e_count else ()
+        assert record.support_probs.shape == (steps,) + lead + (sx.shape[-2], 3, 4)
+        assert record.support_probs.flags.c_contiguous
+        # every step, the first included, computes its softmax in its record slot
+        assert len(slots) == steps
+        for t, slot in enumerate(slots):
+            assert slot.shape == record.support_probs[t].shape
+            assert slot.ctypes.data == record.support_probs[t].ctypes.data
+        slots.clear()
+        sgld_chain(sx, one_hot, k_shot, targets, h, init, cfg, rng)
+        assert slots == [None] * steps
 
 
 def out_of_place_chain(
@@ -681,7 +735,6 @@ def out_of_place_vjp(fwd, d_chain_probs, config):
         if measure == "dot":
             a = np.einsum("sd,lnd->sln", enc, cotangent)
         else:
-            probs = np.swapaxes(probs, 0, 1)
             diff = enc[:, None, None, :] - values[None, :, :, :]
             a = np.einsum("slnd,lnd->sln", diff, cotangent)
         d_values = softmax_vjp(probs, -scale * a, enc, values, measure, tau)
