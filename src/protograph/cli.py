@@ -22,7 +22,6 @@ from . import evaluation, trainer
 from .data import check_episode_shape, generate_synthetic, load_dataset, read_lines
 from .data import save_dataset, write_lines
 from .graph import build_knn_graph, load_embeddings, load_graph, save_edges, save_embeddings
-from .likelihood import MEASURES
 from .numerics import RngStream
 from .sampler import SamplerConfig
 from .trainer import ModelParams, TrainConfig, read_checkpoint
@@ -62,7 +61,6 @@ OPTIONS = {
     "alpha": Option(float, SamplerConfig.alpha, "weight of the relation summary in the warm start"),
     "beta": Option(float, SamplerConfig.beta, "weight of the grand support mean in the warm start"),
     "tau": Option(float, SamplerConfig.tau, "softmax temperature"),
-    "measure": Option(str, SamplerConfig.measure, "similarity measure", MEASURES),
     "no-noise": Option(bool, not SamplerConfig.noise_enabled, "turn the Langevin noise off"),
     "no-graph-prior": Option(bool, not SamplerConfig.graph_prior,
                              "replace the graph summaries with zeros"),
@@ -227,7 +225,6 @@ def _sampler_config(opts: Options) -> SamplerConfig:
         alpha=opts["alpha"],
         beta=opts["beta"],
         tau=opts["tau"],
-        measure=opts["measure"],
         noise_enabled=not opts["no-noise"],
         graph_prior=not opts["no-graph-prior"],
     )
@@ -337,7 +334,7 @@ def _cmd_zero_shot(opts: Options) -> int:
     report = evaluation.evaluate_zeroshot(
         dataset, opts["split"], g, params,
         opts["n-way"], opts["q-per"], opts["episodes"],
-        RngStream(opts["seed"]), measure=opts["measure"], tau=opts["tau"],
+        RngStream(opts["seed"]), tau=opts["tau"],
     )
     _write_report(opts, [report])
     print(
@@ -396,8 +393,8 @@ _INPUTS = ("data", "registry", "embeddings", "graph", "knn", "checkpoint", "out"
 _PATHS = ("data", "registry", "embeddings", "graph", "checkpoint", "out")
 _EPISODE = ("n-way", "k-shot", "q-per", "episodes")
 _SAMPLER = (
-    "chains", "steps", "step-size", "step-decay", "alpha", "beta", "tau", "measure",
-    "no-noise", "no-graph-prior",
+    "chains", "steps", "step-size", "step-decay", "alpha", "beta", "tau", "no-noise",
+    "no-graph-prior",
 )
 _EVAL = _INPUTS + _EPISODE + _SAMPLER + ("split", "format")
 
@@ -418,7 +415,7 @@ COMMANDS = {
     "eval": Command(_cmd_eval, "few-shot evaluation", _EVAL, ("out",)),
     "zero-shot": Command(
         _cmd_zero_shot, "prior-mean classification, no support set",
-        _INPUTS + ("n-way", "q-per", "episodes", "tau", "measure", "split", "format"),
+        _INPUTS + ("n-way", "q-per", "episodes", "tau", "split", "format"),
         ("out",),
     ),
     "sweep": Command(

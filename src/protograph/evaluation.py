@@ -56,12 +56,12 @@ class EvalReport:
     step_size: float
     alpha: float
     beta: float
-    measure: str
     episodes: int
     accuracy: float
     ci95: float
     seed: int
     per_episode: list[float] = field(default_factory=list)
+    measure = "dot"  # the report's column of the one similarity measure
 
     def row(self) -> dict:
         """Column -> value, in REPORT_COLUMNS order."""
@@ -77,7 +77,7 @@ def episode_outcomes(
     Episode i is drawn from rng.child(i, 0) and the relation summaries of its
     targets are computed. Its queries are predicted by posterior_predict with
     the noise stream rng.child(i, 1), or at k_shot 0 (zero-shot) scored
-    against the summaries alone, with ``config.measure`` and ``config.tau``.
+    against the summaries alone, at ``config.tau``.
     Episodes run in batches (see BATCH_ELEMENTS), each batch's streams one
     batch stream ``rng.child(ids, 0)`` and ``rng.child(ids, 1)``;
     every batched operation gives an episode the bits it gets alone, so the
@@ -86,16 +86,14 @@ def episode_outcomes(
     check_episode_shape(n_way, k_shot, q_per, episodes=episodes)
     check_split_in_graph(dataset, split, graph, n_way, k_shot, q_per)
     chains, rows = (1, q_per) if k_shot == 0 else (config.chains, k_shot)
-    size = _batch_size(config.measure, chains, n_way, n_way * rows, params.gnn.output_dim)
+    size = _batch_size(chains, n_way, n_way * rows, params.gnn.output_dim)
     outcomes = []
     for start in range(0, episodes, size):
         ids = np.arange(start, min(start + size, episodes))
         batch = sample_episode(dataset, split, n_way, k_shot, q_per, rng.child(ids, 0))
         summaries = summary_rows(graph, params.gnn, batch.targets)
         if k_shot == 0:
-            _, preds = predict_queries(
-                batch.query_x, summaries[:, None], config.measure, config.tau, batch.targets
-            )
+            _, preds = predict_queries(batch.query_x, summaries[:, None], config.tau, batch.targets)
         else:
             _, preds = posterior_predict(
                 batch, summaries, config, rng.child(ids, 1), first_episode=start
@@ -118,10 +116,10 @@ def check_split_in_graph(
             raise ValueError(f"relation {missing[0]} of split {split!r} is not in the graph")
 
 
-def _batch_size(measure: str, chains: int, n_way: int, rows: int, dim: int) -> int:
+def _batch_size(chains: int, n_way: int, rows: int, dim: int) -> int:
     """Episodes per batch: how many fit BATCH_ELEMENTS, at least one. Raises
     when one episode's chain step exceeds EPISODE_FLOATS_CAP."""
-    floats = chain_step_floats(measure, chains, n_way, rows, dim)
+    floats = chain_step_floats(chains, n_way, rows, dim)
     if floats > EPISODE_FLOATS_CAP:
         raise ValueError(f"chains {chains} is too many: one episode's chain step would hold "
                          f"{floats} floats, more than {EPISODE_FLOATS_CAP}")
@@ -160,7 +158,7 @@ def evaluate_fewshot(
     return _report(
         outcomes, rng.seed, setting=setting, n_way=n_way, k_shot=k_shot,
         chains=cfg.chains, steps=cfg.steps, step_size=cfg.step_size, alpha=cfg.alpha,
-        beta=cfg.beta, measure=cfg.measure,
+        beta=cfg.beta,
     )
 
 
@@ -173,7 +171,6 @@ def evaluate_zeroshot(
     q_per: int,
     episodes: int,
     rng: RngStream,
-    measure: str = SamplerConfig.measure,
     tau: float = SamplerConfig.tau,
 ) -> EvalReport:
     """Classification from the prior means alone: no support set, no chain.
@@ -181,15 +178,15 @@ def evaluate_zeroshot(
     Prototypes are set directly to the relation summaries h_r of the episode
     targets, so there is no K parameter in this mode: the queries are scored
     by predict_queries against a single "chain" holding those summaries, with
-    the measure and temperature that SamplerConfig checks.
+    the temperature that SamplerConfig checks.
     """
-    config = SamplerConfig(measure=measure, tau=tau)
+    config = SamplerConfig(tau=tau)
     outcomes = episode_outcomes(
         dataset, split, graph, params, n_way, 0, q_per, episodes, rng, config
     )
     return _report(
         outcomes, rng.seed, setting="zeroshot", n_way=n_way, k_shot=0, chains=0, steps=0,
-        step_size=0.0, alpha=0.0, beta=0.0, measure=measure,
+        step_size=0.0, alpha=0.0, beta=0.0,
     )
 
 
@@ -222,7 +219,7 @@ def sensitivity_sweep(
     for v in values:
         try:
             cfg = replace(base_config, **{swept: v})
-            _batch_size(cfg.measure, cfg.chains, n_way, n_way * k_shot, params.gnn.output_dim)
+            _batch_size(cfg.chains, n_way, n_way * k_shot, params.gnn.output_dim)
             points.append((v, cfg))
         except ValueError as exc:
             raise ValueError(f"sweep {axis}={v}: {exc}") from None

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Episode, check_episode_shape
 from .graph import RelationGraph, build_knn_graph
-from .likelihood import MEASURES, pairwise_logits, support_labels, support_probs_and_grad
+from .likelihood import pairwise_logits, support_labels, support_probs_and_grad
 from .numerics import (
     RngStream, finite_difference_gradient, log_softmax_with_temperature, max_relative_error,
 )
@@ -39,16 +39,15 @@ def random_episode(gen: np.random.Generator, n_way: int, k_shot: int, q_per: int
     )
 
 
-def check_support_likelihood(gen, n_way: int, k_shot: int, d: int, measure: str,
-                             tau: float) -> float:
+def check_support_likelihood(gen, n_way: int, k_shot: int, d: int, tau: float) -> float:
     x = gen.standard_normal((n_way * k_shot, d))
     y = np.repeat(np.arange(n_way), k_shot)
     v = gen.standard_normal((n_way, d))
     one_hot, _ = support_labels(y, n_way)
-    _, drift = support_probs_and_grad(x, one_hot, v[None], measure, tau, record=False)
+    _, drift = support_probs_and_grad(x, one_hot, v[None], tau, record=False)
 
     def log_likelihood(p: np.ndarray) -> float:
-        log_p = log_softmax_with_temperature(pairwise_logits(x, p, measure), tau)
+        log_p = log_softmax_with_temperature(pairwise_logits(x, p), tau)
         return (1.0 / k_shot) * float(log_p[np.arange(y.size), y].sum())
 
     fd = finite_difference_gradient(log_likelihood, v)
@@ -78,15 +77,14 @@ def parameter_gradient_error(episode: Episode, graph: RelationGraph, params: Mod
 
 
 def check_episode_objective(seed: int, case: int, d: int, n_way: int, k_shot: int,
-                            q_per: int, chains: int, steps: int, measure: str,
-                            tau: float) -> float:
+                            q_per: int, chains: int, steps: int, tau: float) -> float:
     gen = RngStream(seed).child(40, case).generator()
     n_relations = n_way + 3
     embeddings = gen.standard_normal((n_relations, d))
     graph = build_knn_graph(embeddings, k=2)
     episode = random_episode(gen, n_way, k_shot, q_per, d, n_relations)
     params = init_params(d, d, RngStream(seed).child(41, case))
-    config = SamplerConfig(chains=chains, steps=steps, tau=tau, measure=measure)
+    config = SamplerConfig(chains=chains, steps=steps, tau=tau)
     rng = RngStream(seed).child(42, case)
     return parameter_gradient_error(episode, graph, params, config, rng)
 
@@ -102,19 +100,13 @@ def run_gradient_checks(
         if value < least[name]:
             raise ValueError(f"{name} must be >= {least[name]}, got {value}")
     check_episode_shape(n_way, k_shot, q_per, support=True)
-    results: dict[str, float] = {}
-
     gen = RngStream(seed).child(30).generator()
-    for measure in MEASURES:
-        results[f"support-likelihood-{measure}"] = max(
-            check_support_likelihood(gen, n_way, max(k_shot, 2), d, measure, tau)
-            for _ in range(cases)
-        )
-    for measure in MEASURES:
-        results[f"episode-objective-{measure}"] = max(
-            check_episode_objective(
-                seed, case, d, n_way, k_shot, q_per, chains, steps, measure, tau
-            )
+    return {
+        "support-likelihood-dot": max(
+            check_support_likelihood(gen, n_way, max(k_shot, 2), d, tau) for _ in range(cases)
+        ),
+        "episode-objective-dot": max(
+            check_episode_objective(seed, case, d, n_way, k_shot, q_per, chains, steps, tau)
             for case in range(cases)
-        )
-    return results
+        ),
+    }

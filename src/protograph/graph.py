@@ -56,7 +56,7 @@ class RelationGraph:
 
 
 def build_knn_graph(embeddings, k: int) -> RelationGraph:
-    """k-nearest-neighbor graph on Euclidean distances, symmetrized by union.
+    """k-nearest-neighbor graph on L2 distances, symmetrized by union.
 
     Edge (r, r') exists iff r' is among the k nearest of r or vice versa.
     Distance ties are broken by ascending relation id. The distances are

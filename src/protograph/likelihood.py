@@ -1,11 +1,9 @@
 """Instance encoding, the similarity kernel and the softmax likelihood.
 
-Two similarity measures are supported: "dot" scores a query against prototype
-v_r by the inner product, "euclidean" by minus half the squared distance. Both
-feed a softmax with annealing temperature tau (logits are divided by tau).
-This module is the only one that branches on the measure: it holds the
-forward kernels and the vector-Jacobian products (VJPs) the reverse pass
-takes through them.
+The similarity of a query and prototype v_r is their inner product, fed to a
+softmax with annealing temperature tau (logits are divided by tau). This
+module holds the forward kernels and the vector-Jacobian products (VJPs) the
+reverse pass takes through them.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 
 from .numerics import log_softmax_with_temperature, softmax_with_temperature
 
-MEASURES = ("dot", "euclidean")
 # support_probs_and_grad zeroes drift residuals smaller than this
 RESIDUAL_FLOOR = 2.0**-900
 # an unrecorded drift's softmax raises scaled logits below this to it:
@@ -40,15 +37,13 @@ def encode_batch(features) -> np.ndarray:
     return np.asarray(features, dtype=float)
 
 
-def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str) -> np.ndarray:
-    """Similarity logits between encoding rows and prototype rows.
+def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Dot-product logits between encoding rows and prototype rows.
 
     Prototypes (N, d) give (n, N) logits; L prototype sets (L, N, d) give
     (L, n, N), one block per set. A leading episode axis batches episodes:
     encodings (E, n, d) against prototypes (E, L, N, d) give (E, L, n, N).
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
     e = np.asarray(encodings, dtype=float)
     if e.ndim < 2:  # one encoding row
         e = e.reshape(1, -1)
@@ -57,27 +52,21 @@ def pairwise_logits(encodings: np.ndarray, prototypes: np.ndarray, measure: str)
         raise ValueError(f"dimension mismatch: encodings {e.shape} vs prototypes {v.shape}")
     if v.ndim > e.ndim:  # one encoding block for all L sets
         e = e[..., None, :, :]
-    if measure == "dot":
-        return e @ v.swapaxes(-1, -2)
-    diff = e[..., :, None, :] - v[..., None, :, :]
-    return -0.5 * np.einsum("...nd,...nd->...n", diff, diff)
+    return e @ v.swapaxes(-1, -2)
 
 
-def chain_step_floats(measure: str, chains: int, n_way: int, rows: int, dim: int) -> int:
-    """Floats in the largest array of one episode's chain step: L*N*max(S, d)
-    for the dot measure and L*S*N*d for the euclidean one, S the support rows
-    (in zero-shot, one chain against the Q queries)."""
-    if measure == "euclidean":
-        return chains * rows * n_way * dim
+def chain_step_floats(chains: int, n_way: int, rows: int, dim: int) -> int:
+    """Floats in the largest array of one episode's chain step, L*N*max(S, d),
+    S the support rows (in zero-shot, one chain against the Q queries)."""
     return chains * n_way * max(rows, dim)
 
 
-def class_log_probs(encoding, prototypes, measure: str, tau: float) -> np.ndarray:
+def class_log_probs(encoding, prototypes, tau: float) -> np.ndarray:
     """Log class probabilities of one encoding against N prototypes."""
     v = np.asarray(prototypes, dtype=float)
     if v.ndim != 2 or v.shape[0] == 0:
         raise ValueError("empty class set")
-    logits = pairwise_logits(encoding, v, measure)
+    logits = pairwise_logits(encoding, v)
     return log_softmax_with_temperature(logits, tau)[0]
 
 
@@ -108,8 +97,8 @@ def support_labels(labels, n_way: int) -> tuple[np.ndarray, int]:
 
 
 def support_probs_and_grad(
-    enc: np.ndarray, one_hot: np.ndarray, values: np.ndarray, measure: str, tau: float,
-    record: bool = True, out: np.ndarray | None = None,
+    enc: np.ndarray, one_hot: np.ndarray, values: np.ndarray, tau: float, record: bool = True,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Support softmax probabilities and the likelihood drift of L prototype sets.
 
@@ -117,8 +106,7 @@ def support_probs_and_grad(
     (L, N, d), returns probs (S, L, N), row-first, and G (L, N, d) with row r
     of chain l (a leading episode axis E on all three batches episodes)
 
-        dot:       sum_s (1[y_s=r] - p_lsr) e_s
-        euclidean: sum_s (1[y_s=r] - p_lsr) (e_s - v_lr)
+        sum_s (1[y_s=r] - p_lsr) e_s
 
     G / tau is the gradient of sum_s log p(y_s | x_s, V_l); callers apply
     that scale together with their own weights.
@@ -127,9 +115,8 @@ def support_probs_and_grad(
     range, where arithmetic is many times slower. Residuals below
     RESIDUAL_FLOOR are zeroed before the reduction: such a residual is -p
     for a tiny p (1 - p is 0 or at least 2**-53), and the terms dropped sum
-    to less than S * RESIDUAL_FLOOR times the largest |e_s| (dot) or
-    |e_s - v_lr| (euclidean) entry, far below the last bit of the prior
-    term the chain adds to the drift.
+    to less than S * RESIDUAL_FLOOR times the largest |e_s| entry, far below
+    the last bit of the prior term the chain adds to the drift.
 
     With ``record`` (the default) probs is the exact softmax, as the reverse
     pass needs it. With ``record=False`` probs is None, and the softmax
@@ -141,42 +128,32 @@ def support_probs_and_grad(
     ``out``, when given, receives the recorded softmax (see
     softmax_with_temperature): an array of its shape, which probs then is.
     """
-    # s-major logits (S, L, N) for both measures: the residual then has the
-    # layout that reduces fastest, to the bits of the l-major (L, S, N) one
-    if measure == "dot":
-        flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
-        logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
-            enc.shape[:-1] + values.shape[-3:-1]
-        )
-    else:
-        diff = enc[..., :, None, None, :] - values[..., None, :, :, :]
-        logits = -0.5 * np.einsum("...slnd,...slnd->...sln", diff, diff)
+    # s-major logits (S, L, N): the residual then has the layout that
+    # reduces fastest, to the bits of the l-major (L, S, N) one
+    flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
+    logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
+        enc.shape[:-1] + values.shape[-3:-1]
+    )
     probs = softmax_with_temperature(
         logits, tau, None if record else LOGIT_CLAMP, logits if out is None else out
     )
     # |resid| < RESIDUAL_FLOOR exactly where p < RESIDUAL_FLOOR off the label
     # (on it 1 - p is 0 or at least 2**-53, and 1 - p rounds to 1 for such p)
     resid = one_hot[..., :, None, :] - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
-    if measure == "dot":
-        return (probs if record else None), np.einsum("...sln,...sd->...lnd", resid, enc)
-    return (probs if record else None), np.einsum("...sln,...slnd->...lnd", resid, diff)
+    return (probs if record else None), np.einsum("...sln,...sd->...lnd", resid, enc)
 
 
-def pairwise_logits_vjp(d_logits, enc, prototypes, measure: str) -> np.ndarray:
+def pairwise_logits_vjp(d_logits, enc) -> np.ndarray:
     """VJP of :func:`pairwise_logits` for L prototype sets.
 
     For the row-first cotangent d_logits (n, L, N) of the logits of encodings
-    ``enc`` (n, d) against prototypes (L, N, d), returns that of the prototypes.
+    ``enc`` (n, d) against L sets of N prototypes, returns that of the
+    prototypes, (L, N, d).
     """
-    if measure == "dot":
-        return np.einsum("qln,qd->lnd", d_logits, enc)
-    diff = enc[:, None, None, :] - prototypes[None, :, :, :]
-    return np.einsum("qln,qlnd->lnd", d_logits, diff)
+    return np.einsum("qln,qd->lnd", d_logits, enc)
 
 
-def similarity_softmax_vjp(
-    probs, d_probs, enc, prototypes, measure: str, tau: float
-) -> np.ndarray:
+def similarity_softmax_vjp(probs, d_probs, enc, tau: float) -> np.ndarray:
     """VJP of probs = softmax_with_temperature(pairwise_logits(...), tau).
 
     Takes the probabilities the forward computed and their cotangent, both
@@ -190,27 +167,17 @@ def similarity_softmax_vjp(
     d_logits -= inner
     d_logits *= probs
     d_logits /= tau
-    return pairwise_logits_vjp(d_logits, enc, prototypes, measure)
+    return pairwise_logits_vjp(d_logits, enc)
 
 
-def support_drift_vjp(
-    enc, one_hot, values, probs, cotangent, measure: str, tau: float, scale: float,
-) -> np.ndarray:
+def support_drift_vjp(enc, probs, cotangent, tau: float, scale: float) -> np.ndarray:
     """VJP of scale * G, the drift of :func:`support_probs_and_grad`.
 
-    ``probs`` is the support softmax (S, L, N) at ``values`` (L, N, d) as the
-    chain recorded it, and ``cotangent`` (L, N, d) that of scale * G.
+    ``probs`` is the support softmax (S, L, N) at the chain's values as it
+    recorded it, and ``cotangent`` (L, N, d) that of scale * G.
     Differentiating G brings in the softmax curvature (the Hessian term of
     the Langevin drift). Returns the cotangent of the values.
     """
-    if measure == "dot":
-        a = np.einsum("sd,lnd->sln", enc, cotangent)
-    else:
-        diff = enc[:, None, None, :] - values[None, :, :, :]
-        a = np.einsum("slnd,lnd->sln", diff, cotangent)
+    a = np.einsum("sd,lnd->sln", enc, cotangent)
     a *= -scale
-    d_values = similarity_softmax_vjp(probs, a, enc, values, measure, tau)
-    if measure == "euclidean":
-        resid = one_hot[:, None, :] - probs  # (S, L, N)
-        d_values -= scale * resid.sum(axis=0)[:, :, None] * cotangent
-    return d_values
+    return similarity_softmax_vjp(probs, a, enc, tau)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Episode
 from .likelihood import (
-    MEASURES, encode_batch, pairwise_logits, similarity_softmax_vjp, support_drift_vjp,
+    encode_batch, pairwise_logits, similarity_softmax_vjp, support_drift_vjp,
     support_labels, support_probs_and_grad,
 )
 from .numerics import RngStream, chain_noise, row_max, softmax_with_temperature
@@ -56,7 +56,6 @@ class SamplerConfig:
     alpha: float = 1.0
     beta: float = 1.0
     tau: float = 10.0
-    measure: str = "dot"
     noise_enabled: bool = True
     graph_prior: bool = True
     prior_weight: float = 1.0
@@ -76,8 +75,6 @@ class SamplerConfig:
             raise ValueError("step_size must be non-negative")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
         # the prior drift scales v - h by 1 - eps_t * prior_weight / 2 per step;
         # from eps_t * prior_weight = 2 on it overshoots the prior mean
         try:
@@ -85,9 +82,8 @@ class SamplerConfig:
         except (ValueError, MemoryError) as exc:  # a schedule too long to allocate
             raise ValueError(f"steps {self.steps} is too many: {exc}") from None
         if eps * self.prior_weight >= 2:
-            raise ValueError(
-                f"largest step size {eps:g} times prior_weight {self.prior_weight:g} must be < 2"
-            )
+            weight = "" if self.prior_weight == 1 else f" times prior_weight {self.prior_weight:g}"
+            raise ValueError(f"largest step size {eps:g}{weight} must be < 2")
 
     @cached_property
     def schedule(self) -> list[float]:
@@ -105,7 +101,7 @@ class SamplerConfig:
 
 @dataclass
 class ChainRecord:
-    """Trajectory of an SGLD run, kept for reverse-mode differentiation."""
+    """Trajectory of an SGLD run and each step's support softmax, which the reverse pass reads."""
 
     trajectory: np.ndarray  # (M+1, L, N, d), trajectory[0] is the init
     # support softmax at each step's starting state, (M, S, L, N) as
@@ -154,10 +150,8 @@ def support_statistics(encodings, one_hot, k_shot: int) -> tuple[np.ndarray, np.
     return (np.swapaxes(one_hot, -1, -2) @ e) / k_shot, e.mean(axis=-2)
 
 
-def init_prototypes(
-    class_means, grand_mean, summaries, alpha: float, beta: float, chains: int
-) -> np.ndarray:
-    """Warm start v_r = m_r + alpha h_r - beta m, shared by ``chains`` chains.
+def init_prototypes(class_means, grand_mean, summaries, alpha: float, beta: float) -> np.ndarray:
+    """Warm start v_r = m_r + alpha h_r - beta m, shared by the chains.
 
     Returns the start once, (1, N, d), or (E, 1, N, d) for E episodes: a
     chain axis of length 1 that sgld_chain broadcasts to its chains when it
@@ -249,7 +243,7 @@ def sgld_chain(
             grad *= config.prior_weight
         if has_lik:
             _, drift = support_probs_and_grad(
-                support_enc, one_hot, values, config.measure, config.tau, record,
+                support_enc, one_hot, values, config.tau, record,
                 support_probs[t] if record else None,
             )
             drift *= scale
@@ -284,9 +278,7 @@ def _lowest_key_argmax(probs: np.ndarray, targets) -> np.ndarray:
     return np.argmin(np.where(best, rank[..., None, :], n_way), axis=-1)
 
 
-def predict_queries(
-    queries, prototypes, measure: str, tau: float, targets
-) -> tuple[np.ndarray, np.ndarray]:
+def predict_queries(queries, prototypes, tau: float, targets) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo query prediction: average softmax probabilities over chains.
 
     ``prototypes`` holds L chains of N prototypes, (L, N, d) or (E, L, N, d).
@@ -297,7 +289,7 @@ def predict_queries(
     if np.size(prototypes) == 0:
         raise ValueError("no prototype samples")
     enc = encode_batch(queries)
-    logits = pairwise_logits(enc, prototypes, measure)
+    logits = pairwise_logits(enc, prototypes)
     probs = softmax_with_temperature(logits, tau).mean(axis=-3)
     return probs, _lowest_key_argmax(probs, targets)
 
@@ -328,19 +320,18 @@ def episode_forward(
     Takes the :func:`stage_episode` of one episode or E stacked, and the
     summaries of its targets. Warm-starts and runs the chains, and scores the
     queries against every chain's final prototypes. ``record`` keeps the
-    chain's trajectory and support probabilities for the reverse pass;
+    chain's trajectory and the support probabilities the reverse pass reads;
     ``noise`` is the chain's noise drawn ahead (see sgld_chain).
     """
     h = np.asarray(summaries, dtype=float)
     if not config.graph_prior:
         h = np.zeros_like(h)
-    start = init_prototypes(stage.class_means, stage.grand_mean, h, config.alpha, config.beta,
-                            config.chains)
+    start = init_prototypes(stage.class_means, stage.grand_mean, h, config.alpha, config.beta)
     values, chain = sgld_chain(
         stage.support_enc, stage.one_hot, stage.k_shot, stage.targets, h, start, config, rng,
         record, first_episode, noise,
     )
-    logits = pairwise_logits(stage.query_enc, values, config.measure)
+    logits = pairwise_logits(stage.query_enc, values)
     chain_probs = softmax_with_temperature(logits, config.tau, out=logits)
     return EpisodeForward(stage, chain_probs, chain_probs.mean(axis=-3), chain)
 
@@ -357,7 +348,7 @@ def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfi
     d_v = similarity_softmax_vjp(
         fwd.chain_probs.swapaxes(0, 1).copy(),
         d_chain_probs.reshape((-1,) + fwd.chain_probs.shape[1:]).swapaxes(0, 1),
-        stage.query_enc, chain.trajectory[-1], config.measure, config.tau,
+        stage.query_enc, config.tau,
     )
 
     # reverse through the unrolled chain, updating d_v in place
@@ -371,8 +362,7 @@ def episode_forward_vjp(fwd: EpisodeForward, d_chain_probs, config: SamplerConfi
         d_v -= half_d_v if prior_weight == 1.0 else half * prior_weight * d_v
         if chain.support_probs is not None:
             d_v += support_drift_vjp(
-                stage.support_enc, stage.one_hot, chain.trajectory[t], chain.support_probs[t],
-                half_d_v, config.measure, config.tau, lik_scale,
+                stage.support_enc, chain.support_probs[t], half_d_v, config.tau, lik_scale
             )
 
     # warm start v0 = class_means + alpha * h - beta * grand_mean, shared by the chains

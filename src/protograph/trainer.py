@@ -219,7 +219,7 @@ def train(
     rows: list[LogRow] = []
     cfg = config.sampler
     support = config.n_way * config.k_shot
-    size = _batch_size(cfg.measure, cfg.chains, config.n_way, support, dataset.d)
+    size = _batch_size(cfg.chains, config.n_way, support, dataset.d)
     # one episode's trajectory, noise and support probabilities, M+1, M and M
     # arrays of L*N*d, L*N*d and L*S*N floats, under the cap; a chunk's noise too
     recorded = cfg.chains * config.n_way * ((2 * cfg.steps + 1) * dataset.d

@@ -77,20 +77,14 @@ def test_c01_gradient_suite():
     t0 = time.monotonic()
     gen = RngStream(1).child(0).generator()
     worst = 0.0
-    for i in range(20):
-        measure = "dot" if i % 2 == 0 else "euclidean"
-        worst = max(
-            worst,
-            check_support_likelihood(gen, 2, 1, int(gen.integers(2, 5)), measure, 10.0),
-        )
+    for _ in range(20):
+        worst = max(worst, check_support_likelihood(gen, 2, 1, int(gen.integers(2, 5)), 10.0))
     for case in range(20):
-        measure = "dot" if case % 2 == 0 else "euclidean"
         d = 2 + case % 3  # cycles over 2, 3, 4
         worst = max(
             worst,
             check_episode_objective(
-                seed=1, case=case, d=d, n_way=2, k_shot=1, q_per=2,
-                chains=2, steps=2, measure=measure, tau=10.0,
+                seed=1, case=case, d=d, n_way=2, k_shot=1, q_per=2, chains=2, steps=2, tau=10.0,
             ),
         )
     elapsed = time.monotonic() - t0
@@ -112,7 +106,7 @@ def test_c02_initialization_optimality():
         class_means = gen.standard_normal((n, d))
         grand = gen.standard_normal(d)
         h = gen.standard_normal((n, d))
-        init = init_prototypes(class_means, grand, h, 1.0, 1.0, 1)[0]
+        init = init_prototypes(class_means, grand, h, 1.0, 1.0)[0]
 
         # bound gradient at the init, computed from first principles
         center = class_means + h - grand

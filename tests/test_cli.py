@@ -141,7 +141,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("line, message", [
         ("n-way=x", "n-way: invalid literal for int() with base 10: 'x'"),
-        ("measure=cos", "measure must be one of dot, euclidean"),
+        ("format=xml", "format must be one of csv, json"),
         ("no-noise=maybe", "no-noise must be true or false"),
         ("seed=2", "duplicate option 'seed'"),
         ("episodes=\udcff", "not UTF-8 text"),  # the byte 0xff
@@ -222,7 +222,8 @@ class TestPipeline:
 
     def test_config_written_with_unread_keys_replays(self, workspace, tmp_path):
         # an eval .config as written when every subcommand took every flag:
-        # it carries lr and threads, which eval does not read
+        # it carries lr and threads, which eval does not read, and encoder
+        # and measure, options that are gone
         root, data = workspace
         paths = {
             "data": data / "instances.tsv", "registry": data / "registry.tsv",
@@ -235,9 +236,9 @@ class TestPipeline:
         assert main(args + ["--episodes", "12", "--seed", "5"]) == 0
         assert main(["eval", "--config", str(old), "--out", str(tmp_path / "replay.csv")]) == 0
         assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "report.csv").read_bytes()
-        # the new echo also leaves out encoder, an option that is gone
+        # the new echo leaves them out
         kept = [line for line in old.read_text().splitlines()
-                if not line.startswith(("lr=", "threads=", "encoder="))]
+                if not line.startswith(("lr=", "threads=", "encoder=", "measure="))]
         assert (tmp_path / "report.csv.config").read_text().splitlines() == kept
 
     def test_truncated_checkpoint_is_one_line_error(self, workspace, tmp_path, capsys):
@@ -589,6 +590,11 @@ UNREAD_FLAGS = [
     ("eval", ["--encoder", "linear"]),
     ("zero-shot", ["--encoder", "identity"]),
     ("sweep", ["--encoder", "linear"]),
+    # so is the measure option, with the euclidean measure
+    ("train", ["--measure", "dot"]),
+    ("eval", ["--measure", "euclidean"]),
+    ("zero-shot", ["--measure", "dot"]),
+    ("sweep", ["--measure", "euclidean"]),
     ("eval", ["--kn", "3"]),
     ("eval", ["--no-g"]),
     ("train", ["--val", "3"]),
@@ -641,8 +647,8 @@ def test_each_subcommand_declares_exactly_the_options_it_reads(
         assert read[name] == set(command.options), name
     counts = {name: len(command.options) for name, command in cli.COMMANDS.items()}
     assert counts == {
-        "synth": 9, "build-graph": 3, "train": 25, "eval": 24, "zero-shot": 15,
-        "sweep": 26, "grad-check": 9,
+        "synth": 9, "build-graph": 3, "train": 24, "eval": 23, "zero-shot": 14,
+        "sweep": 25, "grad-check": 9,
     }
 
 
@@ -651,9 +657,9 @@ BAD_VALUES = [
     ("train", ["--eval-every", "10", "--val-episodes", "0"],
      "val_episodes must be >= 1 when eval_every > 0"),
     ("train", ["--eval-every", "-1"], "eval_every must be >= 0"),
-    ("eval", ["--step-size", "3.9"], "largest step size 3.9 times prior_weight 1 must be < 2"),
+    ("eval", ["--step-size", "3.9"], "largest step size 3.9 must be < 2"),
     ("eval", ["--step-size", "1", "--step-decay", "-1"],
-     "largest step size 5 times prior_weight 1 must be < 2"),
+     "largest step size 5 must be < 2"),
     ("sweep", ["--values", "1,,2"], "--values item '' is not an integer"),
     ("synth", ["--splits", "10,x,5"], "--splits item 'x' is not an integer"),
     ("synth", ["--splits", "10,5,5,5"], "split_counts (10, 5, 5, 5) must give 3 counts"),
@@ -675,7 +681,7 @@ BAD_VALUES = [
     ("train", ["--beta", "nan"], "beta must be finite, got nan"),
     ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
     # a negative value in exponent or inf form is a value, not a flag
-    ("eval", ["--step-decay", "-1e3"], "largest step size inf times prior_weight 1 must be < 2"),
+    ("eval", ["--step-decay", "-1e3"], "largest step size inf must be < 2"),
     ("eval", ["--tau", "-inf"], "tau must be finite, got -inf"),
     ("train", ["--beta", "-NaN"], "beta must be finite, got nan"),
     # checked before a batch is sized by the episode shape, in one wording
@@ -807,7 +813,7 @@ def test_overflowing_step_size_schedule_is_one_line_error(workspace, tmp_path, c
         args += ["--checkpoint", str(tmp_path / "model.ckpt"), "--episodes", "10"]
     assert main(args) == 1
     assert capsys.readouterr() == (
-        "", "error: largest step size inf times prior_weight 1 must be < 2\n"
+        "", "error: largest step size inf must be < 2\n"
     )
     assert not any(tmp_path.iterdir())  # nothing written
 
@@ -982,7 +988,7 @@ BAD_CONFIGS = [
     ("sweep", ["--steps", "-1"], "steps must be >= 0"),
     # zero-shot checks its sampler options and every command its episode options
     ("zero-shot", ["--tau", "0"], "tau must be positive"),
-    ("zero-shot", ["--measure", "euclidean", "--tau", "nan"], "tau must be finite, got nan"),
+    ("zero-shot", ["--tau", "nan"], "tau must be finite, got nan"),
     ("eval", ["--episodes", "0"], "episodes must be >= 1, got 0"),
     ("zero-shot", ["--episodes", "0"], "episodes must be >= 1, got 0"),
     ("sweep", ["--q-per", "0"], "q_per must be >= 1, got 0"),
@@ -1069,7 +1075,7 @@ def test_sweep_checks_every_point_before_the_first_episode(
         (["--values", "1,0"], "sweep L=0: chains must be >= 1"),
         (["--axis", "M", "--values", "1,2", "--steps", "1", "--step-size", "1",
           "--step-decay=-1"],
-         "sweep M=2: largest step size 2 times prior_weight 1 must be < 2"),
+         "sweep M=2: largest step size 2 must be < 2"),
     ]:
         assert main(base_args(workspace, "sweep") + flags + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -1256,10 +1262,7 @@ class TestGradCheck:
         assert main(["grad-check", "--seed", "1", "--d", "3"]) == 0
         out = capsys.readouterr().out
         components = [line.split(":")[0] for line in out.splitlines()[:-1]]
-        assert components == [
-            "support-likelihood-dot", "support-likelihood-euclidean",
-            "episode-objective-dot", "episode-objective-euclidean",
-        ]
+        assert components == ["support-likelihood-dot", "episode-objective-dot"]
         for line in out.splitlines():
             if "max relative error" in line:
                 assert float(line.rsplit(" ", 1)[1]) < 1e-4
@@ -1450,7 +1453,7 @@ def test_grad_check_prints_the_lines_readme_quotes(capsys, tmp_path, monkeypatch
     assert [argv[0] for argv in commands] == [
         "synth", "build-graph", "train", "eval", "zero-shot", "sweep", "grad-check",
     ]
-    assert len(quoted) == 14
+    assert len(quoted) == 12
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv

@@ -120,7 +120,7 @@ class TestEvaluateZeroshot:
             prototypes = summary_rows(graph, params.gnn, ep.targets)
             enc = encode_batch(ep.query_x)
             preds = np.array([
-                int(np.argmax(class_log_probs(enc[q], prototypes, "dot", 10.0)))
+                int(np.argmax(class_log_probs(enc[q], prototypes, 10.0)))
                 for q in range(enc.shape[0])
             ])
             hits += int(np.sum(preds == shuffler.permutation(ep.query_y)))
@@ -138,8 +138,7 @@ class TestEvaluateZeroshot:
         )
         assert rep.accuracy - 0.2 >= 3 * rep.ci95
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_matches_per_query_log_prob_argmax(self, informative_world, measure):
+    def test_matches_per_query_log_prob_argmax(self, informative_world):
         # the batched prediction picks, per query, the class of highest log
         # probability, ties to the lowest relation id, as a per-query loop does
         from protograph.data import sample_episode
@@ -148,16 +147,14 @@ class TestEvaluateZeroshot:
 
         ds, graph, _ = informative_world
         params = identity_params(8)
-        rep = evaluate_zeroshot(
-            ds, "test", graph, params, 5, 4, 40, RngStream(68), measure=measure, tau=3.0
-        )
+        rep = evaluate_zeroshot(ds, "test", graph, params, 5, 4, 40, RngStream(68), tau=3.0)
         for i, acc in enumerate(rep.per_episode):
             ep = sample_episode(ds, "test", 5, 0, 4, RngStream(68).child(i, 0))
             prototypes = summary_rows(graph, params.gnn, ep.targets)
             key = np.asarray(ep.targets)
             correct = 0
             for q, x in enumerate(ep.query_x):
-                log_p = class_log_probs(x, prototypes, measure, 3.0)
+                log_p = class_log_probs(x, prototypes, 3.0)
                 best = np.flatnonzero(log_p == log_p.max())
                 correct += int(best[np.argmin(key[best])] == ep.query_y[q])
             assert acc == correct / len(ep.query_y)
@@ -172,9 +169,8 @@ class TestEvaluateZeroshot:
     @pytest.mark.parametrize("option, message", [
         ({"tau": 0.0}, "tau must be positive"),
         ({"tau": float("nan")}, "tau must be finite, got nan"),
-        ({"measure": "cosine"}, "unknown measure 'cosine'"),
     ])
-    def test_sampler_config_checks_measure_and_tau_before_the_first_draw(
+    def test_sampler_config_checks_tau_before_the_first_draw(
         self, informative_world, monkeypatch, option, message
     ):
         ds, graph, _ = informative_world
@@ -185,27 +181,24 @@ class TestEvaluateZeroshot:
         assert drawn == []
 
     def test_episode_outcomes_takes_one_required_sampler_config(self):
-        # zero-shot has no measure or tau of its own: episode_outcomes scores
-        # it with the config's (test_matches_per_query_log_prob_argmax)
+        # zero-shot has no tau of its own: episode_outcomes scores it with
+        # the config's (test_matches_per_query_log_prob_argmax)
         params = inspect.signature(episode_outcomes).parameters
-        assert not {"measure", "tau"} & params.keys()
+        assert "tau" not in params
         assert params["config"].default is inspect.Parameter.empty
 
 
-def cap_elements(batch, measure, chains, n_way, rows, d):
+def cap_elements(batch, chains, n_way, rows, d):
     """BATCH_ELEMENTS that makes batches of ``batch`` episodes, by the cap's
-    documented rule (E*L*N*max(S, d) dot, E*L*S*N*d euclidean floats)."""
-    per_episode = chains * n_way * (rows * d if measure == "euclidean" else max(rows, d))
-    return batch * per_episode
+    documented rule (E*L*N*max(S, d) floats)."""
+    return batch * chains * n_way * max(rows, d)
 
 
 BATCH_SETTINGS = {
     "dot": SamplerConfig(),
-    "euclidean": SamplerConfig(measure="euclidean"),
     "no-noise": SamplerConfig(noise_enabled=False),
     "no-graph-prior": SamplerConfig(graph_prior=False),
     "zero-shot-dot": None,
-    "zero-shot-euclidean": None,
 }
 
 
@@ -219,7 +212,6 @@ class TestBatchSize:
     ):
         ds, graph, _ = informative_world
         cfg, params = BATCH_SETTINGS[setting], identity_params(8)
-        measure = "euclidean" if setting.endswith("euclidean") else "dot"
         sizes = []
 
         def recording(name):
@@ -231,7 +223,7 @@ class TestBatchSize:
                 if name == "posterior_predict":
                     sizes.append((len(args[0].targets), kwargs["first_episode"]))
                 else:
-                    sizes.append((len(args[4]), None))
+                    sizes.append((len(args[3]), None))
                 return call(*args, **kwargs)
 
             return wrapper
@@ -242,14 +234,13 @@ class TestBatchSize:
                 rows = 5 * (1 if cfg else 3)
                 chains = cfg.chains if cfg else 1
                 monkeypatch.setattr(
-                    evaluation, "BATCH_ELEMENTS", cap_elements(batch, measure, chains, 5, rows, 8)
+                    evaluation, "BATCH_ELEMENTS", cap_elements(batch, chains, 5, rows, 8)
                 )
             with monkeypatch.context() as patch:
                 for name in ("posterior_predict", "predict_queries"):
                     patch.setattr(evaluation, name, recording(name))
                 if cfg is None:
-                    rep = evaluate_zeroshot(ds, "test", graph, params, 5, 3, 10, RngStream(71),
-                                            measure=measure)
+                    rep = evaluate_zeroshot(ds, "test", graph, params, 5, 3, 10, RngStream(71))
                 else:
                     rep = evaluate_fewshot(ds, "test", graph, params, 5, 1, 3, 10, cfg,
                                            RngStream(71))
@@ -269,28 +260,26 @@ class TestBatchSize:
         from protograph.evaluation import _batch_size
 
         # README protocol: L=10, 5-way 1-shot, d=16
-        assert _batch_size("dot", 10, 5, 5, 16) == 40
-        assert _batch_size("euclidean", 10, 5, 5, 16) == 8
+        assert _batch_size(10, 5, 5, 16) == 40
         # 20-way 5-shot at d=64: one episode at a time, as before batching
-        assert _batch_size("dot", 10, 20, 100, 64) == 1
-        assert _batch_size("euclidean", 10, 20, 100, 64) == 1
+        assert _batch_size(10, 20, 100, 64) == 1
 
-    @pytest.mark.parametrize("measure, chains", [("dot", 2**24), ("euclidean", 2**22)])
-    def test_one_episode_at_the_float_cap_and_none_past_it(self, measure, chains):
+    def test_one_episode_at_the_float_cap_and_none_past_it(self):
         # 2-way 2-shot at d=4: the chain count whose step holds exactly
         # EPISODE_FLOATS_CAP floats runs alone; one chain more fails, before
         # anything of that size is allocated
         from protograph.evaluation import EPISODE_FLOATS_CAP, _batch_size
         from protograph.likelihood import chain_step_floats
 
-        assert chain_step_floats(measure, chains, 2, 4, 4) == EPISODE_FLOATS_CAP == 2**27
-        assert _batch_size(measure, chains, 2, 4, 4) == 1
-        floats = chain_step_floats(measure, chains + 1, 2, 4, 4)
+        chains = 2**24
+        assert chain_step_floats(chains, 2, 4, 4) == EPISODE_FLOATS_CAP == 2**27
+        assert _batch_size(chains, 2, 4, 4) == 1
+        floats = chain_step_floats(chains + 1, 2, 4, 4)
         with pytest.raises(ValueError, match=(
             rf"^chains {chains + 1} is too many: one episode's chain step would hold "
             rf"{floats} floats, more than {2**27}$"
         )):
-            _batch_size(measure, chains + 1, 2, 4, 4)
+            _batch_size(chains + 1, 2, 4, 4)
 
     def test_zero_shot_runs_one_chain_whatever_the_chain_count(self, informative_world):
         # k_shot 0 scores the queries against the summaries alone: a chain
@@ -321,7 +310,7 @@ class TestBatchSize:
         ds, emb = generate_synthetic(25, 16, 10.0, 1.0, 20, RngStream(5),
                                      split_counts=(10, 5, 10))
         params, cfg = identity_params(16), SamplerConfig()
-        size = _batch_size("dot", cfg.chains, 5, 5, 16)
+        size = _batch_size(cfg.chains, 5, 5, 16)
         assert size == 40
         ids = np.arange(size)
         batch = sample_episode(ds, "test", 5, 1, 5, RngStream(3).child(ids, 0))
@@ -334,7 +323,7 @@ class TestBatchSize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        largest = size * chain_step_floats("dot", cfg.chains, 5, 5, 16) * 8  # bytes
+        largest = size * chain_step_floats(cfg.chains, 5, 5, 16) * 8  # bytes
         assert peak <= 5.5 * largest, peak / largest
 
 
@@ -416,7 +405,7 @@ def test_graph_missing_a_split_relation_fails_before_the_first_batch(monkeypatch
 def sample_report(seed=0):
     return EvalReport(
         setting="fewshot", n_way=5, k_shot=1, chains=10, steps=5, step_size=0.1,
-        alpha=1.0, beta=1.0, measure="dot", episodes=100,
+        alpha=1.0, beta=1.0, episodes=100,
         accuracy=0.912345678, ci95=0.0123456789, seed=seed,
     )
 

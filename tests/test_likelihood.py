@@ -32,12 +32,12 @@ def l_major(probs):
     return np.swapaxes(probs, -3, -2)
 
 
-def support_log_likelihood(x, y, v, measure, tau):
+def support_log_likelihood(x, y, v, tau):
     """(1/K) sum_s log p(y_s | x_s, V) of the support rows x against the
     prototypes v, and its gradient in v: the chain's drift, scaled by 1/(K tau)."""
     one_hot, k_shot = support_labels(y, v.shape[0])
-    log_p = log_softmax_with_temperature(pairwise_logits(x, v, measure), tau)
-    _, drift = support_probs_and_grad(x, one_hot, v[None], measure, tau, record=False)
+    log_p = log_softmax_with_temperature(pairwise_logits(x, v), tau)
+    _, drift = support_probs_and_grad(x, one_hot, v[None], tau, record=False)
     value = (1.0 / k_shot) * float(log_p[np.arange(y.size), y].sum())
     return value, drift[0] * ((1.0 / k_shot) / tau)
 
@@ -63,61 +63,37 @@ class TestEncode:
 class TestClassLogProbs:
     def test_identical_prototypes_uniform(self):
         v = np.tile([1.0, 2.0], (4, 1))
-        out = class_log_probs(np.array([0.3, -0.4]), v, "dot", 10.0)
+        out = class_log_probs(np.array([0.3, -0.4]), v, 10.0)
         np.testing.assert_allclose(out, np.full(4, -math.log(4)), atol=1e-12)
 
     def test_two_class_closed_form(self):
-        out = class_log_probs(np.array([1.0]), np.array([[1.0], [0.0]]), "dot", 1.0)
+        out = class_log_probs(np.array([1.0]), np.array([[1.0], [0.0]]), 1.0)
         expect = np.log([math.e / (1 + math.e), 1 / (1 + math.e)])
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
-    def test_euclidean_prefers_matching_prototype(self):
-        v = np.array([[0.0, 0.0], [10.0, 10.0]])
-        out = class_log_probs(np.array([0.0, 0.0]), v, "euclidean", 1.0)
-        assert out[0] > out[1]
-
     def test_empty_class_set(self):
         with pytest.raises(ValueError, match="empty class set"):
-            class_log_probs(np.ones(2), np.zeros((0, 2)), "dot", 1.0)
+            class_log_probs(np.ones(2), np.zeros((0, 2)), 1.0)
 
     def test_probabilities_normalize(self):
         gen = np.random.default_rng(1)
-        for measure in ("dot", "euclidean"):
-            for _ in range(100):
-                n = int(gen.integers(1, 8))
-                d = int(gen.integers(1, 5))
-                out = class_log_probs(
-                    gen.standard_normal(d), gen.standard_normal((n, d)), measure, 10.0
-                )
-                assert abs(np.exp(out).sum() - 1.0) < 1e-9
-
-    def test_euclidean_translation_invariance(self):
-        gen = np.random.default_rng(2)
         for _ in range(100):
+            n = int(gen.integers(1, 8))
             d = int(gen.integers(1, 5))
-            e = gen.standard_normal(d)
-            v = gen.standard_normal((4, d))
-            shift = gen.standard_normal(d)
-            a = class_log_probs(e, v, "euclidean", 5.0)
-            b = class_log_probs(e + shift, v + shift, "euclidean", 5.0)
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_unknown_measure(self):
-        with pytest.raises(ValueError, match="measure"):
-            class_log_probs(np.ones(2), np.ones((2, 2)), "cosine", 1.0)
+            out = class_log_probs(gen.standard_normal(d), gen.standard_normal((n, d)), 10.0)
+            assert abs(np.exp(out).sum() - 1.0) < 1e-9
 
 
 class TestPairwiseLogitsVjp:
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_matches_central_differences(self, measure):
+    def test_matches_central_differences(self):
         # L=3 prototype sets; the cotangent weights every logit differently
         gen = np.random.default_rng(31)
         enc = gen.standard_normal((4, 3))
         values = gen.standard_normal((3, 5, 3))
         cotangent = gen.standard_normal((3, 4, 5))
-        d_values = pairwise_logits_vjp(np.swapaxes(cotangent, 0, 1), enc, values, measure)
+        d_values = pairwise_logits_vjp(np.swapaxes(cotangent, 0, 1), enc)
         fd_values = finite_difference_gradient(
-            lambda v: np.sum(cotangent * pairwise_logits(enc, v, measure)), values
+            lambda v: np.sum(cotangent * pairwise_logits(enc, v)), values
         )
         assert d_values.shape == values.shape
         assert max_relative_error(d_values, fd_values) < 1e-8
@@ -126,7 +102,7 @@ class TestPairwiseLogitsVjp:
 class TestSupportLogLikelihood:
     def test_single_class_is_zero(self):
         value, grad = support_log_likelihood(
-            np.ones((1, 2)), np.zeros(1, dtype=int), np.ones((1, 2)), "dot", 10.0
+            np.ones((1, 2)), np.zeros(1, dtype=int), np.ones((1, 2)), 10.0
         )
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros((1, 2)))
@@ -142,20 +118,19 @@ class TestSupportLogLikelihood:
         for s in range(2):
             row = z[s] / tau
             expect += row[y[s]] - math.log(np.exp(row).sum())
-        value, _ = support_log_likelihood(x, y, v, "dot", tau)
+        value, _ = support_log_likelihood(x, y, v, tau)
         assert value == pytest.approx(expect, abs=1e-12)
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_gradient_matches_oracle(self, measure):
+    def test_gradient_matches_oracle(self):
         gen = np.random.default_rng(3)
         for _ in range(10):
             n, k, d = 3, 2, 3
             x = gen.standard_normal((n * k, d))
             y = np.repeat(np.arange(n), k)
             v = gen.standard_normal((n, d))
-            _, grad = support_log_likelihood(x, y, v, measure, 7.0)
+            _, grad = support_log_likelihood(x, y, v, 7.0)
             fd = finite_difference_gradient(
-                lambda p: support_log_likelihood(x, y, p, measure, 7.0)[0],
+                lambda p: support_log_likelihood(x, y, p, 7.0)[0],
                 v,
             )
             assert max_relative_error(grad, fd) < 1e-4
@@ -163,13 +138,13 @@ class TestSupportLogLikelihood:
     def test_label_outside_targets(self):
         with pytest.raises(ValueError, match="outside"):
             support_log_likelihood(
-                np.ones((1, 2)), np.array([5]), np.ones((2, 2)), "dot", 1.0
+                np.ones((1, 2)), np.array([5]), np.ones((2, 2)), 1.0
             )
 
     def test_unequal_counts_rejected(self):
         with pytest.raises(ValueError, match="unequal"):
             support_log_likelihood(
-                np.ones((3, 2)), np.array([0, 0, 1]), np.ones((2, 2)), "dot", 1.0
+                np.ones((3, 2)), np.array([0, 0, 1]), np.ones((2, 2)), 1.0
             )
 
     def test_duplication_invariance_with_normalization(self):
@@ -177,9 +152,9 @@ class TestSupportLogLikelihood:
         x = gen.standard_normal((4, 3))
         y = np.array([0, 0, 1, 1])
         v = gen.standard_normal((2, 3))
-        v1, g1 = support_log_likelihood(x, y, v, "dot", 5.0)
+        v1, g1 = support_log_likelihood(x, y, v, 5.0)
         v2, g2 = support_log_likelihood(
-            np.vstack([x, x]), np.concatenate([y, y]), v, "dot", 5.0
+            np.vstack([x, x]), np.concatenate([y, y]), v, 5.0
         )
         assert v1 == pytest.approx(v2, abs=1e-12)
         np.testing.assert_allclose(g1, g2, atol=1e-12)
@@ -191,8 +166,8 @@ class TestSupportLogLikelihood:
             y = np.array([0, 0, 1, 1, 2, 2])
             v = gen.standard_normal((3, 2))
             perm = gen.permutation(6)
-            v1, g1 = support_log_likelihood(x, y, v, "euclidean", 3.0)
-            v2, g2 = support_log_likelihood(x[perm], y[perm], v, "euclidean", 3.0)
+            v1, g1 = support_log_likelihood(x, y, v, 3.0)
+            v2, g2 = support_log_likelihood(x[perm], y[perm], v, 3.0)
             assert v1 == pytest.approx(v2, abs=1e-12)
             np.testing.assert_allclose(g1, g2, atol=1e-12)
 
@@ -215,42 +190,28 @@ class TestSupportLabels:
             support_labels(np.array(labels, dtype=int), n_way)
 
 
-def unfloored_kernel(enc, one_hot, values, measure, tau, record=True, out=None):
+def unfloored_kernel(enc, one_hot, values, tau, record=True, out=None):
     """support_probs_and_grad as it was before the residual floor (and before
     its ``record`` keyword, which it takes and ignores), l-major, with its
     softmax returned row-first. That softmax goes into ``out`` (S, L, N) when
     that is given, as the kernel's does in a recorded chain."""
     out = None if out is None else np.swapaxes(out, 0, 1)
-    if measure == "dot":
-        logits = np.einsum("sd,lnd->lsn", enc, values)
-        probs = softmax_with_temperature(logits, tau, out=out)
-        return l_major(probs), np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
-    diff = enc[None, :, None, :] - values[:, None, :, :]
-    logits = -0.5 * np.einsum("lsnd,lsnd->lsn", diff, diff)
+    logits = np.einsum("sd,lnd->lsn", enc, values)
     probs = softmax_with_temperature(logits, tau, out=out)
-    return l_major(probs), np.einsum("lsn,lsnd->lnd", one_hot[None] - probs, diff)
+    return l_major(probs), np.einsum("lsn,sd->lnd", one_hot[None] - probs, enc)
 
 
-def five_pass_floor_kernel(enc, one_hot, values, measure, tau, record=True):
+def five_pass_floor_kernel(enc, one_hot, values, tau, record=True):
     """support_probs_and_grad with its residual floor as five array passes: a
-    subtraction, two comparisons, an and and a masked store; the euclidean
-    measure l-major, with its softmax returned row-first."""
-    if measure == "dot":
-        flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
-        logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
-            enc.shape[:-1] + values.shape[-3:-1]
-        )
-        labels = one_hot[..., :, None, :]
-    else:
-        diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
-        logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
-        labels = one_hot[..., None, :, :]
+    subtraction, two comparisons, an and and a masked store."""
+    flat = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
+    logits = np.einsum("...sd,...kd->...sk", enc, flat).reshape(
+        enc.shape[:-1] + values.shape[-3:-1]
+    )
     probs = softmax_with_temperature(logits, tau, None if record else LOGIT_CLAMP)
-    resid = labels - probs
+    resid = one_hot[..., :, None, :] - probs
     resid[(resid < RESIDUAL_FLOOR) & (resid > -RESIDUAL_FLOOR)] = 0.0
-    if measure == "dot":
-        return probs, np.einsum("...sln,...sd->...lnd", resid, enc)
-    return l_major(probs), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
+    return probs, np.einsum("...sln,...sd->...lnd", resid, enc)
 
 
 def underflow_world(seed=0):
@@ -282,21 +243,19 @@ class TestSupportDriftKernel:
             enc = gen.standard_normal((s, d)) * gen.choice([0.1, 1.0, 10.0])
             values = gen.standard_normal((chains, n_way, d))
             one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
-            probs, drift = support_probs_and_grad(enc, one_hot, values, "dot", 1.0)
+            probs, drift = support_probs_and_grad(enc, one_hot, values, 1.0)
             expected = np.einsum("lsn,sd->lnd", one_hot[None] - l_major(probs), enc)
             assert drift.tobytes() == expected.tobytes(), (chains, s, n_way, d)
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_floor_drops_only_terms_below_its_bound(self, measure):
+    def test_floor_drops_only_terms_below_its_bound(self):
         enc, y, values, _ = underflow_world()
         one_hot, _ = support_labels(y, 20)
-        ref_probs, ref_drift = unfloored_kernel(enc, one_hot, values, measure, 10.0)
+        ref_probs, ref_drift = unfloored_kernel(enc, one_hot, values, 10.0)
         resid = one_hot[:, None] - ref_probs
         assert np.any(is_subnormal(resid)), "the world no longer underflows"
-        probs, drift = support_probs_and_grad(enc, one_hot, values, measure, 10.0)
+        probs, drift = support_probs_and_grad(enc, one_hot, values, 10.0)
         assert probs.tobytes() == ref_probs.tobytes()  # the exact softmax
-        operand = enc if measure == "dot" else enc[None, :, None, :] - values[:, None, :, :]
-        bound = enc.shape[0] * RESIDUAL_FLOOR * np.abs(operand).max()
+        bound = enc.shape[0] * RESIDUAL_FLOOR * np.abs(enc).max()
         assert np.abs(drift - ref_drift).max() <= bound
 
     def test_floor_by_the_probabilities_is_the_residual_floor(self):
@@ -317,8 +276,7 @@ class TestSupportDriftKernel:
             assert floored.tobytes() == masked.tobytes(), (probs, labels)
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_drift_keeps_the_five_pass_floors_bits(self, measure, record):
+    def test_drift_keeps_the_five_pass_floors_bits(self, record):
         # a saturated wide episode, where residuals underflow, and random shapes
         enc, y, values, _ = underflow_world()
         cases = [(enc, support_labels(y, 20)[0], values, 10.0)]
@@ -329,20 +287,17 @@ class TestSupportDriftKernel:
                           np.eye(n_way)[gen.integers(0, n_way, size=s)],
                           gen.standard_normal((chains, n_way, d)), float(gen.choice([0.5, 10.0]))))
         for enc, one_hot, values, tau in cases:
-            probs, drift = support_probs_and_grad(enc, one_hot, values, measure, tau, record)
-            ref_probs, ref_drift = five_pass_floor_kernel(
-                enc, one_hot, values, measure, tau, record
-            )
+            probs, drift = support_probs_and_grad(enc, one_hot, values, tau, record)
+            ref_probs, ref_drift = five_pass_floor_kernel(enc, one_hot, values, tau, record)
             assert drift.tobytes() == ref_drift.tobytes()
             if record:
                 assert probs.tobytes() == ref_probs.tobytes()
             else:
                 assert probs is None
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_chain_trajectory_is_unchanged(self, monkeypatch, measure):
+    def test_chain_trajectory_is_unchanged(self, monkeypatch):
         enc, y, values, centers = underflow_world()
-        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0, measure=measure)
+        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0)
 
         def run():
             return sampler.sgld_chain(
@@ -356,8 +311,7 @@ class TestSupportDriftKernel:
         assert got.trajectory.tobytes() == expected.trajectory.tobytes()
         assert got.support_probs.tobytes() == expected.support_probs.tobytes()
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_reductions_see_no_subnormal_operand(self, monkeypatch, measure):
+    def test_reductions_see_no_subnormal_operand(self, monkeypatch):
         # subnormal arithmetic is many times slower; a wide saturated episode
         # must not feed it to any einsum of the drift
         enc, y, values, _ = underflow_world()
@@ -369,67 +323,10 @@ class TestSupportDriftKernel:
             return einsum(subscripts, *arrays, **kwargs)
 
         monkeypatch.setattr(np, "einsum", recording_einsum)
-        support_probs_and_grad(enc, one_hot, values, measure, 10.0)
+        support_probs_and_grad(enc, one_hot, values, 10.0)
         monkeypatch.undo()
         assert len(operands) >= 4
         assert not any(np.any(is_subnormal(a)) for a in operands)
-
-
-def l_major_euclidean_kernel(enc, one_hot, values, tau, record=True):
-    """support_probs_and_grad's euclidean measure as it was before its
-    row-first layout: logits, softmax and residual (..., L, S, N)."""
-    diff = enc[..., None, :, None, :] - values[..., :, None, :, :]
-    logits = -0.5 * np.einsum("...lsnd,...lsnd->...lsn", diff, diff)
-    probs = softmax_with_temperature(logits, tau, None if record else LOGIT_CLAMP, logits)
-    resid = one_hot[..., None, :, :] - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
-    return (probs if record else None), np.einsum("...lsn,...lsnd->...lnd", resid, diff)
-
-
-class TestRowFirstEuclideanKernel:
-    """The euclidean kernel computes s-major, to the l-major kernel's bits."""
-
-    @staticmethod
-    def assert_same_bits(enc, one_hot, values, tau, record, into_slot=False):
-        out = np.empty(enc.shape[:-1] + values.shape[-3:-1]) if into_slot else None
-        probs, drift = support_probs_and_grad(enc, one_hot, values, "euclidean", tau, record, out)
-        ref_probs, ref_drift = l_major_euclidean_kernel(enc, one_hot, values, tau, record)
-        assert drift.tobytes() == ref_drift.tobytes(), (values.shape, tau, record)
-        if not record:
-            assert probs is None
-            return
-        assert probs.shape == enc.shape[:-1] + values.shape[-3:-1]
-        assert l_major(probs).tobytes() == ref_probs.tobytes(), (values.shape, tau)
-        assert probs is out or not into_slot
-
-    @pytest.mark.parametrize("record", [True, False])
-    def test_random_shapes(self, record):
-        # one episode or E stacked, d=1 and N=1 included, tau below 1 included
-        gen = np.random.default_rng(46)
-        for i in range(1500):
-            lead = (int(gen.integers(1, 5)),) if i % 2 else ()
-            chains, s, n_way, d = (int(x) for x in gen.integers(1, [9, 12, 9, 20]))
-            if i % 7 == 0:
-                d = 1
-            if i % 5 == 0:
-                n_way = 1
-            scale = float(gen.choice([0.1, 1.0, 3.0, 10.0, 30.0]))
-            tau = float(gen.choice([0.3, 0.5, 0.9, 1.0, 3.0, 10.0]))
-            enc = scale * gen.standard_normal(lead + (s, d))
-            values = scale * gen.standard_normal(lead + (chains, n_way, d))
-            one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
-            self.assert_same_bits(enc, one_hot, values, tau, record, into_slot=bool(i % 3))
-
-    @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("e_count", [None, 1, 3])
-    @pytest.mark.parametrize("tau", [0.5, 10.0])
-    def test_underflow_world(self, record, e_count, tau):
-        worlds = [underflow_world(seed) for seed in range(e_count or 1)]
-        enc, y, values, _ = (np.stack(part) for part in zip(*worlds))
-        if e_count is None:
-            enc, y, values = enc[0], y[0], values[0]
-        one_hot, _ = support_labels(y, 20)
-        self.assert_same_bits(enc, one_hot, values, tau, record)
-        self.assert_same_bits(enc, one_hot, values, tau, record, into_slot=True)
 
 
 class TestUnrecordedDrift:
@@ -438,8 +335,7 @@ class TestUnrecordedDrift:
     def test_clamp_is_a_normal_float_below_the_floor(self):
         assert np.finfo(float).tiny <= math.exp(LOGIT_CLAMP) < RESIDUAL_FLOOR
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_drift_keeps_its_bits(self, measure):
+    def test_drift_keeps_its_bits(self):
         # one episode or E stacked ones, at scales from a soft softmax to one
         # whose exact probabilities underflow to zero or a subnormal
         gen = np.random.default_rng(44)
@@ -452,22 +348,21 @@ class TestUnrecordedDrift:
             enc = scale * gen.standard_normal(lead + (s, d))
             values = scale * gen.standard_normal(lead + (chains, n_way, d))
             one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
-            probs, drift = support_probs_and_grad(enc, one_hot, values, measure, tau)
-            none, fast = support_probs_and_grad(enc, one_hot, values, measure, tau, record=False)
+            probs, drift = support_probs_and_grad(enc, one_hot, values, tau)
+            none, fast = support_probs_and_grad(enc, one_hot, values, tau, record=False)
             assert none is None
             assert fast.tobytes() == drift.tobytes(), (values.shape, scale, tau)
             underflowing += bool(np.any(probs < np.finfo(float).tiny))
         assert underflowing >= 500
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("e_count", [None, 1, 3])
-    def test_chain_ends_where_the_recorded_chain_ends(self, measure, e_count):
+    def test_chain_ends_where_the_recorded_chain_ends(self, e_count):
         worlds = [underflow_world(seed) for seed in range(e_count or 1)]
         enc, y, values, centers = (np.stack(part) for part in zip(*worlds))
         rng = RngStream(5, np.arange(e_count or 1, dtype=np.uint64))
         if e_count is None:
             enc, y, values, centers, rng = enc[0], y[0], values[0], centers[0], RngStream(5, 0)
-        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0, measure=measure)
+        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0)
 
         targets = np.arange(20) if e_count is None else np.tile(np.arange(20), (e_count, 1))
 
@@ -482,8 +377,7 @@ class TestUnrecordedDrift:
         assert none is None
         assert final.tobytes() == chain.trajectory[-1].tobytes()
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_exp_sees_no_argument_below_the_clamp(self, monkeypatch, measure):
+    def test_exp_sees_no_argument_below_the_clamp(self, monkeypatch):
         # exp is many times slower on an output that underflows
         enc, y, values, _ = underflow_world()
         one_hot, _ = support_labels(y, 20)
@@ -494,21 +388,20 @@ class TestUnrecordedDrift:
             return exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", recording_exp)
-        support_probs_and_grad(enc, one_hot, values, measure, 10.0)
+        support_probs_and_grad(enc, one_hot, values, 10.0)
         assert min(lowest) < LOGIT_CLAMP, "the world no longer underflows"
         lowest.clear()
-        support_probs_and_grad(enc, one_hot, values, measure, 10.0, record=False)
+        support_probs_and_grad(enc, one_hot, values, 10.0, record=False)
         monkeypatch.undo()
         assert lowest and min(lowest) == LOGIT_CLAMP
 
 
-def random_batch(gen, measure):
+def random_batch(gen):
     """E episodes of random shape: encodings (E, S, d), one-hot labels
     (E, S, N), prototypes (E, L, N, d), at scales that keep the softmax off
     the residual floor."""
     e_count = int(gen.integers(1, 6))
-    high = [12, 30, 25, 70] if measure == "dot" else [6, 12, 10, 40]
-    chains, s, n_way, d = (int(x) for x in gen.integers(1, high))
+    chains, s, n_way, d = (int(x) for x in gen.integers(1, [12, 30, 25, 70]))
     enc = gen.standard_normal((e_count, s, d))
     values = gen.standard_normal((e_count, chains, n_way, d))
     one_hot = np.eye(n_way)[gen.integers(0, n_way, size=(e_count, s))]
@@ -518,31 +411,29 @@ def random_batch(gen, measure):
 class TestEpisodeAxis:
     """A leading episode axis gives each episode the bits it gets alone."""
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_drift_kernel(self, measure):
+    def test_drift_kernel(self):
         gen = np.random.default_rng(41)
         for _ in range(2000):
-            enc, one_hot, values = random_batch(gen, measure)
+            enc, one_hot, values = random_batch(gen)
             tau = float(gen.uniform(1.0, 20.0))
-            probs, drift = support_probs_and_grad(enc, one_hot, values, measure, tau)
+            probs, drift = support_probs_and_grad(enc, one_hot, values, tau)
             for e in range(len(enc)):
-                alone = support_probs_and_grad(enc[e], one_hot[e], values[e], measure, tau)
+                alone = support_probs_and_grad(enc[e], one_hot[e], values[e], tau)
                 assert probs[e].tobytes() == alone[0].tobytes(), values.shape
                 assert drift[e].tobytes() == alone[1].tobytes(), values.shape
             # the "..." subscripts give the bits of the explicit ones
-            reference = unfloored_kernel(enc[e], one_hot[e], values[e], measure, tau)
+            reference = unfloored_kernel(enc[e], one_hot[e], values[e], tau)
             assert alone[0].tobytes() == reference[0].tobytes(), values.shape
             assert alone[1].tobytes() == reference[1].tobytes(), values.shape
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_query_logits(self, measure):
+    def test_query_logits(self):
         gen = np.random.default_rng(42)
         for _ in range(2000):
-            enc, _, values = random_batch(gen, measure)
-            logits = pairwise_logits(enc, values, measure)
+            enc, _, values = random_batch(gen)
+            logits = pairwise_logits(enc, values)
             assert logits.shape == values.shape[:2] + enc.shape[1:2] + values.shape[2:3]
             for e in range(len(enc)):
-                alone = pairwise_logits(enc[e], values[e], measure)
+                alone = pairwise_logits(enc[e], values[e])
                 assert logits[e].tobytes() == alone.tobytes(), values.shape
 
     def test_support_labels_check_each_episode(self):
@@ -562,7 +453,7 @@ class TestPrototypeVjps:
     """The softmax and drift VJPs at random shapes, against central differences."""
 
     @staticmethod
-    def random_case(gen, measure):
+    def random_case(gen):
         chains, s, n_way, d = (int(x) for x in gen.integers(1, [5, 8, 6, 7]))
         enc = gen.standard_normal((s, d))
         values = gen.standard_normal((chains, n_way, d))
@@ -570,39 +461,34 @@ class TestPrototypeVjps:
         tau = float(gen.uniform(0.5, 20.0))
         return enc, values, one_hot, tau
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_similarity_softmax_vjp_matches_central_differences(self, measure):
+    def test_similarity_softmax_vjp_matches_central_differences(self):
         gen = np.random.default_rng(43)
         for _ in range(40):
-            enc, values, _, tau = self.random_case(gen, measure)
+            enc, values, _, tau = self.random_case(gen)
 
             def probs(v):
-                return softmax_with_temperature(pairwise_logits(enc, v, measure), tau)
+                return softmax_with_temperature(pairwise_logits(enc, v), tau)
 
             d_probs = gen.standard_normal(probs(values).shape)
             d_values = similarity_softmax_vjp(
-                np.swapaxes(probs(values), 0, 1), np.swapaxes(d_probs, 0, 1), enc, values,
-                measure, tau,
+                np.swapaxes(probs(values), 0, 1), np.swapaxes(d_probs, 0, 1), enc, tau
             )
             fd = finite_difference_gradient(lambda v: np.sum(d_probs * probs(v)), values)
             assert d_values.shape == values.shape
             assert max_relative_error(d_values, fd) < 1e-7, values.shape
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_support_drift_vjp_matches_central_differences(self, measure):
+    def test_support_drift_vjp_matches_central_differences(self):
         gen = np.random.default_rng(44)
         for _ in range(40):
-            enc, values, one_hot, tau = self.random_case(gen, measure)
+            enc, values, one_hot, tau = self.random_case(gen)
             scale = float(gen.uniform(0.01, 2.0))
             cotangent = gen.standard_normal(values.shape)
 
             def drift(v):
-                return scale * support_probs_and_grad(enc, one_hot, v, measure, tau)[1]
+                return scale * support_probs_and_grad(enc, one_hot, v, tau)[1]
 
-            probs, _ = support_probs_and_grad(enc, one_hot, values, measure, tau)
-            d_values = support_drift_vjp(
-                enc, one_hot, values, probs, cotangent, measure, tau, scale
-            )
+            probs, _ = support_probs_and_grad(enc, one_hot, values, tau)
+            d_values = support_drift_vjp(enc, probs, cotangent, tau, scale)
             fd = finite_difference_gradient(lambda v: np.sum(cotangent * drift(v)), values)
             assert d_values.shape == values.shape
             assert max_relative_error(d_values, fd) < 1e-7, values.shape

@@ -71,20 +71,18 @@ class TestInitPrototypes:
     def test_single_relation_equals_summary(self):
         # with one relation m_r = m, so v = h_r at alpha = beta = 1
         h = np.array([[0.5, -0.5]])
-        values = init_prototypes(np.array([[3.0, 1.0]]), np.array([3.0, 1.0]), h, 1.0, 1.0, 2)
+        values = init_prototypes(np.array([[3.0, 1.0]]), np.array([3.0, 1.0]), h, 1.0, 1.0)
         np.testing.assert_allclose(values[0], h, atol=1e-15)
 
     def test_hand_case_d1(self):
         h = np.array([[1.0], [1.0]])
-        values = init_prototypes(np.array([[2.0], [0.0]]), np.array([1.0]), h, 1.0, 1.0, 1)
+        values = init_prototypes(np.array([[2.0], [0.0]]), np.array([1.0]), h, 1.0, 1.0)
         np.testing.assert_allclose(values[0], [[2.0], [0.0]], atol=1e-15)
 
     def test_zero_weights_recover_class_means(self):
         gen = np.random.default_rng(1)
         class_means, grand_mean = gen.standard_normal((3, 2)), gen.standard_normal(2)
-        values = init_prototypes(
-            class_means, grand_mean, gen.standard_normal((3, 2)), 0.0, 0.0, 4
-        )
+        values = init_prototypes(class_means, grand_mean, gen.standard_normal((3, 2)), 0.0, 0.0)
         assert values.shape == (1, 3, 2)
         np.testing.assert_array_equal(values[0], class_means)
 
@@ -95,7 +93,7 @@ class TestInitPrototypes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as caught:
-                init_prototypes(class_means, grand_mean, np.full((2, 3), 10.0), alpha, beta, 2)
+                init_prototypes(class_means, grand_mean, np.full((2, 3), 10.0), alpha, beta)
         assert str(caught.value) == f"warm start is not finite at alpha {alpha:g} and beta {beta:g}"
 
     def test_chains_share_the_init(self):
@@ -103,7 +101,7 @@ class TestInitPrototypes:
         gen = np.random.default_rng(2)
         class_means, grand_mean = gen.standard_normal((2, 3)), gen.standard_normal(3)
         h = gen.standard_normal((2, 3))
-        values = init_prototypes(class_means, grand_mean, h, 1.0, 1.0, 5)
+        values = init_prototypes(class_means, grand_mean, h, 1.0, 1.0)
         assert values.shape == (1, 2, 3)
         _, chain = sgld_chain(np.zeros((0, 3)), np.zeros((0, 2)), 0, [0, 1], h, values,
                               SamplerConfig(chains=5, steps=0), RngStream(2), record=True)
@@ -196,8 +194,7 @@ class TestSgldChain:
             v = v + 0.5 * eps_t * grad
         np.testing.assert_allclose(out[0], v, atol=1e-10)
 
-    @pytest.mark.parametrize("measure", ["euclidean", "dot"])
-    def test_one_step_is_support_gradient_ascent_per_chain(self, measure):
+    def test_one_step_is_support_gradient_ascent_per_chain(self):
         # noise off, prior weight zero: one step moves every chain along its
         # own K-normalized support log-likelihood gradient
         gen = np.random.default_rng(17)
@@ -207,22 +204,21 @@ class TestSgldChain:
         v = gen.standard_normal((3, n, d))
         cfg = SamplerConfig(
             chains=3, steps=1, step_size=eps, noise_enabled=False,
-            prior_weight=0.0, tau=tau, measure=measure,
+            prior_weight=0.0, tau=tau,
         )
         out, _ = run_chain(v, gen.standard_normal((n, d)), cfg, RngStream(0), support=(sx, sy))
         one_hot, _ = support_labels(sy, n)
         for l in range(3):
             # the gradient of (1/K) sum_s log p(y_s | x_s, V_l): the drift over K tau
-            _, drift = support_probs_and_grad(sx, one_hot, v[l:l + 1], measure, tau, record=False)
+            _, drift = support_probs_and_grad(sx, one_hot, v[l:l + 1], tau, record=False)
             grad = drift[0] * ((1.0 / k) / tau)
             np.testing.assert_allclose(out[l], v[l] + 0.5 * eps * grad, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_record_keeps_support_probs_of_each_step(self, measure):
+    def test_record_keeps_support_probs_of_each_step(self):
         gen = np.random.default_rng(18)
         sx = gen.standard_normal((4, 3))
         sy = np.array([0, 0, 1, 1])
-        cfg = SamplerConfig(chains=2, steps=3, measure=measure)
+        cfg = SamplerConfig(chains=2, steps=3)
         one_hot, k_shot = support_labels(sy, 2)
         _, record = sgld_chain(
             sx, one_hot, k_shot, [3, 1], gen.standard_normal((2, 3)),
@@ -231,9 +227,7 @@ class TestSgldChain:
         # recorded row-first, (M, S, L, N)
         assert np.swapaxes(record.support_probs, 1, 2).shape == (3, 2, 4, 2)
         for t in range(3):
-            probs, _ = support_probs_and_grad(
-                sx, one_hot, record.trajectory[t], measure, cfg.tau
-            )
+            probs, _ = support_probs_and_grad(sx, one_hot, record.trajectory[t], cfg.tau)
             np.testing.assert_array_equal(record.support_probs[t], probs)
 
     def test_record_without_likelihood_has_no_support_probs(self):
@@ -332,13 +326,12 @@ class TestSgldChain:
 
 
 class TestRecordLayout:
-    """One row-first support softmax layout for both measures, recorded whole
-    before the chain's first step."""
+    """One row-first support softmax layout, recorded whole before the
+    chain's first step."""
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("e_count", [None, 3])
     @pytest.mark.parametrize("into_slot", [False, True])
-    def test_kernel_returns_rows_first(self, measure, e_count, into_slot):
+    def test_kernel_returns_rows_first(self, e_count, into_slot):
         gen = np.random.default_rng(19)
         lead = (e_count,) if e_count else ()
         s, chains, n_way, d = 6, 4, 3, 5
@@ -346,26 +339,22 @@ class TestRecordLayout:
         one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
         values = gen.standard_normal(lead + (chains, n_way, d))
         out = np.empty(lead + (s, chains, n_way)) if into_slot else None
-        probs, drift = support_probs_and_grad(enc, one_hot, values, measure, 2.0, True, out)
+        probs, drift = support_probs_and_grad(enc, one_hot, values, 2.0, True, out)
         assert probs.shape == lead + (s, chains, n_way) and drift.shape == values.shape
         assert probs is out or not into_slot
-        none, unrecorded = support_probs_and_grad(enc, one_hot, values, measure, 2.0, False)
+        none, unrecorded = support_probs_and_grad(enc, one_hot, values, 2.0, False)
         assert none is None and unrecorded.tobytes() == drift.tobytes()
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("e_count", [None, 2])
     @pytest.mark.parametrize("steps", [0, 1, 2, 3])
-    def test_chain_allocates_its_record_before_the_first_step(
-        self, monkeypatch, measure, e_count, steps
-    ):
+    def test_chain_allocates_its_record_before_the_first_step(self, monkeypatch, e_count, steps):
         sx, sy, _, targets, h = episode_batch(26, e_count or 1)
         rng = RngStream(8).child(np.arange(e_count), 1) if e_count else RngStream(8, 1)
         if e_count is None:
             sx, sy, targets, h = sx[0], sy[0], targets[0], h[0]
-        cfg = SamplerConfig(chains=3, steps=steps, measure=measure)
+        cfg = SamplerConfig(chains=3, steps=steps)
         one_hot, k_shot = support_labels(sy, 4)
-        init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta,
-                               cfg.chains)
+        init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta)
         kernel, slots = sampler.support_probs_and_grad, []
 
         def recording_kernel(*args):
@@ -404,9 +393,7 @@ def out_of_place_chain(
     for t, eps_t in enumerate(config.step_sizes(), start=1):
         grad = config.prior_weight * (h[..., None, :, :] - values)
         if has_lik:
-            probs, drift = support_probs_and_grad(
-                support_enc, one_hot, values, config.measure, config.tau, record
-            )
+            probs, drift = support_probs_and_grad(support_enc, one_hot, values, config.tau, record)
             grad += scale * drift
             support_probs.append(probs)
         values = values + 0.5 * eps_t * grad
@@ -433,7 +420,7 @@ class TestInPlaceChain:
     """sgld_chain updates its own copy in place, to the out-of-place update's bits."""
 
     @staticmethod
-    def chain_inputs(seed, batched, measure, noise, **settings):
+    def chain_inputs(seed, batched, noise, **settings):
         gen = np.random.default_rng(seed)
         e_count, n_way, k_shot = gen.integers(2, 5), gen.integers(2, 5), gen.integers(1, 3)
         chains, steps, d = gen.integers(1, 5), gen.integers(1, 6), gen.integers(2, 7)
@@ -444,7 +431,7 @@ class TestInPlaceChain:
                        for _ in range(e_count)])
         one_hot, k_shot = support_labels(sy if batched else sy[0], n_way)
         targets = np.stack([gen.choice(50, size=n_way, replace=False) for _ in range(e_count)])
-        cfg = SamplerConfig(measure=measure, noise_enabled=noise, **settings)
+        cfg = SamplerConfig(noise_enabled=noise, **settings)
         rng = RngStream(seed).child(np.arange(e_count), 1) if batched else RngStream(seed, 1)
         return (sx, one_hot, k_shot, targets if batched else targets[0],
                 gen.standard_normal(lead + (n_way, d)),
@@ -452,12 +439,11 @@ class TestInPlaceChain:
 
     @pytest.mark.parametrize("setting", list(IN_PLACE_SETTINGS))
     @pytest.mark.parametrize("noise", [True, False])
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("record", [True, False])
-    def test_equals_the_out_of_place_update(self, setting, noise, measure, batched, record):
+    def test_equals_the_out_of_place_update(self, setting, noise, batched, record):
         for seed in range(3):
-            args = self.chain_inputs(seed, batched, measure, noise, **IN_PLACE_SETTINGS[setting])
+            args = self.chain_inputs(seed, batched, noise, **IN_PLACE_SETTINGS[setting])
             out, chain = sgld_chain(*args, record=record)
             ref, trajectory, support_probs = out_of_place_chain(*args, record=record)
             assert out.tobytes() == ref.tobytes()
@@ -473,7 +459,7 @@ class TestInPlaceChain:
     @pytest.mark.parametrize("drawn_ahead", [True, False])
     @pytest.mark.parametrize("record", [True, False])
     def test_leaves_the_callers_values_and_noise_unchanged(self, drawn_ahead, record):
-        args = list(self.chain_inputs(4, True, "dot", True))
+        args = list(self.chain_inputs(4, True, True))
         values, cfg = args[5], args[6]
         noise = None
         if drawn_ahead:
@@ -494,7 +480,7 @@ class TestInPlaceChain:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_divergence_names_the_episode_chain_and_step_as_before(self, batched):
-        args = self.chain_inputs(5, batched, "dot", True, chains=3, steps=4)
+        args = self.chain_inputs(5, batched, True, chains=3, steps=4)
         cfg = args[6]
         blocks = chain_noise(args[7], args[3], 3, args[5].shape[-1])
         noise = np.stack([next(blocks) for _ in range(cfg.steps)])
@@ -508,9 +494,9 @@ class TestInPlaceChain:
         assert messages == [f"sampler diverged at {where} step 3"] * 2
 
 
-def per_chain_logits(enc, values, measure):
+def per_chain_logits(enc, values):
     # one 2-D pairwise_logits call per chain, stacked
-    return np.stack([pairwise_logits(enc, values[l], measure) for l in range(len(values))])
+    return np.stack([pairwise_logits(enc, values[l]) for l in range(len(values))])
 
 
 def first_lowest_key_maximum(probs, targets):
@@ -525,28 +511,22 @@ def first_lowest_key_maximum(probs, targets):
 
 class TestChainQueryProbs:
     # the per-chain query logits come from one batched pairwise_logits call
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_bit_equal_to_per_chain_logits(self, measure):
+    def test_bit_equal_to_per_chain_logits(self):
         gen = np.random.default_rng(15)
         for _ in range(200):
             chains, q, n, d = (int(x) for x in gen.integers(1, [12, 30, 25, 70]))
             enc = gen.standard_normal((q, d)) * 5.0
             values = gen.standard_normal((chains, n, d)) * 5.0
             np.testing.assert_array_equal(
-                pairwise_logits(enc, values, measure), per_chain_logits(enc, values, measure)
+                pairwise_logits(enc, values), per_chain_logits(enc, values)
             )
-
-    def test_unknown_measure_raises(self):
-        with pytest.raises(ValueError, match="measure"):
-            pairwise_logits(np.ones((1, 2)), np.ones((1, 2, 2)), "cosine")
-
 
 class TestPredictQueries:
     def test_identical_chains_equal_single_softmax(self):
         gen = np.random.default_rng(10)
         v = gen.standard_normal((1, 3, 2))
         q = gen.standard_normal((5, 2))
-        probs, _ = predict_queries(q, np.repeat(v, 4, axis=0), "dot", 10.0, np.arange(3))
+        probs, _ = predict_queries(q, np.repeat(v, 4, axis=0), 10.0, np.arange(3))
         expect = softmax_with_temperature(q @ v[0].T, 10.0)
         np.testing.assert_allclose(probs, expect, atol=1e-12)
 
@@ -554,7 +534,7 @@ class TestPredictQueries:
         # d=1, two classes: prototype pairs differ per chain
         values = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
         q = np.array([[1.0]])
-        probs, _ = predict_queries(q, values, "dot", 1.0, np.arange(2))
+        probs, _ = predict_queries(q, values, 1.0, np.arange(2))
         p1 = softmax_with_temperature(np.array([1.0, 0.0]), 1.0)
         p2 = softmax_with_temperature(np.array([0.0, 1.0]), 1.0)
         np.testing.assert_allclose(probs[0], (p1 + p2) / 2, atol=1e-12)
@@ -565,16 +545,12 @@ class TestPredictQueries:
             chains = int(gen.integers(1, 6))
             n = int(gen.integers(1, 6))
             values = gen.standard_normal((chains, n, 3))
-            probs, _ = predict_queries(
-                gen.standard_normal((4, 3)), values, "euclidean", 5.0, np.arange(n)
-            )
+            probs, _ = predict_queries(gen.standard_normal((4, 3)), values, 5.0, np.arange(n))
             np.testing.assert_allclose(probs.sum(axis=1), np.ones(4), atol=1e-9)
 
     def test_tie_breaks_to_lowest_relation_id(self):
         # identical prototypes force an exact tie; targets are unsorted
-        _, preds = predict_queries(
-            np.ones((1, 2)), np.ones((1, 3, 2)), "dot", 1.0, targets=[7, 3, 9]
-        )
+        _, preds = predict_queries(np.ones((1, 2)), np.ones((1, 3, 2)), 1.0, targets=[7, 3, 9])
         assert preds[0] == 1  # relation 3 has the lowest id
 
     @pytest.mark.parametrize("targets", [[7, 3, 9, 1, 5], [40, 2, 11, 2, 0], [0, 1, 2, 3, 4]])
@@ -585,16 +561,14 @@ class TestPredictQueries:
         a, b = gen.standard_normal(3), gen.standard_normal(3)
         values = np.stack([np.stack([a, b, a, b, a])] * 2)
         queries = np.vstack([gen.standard_normal((20, 3)), np.zeros((1, 3))])
-        probs, preds = predict_queries(
-            queries, values, "dot", 2.0, targets=targets
-        )
+        probs, preds = predict_queries(queries, values, 2.0, targets=targets)
         ties = (probs == probs.max(axis=1, keepdims=True)).sum(axis=1)
         assert ties.min() >= 2 and ties.max() == 5
         np.testing.assert_array_equal(preds, first_lowest_key_maximum(probs, targets))
 
     def test_empty_samples_raise(self):
         with pytest.raises(ValueError, match="samples"):
-            predict_queries(np.ones((1, 2)), np.zeros((0, 2, 2)), "dot", 1.0, np.arange(2))
+            predict_queries(np.ones((1, 2)), np.zeros((0, 2, 2)), 1.0, np.arange(2))
 
 
 class TestPosteriorPredict:
@@ -661,17 +635,14 @@ class TestEpisodeForward:
 class TestEpisodeForwardVjp:
     """The reverse of a recorded episode forward against central differences."""
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("step_decay", [0.0, 0.7])
     @pytest.mark.parametrize("graph_prior", [True, False])
-    def test_matches_oracle(self, measure, step_decay, graph_prior):
+    def test_matches_oracle(self, step_decay, graph_prior):
         gen = np.random.default_rng(40)
         sx, sy = gen.standard_normal((6, 3)), np.array([1, 0, 2, 2, 0, 1])
         qx, h = gen.standard_normal((4, 3)), gen.standard_normal((3, 3))
         targets = [4, 0, 2]
-        cfg = SamplerConfig(
-            chains=2, steps=3, step_decay=step_decay, measure=measure, graph_prior=graph_prior
-        )
+        cfg = SamplerConfig(chains=2, steps=3, step_decay=step_decay, graph_prior=graph_prior)
         cotangent = gen.standard_normal((2, 4, 3))
 
         def forward(h):
@@ -686,8 +657,7 @@ class TestEpisodeForwardVjp:
         if not graph_prior:
             assert not np.any(d_h)  # the forward replaced the summaries with zeros
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_random_configs_match_oracle(self, measure):
+    def test_random_configs_match_oracle(self):
         # shapes and the sampler's settings drawn at random, the chain noise
         # replayed from the stream so each perturbed forward sees the same
         # draws; two classes or more and the graph prior on, so the summaries
@@ -701,7 +671,7 @@ class TestEpisodeForwardVjp:
                 chains=chains, steps=int(gen.integers(0, 5)),
                 step_size=float(gen.uniform(0.0, 0.5)),
                 step_decay=float(gen.choice([0.0, 0.7])), tau=float(gen.uniform(1.0, 20.0)),
-                measure=measure, noise_enabled=bool(gen.integers(2)),
+                noise_enabled=bool(gen.integers(2)),
                 likelihood_weight=float(gen.choice([1.0, 0.0, 0.5])),
             )
             sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
@@ -727,27 +697,19 @@ def out_of_place_vjp(fwd, d_chain_probs, config):
     drift's cotangent ``half * d_v`` each computed, ``d_v_next`` built out of
     place, the softmax VJP as ``probs * (d_probs - inner) / tau``."""
 
-    def softmax_vjp(probs, d_probs, enc, prototypes, measure, tau):
+    def softmax_vjp(probs, d_probs, enc, tau):
         inner = (d_probs * probs).sum(axis=-1, keepdims=True)
-        return pairwise_logits_vjp(probs * (d_probs - inner) / tau, enc, prototypes, measure)
+        return pairwise_logits_vjp(probs * (d_probs - inner) / tau, enc)
 
-    def drift_vjp(enc, one_hot, values, probs, cotangent, measure, tau, scale):
-        if measure == "dot":
-            a = np.einsum("sd,lnd->sln", enc, cotangent)
-        else:
-            diff = enc[:, None, None, :] - values[None, :, :, :]
-            a = np.einsum("slnd,lnd->sln", diff, cotangent)
-        d_values = softmax_vjp(probs, -scale * a, enc, values, measure, tau)
-        if measure == "euclidean":
-            resid = one_hot[:, None, :] - probs
-            d_values -= scale * resid.sum(axis=0)[:, :, None] * cotangent
-        return d_values
+    def drift_vjp(enc, probs, cotangent, tau, scale):
+        a = np.einsum("sd,lnd->sln", enc, cotangent)
+        return softmax_vjp(probs, -scale * a, enc, tau)
 
     chain, stage = fwd.record, fwd.stage
     d_v = softmax_vjp(
         np.swapaxes(fwd.chain_probs, 0, 1).copy(),
         np.swapaxes(d_chain_probs.reshape((-1,) + fwd.chain_probs.shape[1:]), 0, 1),
-        stage.query_enc, chain.trajectory[-1], config.measure, config.tau,
+        stage.query_enc, config.tau,
     )
     d_h = np.zeros_like(d_v[0])
     lik_scale = config.likelihood_weight / (stage.k_shot * config.tau)
@@ -758,8 +720,7 @@ def out_of_place_vjp(fwd, d_chain_probs, config):
         d_v_next = d_v - half * config.prior_weight * d_v
         if chain.support_probs is not None:
             d_v_next = d_v_next + drift_vjp(
-                stage.support_enc, stage.one_hot, chain.trajectory[t], chain.support_probs[t],
-                half * d_v, config.measure, config.tau, lik_scale,
+                stage.support_enc, chain.support_probs[t], half * d_v, config.tau, lik_scale
             )
         d_v = d_v_next
     d_h += config.alpha * d_v.sum(axis=0)
@@ -781,16 +742,15 @@ class TestInPlaceReversePass:
     """episode_forward_vjp updates its cotangent in place, to the out-of-place loop's bits."""
 
     @pytest.mark.parametrize("setting", list(REVERSE_SETTINGS))
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-chain"])
-    def test_equals_the_out_of_place_reverse_pass(self, setting, measure, shared):
+    def test_equals_the_out_of_place_reverse_pass(self, setting, shared):
         gen = np.random.default_rng(60)
         for case in range(4):
             n_way, k_shot, q_count, d, chains, steps = (
                 int(x) for x in gen.integers([2, 1, 1, 1, 1, 1], [6, 4, 7, 6, 5, 6])
             )
             settings = {"chains": chains, "steps": steps, **REVERSE_SETTINGS[setting]}
-            cfg = SamplerConfig(measure=measure, tau=float(gen.uniform(1.0, 20.0)), **settings)
+            cfg = SamplerConfig(tau=float(gen.uniform(1.0, 20.0)), **settings)
             sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
             stage = stage_episode(episode(gen.standard_normal((sy.size, d)) * 2.0, sy,
                                           gen.choice(20, size=n_way, replace=False),
@@ -820,15 +780,13 @@ def episode_batch(seed, e_count, n_way=4, k_shot=2, q_count=6, d=5):
 class TestEpisodeBatch:
     """E stacked episodes get the bits each gets alone."""
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("noise", [True, False])
-    def test_chain_is_the_per_episode_chains(self, measure, noise):
+    def test_chain_is_the_per_episode_chains(self, noise):
         sx, sy, _, targets, h = episode_batch(20, 5)
-        cfg = SamplerConfig(chains=3, steps=4, step_decay=0.3, measure=measure,
-                            noise_enabled=noise)
+        cfg = SamplerConfig(chains=3, steps=4, step_decay=0.3, noise_enabled=noise)
         one_hot, k_shot = support_labels(sy, 4)
         means, grand = support_statistics(sx, one_hot, k_shot)
-        init = init_prototypes(means, grand, h, cfg.alpha, cfg.beta, cfg.chains)
+        init = init_prototypes(means, grand, h, cfg.alpha, cfg.beta)
         out, record = sgld_chain(
             sx, one_hot, k_shot, targets, h, init, cfg, RngStream(8).child(np.arange(5), 1),
             record=True,
@@ -839,9 +797,7 @@ class TestEpisodeBatch:
             alone_means, alone_grand = support_statistics(sx[e], alone_one_hot, k_shot)
             assert means[e].tobytes() == alone_means.tobytes()
             assert grand[e].tobytes() == alone_grand.tobytes()
-            alone_init = init_prototypes(
-                alone_means, alone_grand, h[e], cfg.alpha, cfg.beta, cfg.chains
-            )
+            alone_init = init_prototypes(alone_means, alone_grand, h[e], cfg.alpha, cfg.beta)
             assert init[e].tobytes() == alone_init.tobytes()
             alone, alone_record = sgld_chain(
                 sx[e], alone_one_hot, k_shot, targets[e], h[e], alone_init, cfg,
@@ -871,17 +827,15 @@ class TestEpisodeBatch:
             sx, sy, targets, h = sx[0], sy[0], targets[0], h[0]
         cfg = SamplerConfig(chains=3, steps=2)
         one_hot, k_shot = support_labels(sy, 4)
-        init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta,
-                               cfg.chains)
+        init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta)
         assert init.shape[-3] == 1
         out, record = sgld_chain(sx, one_hot, k_shot, targets, h, init, cfg, rng, record=True)
         assert out.flags.c_contiguous
         assert record.trajectory.flags.c_contiguous and record.support_probs.flags.c_contiguous
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_prediction_is_per_episode(self, measure):
+    def test_prediction_is_per_episode(self):
         sx, sy, qx, targets, h = episode_batch(21, 4)
-        cfg = SamplerConfig(chains=4, steps=3, measure=measure)
+        cfg = SamplerConfig(chains=4, steps=3)
         batch = RngStream(9).child(np.arange(4), 1)
         probs, preds = posterior_predict(episode(sx, sy, targets, qx), h, cfg, batch)
         assert probs.shape == (4, 6, 4) and preds.shape == (4, 6)
@@ -898,7 +852,7 @@ class TestEpisodeBatch:
         values = np.repeat(gen.standard_normal((3, 1, 1, 2)), 4, axis=2)
         queries = gen.standard_normal((3, 5, 2))
         targets = np.array([[7, 3, 9, 4], [1, 8, 0, 2], [5, 6, 7, 8]])
-        _, preds = predict_queries(queries, values, "dot", 1.0, targets)
+        _, preds = predict_queries(queries, values, 1.0, targets)
         np.testing.assert_array_equal(preds, np.repeat([[1], [2], [0]], 5, axis=1))
 
     def test_divergence_names_the_global_episode(self):
@@ -952,3 +906,17 @@ class TestStepSchedule:
         assert built == fresh and hash(built) == hash(fresh)
         assert {built: "point"}[fresh] == "point"
         assert built != SamplerConfig(steps=3)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"step_size": 3.9}, "largest step size 3.9 must be < 2"),
+        ({"step_size": 5.0, "prior_weight": 0.5},
+         "largest step size 5 times prior_weight 0.5 must be < 2"),
+        ({"step_size": 0.5, "prior_weight": 4.0},
+         "largest step size 0.5 times prior_weight 4 must be < 2"),
+    ])
+    def test_step_size_bound_names_prior_weight_only_off_its_default(self, settings, message):
+        # no option sets prior_weight, so a CLI message names it only when a
+        # library caller moved it off 1
+        with pytest.raises(ValueError) as caught:
+            SamplerConfig(**settings)
+        assert str(caught.value) == message

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from protograph import cli, evaluation
-from protograph.likelihood import MEASURES
 from protograph.sampler import SamplerConfig
 from protograph.trainer import TrainConfig
 
@@ -293,52 +292,6 @@ def test_only_numerics_takes_the_last_axis_max():
     assert found == ["numerics.row_max"]
 
 
-def measure_comparisons(source: str, scope: str) -> list[str]:
-    """Dotted names of the functions (or modules) in ``source`` holding a
-    comparison or a match case against a MEASURES name, alone or in a literal
-    tuple, list or set, once per such node, in source order."""
-
-    def names(node) -> set:
-        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
-        return {item.value for item in items if isinstance(item, ast.Constant)} & set(MEASURES)
-
-    def compares(node) -> bool:
-        if isinstance(node, ast.MatchValue):
-            return bool(names(node.value))
-        return isinstance(node, ast.Compare) and any(
-            names(side) for side in [node.left, *node.comparators]
-        )
-
-    return scopes_where(source, scope, compares)
-
-
-def test_measure_scan_finds_every_kind_of_comparison():
-    # the scan's own check: a scan that found nothing would pass the test below
-    source = """
-kernel = "dot" if measure == "dot" else "euclidean"
-def one(measure):
-    return {"dot": 1}[measure] + (measure == "cosine") + len("euclidean")
-class Kernel:
-    def two(self, ms):
-        if "euclidean" != self.measure and self.d < 3:
-            return [m for m in ms if m not in ("cosine", "dot")]
-def three(measure):
-    match measure:
-        case "euclidean":
-            return 1
-"""
-    assert measure_comparisons(source, "m") == ["m", "m.Kernel.two", "m.Kernel.two", "m.three"]
-
-
-def test_only_likelihood_branches_on_the_measure():
-    # the similarity kernel, its VJPs and the per-episode float count that
-    # sizes a batch all live in likelihood.py, so a new measure is added there
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        found += measure_comparisons(path.read_text(encoding="utf-8"), path.stem)
-    assert {scope.split(".")[0] for scope in found} == {"likelihood"}
-
-
 EPISODE_FIELDS = {"support_x", "support_y", "query_x"}
 
 
@@ -532,14 +485,12 @@ def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch):
     assert built == [TrainConfig(episodes, checkpoint_path=checkpoint)]
     for name in ("eval", "sweep", "zero-shot"):
         opts = cli.Options(cli.build_parser().parse_args([name]), cli.COMMANDS[name])
-        if name == "zero-shot":  # reads the sampler's tau and measure, builds no sampler
-            assert (opts["tau"], opts["measure"]) == (SamplerConfig.tau, SamplerConfig.measure)
+        if name == "zero-shot":  # reads the sampler's tau, builds no sampler
+            assert opts["tau"] == SamplerConfig.tau
         else:
             assert cli._sampler_config(opts) == SamplerConfig(), name
     zero_shot = inspect.signature(evaluation.evaluate_zeroshot).parameters
-    assert (zero_shot["measure"].default, zero_shot["tau"].default) == (
-        SamplerConfig.measure, SamplerConfig.tau
-    )
+    assert zero_shot["tau"].default == SamplerConfig.tau
 
 
 def argparse_conversions(source: str, scope: str) -> list[str]:
@@ -635,13 +586,13 @@ OPTIONS = {
     "knn": Option(int, 10, "neighbors"),
     "tau": Option(float, SamplerConfig.tau, "temperature"),
 }
-def evaluate(rng, measure="dot", tau=SamplerConfig.tau, hops=1, *, chains=-1):
-    return SamplerConfig(measure=measure, step_size=0.1, steps=2)
+def evaluate(rng, alpha=1.0, tau=SamplerConfig.tau, hops=1, *, chains=-1):
+    return SamplerConfig(alpha=alpha, step_size=0.1, steps=2)
 def build(opts):
     return TrainConfig(1, learning_rate=opts["lr"], sampler=SamplerConfig(tau=opts["tau"]))
 """
     assert literal_config_defaults(source, "m") == [
-        "m.OPTIONS[lr]", "m.SamplerConfig(step_size)", "m.evaluate(chains)", "m.evaluate(measure)",
+        "m.OPTIONS[lr]", "m.SamplerConfig(step_size)", "m.evaluate(alpha)", "m.evaluate(chains)",
     ]
 
 
@@ -831,6 +782,63 @@ def test_every_definition_is_referenced():
     others = [path.read_text(encoding="utf-8")
               for path in sorted((ROOT / "benchmarks").glob("*.py"))]
     assert unreferenced_definitions(defining, others) == []
+
+
+def unread_parameters(source: str, scope: str) -> list[str]:
+    """``scope.function(parameter)`` of each parameter, of a function, method
+    or lambda of ``source``, that its body never reads, in source order. A
+    read in a nested function counts; a parameter only assigned is unread."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.ClassDef):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = f"{scope}.{getattr(child, 'name', '<lambda>')}"
+                args = child.args
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {name.id for stmt in body for name in ast.walk(stmt)
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+                found.extend(
+                    f"{inner}({arg.arg})"
+                    for arg in [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                                args.kwarg]
+                    if arg is not None and arg.arg not in read
+                )
+            visit(child, inner)
+
+    visit(ast.parse(source), scope)
+    return found
+
+
+def test_unread_parameter_scan_finds_every_kind_of_parameter():
+    # the scan's own check: a scan that found nothing would pass the test below
+    source = """
+def one(a, /, b, *rest, c, **extra):
+    return b + c
+class Kernel:
+    def two(self, x, y):
+        y = x
+        return self
+def three(z, w):
+    def inner(v):
+        return z
+    return inner, (lambda u, t: t)
+"""
+    assert unread_parameters(source, "m") == [
+        "m.one(a)", "m.one(rest)", "m.one(extra)", "m.Kernel.two(y)", "m.three(w)",
+        "m.three.inner(v)", "m.three.<lambda>(u)",
+    ]
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an argument every caller passes for nothing
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += unread_parameters(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

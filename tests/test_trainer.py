@@ -75,11 +75,9 @@ class TestEpisodeObjective:
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
-    def test_gradients_match_oracle(self, measure):
+    def test_gradients_match_oracle(self):
         err = check_episode_objective(
-            seed=3, case=0, d=3, n_way=2, k_shot=1, q_per=2,
-            chains=2, steps=2, measure=measure, tau=10.0,
+            seed=3, case=0, d=3, n_way=2, k_shot=1, q_per=2, chains=2, steps=2, tau=10.0,
         )
         assert err < 1e-4
 
@@ -91,27 +89,25 @@ class TestEpisodeObjective:
         graph = build_knn_graph(emb, 2)
         params = init_params(d, d, RngStream(32))
         ep = random_episode(gen, 2, 1, 2, d, 6)
-        cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7, measure="euclidean")
+        cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7)
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("likelihood_weight, prior_weight, graph_prior", [
         (0.5, 2.0, True),
         (0.0, 1.0, True),  # no support probabilities recorded
         (1.0, 1.0, False),
     ])
     def test_gradients_match_oracle_ablation_settings(
-        self, measure, likelihood_weight, prior_weight, graph_prior
+        self, likelihood_weight, prior_weight, graph_prior
     ):
         gen, graph, params = tiny_world(seed=7)
         ep = random_episode(gen, 2, 2, 2, 3, 6)
         cfg = SamplerConfig(
-            chains=2, steps=2, measure=measure, likelihood_weight=likelihood_weight,
+            chains=2, steps=2, likelihood_weight=likelihood_weight,
             prior_weight=prior_weight, graph_prior=graph_prior,
         )
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(34)) < 1e-8
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("likelihood_weight, step_decay, graph_prior", [
         (1.0, 0.0, True),
         (1.0, 0.7, True),
@@ -119,7 +115,7 @@ class TestEpisodeObjective:
         (1.0, 0.0, False),
     ])
     def test_identity_encoder_gradients_match_oracle(
-        self, measure, likelihood_weight, step_decay, graph_prior
+        self, likelihood_weight, step_decay, graph_prior
     ):
         # a 3-way shape at a second seed: the graph layer is the whole model
         gen, graph, _ = tiny_world(seed=8)
@@ -127,7 +123,7 @@ class TestEpisodeObjective:
         assert list(param_arrays(params)) == ["gnn.weight", "gnn.bias"]
         ep = random_episode(gen, 3, 2, 2, 3, 6)
         cfg = SamplerConfig(
-            chains=2, steps=3, measure=measure, likelihood_weight=likelihood_weight,
+            chains=2, steps=3, likelihood_weight=likelihood_weight,
             step_decay=step_decay, graph_prior=graph_prior,
         )
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(35)) < 1e-8
@@ -282,8 +278,7 @@ def test_a_readme_training_step_allocates_its_record_once():
     stage, rows, params, cfg, rng, noise = args = readme_objective_inputs()
     trajectory = (cfg.steps + 1) * cfg.chains * 5 * stage.query_enc.shape[-1] * 8  # bytes
     h = rows @ params.gnn.weight + params.gnn.bias
-    start = sampler.init_prototypes(stage.class_means, stage.grand_mean, h, cfg.alpha, cfg.beta,
-                                    cfg.chains)
+    start = sampler.init_prototypes(stage.class_means, stage.grand_mean, h, cfg.alpha, cfg.beta)
     chain = traced_peak(lambda: sampler.sgld_chain(
         stage.support_enc, stage.one_hot, stage.k_shot, stage.targets, h, start, cfg, rng,
         record=True, noise=noise,
@@ -293,27 +288,16 @@ def test_a_readme_training_step_allocates_its_record_once():
     assert objective <= 2.52 * trajectory, objective / trajectory
 
 
-def l_major_pairwise_logits_vjp(d_logits, enc, prototypes, measure):
+def l_major_pairwise_logits_vjp(d_logits, enc):
     """pairwise_logits_vjp as it was before the row-first layout: the
     cotangent (L, n, N), each contraction innermost over the rows."""
-    if measure == "dot":
-        return np.einsum("lqn,qd->lnd", d_logits, enc)
-    diff = enc[None, :, None, :] - prototypes[:, None, :, :]
-    return np.einsum("lqn,lqnd->lnd", d_logits, diff)
+    return np.einsum("lqn,qd->lnd", d_logits, enc)
 
 
-def l_major_support_drift_vjp(enc, one_hot, values, probs, cotangent, measure, tau, scale):
+def l_major_support_drift_vjp(enc, probs, cotangent, tau, scale):
     """support_drift_vjp as it was before the row-first layout: probs (L, S, N)."""
-    if measure == "dot":
-        a = np.einsum("sd,lnd->lsn", enc, cotangent)
-    else:
-        diff = enc[None, :, None, :] - values[:, None, :, :]
-        a = np.einsum("lsnd,lnd->lsn", diff, cotangent)
-    d_values = likelihood.similarity_softmax_vjp(probs, -scale * a, enc, values, measure, tau)
-    if measure == "euclidean":
-        resid = one_hot[None] - probs
-        d_values -= scale * resid.sum(axis=1)[:, :, None] * cotangent
-    return d_values
+    a = np.einsum("sd,lnd->lsn", enc, cotangent)
+    return likelihood.similarity_softmax_vjp(probs, -scale * a, enc, tau)
 
 
 def l_major(rows_first):
@@ -329,19 +313,17 @@ class TestReversePassBits:
         monkeypatch.setattr(likelihood, "pairwise_logits_vjp", l_major_pairwise_logits_vjp)
         monkeypatch.setattr(
             sampler, "similarity_softmax_vjp",
-            lambda probs, d_probs, enc, values, measure, tau: likelihood.similarity_softmax_vjp(
-                l_major(probs), np.swapaxes(d_probs, 0, 1), enc, values, measure, tau),
+            lambda probs, d_probs, enc, tau: likelihood.similarity_softmax_vjp(
+                l_major(probs), np.swapaxes(d_probs, 0, 1), enc, tau),
         )
         monkeypatch.setattr(
             sampler, "support_drift_vjp",
-            lambda enc, one_hot, values, probs, *rest: l_major_support_drift_vjp(
-                enc, one_hot, values, l_major(probs), *rest),
+            lambda enc, probs, *rest: l_major_support_drift_vjp(enc, l_major(probs), *rest),
         )
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("graph_prior", [True, False], ids=["prior", "no-prior"])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
-    def test_objective_keeps_the_l_major_bits(self, monkeypatch, measure, graph_prior, noise):
+    def test_objective_keeps_the_l_major_bits(self, monkeypatch, graph_prior, noise):
         # the episodes train draws: N and d down to 1, K from 1 to 3, M from
         # 0 to 4, a step decay; each through the staged pair train hands over
         gen = np.random.default_rng(70)
@@ -354,7 +336,7 @@ class TestReversePassBits:
             cfg = SamplerConfig(
                 chains=int(gen.integers(1, 6)), steps=int(gen.integers(0, 5)),
                 step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6 * (case % 2),
-                tau=float(gen.uniform(1.0, 20.0)), measure=measure, noise_enabled=noise,
+                tau=float(gen.uniform(1.0, 20.0)), noise_enabled=noise,
                 graph_prior=graph_prior,
             )
             sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
@@ -516,9 +498,8 @@ class TestTrain:
         assert lines[0] == "episode_index,loss,val_accuracy,wall_ms"
         assert all(line.endswith(",,") for line in lines[1:])
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
-    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, measure, noise):
+    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, noise):
         # episodes, chain noise, stages and graph rows are made a chunk at a
         # time; each episode still gets the draws of its own streams and the
         # bits it gets alone, so one episode per chunk writes the same bytes
@@ -541,8 +522,7 @@ class TestTrain:
                     episodes=30, learning_rate=0.02, k_shot=k_shot,
                     checkpoint_path=out / "model.ckpt", log_path=out / "log.csv",
                 )
-                cfg.sampler = SamplerConfig(chains=3, steps=2, measure=measure,
-                                            noise_enabled=noise)
+                cfg.sampler = SamplerConfig(chains=3, steps=2, noise_enabled=noise)
                 train(ds, graph, cfg, {"seed": "201"})
                 outputs[elements] = [(out / name).read_bytes()
                                      for name in ("model.ckpt", "log.csv")]
@@ -552,13 +532,10 @@ class TestTrain:
             assert outputs[middle] == outputs[1]
             assert outputs[evaluation.BATCH_ELEMENTS] == outputs[1]
 
-    @pytest.mark.parametrize("measure", ["dot", "euclidean"])
     @pytest.mark.parametrize("graph_prior", [True, False], ids=["prior", "no-prior"])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
     @pytest.mark.parametrize("k_shot", [1, 3])
-    def test_staged_episode_gets_the_plain_episodes_bits(
-        self, measure, graph_prior, noise, k_shot
-    ):
+    def test_staged_episode_gets_the_plain_episodes_bits(self, graph_prior, noise, k_shot):
         # train stages a chunk's episodes and gathers their graph rows once,
         # and hands episode e its stage, its rows and its pre-drawn noise; the
         # objective returns the loss and gradient bits of the lone Episode's
@@ -570,8 +547,8 @@ class TestTrain:
             params = init_params(d, d, RngStream(case))
             cfg = SamplerConfig(
                 chains=int(gen.integers(1, 4)), steps=int(gen.integers(1, 4)),
-                step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6, measure=measure,
-                noise_enabled=noise, graph_prior=graph_prior,
+                step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6, noise_enabled=noise,
+                graph_prior=graph_prior,
             )
             targets = np.stack([gen.choice(9, size=n_way, replace=False) for _ in range(e_count)])
             sy = np.stack([gen.permutation(np.repeat(np.arange(n_way), k_shot))
