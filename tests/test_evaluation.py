@@ -138,7 +138,8 @@ class TestEvaluateZeroshot:
         )
         assert rep.accuracy - 0.2 >= 3 * rep.ci95
 
-    def test_matches_per_query_log_prob_argmax(self, informative_world):
+    @pytest.mark.parametrize("tau", [3.0, 0.5])
+    def test_matches_per_query_log_prob_argmax(self, informative_world, tau):
         # the batched prediction picks, per query, the class of highest log
         # probability, ties to the lowest relation id, as a per-query loop does
         from protograph.data import sample_episode
@@ -147,14 +148,14 @@ class TestEvaluateZeroshot:
 
         ds, graph, _ = informative_world
         params = identity_params(8)
-        rep = evaluate_zeroshot(ds, "test", graph, params, 5, 4, 40, RngStream(68), tau=3.0)
+        rep = evaluate_zeroshot(ds, "test", graph, params, 5, 4, 40, RngStream(68), tau=tau)
         for i, acc in enumerate(rep.per_episode):
             ep = sample_episode(ds, "test", 5, 0, 4, RngStream(68).child(i, 0))
             prototypes = summary_rows(graph, params.gnn, ep.targets)
             key = np.asarray(ep.targets)
             correct = 0
             for q, x in enumerate(ep.query_x):
-                log_p = class_log_probs(x, prototypes, 3.0)
+                log_p = class_log_probs(x, prototypes, tau)
                 best = np.flatnonzero(log_p == log_p.max())
                 correct += int(best[np.argmin(key[best])] == ep.query_y[q])
             assert acc == correct / len(ep.query_y)
@@ -168,7 +169,9 @@ class TestEvaluateZeroshot:
 
     @pytest.mark.parametrize("option, message", [
         ({"tau": 0.0}, "tau must be positive"),
+        ({"tau": -1.0}, "tau must be positive"),
         ({"tau": float("nan")}, "tau must be finite, got nan"),
+        ({"tau": float("inf")}, "tau must be finite, got inf"),
     ])
     def test_sampler_config_checks_tau_before_the_first_draw(
         self, informative_world, monkeypatch, option, message
@@ -198,6 +201,7 @@ BATCH_SETTINGS = {
     "dot": SamplerConfig(),
     "no-noise": SamplerConfig(noise_enabled=False),
     "no-graph-prior": SamplerConfig(graph_prior=False),
+    "sharp": SamplerConfig(tau=0.5),
     "zero-shot-dot": None,
 }
 
@@ -264,22 +268,23 @@ class TestBatchSize:
         # 20-way 5-shot at d=64: one episode at a time, as before batching
         assert _batch_size(10, 20, 100, 64) == 1
 
-    def test_one_episode_at_the_float_cap_and_none_past_it(self):
-        # 2-way 2-shot at d=4: the chain count whose step holds exactly
+    @pytest.mark.parametrize("chains, d", [(2**24, 4), (2**22, 16)])
+    def test_one_episode_at_the_float_cap_and_none_past_it(self, chains, d):
+        # 2-way 2-shot at d=4, as wide as the 4 support rows, and at d=16,
+        # wider than them: the chain count whose step holds exactly
         # EPISODE_FLOATS_CAP floats runs alone; one chain more fails, before
         # anything of that size is allocated
         from protograph.evaluation import EPISODE_FLOATS_CAP, _batch_size
         from protograph.likelihood import chain_step_floats
 
-        chains = 2**24
-        assert chain_step_floats(chains, 2, 4, 4) == EPISODE_FLOATS_CAP == 2**27
-        assert _batch_size(chains, 2, 4, 4) == 1
-        floats = chain_step_floats(chains + 1, 2, 4, 4)
+        assert chain_step_floats(chains, 2, 4, d) == EPISODE_FLOATS_CAP == 2**27
+        assert _batch_size(chains, 2, 4, d) == 1
+        floats = chain_step_floats(chains + 1, 2, 4, d)
         with pytest.raises(ValueError, match=(
             rf"^chains {chains + 1} is too many: one episode's chain step would hold "
             rf"{floats} floats, more than {2**27}$"
         )):
-            _batch_size(chains + 1, 2, 4, 4)
+            _batch_size(chains + 1, 2, 4, d)
 
     def test_zero_shot_runs_one_chain_whatever_the_chain_count(self, informative_world):
         # k_shot 0 scores the queries against the summaries alone: a chain

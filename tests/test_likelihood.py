@@ -26,6 +26,11 @@ from protograph.numerics import (
     softmax_with_temperature,
 )
 
+# the temperature of the underflow world, and a sharper one at which more of
+# its logits pass the clamp; both leave subnormal residuals
+UNDERFLOW_TAUS = pytest.mark.parametrize("tau", [10.0, 5.0])
+
+
 def l_major(probs):
     """Row-first support probabilities (..., S, L, N), as the drift computes
     them, as (..., L, S, N)."""
@@ -85,12 +90,13 @@ class TestClassLogProbs:
 
 
 class TestPairwiseLogitsVjp:
-    def test_matches_central_differences(self):
-        # L=3 prototype sets; the cotangent weights every logit differently
+    @pytest.mark.parametrize("chains", [3, 1])
+    def test_matches_central_differences(self, chains):
+        # L prototype sets; the cotangent weights every logit differently
         gen = np.random.default_rng(31)
         enc = gen.standard_normal((4, 3))
-        values = gen.standard_normal((3, 5, 3))
-        cotangent = gen.standard_normal((3, 4, 5))
+        values = gen.standard_normal((chains, 5, 3))
+        cotangent = gen.standard_normal((chains, 4, 5))
         d_values = pairwise_logits_vjp(np.swapaxes(cotangent, 0, 1), enc)
         fd_values = finite_difference_gradient(
             lambda v: np.sum(cotangent * pairwise_logits(enc, v)), values
@@ -121,16 +127,17 @@ class TestSupportLogLikelihood:
         value, _ = support_log_likelihood(x, y, v, tau)
         assert value == pytest.approx(expect, abs=1e-12)
 
-    def test_gradient_matches_oracle(self):
+    @pytest.mark.parametrize("tau", [7.0, 0.5])
+    def test_gradient_matches_oracle(self, tau):
         gen = np.random.default_rng(3)
         for _ in range(10):
             n, k, d = 3, 2, 3
             x = gen.standard_normal((n * k, d))
             y = np.repeat(np.arange(n), k)
             v = gen.standard_normal((n, d))
-            _, grad = support_log_likelihood(x, y, v, 7.0)
+            _, grad = support_log_likelihood(x, y, v, tau)
             fd = finite_difference_gradient(
-                lambda p: support_log_likelihood(x, y, p, 7.0)[0],
+                lambda p: support_log_likelihood(x, y, p, tau)[0],
                 v,
             )
             assert max_relative_error(grad, fd) < 1e-4
@@ -247,13 +254,14 @@ class TestSupportDriftKernel:
             expected = np.einsum("lsn,sd->lnd", one_hot[None] - l_major(probs), enc)
             assert drift.tobytes() == expected.tobytes(), (chains, s, n_way, d)
 
-    def test_floor_drops_only_terms_below_its_bound(self):
+    @UNDERFLOW_TAUS
+    def test_floor_drops_only_terms_below_its_bound(self, tau):
         enc, y, values, _ = underflow_world()
         one_hot, _ = support_labels(y, 20)
-        ref_probs, ref_drift = unfloored_kernel(enc, one_hot, values, 10.0)
+        ref_probs, ref_drift = unfloored_kernel(enc, one_hot, values, tau)
         resid = one_hot[:, None] - ref_probs
         assert np.any(is_subnormal(resid)), "the world no longer underflows"
-        probs, drift = support_probs_and_grad(enc, one_hot, values, 10.0)
+        probs, drift = support_probs_and_grad(enc, one_hot, values, tau)
         assert probs.tobytes() == ref_probs.tobytes()  # the exact softmax
         bound = enc.shape[0] * RESIDUAL_FLOOR * np.abs(enc).max()
         assert np.abs(drift - ref_drift).max() <= bound
@@ -275,17 +283,24 @@ class TestSupportDriftKernel:
             floored = labels - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
             assert floored.tobytes() == masked.tobytes(), (probs, labels)
 
+    @pytest.mark.parametrize("e_count", [None, 3])
     @pytest.mark.parametrize("record", [True, False])
-    def test_drift_keeps_the_five_pass_floors_bits(self, record):
-        # a saturated wide episode, where residuals underflow, and random shapes
-        enc, y, values, _ = underflow_world()
+    def test_drift_keeps_the_five_pass_floors_bits(self, e_count, record):
+        # a saturated wide episode, where residuals underflow, and random
+        # shapes; one episode or E stacked
+        lead = (e_count,) if e_count else ()
+        worlds = [underflow_world(seed) for seed in range(e_count or 1)]
+        enc, y, values, _ = (np.stack(part) for part in zip(*worlds))
+        if e_count is None:
+            enc, y, values = enc[0], y[0], values[0]
         cases = [(enc, support_labels(y, 20)[0], values, 10.0)]
         gen = np.random.default_rng(43)
         for _ in range(40):
             chains, s, n_way, d = (int(x) for x in gen.integers(1, 7, size=4))
-            cases.append((gen.standard_normal((s, d)) * gen.choice([0.1, 1.0, 30.0]),
-                          np.eye(n_way)[gen.integers(0, n_way, size=s)],
-                          gen.standard_normal((chains, n_way, d)), float(gen.choice([0.5, 10.0]))))
+            cases.append((gen.standard_normal(lead + (s, d)) * gen.choice([0.1, 1.0, 30.0]),
+                          np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))],
+                          gen.standard_normal(lead + (chains, n_way, d)),
+                          float(gen.choice([0.5, 10.0]))))
         for enc, one_hot, values, tau in cases:
             probs, drift = support_probs_and_grad(enc, one_hot, values, tau, record)
             ref_probs, ref_drift = five_pass_floor_kernel(enc, one_hot, values, tau, record)
@@ -295,9 +310,10 @@ class TestSupportDriftKernel:
             else:
                 assert probs is None
 
-    def test_chain_trajectory_is_unchanged(self, monkeypatch):
+    @UNDERFLOW_TAUS
+    def test_chain_trajectory_is_unchanged(self, monkeypatch, tau):
         enc, y, values, centers = underflow_world()
-        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0)
+        config = sampler.SamplerConfig(chains=10, steps=20, tau=tau)
 
         def run():
             return sampler.sgld_chain(
@@ -311,7 +327,8 @@ class TestSupportDriftKernel:
         assert got.trajectory.tobytes() == expected.trajectory.tobytes()
         assert got.support_probs.tobytes() == expected.support_probs.tobytes()
 
-    def test_reductions_see_no_subnormal_operand(self, monkeypatch):
+    @UNDERFLOW_TAUS
+    def test_reductions_see_no_subnormal_operand(self, monkeypatch, tau):
         # subnormal arithmetic is many times slower; a wide saturated episode
         # must not feed it to any einsum of the drift
         enc, y, values, _ = underflow_world()
@@ -323,10 +340,67 @@ class TestSupportDriftKernel:
             return einsum(subscripts, *arrays, **kwargs)
 
         monkeypatch.setattr(np, "einsum", recording_einsum)
-        support_probs_and_grad(enc, one_hot, values, 10.0)
+        support_probs_and_grad(enc, one_hot, values, tau)
         monkeypatch.undo()
         assert len(operands) >= 4
         assert not any(np.any(is_subnormal(a)) for a in operands)
+
+
+def l_major_kernel(enc, one_hot, values, tau, record=True):
+    """support_probs_and_grad with the l-major layout: logits, softmax and
+    residual (..., L, S, N)."""
+    logits = np.einsum("...sd,...lnd->...lsn", enc, values)
+    probs = softmax_with_temperature(logits, tau, None if record else LOGIT_CLAMP, logits)
+    resid = one_hot[..., None, :, :] - np.where(probs < RESIDUAL_FLOOR, 0.0, probs)
+    return (probs if record else None), np.einsum("...lsn,...sd->...lnd", resid, enc)
+
+
+class TestRowFirstKernel:
+    """The kernel computes s-major, to the l-major kernel's bits, with the
+    floor, the clamp and a leading episode axis."""
+
+    @staticmethod
+    def assert_same_bits(enc, one_hot, values, tau, record, into_slot=False):
+        out = np.empty(enc.shape[:-1] + values.shape[-3:-1]) if into_slot else None
+        probs, drift = support_probs_and_grad(enc, one_hot, values, tau, record, out)
+        ref_probs, ref_drift = l_major_kernel(enc, one_hot, values, tau, record)
+        assert drift.tobytes() == ref_drift.tobytes(), (values.shape, tau, record)
+        if not record:
+            assert probs is None
+            return
+        assert probs.shape == enc.shape[:-1] + values.shape[-3:-1]
+        assert l_major(probs).tobytes() == ref_probs.tobytes(), (values.shape, tau)
+        assert probs is out or not into_slot
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_random_shapes(self, record):
+        # one episode or E stacked, d=1 and N=1 included, tau below 1 included
+        gen = np.random.default_rng(46)
+        for i in range(1500):
+            lead = (int(gen.integers(1, 5)),) if i % 2 else ()
+            chains, s, n_way, d = (int(x) for x in gen.integers(1, [9, 12, 9, 20]))
+            if i % 7 == 0:
+                d = 1
+            if i % 5 == 0:
+                n_way = 1
+            scale = float(gen.choice([0.1, 1.0, 3.0, 10.0, 30.0]))
+            tau = float(gen.choice([0.3, 0.5, 0.9, 1.0, 3.0, 10.0]))
+            enc = scale * gen.standard_normal(lead + (s, d))
+            values = scale * gen.standard_normal(lead + (chains, n_way, d))
+            one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
+            self.assert_same_bits(enc, one_hot, values, tau, record, into_slot=bool(i % 3))
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("e_count", [None, 1, 3])
+    @UNDERFLOW_TAUS
+    def test_underflow_world(self, record, e_count, tau):
+        worlds = [underflow_world(seed) for seed in range(e_count or 1)]
+        enc, y, values, _ = (np.stack(part) for part in zip(*worlds))
+        if e_count is None:
+            enc, y, values = enc[0], y[0], values[0]
+        one_hot, _ = support_labels(y, 20)
+        self.assert_same_bits(enc, one_hot, values, tau, record)
+        self.assert_same_bits(enc, one_hot, values, tau, record, into_slot=True)
 
 
 class TestUnrecordedDrift:
@@ -355,14 +429,15 @@ class TestUnrecordedDrift:
             underflowing += bool(np.any(probs < np.finfo(float).tiny))
         assert underflowing >= 500
 
+    @UNDERFLOW_TAUS
     @pytest.mark.parametrize("e_count", [None, 1, 3])
-    def test_chain_ends_where_the_recorded_chain_ends(self, e_count):
+    def test_chain_ends_where_the_recorded_chain_ends(self, tau, e_count):
         worlds = [underflow_world(seed) for seed in range(e_count or 1)]
         enc, y, values, centers = (np.stack(part) for part in zip(*worlds))
         rng = RngStream(5, np.arange(e_count or 1, dtype=np.uint64))
         if e_count is None:
             enc, y, values, centers, rng = enc[0], y[0], values[0], centers[0], RngStream(5, 0)
-        config = sampler.SamplerConfig(chains=10, steps=20, tau=10.0)
+        config = sampler.SamplerConfig(chains=10, steps=20, tau=tau)
 
         targets = np.arange(20) if e_count is None else np.tile(np.arange(20), (e_count, 1))
 
@@ -377,7 +452,8 @@ class TestUnrecordedDrift:
         assert none is None
         assert final.tobytes() == chain.trajectory[-1].tobytes()
 
-    def test_exp_sees_no_argument_below_the_clamp(self, monkeypatch):
+    @UNDERFLOW_TAUS
+    def test_exp_sees_no_argument_below_the_clamp(self, monkeypatch, tau):
         # exp is many times slower on an output that underflows
         enc, y, values, _ = underflow_world()
         one_hot, _ = support_labels(y, 20)
@@ -388,10 +464,10 @@ class TestUnrecordedDrift:
             return exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", recording_exp)
-        support_probs_and_grad(enc, one_hot, values, 10.0)
+        support_probs_and_grad(enc, one_hot, values, tau)
         assert min(lowest) < LOGIT_CLAMP, "the world no longer underflows"
         lowest.clear()
-        support_probs_and_grad(enc, one_hot, values, 10.0, record=False)
+        support_probs_and_grad(enc, one_hot, values, tau, record=False)
         monkeypatch.undo()
         assert lowest and min(lowest) == LOGIT_CLAMP
 
@@ -411,11 +487,12 @@ def random_batch(gen):
 class TestEpisodeAxis:
     """A leading episode axis gives each episode the bits it gets alone."""
 
-    def test_drift_kernel(self):
+    @pytest.mark.parametrize("tau_range", [(1.0, 20.0), (0.2, 1.0)], ids=["soft", "sharp"])
+    def test_drift_kernel(self, tau_range):
         gen = np.random.default_rng(41)
         for _ in range(2000):
             enc, one_hot, values = random_batch(gen)
-            tau = float(gen.uniform(1.0, 20.0))
+            tau = float(gen.uniform(*tau_range))
             probs, drift = support_probs_and_grad(enc, one_hot, values, tau)
             for e in range(len(enc)):
                 alone = support_probs_and_grad(enc[e], one_hot[e], values[e], tau)
@@ -449,22 +526,30 @@ class TestEpisodeAxis:
             support_labels(np.array([[0, 1, 0, 1], [0, 5, 0, 1], [0, 0, 0, 1]]), 2)
 
 
+# tau drawn around the default, or below 1, where the softmax comes close to
+# one-hot
+VJP_TAU_RANGES = pytest.mark.parametrize(
+    "tau_range", [(0.5, 20.0), (0.2, 1.0)], ids=["soft", "sharp"]
+)
+
+
 class TestPrototypeVjps:
     """The softmax and drift VJPs at random shapes, against central differences."""
 
     @staticmethod
-    def random_case(gen):
+    def random_case(gen, tau_range):
         chains, s, n_way, d = (int(x) for x in gen.integers(1, [5, 8, 6, 7]))
         enc = gen.standard_normal((s, d))
         values = gen.standard_normal((chains, n_way, d))
         one_hot = np.eye(n_way)[gen.integers(0, n_way, size=s)]
-        tau = float(gen.uniform(0.5, 20.0))
+        tau = float(gen.uniform(*tau_range))
         return enc, values, one_hot, tau
 
-    def test_similarity_softmax_vjp_matches_central_differences(self):
+    @VJP_TAU_RANGES
+    def test_similarity_softmax_vjp_matches_central_differences(self, tau_range):
         gen = np.random.default_rng(43)
         for _ in range(40):
-            enc, values, _, tau = self.random_case(gen)
+            enc, values, _, tau = self.random_case(gen, tau_range)
 
             def probs(v):
                 return softmax_with_temperature(pairwise_logits(enc, v), tau)
@@ -477,10 +562,11 @@ class TestPrototypeVjps:
             assert d_values.shape == values.shape
             assert max_relative_error(d_values, fd) < 1e-7, values.shape
 
-    def test_support_drift_vjp_matches_central_differences(self):
+    @VJP_TAU_RANGES
+    def test_support_drift_vjp_matches_central_differences(self, tau_range):
         gen = np.random.default_rng(44)
         for _ in range(40):
-            enc, values, one_hot, tau = self.random_case(gen)
+            enc, values, one_hot, tau = self.random_case(gen, tau_range)
             scale = float(gen.uniform(0.01, 2.0))
             cotangent = gen.standard_normal(values.shape)
 

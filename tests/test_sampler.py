@@ -27,6 +27,16 @@ from protograph.sampler import (
     support_statistics,
 )
 
+# the default temperature, and a sharp one at which the softmaxes come
+# close to one-hot
+TAUS = pytest.mark.parametrize("tau", [10.0, 0.5], ids=["soft", "sharp"])
+# tau drawn from these ranges: the soft one around the default, the sharp one
+# below 1
+TAU_RANGES = pytest.mark.parametrize(
+    "tau_range", [(1.0, 20.0), (0.2, 1.0)], ids=["soft", "sharp"]
+)
+
+
 def statistics(e, y, n_way):
     return support_statistics(e, *support_labels(y, n_way))
 
@@ -194,11 +204,12 @@ class TestSgldChain:
             v = v + 0.5 * eps_t * grad
         np.testing.assert_allclose(out[0], v, atol=1e-10)
 
-    def test_one_step_is_support_gradient_ascent_per_chain(self):
+    @TAUS
+    def test_one_step_is_support_gradient_ascent_per_chain(self, tau):
         # noise off, prior weight zero: one step moves every chain along its
         # own K-normalized support log-likelihood gradient
         gen = np.random.default_rng(17)
-        n, k, d, tau, eps = 3, 2, 4, 5.0, 0.3
+        n, k, d, eps = 3, 2, 4, 0.3
         sx = gen.standard_normal((n * k, d))
         sy = np.repeat(np.arange(n), k)
         v = gen.standard_normal((3, n, d))
@@ -214,11 +225,12 @@ class TestSgldChain:
             grad = drift[0] * ((1.0 / k) / tau)
             np.testing.assert_allclose(out[l], v[l] + 0.5 * eps * grad, rtol=0, atol=1e-12)
 
-    def test_record_keeps_support_probs_of_each_step(self):
+    @TAUS
+    def test_record_keeps_support_probs_of_each_step(self, tau):
         gen = np.random.default_rng(18)
         sx = gen.standard_normal((4, 3))
         sy = np.array([0, 0, 1, 1])
-        cfg = SamplerConfig(chains=2, steps=3)
+        cfg = SamplerConfig(chains=2, steps=3, tau=tau)
         one_hot, k_shot = support_labels(sy, 2)
         _, record = sgld_chain(
             sx, one_hot, k_shot, [3, 1], gen.standard_normal((2, 3)),
@@ -294,11 +306,12 @@ class TestSgldChain:
             for e in range(4):
                 assert block[e].tobytes() == next(alone[e]).tobytes()
 
+    @TAUS
     @pytest.mark.parametrize("record", [False, True])
-    def test_returns_the_final_values_and_the_record(self, record):
+    def test_returns_the_final_values_and_the_record(self, tau, record):
         gen = np.random.default_rng(19)
         v = gen.standard_normal((2, 3, 2))
-        cfg = SamplerConfig(chains=2, steps=3)
+        cfg = SamplerConfig(chains=2, steps=3, tau=tau)
         support = (gen.standard_normal((3, 2)), np.array([2, 0, 1]))
         out, chain = run_chain(v, np.zeros((3, 2)), cfg, RngStream(6), support, record=record)
         if not record:
@@ -329,9 +342,10 @@ class TestRecordLayout:
     """One row-first support softmax layout, recorded whole before the
     chain's first step."""
 
+    @TAUS
     @pytest.mark.parametrize("e_count", [None, 3])
     @pytest.mark.parametrize("into_slot", [False, True])
-    def test_kernel_returns_rows_first(self, e_count, into_slot):
+    def test_kernel_returns_rows_first(self, tau, e_count, into_slot):
         gen = np.random.default_rng(19)
         lead = (e_count,) if e_count else ()
         s, chains, n_way, d = 6, 4, 3, 5
@@ -339,20 +353,23 @@ class TestRecordLayout:
         one_hot = np.eye(n_way)[gen.integers(0, n_way, size=lead + (s,))]
         values = gen.standard_normal(lead + (chains, n_way, d))
         out = np.empty(lead + (s, chains, n_way)) if into_slot else None
-        probs, drift = support_probs_and_grad(enc, one_hot, values, 2.0, True, out)
+        probs, drift = support_probs_and_grad(enc, one_hot, values, tau, True, out)
         assert probs.shape == lead + (s, chains, n_way) and drift.shape == values.shape
         assert probs is out or not into_slot
-        none, unrecorded = support_probs_and_grad(enc, one_hot, values, 2.0, False)
+        none, unrecorded = support_probs_and_grad(enc, one_hot, values, tau, False)
         assert none is None and unrecorded.tobytes() == drift.tobytes()
 
+    @TAUS
     @pytest.mark.parametrize("e_count", [None, 2])
     @pytest.mark.parametrize("steps", [0, 1, 2, 3])
-    def test_chain_allocates_its_record_before_the_first_step(self, monkeypatch, e_count, steps):
+    def test_chain_allocates_its_record_before_the_first_step(
+        self, monkeypatch, tau, e_count, steps
+    ):
         sx, sy, _, targets, h = episode_batch(26, e_count or 1)
         rng = RngStream(8).child(np.arange(e_count), 1) if e_count else RngStream(8, 1)
         if e_count is None:
             sx, sy, targets, h = sx[0], sy[0], targets[0], h[0]
-        cfg = SamplerConfig(chains=3, steps=steps)
+        cfg = SamplerConfig(chains=3, steps=steps, tau=tau)
         one_hot, k_shot = support_labels(sy, 4)
         init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta)
         kernel, slots = sampler.support_probs_and_grad, []
@@ -439,11 +456,12 @@ class TestInPlaceChain:
 
     @pytest.mark.parametrize("setting", list(IN_PLACE_SETTINGS))
     @pytest.mark.parametrize("noise", [True, False])
+    @TAUS
     @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("record", [True, False])
-    def test_equals_the_out_of_place_update(self, setting, noise, batched, record):
+    def test_equals_the_out_of_place_update(self, setting, noise, tau, batched, record):
         for seed in range(3):
-            args = self.chain_inputs(seed, batched, noise, **IN_PLACE_SETTINGS[setting])
+            args = self.chain_inputs(seed, batched, noise, tau=tau, **IN_PLACE_SETTINGS[setting])
             out, chain = sgld_chain(*args, record=record)
             ref, trajectory, support_probs = out_of_place_chain(*args, record=record)
             assert out.tobytes() == ref.tobytes()
@@ -456,10 +474,11 @@ class TestInPlaceChain:
             else:
                 assert chain.support_probs is None
 
+    @TAUS
     @pytest.mark.parametrize("drawn_ahead", [True, False])
     @pytest.mark.parametrize("record", [True, False])
-    def test_leaves_the_callers_values_and_noise_unchanged(self, drawn_ahead, record):
-        args = list(self.chain_inputs(4, True, True))
+    def test_leaves_the_callers_values_and_noise_unchanged(self, tau, drawn_ahead, record):
+        args = list(self.chain_inputs(4, True, True, tau=tau))
         values, cfg = args[5], args[6]
         noise = None
         if drawn_ahead:
@@ -635,14 +654,17 @@ class TestEpisodeForward:
 class TestEpisodeForwardVjp:
     """The reverse of a recorded episode forward against central differences."""
 
+    @TAUS
     @pytest.mark.parametrize("step_decay", [0.0, 0.7])
     @pytest.mark.parametrize("graph_prior", [True, False])
-    def test_matches_oracle(self, step_decay, graph_prior):
+    def test_matches_oracle(self, tau, step_decay, graph_prior):
         gen = np.random.default_rng(40)
         sx, sy = gen.standard_normal((6, 3)), np.array([1, 0, 2, 2, 0, 1])
         qx, h = gen.standard_normal((4, 3)), gen.standard_normal((3, 3))
         targets = [4, 0, 2]
-        cfg = SamplerConfig(chains=2, steps=3, step_decay=step_decay, graph_prior=graph_prior)
+        cfg = SamplerConfig(
+            chains=2, steps=3, step_decay=step_decay, tau=tau, graph_prior=graph_prior
+        )
         cotangent = gen.standard_normal((2, 4, 3))
 
         def forward(h):
@@ -657,7 +679,8 @@ class TestEpisodeForwardVjp:
         if not graph_prior:
             assert not np.any(d_h)  # the forward replaced the summaries with zeros
 
-    def test_random_configs_match_oracle(self):
+    @TAU_RANGES
+    def test_random_configs_match_oracle(self, tau_range):
         # shapes and the sampler's settings drawn at random, the chain noise
         # replayed from the stream so each perturbed forward sees the same
         # draws; two classes or more and the graph prior on, so the summaries
@@ -670,7 +693,7 @@ class TestEpisodeForwardVjp:
             cfg = SamplerConfig(
                 chains=chains, steps=int(gen.integers(0, 5)),
                 step_size=float(gen.uniform(0.0, 0.5)),
-                step_decay=float(gen.choice([0.0, 0.7])), tau=float(gen.uniform(1.0, 20.0)),
+                step_decay=float(gen.choice([0.0, 0.7])), tau=float(gen.uniform(*tau_range)),
                 noise_enabled=bool(gen.integers(2)),
                 likelihood_weight=float(gen.choice([1.0, 0.0, 0.5])),
             )
@@ -742,15 +765,16 @@ class TestInPlaceReversePass:
     """episode_forward_vjp updates its cotangent in place, to the out-of-place loop's bits."""
 
     @pytest.mark.parametrize("setting", list(REVERSE_SETTINGS))
+    @TAU_RANGES
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-chain"])
-    def test_equals_the_out_of_place_reverse_pass(self, setting, shared):
+    def test_equals_the_out_of_place_reverse_pass(self, setting, tau_range, shared):
         gen = np.random.default_rng(60)
         for case in range(4):
             n_way, k_shot, q_count, d, chains, steps = (
                 int(x) for x in gen.integers([2, 1, 1, 1, 1, 1], [6, 4, 7, 6, 5, 6])
             )
             settings = {"chains": chains, "steps": steps, **REVERSE_SETTINGS[setting]}
-            cfg = SamplerConfig(tau=float(gen.uniform(1.0, 20.0)), **settings)
+            cfg = SamplerConfig(tau=float(gen.uniform(*tau_range)), **settings)
             sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
             stage = stage_episode(episode(gen.standard_normal((sy.size, d)) * 2.0, sy,
                                           gen.choice(20, size=n_way, replace=False),
@@ -780,10 +804,11 @@ def episode_batch(seed, e_count, n_way=4, k_shot=2, q_count=6, d=5):
 class TestEpisodeBatch:
     """E stacked episodes get the bits each gets alone."""
 
+    @TAUS
     @pytest.mark.parametrize("noise", [True, False])
-    def test_chain_is_the_per_episode_chains(self, noise):
+    def test_chain_is_the_per_episode_chains(self, tau, noise):
         sx, sy, _, targets, h = episode_batch(20, 5)
-        cfg = SamplerConfig(chains=3, steps=4, step_decay=0.3, noise_enabled=noise)
+        cfg = SamplerConfig(chains=3, steps=4, step_decay=0.3, tau=tau, noise_enabled=noise)
         one_hot, k_shot = support_labels(sy, 4)
         means, grand = support_statistics(sx, one_hot, k_shot)
         init = init_prototypes(means, grand, h, cfg.alpha, cfg.beta)
@@ -816,8 +841,9 @@ class TestEpisodeBatch:
                 kept = np.asarray(getattr(stages[e], name))
                 assert kept.tobytes() == np.asarray(value).tobytes(), name
 
+    @TAUS
     @pytest.mark.parametrize("e_count", [None, 5], ids=["one", "batch"])
-    def test_chain_state_and_record_are_c_ordered(self, e_count):
+    def test_chain_state_and_record_are_c_ordered(self, tau, e_count):
         # the warm start has one chain slot: the chain writes it into its own
         # C-ordered state or record, which its einsums run fastest on (a plain
         # copy of a broadcast view would keep the chain axis innermost but one)
@@ -825,7 +851,7 @@ class TestEpisodeBatch:
         rng = RngStream(8).child(np.arange(e_count), 1) if e_count else RngStream(8, 1)
         if e_count is None:
             sx, sy, targets, h = sx[0], sy[0], targets[0], h[0]
-        cfg = SamplerConfig(chains=3, steps=2)
+        cfg = SamplerConfig(chains=3, steps=2, tau=tau)
         one_hot, k_shot = support_labels(sy, 4)
         init = init_prototypes(*support_statistics(sx, one_hot, k_shot), h, cfg.alpha, cfg.beta)
         assert init.shape[-3] == 1
@@ -833,9 +859,10 @@ class TestEpisodeBatch:
         assert out.flags.c_contiguous
         assert record.trajectory.flags.c_contiguous and record.support_probs.flags.c_contiguous
 
-    def test_prediction_is_per_episode(self):
+    @TAUS
+    def test_prediction_is_per_episode(self, tau):
         sx, sy, qx, targets, h = episode_batch(21, 4)
-        cfg = SamplerConfig(chains=4, steps=3)
+        cfg = SamplerConfig(chains=4, steps=3, tau=tau)
         batch = RngStream(9).child(np.arange(4), 1)
         probs, preds = posterior_predict(episode(sx, sy, targets, qx), h, cfg, batch)
         assert probs.shape == (4, 6, 4) and preds.shape == (4, 6)

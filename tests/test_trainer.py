@@ -30,6 +30,11 @@ from protograph.trainer import (
 )
 
 
+# the default temperature, and a sharp one at which the softmaxes come
+# close to one-hot
+TAUS = pytest.mark.parametrize("tau", [10.0, 0.5], ids=["soft", "sharp"])
+
+
 def tiny_world(seed=0, d=3, n_rel=6):
     gen = RngStream(seed).generator()
     emb = gen.standard_normal((n_rel, d))
@@ -75,13 +80,15 @@ class TestEpisodeObjective:
         for g in grads.values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
-    def test_gradients_match_oracle(self):
+    @TAUS
+    def test_gradients_match_oracle(self, tau):
         err = check_episode_objective(
-            seed=3, case=0, d=3, n_way=2, k_shot=1, q_per=2, chains=2, steps=2, tau=10.0,
+            seed=3, case=0, d=3, n_way=2, k_shot=1, q_per=2, chains=2, steps=2, tau=tau,
         )
         assert err < 1e-4
 
-    def test_gradients_match_oracle_decayed(self):
+    @TAUS
+    def test_gradients_match_oracle_decayed(self, tau):
         # the remaining gradient path: a decaying step-size schedule
         gen = RngStream(31).generator()
         d = 3
@@ -89,25 +96,27 @@ class TestEpisodeObjective:
         graph = build_knn_graph(emb, 2)
         params = init_params(d, d, RngStream(32))
         ep = random_episode(gen, 2, 1, 2, d, 6)
-        cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7)
+        cfg = SamplerConfig(chains=2, steps=3, step_decay=0.7, tau=tau)
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(33)) < 1e-4
 
+    @TAUS
     @pytest.mark.parametrize("likelihood_weight, prior_weight, graph_prior", [
         (0.5, 2.0, True),
         (0.0, 1.0, True),  # no support probabilities recorded
         (1.0, 1.0, False),
     ])
     def test_gradients_match_oracle_ablation_settings(
-        self, likelihood_weight, prior_weight, graph_prior
+        self, tau, likelihood_weight, prior_weight, graph_prior
     ):
         gen, graph, params = tiny_world(seed=7)
         ep = random_episode(gen, 2, 2, 2, 3, 6)
         cfg = SamplerConfig(
-            chains=2, steps=2, likelihood_weight=likelihood_weight,
+            chains=2, steps=2, tau=tau, likelihood_weight=likelihood_weight,
             prior_weight=prior_weight, graph_prior=graph_prior,
         )
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(34)) < 1e-8
 
+    @TAUS
     @pytest.mark.parametrize("likelihood_weight, step_decay, graph_prior", [
         (1.0, 0.0, True),
         (1.0, 0.7, True),
@@ -115,7 +124,7 @@ class TestEpisodeObjective:
         (1.0, 0.0, False),
     ])
     def test_identity_encoder_gradients_match_oracle(
-        self, likelihood_weight, step_decay, graph_prior
+        self, tau, likelihood_weight, step_decay, graph_prior
     ):
         # a 3-way shape at a second seed: the graph layer is the whole model
         gen, graph, _ = tiny_world(seed=8)
@@ -123,7 +132,7 @@ class TestEpisodeObjective:
         assert list(param_arrays(params)) == ["gnn.weight", "gnn.bias"]
         ep = random_episode(gen, 3, 2, 2, 3, 6)
         cfg = SamplerConfig(
-            chains=2, steps=3, likelihood_weight=likelihood_weight,
+            chains=2, steps=3, tau=tau, likelihood_weight=likelihood_weight,
             step_decay=step_decay, graph_prior=graph_prior,
         )
         assert parameter_gradient_error(ep, graph, params, cfg, RngStream(35)) < 1e-8
@@ -321,9 +330,10 @@ class TestReversePassBits:
             lambda enc, probs, *rest: l_major_support_drift_vjp(enc, l_major(probs), *rest),
         )
 
+    @pytest.mark.parametrize("tau_range", [(1.0, 20.0), (0.2, 1.0)], ids=["soft", "sharp"])
     @pytest.mark.parametrize("graph_prior", [True, False], ids=["prior", "no-prior"])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
-    def test_objective_keeps_the_l_major_bits(self, monkeypatch, graph_prior, noise):
+    def test_objective_keeps_the_l_major_bits(self, monkeypatch, tau_range, graph_prior, noise):
         # the episodes train draws: N and d down to 1, K from 1 to 3, M from
         # 0 to 4, a step decay; each through the staged pair train hands over
         gen = np.random.default_rng(70)
@@ -336,7 +346,7 @@ class TestReversePassBits:
             cfg = SamplerConfig(
                 chains=int(gen.integers(1, 6)), steps=int(gen.integers(0, 5)),
                 step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6 * (case % 2),
-                tau=float(gen.uniform(1.0, 20.0)), noise_enabled=noise,
+                tau=float(gen.uniform(*tau_range)), noise_enabled=noise,
                 graph_prior=graph_prior,
             )
             sy = gen.permutation(np.repeat(np.arange(n_way), k_shot))
@@ -498,8 +508,11 @@ class TestTrain:
         assert lines[0] == "episode_index,loss,val_accuracy,wall_ms"
         assert all(line.endswith(",,") for line in lines[1:])
 
+    # tau 1 as well as the default: below 1, this world's training aborts on
+    # a query probability that underflows to 0
+    @pytest.mark.parametrize("tau", [10.0, 1.0])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
-    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, noise):
+    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, tau, noise):
         # episodes, chain noise, stages and graph rows are made a chunk at a
         # time; each episode still gets the draws of its own streams and the
         # bits it gets alone, so one episode per chunk writes the same bytes
@@ -522,7 +535,7 @@ class TestTrain:
                     episodes=30, learning_rate=0.02, k_shot=k_shot,
                     checkpoint_path=out / "model.ckpt", log_path=out / "log.csv",
                 )
-                cfg.sampler = SamplerConfig(chains=3, steps=2, noise_enabled=noise)
+                cfg.sampler = SamplerConfig(chains=3, steps=2, tau=tau, noise_enabled=noise)
                 train(ds, graph, cfg, {"seed": "201"})
                 outputs[elements] = [(out / name).read_bytes()
                                      for name in ("model.ckpt", "log.csv")]
@@ -532,10 +545,11 @@ class TestTrain:
             assert outputs[middle] == outputs[1]
             assert outputs[evaluation.BATCH_ELEMENTS] == outputs[1]
 
+    @TAUS
     @pytest.mark.parametrize("graph_prior", [True, False], ids=["prior", "no-prior"])
     @pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
     @pytest.mark.parametrize("k_shot", [1, 3])
-    def test_staged_episode_gets_the_plain_episodes_bits(self, graph_prior, noise, k_shot):
+    def test_staged_episode_gets_the_plain_episodes_bits(self, tau, graph_prior, noise, k_shot):
         # train stages a chunk's episodes and gathers their graph rows once,
         # and hands episode e its stage, its rows and its pre-drawn noise; the
         # objective returns the loss and gradient bits of the lone Episode's
@@ -547,8 +561,8 @@ class TestTrain:
             params = init_params(d, d, RngStream(case))
             cfg = SamplerConfig(
                 chains=int(gen.integers(1, 4)), steps=int(gen.integers(1, 4)),
-                step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6, noise_enabled=noise,
-                graph_prior=graph_prior,
+                step_size=float(gen.uniform(0.05, 0.4)), step_decay=0.6, tau=tau,
+                noise_enabled=noise, graph_prior=graph_prior,
             )
             targets = np.stack([gen.choice(9, size=n_way, replace=False) for _ in range(e_count)])
             sy = np.stack([gen.permutation(np.repeat(np.arange(n_way), k_shot))
